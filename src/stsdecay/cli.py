@@ -9,7 +9,9 @@ ef/d1/d2/mutual-information values by 1/ln(2) and nothing else.
 Death-time cells that have no finite value carry a marker string instead
 of a number, in both formats: "asymptotic-only" (zero-temperature bath;
 decay never finishes) or "separable" (sweep rows whose state has nothing
-left to lose).
+left to lose).  A non-finite number is never printed: the command exits 2
+instead.  Tables are streamed in chunks; ``--out`` files appear only once
+complete.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 inapplicable request (death time of an already-separable state).
@@ -18,26 +20,29 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
 import json
 import math
+import os
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
     StandardForm,
     StsParams,
+    _bona_fide,
     is_separable,
     standard_form_from_sts,
     symplectic_spectrum,
 )
-from .correlations import correlation_report
+from .correlations import _measures, correlation_report
 from .dynamics import (
     AsymptoticOnly,
     ReservoirConfig,
+    _check_time,
+    _evolved_entries,
     esd_time_identical_baths,
     esd_time_single_bath,
     evolve,
@@ -58,8 +63,18 @@ _OUTPUT_COLUMNS = {
 _REPORT_OUTPUTS = ["ef", "d1", "d2", "mutual_information", "kappas", "separable"]
 _SWEEP_OUTPUTS = _REPORT_OUTPUTS + ["ts"]
 
-# Fixed column schema of the `evolve` subcommand (documented in README).
+# Selectable outputs that are fields of the correlation report.
+_MEASURES = ("ef", "d1", "d2", "mutual_information")
+
+# Fixed column schemas of the `evolve` and `verify --format json` tables
+# (documented in README).
 _EVOLVE_COLUMNS = ["t", "b1", "b2", "c", "ef", "d1", "d2", "mutual_information", "separable"]
+_VERIFY_COLUMNS = ["quantity", "closed_form", "oracle", "abs_err", "tol", "passed"]
+
+# Tables are formatted and written this many rows at a time, so memory does
+# not grow with the table; a command that fails within its first chunk
+# writes nothing.
+_CHUNK_ROWS = 1024
 
 _LN2 = math.log(2.0)
 
@@ -246,47 +261,111 @@ def _scale(value: float, units: str) -> float:
     return value / _LN2 if units == "bits" else value
 
 
-def _measure_columns(sf: StandardForm, outputs: list[str], units: str) -> dict[str, object]:
-    """The selectable per-state columns, in canonical order."""
-    rep = correlation_report(sf)
-    row: dict[str, object] = {}
+def _state_cells(sf: StandardForm, outputs: list[str], units: str) -> list[object]:
+    """Cells of the selected per-state outputs, in canonical order.
+
+    The correlation report is computed only when a measure column is selected.
+    """
+    rep = correlation_report(sf) if any(name in _MEASURES for name in outputs) else None
+    cells: list[object] = []
     for name in outputs:
-        if name == "ef":
-            row["ef"] = _scale(rep.ef, units)
-        elif name == "d1":
-            row["d1"] = _scale(rep.d1, units)
-        elif name == "d2":
-            row["d2"] = _scale(rep.d2, units)
-        elif name == "mutual_information":
-            row["mutual_information"] = _scale(rep.mutual_information, units)
-        elif name == "kappas":
+        if name == "kappas":
             spec = symplectic_spectrum(sf)
-            row["kappa_plus"] = spec.kappa_plus
-            row["kappa_minus"] = spec.kappa_minus
-            row["kappa_tilde_plus"] = spec.kappa_tilde_plus
-            row["kappa_tilde_minus"] = spec.kappa_tilde_minus
+            cells += (spec.kappa_plus, spec.kappa_minus, spec.kappa_tilde_plus, spec.kappa_tilde_minus)
         elif name == "separable":
-            row["separable"] = is_separable(sf)
-    return row
+            cells.append(rep.separable if rep is not None else is_separable(sf))
+        else:
+            cells.append(_scale(getattr(rep, name), units))
+    return cells
 
 
-def _emit(rows: list[dict], fieldnames: list[str], fmt: str, out: str | None) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {k: ("true" if v is True else "false" if v is False else v) for k, v in row.items()}
-            )
-        text = buf.getvalue()
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
+def _columns(outputs: list[str]) -> list[str]:
+    return [col for name in outputs for col in _OUTPUT_COLUMNS[name]]
+
+
+def _evolve_rows(
+    sf0: StandardForm, res: ReservoirConfig, grid: list[float], units: str
+) -> Iterator[tuple[object, ...]]:
+    """Rows of the `evolve` table.
+
+    Each evolved triple goes through the StandardForm validator and then
+    straight to the correlation kernel; no state object is built per row.
+    """
+    for t in grid:
+        b1, b2, c = _evolved_entries(sf0, res, t)
+        b1, b2 = _bona_fide(b1, b2, c)
+        ef, d1, d2, mi, separable, _, _, _, _ = _measures(b1, b2, c)
+        yield t, b1, b2, c, _scale(ef, units), _scale(d1, units), _scale(d2, units), _scale(mi, units), separable
+
+
+def _cell(value: object, spell: Callable[[object], str]) -> str:
+    """One table cell: shortest round-trip floats, true/false, else ``spell(value)``."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise _CliError(f"refusing to print the non-finite number {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return spell(value)
+
+
+@contextlib.contextmanager
+def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
+    """A write function for stdout, or for the file ``out``.
+
+    A regular file is written under a temporary name in its directory and
+    renamed over ``out`` only once all of it is written, so a failed
+    command leaves no new file and an existing one untouched.  Symlinks
+    (/dev/stdout among them) and targets that are not regular files
+    (devices, pipes) are written in place, as renaming would replace the
+    link or the special file itself.
+    """
     if out is None:
-        sys.stdout.write(text)
-    else:
+        yield sys.stdout.write
+        return
+    if os.path.islink(out) or (os.path.exists(out) and not os.path.isfile(out)):
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh.write
+        return
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise _CliError(f"cannot write {out}: {exc.strerror}") from exc
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh.write
+        if os.path.isfile(out):
+            os.chmod(tmp, os.stat(out).st_mode & 0o7777)
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_table(columns: list[str], rows: Iterable[Sequence[object]], fmt: str, out: str | None) -> None:
+    """Write the non-empty ``rows`` under ``columns`` as CSV or JSON, a chunk at a time.
+
+    The bytes are those of ``csv.DictWriter(lineterminator="\\n")`` and of
+    ``json.dumps(records, indent=2) + "\\n"`` on the same records: floats
+    in shortest round-trip form, booleans as true/false.  A non-finite
+    float is refused, since neither format has a valid spelling for it.
+    """
+    if fmt == "csv":
+        head, sep, tail, spell = ",".join(columns) + "\n", "\n", "\n", str
+        template = ",".join(["{}"] * len(columns))
+    else:
+        head, sep, tail, spell = "[\n", ",\n", "\n]\n", json.dumps
+        template = "  {{\n" + ",\n".join(f"    {json.dumps(name)}: {{}}" for name in columns) + "\n  }}"
+    fill = template.format
+    with _destination(out) as write:
+        lead, chunk = head, []
+        for row in rows:
+            chunk.append(fill(*[_cell(value, spell) for value in row]))
+            if len(chunk) == _CHUNK_ROWS:
+                write(lead + sep.join(chunk))
+                lead, chunk = sep, []
+        write((lead + sep.join(chunk) if chunk else "") + tail)
 
 
 def _closed_form_death_time(
@@ -306,6 +385,15 @@ def _closed_form_death_time(
     raise _CliError("the reservoir has no active bath; nothing evolves")
 
 
+def _finite_time(ts: float | AsymptoticOnly) -> float | AsymptoticOnly:
+    if isinstance(ts, float) and not math.isfinite(ts):
+        raise _CliError(
+            "death time overflows a double: the damping rate or reservoir occupancy "
+            "is too small for a finite time"
+        )
+    return ts
+
+
 def _death_time_cell(sf: StandardForm, res: ReservoirConfig) -> object:
     """Death time as a table cell: float, 'asymptotic-only', or 'separable'."""
     if is_separable(sf):
@@ -313,7 +401,7 @@ def _death_time_cell(sf: StandardForm, res: ReservoirConfig) -> object:
     ts = _closed_form_death_time(sf, res)
     if ts is None:
         ts = esd_bisection(sf, res)
-    return "asymptotic-only" if isinstance(ts, AsymptoticOnly) else ts
+    return "asymptotic-only" if isinstance(ts, AsymptoticOnly) else _finite_time(ts)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -325,9 +413,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if res is None:
             raise _CliError("--t > 0 needs a reservoir; add bath flags or use --t 0")
         sf = evolve(sf, res, t).sf
-    row: dict[str, object] = {"t": t, "b1": sf.b1, "b2": sf.b2, "c": sf.c}
-    row.update(_measure_columns(sf, outputs, args.units))
-    _emit([row], list(row.keys()), args.format, args.out)
+    row = [t, sf.b1, sf.b2, sf.c, *_state_cells(sf, outputs, args.units)]
+    _write_table(["t", "b1", "b2", "c", *_columns(outputs)], [row], args.format, args.out)
     return 0
 
 
@@ -345,17 +432,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.log_spacing:
         if args.t_start <= 0.0:
             raise _CliError("--log-spacing needs --t-start > 0")
-        grid = np.geomspace(args.t_start, args.t_end, args.points)
+        grid = np.geomspace(args.t_start, args.t_end, args.points).tolist()
     else:
-        grid = np.linspace(args.t_start, args.t_end, args.points)
-    measures = ["ef", "d1", "d2", "mutual_information", "separable"]
-    rows = []
-    for t in grid:
-        sf = evolve(sf0, res, float(t)).sf
-        row: dict[str, object] = {"t": float(t), "b1": sf.b1, "b2": sf.b2, "c": sf.c}
-        row.update(_measure_columns(sf, measures, args.units))
-        rows.append(row)
-    _emit(rows, _EVOLVE_COLUMNS, args.format, args.out)
+        grid = np.linspace(args.t_start, args.t_end, args.points).tolist()
+    # The grid rises from its first time, so this checks every time on it.
+    _check_time(grid[0])
+    _write_table(_EVOLVE_COLUMNS, _evolve_rows(sf0, res, grid, args.units), args.format, args.out)
     return 0
 
 
@@ -364,34 +446,25 @@ def _cmd_esd(args: argparse.Namespace) -> int:
     res = _reservoir_from_args(args)
     if res is None:
         raise _CliError("esd needs a reservoir: bath flags or --identical/--single-bath")
-    closed = _closed_form_death_time(sf, res)  # raises SeparableInputError -> exit 3
+    closed = _finite_time(_closed_form_death_time(sf, res))  # SeparableInputError -> exit 3
     if args.verify:
         if closed is None:
             raise _CliError(
-                "no closed form exists for two baths with different rates; drop --verify"
+                "no closed form exists for two baths that differ in rate or temperature; drop --verify"
             )
-        oracle = esd_bisection(sf, res)
+        oracle = _finite_time(esd_bisection(sf, res))
         if isinstance(closed, AsymptoticOnly) or isinstance(oracle, AsymptoticOnly):
             sys.stderr.write("no sudden death (zero-temperature bath)\n")
-            row: dict[str, object] = {
-                "t_s_closed": "asymptotic-only",
-                "t_s_bisection": "asymptotic-only",
-                "abs_difference": "asymptotic-only",
-            }
+            row: list[object] = ["asymptotic-only"] * 3
         else:
-            row = {
-                "t_s_closed": closed,
-                "t_s_bisection": oracle,
-                "abs_difference": abs(closed - oracle),
-            }
-        _emit([row], list(row.keys()), args.format, args.out)
+            row = [closed, oracle, abs(closed - oracle)]
+        _write_table(["t_s_closed", "t_s_bisection", "abs_difference"], [row], args.format, args.out)
         return 0
-    ts = closed if closed is not None else esd_bisection(sf, res)
+    ts = closed if closed is not None else _finite_time(esd_bisection(sf, res))
     if isinstance(ts, AsymptoticOnly):
         sys.stderr.write("no sudden death (zero-temperature bath)\n")
-        _emit([{"t_s": "asymptotic-only"}], ["t_s"], args.format, args.out)
-    else:
-        _emit([{"t_s": ts}], ["t_s"], args.format, args.out)
+        ts = "asymptotic-only"
+    _write_table(["t_s"], [[ts]], args.format, args.out)
     return 0
 
 
@@ -415,51 +488,44 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     else:
         outputs = _parse_outputs(args.outputs, allowed)
-    values = np.linspace(args.min, args.max, args.steps)
-    rows = []
-    fieldnames: list[str] | None = None
-    for value in values:
-        value = float(value)
+    state_outputs = [o for o in outputs if o != "ts"]
+    fixed_sf = None if sweeping_state else _state_from_args(args)
+
+    def point(value: float) -> tuple[StandardForm, ReservoirConfig | None]:
+        """The state and reservoir at one value of the swept parameter."""
         if sweeping_state:
             setattr(args, args.param, value)
-            sf = _state_from_args(args)
-            res_v = res
-        else:
-            sf = _state_from_args(args)
-            gamma = value if args.param == "gamma" else args.gamma
-            n_r = value if args.param == "nr" else args.nr
-            if args.identical:
-                res_v = ReservoirConfig.identical(gamma, n_r)
-            else:
-                res_v = ReservoirConfig.single_bath(gamma, n_r)
-        row: dict[str, object] = {args.param: value}
-        row.update(_measure_columns(sf, [o for o in outputs if o != "ts"], args.units))
-        if "ts" in outputs:
-            assert res_v is not None
-            row["ts"] = _death_time_cell(sf, res_v)
-        if fieldnames is None:
-            fieldnames = list(row.keys())
-        rows.append(row)
-    assert fieldnames is not None
-    _emit(rows, fieldnames, args.format, args.out)
+            return _state_from_args(args), res
+        gamma = value if args.param == "gamma" else args.gamma
+        n_r = value if args.param == "nr" else args.nr
+        layout = ReservoirConfig.identical if args.identical else ReservoirConfig.single_bath
+        return fixed_sf, layout(gamma, n_r)
+
+    values = np.linspace(args.min, args.max, args.steps).tolist()
+    # Every value lies between the two ends, and what the constructors
+    # accept along one parameter is an interval, so a range accepted at
+    # both ends is accepted throughout: an invalid range fails before any
+    # output.
+    point(values[0])
+    point(values[-1])
+
+    def rows() -> Iterator[list[object]]:
+        for value in values:
+            sf, res_v = point(value)
+            row = [value, *_state_cells(sf, state_outputs, args.units)]
+            if "ts" in outputs:
+                row.append(_death_time_cell(sf, res_v))
+            yield row
+
+    _write_table([args.param, *_columns(outputs)], rows(), args.format, args.out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_verification(seed=args.seed)
     if args.format == "json":
-        payload = [
-            {
-                "quantity": r.quantity,
-                "closed_form": r.closed_form,
-                "oracle": r.oracle,
-                "abs_err": r.abs_err,
-                "tol": r.tol,
-                "passed": r.passed,
-            }
-            for r in reports
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
+        rows = [(r.quantity, r.closed_form, r.oracle, r.abs_err, r.tol, r.passed) for r in reports]
+        _write_table(_VERIFY_COLUMNS, rows, "json", args.out)
     else:
         lines = [
             f"{'PASS' if r.passed else 'FAIL'}  {r.quantity}: "
@@ -469,12 +535,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ]
         ok = sum(r.passed for r in reports)
         lines.append(f"{ok}/{len(reports)} checks passed")
-        text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with _destination(args.out) as write:
+            write("\n".join(lines) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

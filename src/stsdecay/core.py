@@ -109,31 +109,45 @@ class StandardForm:
 
     def __post_init__(self) -> None:
         b1, b2, c, phi = self.b1, self.b2, self.c, self.phi
-        if not finite(b1, b2, c, phi):
+        if not math.isfinite(phi):
             raise InvalidParameterError("StandardForm fields must be finite numbers")
         if c < 0.0:
             c = -c
             phi = phi + math.pi
-        phi = _wrap_angle(phi)
-        if b1 < 0.5 - _ABS_SLACK or b2 < 0.5 - _ABS_SLACK:
-            raise NonPhysicalStateError(
-                f"diagonal variances must be >= 1/2 (vacuum), got b1={b1!r}, b2={b2!r}"
-            )
-        b1 = max(b1, 0.5)
-        b2 = max(b2, 0.5)
-        hi, lo = (b1, b2) if b1 >= b2 else (b2, b1)
-        margin = prod_diff(hi + 0.5, lo - 0.5, c, c)
-        slack = max(_ABS_SLACK, _REL_SLACK * (hi * lo + c * c + 0.25))
-        if margin < -slack:
-            raise NonPhysicalStateError(
-                "uncertainty inequality violated: "
-                f"(b_max+1/2)(b_min-1/2) - c^2 = {margin!r} < 0 "
-                f"for b1={b1!r}, b2={b2!r}, c={c!r}"
-            )
+        b1, b2 = _bona_fide(b1, b2, c)
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "b2", b2)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", _wrap_angle(phi))
+
+
+def _bona_fide(b1: float, b2: float, c: float) -> tuple[float, float]:
+    """Validate the standard-form entries ``(b1, b2, c)``, ``c >= 0``.
+
+    This is the check of StandardForm construction, shared with code that
+    works on bare entries: all three must be finite, variances up to the
+    absolute slack below the vacuum value 1/2 clamp to it, and the
+    uncertainty margin must not fall below the slack.  Returns the clamped
+    ``(b1, b2)``.
+    """
+    if not (math.isfinite(b1) and math.isfinite(b2) and math.isfinite(c)):
+        raise InvalidParameterError("StandardForm fields must be finite numbers")
+    if b1 < 0.5 - _ABS_SLACK or b2 < 0.5 - _ABS_SLACK:
+        raise NonPhysicalStateError(
+            f"diagonal variances must be >= 1/2 (vacuum), got b1={b1!r}, b2={b2!r}"
+        )
+    b1 = max(b1, 0.5)
+    b2 = max(b2, 0.5)
+    hi, lo = (b1, b2) if b1 >= b2 else (b2, b1)
+    margin = prod_diff(hi + 0.5, lo - 0.5, c, c)
+    slack = max(_ABS_SLACK, _REL_SLACK * (hi * lo + c * c + 0.25))
+    if margin < -slack:
+        raise NonPhysicalStateError(
+            "uncertainty inequality violated: "
+            f"(b_max+1/2)(b_min-1/2) - c^2 = {margin!r} < 0 "
+            f"for b1={b1!r}, b2={b2!r}, c={c!r}"
+        )
+    return b1, b2
 
 
 @dataclass(frozen=True)
@@ -194,21 +208,33 @@ def symplectic_spectrum(sf: StandardForm) -> SymplecticSpectrum:
     if c == 0.0:
         hi, lo = (b1, b2) if b1 >= b2 else (b2, b1)
         return SymplecticSpectrum(hi, lo, hi, lo)
+    u = prod_diff(b1, b2, c, c)
+    _, kp, km = _spectrum_scalars(b1, b2, c, u)
+    ktp = 0.5 * ((b1 + b2) + math.hypot(b1 - b2, 2.0 * c))
+    ktm = u / ktp
+    return SymplecticSpectrum(kp, km, ktp, ktm)
+
+
+def _spectrum_scalars(b1: float, b2: float, c: float, u: float) -> tuple[float, float, float]:
+    """``(delta, kappa_plus, kappa_minus)`` of the entries ``(b1, b2, c)``.
+
+    ``u`` is the compensated product ``b1*b2 - c^2``; ``delta`` is the
+    compensated discriminant ``(b1+b2)^2 - 4c^2``.  kappa_minus comes from
+    the eigenvalue product ``u = kappa_plus * kappa_minus`` rather than
+    from the subtractive closed form.  This is the one place the spectrum
+    is evaluated; the correlation kernel shares it.
+    """
     delta = sum_sq_minus_4c2(b1, b2, c)
     if delta <= 0.0:
         raise NonPhysicalStateError(
             f"(b1+b2)^2 - 4c^2 = {delta!r} <= 0: not a physical two-mode state"
         )
-    u = prod_diff(b1, b2, c, c)
     if u <= 0.0:
         raise NonPhysicalStateError(
             f"b1*b2 - c^2 = {u!r} <= 0: not a physical two-mode state"
         )
     kp = 0.5 * (math.sqrt(delta) + abs(b1 - b2))
-    km = u / kp
-    ktp = 0.5 * ((b1 + b2) + math.hypot(b1 - b2, 2.0 * c))
-    ktm = u / ktp
-    return SymplecticSpectrum(kp, km, ktp, ktm)
+    return delta, kp, u / kp
 
 
 def separability_margin(sf: StandardForm) -> float:
@@ -218,7 +244,12 @@ def separability_margin(sf: StandardForm) -> float:
     compensated rounding, so the sign is trustworthy even within a few
     ulps of the separability threshold.
     """
-    return prod_diff(sf.b1 - 0.5, sf.b2 - 0.5, sf.c, sf.c)
+    return _separability_margin(sf.b1, sf.b2, sf.c)
+
+
+def _separability_margin(b1: float, b2: float, c: float) -> float:
+    """``separability_margin`` on bare entries."""
+    return prod_diff(b1 - 0.5, b2 - 0.5, c, c)
 
 
 def uncertainty_margin(sf: StandardForm) -> float:
@@ -250,10 +281,12 @@ def is_pure(sf: StandardForm, rtol: float = _REL_SLACK) -> bool:
     tolerance would misclassify strongly squeezed pure states.
     """
     b1, b2, c = sf.b1, sf.b2, sf.c
-    if abs(b1 - b2) > rtol * (b1 + b2):
-        return False
-    u = prod_diff(b1, b2, c, c)
-    return abs(u - 0.25) <= rtol * (b1 * b2 + c * c + 0.25)
+    return _is_pure(b1, b2, c, prod_diff(b1, b2, c, c), rtol)
+
+
+def _is_pure(b1: float, b2: float, c: float, u: float, rtol: float = _REL_SLACK) -> bool:
+    """``is_pure`` on bare entries, given ``u = b1*b2 - c^2`` (compensated)."""
+    return abs(b1 - b2) <= rtol * (b1 + b2) and abs(u - 0.25) <= rtol * (b1 * b2 + c * c + 0.25)
 
 
 def full_cm(sf: StandardForm) -> np.ndarray:

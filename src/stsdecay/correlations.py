@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._accurate import prod_diff, sum_sq_minus_4c2
-from .core import StandardForm, is_pure, is_separable
+from ._accurate import prod_diff
+from .core import StandardForm, _is_pure, _separability_margin, _spectrum_scalars, is_separable
 from .errors import InvalidParameterError, NonPhysicalStateError
 
 __all__ = [
@@ -94,27 +94,6 @@ def entropic_h(x: float) -> float:
     return _h_offset(x - 0.5)
 
 
-def _spectrum_scalars(b1: float, b2: float, c: float) -> tuple[float, float, float, float]:
-    """Shared kernel: (delta, u, kappa_plus, kappa_minus) for one state.
-
-    delta = (b1+b2)^2 - 4c^2 and u = b1*b2 - c^2, both compensated;
-    kappa_minus comes from the eigenvalue product u = kappa_plus *
-    kappa_minus rather than from the subtractive closed form.
-    """
-    delta = sum_sq_minus_4c2(b1, b2, c)
-    if delta <= 0.0:
-        raise NonPhysicalStateError(
-            f"(b1+b2)^2 - 4c^2 = {delta!r} <= 0: degenerate or non-physical state"
-        )
-    u = prod_diff(b1, b2, c, c)
-    if u <= 0.0:
-        raise NonPhysicalStateError(
-            f"b1*b2 - c^2 = {u!r} <= 0: non-physical state"
-        )
-    kp = 0.5 * (math.sqrt(delta) + abs(b1 - b2))
-    return delta, u, kp, u / kp
-
-
 def entanglement_of_formation(sf: StandardForm) -> tuple[float, float]:
     """Entanglement of formation of ``sf`` and its auxiliary parameter.
 
@@ -129,19 +108,14 @@ def entanglement_of_formation(sf: StandardForm) -> tuple[float, float]:
     (kappa_plus^2 - 1/4)(kappa_minus^2 - 1/4), which does not cancel.
     Pure states short-circuit to the exact identity ef = h(b), x_m = b.
     """
+    # Separable states return at once.  The verdict also overrides the
+    # pure-state branch here, unlike in the report: the two disagree only
+    # where a near-pure state's margin is rounding noise (next to the
+    # vacuum, or at extreme squeezing).
     if is_separable(sf):
         return 0.0, 0.5
-    b1, b2, c = sf.b1, sf.b2, sf.c
-    if is_pure(sf):
-        b = 0.5 * (b1 + b2)
-        return _h_offset(b - 0.5), b
-    delta, u, kp, km = _spectrum_scalars(b1, b2, c)
-    mp = (kp - 0.5) * (kp + 0.5)
-    mm = max((km - 0.5) * (km + 0.5), 0.0)
-    sqrt_d = math.sqrt(mp) * math.sqrt(mm)
-    x_m = ((b1 + b2) * (u + 0.25) - 2.0 * c * sqrt_d) / delta
-    x_m = max(x_m, 0.5)
-    return _h_offset(x_m - 0.5), x_m
+    ef, _, _, _, _, x_m, _, _, _ = _measures(sf.b1, sf.b2, sf.c)
+    return ef, x_m
 
 
 def _clamp_measure(value: float, name: str) -> float:
@@ -170,13 +144,50 @@ def discords(sf: StandardForm) -> tuple[float, float, float, float]:
         NonPhysicalStateError: if y or z falls below 1/2 - 1e-9, which no
             bona fide input can produce.
     """
-    b1, b2, c = sf.b1, sf.b2, sf.c
+    rep = _measures(sf.b1, sf.b2, sf.c)
+    return rep[1], rep[2], rep[6], rep[7]
+
+
+def mutual_information(sf: StandardForm) -> float:
+    """Quantum mutual information ``h(b1) + h(b2) - h(k+) - h(k-)`` in nats."""
+    return _measures(sf.b1, sf.b2, sf.c)[3]
+
+
+def correlation_report(sf: StandardForm) -> CorrelationReport:
+    """Compute every correlation measure of ``sf`` in one consistent pass."""
+    return CorrelationReport(*_measures(sf.b1, sf.b2, sf.c))
+
+
+def _measures(
+    b1: float, b2: float, c: float
+) -> tuple[float, float, float, float, bool, float, float, float, float]:
+    """The fused kernel: every measure of the standard-form entries ``(b1, b2, c)``.
+
+    Returns the CorrelationReport fields in order (ef, d1, d2,
+    mutual_information, separable, x_m, y, z, invariant_d).  Each shared
+    scalar (separability margin, u = b1 b2 - c^2, the spectrum, the y/z
+    offsets and every h value) is computed once; the public measures are
+    projections of this tuple.
+    """
     if c == 0.0:
-        return 0.0, 0.0, b1, b2
-    if is_pure(sf):
-        hb = _h_offset(0.5 * (b1 + b2) - 0.5)
-        return hb, hb, 0.5, 0.5
-    _, _, kp, km = _spectrum_scalars(b1, b2, c)
+        kp, km = max(b1, b2), min(b1, b2)
+        inv_d = (kp - 0.5) * (kp + 0.5) * max((km - 0.5) * (km + 0.5), 0.0)
+        return 0.0, 0.0, 0.0, 0.0, True, 0.5, b1, b2, inv_d
+    separable = _separability_margin(b1, b2, c) >= 0.0
+    u = prod_diff(b1, b2, c, c)
+    if _is_pure(b1, b2, c, u):
+        b = 0.5 * (b1 + b2)
+        hb = _h_offset(b - 0.5)
+        return hb, hb, hb, 2.0 * hb, separable, b, 0.5, 0.5, 0.0
+    delta, kp, km = _spectrum_scalars(b1, b2, c, u)
+    mp = (kp - 0.5) * (kp + 0.5)
+    mm = max((km - 0.5) * (km + 0.5), 0.0)
+    if separable:
+        ef, x_m = 0.0, 0.5
+    else:
+        sqrt_d = math.sqrt(mp) * math.sqrt(mm)
+        x_m = max(((b1 + b2) * (u + 0.25) - 2.0 * c * sqrt_d) / delta, 0.5)
+        ef = _h_offset(x_m - 0.5)
     # Offsets y - 1/2 and z - 1/2 as compensated product differences:
     # y - 1/2 = [ (b1 - 1/2)(b2 + 1/2) - c^2 ] / (b2 + 1/2).
     y_off = prod_diff(b1 - 0.5, b2 + 0.5, c, c) / (b2 + 0.5)
@@ -187,81 +198,12 @@ def discords(sf: StandardForm) -> tuple[float, float, float, float]:
         )
     y_off = max(y_off, 0.0)
     z_off = max(z_off, 0.0)
-    hk = _h_offset(kp - 0.5) + _h_offset(km - 0.5)
-    d1 = _clamp_measure(_h_offset(b2 - 0.5) - hk + _h_offset(y_off), "d1")
-    d2 = _clamp_measure(_h_offset(b1 - 0.5) - hk + _h_offset(z_off), "d2")
-    return d1, d2, 0.5 + y_off, 0.5 + z_off
-
-
-def mutual_information(sf: StandardForm) -> float:
-    """Quantum mutual information ``h(b1) + h(b2) - h(k+) - h(k-)`` in nats."""
-    b1, b2, c = sf.b1, sf.b2, sf.c
-    if c == 0.0:
-        return 0.0
-    if is_pure(sf):
-        return 2.0 * _h_offset(0.5 * (b1 + b2) - 0.5)
-    _, _, kp, km = _spectrum_scalars(b1, b2, c)
-    mi = (
-        _h_offset(b1 - 0.5)
-        + _h_offset(b2 - 0.5)
-        - _h_offset(kp - 0.5)
-        - _h_offset(km - 0.5)
-    )
-    return _clamp_measure(mi, "mutual information")
-
-
-def correlation_report(sf: StandardForm) -> CorrelationReport:
-    """Compute every correlation measure of ``sf`` in one consistent pass."""
-    b1, b2, c = sf.b1, sf.b2, sf.c
-    separable = is_separable(sf)
-    if c == 0.0:
-        kp, km = max(b1, b2), min(b1, b2)
-        inv_d = (kp - 0.5) * (kp + 0.5) * max((km - 0.5) * (km + 0.5), 0.0)
-        return CorrelationReport(
-            ef=0.0,
-            d1=0.0,
-            d2=0.0,
-            mutual_information=0.0,
-            separable=True,
-            x_m=0.5,
-            y=b1,
-            z=b2,
-            invariant_d=inv_d,
-        )
-    if is_pure(sf):
-        b = 0.5 * (b1 + b2)
-        hb = _h_offset(b - 0.5)
-        return CorrelationReport(
-            ef=hb,
-            d1=hb,
-            d2=hb,
-            mutual_information=2.0 * hb,
-            separable=separable,
-            x_m=b,
-            y=0.5,
-            z=0.5,
-            invariant_d=0.0,
-        )
-    delta, u, kp, km = _spectrum_scalars(b1, b2, c)
-    mp = (kp - 0.5) * (kp + 0.5)
-    mm = max((km - 0.5) * (km + 0.5), 0.0)
-    inv_d = mp * mm
-    if separable:
-        ef, x_m = 0.0, 0.5
-    else:
-        sqrt_d = math.sqrt(mp) * math.sqrt(mm)
-        x_m = max(((b1 + b2) * (u + 0.25) - 2.0 * c * sqrt_d) / delta, 0.5)
-        ef = _h_offset(x_m - 0.5)
-    d1, d2, y, z = discords(sf)
-    mi = mutual_information(sf)
-    return CorrelationReport(
-        ef=ef,
-        d1=d1,
-        d2=d2,
-        mutual_information=mi,
-        separable=separable,
-        x_m=x_m,
-        y=y,
-        z=z,
-        invariant_d=inv_d,
-    )
+    h1 = _h_offset(b1 - 0.5)
+    h2 = _h_offset(b2 - 0.5)
+    hkp = _h_offset(kp - 0.5)
+    hkm = _h_offset(km - 0.5)
+    hk = hkp + hkm
+    d1 = _clamp_measure(h2 - hk + _h_offset(y_off), "d1")
+    d2 = _clamp_measure(h1 - hk + _h_offset(z_off), "d2")
+    mi = _clamp_measure(h1 + h2 - hkp - hkm, "mutual information")
+    return ef, d1, d2, mi, separable, x_m, 0.5 + y_off, 0.5 + z_off, mp * mm

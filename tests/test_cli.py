@@ -356,3 +356,126 @@ def test_verify_command_passes(capsys):
     assert len(reports) == 9
     assert all(r["passed"] for r in reports)
     assert all(r["abs_err"] <= r["tol"] for r in reports)
+
+
+def _dictwriter_text(columns, rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: ("true" if v is True else "false" if v is False else v) for k, v in zip(columns, row)})
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 6, 7])
+def test_streaming_writer_matches_csv_and_json_modules(capsys, monkeypatch, n_rows):
+    # A chunk of 3 rows puts row counts on both sides of chunk boundaries.
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    pool = [0.0, -0.0, 1.0, 0.1, -2.5e-320, 1.7976931348623157e308, 6.02e23, 1 / 3, True, False,
+            "asymptotic-only", "separable"]
+    columns = ["t", "b1", "flag", "ts"]
+    rows = [[pool[(7 * i + 3 * j) % len(pool)] for j in range(len(columns))] for i in range(n_rows)]
+    cli._write_table(columns, rows, "csv", None)
+    assert capsys.readouterr().out == _dictwriter_text(columns, rows)
+    cli._write_table(columns, iter(rows), "json", None)
+    assert capsys.readouterr().out == json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_streaming_writer_refuses_non_finite_numbers(capsys, fmt, bad):
+    with pytest.raises(cli._CliError, match="non-finite"):
+        cli._write_table(["t", "x"], [[0.0, 1.0], [1.0, bad]], fmt, None)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overflowing_death_time_is_refused(capsys, fmt):
+    code, out, err = run(
+        capsys, "esd", *("--n1", "10", "--n2", "0.1", "--r", "2"),
+        "--identical", "--gamma", "1e-310", "--nr", "0.5", "--format", fmt,
+    )
+    assert code == 2 and out == ""
+    assert "death time overflows a double" in err
+    code, out, err = run(
+        capsys, "sweep", *("--n1", "10", "--n2", "0.1", "--r", "2"), "--identical", "--nr", "0.5",
+        "--param", "gamma", "--min", "1e-310", "--max", "1", "--steps", "3", "--format", fmt,
+    )
+    assert code == 2 and out == ""
+    assert "death time overflows a double" in err
+
+
+def test_failed_sweep_writes_nothing(capsys, tmp_path):
+    args = ("sweep", "--n1", "1", "--n2", "1", "--param", "r", "--min", "1", "--max", "-1", "--steps", "5")
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == "" and "squeeze" in err
+    target = tmp_path / "f.csv"
+    code, _, _ = run(capsys, *args, "--out", str(target))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failure_after_first_chunk(capsys, monkeypatch, tmp_path):
+    # The last row's death time overflows.  To stdout, rows of the chunks
+    # already written stay written (README, "Output"); a file target is
+    # left as it was.
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    args = (
+        "sweep", "--n1", "10", "--n2", "0.1", "--r", "2", "--identical", "--nr", "0.5",
+        "--param", "gamma", "--min", "1", "--max", "1e-310", "--steps", "5",
+    )
+    code, out, err = run(capsys, *args)
+    assert code == 2 and "overflows" in err
+    assert out.splitlines()[0] == "gamma,ef,d1,d2,mutual_information,separable,ts"
+    assert len(out.splitlines()) == 5
+    target = tmp_path / "sweep.csv"
+    target.write_text("previous\n")
+    code, _, _ = run(capsys, *args, "--out", str(target))
+    assert code == 2
+    assert target.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_evolve_rejects_negative_start_before_output(capsys):
+    code, out, err = run(
+        capsys, "evolve", "--n1", "1", "--n2", "1", "--r", "1", "--identical", "--nr", "0.5",
+        "--t-start", "-1", "--t-end", "1",
+    )
+    assert code == 2 and out == "" and "evolution time" in err
+
+
+def test_esd_verify_refusal_names_rate_or_temperature(capsys):
+    code, out, err = run(
+        capsys, "esd", "--n1", "10", "--n2", "0.1", "--r", "2",
+        "--gamma1", "1.0", "--nr1", "0.2", "--gamma2", "1.0", "--nr2", "0.9", "--verify",
+    )
+    assert code == 2 and out == ""
+    assert "differ in rate or temperature" in err
+
+
+def test_report_is_computed_only_for_measure_columns(capsys, monkeypatch):
+    def refuse(sf):
+        raise AssertionError("correlation_report computed for no printed column")
+
+    monkeypatch.setattr(cli, "correlation_report", refuse)
+    code, out, _ = run(
+        capsys, "sweep", "--n1", "1", "--n2", "1", "--param", "r", "--min", "0", "--max", "2",
+        "--steps", "4", "--identical", "--nr", "0.5", "--outputs", "ts",
+    )
+    assert code == 0 and len(out.splitlines()) == 5
+    code, out, _ = run(capsys, "report", "--n1", "1", "--n2", "1", "--r", "1", "--outputs", "kappas,separable")
+    assert code == 0 and out.splitlines()[0] == "t,b1,b2,c,kappa_plus,kappa_minus,kappa_tilde_plus,kappa_tilde_minus,separable"
+
+
+def test_output_through_a_symlink_writes_the_linked_file(capsys, tmp_path):
+    # Symlinks are written through in place (as /dev/stdout must be), not
+    # replaced by a renamed file.
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    code, _, _ = run(capsys, "report", "--n1", "1", "--n2", "1", "--r", "1", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert real.read_text().startswith("t,b1,b2,c,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]

@@ -7,6 +7,7 @@ import pytest
 
 from stsdecay import (
     InvalidParameterError,
+    NonPhysicalStateError,
     StandardForm,
     StsParams,
     correlation_report,
@@ -196,3 +197,13 @@ def test_correlation_report_frozen_state():
     assert rep.d2 == pytest.approx(D2_REF, abs=5e-12)
     assert rep.mutual_information == pytest.approx(MI_REF, abs=5e-12)
     assert not rep.separable
+
+
+def test_every_measure_rejects_a_state_the_report_rejects():
+    # Accepted by the construction slack, but kappa_minus < 1/2 and y < 1/2
+    # beyond tolerance: no measure of this state is meaningful.
+    sf = StandardForm(49478.128337921145, 5569170.380517019, 524927.9636070088)
+    for measure in (correlation_report, entanglement_of_formation, discords, mutual_information):
+        with pytest.raises(NonPhysicalStateError, match="discord auxiliaries"):
+            measure(sf)
+
