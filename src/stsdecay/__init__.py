@@ -36,6 +36,8 @@ from .dynamics import (
     EvolvedState,
     ReservoirConfig,
     characteristic_function,
+    esd_bisection,
+    esd_time,
     esd_time_identical_baths,
     esd_time_single_bath,
     evolve,
@@ -43,18 +45,38 @@ from .dynamics import (
     gaussian_cf,
     steady_state,
 )
-from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
-from .verification import (
-    OracleReport,
-    count_margin_crossings,
-    esd_bisection,
-    ppt_spectrum_oracle,
-    run_verification,
-    sample_entangled_sts,
-    sample_standard_form,
-    sample_sts,
-    symplectic_spectrum_oracle,
+from .errors import (
+    InvalidParameterError,
+    NonPhysicalStateError,
+    OraclePrecisionError,
+    SeparableInputError,
 )
+
+# The oracles need numpy, which the closed forms do not; they are imported
+# on first access (PEP 562), so ``import stsdecay`` does not load numpy.
+_LAZY = {
+    "OracleReport",
+    "count_margin_crossings",
+    "ppt_spectrum_oracle",
+    "run_verification",
+    "sample_entangled_sts",
+    "sample_standard_form",
+    "sample_sts",
+    "symplectic_spectrum_oracle",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name in _LAZY:
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 
@@ -83,6 +105,7 @@ __all__ = [
     "evolve_identical_baths",
     "esd_time_identical_baths",
     "esd_time_single_bath",
+    "esd_time",
     "steady_state",
     "characteristic_function",
     "gaussian_cf",
@@ -98,5 +121,6 @@ __all__ = [
     "InvalidParameterError",
     "NonPhysicalStateError",
     "SeparableInputError",
+    "OraclePrecisionError",
     "__version__",
 ]

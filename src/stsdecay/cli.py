@@ -13,8 +13,11 @@ left to lose).  A non-finite number is never printed: the command exits 2
 instead.  Tables are streamed in chunks; ``--out`` files appear only once
 complete.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 inapplicable request (death time of an already-separable state).
+Exit codes: 0 success, 1 verification failure (or an oracle that cannot
+run on this platform), 2 invalid input, 3 inapplicable request (death time
+of an already-separable state).
+
+Only ``verify`` and ``evolve --log-spacing`` import numpy.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import math
 import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .core import (
     StandardForm,
@@ -42,13 +43,18 @@ from .dynamics import (
     AsymptoticOnly,
     ReservoirConfig,
     _check_time,
+    _closed_form_esd_time,
     _evolved_entries,
-    esd_time_identical_baths,
-    esd_time_single_bath,
+    esd_bisection,
+    esd_time,
     evolve,
 )
-from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
-from .verification import esd_bisection, run_verification
+from .errors import (
+    InvalidParameterError,
+    NonPhysicalStateError,
+    OraclePrecisionError,
+    SeparableInputError,
+)
 
 # Canonical column order for the selectable outputs.
 _OUTPUT_COLUMNS = {
@@ -368,21 +374,24 @@ def _write_table(columns: list[str], rows: Iterable[Sequence[object]], fmt: str,
         write((lead + sep.join(chunk) if chunk else "") + tail)
 
 
-def _closed_form_death_time(
-    sf: StandardForm, res: ReservoirConfig
-) -> float | AsymptoticOnly | None:
-    """The applicable closed-form death time, or None when only bisection works."""
-    if res.gamma1 > 0.0 and res.gamma2 > 0.0:
-        if res.gamma1 == res.gamma2 and res.n_r1 == res.n_r2:
-            return esd_time_identical_baths(sf, res.gamma1, res.n_r1)
-        return None
-    if res.gamma1 > 0.0:
-        return esd_time_single_bath(sf, res.gamma1, res.n_r1)
-    if res.gamma2 > 0.0:
-        # Bath on mode 2 only: same formula with the modes relabeled.
-        swapped = StandardForm(sf.b2, sf.b1, sf.c, sf.phi)
-        return esd_time_single_bath(swapped, res.gamma2, res.n_r2)
-    raise _CliError("the reservoir has no active bath; nothing evolves")
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.linspace(start, stop, num).tolist()`` for ``num >= 1``, bit for bit.
+
+    The same operations in the same order: ``i*step + start`` with
+    ``step = (stop - start)/(num - 1)``, ``i/(num - 1)*delta + start`` when
+    that step underflows to zero, and the last point set to ``stop``.
+    """
+    delta = stop - start
+    div = num - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:
+        grid = [float(i) / div * delta + start for i in range(num)]
+    else:
+        grid = [float(i) * step + start for i in range(num)]
+    grid[-1] = stop
+    return grid
 
 
 def _finite_time(ts: float | AsymptoticOnly) -> float | AsymptoticOnly:
@@ -398,9 +407,7 @@ def _death_time_cell(sf: StandardForm, res: ReservoirConfig) -> object:
     """Death time as a table cell: float, 'asymptotic-only', or 'separable'."""
     if is_separable(sf):
         return "separable"
-    ts = _closed_form_death_time(sf, res)
-    if ts is None:
-        ts = esd_bisection(sf, res)
+    ts = esd_time(sf, res)
     return "asymptotic-only" if isinstance(ts, AsymptoticOnly) else _finite_time(ts)
 
 
@@ -432,9 +439,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.log_spacing:
         if args.t_start <= 0.0:
             raise _CliError("--log-spacing needs --t-start > 0")
+        # numpy's own log10/power, not libm's: they differ in the last bit
+        # on some points, and the grid is part of the output.
+        import numpy as np
+
         grid = np.geomspace(args.t_start, args.t_end, args.points).tolist()
     else:
-        grid = np.linspace(args.t_start, args.t_end, args.points).tolist()
+        grid = _linspace(args.t_start, args.t_end, args.points)
     # The grid rises from its first time, so this checks every time on it.
     _check_time(grid[0])
     _write_table(_EVOLVE_COLUMNS, _evolve_rows(sf0, res, grid, args.units), args.format, args.out)
@@ -446,8 +457,8 @@ def _cmd_esd(args: argparse.Namespace) -> int:
     res = _reservoir_from_args(args)
     if res is None:
         raise _CliError("esd needs a reservoir: bath flags or --identical/--single-bath")
-    closed = _finite_time(_closed_form_death_time(sf, res))  # SeparableInputError -> exit 3
     if args.verify:
+        closed = _finite_time(_closed_form_esd_time(sf, res))  # SeparableInputError -> exit 3
         if closed is None:
             raise _CliError(
                 "no closed form exists for two baths that differ in rate or temperature; drop --verify"
@@ -460,7 +471,7 @@ def _cmd_esd(args: argparse.Namespace) -> int:
             row = [closed, oracle, abs(closed - oracle)]
         _write_table(["t_s_closed", "t_s_bisection", "abs_difference"], [row], args.format, args.out)
         return 0
-    ts = closed if closed is not None else _finite_time(esd_bisection(sf, res))
+    ts = _finite_time(esd_time(sf, res))
     if isinstance(ts, AsymptoticOnly):
         sys.stderr.write("no sudden death (zero-temperature bath)\n")
         ts = "asymptotic-only"
@@ -501,7 +512,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         layout = ReservoirConfig.identical if args.identical else ReservoirConfig.single_bath
         return fixed_sf, layout(gamma, n_r)
 
-    values = np.linspace(args.min, args.max, args.steps).tolist()
+    values = _linspace(args.min, args.max, args.steps)
     # Every value lies between the two ends, and what the constructors
     # accept along one parameter is an interval, so a range accepted at
     # both ends is accepted throughout: an invalid range fails before any
@@ -522,6 +533,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import run_verification
+
     reports = run_verification(seed=args.seed)
     if args.format == "json":
         rows = [(r.quantity, r.closed_form, r.oracle, r.abs_err, r.tol, r.passed) for r in reports]
@@ -561,6 +574,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SeparableInputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except OraclePrecisionError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     except (_CliError, InvalidParameterError, NonPhysicalStateError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

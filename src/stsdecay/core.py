@@ -19,11 +19,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._accurate import finite, prod_diff, sum_sq_minus_4c2
 from .errors import InvalidParameterError, NonPhysicalStateError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "StsParams",
@@ -293,9 +295,12 @@ def full_cm(sf: StandardForm) -> np.ndarray:
     """Assemble the full 4x4 covariance matrix of ``sf``.
 
     Ordering is (x1, p1, x2, p2); the result is real symmetric.  This is
-    the bridge to the verification oracle — nothing else in the package
-    consumes the matrix form.
+    the bridge to the verification oracle and ``gaussian_cf``; the closed
+    forms never consume the matrix form, so numpy is imported only once
+    one is built.
     """
+    import numpy as np
+
     cphi = math.cos(sf.phi)
     sphi = math.sin(sf.phi)
     cblock = sf.c * np.array([[cphi, sphi], [sphi, -cphi]])

@@ -13,3 +13,7 @@ class NonPhysicalStateError(ValueError):
 
 class SeparableInputError(ValueError):
     """An operation that requires an entangled input received a separable state."""
+
+
+class OraclePrecisionError(RuntimeError):
+    """The platform lacks the extended precision an oracle relies on."""

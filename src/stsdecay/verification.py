@@ -7,7 +7,9 @@ by routes that share none of that algebra:
 * symplectic spectra from an eigen-decomposition of the full 4x4
   covariance matrix (no two-mode formula involved),
 * disentanglement times from bisection on the separability margin of the
-  evolved state (no logarithm rearrangement involved),
+  evolved state (no logarithm rearrangement involved; ``esd_bisection``
+  lives in ``dynamics``, which answers general bath layouts with it, and
+  is re-exported here),
 * the evolved characteristic function cross-checked against the
   characteristic function of the evolved state (two different orders of
   applying the channel).
@@ -19,7 +21,9 @@ returns with small *absolute* error.  Factoring in double precision
 leaves a backward error of order eps*||V|| that the squeezing condition
 number (~ e^{2r}) amplifies right past the 1e-10 oracle budget; carrying
 the factorization and the congruence in longdouble removes that term at
-negligible cost for 4x4 matrices.
+negligible cost for 4x4 matrices.  Where numpy's longdouble is plain
+binary64 (Windows, macOS on arm64) the oracle refuses to run rather than
+silently losing that precision.
 """
 
 from __future__ import annotations
@@ -39,17 +43,16 @@ from .core import (
     symplectic_spectrum,
 )
 from .dynamics import (
-    ASYMPTOTIC_ONLY,
-    AsymptoticOnly,
     ReservoirConfig,
-    _evolved_entries,
+    _margin_at,
     characteristic_function,
+    esd_bisection,
     esd_time_identical_baths,
     esd_time_single_bath,
     evolve,
     gaussian_cf,
 )
-from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
+from .errors import InvalidParameterError, NonPhysicalStateError, OraclePrecisionError
 
 __all__ = [
     "OracleReport",
@@ -96,7 +99,16 @@ class OracleReport:
 
 
 def _cholesky_longdouble(v: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``v`` computed in extended precision."""
+    """Lower Cholesky factor of ``v`` computed in extended precision.
+
+    Raises:
+        OraclePrecisionError: where numpy's longdouble is no wider than a double.
+    """
+    if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+        raise OraclePrecisionError(
+            "the eigen-oracle needs extended precision, but numpy's longdouble "
+            "is a plain double on this platform"
+        )
     a = np.array(v, dtype=np.longdouble)
     n = a.shape[0]
     low = np.zeros_like(a)
@@ -148,65 +160,6 @@ def ppt_spectrum_oracle(v: np.ndarray, pair_tol: float = 1e-8) -> tuple[float, f
     """
     v = np.asarray(v, dtype=float)
     return symplectic_spectrum_oracle(_PT_FLIP @ v @ _PT_FLIP, pair_tol)
-
-
-def _margin_at(sf0: StandardForm, res: ReservoirConfig, t: float) -> float:
-    """Separability margin of the evolved state, without object overhead."""
-    b1t, b2t, ct = _evolved_entries(sf0, res, t)
-    return prod_diff(b1t - 0.5, b2t - 0.5, ct, ct)
-
-
-def esd_bisection(
-    sf0: StandardForm, res: ReservoirConfig, t_tol: float = 1e-12
-) -> float | AsymptoticOnly:
-    """Disentanglement time found by bisection on the separability margin.
-
-    Brackets the sign change of margin(t) = (b1(t)-1/2)(b2(t)-1/2)-c(t)^2
-    starting from twice the analytic estimate (with the reservoir
-    occupancy floored at 1e-6), doubling on failure, then bisects until
-    the bracket is narrower than ``t_tol``.  This never consults the
-    closed-form death times, which makes it a genuine cross-check for
-    them.
-
-    Returns ASYMPTOTIC_ONLY when every damped mode sees a zero-temperature
-    bath: the margin then scales by a positive factor for all finite
-    times and never crosses zero.
-
-    Raises:
-        SeparableInputError: if ``sf0`` is already separable.
-    """
-    margin0 = separability_margin(sf0)
-    if margin0 >= 0.0:
-        raise SeparableInputError(
-            "input is already separable: no disentanglement time to bracket"
-        )
-    noisy = (res.gamma1 > 0.0 and res.n_r1 > 0.0) or (res.gamma2 > 0.0 and res.n_r2 > 0.0)
-    if not noisy:
-        return ASYMPTOTIC_ONLY
-    # Analytic scale for the bracket: the identical-bath expression with
-    # conservative (slow) rate and noise choices, then doubled.
-    gammas = [g for g in (res.gamma1, res.gamma2) if g > 0.0]
-    gamma_eff = min(gammas)
-    n_r_eff = max(res.n_r1 if res.gamma1 > 0.0 else 0.0, res.n_r2 if res.gamma2 > 0.0 else 0.0)
-    b1, b2, c = sf0.b1, sf0.b2, sf0.c
-    ktp_off = 0.5 * ((b1 - 0.5) + (b2 - 0.5) + math.hypot(b1 - b2, 2.0 * c))
-    t_hi = 2.0 * math.log1p(-margin0 / (ktp_off * max(n_r_eff, 1e-6))) / gamma_eff
-    for _ in range(200):
-        if _margin_at(sf0, res, t_hi) >= 0.0:
-            break
-        t_hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the separability crossing")
-    t_lo = 0.0
-    while t_hi - t_lo > t_tol:
-        t_mid = 0.5 * (t_lo + t_hi)
-        if t_mid <= t_lo or t_mid >= t_hi:
-            break  # bracket has collapsed to adjacent floats
-        if _margin_at(sf0, res, t_mid) < 0.0:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    return 0.5 * (t_lo + t_hi)
 
 
 def count_margin_crossings(

@@ -16,6 +16,8 @@ from stsdecay import (
     StsParams,
     characteristic_function,
     entanglement_of_formation,
+    esd_bisection,
+    esd_time,
     esd_time_identical_baths,
     esd_time_single_bath,
     evolve,
@@ -185,6 +187,23 @@ def test_esd_rejects_separable_and_bad_rates():
         esd_time_identical_baths(entangled, 0.0, 0.5)
     with pytest.raises(InvalidParameterError):
         esd_time_single_bath(entangled, 1.0, -0.1)
+
+
+def test_esd_time_picks_the_route_for_the_layout():
+    sf = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
+    swapped = StandardForm(sf.b2, sf.b1, sf.c, sf.phi)
+    assert esd_time(sf, ReservoirConfig.identical(1.3, 0.5)) == esd_time_identical_baths(sf, 1.3, 0.5)
+    assert esd_time(sf, ReservoirConfig.single_bath(1.3, 0.5)) == esd_time_single_bath(sf, 1.3, 0.5)
+    # A bath on mode 2 only is the single-bath formula with the modes relabeled.
+    on_mode2 = esd_time(sf, ReservoirConfig(0.0, 0.0, 1.3, 0.5))
+    assert on_mode2 == esd_time_single_bath(swapped, 1.3, 0.5) != esd_time_single_bath(sf, 1.3, 0.5)
+    for res in (ReservoirConfig(1.0, 0.5, 2.0, 0.5), ReservoirConfig(1.0, 0.5, 1.0, 0.2)):
+        assert esd_time(sf, res) == esd_bisection(sf, res)
+    assert esd_time(sf, ReservoirConfig(1.0, 0.0, 2.0, 0.0)) is ASYMPTOTIC_ONLY
+    with pytest.raises(InvalidParameterError, match="no active bath"):
+        esd_time(sf, ReservoirConfig(0.0, 0.5, 0.0, 0.5))
+    with pytest.raises(SeparableInputError):
+        esd_time(StandardForm(1.5, 1.5, 0.0), ReservoirConfig(1.0, 0.5, 2.0, 0.5))
 
 
 def test_esd_single_bath_degenerate_denominator():

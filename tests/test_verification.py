@@ -9,6 +9,7 @@ from stsdecay import (
     ASYMPTOTIC_ONLY,
     InvalidParameterError,
     NonPhysicalStateError,
+    OraclePrecisionError,
     ReservoirConfig,
     SeparableInputError,
     StandardForm,
@@ -20,6 +21,7 @@ from stsdecay import (
     symplectic_spectrum,
     uncertainty_margin,
 )
+from stsdecay import cli
 from stsdecay.verification import (
     OracleReport,
     count_margin_crossings,
@@ -63,6 +65,23 @@ def test_oracle_rejects_bad_matrices():
     v = full_cm(standard_form_from_sts(StsParams(10.0, 0.1, 2.0)))
     with pytest.raises(NonPhysicalStateError):
         symplectic_spectrum_oracle(v, pair_tol=0.0)
+
+
+def test_oracle_runs_in_extended_precision_here():
+    assert np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+    kp, km = symplectic_spectrum_oracle(full_cm(standard_form_from_sts(StsParams(3.0, 1.0, 2.5))))
+    assert kp == pytest.approx(3.5, abs=1e-10) and km == pytest.approx(1.5, abs=1e-10)
+
+
+def test_oracle_refuses_a_plain_double_longdouble(monkeypatch, capsys):
+    # Where longdouble is binary64 (Windows, macOS on arm64) the Cholesky
+    # factor would silently lose the precision the oracle's budget needs.
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    with pytest.raises(OraclePrecisionError, match="extended precision"):
+        symplectic_spectrum_oracle(full_cm(StandardForm(1.5, 1.5, 0.5)))
+    assert cli.main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "extended precision" in captured.err
 
 
 def test_closed_forms_are_phase_invariant_against_oracle():
