@@ -29,33 +29,40 @@ def two_sum(a: float, b: float) -> tuple[float, float]:
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _split(a: float) -> tuple[float, float]:
-    """Split ``a`` into high/low parts with non-overlapping 26-bit mantissas."""
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def two_prod(a: float, b: float) -> tuple[float, float]:
-    """Return ``(p, e)`` with ``p = fl(a * b)`` and ``a * b = p + e`` exactly."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    # The grouping keeps the error term symmetric under a <-> b swap, which
-    # downstream code relies on for exact mode-exchange covariance.
-    return p, ((ah * bh - p) + (ah * bl + al * bh)) + al * bl
-
-
 def prod_diff(a: float, b: float, c: float, d: float) -> float:
     """Compute ``a*b - c*d`` with one compensated rounding.
 
     Relative accuracy is a few ulps of the exact difference even under
     heavy cancellation, whereas the naive expression is only accurate to
     ulps of the individual products.
+
+    Dekker's split and two-product of each pair, then a two-sum of the
+    two products, written out in one body: this is the hottest primitive
+    (several calls per evolved row and per bisection step), and helper
+    calls cost more than its arithmetic.
     """
-    p1, e1 = two_prod(a, b)
-    p2, e2 = two_prod(c, d)
-    s, t = two_sum(p1, -p2)
+    p1 = a * b
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
+    # The grouping keeps the error term symmetric under a <-> b swap, which
+    # downstream code relies on for exact mode-exchange covariance.
+    e1 = ((ah * bh - p1) + (ah * bl + al * bh)) + al * bl
+    p2 = c * d
+    t = _SPLITTER * c
+    ch = t - (t - c)
+    cl = c - ch
+    t = _SPLITTER * d
+    dh = t - (t - d)
+    dl = d - dh
+    e2 = ((ch * dh - p2) + (ch * dl + cl * dh)) + cl * dl
+    # two_sum(p1, -p2); x - y is x + (-y) in IEEE arithmetic.
+    s = p1 - p2
+    bb = s - p1
+    t = (p1 - (s - bb)) + (-p2 - bb)
     return s + (t + (e1 - e2))
 
 

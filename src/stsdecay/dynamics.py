@@ -252,8 +252,11 @@ def esd_bisection(
     times and never crosses zero.
 
     Raises:
+        InvalidParameterError: if no mode is damped.
         SeparableInputError: if ``sf0`` is already separable.
     """
+    if res.gamma1 == 0.0 and res.gamma2 == 0.0:
+        raise InvalidParameterError("the reservoir has no active bath; nothing evolves")
     margin0 = separability_margin(sf0)
     if margin0 >= 0.0:
         raise SeparableInputError(

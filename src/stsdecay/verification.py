@@ -79,6 +79,10 @@ _OMEGA = np.array(
 # Partial transposition of mode 2 flips the sign of p2.
 _PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 
+# States per stacked oracle call in run_verification; one buffer of this
+# many matrices is reused, so the battery's memory does not grow with it.
+_ORACLE_BLOCK = 250
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -98,33 +102,65 @@ class OracleReport:
         return cls(quantity, closed_form, oracle, abs_err, tol, abs_err <= tol)
 
 
+def _cm_stack(v: np.ndarray) -> np.ndarray:
+    """``v`` as a float array of shape ``(..., 4, 4)``."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-2:] != (4, 4):
+        raise InvalidParameterError(
+            f"expected a 4x4 covariance matrix or a stack of them, got shape {v.shape}"
+        )
+    return v
+
+
+def _at(bad: np.ndarray) -> str:
+    """Where the first true entry of ``bad`` sits in the stack ("" for one matrix)."""
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    if not index:
+        return ""
+    return f" at index {index[0] if len(index) == 1 else index}"
+
+
 def _cholesky_longdouble(v: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``v`` computed in extended precision.
+    """Lower Cholesky factors of a stack ``(..., n, n)`` in extended precision.
+
+    The textbook entry-by-entry loop, with the stack axes moved last so that
+    ``a[i, j]`` is that entry of every matrix at once (a scalar for one
+    matrix).  Every dot product accumulates from 0 in index order, as
+    numpy's longdouble ``x @ y`` does, and every operation is elementwise,
+    so each matrix gets exactly the factor it gets on its own.
 
     Raises:
         OraclePrecisionError: where numpy's longdouble is no wider than a double.
+        NonPhysicalStateError: naming the first matrix that is not positive definite.
     """
     if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
         raise OraclePrecisionError(
             "the eigen-oracle needs extended precision, but numpy's longdouble "
             "is a plain double on this platform"
         )
-    a = np.array(v, dtype=np.longdouble)
+    stack_axes = tuple(range(v.ndim - 2))
+    a = np.array(v, dtype=np.longdouble).transpose(v.ndim - 2, v.ndim - 1, *stack_axes)
     n = a.shape[0]
     low = np.zeros_like(a)
     for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0:
-            raise NonPhysicalStateError("covariance matrix is not positive definite")
-        low[j, j] = np.sqrt(d)
-        for i in range(j + 1, n):
-            low[i, j] = (a[i, j] - low[i, :j] @ low[j, :j]) / low[j, j]
-    return low
+        for i in range(j, n):
+            dot = 0.0
+            for k in range(j):
+                dot = dot + low[i, k] * low[j, k]
+            r = a[i, j] - dot
+            if i == j:
+                bad = r <= 0.0
+                if bad.any():
+                    raise NonPhysicalStateError(f"covariance matrix{_at(bad)} is not positive definite")
+                low[j, j] = np.sqrt(r)
+            else:
+                low[i, j] = r / low[j, j]
+    return low.transpose(*(k + 2 for k in stack_axes), 0, 1)
 
 
 def symplectic_spectrum_oracle(
     v: np.ndarray, pair_tol: float = 1e-8
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Symplectic eigenvalues of a 4x4 covariance matrix, by eigen-decomposition.
 
     Returns the two distinct moduli of the eigenvalues of i*Omega*V
@@ -133,33 +169,48 @@ def symplectic_spectrum_oracle(
     extended-precision Cholesky factor L of V — see the module docstring
     for why plain double precision is not good enough here.
 
+    ``v`` may also be a stack of shape ``(..., 4, 4)``; the result is then
+    a pair of float arrays of the leading shape, and each entry has the
+    bits the matrix gets on its own.  One ``(4, 4)`` matrix gives a pair
+    of Python floats.
+
     Raises:
-        NonPhysicalStateError: if V is not positive definite, or if the
-            eigenvalue moduli fail to pair within ``pair_tol``.
+        InvalidParameterError: if the trailing shape is not 4x4.
+        NonPhysicalStateError: if a matrix is not positive definite, or if
+            its eigenvalue moduli fail to pair within ``pair_tol``; the
+            message names the matrix's index in a stack.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (4, 4):
-        raise InvalidParameterError(f"expected a 4x4 covariance matrix, got shape {v.shape}")
+    v = _cm_stack(v)
     low = _cholesky_longdouble(v)
-    a = (low.T @ (_OMEGA.astype(np.longdouble) @ low)).astype(float)
-    a = 0.5 * (a - a.T)  # enforce exact antisymmetry before symmetrizing with i
-    moduli = np.sort(np.abs(np.linalg.eigvalsh(1j * a)))[::-1]
-    if abs(moduli[0] - moduli[1]) > pair_tol or abs(moduli[2] - moduli[3]) > pair_tol:
+    a = (np.swapaxes(low, -1, -2) @ (_OMEGA.astype(np.longdouble) @ low)).astype(float)
+    a = 0.5 * (a - np.swapaxes(a, -1, -2))  # enforce exact antisymmetry before symmetrizing with i
+    moduli = np.sort(np.abs(np.linalg.eigvalsh(1j * a)), axis=-1)[..., ::-1]
+    # Moduli 0, 1 and 2, 3 are the two degenerate pairs.
+    unpaired = np.abs(moduli[..., 0::2] - moduli[..., 1::2]) > pair_tol
+    if np.count_nonzero(unpaired):
+        bad = unpaired.any(axis=-1)
         raise NonPhysicalStateError(
-            f"eigenvalue moduli do not pair within {pair_tol!r}: {moduli.tolist()!r}"
+            f"eigenvalue moduli{_at(bad)} do not pair within {pair_tol!r}: "
+            f"{moduli[bad][0].tolist()!r}"
         )
-    return float(0.5 * (moduli[0] + moduli[1])), float(0.5 * (moduli[2] + moduli[3]))
+    kappas = 0.5 * (moduli[..., 0::2] + moduli[..., 1::2])
+    kappa_plus, kappa_minus = kappas[..., 0], kappas[..., 1]
+    if v.ndim == 2:
+        return float(kappa_plus), float(kappa_minus)
+    return kappa_plus, kappa_minus
 
 
-def ppt_spectrum_oracle(v: np.ndarray, pair_tol: float = 1e-8) -> tuple[float, float]:
+def ppt_spectrum_oracle(
+    v: np.ndarray, pair_tol: float = 1e-8
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Symplectic eigenvalues of the partial transpose of ``v``.
 
     Applies the momentum-sign flip on mode 2 and defers to
-    symplectic_spectrum_oracle.  The smaller value dropping below 1/2 is
-    the entanglement witness the closed forms must reproduce.
+    symplectic_spectrum_oracle, stacks included.  The smaller value
+    dropping below 1/2 is the entanglement witness the closed forms must
+    reproduce.
     """
-    v = np.asarray(v, dtype=float)
-    return symplectic_spectrum_oracle(_PT_FLIP @ v @ _PT_FLIP, pair_tol)
+    return symplectic_spectrum_oracle(_PT_FLIP @ _cm_stack(v) @ _PT_FLIP, pair_tol)
 
 
 def count_margin_crossings(
@@ -294,20 +345,25 @@ def run_verification(
     sm: list[tuple[float, float]] = []
     tp: list[tuple[float, float]] = []
     tm: list[tuple[float, float]] = []
-    for i in range(spectrum_samples):
-        if i % 10 == 0:
-            sf = sample_standard_form(rng, with_phase=False)
-        else:
-            p = sample_sts(rng, with_phase=False)
-            sf = standard_form_from_sts(p)
-        spec = symplectic_spectrum(sf)
-        v = full_cm(sf)
-        okp, okm = symplectic_spectrum_oracle(v)
-        otp, otm = ppt_spectrum_oracle(v)
-        sp.append((spec.kappa_plus, okp))
-        sm.append((spec.kappa_minus, okm))
-        tp.append((spec.kappa_tilde_plus, otp))
-        tm.append((spec.kappa_tilde_minus, otm))
+    cms = np.empty((_ORACLE_BLOCK, 4, 4))
+    for start in range(0, spectrum_samples, _ORACLE_BLOCK):
+        specs = []
+        for i in range(start, min(start + _ORACLE_BLOCK, spectrum_samples)):
+            if i % 10 == 0:
+                sf = sample_standard_form(rng, with_phase=False)
+            else:
+                p = sample_sts(rng, with_phase=False)
+                sf = standard_form_from_sts(p)
+            specs.append(symplectic_spectrum(sf))
+            cms[i - start] = full_cm(sf)
+        block = cms[: len(specs)]
+        okp, okm = (x.tolist() for x in symplectic_spectrum_oracle(block))
+        otp, otm = (x.tolist() for x in ppt_spectrum_oracle(block))
+        for j, spec in enumerate(specs):
+            sp.append((spec.kappa_plus, okp[j]))
+            sm.append((spec.kappa_minus, okm[j]))
+            tp.append((spec.kappa_tilde_plus, otp[j]))
+            tm.append((spec.kappa_tilde_minus, otm[j]))
     for name, pairs in (
         ("kappa_plus vs eigen-oracle", sp),
         ("kappa_minus vs eigen-oracle", sm),

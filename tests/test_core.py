@@ -1,6 +1,7 @@
 """State types, parametrization, and closed-form symplectic spectra."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stsdecay import (
     symplectic_spectrum,
     uncertainty_margin,
 )
+from stsdecay._accurate import prod_diff, two_sum
 from stsdecay.verification import sample_standard_form, sample_sts
 
 # Extended-precision reference values (frozen from a 40-digit computation).
@@ -154,6 +156,45 @@ def test_spectrum_is_swap_symmetric_bitwise():
             b.kappa_tilde_plus,
             b.kappa_tilde_minus,
         )
+
+
+def _two_prod(a, b):
+    """Dekker's two-product through a split helper: the reference prod_diff inlines."""
+
+    def split(x):
+        t = 134217729.0 * x
+        hi = t - (t - x)
+        return hi, x - hi
+
+    p = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return p, ((ah * bh - p) + (ah * bl + al * bh)) + al * bl
+
+
+def test_prod_diff_equals_its_composed_error_free_transforms():
+    rng = random.Random(20141203)
+    specials = (0.0, -0.0, 1.0, -1.0, 5e-324, 2.0**-1022, 134217729.0, 1e300)
+
+    def magnitude():
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30.0, 30.0)
+
+    for k in range(20000):
+        a, b, c, d = (magnitude() for _ in range(4))
+        if k % 4 == 1:
+            c, d = a * (1.0 + rng.uniform(-1e-12, 1e-12)), b  # heavy cancellation
+        elif k % 4 == 2:
+            c, d = b, a
+        elif k % 4 == 3:
+            a, d = rng.choice(specials), rng.choice(specials)
+        p1, e1 = _two_prod(a, b)
+        p2, e2 = _two_prod(c, d)
+        s, t = two_sum(p1, -p2)
+        expect = s + (t + (e1 - e2))
+        got = prod_diff(a, b, c, d)
+        assert repr(got) == repr(expect), (a, b, c, d)
+        # The error term is symmetric in each pair, bit for bit.
+        assert repr(prod_diff(b, a, d, c)) == repr(got)
 
 
 def test_separability_examples():

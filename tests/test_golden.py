@@ -98,9 +98,11 @@ def _cases() -> dict[str, tuple[str, ...]]:
         # esd: every layout, markers, and the bisection cross-check.
         "esd_zero_temperature": ("esd", *_STATE, "--identical", "--nr", "0"),
         "esd_verify_zero_temperature_json": ("esd", *_STATE, "--single-bath", "--nr", "0", "--verify", *_JSON),
-        # verify: text and JSON.
+        # verify: two batteries, text and JSON.
         "verify_seed0": ("verify", "--seed", "0"),
         "verify_seed0_json": ("verify", "--seed", "0", "--format", "json"),
+        "verify_seed7": ("verify", "--seed", "7"),
+        "verify_seed7_json": ("verify", "--seed", "7", "--format", "json"),
     }
     for layout, bath in _LAYOUTS.items():
         cases[f"esd_{layout}"] = ("esd", *_STATE, *bath)

@@ -1,5 +1,6 @@
 """The oracle layer itself: eigen-spectra, bisection, samplers, battery."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -67,6 +68,77 @@ def test_oracle_rejects_bad_matrices():
         symplectic_spectrum_oracle(v, pair_tol=0.0)
 
 
+def _oracle_stack(seed: int, n: int, with_phase: bool) -> np.ndarray:
+    """``n`` covariance matrices drawn with run_verification's sampler mix."""
+    rng = np.random.default_rng(seed)
+    v = np.empty((n, 4, 4))
+    for i in range(n):
+        if i % 10 == 0:
+            sf = sample_standard_form(rng, with_phase=with_phase)
+        else:
+            sf = standard_form_from_sts(sample_sts(rng, with_phase=with_phase))
+        v[i] = full_cm(sf)
+    return v
+
+
+# Frozen from the one-matrix-at-a-time oracles, before they accepted stacks.
+ORACLE_DIGEST = "a3826a7fc68e6058d753f040654dff1fc1b3bbc4e2b4ac714247267a0baba214"
+
+
+def test_stacked_oracles_match_frozen_digest():
+    h = hashlib.sha256()
+    for seed, n, with_phase in ((20141202, 2000, False), (20141203, 500, True)):
+        v = _oracle_stack(seed, n, with_phase)
+        columns = (*symplectic_spectrum_oracle(v), *ppt_spectrum_oracle(v))
+        for kp, km, tp, tm in zip(*(col.tolist() for col in columns)):
+            h.update(f"{kp!r} {km!r} {tp!r} {tm!r}\n".encode())
+    assert h.hexdigest() == ORACLE_DIGEST
+
+
+@pytest.mark.parametrize("oracle", [symplectic_spectrum_oracle, ppt_spectrum_oracle])
+def test_a_stack_equals_its_matrices_one_at_a_time(oracle):
+    v = _oracle_stack(5, 300, with_phase=True)
+    kp, km = oracle(v)
+    assert kp.shape == km.shape == (300,)
+    singles = [oracle(v[i : i + 1]) for i in range(len(v))]
+    assert kp.tobytes() == np.concatenate([s[0] for s in singles]).tobytes()
+    assert km.tobytes() == np.concatenate([s[1] for s in singles]).tobytes()
+    # Any leading batch shape is a stack too.
+    kp2, km2 = oracle(v.reshape(20, 15, 4, 4))
+    assert kp2.shape == (20, 15)
+    assert kp2.tobytes() == kp.tobytes() and km2.tobytes() == km.tobytes()
+
+
+@pytest.mark.parametrize("oracle", [symplectic_spectrum_oracle, ppt_spectrum_oracle])
+def test_one_matrix_returns_two_python_floats(oracle):
+    v = full_cm(standard_form_from_sts(StsParams(3.0, 1.0, 1.5, 0.7)))
+    out = oracle(v)
+    assert type(out) is tuple and len(out) == 2
+    assert all(type(x) is float for x in out)
+    stacked = oracle(v[np.newaxis])
+    assert out == (stacked[0][0], stacked[1][0])
+
+
+def test_a_non_physical_matrix_in_a_stack_is_named_by_index():
+    v = _oracle_stack(9, 6, with_phase=False)
+    v[3] = np.diag([1.0, 1.0, 1.0, -0.5])
+    with pytest.raises(NonPhysicalStateError, match=r"index 3\b"):
+        symplectic_spectrum_oracle(v)
+    with pytest.raises(NonPhysicalStateError, match=r"index \(1, 0\)"):
+        ppt_spectrum_oracle(v.reshape(2, 3, 4, 4))
+    # A thermal product state pairs exactly; the squeezed one does not.
+    squeezed = full_cm(standard_form_from_sts(StsParams(10.0, 0.1, 2.0)))
+    with pytest.raises(NonPhysicalStateError, match=r"moduli at index 1 do not pair"):
+        symplectic_spectrum_oracle(np.stack([1.5 * np.eye(4), squeezed]), pair_tol=0.0)
+
+
+@pytest.mark.parametrize("oracle", [symplectic_spectrum_oracle, ppt_spectrum_oracle])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4, 3), (4,)])
+def test_oracles_reject_other_shapes(oracle, shape):
+    with pytest.raises(InvalidParameterError, match="4x4"):
+        oracle(np.ones(shape))
+
+
 def test_oracle_runs_in_extended_precision_here():
     assert np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
     kp, km = symplectic_spectrum_oracle(full_cm(standard_form_from_sts(StsParams(3.0, 1.0, 2.5))))
@@ -121,7 +193,8 @@ def test_bisection_markers_and_errors():
     entangled = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
     assert esd_bisection(entangled, ReservoirConfig.identical(1.0, 0.0)) is ASYMPTOTIC_ONLY
     assert esd_bisection(entangled, ReservoirConfig.single_bath(1.0, 0.0)) is ASYMPTOTIC_ONLY
-    assert esd_bisection(entangled, ReservoirConfig(0.0, 0.0, 0.0, 0.0)) is ASYMPTOTIC_ONLY
+    with pytest.raises(InvalidParameterError, match="no active bath"):
+        esd_bisection(entangled, ReservoirConfig(0.0, 0.0, 0.0, 0.0))
     # Noise on an undamped mode is never injected, so it does not count.
     assert esd_bisection(entangled, ReservoirConfig(0.0, 1.5, 1.0, 0.0)) is ASYMPTOTIC_ONLY
     with pytest.raises(SeparableInputError):
