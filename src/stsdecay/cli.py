@@ -17,14 +17,14 @@ Exit codes: 0 success, 1 verification failure (or an oracle that cannot
 run on this platform), 2 invalid input, 3 inapplicable request (death time
 of an already-separable state).
 
-Only ``verify`` and ``evolve --log-spacing`` import numpy.
+Only ``verify`` and ``evolve --log-spacing`` import numpy, and only JSON
+output imports ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -330,7 +330,11 @@ def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
         yield sys.stdout.write
         return
     if os.path.islink(out) or (os.path.exists(out) and not os.path.isfile(out)):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise _CliError(f"cannot write {out}: {exc.strerror}") from exc
+        with fh:
             yield fh.write
         return
     tmp = f"{out}.{os.getpid()}.tmp"
@@ -361,6 +365,8 @@ def _write_table(columns: list[str], rows: Iterable[Sequence[object]], fmt: str,
         head, sep, tail, spell = ",".join(columns) + "\n", "\n", "\n", str
         template = ",".join(["{}"] * len(columns))
     else:
+        import json
+
         head, sep, tail, spell = "[\n", ",\n", "\n]\n", json.dumps
         template = "  {{\n" + ",\n".join(f"    {json.dumps(name)}: {{}}" for name in columns) + "\n  }}"
     fill = template.format
@@ -394,21 +400,12 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return grid
 
 
-def _finite_time(ts: float | AsymptoticOnly) -> float | AsymptoticOnly:
-    if isinstance(ts, float) and not math.isfinite(ts):
-        raise _CliError(
-            "death time overflows a double: the damping rate or reservoir occupancy "
-            "is too small for a finite time"
-        )
-    return ts
-
-
 def _death_time_cell(sf: StandardForm, res: ReservoirConfig) -> object:
     """Death time as a table cell: float, 'asymptotic-only', or 'separable'."""
     if is_separable(sf):
         return "separable"
     ts = esd_time(sf, res)
-    return "asymptotic-only" if isinstance(ts, AsymptoticOnly) else _finite_time(ts)
+    return "asymptotic-only" if isinstance(ts, AsymptoticOnly) else ts
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -458,12 +455,12 @@ def _cmd_esd(args: argparse.Namespace) -> int:
     if res is None:
         raise _CliError("esd needs a reservoir: bath flags or --identical/--single-bath")
     if args.verify:
-        closed = _finite_time(_closed_form_esd_time(sf, res))  # SeparableInputError -> exit 3
+        closed = _closed_form_esd_time(sf, res)  # SeparableInputError -> exit 3
         if closed is None:
             raise _CliError(
                 "no closed form exists for two baths that differ in rate or temperature; drop --verify"
             )
-        oracle = _finite_time(esd_bisection(sf, res))
+        oracle = esd_bisection(sf, res)
         if isinstance(closed, AsymptoticOnly) or isinstance(oracle, AsymptoticOnly):
             sys.stderr.write("no sudden death (zero-temperature bath)\n")
             row: list[object] = ["asymptotic-only"] * 3
@@ -471,7 +468,7 @@ def _cmd_esd(args: argparse.Namespace) -> int:
             row = [closed, oracle, abs(closed - oracle)]
         _write_table(["t_s_closed", "t_s_bisection", "abs_difference"], [row], args.format, args.out)
         return 0
-    ts = _finite_time(esd_time(sf, res))
+    ts = esd_time(sf, res)
     if isinstance(ts, AsymptoticOnly):
         sys.stderr.write("no sudden death (zero-temperature bath)\n")
         ts = "asymptotic-only"

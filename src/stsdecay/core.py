@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ._accurate import finite, prod_diff, sum_sq_minus_4c2
@@ -51,14 +50,57 @@ _ABS_SLACK = 1e-12
 _REL_SLACK = 64.0 * _EPS
 
 
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields, in order, as ``__match_args__`` and stores
+    them in ``__init__`` through the instance ``__dict__``; assignment and
+    deletion are refused afterwards.  A validating record checks (and
+    normalizes) its fields in ``__post_init__``, which ``__init__`` calls
+    last, so tools that wrap that hook keep seeing the check.
+
+    ``repr``, ``==`` and ``hash`` are those of a frozen dataclass:
+    ``Name(field=value, ...)``, equal only to an instance of the same class
+    with equal fields, hashed as the tuple of the fields.  The instance
+    ``__dict__`` is what ``copy``, ``deepcopy`` and ``pickle`` restore,
+    without going through ``__setattr__``.  (With ``__slots__`` instead,
+    they would restore through ``__setattr__`` and fail.)  The dataclass
+    machinery itself is not used: importing ``dataclasses`` (which pulls in
+    ``inspect``) and decorating the records cost each command-line call
+    about 15 ms of start-up.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _wrap_angle(phi: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""
     w = math.remainder(phi, math.tau)
     return math.pi if w == -math.pi else w
 
 
-@dataclass(frozen=True)
-class StsParams:
+class StsParams(_Record):
     """Physical parameters of a two-mode squeezed thermal state.
 
     Attributes:
@@ -69,10 +111,11 @@ class StsParams:
         phi: squeeze phase in radians, normalized to (-pi, pi].
     """
 
-    n1: float
-    n2: float
-    r: float
-    phi: float = 0.0
+    __match_args__ = ("n1", "n2", "r", "phi")
+
+    def __init__(self, n1: float, n2: float, r: float, phi: float = 0.0) -> None:
+        self.__dict__.update(n1=n1, n2=n2, r=r, phi=phi)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not finite(self.n1, self.n2, self.r, self.phi):
@@ -83,11 +126,10 @@ class StsParams:
             )
         if self.r < 0.0:
             raise InvalidParameterError(f"squeeze parameter must be >= 0, got r={self.r!r}")
-        object.__setattr__(self, "phi", _wrap_angle(self.phi))
+        self.__dict__["phi"] = _wrap_angle(self.phi)
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(_Record):
     """Standard-form covariance-matrix entries of a two-mode Gaussian state.
 
     ``b1`` and ``b2`` are the diagonal variances of the two modes (>= 1/2,
@@ -104,10 +146,11 @@ class StandardForm:
     spuriously rejected; genuine violations raise NonPhysicalStateError.
     """
 
-    b1: float
-    b2: float
-    c: float
-    phi: float = 0.0
+    __match_args__ = ("b1", "b2", "c", "phi")
+
+    def __init__(self, b1: float, b2: float, c: float, phi: float = 0.0) -> None:
+        self.__dict__.update(b1=b1, b2=b2, c=c, phi=phi)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         b1, b2, c, phi = self.b1, self.b2, self.c, self.phi
@@ -117,10 +160,7 @@ class StandardForm:
             c = -c
             phi = phi + math.pi
         b1, b2 = _bona_fide(b1, b2, c)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "phi", _wrap_angle(phi))
+        self.__dict__.update(b1=b1, b2=b2, c=c, phi=_wrap_angle(phi))
 
 
 def _bona_fide(b1: float, b2: float, c: float) -> tuple[float, float]:
@@ -152,18 +192,24 @@ def _bona_fide(b1: float, b2: float, c: float) -> tuple[float, float]:
     return b1, b2
 
 
-@dataclass(frozen=True)
-class SymplecticSpectrum:
+class SymplecticSpectrum(_Record):
     """Symplectic eigenvalues of a two-mode state and of its partial transpose.
 
     ``kappa_plus >= kappa_minus >= 1/2`` for any physical state;
     ``kappa_tilde_minus < 1/2`` if and only if the state is entangled.
     """
 
-    kappa_plus: float
-    kappa_minus: float
-    kappa_tilde_plus: float
-    kappa_tilde_minus: float
+    __match_args__ = ("kappa_plus", "kappa_minus", "kappa_tilde_plus", "kappa_tilde_minus")
+
+    def __init__(
+        self, kappa_plus: float, kappa_minus: float, kappa_tilde_plus: float, kappa_tilde_minus: float
+    ) -> None:
+        self.__dict__.update(
+            kappa_plus=kappa_plus,
+            kappa_minus=kappa_minus,
+            kappa_tilde_plus=kappa_tilde_plus,
+            kappa_tilde_minus=kappa_tilde_minus,
+        )
 
 
 def standard_form_from_sts(p: StsParams) -> StandardForm:

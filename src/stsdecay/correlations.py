@@ -22,10 +22,9 @@ this family satisfies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._accurate import prod_diff
-from .core import StandardForm, _is_pure, _separability_margin, _spectrum_scalars, is_separable
+from .core import StandardForm, _Record, _is_pure, _separability_margin, _spectrum_scalars, is_separable
 from .errors import InvalidParameterError, NonPhysicalStateError
 
 __all__ = [
@@ -42,8 +41,7 @@ __all__ = [
 _NEG_CLAMP = 1e-10
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(_Record):
     """All correlation measures of one state, computed consistently.
 
     Attributes:
@@ -59,15 +57,31 @@ class CorrelationReport:
             ``(b1 b2 - c^2)^2 - (b1^2 + b2^2 - 2 c^2)/4 + 1/16`` (>= 0).
     """
 
-    ef: float
-    d1: float
-    d2: float
-    mutual_information: float
-    separable: bool
-    x_m: float
-    y: float
-    z: float
-    invariant_d: float
+    __match_args__ = ("ef", "d1", "d2", "mutual_information", "separable", "x_m", "y", "z", "invariant_d")
+
+    def __init__(
+        self,
+        ef: float,
+        d1: float,
+        d2: float,
+        mutual_information: float,
+        separable: bool,
+        x_m: float,
+        y: float,
+        z: float,
+        invariant_d: float,
+    ) -> None:
+        self.__dict__.update(
+            ef=ef,
+            d1=d1,
+            d2=d2,
+            mutual_information=mutual_information,
+            separable=separable,
+            x_m=x_m,
+            y=y,
+            z=z,
+            invariant_d=invariant_d,
+        )
 
 
 def _h_offset(a: float) -> float:

@@ -20,10 +20,10 @@ return the ASYMPTOTIC_ONLY marker instead of a number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 from ._accurate import finite, prod_diff
-from .core import StandardForm, full_cm, separability_margin
+from .core import StandardForm, _Record, full_cm, separability_margin
 from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
 
 __all__ = [
@@ -62,8 +62,7 @@ class AsymptoticOnly:
 ASYMPTOTIC_ONLY = AsymptoticOnly()
 
 
-@dataclass(frozen=True)
-class ReservoirConfig:
+class ReservoirConfig(_Record):
     """Local thermal reservoirs for the two modes.
 
     ``gamma1``/``gamma2`` are the damping rates (>= 0, inverse time) and
@@ -71,10 +70,11 @@ class ReservoirConfig:
     decouples that mode; both rates 0 is the trivial identity channel.
     """
 
-    gamma1: float
-    n_r1: float
-    gamma2: float
-    n_r2: float
+    __match_args__ = ("gamma1", "n_r1", "gamma2", "n_r2")
+
+    def __init__(self, gamma1: float, n_r1: float, gamma2: float, n_r2: float) -> None:
+        self.__dict__.update(gamma1=gamma1, n_r1=n_r1, gamma2=gamma2, n_r2=n_r2)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not finite(self.gamma1, self.n_r1, self.gamma2, self.n_r2):
@@ -97,12 +97,13 @@ class ReservoirConfig:
         return cls(gamma, n_r, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class EvolvedState:
+class EvolvedState(_Record):
     """A standard-form state tagged with the elapsed evolution time."""
 
-    t: float
-    sf: StandardForm
+    __match_args__ = ("t", "sf")
+
+    def __init__(self, t: float, sf: StandardForm) -> None:
+        self.__dict__.update(t=t, sf=sf)
 
 
 def _check_time(t: float) -> None:
@@ -158,6 +159,20 @@ def _check_rates(gamma: float, n_r: float) -> None:
         )
 
 
+_MAX_TIME = sys.float_info.max
+_OVERFLOW = (
+    "death time overflows a double: the damping rate or reservoir occupancy "
+    "is too small for a finite time"
+)
+
+
+def _finite_death_time(t: float) -> float:
+    """``t``, refused when it overflowed a double (a tiny rate or occupancy)."""
+    if not math.isfinite(t):
+        raise InvalidParameterError(_OVERFLOW)
+    return t
+
+
 def _ktp_off(sf: StandardForm) -> float:
     """kt_plus - 1/2 of ``sf``, assembled from non-negative terms only."""
     b1, b2, c = sf.b1, sf.b2, sf.c
@@ -181,6 +196,7 @@ def esd_time_identical_baths(
 
     Raises:
         SeparableInputError: if ``sf0`` is already separable.
+        InvalidParameterError: if the time overflows a double.
     """
     _check_rates(gamma, n_r)
     margin = separability_margin(sf0)
@@ -190,7 +206,7 @@ def esd_time_identical_baths(
         )
     if n_r == 0.0:
         return ASYMPTOTIC_ONLY
-    return math.log1p(-margin / (_ktp_off(sf0) * n_r)) / gamma
+    return _finite_death_time(math.log1p(-margin / (_ktp_off(sf0) * n_r)) / gamma)
 
 
 def esd_time_single_bath(
@@ -210,6 +226,7 @@ def esd_time_single_bath(
         SeparableInputError: if ``sf0`` is already separable.
         NonPhysicalStateError: if b2 = 1/2 (entangled inputs cannot reach
             this; the division is guarded rather than taken as a limit).
+        InvalidParameterError: if the time overflows a double.
     """
     _check_rates(gamma, n_r)
     margin = separability_margin(sf0)
@@ -225,7 +242,7 @@ def esd_time_single_bath(
             "b2 = 1/2 with residual entanglement: degenerate denominator in the "
             "single-bath disentanglement time"
         )
-    return math.log1p(-margin / (n_r * b2_off)) / gamma
+    return _finite_death_time(math.log1p(-margin / (n_r * b2_off)) / gamma)
 
 
 def _margin_at(sf0: StandardForm, res: ReservoirConfig, t: float) -> float:
@@ -252,7 +269,8 @@ def esd_bisection(
     times and never crosses zero.
 
     Raises:
-        InvalidParameterError: if no mode is damped.
+        InvalidParameterError: if no mode is damped, or if the time
+            overflows a double.
         SeparableInputError: if ``sf0`` is already separable.
     """
     if res.gamma1 == 0.0 and res.gamma2 == 0.0:
@@ -270,11 +288,16 @@ def esd_bisection(
     gammas = [g for g in (res.gamma1, res.gamma2) if g > 0.0]
     gamma_eff = min(gammas)
     n_r_eff = max(res.n_r1 if res.gamma1 > 0.0 else 0.0, res.n_r2 if res.gamma2 > 0.0 else 0.0)
-    t_hi = 2.0 * math.log1p(-margin0 / (_ktp_off(sf0) * max(n_r_eff, 1e-6))) / gamma_eff
+    # The bracket is capped at the largest double: a death time beyond it
+    # is refused, and one below it is bracketed even when the estimate
+    # overflows (a tiny rate on one mode, a finite time set by the other).
+    t_hi = min(2.0 * math.log1p(-margin0 / (_ktp_off(sf0) * max(n_r_eff, 1e-6))) / gamma_eff, _MAX_TIME)
     for _ in range(200):
         if _margin_at(sf0, res, t_hi) >= 0.0:
             break
-        t_hi *= 2.0
+        if t_hi == _MAX_TIME:
+            raise InvalidParameterError(_OVERFLOW)
+        t_hi = min(2.0 * t_hi, _MAX_TIME)
     else:
         raise RuntimeError("failed to bracket the separability crossing")
     t_lo = 0.0
@@ -314,7 +337,8 @@ def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
     ``esd_bisection``.  Returns ASYMPTOTIC_ONLY when no active bath is hot.
 
     Raises:
-        InvalidParameterError: if no mode is damped.
+        InvalidParameterError: if no mode is damped, or if the time
+            overflows a double.
         SeparableInputError: if ``sf0`` is already separable.
     """
     ts = _closed_form_esd_time(sf0, res)

@@ -29,7 +29,6 @@ silently losing that precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from ._accurate import prod_diff
 from .core import (
     StandardForm,
     StsParams,
+    _Record,
     full_cm,
     separability_margin,
     standard_form_from_sts,
@@ -84,16 +84,17 @@ _PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 _ORACLE_BLOCK = 250
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(_Record):
     """Outcome of one closed-form-versus-oracle comparison."""
 
-    quantity: str
-    closed_form: float
-    oracle: float
-    abs_err: float
-    tol: float
-    passed: bool
+    __match_args__ = ("quantity", "closed_form", "oracle", "abs_err", "tol", "passed")
+
+    def __init__(
+        self, quantity: str, closed_form: float, oracle: float, abs_err: float, tol: float, passed: bool
+    ) -> None:
+        self.__dict__.update(
+            quantity=quantity, closed_form=closed_form, oracle=oracle, abs_err=abs_err, tol=tol, passed=passed
+        )
 
     @classmethod
     def compare(cls, quantity: str, closed_form: float, oracle: float, tol: float) -> OracleReport:
@@ -315,7 +316,12 @@ def run_verification(
     Returns one aggregated OracleReport per checked quantity, each
     carrying the worst-agreeing pair observed over its random sample.
     Seeded, hence reproducible.
+
+    Raises:
+        InvalidParameterError: if ``seed`` is negative.
     """
+    if seed < 0:
+        raise InvalidParameterError(f"the verification seed (verify --seed) must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     reports: list[OracleReport] = []
 

@@ -479,3 +479,13 @@ def test_output_through_a_symlink_writes_the_linked_file(capsys, tmp_path):
     assert link.is_symlink()
     assert real.read_text().startswith("t,b1,b2,c,")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_out_naming_a_directory_is_exit_2(capsys, tmp_path):
+    # The in-place branch of --out (not a regular file) refuses a directory
+    # as the temporary-file branch refuses an unwritable path.
+    for argv in (("report", "--n1", "1", "--n2", "1", "--r", "1"), ("verify",)):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []

@@ -176,6 +176,31 @@ def test_esd_zero_temperature_returns_marker():
         ASYMPTOTIC_ONLY + 1.0  # arithmetic must fail loudly
 
 
+def test_death_times_that_overflow_a_double_are_refused():
+    sf = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
+    overflow = "death time overflows a double"
+    with pytest.raises(InvalidParameterError, match=overflow):
+        esd_time_identical_baths(sf, 1e-310, 0.5)
+    with pytest.raises(InvalidParameterError, match=overflow):
+        esd_time_single_bath(sf, 1e-310, 0.5)
+    with pytest.raises(InvalidParameterError, match=overflow):
+        esd_time_identical_baths(sf, 1.0, 1e-320)
+    for res in (
+        ReservoirConfig.identical(1e-310, 0.5),
+        ReservoirConfig.single_bath(1e-310, 0.5),
+        ReservoirConfig(0.0, 0.0, 1e-310, 0.5),
+        ReservoirConfig(1e-310, 0.5, 2e-310, 0.5),
+    ):
+        for death_time in (esd_bisection, esd_time):
+            with pytest.raises(InvalidParameterError, match=overflow):
+                death_time(sf, res)
+    # A tiny rate on one mode leaves the time set by the other bath finite,
+    # although the bisection's first bracket overflows.
+    both = esd_time(sf, ReservoirConfig(1.0, 0.5, 1e-310, 0.5))
+    assert both == pytest.approx(esd_time_single_bath(sf, 1.0, 0.5), abs=1e-9)
+    assert math.isfinite(esd_time_identical_baths(sf, 1e-300, 0.5))
+
+
 def test_esd_rejects_separable_and_bad_rates():
     thermal = StandardForm(1.5, 1.5, 0.0)
     with pytest.raises(SeparableInputError):

@@ -1,6 +1,5 @@
-"""numpy is loaded only by the commands that use it, and the package namespace stays whole."""
+"""numpy, json and the dataclasses machinery are loaded only where used, and the package namespace stays whole."""
 
-import json
 import os
 import random
 import subprocess
@@ -15,30 +14,43 @@ from stsdecay import cli, dynamics, verification
 
 _SRC = str(Path(stsdecay.__file__).resolve().parents[1])
 
-# Runs each argv through cli.main in one interpreter and reports, per argv,
-# the exit code and whether numpy was imported by then.
+# Runs each command (one argument, tokens split on blanks) through cli.main
+# in one interpreter and prints, per command, a tab-separated line: the
+# command, its exit code and the watched modules imported by then.  The
+# probe itself imports none of them, json included.
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+def loaded():
+    return ",".join(m for m in ("numpy", "dataclasses", "inspect", "json") if m in sys.modules)
 import stsdecay
-results = [["import stsdecay", 0, "numpy" in sys.modules]]
+lines = ["import stsdecay\\t0\\t" + loaded()]
 from stsdecay import cli
-for argv in json.loads(sys.argv[1]):
+for command in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    results.append([" ".join(argv), code, "numpy" in sys.modules])
-print(json.dumps(results))
+        code = cli.main(command.split())
+    lines.append(f"{command}\\t{code}\\t{loaded()}")
+print("\\n".join(lines))
 """
 
 _STATE = ["--n1", "1", "--n2", "0.5", "--r", "1"]
 
 
 def _probe(*argvs):
+    """``(command, exit code, set of watched modules loaded)`` after ``import stsdecay`` and after each argv."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", _PROBE, *(" ".join(argv) for argv in argvs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    results = []
+    for line in proc.stdout.splitlines():
+        command, code, loaded = line.split("\t")
+        results.append((command, int(code), set(loaded.split(",")) - {""}))
+    return results
 
 
 def test_closed_form_commands_do_not_load_numpy():
@@ -50,7 +62,21 @@ def test_closed_form_commands_do_not_load_numpy():
         ["sweep", *_STATE, "--param", "r", "--min", "0", "--max", "2", "--steps", "7", "--identical", "--nr", "0.2"],
         ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "9", "--format", "json"],
     )
-    assert [(name, code, loaded) for name, code, loaded in results if code != 0 or loaded] == []
+    assert [(name, code, loaded) for name, code, loaded in results if code != 0 or "numpy" in loaded] == []
+
+
+def test_csv_commands_load_no_dataclasses_inspect_or_json():
+    *csv_results, json_result = _probe(
+        ["report", *_STATE],
+        ["report", *_STATE, "--identical", "--nr", "0.3", "--t", "0.5", "--outputs", "ef,kappas"],
+        ["esd", *_STATE, "--identical", "--nr", "0.3", "--verify"],
+        ["esd", *_STATE, "--gamma1", "1", "--nr1", "0.3", "--gamma2", "2", "--nr2", "0.1"],
+        ["sweep", *_STATE, "--param", "gamma", "--min", "0.5", "--max", "2", "--steps", "7", "--identical", "--nr", "0.2"],
+        ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "9"],
+        ["esd", *_STATE, "--identical", "--nr", "0.3", "--format", "json"],
+    )
+    assert [(name, code, loaded) for name, code, loaded in csv_results if code != 0 or loaded] == []
+    assert json_result[1:] == (0, {"json"})
 
 
 @pytest.mark.parametrize(
@@ -63,7 +89,7 @@ def test_closed_form_commands_do_not_load_numpy():
 )
 def test_oracle_and_log_grid_load_numpy(argv):
     (_, _, imported), (_, code, loaded) = _probe(argv)
-    assert imported is False and code == 0 and loaded is True
+    assert "numpy" not in imported and code == 0 and "numpy" in loaded
 
 
 _LINSPACE_CASES = [

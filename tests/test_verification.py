@@ -239,3 +239,16 @@ def test_run_verification_battery_passes_and_is_deterministic():
     assert len(set(names)) == 9
     again = run_verification(seed=3, spectrum_samples=300, esd_samples=40, cf_samples=40)
     assert again == reports
+
+
+def test_a_negative_seed_is_refused_before_sampling(capsys, monkeypatch):
+    def no_rng(seed):
+        raise AssertionError("sampled with a negative seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        run_verification(seed=-1)
+    assert cli.main(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the verification seed (verify --seed) must be >= 0, got -1\n"
