@@ -17,14 +17,14 @@ Exit codes: 0 success, 1 verification failure (or an oracle that cannot
 run on this platform), 2 invalid input, 3 inapplicable request (death time
 of an already-separable state).
 
-Only ``verify`` and ``evolve --log-spacing`` import numpy, and only JSON
-output imports ``json``.
+Only ``verify`` and ``evolve --log-spacing`` import numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import math
 import os
 import sys
@@ -365,8 +365,6 @@ def _write_table(columns: list[str], rows: Iterable[Sequence[object]], fmt: str,
         head, sep, tail, spell = ",".join(columns) + "\n", "\n", "\n", str
         template = ",".join(["{}"] * len(columns))
     else:
-        import json
-
         head, sep, tail, spell = "[\n", ",\n", "\n]\n", json.dumps
         template = "  {{\n" + ",\n".join(f"    {json.dumps(name)}: {{}}" for name in columns) + "\n  }}"
     fill = template.format

@@ -301,15 +301,16 @@ def esd_bisection(
     else:
         raise RuntimeError("failed to bracket the separability crossing")
     t_lo = 0.0
+    # Halves are added: t_lo + t_hi can overflow once the bracket nears the cap.
     while t_hi - t_lo > t_tol:
-        t_mid = 0.5 * (t_lo + t_hi)
+        t_mid = 0.5 * t_lo + 0.5 * t_hi
         if t_mid <= t_lo or t_mid >= t_hi:
             break  # bracket has collapsed to adjacent floats
         if _margin_at(sf0, res, t_mid) < 0.0:
             t_lo = t_mid
         else:
             t_hi = t_mid
-    return 0.5 * (t_lo + t_hi)
+    return _finite_death_time(0.5 * t_lo + 0.5 * t_hi)
 
 
 def _closed_form_esd_time(

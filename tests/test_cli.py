@@ -405,6 +405,18 @@ def test_overflowing_death_time_is_refused(capsys, fmt):
     assert "death time overflows a double" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_death_time_near_the_largest_double_is_finite(capsys, fmt):
+    code, out, err = run(
+        capsys, "esd", *("--n1", "10", "--n2", "0.1", "--r", "2"),
+        *("--gamma1", "1e-308", "--nr1", "0.5", "--gamma2", "1e-310", "--nr2", "0.5"),
+        "--format", fmt,
+    )
+    assert code == 0 and err == ""
+    assert "inf" not in out.lower()
+    assert "1.0896289723634319e+308" in out
+
+
 def test_failed_sweep_writes_nothing(capsys, tmp_path):
     args = ("sweep", "--n1", "1", "--n2", "1", "--param", "r", "--min", "1", "--max", "-1", "--steps", "5")
     code, out, err = run(capsys, *args)

@@ -28,6 +28,7 @@ from stsdecay import (
     steady_state,
     uncertainty_margin,
 )
+from stsdecay.dynamics import _margin_at
 from stsdecay.verification import sample_entangled_sts, sample_sts
 
 # Frozen 40-digit references: disentanglement time of the (10, 0.1, r=2)
@@ -199,6 +200,18 @@ def test_death_times_that_overflow_a_double_are_refused():
     both = esd_time(sf, ReservoirConfig(1.0, 0.5, 1e-310, 0.5))
     assert both == pytest.approx(esd_time_single_bath(sf, 1.0, 0.5), abs=1e-9)
     assert math.isfinite(esd_time_identical_baths(sf, 1e-300, 0.5))
+    # A death time just below the largest double: the bisection's bracket
+    # reaches the cap, and its midpoint must not overflow on the way.
+    near_cap = ReservoirConfig(1e-308, 0.5, 1e-310, 0.5)
+    for death_time in (esd_bisection, esd_time):
+        t = death_time(sf, near_cap)
+        assert math.isfinite(t) and t > 1e308
+        assert _margin_at(sf, near_cap, t * (1.0 + 1e-12)) >= 0.0
+        assert _margin_at(sf, near_cap, t * (1.0 - 1e-12)) < 0.0
+    # Halve the rates and the same crossing lies beyond it.
+    for death_time in (esd_bisection, esd_time):
+        with pytest.raises(InvalidParameterError, match=overflow):
+            death_time(sf, ReservoirConfig(5e-309, 0.5, 5e-311, 0.5))
 
 
 def test_esd_rejects_separable_and_bad_rates():

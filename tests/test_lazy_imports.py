@@ -1,5 +1,6 @@
-"""numpy, json and the dataclasses machinery are loaded only where used, and the package namespace stays whole."""
+"""numpy and the dataclasses machinery are loaded only where used, and the package namespace stays whole."""
 
+import json
 import os
 import random
 import subprocess
@@ -14,43 +15,33 @@ from stsdecay import cli, dynamics, verification
 
 _SRC = str(Path(stsdecay.__file__).resolve().parents[1])
 
-# Runs each command (one argument, tokens split on blanks) through cli.main
-# in one interpreter and prints, per command, a tab-separated line: the
-# command, its exit code and the watched modules imported by then.  The
-# probe itself imports none of them, json included.
+# Runs each argv through cli.main in one interpreter and reports, per argv,
+# the exit code and which of numpy, dataclasses and inspect were imported
+# by then.
 _PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 def loaded():
-    return ",".join(m for m in ("numpy", "dataclasses", "inspect", "json") if m in sys.modules)
+    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
 import stsdecay
-lines = ["import stsdecay\\t0\\t" + loaded()]
+results = [["import stsdecay", 0, loaded()]]
 from stsdecay import cli
-for command in sys.argv[1:]:
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(command.split())
-    lines.append(f"{command}\\t{code}\\t{loaded()}")
-print("\\n".join(lines))
+        code = cli.main(argv)
+    results.append([" ".join(argv), code, loaded()])
+print(json.dumps(results))
 """
 
 _STATE = ["--n1", "1", "--n2", "0.5", "--r", "1"]
 
 
 def _probe(*argvs):
-    """``(command, exit code, set of watched modules loaded)`` after ``import stsdecay`` and after each argv."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *(" ".join(argv) for argv in argvs)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    results = []
-    for line in proc.stdout.splitlines():
-        command, code, loaded = line.split("\t")
-        results.append((command, int(code), set(loaded.split(",")) - {""}))
-    return results
+    return json.loads(proc.stdout)
 
 
 def test_closed_form_commands_do_not_load_numpy():
@@ -65,8 +56,8 @@ def test_closed_form_commands_do_not_load_numpy():
     assert [(name, code, loaded) for name, code, loaded in results if code != 0 or "numpy" in loaded] == []
 
 
-def test_csv_commands_load_no_dataclasses_inspect_or_json():
-    *csv_results, json_result = _probe(
+def test_commands_load_no_dataclasses_or_inspect():
+    results = _probe(
         ["report", *_STATE],
         ["report", *_STATE, "--identical", "--nr", "0.3", "--t", "0.5", "--outputs", "ef,kappas"],
         ["esd", *_STATE, "--identical", "--nr", "0.3", "--verify"],
@@ -75,8 +66,7 @@ def test_csv_commands_load_no_dataclasses_inspect_or_json():
         ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "9"],
         ["esd", *_STATE, "--identical", "--nr", "0.3", "--format", "json"],
     )
-    assert [(name, code, loaded) for name, code, loaded in csv_results if code != 0 or loaded] == []
-    assert json_result[1:] == (0, {"json"})
+    assert [(name, code, loaded) for name, code, loaded in results if code != 0 or loaded] == []
 
 
 @pytest.mark.parametrize(
