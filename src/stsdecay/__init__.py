@@ -10,53 +10,21 @@ machinery for report generation, time series, death times and parameter
 sweeps.
 """
 
-from .core import (
-    StandardForm,
-    StsParams,
-    SymplecticSpectrum,
-    full_cm,
-    is_pure,
-    is_separable,
-    separability_margin,
-    standard_form_from_sts,
-    symplectic_spectrum,
-    uncertainty_margin,
-)
-from .correlations import (
-    CorrelationReport,
-    correlation_report,
-    discords,
-    entanglement_of_formation,
-    entropic_h,
-    mutual_information,
-)
-from .dynamics import (
-    ASYMPTOTIC_ONLY,
-    AsymptoticOnly,
-    EvolvedState,
-    ReservoirConfig,
-    characteristic_function,
-    esd_bisection,
-    esd_time,
-    esd_time_identical_baths,
-    esd_time_single_bath,
-    evolve,
-    evolve_identical_baths,
-    gaussian_cf,
-    steady_state,
-)
-from .errors import (
-    InvalidParameterError,
-    NonPhysicalStateError,
-    OraclePrecisionError,
-    SeparableInputError,
-)
+from . import core, correlations, dynamics, errors
+from .core import *
+from .correlations import *
+from .dynamics import *
+from .errors import *
 
 # The oracles need numpy, which the closed forms do not; they are imported
 # on first access (PEP 562), so ``import stsdecay`` does not load numpy.
+# These are the names of ``verification.__all__`` not in ``dynamics.__all__``.
 _LAZY = {
     "OracleReport",
+    "characteristic_function",
     "count_margin_crossings",
+    "full_cm",
+    "gaussian_cf",
     "ppt_spectrum_oracle",
     "run_verification",
     "sample_entangled_sts",
@@ -80,47 +48,5 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "StsParams",
-    "StandardForm",
-    "SymplecticSpectrum",
-    "standard_form_from_sts",
-    "symplectic_spectrum",
-    "separability_margin",
-    "uncertainty_margin",
-    "is_separable",
-    "is_pure",
-    "full_cm",
-    "CorrelationReport",
-    "entropic_h",
-    "entanglement_of_formation",
-    "discords",
-    "mutual_information",
-    "correlation_report",
-    "ReservoirConfig",
-    "EvolvedState",
-    "AsymptoticOnly",
-    "ASYMPTOTIC_ONLY",
-    "evolve",
-    "evolve_identical_baths",
-    "esd_time_identical_baths",
-    "esd_time_single_bath",
-    "esd_time",
-    "steady_state",
-    "characteristic_function",
-    "gaussian_cf",
-    "OracleReport",
-    "symplectic_spectrum_oracle",
-    "ppt_spectrum_oracle",
-    "esd_bisection",
-    "count_margin_crossings",
-    "sample_sts",
-    "sample_entangled_sts",
-    "sample_standard_form",
-    "run_verification",
-    "InvalidParameterError",
-    "NonPhysicalStateError",
-    "SeparableInputError",
-    "OraclePrecisionError",
-    "__version__",
-]
+# The public API is each module's ``__all__``; no name is listed twice.
+__all__ = [*core.__all__, *correlations.__all__, *dynamics.__all__, *sorted(_LAZY), *errors.__all__, "__version__"]

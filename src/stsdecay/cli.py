@@ -354,6 +354,14 @@ def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
 
 
 def _write_table(columns: list[str], rows: Iterable[Sequence[object]], fmt: str, out: str | None) -> None:
+    """Write the table to stdout or ``out``; see ``_emit_table``."""
+    with _destination(out) as write:
+        _emit_table(write, columns, rows, fmt)
+
+
+def _emit_table(
+    write: Callable[[str], object], columns: list[str], rows: Iterable[Sequence[object]], fmt: str
+) -> None:
     """Write the non-empty ``rows`` under ``columns`` as CSV or JSON, a chunk at a time.
 
     The bytes are those of ``csv.DictWriter(lineterminator="\\n")`` and of
@@ -368,14 +376,13 @@ def _write_table(columns: list[str], rows: Iterable[Sequence[object]], fmt: str,
         head, sep, tail, spell = "[\n", ",\n", "\n]\n", json.dumps
         template = "  {{\n" + ",\n".join(f"    {json.dumps(name)}: {{}}" for name in columns) + "\n  }}"
     fill = template.format
-    with _destination(out) as write:
-        lead, chunk = head, []
-        for row in rows:
-            chunk.append(fill(*[_cell(value, spell) for value in row]))
-            if len(chunk) == _CHUNK_ROWS:
-                write(lead + sep.join(chunk))
-                lead, chunk = sep, []
-        write((lead + sep.join(chunk) if chunk else "") + tail)
+    lead, chunk = head, []
+    for row in rows:
+        chunk.append(fill(*[_cell(value, spell) for value in row]))
+        if len(chunk) == _CHUNK_ROWS:
+            write(lead + sep.join(chunk))
+            lead, chunk = sep, []
+    write((lead + sep.join(chunk) if chunk else "") + tail)
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -528,22 +535,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verification import run_verification
+    # The destination is opened first, so an unwritable --out fails before
+    # the battery's work rather than after it.
+    with _destination(args.out) as write:
+        from .verification import run_verification
 
-    reports = run_verification(seed=args.seed)
-    if args.format == "json":
-        rows = [(r.quantity, r.closed_form, r.oracle, r.abs_err, r.tol, r.passed) for r in reports]
-        _write_table(_VERIFY_COLUMNS, rows, "json", args.out)
-    else:
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'}  {r.quantity}: "
-            f"closed={r.closed_form!r}  oracle={r.oracle!r}  "
-            f"|err|={r.abs_err:.3e}  tol={r.tol:g}"
-            for r in reports
-        ]
-        ok = sum(r.passed for r in reports)
-        lines.append(f"{ok}/{len(reports)} checks passed")
-        with _destination(args.out) as write:
+        reports = run_verification(seed=args.seed)
+        if args.format == "json":
+            rows = [(r.quantity, r.closed_form, r.oracle, r.abs_err, r.tol, r.passed) for r in reports]
+            _emit_table(write, _VERIFY_COLUMNS, rows, "json")
+        else:
+            lines = [
+                f"{'PASS' if r.passed else 'FAIL'}  {r.quantity}: "
+                f"closed={r.closed_form!r}  oracle={r.oracle!r}  "
+                f"|err|={r.abs_err:.3e}  tol={r.tol:g}"
+                for r in reports
+            ]
+            ok = sum(r.passed for r in reports)
+            lines.append(f"{ok}/{len(reports)} checks passed")
             write("\n".join(lines) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 

@@ -10,21 +10,17 @@ covariance-matrix entries ``(b1, b2, c, phi)``.  The covariance matrix is
 
 with vacuum variance 1/2 (this convention is fixed package-wide and not
 configurable).  All correlation and dynamics code in this package works on
-the scalar triple ``(b1, b2, c)``; the full 4x4 matrix exists only to feed
-the independent verification oracle.
+the scalar triple ``(b1, b2, c)``; the full 4x4 matrix, ``full_cm``, lives
+with the oracles in ``verification``, its only consumer.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
 
 from ._accurate import finite, prod_diff, sum_sq_minus_4c2
 from .errors import InvalidParameterError, NonPhysicalStateError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "StsParams",
@@ -36,7 +32,6 @@ __all__ = [
     "uncertainty_margin",
     "is_separable",
     "is_pure",
-    "full_cm",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -336,23 +331,3 @@ def _is_pure(b1: float, b2: float, c: float, u: float, rtol: float = _REL_SLACK)
     """``is_pure`` on bare entries, given ``u = b1*b2 - c^2`` (compensated)."""
     return abs(b1 - b2) <= rtol * (b1 + b2) and abs(u - 0.25) <= rtol * (b1 * b2 + c * c + 0.25)
 
-
-def full_cm(sf: StandardForm) -> np.ndarray:
-    """Assemble the full 4x4 covariance matrix of ``sf``.
-
-    Ordering is (x1, p1, x2, p2); the result is real symmetric.  This is
-    the bridge to the verification oracle and ``gaussian_cf``; the closed
-    forms never consume the matrix form, so numpy is imported only once
-    one is built.
-    """
-    import numpy as np
-
-    cphi = math.cos(sf.phi)
-    sphi = math.sin(sf.phi)
-    cblock = sf.c * np.array([[cphi, sphi], [sphi, -cphi]])
-    v = np.zeros((4, 4))
-    v[0, 0] = v[1, 1] = sf.b1
-    v[2, 2] = v[3, 3] = sf.b2
-    v[0:2, 2:4] = cblock
-    v[2:4, 0:2] = cblock
-    return v

@@ -8,11 +8,12 @@ and stays in standard form; its entries follow the closed expressions
     c(t)   = c e^{-(gamma_1 + gamma_2) t / 2}
 
 so no differential equation is ever integrated.  On top of the evolution
-this module provides the steady states, the evolved characteristic
-function, and the closed-form entanglement sudden-death times for the two
-bath layouts that admit one (identical baths, and a single bath on one
-mode), the bisection on the separability margin that covers every other
-layout, and ``esd_time``, which picks the route for a reservoir.
+this module provides the steady states, the closed-form entanglement
+sudden-death times for the two bath layouts that admit one (identical
+baths, and a single bath on one mode), the bisection on the separability
+margin that covers every other layout, and ``esd_time``, which picks the
+route for a reservoir.  The evolved characteristic function is an oracle
+cross-check and lives in ``verification``.
 Zero-temperature baths never produce a finite death time; those queries
 return the ASYMPTOTIC_ONLY marker instead of a number.
 """
@@ -23,7 +24,7 @@ import math
 import sys
 
 from ._accurate import finite, prod_diff
-from .core import StandardForm, _Record, full_cm, separability_margin
+from .core import StandardForm, _Record, separability_margin
 from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "esd_bisection",
     "esd_time",
     "steady_state",
-    "characteristic_function",
-    "gaussian_cf",
 ]
 
 
@@ -179,6 +178,34 @@ def _ktp_off(sf: StandardForm) -> float:
     return 0.5 * ((b1 - 0.5) + (b2 - 0.5) + math.hypot(b1 - b2, 2.0 * c))
 
 
+def _closed_form_time(sf0: StandardForm, gamma: float, n_r: float, den: float) -> float | AsymptoticOnly:
+    """``log1p(-margin / (den * n_r)) / gamma``, the form of both closed-form death times.
+
+    Checks and markers as the two public functions document them.  Where
+    the ratio overflows, or ``den * n_r`` underflows to 0 (a subnormal
+    ``n_r``), the time is taken as ``(log(-margin) - log(den) - log(n_r))
+    / gamma``: the 1 of log1p lies far below the last bit of such a ratio.
+    """
+    _check_rates(gamma, n_r)
+    margin = separability_margin(sf0)
+    if margin >= 0.0:
+        raise SeparableInputError(
+            "input is already separable: no finite disentanglement time to compute"
+        )
+    if n_r == 0.0:
+        return ASYMPTOTIC_ONLY
+    if den <= 0.0:  # only the single-bath b2 - 1/2 can reach 0 while entangled
+        raise NonPhysicalStateError(
+            "b2 = 1/2 with residual entanglement: degenerate denominator in the "
+            "single-bath disentanglement time"
+        )
+    prod = den * n_r
+    ratio = -margin / prod if prod > 0.0 else math.inf
+    if ratio == math.inf:
+        return _finite_death_time((math.log(-margin) - math.log(den) - math.log(n_r)) / gamma)
+    return _finite_death_time(math.log1p(ratio) / gamma)
+
+
 def esd_time_identical_baths(
     sf0: StandardForm, gamma: float, n_r: float
 ) -> float | AsymptoticOnly:
@@ -198,15 +225,7 @@ def esd_time_identical_baths(
         SeparableInputError: if ``sf0`` is already separable.
         InvalidParameterError: if the time overflows a double.
     """
-    _check_rates(gamma, n_r)
-    margin = separability_margin(sf0)
-    if margin >= 0.0:
-        raise SeparableInputError(
-            "input is already separable: no finite disentanglement time to compute"
-        )
-    if n_r == 0.0:
-        return ASYMPTOTIC_ONLY
-    return _finite_death_time(math.log1p(-margin / (_ktp_off(sf0) * n_r)) / gamma)
+    return _closed_form_time(sf0, gamma, n_r, _ktp_off(sf0))
 
 
 def esd_time_single_bath(
@@ -228,21 +247,7 @@ def esd_time_single_bath(
             this; the division is guarded rather than taken as a limit).
         InvalidParameterError: if the time overflows a double.
     """
-    _check_rates(gamma, n_r)
-    margin = separability_margin(sf0)
-    if margin >= 0.0:
-        raise SeparableInputError(
-            "input is already separable: no finite disentanglement time to compute"
-        )
-    if n_r == 0.0:
-        return ASYMPTOTIC_ONLY
-    b2_off = sf0.b2 - 0.5
-    if b2_off <= 0.0:
-        raise NonPhysicalStateError(
-            "b2 = 1/2 with residual entanglement: degenerate denominator in the "
-            "single-bath disentanglement time"
-        )
-    return _finite_death_time(math.log1p(-margin / (n_r * b2_off)) / gamma)
+    return _closed_form_time(sf0, gamma, n_r, sf0.b2 - 0.5)
 
 
 def _margin_at(sf0: StandardForm, res: ReservoirConfig, t: float) -> float:
@@ -365,48 +370,3 @@ def steady_state(res: ReservoirConfig, sf0: StandardForm) -> StandardForm:
     b2 = res.n_r2 + 0.5 if res.gamma2 > 0.0 else sf0.b2
     return StandardForm(b1, b2, 0.0, sf0.phi)
 
-
-def gaussian_cf(sf: StandardForm, lambda1: complex, lambda2: complex) -> complex:
-    """Characteristic function of the zero-mean Gaussian state ``sf``.
-
-    chi(lambda1, lambda2) = exp(-K^T V K / 2) with V = full_cm(sf) and
-    K = sqrt(2) * (Im l1, -Re l1, Im l2, -Re l2); real and positive for
-    these zero-mean states, returned as complex for uniformity.
-    """
-    import numpy as np
-
-    l1 = complex(lambda1)
-    l2 = complex(lambda2)
-    k = math.sqrt(2.0) * np.array([l1.imag, -l1.real, l2.imag, -l2.real])
-    return complex(math.exp(-0.5 * float(k @ full_cm(sf) @ k)))
-
-
-def characteristic_function(
-    sf0: StandardForm,
-    res: ReservoirConfig,
-    t: float,
-    lambda1: complex,
-    lambda2: complex,
-) -> complex:
-    """Evolved two-mode characteristic function at phase-space point (l1, l2).
-
-    chi(l1, l2, t) = chi_0(l1 e^{-g1 t/2}, l2 e^{-g2 t/2})
-                     * exp[-(n_r1 + 1/2)(1 - e^{-g1 t}) |l1|^2]
-                     * exp[-(n_r2 + 1/2)(1 - e^{-g2 t}) |l2|^2]
-
-    where chi_0 is the input state's Gaussian characteristic function.
-    Always satisfies chi(0, 0, t) = 1 and |chi| <= 1.  Agrees pointwise
-    with the Gaussian characteristic function of evolve(sf0, res, t) — a
-    cross-check the verification layer exercises.
-    """
-    _check_time(t)
-    l1 = complex(lambda1)
-    l2 = complex(lambda2)
-    w1 = math.exp(-res.gamma1 * t)
-    w2 = math.exp(-res.gamma2 * t)
-    chi0 = gaussian_cf(sf0, l1 * math.exp(-0.5 * res.gamma1 * t), l2 * math.exp(-0.5 * res.gamma2 * t))
-    damping = math.exp(
-        -(res.n_r1 + 0.5) * (1.0 - w1) * (l1.real * l1.real + l1.imag * l1.imag)
-        - (res.n_r2 + 0.5) * (1.0 - w2) * (l2.real * l2.real + l2.imag * l2.imag)
-    )
-    return chi0 * damping

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["InvalidParameterError", "NonPhysicalStateError", "SeparableInputError", "OraclePrecisionError"]
+
 
 class InvalidParameterError(ValueError):
     """An input parameter is outside its admissible range (wrong sign, NaN, ...)."""

@@ -5,14 +5,18 @@ through hand-simplified algebra; this module re-derives the same numbers
 by routes that share none of that algebra:
 
 * symplectic spectra from an eigen-decomposition of the full 4x4
-  covariance matrix (no two-mode formula involved),
+  covariance matrix, ``full_cm`` (no two-mode formula involved),
 * disentanglement times from bisection on the separability margin of the
   evolved state (no logarithm rearrangement involved; ``esd_bisection``
   lives in ``dynamics``, which answers general bath layouts with it, and
   is re-exported here),
-* the evolved characteristic function cross-checked against the
-  characteristic function of the evolved state (two different orders of
-  applying the channel).
+* the evolved characteristic function, ``characteristic_function``,
+  cross-checked against the Gaussian characteristic function of the
+  evolved state, ``gaussian_cf`` (two different orders of applying the
+  channel).
+
+Everything here needs numpy, which the closed forms do not: the package
+imports this module on first use of one of its names.
 
 The eigenvalue route deliberately goes through an extended-precision
 Cholesky factor: V = L L^T turns i*Omega*V, by similarity, into the
@@ -37,24 +41,25 @@ from .core import (
     StandardForm,
     StsParams,
     _Record,
-    full_cm,
     separability_margin,
     standard_form_from_sts,
     symplectic_spectrum,
 )
 from .dynamics import (
     ReservoirConfig,
+    _check_time,
     _margin_at,
-    characteristic_function,
     esd_bisection,
     esd_time_identical_baths,
     esd_time_single_bath,
     evolve,
-    gaussian_cf,
 )
 from .errors import InvalidParameterError, NonPhysicalStateError, OraclePrecisionError
 
 __all__ = [
+    "full_cm",
+    "gaussian_cf",
+    "characteristic_function",
     "OracleReport",
     "symplectic_spectrum_oracle",
     "ppt_spectrum_oracle",
@@ -82,6 +87,68 @@ _PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 # States per stacked oracle call in run_verification; one buffer of this
 # many matrices is reused, so the battery's memory does not grow with it.
 _ORACLE_BLOCK = 250
+
+
+def full_cm(sf: StandardForm) -> np.ndarray:
+    """Assemble the full 4x4 covariance matrix of ``sf``.
+
+    Ordering is (x1, p1, x2, p2); the result is real symmetric.  This is
+    the bridge to the eigen-oracles and ``gaussian_cf``; the closed forms
+    never consume the matrix form.
+    """
+    cphi = math.cos(sf.phi)
+    sphi = math.sin(sf.phi)
+    cblock = sf.c * np.array([[cphi, sphi], [sphi, -cphi]])
+    v = np.zeros((4, 4))
+    v[0, 0] = v[1, 1] = sf.b1
+    v[2, 2] = v[3, 3] = sf.b2
+    v[0:2, 2:4] = cblock
+    v[2:4, 0:2] = cblock
+    return v
+
+
+def gaussian_cf(sf: StandardForm, lambda1: complex, lambda2: complex) -> complex:
+    """Characteristic function of the zero-mean Gaussian state ``sf``.
+
+    chi(lambda1, lambda2) = exp(-K^T V K / 2) with V = full_cm(sf) and
+    K = sqrt(2) * (Im l1, -Re l1, Im l2, -Re l2); real and positive for
+    these zero-mean states, returned as complex for uniformity.
+    """
+    l1 = complex(lambda1)
+    l2 = complex(lambda2)
+    k = math.sqrt(2.0) * np.array([l1.imag, -l1.real, l2.imag, -l2.real])
+    return complex(math.exp(-0.5 * float(k @ full_cm(sf) @ k)))
+
+
+def characteristic_function(
+    sf0: StandardForm,
+    res: ReservoirConfig,
+    t: float,
+    lambda1: complex,
+    lambda2: complex,
+) -> complex:
+    """Evolved two-mode characteristic function at phase-space point (l1, l2).
+
+    chi(l1, l2, t) = chi_0(l1 e^{-g1 t/2}, l2 e^{-g2 t/2})
+                     * exp[-(n_r1 + 1/2)(1 - e^{-g1 t}) |l1|^2]
+                     * exp[-(n_r2 + 1/2)(1 - e^{-g2 t}) |l2|^2]
+
+    where chi_0 is the input state's Gaussian characteristic function.
+    Always satisfies chi(0, 0, t) = 1 and |chi| <= 1.  Agrees pointwise
+    with the Gaussian characteristic function of evolve(sf0, res, t) — a
+    cross-check ``run_verification`` exercises.
+    """
+    _check_time(t)
+    l1 = complex(lambda1)
+    l2 = complex(lambda2)
+    w1 = math.exp(-res.gamma1 * t)
+    w2 = math.exp(-res.gamma2 * t)
+    chi0 = gaussian_cf(sf0, l1 * math.exp(-0.5 * res.gamma1 * t), l2 * math.exp(-0.5 * res.gamma2 * t))
+    damping = math.exp(
+        -(res.n_r1 + 0.5) * (1.0 - w1) * (l1.real * l1.real + l1.imag * l1.imag)
+        - (res.n_r2 + 0.5) * (1.0 - w2) * (l2.real * l2.real + l2.imag * l2.imag)
+    )
+    return chi0 * damping
 
 
 class OracleReport(_Record):
@@ -299,10 +366,9 @@ def sample_standard_form(
             return StandardForm(b1, b2, c, phi)
 
 
-def _worst(reports: list[tuple[float, float]]) -> tuple[float, float, float]:
-    """(closed_form, oracle, abs_err) of the worst-agreeing pair."""
-    closed, oracle = max(reports, key=lambda pair: abs(pair[0] - pair[1]))
-    return closed, oracle, abs(closed - oracle)
+def _worst(pairs: list[tuple[float, float]]) -> tuple[float, float]:
+    """The (closed_form, oracle) pair that differs the most."""
+    return max(pairs, key=lambda pair: abs(pair[0] - pair[1]))
 
 
 def run_verification(
@@ -376,8 +442,7 @@ def run_verification(
         ("kappa_tilde_plus vs eigen-oracle", tp),
         ("kappa_tilde_minus vs eigen-oracle", tm),
     ):
-        closed, oracle, err = _worst(pairs)
-        reports.append(OracleReport(name, closed, oracle, err, 1e-10, err <= 1e-10))
+        reports.append(OracleReport.compare(name, *_worst(pairs), 1e-10))
 
     # Closed-form death times vs bisection.
     ident: list[tuple[float, float]] = []
@@ -398,8 +463,7 @@ def run_verification(
         ("identical-baths death time vs bisection", ident),
         ("single-bath death time vs bisection", single),
     ):
-        closed, oracle, err = _worst(pairs)
-        reports.append(OracleReport(name, closed, oracle, err, 1e-9, err <= 1e-9))
+        reports.append(OracleReport.compare(name, *_worst(pairs), 1e-9))
 
     # Evolved characteristic function vs characteristic function of the
     # evolved state: the two orders of applying the channel must agree.
@@ -415,9 +479,7 @@ def run_verification(
         chi_channel = characteristic_function(sf, res, t, lam1, lam2)
         chi_state = gaussian_cf(evolve(sf, res, t).sf, lam1, lam2)
         cf_pairs.append((chi_channel.real, chi_state.real))
-    closed, oracle, err = _worst(cf_pairs)
-    reports.append(
-        OracleReport("evolved characteristic function vs evolved state", closed, oracle, err, 1e-10, err <= 1e-10)
-    )
+    name = "evolved characteristic function vs evolved state"
+    reports.append(OracleReport.compare(name, *_worst(cf_pairs), 1e-10))
 
     return reports

@@ -417,6 +417,13 @@ def test_death_time_near_the_largest_double_is_finite(capsys, fmt):
     assert "1.0896289723634319e+308" in out
 
 
+def test_death_time_with_a_subnormal_occupancy_is_finite(capsys):
+    # ktp_off * n_r underflows to 0 here, so the time must not come from dividing by it.
+    code, out, err = run(capsys, "esd", "--n1", "0", "--n2", "0", "--r", "0.01", "--identical", "--nr", "5e-324")
+    assert code == 0 and err == ""
+    assert math.isfinite(float(rows_of(out)[0]["t_s"]))
+
+
 def test_failed_sweep_writes_nothing(capsys, tmp_path):
     args = ("sweep", "--n1", "1", "--n2", "1", "--param", "r", "--min", "1", "--max", "-1", "--steps", "5")
     code, out, err = run(capsys, *args)
@@ -501,3 +508,15 @@ def test_out_naming_a_directory_is_exit_2(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {tmp_path}: Is a directory\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_opens_out_before_the_battery(capsys, monkeypatch, tmp_path):
+    from stsdecay import verification
+
+    calls = []
+    monkeypatch.setattr(verification, "run_verification", lambda **kw: calls.append(kw) or [])
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "--format", fmt, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert calls == []

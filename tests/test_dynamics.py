@@ -184,8 +184,9 @@ def test_death_times_that_overflow_a_double_are_refused():
         esd_time_identical_baths(sf, 1e-310, 0.5)
     with pytest.raises(InvalidParameterError, match=overflow):
         esd_time_single_bath(sf, 1e-310, 0.5)
-    with pytest.raises(InvalidParameterError, match=overflow):
-        esd_time_identical_baths(sf, 1.0, 1e-320)
+    # With a subnormal occupancy only the ratio inside the logarithm
+    # overflows, not the time (50-digit mpmath: 736.09163458840182...).
+    assert esd_time_identical_baths(sf, 1.0, 1e-320) == 736.0916345884018
     for res in (
         ReservoirConfig.identical(1e-310, 0.5),
         ReservoirConfig.single_bath(1e-310, 0.5),
@@ -212,6 +213,27 @@ def test_death_times_that_overflow_a_double_are_refused():
     for death_time in (esd_bisection, esd_time):
         with pytest.raises(InvalidParameterError, match=overflow):
             death_time(sf, ReservoirConfig(5e-309, 0.5, 5e-311, 0.5))
+
+
+def test_death_times_whose_ratio_overflows_are_accurate():
+    # -margin / (den * n_r) overflows, or den * n_r underflows to 0, for a
+    # subnormal n_r; the closed forms then take the logarithm term by term.
+    mpmath = pytest.importorskip("mpmath")
+    for p in (StsParams(10.0, 0.1, 2.0), StsParams(0.3, 5.0, 1.5), StsParams(0.0, 0.0, 6.0), StsParams(0.0, 0.0, 0.01)):
+        sf = standard_form_from_sts(p)
+        with mpmath.workdps(50):
+            b1, b2, c = (mpmath.mpf(x) for x in (sf.b1, sf.b2, sf.c))
+            neg_margin = c * c - (b1 - 0.5) * (b2 - 0.5)
+            ktp_off = 0.5 * ((b1 - 0.5) + (b2 - 0.5) + mpmath.sqrt((b1 - b2) ** 2 + 4 * c * c))
+            for n_r in (5e-324, 1e-320):
+                for gamma in (0.37, 1.0, 3.0):
+                    for ts, den in (
+                        (esd_time_identical_baths(sf, gamma, n_r), ktp_off),
+                        (esd_time_single_bath(sf, gamma, n_r), b2 - 0.5),
+                        (esd_time(sf, ReservoirConfig(0.0, 0.0, gamma, n_r)), b1 - 0.5),
+                    ):
+                        exact = mpmath.log1p(neg_margin / (den * n_r)) / gamma
+                        assert abs(ts - exact) <= 2.0 * math.ulp(ts), (p, n_r, gamma)
 
 
 def test_esd_rejects_separable_and_bad_rates():

@@ -35,13 +35,66 @@ print(json.dumps(results))
 _STATE = ["--n1", "1", "--n2", "0.5", "--r", "1"]
 
 
-def _probe(*argvs):
+def _python(source, *args):
+    """The JSON that ``source`` prints, run in a fresh interpreter on this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", source, *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _probe(*argvs):
+    return _python(_PROBE, json.dumps(argvs))
+
+
+# Calls every public function of the closed-form modules once, and reports
+# the names without a call below and those after whose call numpy was loaded.
+_CLOSED_FORMS_PROBE = """
+import json, sys
+from stsdecay import core, correlations, dynamics
+sts = core.StsParams(1.0, 0.5, 1.0)
+sf = core.standard_form_from_sts(sts)
+res = dynamics.ReservoirConfig(1.0, 0.3, 2.0, 0.1)
+args = {
+    "standard_form_from_sts": (sts,),
+    "symplectic_spectrum": (sf,),
+    "separability_margin": (sf,),
+    "uncertainty_margin": (sf,),
+    "is_separable": (sf,),
+    "is_pure": (sf,),
+    "entropic_h": (1.5,),
+    "entanglement_of_formation": (sf,),
+    "discords": (sf,),
+    "mutual_information": (sf,),
+    "correlation_report": (sf,),
+    "evolve": (sf, res, 0.5),
+    "evolve_identical_baths": (sf, 1.0, 0.3, 0.5),
+    "esd_time_identical_baths": (sf, 1.0, 0.3),
+    "esd_time_single_bath": (sf, 1.0, 0.3),
+    "esd_bisection": (sf, res),
+    "esd_time": (sf, res),
+    "steady_state": (res, sf),
+}
+uncalled, numpy_after = [], []
+for module in (core, correlations, dynamics):
+    for name in module.__all__:
+        fn = getattr(module, name)
+        if not callable(fn) or isinstance(fn, type):
+            continue
+        if name not in args:
+            uncalled.append(name)
+            continue
+        fn(*args[name])
+        if "numpy" in sys.modules:
+            numpy_after.append(name)
+print(json.dumps([uncalled, numpy_after]))
+"""
+
+
+def test_closed_form_modules_load_no_numpy():
+    assert _python(_CLOSED_FORMS_PROBE) == [[], []]
 
 
 def test_closed_form_commands_do_not_load_numpy():
@@ -127,7 +180,58 @@ def test_linspace_matches_numpy_bit_for_bit():
         assert got == want, (start, stop, num)
 
 
+# The package's public names before they were collected from each module's
+# ``__all__``; the collected namespace must hold exactly these.
+_PUBLIC_NAMES = {
+    "ASYMPTOTIC_ONLY",
+    "AsymptoticOnly",
+    "CorrelationReport",
+    "EvolvedState",
+    "InvalidParameterError",
+    "NonPhysicalStateError",
+    "OraclePrecisionError",
+    "OracleReport",
+    "ReservoirConfig",
+    "SeparableInputError",
+    "StandardForm",
+    "StsParams",
+    "SymplecticSpectrum",
+    "__version__",
+    "characteristic_function",
+    "correlation_report",
+    "count_margin_crossings",
+    "discords",
+    "entanglement_of_formation",
+    "entropic_h",
+    "esd_bisection",
+    "esd_time",
+    "esd_time_identical_baths",
+    "esd_time_single_bath",
+    "evolve",
+    "evolve_identical_baths",
+    "full_cm",
+    "gaussian_cf",
+    "is_pure",
+    "is_separable",
+    "mutual_information",
+    "ppt_spectrum_oracle",
+    "run_verification",
+    "sample_entangled_sts",
+    "sample_standard_form",
+    "sample_sts",
+    "separability_margin",
+    "standard_form_from_sts",
+    "steady_state",
+    "symplectic_spectrum",
+    "symplectic_spectrum_oracle",
+    "uncertainty_margin",
+}
+
+
 def test_package_namespace_is_whole():
+    assert stsdecay._LAZY == set(verification.__all__) - set(dynamics.__all__)
+    assert len(stsdecay.__all__) == len(set(stsdecay.__all__))
+    assert set(stsdecay.__all__) == _PUBLIC_NAMES
     namespace = {}
     exec("from stsdecay import *", namespace)
     assert set(stsdecay.__all__) <= set(namespace)
