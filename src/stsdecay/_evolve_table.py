@@ -1,0 +1,103 @@
+"""The `evolve` table: its time grid a chunk at a time, its rows, and their one formatter.
+
+``cli`` imports this module for ``evolve`` alone, so the other commands do
+not compile it.  Rows come from the scalar kernel, ``scalar_rows``, or, on
+the grids where that pays, from the numpy batch kernel of ``_batch``, whose
+rows are bit for bit the same; ``lines`` prints both.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Iterable, Iterator
+
+from . import cli
+from .core import StandardForm, _bona_fide
+from .correlations import _measures
+from .dynamics import ReservoirConfig, _evolved_entries
+
+# Grids of at least this many points take the numpy batch rows.  Loading
+# numpy and the batch module costs about 100 ms of CPU and a batch row
+# saves about 10 us; measured as whole commands, the two paths break even
+# near 10^4 rows.
+BATCH_POINTS = 10_000
+
+
+def grid_chunks(start: float, stop: float, num: int, log: bool) -> Iterator[list[float]]:
+    """The time grid in lists of ``cli._CHUNK_ROWS`` points, made one at a time.
+
+    The linear grid is ``cli._linspace``'s.  The log grid is
+    ``numpy.geomspace``, with numpy's own log10/power rather than libm's:
+    they differ in the last bit on some points, and the grid is part of
+    the output.  It is held as one float64 array, 8 bytes a point.
+    """
+    size = cli._CHUNK_ROWS
+    if log:
+        import numpy as np
+
+        grid = np.geomspace(start, stop, num)
+        return (grid[lo : lo + size].tolist() for lo in range(0, num, size))
+    return (cli._linspace(start, stop, num, lo, lo + size) for lo in range(0, num, size))
+
+
+def scalar_rows(
+    sf0: StandardForm, res: ReservoirConfig, times: Iterable[float], units: str
+) -> Iterator[tuple[object, ...]]:
+    """Rows ``(t, b1, b2, c, ef, d1, d2, mi, separable)``, one at a time: the scalar kernel.
+
+    Each evolved triple goes through the StandardForm validator and then
+    straight to the correlation kernel; no state object is built per row.
+    """
+    scale = cli._scale
+    for t in times:
+        b1, b2, c = _evolved_entries(sf0, res, t)
+        b1, b2 = _bona_fide(b1, b2, c)
+        ef, d1, d2, mi, separable, _, _, _, _ = _measures(b1, b2, c)
+        yield t, b1, b2, c, scale(ef, units), scale(d1, units), scale(d2, units), scale(mi, units), separable
+
+
+def lines(template: str, rows: Iterable[tuple[object, ...]]) -> list[str]:
+    """Table lines of ``rows``: the ``cli._cell`` spelling, one template fill per row.
+
+    A row is tested for finiteness once, by its sum; only a row that fails
+    that test is checked cell by cell, and a non-finite cell is refused.
+    """
+    out = []
+    for t, b1, b2, c, ef, d1, d2, mi, separable in rows:
+        if not math.isfinite(t + b1 + b2 + c + ef + d1 + d2 + mi):
+            for value in (t, b1, b2, c, ef, d1, d2, mi):
+                cli._cell(value, str)
+        out.append(template % (t, b1, b2, c, ef, d1, d2, mi, "true" if separable else "false"))
+    return out
+
+
+def batch_kernel() -> object:
+    """The ``_batch`` module, or None where numpy cannot be imported."""
+    try:
+        from . import _batch
+    except ImportError:
+        return None
+    return _batch
+
+
+def emit(
+    write: Callable[[str], object],
+    sf0: StandardForm,
+    res: ReservoirConfig,
+    chunks: Iterable[list[float]],
+    units: str,
+    fmt: str,
+    batch: object = None,
+) -> None:
+    """Write the table over the time grid ``chunks``, a chunk at a time.
+
+    ``batch`` is the ``_batch`` module, or None for the scalar rows alone.
+    The scalar rows also answer every chunk that the batch leaves to them.
+    """
+    head, sep, tail, template = cli._frame(cli._EVOLVE_COLUMNS, fmt, ["%r"] * 8 + ["%s"])
+
+    def chunk_lines(times: list[float]) -> list[str]:
+        rows = batch.evolve_rows(sf0, res, times, units) if batch is not None else None
+        return lines(template, scalar_rows(sf0, res, times, units) if rows is None else rows)
+
+    cli._emit_lines(write, head, sep, tail, map(chunk_lines, chunks))

@@ -17,13 +17,17 @@ Exit codes: 0 success, 1 verification failure (or an oracle that cannot
 run on this platform), 2 invalid input, 3 inapplicable request (death time
 of an already-separable state).
 
-Only ``verify`` and ``evolve --log-spacing`` import numpy.
+Only ``verify``, ``evolve --log-spacing`` and ``evolve`` on a grid of at
+least ``_evolve_table.BATCH_POINTS`` points import numpy; the last two
+compute their rows in numpy batches (``_batch``) that are bit for bit the
+scalar rows, which answer instead where numpy cannot be imported.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -33,18 +37,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .core import (
     StandardForm,
     StsParams,
-    _bona_fide,
     is_separable,
     standard_form_from_sts,
     symplectic_spectrum,
 )
-from .correlations import _measures, correlation_report
+from .correlations import correlation_report
 from .dynamics import (
     AsymptoticOnly,
     ReservoirConfig,
     _check_time,
     _closed_form_esd_time,
-    _evolved_entries,
     esd_bisection,
     esd_time,
     evolve,
@@ -289,21 +291,6 @@ def _columns(outputs: list[str]) -> list[str]:
     return [col for name in outputs for col in _OUTPUT_COLUMNS[name]]
 
 
-def _evolve_rows(
-    sf0: StandardForm, res: ReservoirConfig, grid: list[float], units: str
-) -> Iterator[tuple[object, ...]]:
-    """Rows of the `evolve` table.
-
-    Each evolved triple goes through the StandardForm validator and then
-    straight to the correlation kernel; no state object is built per row.
-    """
-    for t in grid:
-        b1, b2, c = _evolved_entries(sf0, res, t)
-        b1, b2 = _bona_fide(b1, b2, c)
-        ef, d1, d2, mi, separable, _, _, _, _ = _measures(b1, b2, c)
-        yield t, b1, b2, c, _scale(ef, units), _scale(d1, units), _scale(d2, units), _scale(mi, units), separable
-
-
 def _cell(value: object, spell: Callable[[object], str]) -> str:
     """One table cell: shortest round-trip floats, true/false, else ``spell(value)``."""
     if isinstance(value, float):
@@ -359,6 +346,17 @@ def _write_table(columns: list[str], rows: Iterable[Sequence[object]], fmt: str,
         _emit_table(write, columns, rows, fmt)
 
 
+def _frame(columns: list[str], fmt: str, slots: list[str]) -> tuple[str, str, str, str]:
+    """``(head, separator, tail, row template)`` of a CSV or JSON table.
+
+    ``slots`` are the %-placeholders of the row template, one per column.
+    """
+    if fmt == "csv":
+        return ",".join(columns) + "\n", "\n", "\n", ",".join(slots)
+    fields = ",\n".join(f"    {json.dumps(name)}: {slot}" for name, slot in zip(columns, slots))
+    return "[\n", ",\n", "\n]\n", "  {\n" + fields + "\n  }"
+
+
 def _emit_table(
     write: Callable[[str], object], columns: list[str], rows: Iterable[Sequence[object]], fmt: str
 ) -> None:
@@ -369,39 +367,51 @@ def _emit_table(
     in shortest round-trip form, booleans as true/false.  A non-finite
     float is refused, since neither format has a valid spelling for it.
     """
-    if fmt == "csv":
-        head, sep, tail, spell = ",".join(columns) + "\n", "\n", "\n", str
-        template = ",".join(["{}"] * len(columns))
-    else:
-        head, sep, tail, spell = "[\n", ",\n", "\n]\n", json.dumps
-        template = "  {{\n" + ",\n".join(f"    {json.dumps(name)}: {{}}" for name in columns) + "\n  }}"
-    fill = template.format
-    lead, chunk = head, []
-    for row in rows:
-        chunk.append(fill(*[_cell(value, spell) for value in row]))
-        if len(chunk) == _CHUNK_ROWS:
-            write(lead + sep.join(chunk))
-            lead, chunk = sep, []
-    write((lead + sep.join(chunk) if chunk else "") + tail)
+    spell = str if fmt == "csv" else json.dumps
+    head, sep, tail, template = _frame(columns, fmt, ["%s"] * len(columns))
+    lines = (template % tuple([_cell(value, spell) for value in row]) for row in rows)
+    # Lists of _CHUNK_ROWS lines, until the rows run out.
+    _emit_lines(write, head, sep, tail, iter(lambda: list(itertools.islice(lines, _CHUNK_ROWS)), []))
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """``numpy.linspace(start, stop, num).tolist()`` for ``num >= 1``, bit for bit.
+def _emit_lines(
+    write: Callable[[str], object], head: str, sep: str, tail: str, chunks: Iterable[list[str]]
+) -> None:
+    """Write the table ``head``, each non-empty chunk of row lines, and the ``tail``.
+
+    A chunk is written once it is complete, so a command that fails within
+    its first chunk writes nothing; it is let go before the next one is
+    made, so memory holds one chunk.
+    """
+    lead = head
+    for chunk in chunks:
+        write(lead + sep.join(chunk))
+        lead = sep
+        del chunk
+    write(tail)
+
+
+def _linspace(start: float, stop: float, num: int, first: int = 0, end: int | None = None) -> list[float]:
+    """``numpy.linspace(start, stop, num).tolist()[first:end]`` for ``num >= 1``, bit for bit.
 
     The same operations in the same order: ``i*step + start`` with
     ``step = (stop - start)/(num - 1)``, ``i/(num - 1)*delta + start`` when
     that step underflows to zero, and the last point set to ``stop``.
+    Only the points asked for are made, so a long grid can be made a
+    slice at a time.
     """
     delta = stop - start
     div = num - 1
     if div == 0:
-        return [0.0 * delta + start]
+        return [0.0 * delta + start][first:end]
+    points = range(num)[first:end]
     step = delta / div
     if step == 0.0:
-        grid = [float(i) / div * delta + start for i in range(num)]
+        grid = [float(i) / div * delta + start for i in points]
     else:
-        grid = [float(i) * step + start for i in range(num)]
-    grid[-1] = stop
+        grid = [float(i) * step + start for i in points]
+    if points and points[-1] == div:
+        grid[-1] = stop
     return grid
 
 
@@ -438,19 +448,17 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise _CliError(f"need --t-end > --t-start, got [{args.t_start!r}, {args.t_end!r}]")
     if args.points < 2:
         raise _CliError("need --points >= 2")
-    if args.log_spacing:
-        if args.t_start <= 0.0:
-            raise _CliError("--log-spacing needs --t-start > 0")
-        # numpy's own log10/power, not libm's: they differ in the last bit
-        # on some points, and the grid is part of the output.
-        import numpy as np
+    if args.log_spacing and args.t_start <= 0.0:
+        raise _CliError("--log-spacing needs --t-start > 0")
+    from . import _evolve_table as table
 
-        grid = np.geomspace(args.t_start, args.t_end, args.points).tolist()
-    else:
-        grid = _linspace(args.t_start, args.t_end, args.points)
+    chunks = table.grid_chunks(args.t_start, args.t_end, args.points, args.log_spacing)
+    first = next(chunks)
     # The grid rises from its first time, so this checks every time on it.
-    _check_time(grid[0])
-    _write_table(_EVOLVE_COLUMNS, _evolve_rows(sf0, res, grid, args.units), args.format, args.out)
+    _check_time(first[0])
+    batch = table.batch_kernel() if args.log_spacing or args.points >= table.BATCH_POINTS else None
+    with _destination(args.out) as write:
+        table.emit(write, sf0, res, itertools.chain([first], chunks), args.units, args.format, batch)
     return 0
 
 

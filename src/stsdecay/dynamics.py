@@ -159,6 +159,7 @@ def _check_rates(gamma: float, n_r: float) -> None:
 
 
 _MAX_TIME = sys.float_info.max
+_MIN_NORMAL = sys.float_info.min
 _OVERFLOW = (
     "death time overflows a double: the damping rate or reservoir occupancy "
     "is too small for a finite time"
@@ -182,9 +183,11 @@ def _closed_form_time(sf0: StandardForm, gamma: float, n_r: float, den: float) -
     """``log1p(-margin / (den * n_r)) / gamma``, the form of both closed-form death times.
 
     Checks and markers as the two public functions document them.  Where
-    the ratio overflows, or ``den * n_r`` underflows to 0 (a subnormal
-    ``n_r``), the time is taken as ``(log(-margin) - log(den) - log(n_r))
-    / gamma``: the 1 of log1p lies far below the last bit of such a ratio.
+    ``den * n_r`` is subnormal, the ratio is ``(-margin / den) / n_r``.
+    Where the ratio overflows, or ``den * n_r`` underflows to 0 (a
+    subnormal ``n_r``), the time is taken as ``(log(-margin) - log(den) -
+    log(n_r)) / gamma``: the 1 of log1p lies far below the last bit of
+    such a ratio.
     """
     _check_rates(gamma, n_r)
     margin = separability_margin(sf0)
@@ -200,7 +203,12 @@ def _closed_form_time(sf0: StandardForm, gamma: float, n_r: float, den: float) -
             "single-bath disentanglement time"
         )
     prod = den * n_r
-    ratio = -margin / prod if prod > 0.0 else math.inf
+    if prod >= _MIN_NORMAL:
+        ratio = -margin / prod
+    elif prod > 0.0:  # a subnormal product has lost bits; divide twice instead
+        ratio = (-margin / den) / n_r
+    else:
+        ratio = math.inf
     if ratio == math.inf:
         return _finite_death_time((math.log(-margin) - math.log(den) - math.log(n_r)) / gamma)
     return _finite_death_time(math.log1p(ratio) / gamma)

@@ -218,6 +218,7 @@ def test_death_times_that_overflow_a_double_are_refused():
 def test_death_times_whose_ratio_overflows_are_accurate():
     # -margin / (den * n_r) overflows, or den * n_r underflows to 0, for a
     # subnormal n_r; the closed forms then take the logarithm term by term.
+    # For the larger n_r, den * n_r is subnormal but the ratio finite.
     mpmath = pytest.importorskip("mpmath")
     for p in (StsParams(10.0, 0.1, 2.0), StsParams(0.3, 5.0, 1.5), StsParams(0.0, 0.0, 6.0), StsParams(0.0, 0.0, 0.01)):
         sf = standard_form_from_sts(p)
@@ -225,7 +226,7 @@ def test_death_times_whose_ratio_overflows_are_accurate():
             b1, b2, c = (mpmath.mpf(x) for x in (sf.b1, sf.b2, sf.c))
             neg_margin = c * c - (b1 - 0.5) * (b2 - 0.5)
             ktp_off = 0.5 * ((b1 - 0.5) + (b2 - 0.5) + mpmath.sqrt((b1 - b2) ** 2 + 4 * c * c))
-            for n_r in (5e-324, 1e-320):
+            for n_r in (5e-324, 1e-320, 1e-315, 1e-310, 3e-309, 2e-308):
                 for gamma in (0.37, 1.0, 3.0):
                     for ts, den in (
                         (esd_time_identical_baths(sf, gamma, n_r), ktp_off),

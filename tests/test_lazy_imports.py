@@ -1,4 +1,8 @@
-"""numpy and the dataclasses machinery are loaded only where used, and the package namespace stays whole."""
+"""numpy and the dataclasses machinery are loaded only where used, and the package namespace stays whole.
+
+numpy is used by the oracle, the log grid of `evolve`, and the batch rows of
+long `evolve` grids, which give the bytes of the scalar rows without it.
+"""
 
 import json
 import os
@@ -11,7 +15,7 @@ import numpy as np
 import pytest
 
 import stsdecay
-from stsdecay import cli, dynamics, verification
+from stsdecay import _evolve_table, cli, dynamics, verification
 
 _SRC = str(Path(stsdecay.__file__).resolve().parents[1])
 
@@ -133,6 +137,38 @@ def test_commands_load_no_dataclasses_or_inspect():
 def test_oracle_and_log_grid_load_numpy(argv):
     (_, _, imported), (_, code, loaded) = _probe(argv)
     assert "numpy" not in imported and code == 0 and "numpy" in loaded
+
+
+_EVOLVE = ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--format", "json", "--points"]
+
+
+def test_evolve_loads_numpy_from_the_batch_threshold_on():
+    n = _evolve_table.BATCH_POINTS
+    _, below, at = _probe([*_EVOLVE, str(n - 1)], [*_EVOLVE, str(n)])
+    assert below[1:] == [0, []]
+    assert at[1] == 0 and "numpy" in at[2]
+
+
+# Runs one argv through cli.main, with numpy importable or not, and prints
+# the exit code, whether numpy was loaded, and the sha256 of stdout.
+_BYTES_PROBE = """
+import contextlib, hashlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from stsdecay import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(json.loads(sys.argv[2]))
+loaded = sys.modules.get("numpy") is not None
+print(json.dumps([code, loaded, hashlib.sha256(out.getvalue().encode()).hexdigest()]))
+"""
+
+
+def test_evolve_without_numpy_writes_the_same_bytes():
+    argv = json.dumps([*_EVOLVE, str(_evolve_table.BATCH_POINTS)])
+    code, loaded, digest = _python(_BYTES_PROBE, "blocked", argv)
+    assert (code, loaded) == (0, False)
+    assert _python(_BYTES_PROBE, "importable", argv) == [0, True, digest]
 
 
 _LINSPACE_CASES = [
