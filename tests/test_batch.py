@@ -167,15 +167,20 @@ def test_row_lines_spell_cells_like_the_cell_writer():
 
 
 def test_special_rows_are_recomputed_by_the_scalar_kernel():
-    # c underflows to 0 late in a long grid; the pure vacuum stays pure.
-    sf = standard_form_from_sts(StsParams(0.3, 0.2, 1.0))
+    # c underflows to 0 late in a long grid; the vacuum is a product state
+    # throughout; the squeezed vacuum is pure at t = 0.
     times = [0.0, 1.0, 800.0, 1500.0]
     res = ReservoirConfig.identical(1.0, 0.2)
-    rows = list(_batch.evolve_rows(sf, res, times, "bits"))
-    assert rows == list(table.scalar_rows(sf, res, times, "bits"))
-    assert rows[-1][3] == 0.0 and rows[0][3] > 0.0
-    vacuum = list(_batch.evolve_rows(StandardForm(0.5, 0.5, 0.0), res, times, "nats"))
-    assert vacuum == list(table.scalar_rows(StandardForm(0.5, 0.5, 0.0), res, times, "nats"))
+    for sf in (
+        standard_form_from_sts(StsParams(0.3, 0.2, 1.0)),
+        StandardForm(0.5, 0.5, 0.0),
+        standard_form_from_sts(StsParams(0.0, 0.0, 1.0)),
+    ):
+        for units in ("nats", "bits"):
+            rows = list(_batch.evolve_rows(sf, res, times, units))
+            assert rows == list(table.scalar_rows(sf, res, times, units))
+            assert rows[-1][3] == 0.0
+    assert is_pure(standard_form_from_sts(StsParams(0.0, 0.0, 1.0)))
 
 
 def test_first_chunk_of_a_million_point_grid_is_small():
