@@ -8,10 +8,11 @@ well before the squeeze parameter reaches 2.  The helpers here compute
 (Dekker/Kahan style), which keeps those margins accurate to a few ulps of
 the *result* instead of a few ulps of the operands.
 
-Everything in this module is scalar ``float`` arithmetic on purpose: it is
-called inside tight rejection-sampling and bisection loops where numpy
-dispatch overhead dominates, and the double-double tricks require strict
-IEEE evaluation order anyway.
+The compensated helpers are written for ``float`` arguments, which they
+get inside tight rejection-sampling and bisection loops where numpy
+dispatch overhead dominates.  They use only correctly rounded ``+ - *``
+in a fixed order, so on float64 numpy arrays they run elementwise and give
+each element the bits its scalar call gives: ``_batch`` calls them that way.
 """
 
 from __future__ import annotations

@@ -26,18 +26,18 @@ BATCH_POINTS = 10_000
 def grid_chunks(start: float, stop: float, num: int, log: bool) -> Iterator[list[float]]:
     """The time grid in lists of ``cli._CHUNK_ROWS`` points, made one at a time.
 
-    The linear grid is ``cli._linspace``'s.  The log grid is
+    The linear grid is ``cli._linear_chunks``.  The log grid is
     ``numpy.geomspace``, with numpy's own log10/power rather than libm's:
     they differ in the last bit on some points, and the grid is part of
     the output.  It is held as one float64 array, 8 bytes a point.
     """
-    size = cli._CHUNK_ROWS
-    if log:
-        import numpy as np
+    if not log:
+        return cli._linear_chunks(start, stop, num)
+    import numpy as np
 
-        grid = np.geomspace(start, stop, num)
-        return (grid[lo : lo + size].tolist() for lo in range(0, num, size))
-    return (cli._linspace(start, stop, num, lo, lo + size) for lo in range(0, num, size))
+    grid = np.geomspace(start, stop, num)
+    size = cli._CHUNK_ROWS
+    return (grid[lo : lo + size].tolist() for lo in range(0, num, size))
 
 
 def scalar_rows(
@@ -48,9 +48,9 @@ def scalar_rows(
     Each evolved triple goes through the StandardForm validator and then
     straight to the correlation kernel; no state object is built per row.
     """
-    scale = cli._scale
+    scale, exp = cli._scale, math.exp
     for t in times:
-        b1, b2, c = _evolved_entries(sf0, res, t)
+        b1, b2, c = _evolved_entries(sf0, res, t, exp)
         b1, b2 = _bona_fide(b1, b2, c)
         ef, d1, d2, mi, separable, _, _, _, _ = _measures(b1, b2, c)
         yield t, b1, b2, c, scale(ef, units), scale(d1, units), scale(d2, units), scale(mi, units), separable

@@ -13,9 +13,10 @@ left to lose).  A non-finite number is never printed: the command exits 2
 instead.  Tables are streamed in chunks; ``--out`` files appear only once
 complete.
 
-Exit codes: 0 success, 1 verification failure (or an oracle that cannot
-run on this platform), 2 invalid input, 3 inapplicable request (death time
-of an already-separable state).
+Exit codes: 0 success, 1 verification failure (or a command that cannot run
+on this platform: an oracle without extended precision, or ``verify`` and
+``evolve --log-spacing`` where numpy cannot be imported), 2 invalid input,
+3 inapplicable request (death time of an already-separable state).
 
 Only ``verify``, ``evolve --log-spacing`` and ``evolve`` on a grid of at
 least ``_evolve_table.BATCH_POINTS`` points import numpy; the last two
@@ -89,6 +90,18 @@ _LN2 = math.log(2.0)
 
 class _CliError(Exception):
     """Invalid command-line input; maps to exit code 2."""
+
+
+class _Unavailable(Exception):
+    """A command that cannot run on this platform; maps to exit code 1."""
+
+
+def _require_numpy(command: str) -> None:
+    """Import numpy, or refuse ``command`` where it cannot be imported."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError as exc:
+        raise _Unavailable(f"{command} needs numpy, which cannot be imported") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -415,6 +428,11 @@ def _linspace(start: float, stop: float, num: int, first: int = 0, end: int | No
     return grid
 
 
+def _linear_chunks(start: float, stop: float, num: int) -> Iterator[list[float]]:
+    """``_linspace(start, stop, num)`` in lists of ``_CHUNK_ROWS`` points, made one at a time."""
+    return (_linspace(start, stop, num, lo, lo + _CHUNK_ROWS) for lo in range(0, num, _CHUNK_ROWS))
+
+
 def _death_time_cell(sf: StandardForm, res: ReservoirConfig) -> object:
     """Death time as a table cell: float, 'asymptotic-only', or 'separable'."""
     if is_separable(sf):
@@ -450,6 +468,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise _CliError("need --points >= 2")
     if args.log_spacing and args.t_start <= 0.0:
         raise _CliError("--log-spacing needs --t-start > 0")
+    if args.log_spacing:
+        _require_numpy("evolve --log-spacing")
     from . import _evolve_table as table
 
     chunks = table.grid_chunks(args.t_start, args.t_end, args.points, args.log_spacing)
@@ -522,16 +542,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         layout = ReservoirConfig.identical if args.identical else ReservoirConfig.single_bath
         return fixed_sf, layout(gamma, n_r)
 
-    values = _linspace(args.min, args.max, args.steps)
     # Every value lies between the two ends, and what the constructors
     # accept along one parameter is an interval, so a range accepted at
     # both ends is accepted throughout: an invalid range fails before any
     # output.
-    point(values[0])
-    point(values[-1])
+    for end in (0, args.steps - 1):
+        point(_linspace(args.min, args.max, args.steps, end, end + 1)[0])
 
     def rows() -> Iterator[list[object]]:
-        for value in values:
+        for value in itertools.chain.from_iterable(_linear_chunks(args.min, args.max, args.steps)):
             sf, res_v = point(value)
             row = [value, *_state_cells(sf, state_outputs, args.units)]
             if "ts" in outputs:
@@ -546,6 +565,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # The destination is opened first, so an unwritable --out fails before
     # the battery's work rather than after it.
     with _destination(args.out) as write:
+        _require_numpy("verify")
         from .verification import run_verification
 
         reports = run_verification(seed=args.seed)
@@ -586,7 +606,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SeparableInputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except OraclePrecisionError as exc:
+    except (OraclePrecisionError, _Unavailable) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (_CliError, InvalidParameterError, NonPhysicalStateError) as exc:

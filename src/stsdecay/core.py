@@ -164,8 +164,9 @@ def _bona_fide(b1: float, b2: float, c: float) -> tuple[float, float]:
     This is the check of StandardForm construction, shared with code that
     works on bare entries: all three must be finite, variances up to the
     absolute slack below the vacuum value 1/2 clamp to it, and the
-    uncertainty margin must not fall below the slack.  Returns the clamped
-    ``(b1, b2)``.
+    uncertainty margin must not fall below the slack.  A margin that is
+    NaN (its products overflow a double) is refused as well.  Returns the
+    clamped ``(b1, b2)``.
     """
     if not (math.isfinite(b1) and math.isfinite(b2) and math.isfinite(c)):
         raise InvalidParameterError("StandardForm fields must be finite numbers")
@@ -176,15 +177,26 @@ def _bona_fide(b1: float, b2: float, c: float) -> tuple[float, float]:
     b1 = max(b1, 0.5)
     b2 = max(b2, 0.5)
     hi, lo = (b1, b2) if b1 >= b2 else (b2, b1)
-    margin = prod_diff(hi + 0.5, lo - 0.5, c, c)
-    slack = max(_ABS_SLACK, _REL_SLACK * (hi * lo + c * c + 0.25))
-    if margin < -slack:
+    margin, slack = _uncertainty(hi, lo, c, max)
+    if not margin >= -slack:
+        if math.isnan(margin):
+            raise InvalidParameterError(
+                f"(b_max+1/2)(b_min-1/2) - c^2 overflows a double for b1={b1!r}, b2={b2!r}, c={c!r}"
+            )
         raise NonPhysicalStateError(
             "uncertainty inequality violated: "
             f"(b_max+1/2)(b_min-1/2) - c^2 = {margin!r} < 0 "
             f"for b1={b1!r}, b2={b2!r}, c={c!r}"
         )
     return b1, b2
+
+
+def _uncertainty(hi, lo, c, max_):
+    """Margin ``(hi + 1/2)*(lo - 1/2) - c^2`` of clamped ``hi >= lo`` and its slack; elementwise.
+
+    ``max_`` is Python's ``max`` of two floats, or its equivalent on arrays.
+    """
+    return prod_diff(hi + 0.5, lo - 0.5, c, c), max_(_ABS_SLACK, _REL_SLACK * (hi * lo + c * c + 0.25))
 
 
 class SymplecticSpectrum(_Record):
@@ -246,38 +258,49 @@ def symplectic_spectrum(sf: StandardForm) -> SymplecticSpectrum:
     Raises:
         NonPhysicalStateError: when ``(b1+b2)^2 <= 4c^2`` or
             ``b1*b2 <= c^2``, which no bona fide state can reach.
+        InvalidParameterError: when ``(b1+b2)^2 - 4c^2`` overflows a double.
     """
     b1, b2, c = sf.b1, sf.b2, sf.c
     if c == 0.0:
         hi, lo = (b1, b2) if b1 >= b2 else (b2, b1)
         return SymplecticSpectrum(hi, lo, hi, lo)
     u = prod_diff(b1, b2, c, c)
-    _, kp, km = _spectrum_scalars(b1, b2, c, u)
+    kp, km = _kappas(b1, b2, u, _discriminant(b1, b2, c, u), math.sqrt)
     ktp = 0.5 * ((b1 + b2) + math.hypot(b1 - b2, 2.0 * c))
     ktm = u / ktp
     return SymplecticSpectrum(kp, km, ktp, ktm)
 
 
-def _spectrum_scalars(b1: float, b2: float, c: float, u: float) -> tuple[float, float, float]:
-    """``(delta, kappa_plus, kappa_minus)`` of the entries ``(b1, b2, c)``.
+def _discriminant(b1: float, b2: float, c: float, u: float) -> float:
+    """The compensated ``delta = (b1+b2)^2 - 4c^2``, refused with ``u = b1*b2 - c^2`` unless both are positive.
 
-    ``u`` is the compensated product ``b1*b2 - c^2``; ``delta`` is the
-    compensated discriminant ``(b1+b2)^2 - 4c^2``.  kappa_minus comes from
-    the eigenvalue product ``u = kappa_plus * kappa_minus`` rather than
-    from the subtractive closed form.  This is the one place the spectrum
-    is evaluated; the correlation kernel shares it.
+    A ``delta`` that overflows a double is refused too.
     """
     delta = sum_sq_minus_4c2(b1, b2, c)
     if delta <= 0.0:
         raise NonPhysicalStateError(
             f"(b1+b2)^2 - 4c^2 = {delta!r} <= 0: not a physical two-mode state"
         )
+    if delta == math.inf:
+        raise InvalidParameterError(
+            f"(b1+b2)^2 - 4c^2 overflows a double for b1={b1!r}, b2={b2!r}, c={c!r}"
+        )
     if u <= 0.0:
         raise NonPhysicalStateError(
             f"b1*b2 - c^2 = {u!r} <= 0: not a physical two-mode state"
         )
-    kp = 0.5 * (math.sqrt(delta) + abs(b1 - b2))
-    return delta, kp, u / kp
+    return delta
+
+
+def _kappas(b1, b2, u, delta, sqrt):
+    """``(kappa_plus, kappa_minus)`` from ``u = b1*b2 - c^2`` and ``delta``; elementwise with ``sqrt``.
+
+    kappa_minus comes from the eigenvalue product ``u = kappa_plus *
+    kappa_minus`` rather than from the subtractive closed form.  This is
+    the one place the spectrum is evaluated; the correlation kernel shares it.
+    """
+    kp = 0.5 * (sqrt(delta) + abs(b1 - b2))
+    return kp, u / kp
 
 
 def separability_margin(sf: StandardForm) -> float:
@@ -302,7 +325,7 @@ def uncertainty_margin(sf: StandardForm) -> float:
     quantity the StandardForm constructor checks.
     """
     hi, lo = (sf.b1, sf.b2) if sf.b1 >= sf.b2 else (sf.b2, sf.b1)
-    return prod_diff(hi + 0.5, lo - 0.5, sf.c, sf.c)
+    return _uncertainty(hi, lo, sf.c, max)[0]
 
 
 def is_separable(sf: StandardForm) -> bool:
@@ -328,6 +351,6 @@ def is_pure(sf: StandardForm, rtol: float = _REL_SLACK) -> bool:
 
 
 def _is_pure(b1: float, b2: float, c: float, u: float, rtol: float = _REL_SLACK) -> bool:
-    """``is_pure`` on bare entries, given ``u = b1*b2 - c^2`` (compensated)."""
-    return abs(b1 - b2) <= rtol * (b1 + b2) and abs(u - 0.25) <= rtol * (b1 * b2 + c * c + 0.25)
+    """``is_pure`` on bare entries, given ``u = b1*b2 - c^2`` (compensated); elementwise on arrays."""
+    return (abs(b1 - b2) <= rtol * (b1 + b2)) & (abs(u - 0.25) <= rtol * (b1 * b2 + c * c + 0.25))
 

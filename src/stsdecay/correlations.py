@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from ._accurate import prod_diff
-from .core import StandardForm, _Record, _is_pure, _separability_margin, _spectrum_scalars, is_separable
+from .core import StandardForm, _Record, _discriminant, _is_pure, _kappas, _separability_margin, is_separable
 from .errors import InvalidParameterError, NonPhysicalStateError
 
 __all__ = [
@@ -193,31 +193,50 @@ def _measures(
         b = 0.5 * (b1 + b2)
         hb = _h_offset(b - 0.5)
         return hb, hb, hb, 2.0 * hb, separable, b, 0.5, 0.5, 0.0
-    delta, kp, km = _spectrum_scalars(b1, b2, c, u)
-    mp = (kp - 0.5) * (kp + 0.5)
-    mm = max((km - 0.5) * (km + 0.5), 0.0)
-    if separable:
-        ef, x_m = 0.0, 0.5
-    else:
-        sqrt_d = math.sqrt(mp) * math.sqrt(mm)
-        x_m = max(((b1 + b2) * (u + 0.25) - 2.0 * c * sqrt_d) / delta, 0.5)
-        ef = _h_offset(x_m - 0.5)
-    # Offsets y - 1/2 and z - 1/2 as compensated product differences:
-    # y - 1/2 = [ (b1 - 1/2)(b2 + 1/2) - c^2 ] / (b2 + 1/2).
-    y_off = prod_diff(b1 - 0.5, b2 + 0.5, c, c) / (b2 + 0.5)
-    z_off = prod_diff(b2 - 0.5, b1 + 0.5, c, c) / (b1 + 0.5)
+    delta = _discriminant(b1, b2, c, u)
+    ef, x_m, y_off, z_off, d1, d2, mi, inv_d = _general(
+        b1, b2, c, u, delta, separable, math.sqrt, max, _select, _h_offset
+    )
     if y_off < -1e-9 or z_off < -1e-9:
         raise NonPhysicalStateError(
             f"discord auxiliaries below 1/2: y={0.5 + y_off!r}, z={0.5 + z_off!r}"
         )
-    y_off = max(y_off, 0.0)
-    z_off = max(z_off, 0.0)
-    h1 = _h_offset(b1 - 0.5)
-    h2 = _h_offset(b2 - 0.5)
-    hkp = _h_offset(kp - 0.5)
-    hkm = _h_offset(km - 0.5)
+    d1 = _clamp_measure(d1, "d1")
+    d2 = _clamp_measure(d2, "d2")
+    mi = _clamp_measure(mi, "mutual information")
+    return ef, d1, d2, mi, separable, x_m, 0.5 + max(y_off, 0.0), 0.5 + max(z_off, 0.0), inv_d
+
+
+def _select(cond: bool, a: float, b: float) -> float:
+    """``a if cond else b``: the select of ``_general`` on floats."""
+    return a if cond else b
+
+
+def _general(b1, b2, c, u, delta, separable, sqrt, max_, select, h):
+    """The general branch of the kernel (c != 0, not pure), elementwise.
+
+    Returns ``(ef, x_m, y - 1/2, z - 1/2, d1, d2, mi, invariant_d)``; the
+    offsets and d1/d2/mi are left to the callers to refuse and clamp
+    (``_measures`` raises, the batch kernel masks).  ``sqrt``, ``max_``
+    (Python's ``max`` of two), ``select`` (``a if cond else b``) and ``h``
+    (``_h_offset``) are those of floats or of float64 arrays.
+    """
+    kp, km = _kappas(b1, b2, u, delta, sqrt)
+    mp = (kp - 0.5) * (kp + 0.5)
+    mm = max_((km - 0.5) * (km + 0.5), 0.0)
+    # A separable state has kp >= 1/2, so math.sqrt(mp) does not raise
+    # where select discards the formula.
+    x_m = select(separable, 0.5, max_(((b1 + b2) * (u + 0.25) - 2.0 * c * (sqrt(mp) * sqrt(mm))) / delta, 0.5))
+    # Offsets y - 1/2 and z - 1/2 as compensated product differences:
+    # y - 1/2 = [ (b1 - 1/2)(b2 + 1/2) - c^2 ] / (b2 + 1/2).  h maps the
+    # negative residue of either to 0, as its clamp would.
+    y_off = prod_diff(b1 - 0.5, b2 + 0.5, c, c) / (b2 + 0.5)
+    z_off = prod_diff(b2 - 0.5, b1 + 0.5, c, c) / (b1 + 0.5)
+    h1 = h(b1 - 0.5)
+    h2 = h(b2 - 0.5)
+    hkp = h(kp - 0.5)
+    hkm = h(km - 0.5)
     hk = hkp + hkm
-    d1 = _clamp_measure(h2 - hk + _h_offset(y_off), "d1")
-    d2 = _clamp_measure(h1 - hk + _h_offset(z_off), "d2")
-    mi = _clamp_measure(h1 + h2 - hkp - hkm, "mutual information")
-    return ef, d1, d2, mi, separable, x_m, 0.5 + y_off, 0.5 + z_off, mp * mm
+    d1 = h2 - hk + h(y_off)
+    d2 = h1 - hk + h(z_off)
+    return h(x_m - 0.5), x_m, y_off, z_off, d1, d2, h1 + h2 - hkp - hkm, mp * mm

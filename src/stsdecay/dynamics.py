@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 import sys
 
-from ._accurate import finite, prod_diff
-from .core import StandardForm, _Record, separability_margin
+from ._accurate import finite
+from .core import StandardForm, _Record, _separability_margin, separability_margin
 from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
 
 __all__ = [
@@ -110,17 +110,15 @@ def _check_time(t: float) -> None:
         raise InvalidParameterError(f"evolution time must be finite and >= 0, got {t!r}")
 
 
-def _evolved_entries(
-    sf0: StandardForm, res: ReservoirConfig, t: float
-) -> tuple[float, float, float]:
-    """Scalar (b1(t), b2(t), c(t)) without StandardForm construction overhead."""
-    w1 = math.exp(-res.gamma1 * t)
-    w2 = math.exp(-res.gamma2 * t)
+def _evolved_entries(sf0: StandardForm, res: ReservoirConfig, t, exp):
+    """(b1(t), b2(t), c(t)) without StandardForm overhead; elementwise with the caller's ``exp``."""
+    w1 = exp(-res.gamma1 * t)
+    w2 = exp(-res.gamma2 * t)
     # Convex-combination form: exact at t = 0 (weights are exactly 1) and
     # exact in the t -> infinity limit (weights are exactly 0).
     b1t = sf0.b1 * w1 + (res.n_r1 + 0.5) * (1.0 - w1)
     b2t = sf0.b2 * w2 + (res.n_r2 + 0.5) * (1.0 - w2)
-    ct = sf0.c * math.exp(-0.5 * (res.gamma1 + res.gamma2) * t)
+    ct = sf0.c * exp(-0.5 * (res.gamma1 + res.gamma2) * t)
     return b1t, b2t, ct
 
 
@@ -135,7 +133,7 @@ def evolve(sf0: StandardForm, res: ReservoirConfig, t: float) -> EvolvedState:
         InvalidParameterError: for negative or non-finite ``t``.
     """
     _check_time(t)
-    b1t, b2t, ct = _evolved_entries(sf0, res, t)
+    b1t, b2t, ct = _evolved_entries(sf0, res, t, math.exp)
     return EvolvedState(t, StandardForm(b1t, b2t, ct, sf0.phi))
 
 
@@ -260,8 +258,7 @@ def esd_time_single_bath(
 
 def _margin_at(sf0: StandardForm, res: ReservoirConfig, t: float) -> float:
     """Separability margin of the evolved state, without object overhead."""
-    b1t, b2t, ct = _evolved_entries(sf0, res, t)
-    return prod_diff(b1t - 0.5, b2t - 0.5, ct, ct)
+    return _separability_margin(*_evolved_entries(sf0, res, t, math.exp))
 
 
 def esd_bisection(
@@ -337,9 +334,10 @@ def _closed_form_esd_time(
     if res.gamma1 > 0.0:
         return esd_time_single_bath(sf0, res.gamma1, res.n_r1)
     if res.gamma2 > 0.0:
-        # Bath on mode 2 only: same formula with the modes relabeled.
-        swapped = StandardForm(sf0.b2, sf0.b1, sf0.c, sf0.phi)
-        return esd_time_single_bath(swapped, res.gamma2, res.n_r2)
+        # Bath on mode 2 only: the single-bath formula with the modes
+        # relabeled.  The margin is symmetric in them (prod_diff is, under
+        # a <-> b), so only the denominator changes.
+        return _closed_form_time(sf0, res.gamma2, res.n_r2, sf0.b1 - 0.5)
     raise InvalidParameterError("the reservoir has no active bath; nothing evolves")
 
 

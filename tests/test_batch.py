@@ -137,7 +137,7 @@ def test_seeded_set_covers_the_branches():
 
 def test_a_row_refused_mid_table_ends_both_paths_alike(capsys, monkeypatch):
     # b1(t) grows past 1e154 near t = 1.3e-6, where (b1 + b2)^2 overflows
-    # and the row is refused; the chunks before it are already written.
+    # and the row is refused as such; the chunks before it are already written.
     argv = [
         "evolve", "--b1", "2", "--b2", "2", "--c", "1", "--single-bath", "--nr", "1e160",
         "--t-end", "2e-6", "--points", str(table.BATCH_POINTS), "--format", "json",
@@ -149,7 +149,9 @@ def test_a_row_refused_mid_table_ends_both_paths_alike(capsys, monkeypatch):
     scalar = cli.main(argv), *capsys.readouterr()
     assert batch == scalar
     code, out, err = batch
-    assert code == 2 and err == "error: d1 = nan is negative beyond rounding tolerance\n"
+    assert code == 2 and err == (
+        "error: (b1+b2)^2 - 4c^2 overflows a double for b1=1.340933194371452e+154, b2=2.0, c=0.999999329533178\n"
+    )
     assert spy.batched >= 1 and spy.left == 1
     assert out.count('"t":') == spy.batched * cli._CHUNK_ROWS
 

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -405,6 +407,20 @@ def test_overflowing_death_time_is_refused(capsys, fmt):
     assert "death time overflows a double" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "--b1", "1e155", "--b2", "1e155", "--c", "1"], "(b_max+1/2)(b_min-1/2) - c^2 overflows a double"),
+        (["esd", "--b1", "1e200", "--b2", "1e200", "--c", "1e201", "--identical", "--nr", "0.5"], "(b_max+1/2)(b_min-1/2) - c^2 overflows a double"),
+        (["report", "--b1", "1.4e154", "--b2", "2", "--c", "1"], "(b1+b2)^2 - 4c^2 overflows a double"),
+    ],
+    ids=["report_margin", "esd_margin", "report_discriminant"],
+)
+def test_entries_that_overflow_a_double_are_refused_as_such(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith(f"error: {message} for b1=")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_death_time_near_the_largest_double_is_finite(capsys, fmt):
     code, out, err = run(
@@ -453,6 +469,31 @@ def test_failure_after_first_chunk(capsys, monkeypatch, tmp_path):
     assert code == 2
     assert target.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+class _FirstChunk(Exception):
+    """Raised by the standard output once the first chunk of a table is written."""
+
+
+class _StopAfterFirstChunk:
+    def write(self, text):
+        raise _FirstChunk(text)
+
+
+def test_first_chunk_of_a_million_step_sweep_is_small(monkeypatch):
+    # The swept values are made a chunk at a time, not as one list of
+    # 10^6 floats (32 MB) before the first row.
+    argv = ["sweep", "--n1", "1", "--n2", "0.5", "--param", "r", "--min", "0.1", "--max", "2", "--steps", "1000000"]
+    monkeypatch.setattr(sys, "stdout", _StopAfterFirstChunk())
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstChunk) as first:
+            cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.value.args[0].count("\n") == cli._CHUNK_ROWS
+    assert peak < 2_000_000
 
 
 def test_evolve_rejects_negative_start_before_output(capsys):

@@ -11,6 +11,7 @@ from stsdecay import (
     NonPhysicalStateError,
     StandardForm,
     StsParams,
+    correlation_report,
     full_cm,
     is_pure,
     is_separable,
@@ -82,6 +83,19 @@ def test_standard_form_rejects_uncertainty_violation():
     # Boundary itself is fine (pure-like).
     b = math.cosh(4.0) / 2.0
     StandardForm(b, b, math.sinh(4.0) / 2.0)
+
+
+def test_entries_whose_margins_overflow_a_double_are_refused():
+    # The uncertainty margin of these is NaN (its products overflow), which
+    # a plain `margin < -slack` test lets through.
+    for b1, b2, c in ((1e200, 1e200, 1e201), (1e200, 1e200, 1e199), (1e155, 1e155, 1.0)):
+        with pytest.raises(InvalidParameterError, match=r"\(b_max\+1/2\)\(b_min-1/2\) - c\^2 overflows a double"):
+            StandardForm(b1, b2, c)
+    # A bona fide state whose discriminant (b1 + b2)^2 - 4c^2 overflows.
+    sf = StandardForm(1.4e154, 2.0, 1.0)
+    for measure in (symplectic_spectrum, correlation_report):
+        with pytest.raises(InvalidParameterError, match=r"\(b1\+b2\)\^2 - 4c\^2 overflows a double for b1=1.4e\+154"):
+            measure(sf)
 
 
 def test_standard_form_normalizes_negative_c_into_phase():

@@ -251,13 +251,18 @@ def test_esd_rejects_separable_and_bad_rates():
 
 
 def test_esd_time_picks_the_route_for_the_layout():
-    sf = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
-    swapped = StandardForm(sf.b2, sf.b1, sf.c, sf.phi)
-    assert esd_time(sf, ReservoirConfig.identical(1.3, 0.5)) == esd_time_identical_baths(sf, 1.3, 0.5)
-    assert esd_time(sf, ReservoirConfig.single_bath(1.3, 0.5)) == esd_time_single_bath(sf, 1.3, 0.5)
-    # A bath on mode 2 only is the single-bath formula with the modes relabeled.
-    on_mode2 = esd_time(sf, ReservoirConfig(0.0, 0.0, 1.3, 0.5))
-    assert on_mode2 == esd_time_single_bath(swapped, 1.3, 0.5) != esd_time_single_bath(sf, 1.3, 0.5)
+    rng = np.random.default_rng(1312)
+    states = [standard_form_from_sts(StsParams(10.0, 0.1, 2.0))]
+    states += [sample_entangled_sts(rng, n_max=10.0, r_max=4.0) for _ in range(40)]
+    for sf in states:
+        gamma, n_r = rng.uniform(0.2, 3.0), rng.uniform(0.05, 2.0)
+        swapped = StandardForm(sf.b2, sf.b1, sf.c, sf.phi)
+        assert esd_time(sf, ReservoirConfig.identical(gamma, n_r)) == esd_time_identical_baths(sf, gamma, n_r)
+        assert esd_time(sf, ReservoirConfig.single_bath(gamma, n_r)) == esd_time_single_bath(sf, gamma, n_r)
+        # A bath on mode 2 only is the single-bath formula with the modes relabeled.
+        on_mode2 = esd_time(sf, ReservoirConfig(0.0, 0.0, gamma, n_r))
+        assert on_mode2 == esd_time_single_bath(swapped, gamma, n_r) != esd_time_single_bath(sf, gamma, n_r)
+    sf = states[0]
     for res in (ReservoirConfig(1.0, 0.5, 2.0, 0.5), ReservoirConfig(1.0, 0.5, 1.0, 0.2)):
         assert esd_time(sf, res) == esd_bisection(sf, res)
     assert esd_time(sf, ReservoirConfig(1.0, 0.0, 2.0, 0.0)) is ASYMPTOTIC_ONLY

@@ -171,6 +171,29 @@ def test_evolve_without_numpy_writes_the_same_bytes():
     assert _python(_BYTES_PROBE, "importable", argv) == [0, True, digest]
 
 
+# The command line with numpy blocked: argv after the source, exit code of cli.main.
+_BLOCKED_MAIN = "import sys; sys.modules['numpy'] = None; from stsdecay import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["verify"], "verify"),
+        (["evolve", *_STATE, "--identical", "--nr", "0.2", "--t-start", "0.1", "--t-end", "3", "--log-spacing"], "evolve --log-spacing"),
+    ],
+    ids=["verify", "evolve_log_spacing"],
+)
+def test_commands_that_need_numpy_say_so_in_one_line_without_it(argv, command, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_MAIN, *argv, "--out", str(out)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {command} needs numpy, which cannot be imported\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 _LINSPACE_CASES = [
     (0.0, 1.0, 1),
     (0.0, 1.0, 2),
