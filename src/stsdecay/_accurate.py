@@ -60,7 +60,8 @@ def prod_diff(a: float, b: float, c: float, d: float) -> float:
     dh = t - (t - d)
     dl = d - dh
     e2 = ((ch * dh - p2) + (ch * dl + cl * dh)) + cl * dl
-    # two_sum(p1, -p2); x - y is x + (-y) in IEEE arithmetic.
+    # two_sum(p1, -p2); x - y is x + (-y) in IEEE arithmetic.  The sign
+    # test of dynamics._margin_is_negative forms p1, p2 and s as here.
     s = p1 - p2
     bb = s - p1
     t = (p1 - (s - bb)) + (-p2 - bb)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._accurate import prod_diff, sum_sq_minus_4c2
 from .cli import _scale
-from .core import _ABS_SLACK, StandardForm, _is_pure, _separability_margin, _uncertainty
+from .core import _ABS_SLACK, StandardForm, _is_pure, _kappas, _separability_margin, _uncertainty
 from .correlations import _NEG_CLAMP, _general, _h_offset, _measures
 from .dynamics import ReservoirConfig, _evolved_entries
 
@@ -86,10 +86,9 @@ def _columns(sf0: StandardForm, res: ReservoirConfig, t: np.ndarray, units: str)
     special = (c == 0.0) | _is_pure(b1, b2, c, u)
     delta = sum_sq_minus_4c2(b1, b2, c)
     h = functools.partial(_libm, _h_offset)
-    ef, _, y_off, z_off, d1, d2, mi, _ = _general(b1, b2, c, u, delta, separable, np.sqrt, _max, np.where, h)
-    # A NaN where math.sqrt would refuse a negative argument is caught by
-    # the finiteness test of ef below.
-    refused = (delta <= 0.0) | (delta == math.inf) | (u <= 0.0) | (y_off < -1e-9) | (z_off < -1e-9)
+    kp, km = _kappas(b1, b2, u, delta, np.sqrt)
+    ef, _, y_off, z_off, d1, d2, mi, _ = _general(b1, b2, c, u, delta, kp, km, separable, np.sqrt, _max, np.where, h)
+    refused = (delta <= 0.0) | (delta == math.inf) | (u <= 0.0) | (kp < 0.5) | (y_off < -1e-9) | (z_off < -1e-9)
     for value in (d1, d2, mi):
         refused |= ~(value >= -_NEG_CLAMP)  # NaN included
     if (refused & ~special).any():

@@ -194,8 +194,13 @@ def _measures(
         hb = _h_offset(b - 0.5)
         return hb, hb, hb, 2.0 * hb, separable, b, 0.5, 0.5, 0.0
     delta = _discriminant(b1, b2, c, u)
+    kp, km = _kappas(b1, b2, u, delta, math.sqrt)
+    if kp < 0.5:  # admitted by the construction slack; no measure exists
+        raise NonPhysicalStateError(
+            f"kappa_plus = {kp!r} < 1/2: not a physical two-mode state"
+        )
     ef, x_m, y_off, z_off, d1, d2, mi, inv_d = _general(
-        b1, b2, c, u, delta, separable, math.sqrt, max, _select, _h_offset
+        b1, b2, c, u, delta, kp, km, separable, math.sqrt, max, _select, _h_offset
     )
     if y_off < -1e-9 or z_off < -1e-9:
         raise NonPhysicalStateError(
@@ -212,20 +217,19 @@ def _select(cond: bool, a: float, b: float) -> float:
     return a if cond else b
 
 
-def _general(b1, b2, c, u, delta, separable, sqrt, max_, select, h):
+def _general(b1, b2, c, u, delta, kp, km, separable, sqrt, max_, select, h):
     """The general branch of the kernel (c != 0, not pure), elementwise.
 
-    Returns ``(ef, x_m, y - 1/2, z - 1/2, d1, d2, mi, invariant_d)``; the
+    ``kp``, ``km`` are the ``_kappas``.  Returns ``(ef, x_m, y - 1/2,
+    z - 1/2, d1, d2, mi, invariant_d)``; a kappa_plus below 1/2, the
     offsets and d1/d2/mi are left to the callers to refuse and clamp
     (``_measures`` raises, the batch kernel masks).  ``sqrt``, ``max_``
     (Python's ``max`` of two), ``select`` (``a if cond else b``) and ``h``
     (``_h_offset``) are those of floats or of float64 arrays.
     """
-    kp, km = _kappas(b1, b2, u, delta, sqrt)
     mp = (kp - 0.5) * (kp + 0.5)
     mm = max_((km - 0.5) * (km + 0.5), 0.0)
-    # A separable state has kp >= 1/2, so math.sqrt(mp) does not raise
-    # where select discards the formula.
+    # The callers refuse kp < 1/2 (mp < 0) before math.sqrt(mp) could raise.
     x_m = select(separable, 0.5, max_(((b1 + b2) * (u + 0.25) - 2.0 * c * (sqrt(mp) * sqrt(mm))) / delta, 0.5))
     # Offsets y - 1/2 and z - 1/2 as compensated product differences:
     # y - 1/2 = [ (b1 - 1/2)(b2 + 1/2) - c^2 ] / (b2 + 1/2).  h maps the

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 
-from ._accurate import finite
+from ._accurate import finite, prod_diff
 from .core import StandardForm, _Record, _separability_margin, separability_margin
 from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
 
@@ -177,10 +177,14 @@ def _ktp_off(sf: StandardForm) -> float:
     return 0.5 * ((b1 - 0.5) + (b2 - 0.5) + math.hypot(b1 - b2, 2.0 * c))
 
 
-def _closed_form_time(sf0: StandardForm, gamma: float, n_r: float, den: float) -> float | AsymptoticOnly:
+def _closed_form_time(
+    sf0: StandardForm, gamma: float, n_r: float, den: float, free: str = "b2"
+) -> float | AsymptoticOnly:
     """``log1p(-margin / (den * n_r)) / gamma``, the form of both closed-form death times.
 
-    Checks and markers as the two public functions document them.  Where
+    Checks and markers as the two public functions document them; ``free``
+    names the entry of a single bath's undamped mode, whose offset from
+    1/2 is ``den``.  Where
     ``den * n_r`` is subnormal, the ratio is ``(-margin / den) / n_r``.
     Where the ratio overflows, or ``den * n_r`` underflows to 0 (a
     subnormal ``n_r``), the time is taken as ``(log(-margin) - log(den) -
@@ -195,9 +199,9 @@ def _closed_form_time(sf0: StandardForm, gamma: float, n_r: float, den: float) -
         )
     if n_r == 0.0:
         return ASYMPTOTIC_ONLY
-    if den <= 0.0:  # only the single-bath b2 - 1/2 can reach 0 while entangled
+    if den <= 0.0:  # only a single bath's free-mode offset can reach 0 while entangled
         raise NonPhysicalStateError(
-            "b2 = 1/2 with residual entanglement: degenerate denominator in the "
+            f"{free} = 1/2 with residual entanglement: degenerate denominator in the "
             "single-bath disentanglement time"
         )
     prod = den * n_r
@@ -261,6 +265,50 @@ def _margin_at(sf0: StandardForm, res: ReservoirConfig, t: float) -> float:
     return _separability_margin(*_evolved_entries(sf0, res, t, math.exp))
 
 
+# Bounds of the sign test in ``_margin_is_negative``, and the largest
+# operand whose Dekker split (2**27 + 1 times it) cannot overflow.
+_SIGN_TINY = 2.0**-900
+_SIGN_HUGE = 2.0**900
+_SIGN_REL = 2.0**-50
+_SPLIT_SAFE = 2.0**996
+
+
+def _margin_is_negative(x: float, y: float, c: float) -> bool:
+    """``prod_diff(x, y, c, c) < 0.0``, mostly without calling ``prod_diff``.
+
+    Dekker's split of ``x`` and ``y`` must not overflow: ``(2**27 + 1) * x``
+    and ``(2**27 + 1) * y`` are finite, as they are for ``|x|, |y| <= 2**996``.
+
+    ``prod_diff`` returns ``s + (t + (e1 - e2))`` on ``p1 = x*y``,
+    ``p2 = c*c`` and ``s = p1 - p2``, formed here in the same way.  Let
+    ``m = |p1| + p2`` with ``2**-900 < m < 2**900`` and ``|s| > 2**-50 m``,
+    so ``|s| > 2**-950``.  No other split overflows (``c < 2**450``).  Where
+    ``|p1|`` (``p2``) is at least 2**-960, Dekker's product error ``e1``
+    (``e2``) is exact and at most ``2**-53 |p1|``; below that it may be
+    inexact, but its terms are small multiples of ``|p1| < 2**-960``, so it
+    stays under ``2**-955 < 2**-5 |s|``, and only one of the two products
+    can be that small.  The two-sum error ``t`` is exact and at most
+    ``2**-53 |s|``.  The correction ``t + (e1 - e2)`` is therefore at most
+    ``(2**-53 + 2**-3 + 2**-5) |s|`` before its two roundings, below
+    ``|s|/4``: the exact sum of ``s`` and the correction has the sign of
+    ``s`` and a size above ``3|s|/4``, and round-to-nearest keeps that
+    sign and does not reach 0.  ``abs(p1)``, because ``x = b1(t) - 1/2``
+    can round slightly negative.  Every other triple goes to ``prod_diff``.
+    """
+    p1 = x * y
+    p2 = c * c
+    s = p1 - p2
+    m = abs(p1) + p2
+    if _SIGN_TINY < m < _SIGN_HUGE and abs(s) > _SIGN_REL * m:
+        return s < 0.0
+    return prod_diff(x, y, c, c) < 0.0
+
+
+def _prod_diff_is_negative(x: float, y: float, c: float) -> bool:
+    """``prod_diff(x, y, c, c) < 0.0`` for entries beyond the range of ``_margin_is_negative``."""
+    return prod_diff(x, y, c, c) < 0.0
+
+
 def esd_bisection(
     sf0: StandardForm, res: ReservoirConfig, t_tol: float = 1e-12
 ) -> float | AsymptoticOnly:
@@ -273,6 +321,15 @@ def esd_bisection(
     are never consulted, so the result is a genuine cross-check for them,
     and it answers for every bath layout, including two baths that differ
     in rate or temperature.
+
+    A bisection step needs only the sign of the margin.  It evolves the
+    entries as ``evolve`` does, with the constants of the reservoir
+    computed once per call, and takes the sign of the rounded difference
+    ``x*y - c^2`` of the two products whenever that difference is so far
+    from the products' rounding errors that the compensated margin must
+    share it; only the remaining steps compute the compensated margin.
+    Every step decides as the compensated margin does, so each midpoint,
+    and the result, is the same bit for bit.
 
     Returns ASYMPTOTIC_ONLY when every damped mode sees a zero-temperature
     bath: the margin then scales by a positive factor for all finite
@@ -310,13 +367,30 @@ def esd_bisection(
         t_hi = min(2.0 * t_hi, _MAX_TIME)
     else:
         raise RuntimeError("failed to bracket the separability crossing")
+    # The step below is _margin_at(sf0, res, t) < 0.0 with the operations
+    # of _evolved_entries in their order, the reservoir's constants hoisted.
+    b1, b2, c = sf0.b1, sf0.b2, sf0.c
+    k1, k2, kc = -res.gamma1, -res.gamma2, -0.5 * (res.gamma1 + res.gamma2)
+    h1, h2 = res.n_r1 + 0.5, res.n_r2 + 0.5
+    one_rate = k1 == k2 == kc  # equal rates: the three exponentials are one
+    # Entries between the initial and the reservoir values stay in the
+    # sign test's range; above it every step takes the compensated margin.
+    negative = _margin_is_negative if max(b1, b2, h1, h2) <= _SPLIT_SAFE else _prod_diff_is_negative
+    exp = math.exp
     t_lo = 0.0
     # Halves are added: t_lo + t_hi can overflow once the bracket nears the cap.
     while t_hi - t_lo > t_tol:
         t_mid = 0.5 * t_lo + 0.5 * t_hi
         if t_mid <= t_lo or t_mid >= t_hi:
             break  # bracket has collapsed to adjacent floats
-        if _margin_at(sf0, res, t_mid) < 0.0:
+        w1 = exp(k1 * t_mid)
+        if one_rate:
+            w2 = wc = w1
+        else:
+            w2 = exp(k2 * t_mid)
+            wc = exp(kc * t_mid)
+        ct = c * wc
+        if negative(b1 * w1 + h1 * (1.0 - w1) - 0.5, b2 * w2 + h2 * (1.0 - w2) - 0.5, ct):
             t_lo = t_mid
         else:
             t_hi = t_mid
@@ -337,7 +411,7 @@ def _closed_form_esd_time(
         # Bath on mode 2 only: the single-bath formula with the modes
         # relabeled.  The margin is symmetric in them (prod_diff is, under
         # a <-> b), so only the denominator changes.
-        return _closed_form_time(sf0, res.gamma2, res.n_r2, sf0.b1 - 0.5)
+        return _closed_form_time(sf0, res.gamma2, res.n_r2, sf0.b1 - 0.5, "b1")
     raise InvalidParameterError("the reservoir has no active bath; nothing evolves")
 
 

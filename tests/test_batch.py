@@ -156,6 +156,24 @@ def test_a_row_refused_mid_table_ends_both_paths_alike(capsys, monkeypatch):
     assert out.count('"t":') == spy.batched * cli._CHUNK_ROWS
 
 
+@pytest.mark.parametrize("points", [3, table.BATCH_POINTS])
+def test_kappa_plus_below_one_half_ends_both_paths_alike(capsys, monkeypatch, points):
+    argv = [
+        "evolve", "--b1", "0.5", "--b2", "0.5", "--c", "1e-7", "--identical", "--nr", "0.5",
+        "--t-end", "1", "--points", str(points),
+    ]
+    spy = _Spy()
+    monkeypatch.setattr(table, "batch_kernel", lambda: spy)
+    batch = cli.main(argv), *capsys.readouterr()
+    monkeypatch.setattr(table, "batch_kernel", lambda: None)
+    scalar = cli.main(argv), *capsys.readouterr()
+    assert batch == scalar
+    code, out, err = batch
+    assert code == 2 and err == "error: kappa_plus = 0.49999999999998995 < 1/2: not a physical two-mode state\n"
+    assert out == ""  # row t = 0 is the refused one
+    assert (spy.batched, spy.left) == ((0, 1) if points == table.BATCH_POINTS else (0, 0))
+
+
 def test_row_lines_spell_cells_like_the_cell_writer():
     template = cli._frame(cli._EVOLVE_COLUMNS, "csv", ["%r"] * 8 + ["%s"])[3]
     big = 1.7976931348623157e308  # finite cells whose sum overflows

@@ -421,6 +421,31 @@ def test_entries_that_overflow_a_double_are_refused_as_such(capsys, argv, messag
     assert (code, out) == (2, "") and err.startswith(f"error: {message} for b1=")
 
 
+def test_kappa_plus_below_one_half_is_refused_as_such(capsys):
+    # The construction slack admits these entries, but no measure of them exists.
+    code, out, err = run(capsys, "report", "--b1", "0.5", "--b2", "0.5", "--c", "1e-7")
+    assert (code, out) == (2, "")
+    assert err == "error: kappa_plus = 0.49999999999998995 < 1/2: not a physical two-mode state\n"
+
+
+@pytest.mark.parametrize(
+    "entries, bath, free",
+    [
+        (("--b1", "1", "--b2", "0.5"), ("--single-bath", "--gamma", "1", "--nr", "0.5"), "b2"),
+        (("--b1", "1", "--b2", "0.5"), ("--gamma1", "1", "--nr1", "0.5"), "b2"),
+        (("--b1", "0.5", "--b2", "1"), ("--gamma2", "1", "--nr2", "0.5"), "b1"),
+    ],
+    ids=["single_bath", "mode1", "mode2"],
+)
+def test_degenerate_single_bath_names_the_free_mode(capsys, entries, bath, free):
+    code, out, err = run(capsys, "esd", *entries, "--c", "1e-7", *bath)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {free} = 1/2 with residual entanglement: degenerate denominator "
+        "in the single-bath disentanglement time\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_death_time_near_the_largest_double_is_finite(capsys, fmt):
     code, out, err = run(

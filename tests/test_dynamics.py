@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -28,7 +29,15 @@ from stsdecay import (
     steady_state,
     uncertainty_margin,
 )
-from stsdecay.dynamics import _margin_at
+from stsdecay._accurate import prod_diff
+from stsdecay.dynamics import (
+    _MAX_TIME,
+    _OVERFLOW,
+    _finite_death_time,
+    _ktp_off,
+    _margin_at,
+    _margin_is_negative,
+)
 from stsdecay.verification import sample_entangled_sts, sample_sts
 
 # Frozen 40-digit references: disentanglement time of the (10, 0.1, r=2)
@@ -368,3 +377,119 @@ def test_entanglement_never_increases_along_trajectory():
         ef, _ = entanglement_of_formation(evolve(sf, res, float(t)).sf)
         assert ef <= previous + 1e-12
         previous = ef
+
+
+def _margin_bisection(sf0, res, t_tol=1e-12):
+    """esd_bisection with every step through _margin_at: the reference for its hoisted steps."""
+    if res.gamma1 == 0.0 and res.gamma2 == 0.0:
+        raise InvalidParameterError("the reservoir has no active bath; nothing evolves")
+    margin0 = separability_margin(sf0)
+    if margin0 >= 0.0:
+        raise SeparableInputError("input is already separable: no disentanglement time to bracket")
+    if not ((res.gamma1 > 0.0 and res.n_r1 > 0.0) or (res.gamma2 > 0.0 and res.n_r2 > 0.0)):
+        return ASYMPTOTIC_ONLY
+    gamma_eff = min(g for g in (res.gamma1, res.gamma2) if g > 0.0)
+    n_r_eff = max(res.n_r1 if res.gamma1 > 0.0 else 0.0, res.n_r2 if res.gamma2 > 0.0 else 0.0)
+    t_hi = min(2.0 * math.log1p(-margin0 / (_ktp_off(sf0) * max(n_r_eff, 1e-6))) / gamma_eff, _MAX_TIME)
+    for _ in range(200):
+        if _margin_at(sf0, res, t_hi) >= 0.0:
+            break
+        if t_hi == _MAX_TIME:
+            raise InvalidParameterError(_OVERFLOW)
+        t_hi = min(2.0 * t_hi, _MAX_TIME)
+    else:
+        raise RuntimeError("failed to bracket the separability crossing")
+    t_lo = 0.0
+    while t_hi - t_lo > t_tol:
+        t_mid = 0.5 * t_lo + 0.5 * t_hi
+        if t_mid <= t_lo or t_mid >= t_hi:
+            break
+        if _margin_at(sf0, res, t_mid) < 0.0:
+            t_lo = t_mid
+        else:
+            t_hi = t_mid
+    return _finite_death_time(0.5 * t_lo + 0.5 * t_hi)
+
+
+def _outcome(death_time, sf0, res, t_tol):
+    try:
+        return repr(death_time(sf0, res, t_tol))
+    except (InvalidParameterError, SeparableInputError, RuntimeError) as exc:
+        return repr(exc)
+
+
+def _bisection_cases(rng):
+    """Seeded (state, reservoir, t_tol) that cover every kind of bisection step."""
+
+    def entangled_state():
+        if rng.random() < 0.25:  # barely entangled: margin near -1e-14
+            b1, b2 = rng.uniform(0.6, 6.0), rng.uniform(0.6, 6.0)
+            pp = (b1 - 0.5) * (b2 - 0.5)
+            return StandardForm(b1, b2, math.sqrt(pp + rng.uniform(0.2e-14, 5e-14)))
+        n1, n2 = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
+        r_min = math.asinh(math.sqrt(n1 * n2 / (n1 + n2 + 1.0)))
+        return standard_form_from_sts(StsParams(n1, n2, r_min + rng.uniform(1e-6, 3.0)))
+
+    def occupancy():
+        return rng.choice((0.0, rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0), 10.0 ** rng.uniform(-323.5, -300.0)))
+
+    for k in range(2400):
+        # t_tol = 0 bisects to adjacent doubles, where the margin's last bits decide.
+        sf, t_tol = entangled_state(), (1e-12, 0.0)[k % 2]
+        gamma = 10.0 ** rng.uniform(-1.0, 1.0)
+        layout = k % 6
+        if layout == 0:  # equal rates, unequal occupancies
+            res = ReservoirConfig(gamma, occupancy(), gamma, occupancy())
+        elif layout == 1:  # rate ratios up to 1e3
+            res = ReservoirConfig(gamma, occupancy(), gamma * 10.0 ** rng.uniform(-3.0, 3.0), occupancy())
+        elif layout == 2:  # a cold bath beside a hot one
+            hot, cold = (rng.uniform(0.05, 3.0), 0.0)[:: rng.choice((1, -1))]
+            res = ReservoirConfig(gamma, hot, gamma * rng.uniform(0.2, 5.0), cold)
+        elif layout == 3:  # one bath, on either mode
+            n_r = occupancy() or 0.5
+            res = ReservoirConfig(gamma, n_r, 0.0, 0.0) if k % 12 == 3 else ReservoirConfig(0.0, 0.0, gamma, n_r)
+        elif layout == 4:  # death times near the largest double, or beyond it
+            tiny = 10.0 ** rng.uniform(-309.0, -307.5)
+            res = ReservoirConfig(tiny, 0.5, tiny * rng.uniform(0.005, 1.0), rng.uniform(0.1, 1.0))
+        elif k % 60 == 5:  # a huge occupancy: the bracket fails at tiny times
+            res = ReservoirConfig(gamma, 1e300, gamma * rng.uniform(0.5, 2.0), occupancy())
+        else:  # entries past the sign test's range: every step takes prod_diff
+            t_tol = 0.0  # these death times are near 1e-16
+            b1, b2 = rng.uniform(2.0**996, 1.3e300), 0.5 + 2.0 ** rng.uniform(-45.0, -30.0)
+            c = math.sqrt((b1 - 0.5) * (b2 - 0.5))
+            for _ in range(rng.randrange(1, 6)):
+                c = math.nextafter(c, math.inf)
+            sf = StandardForm(b1, b2, c)
+            res = ReservoirConfig(rng.choice((0.0, gamma * 1e-3)), occupancy(), gamma, rng.uniform(0.1, 2.0))
+        yield sf, res, t_tol
+
+
+def test_bisection_steps_give_the_bits_of_the_margin_loop():
+    kinds = []
+    for sf, res, t_tol in _bisection_cases(random.Random(20141202)):
+        want = _outcome(_margin_bisection, sf, res, t_tol)
+        assert _outcome(esd_bisection, sf, res, t_tol) == want, (sf, res)
+        kinds.append("time" if want[0].isdigit() else want.split("(")[0])
+    # 2,180 times; the rest are markers, overflows and failed brackets.
+    assert kinds.count("time") >= 2000
+    assert set(kinds) == {"time", "ASYMPTOTIC_ONLY", "InvalidParameterError", "RuntimeError"}
+
+
+def _near_margin_triples(rng):
+    """(x, y, c) with c^2 within a few ulps of x*y, at every scale, x sometimes slightly negative."""
+    scales = (1.0, 1e-300, 1e300, 1e-160, 1e150, 5e-324)
+    for _ in range(60000):
+        x = rng.choice(scales) * 10.0 ** rng.uniform(-8.0, 8.0)
+        y = rng.choice(scales) * 10.0 ** rng.uniform(-8.0, 8.0)
+        if rng.random() < 0.2:
+            x = -rng.uniform(0.0, 1.0) * math.ulp(0.5) * rng.choice((1.0, 4.0, 64.0))
+        c = math.sqrt(abs(x * y))
+        for _ in range(rng.randrange(4)):
+            c = math.nextafter(c, rng.choice((math.inf, 0.0)))
+        if math.isfinite(134217729.0 * x) and math.isfinite(134217729.0 * y):
+            yield x, y, c
+
+
+def test_margin_sign_test_agrees_with_prod_diff():
+    for x, y, c in _near_margin_triples(random.Random(1412)):
+        assert _margin_is_negative(x, y, c) == (prod_diff(x, y, c, c) < 0.0), (x, y, c)
