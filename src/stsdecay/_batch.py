@@ -7,11 +7,11 @@ operations that round once, so each element gets the bits of its scalar
 call.  ``math.exp`` and ``h`` (libm's ``log1p``) are mapped over the
 arrays, as numpy's ``exp`` and ``log1p`` differ from libm in the last bit
 on a few percent of inputs.  This module adds the masks for what the
-scalar rows refuse or clamp.  Special rows of the correlation kernel
-(product c = 0, pure) are computed by the scalar kernel, and a chunk in
-which any row would be refused, or would print a non-finite number, is
-left to the scalar rows (``None`` is returned), so error messages and
-partial output are those of the scalar path.
+scalar rows refuse or clamp, and runs only the general branch of the
+correlation kernel.  A chunk with a product (c = 0) or pure row, or a row
+that would be refused or print a non-finite number, is left whole to the
+scalar rows (``None`` is returned): the special branches, error messages
+and partial output are theirs.
 
 Importing this module imports numpy; ``cli`` does so only for the grids
 where the batch pays for that import.
@@ -28,7 +28,7 @@ import numpy as np
 from ._accurate import prod_diff, sum_sq_minus_4c2
 from .cli import _scale
 from .core import _ABS_SLACK, StandardForm, _is_pure, _kappas, _separability_margin, _uncertainty
-from .correlations import _NEG_CLAMP, _general, _h_offset, _measures
+from .correlations import _NEG_CLAMP, _general, _h_offset
 from .dynamics import ReservoirConfig, _evolved_entries
 
 
@@ -47,26 +47,16 @@ def evolve_rows(
 ) -> Iterator[tuple] | None:
     """Rows ``(t, b1, b2, c, ef, d1, d2, mi, separable)`` of one chunk, or None.
 
-    None means the scalar rows must answer this chunk: some row is refused
-    there, or prints a number that is not finite.
+    None leaves the whole chunk to the scalar rows: some row is a product
+    or pure state, is refused there, or prints a non-finite number.
     """
     with np.errstate(all="ignore"):
-        arrays = _columns(sf0, res, np.array(times, dtype=float), units)
-    if arrays is None:
-        return None
-    *arrays, special = arrays
-    columns = [x.tolist() for x in arrays]
-    b1s, b2s, cs = columns[1:4]
-    for i in np.flatnonzero(special).tolist():
-        row = _measures(b1s[i], b2s[i], cs[i])
-        for k in range(4):
-            columns[4 + k][i] = _scale(row[k], units)
-        columns[8][i] = row[4]
-    return zip(*columns)
+        columns = _columns(sf0, res, np.array(times, dtype=float), units)
+    return None if columns is None else zip(*(x.tolist() for x in columns))
 
 
 def _columns(sf0: StandardForm, res: ReservoirConfig, t: np.ndarray, units: str) -> tuple[np.ndarray, ...] | None:
-    """The nine row columns and the mask of special rows, or None."""
+    """The nine row columns, or None."""
     b1, b2, c = _evolved_entries(sf0, res, t, functools.partial(_libm, math.exp))
 
     # core._bona_fide; a non-finite entry makes the margin NaN.
@@ -79,11 +69,11 @@ def _columns(sf0: StandardForm, res: ReservoirConfig, t: np.ndarray, units: str)
     if not (margin >= -slack).all():
         return None
 
-    # correlations._measures; special rows are masked out of every refusal
-    # and recomputed by the scalar kernel.
-    separable = _separability_margin(b1, b2, c) >= 0.0
+    # The general branch of correlations._measures; product and pure rows are the scalar rows'.
     u = prod_diff(b1, b2, c, c)
-    special = (c == 0.0) | _is_pure(b1, b2, c, u)
+    if ((c == 0.0) | _is_pure(b1, b2, c, u)).any():
+        return None
+    separable = _separability_margin(b1, b2, c) >= 0.0
     delta = sum_sq_minus_4c2(b1, b2, c)
     h = functools.partial(_libm, _h_offset)
     kp, km = _kappas(b1, b2, u, delta, np.sqrt)
@@ -91,10 +81,10 @@ def _columns(sf0: StandardForm, res: ReservoirConfig, t: np.ndarray, units: str)
     refused = (delta <= 0.0) | (delta == math.inf) | (u <= 0.0) | (kp < 0.5) | (y_off < -1e-9) | (z_off < -1e-9)
     for value in (d1, d2, mi):
         refused |= ~(value >= -_NEG_CLAMP)  # NaN included
-    if (refused & ~special).any():
+    if refused.any():
         return None
     d1, d2, mi = (np.where(value >= 0.0, value, 0.0) for value in (d1, d2, mi))
     ef, d1, d2, mi = (_scale(value, units) for value in (ef, d1, d2, mi))
-    if not (np.isfinite(ef) & np.isfinite(d1) & np.isfinite(d2) & np.isfinite(mi) | special).all():
+    if not np.isfinite([ef, d1, d2, mi]).all():
         return None
-    return t, b1, b2, c, ef, d1, d2, mi, separable, special
+    return t, b1, b2, c, ef, d1, d2, mi, separable

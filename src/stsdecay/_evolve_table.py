@@ -3,7 +3,9 @@
 ``cli`` imports this module for ``evolve`` alone, so the other commands do
 not compile it.  Rows come from the scalar kernel, ``scalar_rows``, or, on
 the grids where that pays, from the numpy batch kernel of ``_batch``, whose
-rows are bit for bit the same; ``lines`` prints both.
+rows are bit for bit the same; ``lines`` prints both.  A chunk with a
+product, pure, refused or non-finite row goes whole to ``scalar_rows``,
+which alone holds those branches; the batch answers every other chunk.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def emit(
     """Write the table over the time grid ``chunks``, a chunk at a time.
 
     ``batch`` is the ``_batch`` module, or None for the scalar rows alone.
-    The scalar rows also answer every chunk that the batch leaves to them.
+    The scalar rows also answer, whole, every chunk the batch leaves them.
     """
     head, sep, tail, template = cli._frame(cli._EVOLVE_COLUMNS, fmt, ["%r"] * 8 + ["%s"])
 

@@ -336,8 +336,10 @@ def esd_bisection(
     times and never crosses zero.
 
     Raises:
-        InvalidParameterError: if no mode is damped, or if the time
-            overflows a double.
+        InvalidParameterError: if no mode is damped, if the time overflows
+            a double, or if the entries cannot resolve the crossing: every
+            hot occupancy is lost in ``n_r + 1/2``, or it lies below their
+            time resolution.
         SeparableInputError: if ``sf0`` is already separable.
     """
     if res.gamma1 == 0.0 and res.gamma2 == 0.0:
@@ -347,14 +349,19 @@ def esd_bisection(
         raise SeparableInputError(
             "input is already separable: no disentanglement time to bracket"
         )
-    noisy = (res.gamma1 > 0.0 and res.n_r1 > 0.0) or (res.gamma2 > 0.0 and res.n_r2 > 0.0)
-    if not noisy:
+    hot = [n_r for gamma, n_r in ((res.gamma1, res.n_r1), (res.gamma2, res.n_r2)) if gamma > 0.0 and n_r > 0.0]
+    if not hot:
         return ASYMPTOTIC_ONLY
+    n_r_eff = max(hot)
+    if n_r_eff + 0.5 == 0.5:  # the entries decay as in a cold bath: their margin only underflows
+        raise InvalidParameterError(
+            f"reservoir occupancy {n_r_eff!r} is lost in n_r + 1/2 in double "
+            "precision: bisection cannot resolve the death time"
+        )
     # Analytic scale for the bracket: the identical-bath expression with
     # conservative (slow) rate and noise choices, then doubled.
     gammas = [g for g in (res.gamma1, res.gamma2) if g > 0.0]
     gamma_eff = min(gammas)
-    n_r_eff = max(res.n_r1 if res.gamma1 > 0.0 else 0.0, res.n_r2 if res.gamma2 > 0.0 else 0.0)
     # The bracket is capped at the largest double: a death time beyond it
     # is refused, and one below it is bracketed even when the estimate
     # overflows (a tiny rate on one mode, a finite time set by the other).
@@ -366,7 +373,7 @@ def esd_bisection(
             raise InvalidParameterError(_OVERFLOW)
         t_hi = min(2.0 * t_hi, _MAX_TIME)
     else:
-        raise RuntimeError("failed to bracket the separability crossing")
+        raise InvalidParameterError("the separability crossing lies below the time resolution of the evolved entries")
     # The step below is _margin_at(sf0, res, t) < 0.0 with the operations
     # of _evolved_entries in their order, the reservoir's constants hoisted.
     b1, b2, c = sf0.b1, sf0.b2, sf0.c
@@ -423,8 +430,8 @@ def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
     ``esd_bisection``.  Returns ASYMPTOTIC_ONLY when no active bath is hot.
 
     Raises:
-        InvalidParameterError: if no mode is damped, or if the time
-            overflows a double.
+        InvalidParameterError: if no mode is damped, if the time overflows
+            a double, or where ``esd_bisection`` cannot resolve the time.
         SeparableInputError: if ``sf0`` is already separable.
     """
     ts = _closed_form_esd_time(sf0, res)

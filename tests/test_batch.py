@@ -38,14 +38,41 @@ def _table(sf0, res, chunks, units, fmt, batch):
     return out.getvalue(), None
 
 
+def _parsed(argv):
+    """The state, reservoir, time-grid arguments, units and format of an `evolve` argv."""
+    args = cli._build_parser().parse_args(list(argv))
+    grid = (args.t_start, args.t_end, args.points, args.log_spacing)
+    return cli._state_from_args(args), cli._reservoir_from_args(args), grid, args.units, args.format
+
+
 def _both_tables(argv):
     """``_table`` of ``argv`` from the scalar rows, and from the batch rows with its spy."""
-    args = cli._build_parser().parse_args(list(argv))
-    sf0, res = cli._state_from_args(args), cli._reservoir_from_args(args)
-    grid = (args.t_start, args.t_end, args.points, args.log_spacing)
+    sf0, res, grid, units, fmt = _parsed(argv)
     spy = _Spy()
-    tables = [_table(sf0, res, table.grid_chunks(*grid), args.units, args.format, batch) for batch in (None, spy)]
+    tables = [_table(sf0, res, table.grid_chunks(*grid), units, fmt, batch) for batch in (None, spy)]
     return tables, spy
+
+
+def _routing(argv):
+    """``(batched, left)``: the chunks of ``argv`` that the batch must answer and leave.
+
+    Counted from the scalar rows: a chunk is left when it holds a product
+    (c = 0), pure or refused row, and a refused row ends the table.
+    """
+    sf0, res, grid, units, _ = _parsed(argv)
+    template = cli._frame(cli._EVOLVE_COLUMNS, "csv", ["%r"] * 8 + ["%s"])[3]
+    batched = left = 0
+    for times in table.grid_chunks(*grid):
+        try:
+            rows = list(table.scalar_rows(sf0, res, times, units))
+            table.lines(template, rows)
+        except (ValueError, cli._CliError):
+            return batched, left + 1
+        if any(row[3] == 0.0 or is_pure(StandardForm(*row[1:4])) for row in rows):
+            left += 1
+        else:
+            batched += 1
+    return batched, left
 
 
 @pytest.mark.parametrize("name", sorted(name for name, argv in CASES.items() if argv[0] == "evolve"))
@@ -53,7 +80,7 @@ def test_golden_evolve_tables_from_both_row_paths(name):
     (scalar, batch), spy = _both_tables(CASES[name])
     suffix = ".json" if "json" in CASES[name] else ".csv"
     assert scalar == batch == ((GOLDEN / (name + suffix)).read_text(encoding="utf-8"), None)
-    assert spy.batched == 1 and spy.left == 0
+    assert (spy.batched, spy.left) == _routing(CASES[name])
 
 
 _LAYOUTS = {
@@ -106,11 +133,7 @@ def _seeded_argvs(seed=20260418):
 def test_seeded_evolve_tables_from_both_row_paths(argv):
     (scalar, batch), spy = _both_tables(argv)
     assert scalar == batch
-    if scalar[1] is None:
-        points = int(argv[argv.index("--points") + 1])
-        assert spy.left == 0 and spy.batched == math.ceil(points / cli._CHUNK_ROWS)
-    else:  # the refused chunk is left to the scalar rows, which refuse it
-        assert spy.left == 1
+    assert (spy.batched, spy.left) == _routing(argv)
 
 
 def test_seeded_set_covers_the_branches():
@@ -186,9 +209,9 @@ def test_row_lines_spell_cells_like_the_cell_writer():
             table.lines(template, [row])
 
 
-def test_special_rows_are_recomputed_by_the_scalar_kernel():
-    # c underflows to 0 late in a long grid; the vacuum is a product state
-    # throughout; the squeezed vacuum is pure at t = 0.
+def test_chunks_with_product_or_pure_rows_are_left_to_the_scalar_rows():
+    # c underflows to 0 by t = 800 in a long grid; the vacuum is a product
+    # state throughout; the squeezed vacuum is pure at t = 0.
     times = [0.0, 1.0, 800.0, 1500.0]
     res = ReservoirConfig.identical(1.0, 0.2)
     for sf in (
@@ -197,9 +220,10 @@ def test_special_rows_are_recomputed_by_the_scalar_kernel():
         standard_form_from_sts(StsParams(0.0, 0.0, 1.0)),
     ):
         for units in ("nats", "bits"):
-            rows = list(_batch.evolve_rows(sf, res, times, units))
-            assert rows == list(table.scalar_rows(sf, res, times, units))
-            assert rows[-1][3] == 0.0
+            assert _batch.evolve_rows(sf, res, times, units) is None
+            assert list(table.scalar_rows(sf, res, times, units))[-1][3] == 0.0
+            for fmt in ("csv", "json"):
+                assert _table(sf, res, [times], units, fmt, _batch) == _table(sf, res, [times], units, fmt, None)
     assert is_pure(standard_form_from_sts(StsParams(0.0, 0.0, 1.0)))
 
 

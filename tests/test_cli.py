@@ -465,6 +465,34 @@ def test_death_time_with_a_subnormal_occupancy_is_finite(capsys):
     assert math.isfinite(float(rows_of(out)[0]["t_s"]))
 
 
+@pytest.mark.parametrize(
+    "nr, closed_form", [("1e-17", "38.40834027832669"), ("1e-20", "45.31609555730883"), ("1e-320", "736.0916345884018")]
+)
+def test_occupancy_lost_in_n_r_plus_one_half_is_refused_by_bisection(capsys, nr, closed_form):
+    # The evolved entries see n_r + 1/2 == 1/2, so the margin never crosses 0
+    # and only underflows; that is no death time (mpmath: 19.5354... at 1e-17).
+    state = ("--n1", "10", "--n2", "0.1", "--r", "2")
+    code, out, err = run(capsys, "esd", *state, "--gamma1", "1", "--nr1", nr, "--gamma2", "2", "--nr2", nr)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: reservoir occupancy {float(nr)!r} is lost in n_r + 1/2 in double precision: "
+        "bisection cannot resolve the death time\n"
+    )
+    # The closed form of the same occupancy answers as before; its bisection oracle refuses.
+    identical = ("esd", *state, "--gamma1", "1", "--nr1", nr, "--gamma2", "1", "--nr2", nr)
+    assert run(capsys, *identical) == (0, f"t_s\n{closed_form}\n", "")
+    code, out, err = run(capsys, *identical, "--verify")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: reservoir occupancy {float(nr)!r} is lost") and err.count("\n") == 1
+
+
+def test_crossing_below_the_time_resolution_is_refused(capsys):
+    bath = ("--gamma1", "1", "--nr1", "1e100", "--gamma2", "2", "--nr2", "0.5")
+    code, out, err = run(capsys, "esd", "--n1", "1", "--n2", "1", "--r", "2", *bath)
+    assert (code, out) == (2, "")
+    assert err == "error: the separability crossing lies below the time resolution of the evolved entries\n"
+
+
 def test_failed_sweep_writes_nothing(capsys, tmp_path):
     args = ("sweep", "--n1", "1", "--n2", "1", "--param", "r", "--min", "1", "--max", "-1", "--steps", "5")
     code, out, err = run(capsys, *args)

@@ -1,6 +1,7 @@
 """Dissipative evolution, sudden-death times, and characteristic functions."""
 
 import cmath
+import collections
 import math
 import random
 
@@ -390,6 +391,11 @@ def _margin_bisection(sf0, res, t_tol=1e-12):
         return ASYMPTOTIC_ONLY
     gamma_eff = min(g for g in (res.gamma1, res.gamma2) if g > 0.0)
     n_r_eff = max(res.n_r1 if res.gamma1 > 0.0 else 0.0, res.n_r2 if res.gamma2 > 0.0 else 0.0)
+    if n_r_eff + 0.5 == 0.5:
+        raise InvalidParameterError(
+            f"reservoir occupancy {n_r_eff!r} is lost in n_r + 1/2 in double precision: "
+            "bisection cannot resolve the death time"
+        )
     t_hi = min(2.0 * math.log1p(-margin0 / (_ktp_off(sf0) * max(n_r_eff, 1e-6))) / gamma_eff, _MAX_TIME)
     for _ in range(200):
         if _margin_at(sf0, res, t_hi) >= 0.0:
@@ -398,7 +404,7 @@ def _margin_bisection(sf0, res, t_tol=1e-12):
             raise InvalidParameterError(_OVERFLOW)
         t_hi = min(2.0 * t_hi, _MAX_TIME)
     else:
-        raise RuntimeError("failed to bracket the separability crossing")
+        raise InvalidParameterError("the separability crossing lies below the time resolution of the evolved entries")
     t_lo = 0.0
     while t_hi - t_lo > t_tol:
         t_mid = 0.5 * t_lo + 0.5 * t_hi
@@ -414,7 +420,7 @@ def _margin_bisection(sf0, res, t_tol=1e-12):
 def _outcome(death_time, sf0, res, t_tol):
     try:
         return repr(death_time(sf0, res, t_tol))
-    except (InvalidParameterError, SeparableInputError, RuntimeError) as exc:
+    except (InvalidParameterError, SeparableInputError) as exc:
         return repr(exc)
 
 
@@ -465,14 +471,19 @@ def _bisection_cases(rng):
 
 
 def test_bisection_steps_give_the_bits_of_the_margin_loop():
-    kinds = []
+    kinds = collections.Counter()
     for sf, res, t_tol in _bisection_cases(random.Random(20141202)):
         want = _outcome(_margin_bisection, sf, res, t_tol)
         assert _outcome(esd_bisection, sf, res, t_tol) == want, (sf, res)
-        kinds.append("time" if want[0].isdigit() else want.split("(")[0])
-    # 2,180 times; the rest are markers, overflows and failed brackets.
-    assert kinds.count("time") >= 2000
-    assert set(kinds) == {"time", "ASYMPTOTIC_ONLY", "InvalidParameterError", "RuntimeError"}
+        kinds["time" if want[0].isdigit() else want.split("(")[0]] += 1
+        kinds.update(reason for reason in ("is lost in", "overflows", "time resolution") if reason in want)
+    # The refusals: every hot bath's occupancy lost in n_r + 1/2 (all
+    # subnormal), death times beyond the largest double, and crossings
+    # below the time resolution of the entries (a huge occupancy).
+    assert kinds == {
+        "time": 1936, "ASYMPTOTIC_ONLY": 52, "InvalidParameterError": 412,
+        "is lost in": 244, "overflows": 128, "time resolution": 40,
+    }
 
 
 def _near_margin_triples(rng):
