@@ -85,4 +85,4 @@ def sum_sq_minus_4c2(b1: float, b2: float, c: float) -> float:
 
 def finite(*values: float) -> bool:
     """True when every argument is a finite float."""
-    return all(math.isfinite(v) for v in values)
+    return all(map(math.isfinite, values))

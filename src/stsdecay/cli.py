@@ -227,6 +227,9 @@ def _expand_config(argv: list[str]) -> list[str]:
     return [argv[0], *extra, *argv[1:]]
 
 
+_STS_INCOMPLETE = "the physical parametrization needs all of --n1, --n2, --r"
+
+
 def _state_from_args(args: argparse.Namespace) -> StandardForm:
     sts_given = any(v is not None for v in (args.n1, args.n2, args.r))
     sf_given = any(v is not None for v in (args.b1, args.b2, args.c))
@@ -234,7 +237,7 @@ def _state_from_args(args: argparse.Namespace) -> StandardForm:
         raise _CliError("give either --n1/--n2/--r or --b1/--b2/--c, not both")
     if sts_given:
         if None in (args.n1, args.n2, args.r):
-            raise _CliError("the physical parametrization needs all of --n1, --n2, --r")
+            raise _CliError(_STS_INCOMPLETE)
         return standard_form_from_sts(StsParams(args.n1, args.n2, args.r, args.phi))
     if sf_given:
         if None in (args.b1, args.b2, args.c):
@@ -433,14 +436,6 @@ def _linear_chunks(start: float, stop: float, num: int) -> Iterator[list[float]]
     return (_linspace(start, stop, num, lo, lo + _CHUNK_ROWS) for lo in range(0, num, _CHUNK_ROWS))
 
 
-def _death_time_cell(sf: StandardForm, res: ReservoirConfig) -> object:
-    """Death time as a table cell: float, 'asymptotic-only', or 'separable'."""
-    if is_separable(sf):
-        return "separable"
-    ts = esd_time(sf, res)
-    return "asymptotic-only" if isinstance(ts, AsymptoticOnly) else ts
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     sf = _state_from_args(args)
     outputs = _parse_outputs(args.outputs, _REPORT_OUTPUTS)
@@ -518,7 +513,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if sweeping_state:
         if any(v is not None for v in (args.b1, args.b2, args.c)):
             raise _CliError(f"sweeping {args.param} needs the --n1/--n2/--r parametrization")
-        # The swept flag may be omitted; pin it so _state_from_args sees a full triple.
+        # The swept flag may be omitted; pin it so the rows see a full triple.
         if getattr(args, args.param) is None:
             setattr(args, args.param, args.min)
     res = _reservoir_from_args(args, nr_optional=(args.param == "nr"))
@@ -529,35 +524,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     else:
         outputs = _parse_outputs(args.outputs, allowed)
-    state_outputs = [o for o in outputs if o != "ts"]
-    fixed_sf = None if sweeping_state else _state_from_args(args)
+    if not sweeping_state:
+        sf0 = _state_from_args(args)
+    elif None in (args.n1, args.n2, args.r):
+        raise _CliError(_STS_INCOMPLETE)
+    else:
+        sf0 = None
+    from . import _sweep_table
 
-    def point(value: float) -> tuple[StandardForm, ReservoirConfig | None]:
-        """The state and reservoir at one value of the swept parameter."""
-        if sweeping_state:
-            setattr(args, args.param, value)
-            return _state_from_args(args), res
-        gamma = value if args.param == "gamma" else args.gamma
-        n_r = value if args.param == "nr" else args.nr
-        layout = ReservoirConfig.identical if args.identical else ReservoirConfig.single_bath
-        return fixed_sf, layout(gamma, n_r)
-
-    # Every value lies between the two ends, and what the constructors
-    # accept along one parameter is an interval, so a range accepted at
-    # both ends is accepted throughout: an invalid range fails before any
-    # output.
-    for end in (0, args.steps - 1):
-        point(_linspace(args.min, args.max, args.steps, end, end + 1)[0])
-
-    def rows() -> Iterator[list[object]]:
-        for value in itertools.chain.from_iterable(_linear_chunks(args.min, args.max, args.steps)):
-            sf, res_v = point(value)
-            row = [value, *_state_cells(sf, state_outputs, args.units)]
-            if "ts" in outputs:
-                row.append(_death_time_cell(sf, res_v))
-            yield row
-
-    _write_table([args.param, *_columns(outputs)], rows(), args.format, args.out)
+    _sweep_table.emit(args, outputs, sf0, res)
     return 0
 
 

@@ -113,15 +113,18 @@ class StsParams(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not finite(self.n1, self.n2, self.r, self.phi):
-            raise InvalidParameterError("StsParams fields must be finite numbers")
-        if self.n1 < 0.0 or self.n2 < 0.0:
-            raise InvalidParameterError(
-                f"thermal occupancies must be >= 0, got n1={self.n1!r}, n2={self.n2!r}"
-            )
-        if self.r < 0.0:
-            raise InvalidParameterError(f"squeeze parameter must be >= 0, got r={self.r!r}")
+        _check_sts(self.n1, self.n2, self.r, self.phi)
         self.__dict__["phi"] = _wrap_angle(self.phi)
+
+
+def _check_sts(n1: float, n2: float, r: float, phi: float) -> None:
+    """The check of StsParams construction, shared with code that works on bare parameters."""
+    if not finite(n1, n2, r, phi):
+        raise InvalidParameterError("StsParams fields must be finite numbers")
+    if n1 < 0.0 or n2 < 0.0:
+        raise InvalidParameterError(f"thermal occupancies must be >= 0, got n1={n1!r}, n2={n2!r}")
+    if r < 0.0:
+        raise InvalidParameterError(f"squeeze parameter must be >= 0, got r={r!r}")
 
 
 class StandardForm(_Record):
@@ -232,14 +235,15 @@ def standard_form_from_sts(p: StsParams) -> StandardForm:
     uncertainty inequality by construction (up to rounding, which the
     StandardForm validation slack absorbs).
     """
-    ch = math.cosh(p.r)
-    sh = math.sinh(p.r)
-    a1 = p.n1 + 0.5
-    a2 = p.n2 + 0.5
-    b1 = a1 * ch * ch + a2 * sh * sh
-    b2 = a1 * sh * sh + a2 * ch * ch
-    c = (p.n1 + p.n2 + 1.0) * sh * ch
+    b1, b2, c = _sts_entries(p.n1, p.n2, math.cosh(p.r), math.sinh(p.r))
     return StandardForm(b1, b2, c, p.phi)
+
+
+def _sts_entries(n1: float, n2: float, ch: float, sh: float) -> tuple[float, float, float]:
+    """``(b1, b2, c)`` of ``standard_form_from_sts``, given ``ch = cosh(r)`` and ``sh = sinh(r)``."""
+    a1 = n1 + 0.5
+    a2 = n2 + 0.5
+    return a1 * ch * ch + a2 * sh * sh, a1 * sh * sh + a2 * ch * ch, (n1 + n2 + 1.0) * sh * ch
 
 
 def symplectic_spectrum(sf: StandardForm) -> SymplecticSpectrum:
@@ -260,15 +264,18 @@ def symplectic_spectrum(sf: StandardForm) -> SymplecticSpectrum:
             ``b1*b2 <= c^2``, which no bona fide state can reach.
         InvalidParameterError: when ``(b1+b2)^2 - 4c^2`` overflows a double.
     """
-    b1, b2, c = sf.b1, sf.b2, sf.c
+    return SymplecticSpectrum(*_spectrum(sf.b1, sf.b2, sf.c))
+
+
+def _spectrum(b1: float, b2: float, c: float) -> tuple[float, float, float, float]:
+    """``symplectic_spectrum`` on bare entries: ``(kappa_plus, kappa_minus, kappa_tilde_plus, kappa_tilde_minus)``."""
     if c == 0.0:
         hi, lo = (b1, b2) if b1 >= b2 else (b2, b1)
-        return SymplecticSpectrum(hi, lo, hi, lo)
+        return hi, lo, hi, lo
     u = prod_diff(b1, b2, c, c)
     kp, km = _kappas(b1, b2, u, _discriminant(b1, b2, c, u), math.sqrt)
     ktp = 0.5 * ((b1 + b2) + math.hypot(b1 - b2, 2.0 * c))
-    ktm = u / ktp
-    return SymplecticSpectrum(kp, km, ktp, ktm)
+    return kp, km, ktp, u / ktp
 
 
 def _discriminant(b1: float, b2: float, c: float, u: float) -> float:

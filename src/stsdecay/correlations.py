@@ -173,7 +173,7 @@ def correlation_report(sf: StandardForm) -> CorrelationReport:
 
 
 def _measures(
-    b1: float, b2: float, c: float
+    b1: float, b2: float, c: float, margin: float | None = None
 ) -> tuple[float, float, float, float, bool, float, float, float, float]:
     """The fused kernel: every measure of the standard-form entries ``(b1, b2, c)``.
 
@@ -181,13 +181,14 @@ def _measures(
     mutual_information, separable, x_m, y, z, invariant_d).  Each shared
     scalar (separability margin, u = b1 b2 - c^2, the spectrum, the y/z
     offsets and every h value) is computed once; the public measures are
-    projections of this tuple.
+    projections of this tuple.  A caller that holds the separability
+    margin already passes it as ``margin``.
     """
     if c == 0.0:
         kp, km = max(b1, b2), min(b1, b2)
         inv_d = (kp - 0.5) * (kp + 0.5) * max((km - 0.5) * (km + 0.5), 0.0)
         return 0.0, 0.0, 0.0, 0.0, True, 0.5, b1, b2, inv_d
-    separable = _separability_margin(b1, b2, c) >= 0.0
+    separable = (_separability_margin(b1, b2, c) if margin is None else margin) >= 0.0
     u = prod_diff(b1, b2, c, c)
     if _is_pure(b1, b2, c, u):
         b = 0.5 * (b1 + b2)

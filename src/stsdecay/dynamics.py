@@ -76,14 +76,7 @@ class ReservoirConfig(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not finite(self.gamma1, self.n_r1, self.gamma2, self.n_r2):
-            raise InvalidParameterError("ReservoirConfig fields must be finite numbers")
-        if min(self.gamma1, self.n_r1, self.gamma2, self.n_r2) < 0.0:
-            raise InvalidParameterError(
-                "damping rates and reservoir occupancies must be >= 0, got "
-                f"gamma1={self.gamma1!r}, n_r1={self.n_r1!r}, "
-                f"gamma2={self.gamma2!r}, n_r2={self.n_r2!r}"
-            )
+        _check_reservoir(self.gamma1, self.n_r1, self.gamma2, self.n_r2)
 
     @classmethod
     def identical(cls, gamma: float, n_r: float) -> ReservoirConfig:
@@ -94,6 +87,17 @@ class ReservoirConfig(_Record):
     def single_bath(cls, gamma: float, n_r: float) -> ReservoirConfig:
         """One bath on mode 1 only; mode 2 evolves freely."""
         return cls(gamma, n_r, 0.0, 0.0)
+
+
+def _check_reservoir(gamma1: float, n_r1: float, gamma2: float, n_r2: float) -> None:
+    """The check of ReservoirConfig construction, shared with code that works on bare rates."""
+    if not finite(gamma1, n_r1, gamma2, n_r2):
+        raise InvalidParameterError("ReservoirConfig fields must be finite numbers")
+    if min(gamma1, n_r1, gamma2, n_r2) < 0.0:
+        raise InvalidParameterError(
+            "damping rates and reservoir occupancies must be >= 0, got "
+            f"gamma1={gamma1!r}, n_r1={n_r1!r}, gamma2={gamma2!r}, n_r2={n_r2!r}"
+        )
 
 
 class EvolvedState(_Record):
@@ -171,15 +175,12 @@ def _finite_death_time(t: float) -> float:
     return t
 
 
-def _ktp_off(sf: StandardForm) -> float:
-    """kt_plus - 1/2 of ``sf``, assembled from non-negative terms only."""
-    b1, b2, c = sf.b1, sf.b2, sf.c
+def _ktp_off(b1: float, b2: float, c: float) -> float:
+    """kt_plus - 1/2 of the entries, assembled from non-negative terms only."""
     return 0.5 * ((b1 - 0.5) + (b2 - 0.5) + math.hypot(b1 - b2, 2.0 * c))
 
 
-def _closed_form_time(
-    sf0: StandardForm, gamma: float, n_r: float, den: float, free: str = "b2"
-) -> float | AsymptoticOnly:
+def _closed_form_time(margin: float, gamma: float, n_r: float, den: float, free: str = "b2") -> float | AsymptoticOnly:
     """``log1p(-margin / (den * n_r)) / gamma``, the form of both closed-form death times.
 
     Checks and markers as the two public functions document them; ``free``
@@ -191,8 +192,6 @@ def _closed_form_time(
     log(n_r)) / gamma``: the 1 of log1p lies far below the last bit of
     such a ratio.
     """
-    _check_rates(gamma, n_r)
-    margin = separability_margin(sf0)
     if margin >= 0.0:
         raise SeparableInputError(
             "input is already separable: no finite disentanglement time to compute"
@@ -235,7 +234,8 @@ def esd_time_identical_baths(
         SeparableInputError: if ``sf0`` is already separable.
         InvalidParameterError: if the time overflows a double.
     """
-    return _closed_form_time(sf0, gamma, n_r, _ktp_off(sf0))
+    _check_rates(gamma, n_r)
+    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), (gamma, n_r, gamma, n_r))
 
 
 def esd_time_single_bath(
@@ -257,7 +257,8 @@ def esd_time_single_bath(
             this; the division is guarded rather than taken as a limit).
         InvalidParameterError: if the time overflows a double.
     """
-    return _closed_form_time(sf0, gamma, n_r, sf0.b2 - 0.5)
+    _check_rates(gamma, n_r)
+    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), (gamma, n_r, 0.0, 0.0))
 
 
 def _margin_at(sf0: StandardForm, res: ReservoirConfig, t: float) -> float:
@@ -338,18 +339,80 @@ def esd_bisection(
     Raises:
         InvalidParameterError: if no mode is damped, if the time overflows
             a double, or if the entries cannot resolve the crossing: every
-            hot occupancy is lost in ``n_r + 1/2``, or it lies below their
-            time resolution.
+            hot occupancy is lost in ``n_r + 1/2``, or the crossing lies
+            below their time resolution (the fastest decay factor is
+            within a few ulps of 1 there).
         SeparableInputError: if ``sf0`` is already separable.
     """
-    if res.gamma1 == 0.0 and res.gamma2 == 0.0:
-        raise InvalidParameterError("the reservoir has no active bath; nothing evolves")
-    margin0 = separability_margin(sf0)
-    if margin0 >= 0.0:
+    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields(), "bisection", t_tol)
+
+
+def _closed_form_esd_time(
+    sf0: StandardForm, res: ReservoirConfig
+) -> float | AsymptoticOnly | None:
+    """The closed-form death time for ``res``, or None when only bisection works."""
+    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields(), "closed")
+
+
+def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
+    """Entanglement sudden-death time of ``sf0`` in the reservoirs ``res``.
+
+    Identical baths and a single bath (on either mode) are answered in
+    closed form; two baths that differ in rate or temperature fall back to
+    ``esd_bisection``.  Returns ASYMPTOTIC_ONLY when no active bath is hot.
+
+    Raises:
+        InvalidParameterError: if no mode is damped, if the time overflows
+            a double, or where ``esd_bisection`` cannot resolve the time.
+        SeparableInputError: if ``sf0`` is already separable.
+    """
+    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields())
+
+
+_NO_BATH = "the reservoir has no active bath; nothing evolves"
+_UNRESOLVED = "the separability crossing lies below the time resolution of the evolved entries"
+# A crossing where the fastest decay factor exp(-gamma t) is within this of
+# 1 is a rounding step of exp, not a property of the state.
+_EXP_RESOLUTION = 4.0 * 2.0**-53
+
+
+def _death_time(
+    b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float],
+    route: str = "any", t_tol: float = 1e-12,
+) -> float | AsymptoticOnly | None:
+    """Death time of the entries ``(b1, b2, c)``, whose separability margin is ``margin``.
+
+    The kernel of every public death-time function, on bare floats:
+    ``res`` is ``(gamma1, n_r1, gamma2, n_r2)`` as ReservoirConfig admits
+    them.  ``route`` "any" takes the closed form where one exists and
+    bisection elsewhere (``esd_time``), "closed" returns None where no
+    closed form exists, and "bisection" always bisects, to ``t_tol``
+    (``esd_bisection``).  The checks, markers and errors are those the
+    public functions document, in their order.
+    """
+    gamma1, n_r1, gamma2, n_r2 = res
+    if route != "bisection":
+        if gamma1 > 0.0 and gamma2 > 0.0:
+            if gamma1 == gamma2 and n_r1 == n_r2:
+                return _closed_form_time(margin, gamma1, n_r1, _ktp_off(b1, b2, c))
+            if route == "closed":
+                return None
+        elif gamma1 > 0.0:
+            return _closed_form_time(margin, gamma1, n_r1, b2 - 0.5)
+        elif gamma2 > 0.0:
+            # Bath on mode 2 only: the single-bath formula with the modes
+            # relabeled.  The margin is symmetric in them (prod_diff is, under
+            # a <-> b), so only the denominator changes.
+            return _closed_form_time(margin, gamma2, n_r2, b1 - 0.5, "b1")
+        else:
+            raise InvalidParameterError(_NO_BATH)
+    elif gamma1 == 0.0 and gamma2 == 0.0:
+        raise InvalidParameterError(_NO_BATH)
+    if margin >= 0.0:
         raise SeparableInputError(
             "input is already separable: no disentanglement time to bracket"
         )
-    hot = [n_r for gamma, n_r in ((res.gamma1, res.n_r1), (res.gamma2, res.n_r2)) if gamma > 0.0 and n_r > 0.0]
+    hot = [n_r for gamma, n_r in ((gamma1, n_r1), (gamma2, n_r2)) if gamma > 0.0 and n_r > 0.0]
     if not hot:
         return ASYMPTOTIC_ONLY
     n_r_eff = max(hot)
@@ -358,32 +421,31 @@ def esd_bisection(
             f"reservoir occupancy {n_r_eff!r} is lost in n_r + 1/2 in double "
             "precision: bisection cannot resolve the death time"
         )
+    # Each time evolves the entries with the operations of _evolved_entries
+    # in their order, the reservoir's constants hoisted.
+    k1, k2, kc = -gamma1, -gamma2, -0.5 * (gamma1 + gamma2)
+    h1, h2 = n_r1 + 0.5, n_r2 + 0.5
+    exp = math.exp
     # Analytic scale for the bracket: the identical-bath expression with
     # conservative (slow) rate and noise choices, then doubled.
-    gammas = [g for g in (res.gamma1, res.gamma2) if g > 0.0]
-    gamma_eff = min(gammas)
+    gamma_eff = min(g for g in (gamma1, gamma2) if g > 0.0)
     # The bracket is capped at the largest double: a death time beyond it
     # is refused, and one below it is bracketed even when the estimate
     # overflows (a tiny rate on one mode, a finite time set by the other).
-    t_hi = min(2.0 * math.log1p(-margin0 / (_ktp_off(sf0) * max(n_r_eff, 1e-6))) / gamma_eff, _MAX_TIME)
+    t_hi = min(2.0 * math.log1p(-margin / (_ktp_off(b1, b2, c) * max(n_r_eff, 1e-6))) / gamma_eff, _MAX_TIME)
     for _ in range(200):
-        if _margin_at(sf0, res, t_hi) >= 0.0:
+        w1, w2 = exp(k1 * t_hi), exp(k2 * t_hi)
+        if _separability_margin(b1 * w1 + h1 * (1.0 - w1), b2 * w2 + h2 * (1.0 - w2), c * exp(kc * t_hi)) >= 0.0:
             break
         if t_hi == _MAX_TIME:
             raise InvalidParameterError(_OVERFLOW)
         t_hi = min(2.0 * t_hi, _MAX_TIME)
     else:
-        raise InvalidParameterError("the separability crossing lies below the time resolution of the evolved entries")
-    # The step below is _margin_at(sf0, res, t) < 0.0 with the operations
-    # of _evolved_entries in their order, the reservoir's constants hoisted.
-    b1, b2, c = sf0.b1, sf0.b2, sf0.c
-    k1, k2, kc = -res.gamma1, -res.gamma2, -0.5 * (res.gamma1 + res.gamma2)
-    h1, h2 = res.n_r1 + 0.5, res.n_r2 + 0.5
+        raise InvalidParameterError(_UNRESOLVED)
     one_rate = k1 == k2 == kc  # equal rates: the three exponentials are one
     # Entries between the initial and the reservoir values stay in the
     # sign test's range; above it every step takes the compensated margin.
     negative = _margin_is_negative if max(b1, b2, h1, h2) <= _SPLIT_SAFE else _prod_diff_is_negative
-    exp = math.exp
     t_lo = 0.0
     # Halves are added: t_lo + t_hi can overflow once the bracket nears the cap.
     while t_hi - t_lo > t_tol:
@@ -401,41 +463,10 @@ def esd_bisection(
             t_lo = t_mid
         else:
             t_hi = t_mid
-    return _finite_death_time(0.5 * t_lo + 0.5 * t_hi)
-
-
-def _closed_form_esd_time(
-    sf0: StandardForm, res: ReservoirConfig
-) -> float | AsymptoticOnly | None:
-    """The closed-form death time for ``res``, or None when only bisection works."""
-    if res.gamma1 > 0.0 and res.gamma2 > 0.0:
-        if res.gamma1 == res.gamma2 and res.n_r1 == res.n_r2:
-            return esd_time_identical_baths(sf0, res.gamma1, res.n_r1)
-        return None
-    if res.gamma1 > 0.0:
-        return esd_time_single_bath(sf0, res.gamma1, res.n_r1)
-    if res.gamma2 > 0.0:
-        # Bath on mode 2 only: the single-bath formula with the modes
-        # relabeled.  The margin is symmetric in them (prod_diff is, under
-        # a <-> b), so only the denominator changes.
-        return _closed_form_time(sf0, res.gamma2, res.n_r2, sf0.b1 - 0.5, "b1")
-    raise InvalidParameterError("the reservoir has no active bath; nothing evolves")
-
-
-def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
-    """Entanglement sudden-death time of ``sf0`` in the reservoirs ``res``.
-
-    Identical baths and a single bath (on either mode) are answered in
-    closed form; two baths that differ in rate or temperature fall back to
-    ``esd_bisection``.  Returns ASYMPTOTIC_ONLY when no active bath is hot.
-
-    Raises:
-        InvalidParameterError: if no mode is damped, if the time overflows
-            a double, or where ``esd_bisection`` cannot resolve the time.
-        SeparableInputError: if ``sf0`` is already separable.
-    """
-    ts = _closed_form_esd_time(sf0, res)
-    return esd_bisection(sf0, res) if ts is None else ts
+    t = _finite_death_time(0.5 * t_lo + 0.5 * t_hi)
+    if -math.expm1(-max(gamma1, gamma2) * t) <= _EXP_RESOLUTION:
+        raise InvalidParameterError(_UNRESOLVED)
+    return t
 
 
 def steady_state(res: ReservoirConfig, sf0: StandardForm) -> StandardForm:

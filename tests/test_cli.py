@@ -487,10 +487,14 @@ def test_occupancy_lost_in_n_r_plus_one_half_is_refused_by_bisection(capsys, nr,
 
 
 def test_crossing_below_the_time_resolution_is_refused(capsys):
-    bath = ("--gamma1", "1", "--nr1", "1e100", "--gamma2", "2", "--nr2", "0.5")
-    code, out, err = run(capsys, "esd", "--n1", "1", "--n2", "1", "--r", "2", *bath)
-    assert (code, out) == (2, "")
-    assert err == "error: the separability crossing lies below the time resolution of the evolved entries\n"
+    # 1e100: exp(-gamma t) rounds to 1 through every bracket doubling.
+    # 1e70: it brackets, at the first rounding step of exp(-2 t) near
+    # t = 3.6e-17, where the true crossing is at 9.5e-71.
+    for nr1 in ("1e100", "1e70"):
+        bath = ("--gamma1", "1", "--nr1", nr1, "--gamma2", "2", "--nr2", "0.5")
+        code, out, err = run(capsys, "esd", "--n1", "1", "--n2", "1", "--r", "2", *bath)
+        assert (code, out) == (2, "")
+        assert err == "error: the separability crossing lies below the time resolution of the evolved entries\n"
 
 
 def test_failed_sweep_writes_nothing(capsys, tmp_path):

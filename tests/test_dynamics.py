@@ -30,6 +30,7 @@ from stsdecay import (
     steady_state,
     uncertainty_margin,
 )
+from stsdecay import dynamics
 from stsdecay._accurate import prod_diff
 from stsdecay.dynamics import (
     _MAX_TIME,
@@ -396,7 +397,7 @@ def _margin_bisection(sf0, res, t_tol=1e-12):
             f"reservoir occupancy {n_r_eff!r} is lost in n_r + 1/2 in double precision: "
             "bisection cannot resolve the death time"
         )
-    t_hi = min(2.0 * math.log1p(-margin0 / (_ktp_off(sf0) * max(n_r_eff, 1e-6))) / gamma_eff, _MAX_TIME)
+    t_hi = min(2.0 * math.log1p(-margin0 / (_ktp_off(sf0.b1, sf0.b2, sf0.c) * max(n_r_eff, 1e-6))) / gamma_eff, _MAX_TIME)
     for _ in range(200):
         if _margin_at(sf0, res, t_hi) >= 0.0:
             break
@@ -414,7 +415,10 @@ def _margin_bisection(sf0, res, t_tol=1e-12):
             t_lo = t_mid
         else:
             t_hi = t_mid
-    return _finite_death_time(0.5 * t_lo + 0.5 * t_hi)
+    t = _finite_death_time(0.5 * t_lo + 0.5 * t_hi)
+    if -math.expm1(-max(res.gamma1, res.gamma2) * t) <= dynamics._EXP_RESOLUTION:
+        raise InvalidParameterError("the separability crossing lies below the time resolution of the evolved entries")
+    return t
 
 
 def _outcome(death_time, sf0, res, t_tol):
@@ -470,20 +474,34 @@ def _bisection_cases(rng):
         yield sf, res, t_tol
 
 
-def test_bisection_steps_give_the_bits_of_the_margin_loop():
+def test_bisection_steps_give_the_bits_of_the_margin_loop(monkeypatch):
     kinds = collections.Counter()
+    unresolved = []
     for sf, res, t_tol in _bisection_cases(random.Random(20141202)):
         want = _outcome(_margin_bisection, sf, res, t_tol)
         assert _outcome(esd_bisection, sf, res, t_tol) == want, (sf, res)
         kinds["time" if want[0].isdigit() else want.split("(")[0]] += 1
         kinds.update(reason for reason in ("is lost in", "overflows", "time resolution") if reason in want)
+        if "time resolution" in want:
+            unresolved.append((sf, res, t_tol))
     # The refusals: every hot bath's occupancy lost in n_r + 1/2 (all
     # subnormal), death times beyond the largest double, and crossings
-    # below the time resolution of the entries (a huge occupancy).
+    # below the time resolution of the entries: a huge occupancy (40), and
+    # the entries past the sign test's range, whose margin is at most
+    # 1/b1 of their products, so that they cross within a few ulps of exp.
     assert kinds == {
-        "time": 1936, "ASYMPTOTIC_ONLY": 52, "InvalidParameterError": 412,
-        "is lost in": 244, "overflows": 128, "time resolution": 40,
+        "time": 1579, "ASYMPTOTIC_ONLY": 52, "InvalidParameterError": 769,
+        "is lost in": 244, "overflows": 128, "time resolution": 397,
     }
+    # Without the check after the loop, those steps still give the loop's
+    # bits: 357 of the refused crossings are then (wrong) times.
+    monkeypatch.setattr(dynamics, "_EXP_RESOLUTION", -1.0)
+    times = 0
+    for sf, res, t_tol in unresolved:
+        want = _outcome(_margin_bisection, sf, res, t_tol)
+        assert _outcome(esd_bisection, sf, res, t_tol) == want, (sf, res)
+        times += want[0].isdigit()
+    assert times == 357
 
 
 def _near_margin_triples(rng):
