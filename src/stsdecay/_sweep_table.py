@@ -70,10 +70,9 @@ def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm | None,
     ``sf0`` is the fixed state of a reservoir sweep, None for a state
     sweep; ``res`` is the reservoir of a state sweep (None where none is
     configured), and a reservoir sweep takes its rates from ``args``.
-    Every value of the sweep lies
-    between its two ends, and what the checks accept along one parameter
-    is an interval, so both ends are checked first: an invalid range fails
-    before any output.
+    Every value of the sweep lies between its two ends, and what the
+    checks accept along one parameter is an interval, so both ends are
+    checked first: an invalid range fails before any output.
     """
     picks = [i for i, name in enumerate(cli._MEASURES) if name in outputs]
     kappas, separable, ts = ("kappas" in outputs), ("separable" in outputs), ("ts" in outputs)
@@ -100,11 +99,9 @@ def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm | None,
         t = _death_time(b1, b2, c, margin, rates)
         return asymptotic if t is ASYMPTOTIC_ONLY else t
 
-    points = _state_points if sf0 is None else _bath_points
     lo, hi, steps = args.min, args.max, args.steps
     for end in (0, steps - 1):
-        for _ in points(args, cli._linspace(lo, hi, steps, end, end + 1)):
-            pass
+        list((_state_points if sf0 is None else _bath_points)(args, cli._linspace(lo, hi, steps, end, end + 1)))
     values = itertools.chain.from_iterable(cli._linear_chunks(lo, hi, steps))
     if sf0 is None:
         rates = None if res is None else res._fields()
