@@ -1,12 +1,12 @@
 """numpy batch kernel for the rows of the ``evolve`` table, bit for bit the scalar rows.
 
 ``evolve_rows`` takes one writer chunk of times and returns its rows, the
-same floats that ``_evolve_table.scalar_rows`` yields one at a time, by
-running the scalar row code on float64 arrays: it uses only IEEE
-operations that round once, so each element gets the bits of its scalar
-call.  ``math.exp`` and ``h`` (libm's ``log1p``) are mapped over the
-arrays, as numpy's ``exp`` and ``log1p`` differ from libm in the last bit
-on a few percent of inputs.  This module adds the masks for what the
+same floats and spelled verdicts that ``_evolve_table.scalar_rows`` yields
+one at a time, for ``cli._emit_rows`` to write.  It runs the scalar row
+code on float64 arrays: that code uses only IEEE operations that round
+once, so each element gets the bits of its scalar call.  ``math.exp`` and
+``h`` (libm's ``log1p``) are mapped over the arrays, as numpy's ``exp``
+and ``log1p`` differ from libm in the last bit on a few percent of inputs.  This module adds the masks for what the
 scalar rows refuse or clamp, and runs only the general branch of the
 correlation kernel.  A chunk with a product (c = 0) or pure row, or a row
 that would be refused or print a non-finite number, is left whole to the
@@ -56,7 +56,7 @@ def evolve_rows(
 
 
 def _columns(sf0: StandardForm, res: ReservoirConfig, t: np.ndarray, units: str) -> tuple[np.ndarray, ...] | None:
-    """The nine row columns, or None."""
+    """The nine row columns, the verdict spelled, or None."""
     b1, b2, c = _evolved_entries(sf0, res, t, functools.partial(_libm, math.exp))
 
     # core._bona_fide; a non-finite entry makes the margin NaN.
@@ -87,4 +87,4 @@ def _columns(sf0: StandardForm, res: ReservoirConfig, t: np.ndarray, units: str)
     ef, d1, d2, mi = (_scale(value, units) for value in (ef, d1, d2, mi))
     if not np.isfinite([ef, d1, d2, mi]).all():
         return None
-    return t, b1, b2, c, ef, d1, d2, mi, separable
+    return t, b1, b2, c, ef, d1, d2, mi, np.where(separable, "true", "false")

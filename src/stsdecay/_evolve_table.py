@@ -1,11 +1,12 @@
-"""The `evolve` table: its time grid a chunk at a time, its rows, and their one formatter.
+"""The `evolve` table: its time grid a chunk at a time, and its rows.
 
 ``cli`` imports this module for ``evolve`` alone, so the other commands do
 not compile it.  Rows come from the scalar kernel, ``scalar_rows``, or, on
 the grids where that pays, from the numpy batch kernel of ``_batch``, whose
-rows are bit for bit the same; ``lines`` prints both.  A chunk with a
-product, pure, refused or non-finite row goes whole to ``scalar_rows``,
-which alone holds those branches; the batch answers every other chunk.
+rows are bit for bit the same; ``cli._emit_rows`` writes both.  A chunk
+with a product, pure, refused or non-finite row goes whole to
+``scalar_rows``, which alone holds those branches; the batch answers every
+other chunk.
 """
 
 from __future__ import annotations
@@ -49,28 +50,16 @@ def scalar_rows(
 
     Each evolved triple goes through the StandardForm validator and then
     straight to the correlation kernel; no state object is built per row.
+    The eight numbers are floats and the verdict is spelled, as
+    ``cli._emit_rows`` takes them.
     """
     scale, exp = cli._scale, math.exp
     for t in times:
         b1, b2, c = _evolved_entries(sf0, res, t, exp)
         b1, b2 = _bona_fide(b1, b2, c)
         ef, d1, d2, mi, separable, _, _, _, _ = _measures(b1, b2, c)
-        yield t, b1, b2, c, scale(ef, units), scale(d1, units), scale(d2, units), scale(mi, units), separable
-
-
-def lines(template: str, rows: Iterable[tuple[object, ...]]) -> list[str]:
-    """Table lines of ``rows``: the ``cli._cell`` spelling, one template fill per row.
-
-    A row is tested for finiteness once, by its sum; only a row that fails
-    that test is checked cell by cell, and a non-finite cell is refused.
-    """
-    out = []
-    for t, b1, b2, c, ef, d1, d2, mi, separable in rows:
-        if not math.isfinite(t + b1 + b2 + c + ef + d1 + d2 + mi):
-            for value in (t, b1, b2, c, ef, d1, d2, mi):
-                cli._cell(value, str)
-        out.append(template % (t, b1, b2, c, ef, d1, d2, mi, "true" if separable else "false"))
-    return out
+        verdict = "true" if separable else "false"
+        yield t, b1, b2, c, scale(ef, units), scale(d1, units), scale(d2, units), scale(mi, units), verdict
 
 
 def batch_kernel() -> object:
@@ -96,10 +85,8 @@ def emit(
     ``batch`` is the ``_batch`` module, or None for the scalar rows alone.
     The scalar rows also answer, whole, every chunk the batch leaves them.
     """
-    head, sep, tail, template = cli._frame(cli._EVOLVE_COLUMNS, fmt, ["%r"] * 8 + ["%s"])
+    def rows(times: list[float]) -> Iterable[tuple[object, ...]]:
+        batch_rows = batch.evolve_rows(sf0, res, times, units) if batch is not None else None
+        return scalar_rows(sf0, res, times, units) if batch_rows is None else batch_rows
 
-    def chunk_lines(times: list[float]) -> list[str]:
-        rows = batch.evolve_rows(sf0, res, times, units) if batch is not None else None
-        return lines(template, scalar_rows(sf0, res, times, units) if rows is None else rows)
-
-    cli._emit_lines(write, head, sep, tail, map(chunk_lines, chunks))
+    cli._emit_rows(write, cli._EVOLVE_COLUMNS, fmt, 8, map(rows, chunks))

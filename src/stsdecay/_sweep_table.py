@@ -1,28 +1,25 @@
-"""The `sweep` table: its rows on bare entries, and their one formatter.
+"""The `sweep` table: its rows on bare entries.
 
 ``cli`` imports this module for ``sweep`` alone.  Each output of a row
-comes from the kernel that its public function wraps:
-``correlations._measures`` for the measures, ``core._spectrum`` for the
-kappas, and ``dynamics._death_time`` for ts; the separability margin is
-taken once per state.  No record is built per row.  A state sweep (n1, n2
-or r) forms the entries with the arithmetic of ``standard_form_from_sts``
-and runs the checks of StsParams and StandardForm on them; a reservoir
-sweep (nr or gamma) runs the checks of ReservoirConfig on the rates, and
-its state's cells are computed once.  So the values, the errors and their
-order are those of the records and the public functions.
+comes from the kernel that its public function wraps: ``cli._state_cells``
+(shared with ``report``) for the measures, the kappas and the separable
+verdict, and ``dynamics._death_time`` for ts; the separability margin is
+taken once per state.  No record is built per row, and ``cli._emit_rows``
+writes the rows.  A state sweep (n1, n2 or r) forms the entries with the
+arithmetic of ``standard_form_from_sts`` and runs the checks of StsParams
+and StandardForm on them; a reservoir sweep (nr or gamma) runs the checks
+of ReservoirConfig on the rates, and its state's cells are computed once.
+So the values, the errors and their order are those of the records and
+the public functions.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
-import json
-import math
 from typing import Iterable, Iterator
 
 from . import cli
-from .core import StandardForm, _bona_fide, _check_sts, _separability_margin, _spectrum, _sts_entries
-from .correlations import _measures
+from .core import StandardForm, _bona_fide, _check_sts, _cosh_sinh, _separability_margin, _sts_entries
 from .dynamics import ASYMPTOTIC_ONLY, ReservoirConfig, _check_reservoir, _death_time
 
 
@@ -45,7 +42,7 @@ def _state_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator
             r = value
         _check_sts(n1, n2, r, phi)
         if sh is None or param == "r":
-            ch, sh = math.cosh(r), math.sinh(r)
+            ch, sh = _cosh_sinh(r)
         b1, b2, c = _sts_entries(n1, n2, ch, sh)
         b1, b2 = _bona_fide(b1, b2, c)
         yield value, b1, b2, c
@@ -74,23 +71,8 @@ def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm | None,
     checks accept along one parameter is an interval, so both ends are
     checked first: an invalid range fails before any output.
     """
-    picks = [i for i, name in enumerate(cli._MEASURES) if name in outputs]
-    kappas, separable, ts = ("kappas" in outputs), ("separable" in outputs), ("ts" in outputs)
-    spell = str if args.format == "csv" else json.dumps
-    dead, asymptotic = spell("separable"), spell("asymptotic-only")
-    scale, units = cli._scale, args.units
-
-    def state_cells(b1: float, b2: float, c: float, margin: float) -> tuple[object, ...]:
-        """The measures, the kappas and the separable verdict that ``outputs`` selects."""
-        cells: list[object] = []
-        if picks:
-            report = _measures(b1, b2, c, margin)
-            cells += [scale(report[i], units) for i in picks]
-        if kappas:
-            cells += _spectrum(b1, b2, c)
-        if separable:
-            cells.append("true" if margin >= 0.0 else "false")
-        return tuple(cells)
+    dead, asymptotic = (cli._cell(marker, cli._SPELL[args.format]) for marker in ("separable", "asymptotic-only"))
+    units, ts = args.units, ("ts" in outputs)
 
     def death_cell(b1: float, b2: float, c: float, margin: float, rates: tuple[float, ...]) -> object:
         """The ts cell: a finite time, or the separable or asymptotic-only marker, spelled."""
@@ -102,40 +84,29 @@ def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm | None,
     lo, hi, steps = args.min, args.max, args.steps
     for end in (0, steps - 1):
         list((_state_points if sf0 is None else _bath_points)(args, cli._linspace(lo, hi, steps, end, end + 1)))
-    values = itertools.chain.from_iterable(cli._linear_chunks(lo, hi, steps))
     if sf0 is None:
         rates = None if res is None else res._fields()
 
-        def state_rows() -> Iterator[tuple[object, ...]]:
+        def rows(values: list[float]) -> Iterator[tuple[object, ...]]:
             for value, b1, b2, c in _state_points(args, values):
                 margin = _separability_margin(b1, b2, c)
-                cells = state_cells(b1, b2, c, margin)
+                cells = cli._state_cells(b1, b2, c, margin, outputs, units)
                 yield (value, *cells, death_cell(b1, b2, c, margin, rates)) if ts else (value, *cells)
 
-        table = state_rows()
     else:
         # The first row checks the first end, which passed above; its state
         # cells are every row's.
         b1, b2, c = sf0.b1, sf0.b2, sf0.c
         margin = _separability_margin(b1, b2, c)
-        cells = state_cells(b1, b2, c, margin)
-        table = (
-            (value, *cells, death_cell(b1, b2, c, margin, rates)) if ts else (value, *cells)
-            for value, rates in _bath_points(args, values)
-        )
-    floats = 1 + len(picks) + 4 * kappas
+        cells = cli._state_cells(b1, b2, c, margin, outputs, units)
+
+        def rows(values: list[float]) -> Iterator[tuple[object, ...]]:
+            return (
+                (value, *cells, death_cell(b1, b2, c, margin, rates)) if ts else (value, *cells)
+                for value, rates in _bath_points(args, values)
+            )
+
     columns = [args.param, *cli._columns(outputs)]
-    head, sep, tail, template = cli._frame(columns, args.format, ["%r"] * floats + ["%s"] * (len(columns) - floats))
-
-    def chunk_lines() -> list[str]:
-        """The next chunk of table lines: the ``cli._cell`` spelling, one finiteness test per row."""
-        out = []
-        for row in itertools.islice(table, cli._CHUNK_ROWS):
-            if not math.isfinite(sum(row[:floats])):
-                for value in row[:floats]:
-                    cli._cell(value, str)
-            out.append(template % row)
-        return out
-
+    floats = len(columns) - ("separable" in outputs) - ts
     with cli._destination(args.out) as write:
-        cli._emit_lines(write, head, sep, tail, iter(chunk_lines, []))
+        cli._emit_rows(write, columns, args.format, floats, map(rows, cli._linear_chunks(lo, hi, steps)))

@@ -10,8 +10,9 @@ Death-time cells that have no finite value carry a marker string instead
 of a number, in both formats: "asymptotic-only" (zero-temperature bath;
 decay never finishes) or "separable" (sweep rows whose state has nothing
 left to lose).  A non-finite number is never printed: the command exits 2
-instead.  Tables are streamed in chunks; ``--out`` files appear only once
-complete.
+instead.  Every table goes through one writer, ``_emit_rows``, a chunk at
+a time; ``--out`` files appear only once complete.  ``report`` and
+``sweep`` take their per-state cells from one function, ``_state_cells``.
 
 Exit codes: 0 success, 1 verification failure (or a command that cannot run
 on this platform: an oracle without extended precision, or ``verify`` and
@@ -35,19 +36,13 @@ import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import (
-    StandardForm,
-    StsParams,
-    is_separable,
-    standard_form_from_sts,
-    symplectic_spectrum,
-)
-from .correlations import correlation_report
+from .core import StandardForm, StsParams, _separability_margin, _spectrum, standard_form_from_sts
+from .correlations import _measures
 from .dynamics import (
-    AsymptoticOnly,
+    ASYMPTOTIC_ONLY,
     ReservoirConfig,
     _check_time,
-    _closed_form_esd_time,
+    _closed_form_death_time,
     esd_bisection,
     esd_time,
     evolve,
@@ -84,6 +79,9 @@ _VERIFY_COLUMNS = ["quantity", "closed_form", "oracle", "abs_err", "tol", "passe
 # not grow with the table; a command that fails within its first chunk
 # writes nothing.
 _CHUNK_ROWS = 1024
+
+# How each format spells a string cell.
+_SPELL = {"csv": str, "json": json.dumps}
 
 _LN2 = math.log(2.0)
 
@@ -285,22 +283,27 @@ def _scale(value: float, units: str) -> float:
     return value / _LN2 if units == "bits" else value
 
 
-def _state_cells(sf: StandardForm, outputs: list[str], units: str) -> list[object]:
-    """Cells of the selected per-state outputs, in canonical order.
+def _state_cells(b1: float, b2: float, c: float, margin: float, outputs: list[str], units: str) -> tuple[object, ...]:
+    """The cells of the per-state ``outputs`` of the entries ``(b1, b2, c)``, in canonical order.
 
-    The correlation report is computed only when a measure column is selected.
+    ``margin`` is their separability margin.  Each cell comes from the
+    kernel that its public function wraps, and only when selected: the
+    measures (floats) from ``correlations._measures``, the kappas (floats)
+    from ``core._spectrum``, and the separable verdict, spelled, from the
+    sign of ``margin``.  So the values, the errors and their order are
+    those of ``correlation_report``, ``symplectic_spectrum`` and
+    ``is_separable``.
     """
-    rep = correlation_report(sf) if any(name in _MEASURES for name in outputs) else None
     cells: list[object] = []
-    for name in outputs:
-        if name == "kappas":
-            spec = symplectic_spectrum(sf)
-            cells += (spec.kappa_plus, spec.kappa_minus, spec.kappa_tilde_plus, spec.kappa_tilde_minus)
-        elif name == "separable":
-            cells.append(rep.separable if rep is not None else is_separable(sf))
-        else:
-            cells.append(_scale(getattr(rep, name), units))
-    return cells
+    measures = [i for i, name in enumerate(_MEASURES) if name in outputs]
+    if measures:
+        report = _measures(b1, b2, c, margin)
+        cells += [_scale(report[i], units) for i in measures]
+    if "kappas" in outputs:
+        cells += _spectrum(b1, b2, c)
+    if "separable" in outputs:
+        cells.append("true" if margin >= 0.0 else "false")
+    return tuple(cells)
 
 
 def _columns(outputs: list[str]) -> list[str]:
@@ -356,54 +359,45 @@ def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
         raise
 
 
-def _write_table(columns: list[str], rows: Iterable[Sequence[object]], fmt: str, out: str | None) -> None:
-    """Write the table to stdout or ``out``; see ``_emit_table``."""
-    with _destination(out) as write:
-        _emit_table(write, columns, rows, fmt)
-
-
-def _frame(columns: list[str], fmt: str, slots: list[str]) -> tuple[str, str, str, str]:
-    """``(head, separator, tail, row template)`` of a CSV or JSON table.
-
-    ``slots`` are the %-placeholders of the row template, one per column.
-    """
-    if fmt == "csv":
-        return ",".join(columns) + "\n", "\n", "\n", ",".join(slots)
-    fields = ",\n".join(f"    {json.dumps(name)}: {slot}" for name, slot in zip(columns, slots))
-    return "[\n", ",\n", "\n]\n", "  {\n" + fields + "\n  }"
-
-
-def _emit_table(
-    write: Callable[[str], object], columns: list[str], rows: Iterable[Sequence[object]], fmt: str
+def _emit_rows(
+    write: Callable[[str], object],
+    columns: list[str],
+    fmt: str,
+    floats: int,
+    chunks: Iterable[Iterable[tuple[object, ...]]],
 ) -> None:
-    """Write the non-empty ``rows`` under ``columns`` as CSV or JSON, a chunk at a time.
+    """Write the non-empty ``chunks`` of rows under ``columns`` as CSV or JSON, a chunk at a time.
 
     The bytes are those of ``csv.DictWriter(lineterminator="\\n")`` and of
-    ``json.dumps(records, indent=2) + "\\n"`` on the same records: floats
-    in shortest round-trip form, booleans as true/false.  A non-finite
-    float is refused, since neither format has a valid spelling for it.
+    ``json.dumps(records, indent=2) + "\\n"`` on the same records.  The
+    first ``floats`` cells of a row are floats, printed in shortest
+    round-trip form.  A row is tested for finiteness once, by their sum;
+    only a row that fails that test is checked cell by cell, and a
+    non-finite number is refused, since neither format has a valid
+    spelling for it.  Every other cell arrives spelled for ``fmt``
+    (``"true"``/``"false"``, markers through ``_cell``) or is a death time,
+    finite by construction, and is printed as it is.
+
+    A chunk is written once all its lines are made, so a command that fails
+    within its first chunk writes nothing; it is let go before the next one
+    is made, so memory holds one chunk.
     """
-    spell = str if fmt == "csv" else json.dumps
-    head, sep, tail, template = _frame(columns, fmt, ["%s"] * len(columns))
-    lines = (template % tuple([_cell(value, spell) for value in row]) for row in rows)
-    # Lists of _CHUNK_ROWS lines, until the rows run out.
-    _emit_lines(write, head, sep, tail, iter(lambda: list(itertools.islice(lines, _CHUNK_ROWS)), []))
-
-
-def _emit_lines(
-    write: Callable[[str], object], head: str, sep: str, tail: str, chunks: Iterable[list[str]]
-) -> None:
-    """Write the table ``head``, each non-empty chunk of row lines, and the ``tail``.
-
-    A chunk is written once it is complete, so a command that fails within
-    its first chunk writes nothing; it is let go before the next one is
-    made, so memory holds one chunk.
-    """
-    lead = head
+    slots = ["%r"] * floats + ["%s"] * (len(columns) - floats)
+    if fmt == "csv":
+        lead, sep, tail, template = ",".join(columns) + "\n", "\n", "\n", ",".join(slots)
+    else:
+        fields = ",\n".join(f"    {json.dumps(name)}: {slot}" for name, slot in zip(columns, slots))
+        lead, sep, tail, template = "[\n", ",\n", "\n]\n", "  {\n" + fields + "\n  }"
     for chunk in chunks:
-        write(lead + sep.join(chunk))
+        lines = []
+        for row in chunk:
+            if not math.isfinite(sum(row[:floats])):
+                for value in row[:floats]:
+                    _cell(value, str)
+            lines.append(template % row)
+        write(lead + sep.join(lines))
         lead = sep
-        del chunk
+        del chunk, lines
     write(tail)
 
 
@@ -445,8 +439,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if res is None:
             raise _CliError("--t > 0 needs a reservoir; add bath flags or use --t 0")
         sf = evolve(sf, res, t).sf
-    row = [t, sf.b1, sf.b2, sf.c, *_state_cells(sf, outputs, args.units)]
-    _write_table(["t", "b1", "b2", "c", *_columns(outputs)], [row], args.format, args.out)
+    b1, b2, c = sf.b1, sf.b2, sf.c
+    row = (t, b1, b2, c, *_state_cells(b1, b2, c, _separability_margin(b1, b2, c), outputs, args.units))
+    floats = len(row) - ("separable" in outputs)
+    with _destination(args.out) as write:
+        _emit_rows(write, ["t", "b1", "b2", "c", *_columns(outputs)], args.format, floats, [[row]])
     return 0
 
 
@@ -483,24 +480,22 @@ def _cmd_esd(args: argparse.Namespace) -> int:
     if res is None:
         raise _CliError("esd needs a reservoir: bath flags or --identical/--single-bath")
     if args.verify:
-        closed = _closed_form_esd_time(sf, res)  # SeparableInputError -> exit 3
+        # SeparableInputError -> exit 3
+        closed = _closed_form_death_time(sf.b1, sf.b2, sf.c, _separability_margin(sf.b1, sf.b2, sf.c), res._fields())
         if closed is None:
             raise _CliError(
                 "no closed form exists for two baths that differ in rate or temperature; drop --verify"
             )
         oracle = esd_bisection(sf, res)
-        if isinstance(closed, AsymptoticOnly) or isinstance(oracle, AsymptoticOnly):
-            sys.stderr.write("no sudden death (zero-temperature bath)\n")
-            row: list[object] = ["asymptotic-only"] * 3
-        else:
-            row = [closed, oracle, abs(closed - oracle)]
-        _write_table(["t_s_closed", "t_s_bisection", "abs_difference"], [row], args.format, args.out)
-        return 0
-    ts = esd_time(sf, res)
-    if isinstance(ts, AsymptoticOnly):
+        columns = ["t_s_closed", "t_s_bisection", "abs_difference"]
+        row = [ASYMPTOTIC_ONLY] * 3 if ASYMPTOTIC_ONLY in (closed, oracle) else [closed, oracle, abs(closed - oracle)]
+    else:
+        columns, row = ["t_s"], [esd_time(sf, res)]
+    if row[0] is ASYMPTOTIC_ONLY:
         sys.stderr.write("no sudden death (zero-temperature bath)\n")
-        ts = "asymptotic-only"
-    _write_table(["t_s"], [[ts]], args.format, args.out)
+    cells = tuple(_cell("asymptotic-only" if value is ASYMPTOTIC_ONLY else value, _SPELL[args.format]) for value in row)
+    with _destination(args.out) as write:
+        _emit_rows(write, columns, args.format, 0, [[cells]])
     return 0
 
 
@@ -545,8 +540,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
         reports = run_verification(seed=args.seed)
         if args.format == "json":
-            rows = [(r.quantity, r.closed_form, r.oracle, r.abs_err, r.tol, r.passed) for r in reports]
-            _emit_table(write, _VERIFY_COLUMNS, rows, "json")
+            # _VERIFY_COLUMNS are the report's fields, in order.
+            rows = [tuple(_cell(value, json.dumps) for value in r._fields()) for r in reports]
+            _emit_rows(write, _VERIFY_COLUMNS, "json", 0, [rows])
         else:
             lines = [
                 f"{'PASS' if r.passed else 'FAIL'}  {r.quantity}: "

@@ -234,9 +234,28 @@ def standard_form_from_sts(p: StsParams) -> StandardForm:
     with the phase carried through unchanged.  The output satisfies the
     uncertainty inequality by construction (up to rounding, which the
     StandardForm validation slack absorbs).
+
+    Raises:
+        InvalidParameterError: when ``sinh(r)*cosh(r)`` overflows a double
+            (r above about 355.6), where no occupancies give finite entries.
     """
-    b1, b2, c = _sts_entries(p.n1, p.n2, math.cosh(p.r), math.sinh(p.r))
+    b1, b2, c = _sts_entries(p.n1, p.n2, *_cosh_sinh(p.r))
     return StandardForm(b1, b2, c, p.phi)
+
+
+def _cosh_sinh(r: float) -> tuple[float, float]:
+    """``(cosh r, sinh r)`` of an admissible squeeze parameter, refused where their product overflows a double.
+
+    ``c = (n1 + n2 + 1)*sinh(r)*cosh(r)`` is then infinite whatever the
+    occupancies.
+    """
+    try:
+        ch, sh = math.cosh(r), math.sinh(r)
+    except OverflowError:
+        ch = sh = math.inf
+    if sh * ch == math.inf:
+        raise InvalidParameterError(f"squeeze parameter r={r!r} is too large: sinh(r)*cosh(r) overflows a double")
+    return ch, sh
 
 
 def _sts_entries(n1: float, n2: float, ch: float, sh: float) -> tuple[float, float, float]:
@@ -344,7 +363,7 @@ def is_separable(sf: StandardForm) -> bool:
     return separability_margin(sf) >= 0.0
 
 
-def is_pure(sf: StandardForm, rtol: float = _REL_SLACK) -> bool:
+def is_pure(sf: StandardForm) -> bool:
     """True when ``sf`` is a two-mode squeezed vacuum up to rounding.
 
     Purity in standard form means ``b1 = b2`` and ``b1*b2 - c^2 = 1/4``.
@@ -354,10 +373,10 @@ def is_pure(sf: StandardForm, rtol: float = _REL_SLACK) -> bool:
     tolerance would misclassify strongly squeezed pure states.
     """
     b1, b2, c = sf.b1, sf.b2, sf.c
-    return _is_pure(b1, b2, c, prod_diff(b1, b2, c, c), rtol)
+    return _is_pure(b1, b2, c, prod_diff(b1, b2, c, c))
 
 
-def _is_pure(b1: float, b2: float, c: float, u: float, rtol: float = _REL_SLACK) -> bool:
+def _is_pure(b1: float, b2: float, c: float, u: float) -> bool:
     """``is_pure`` on bare entries, given ``u = b1*b2 - c^2`` (compensated); elementwise on arrays."""
-    return (abs(b1 - b2) <= rtol * (b1 + b2)) & (abs(u - 0.25) <= rtol * (b1 * b2 + c * c + 0.25))
+    return (abs(b1 - b2) <= _REL_SLACK * (b1 + b2)) & (abs(u - 0.25) <= _REL_SLACK * (b1 * b2 + c * c + 0.25))
 

@@ -344,14 +344,7 @@ def esd_bisection(
             within a few ulps of 1 there).
         SeparableInputError: if ``sf0`` is already separable.
     """
-    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields(), "bisection", t_tol)
-
-
-def _closed_form_esd_time(
-    sf0: StandardForm, res: ReservoirConfig
-) -> float | AsymptoticOnly | None:
-    """The closed-form death time for ``res``, or None when only bisection works."""
-    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields(), "closed")
+    return _bisection_death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields(), t_tol)
 
 
 def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
@@ -377,36 +370,48 @@ _EXP_RESOLUTION = 4.0 * 2.0**-53
 
 
 def _death_time(
-    b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float],
-    route: str = "any", t_tol: float = 1e-12,
-) -> float | AsymptoticOnly | None:
+    b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float]
+) -> float | AsymptoticOnly:
     """Death time of the entries ``(b1, b2, c)``, whose separability margin is ``margin``.
 
-    The kernel of every public death-time function, on bare floats:
-    ``res`` is ``(gamma1, n_r1, gamma2, n_r2)`` as ReservoirConfig admits
-    them.  ``route`` "any" takes the closed form where one exists and
-    bisection elsewhere (``esd_time``), "closed" returns None where no
-    closed form exists, and "bisection" always bisects, to ``t_tol``
-    (``esd_bisection``).  The checks, markers and errors are those the
-    public functions document, in their order.
+    The kernel of ``esd_time`` and of the closed-form functions, on bare
+    floats: ``res`` is ``(gamma1, n_r1, gamma2, n_r2)`` as ReservoirConfig
+    admits them.  The closed form where one exists, else bisection; the
+    checks, markers and errors are those the public functions document,
+    in their order.
+    """
+    t = _closed_form_death_time(b1, b2, c, margin, res)
+    return _bisection_death_time(b1, b2, c, margin, res) if t is None else t
+
+
+def _closed_form_death_time(
+    b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float]
+) -> float | AsymptoticOnly | None:
+    """The closed-form death time of ``_death_time``, or None for two baths that differ in rate or temperature.
+
+    A reservoir with no active bath is refused here, before any closed form.
     """
     gamma1, n_r1, gamma2, n_r2 = res
-    if route != "bisection":
-        if gamma1 > 0.0 and gamma2 > 0.0:
-            if gamma1 == gamma2 and n_r1 == n_r2:
-                return _closed_form_time(margin, gamma1, n_r1, _ktp_off(b1, b2, c))
-            if route == "closed":
-                return None
-        elif gamma1 > 0.0:
-            return _closed_form_time(margin, gamma1, n_r1, b2 - 0.5)
-        elif gamma2 > 0.0:
-            # Bath on mode 2 only: the single-bath formula with the modes
-            # relabeled.  The margin is symmetric in them (prod_diff is, under
-            # a <-> b), so only the denominator changes.
-            return _closed_form_time(margin, gamma2, n_r2, b1 - 0.5, "b1")
-        else:
-            raise InvalidParameterError(_NO_BATH)
-    elif gamma1 == 0.0 and gamma2 == 0.0:
+    if gamma1 > 0.0 and gamma2 > 0.0:
+        if gamma1 == gamma2 and n_r1 == n_r2:
+            return _closed_form_time(margin, gamma1, n_r1, _ktp_off(b1, b2, c))
+        return None
+    if gamma1 > 0.0:
+        return _closed_form_time(margin, gamma1, n_r1, b2 - 0.5)
+    if gamma2 > 0.0:
+        # Bath on mode 2 only: the single-bath formula with the modes
+        # relabeled.  The margin is symmetric in them (prod_diff is, under
+        # a <-> b), so only the denominator changes.
+        return _closed_form_time(margin, gamma2, n_r2, b1 - 0.5, "b1")
+    raise InvalidParameterError(_NO_BATH)
+
+
+def _bisection_death_time(
+    b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float], t_tol: float = 1e-12
+) -> float | AsymptoticOnly:
+    """The death time of ``_death_time`` by bisection to ``t_tol``, for every layout (``esd_bisection``)."""
+    gamma1, n_r1, gamma2, n_r2 = res
+    if gamma1 == 0.0 and gamma2 == 0.0:
         raise InvalidParameterError(_NO_BATH)
     if margin >= 0.0:
         raise SeparableInputError(

@@ -60,12 +60,11 @@ def _routing(argv):
     (c = 0), pure or refused row, and a refused row ends the table.
     """
     sf0, res, grid, units, _ = _parsed(argv)
-    template = cli._frame(cli._EVOLVE_COLUMNS, "csv", ["%r"] * 8 + ["%s"])[3]
     batched = left = 0
     for times in table.grid_chunks(*grid):
         try:
             rows = list(table.scalar_rows(sf0, res, times, units))
-            table.lines(template, rows)
+            cli._emit_rows(lambda text: None, cli._EVOLVE_COLUMNS, "csv", 8, [rows])
         except (ValueError, cli._CliError):
             return batched, left + 1
         if any(row[3] == 0.0 or is_pure(StandardForm(*row[1:4])) for row in rows):
@@ -151,8 +150,8 @@ def test_seeded_set_covers_the_branches():
         except ValueError:
             seen.add("refused")
         verdicts = {row[8] for row in rows}
-        seen.add("crossing" if verdicts == {False, True} else "entangled" if verdicts == {False} else "separable")
-        seen.add("zero temperature" if res.n_r1 == res.n_r2 == 0.0 and False in verdicts else "hot")
+        seen.add("crossing" if verdicts == {"false", "true"} else "entangled" if verdicts == {"false"} else "separable")
+        seen.add("zero temperature" if res.n_r1 == res.n_r2 == 0.0 and "false" in verdicts else "hot")
         seen |= {"product" for row in rows if row[3] == 0.0}
         seen |= {"pure" for row in rows if is_pure(StandardForm(*row[1:4]))}
     assert seen == {"crossing", "entangled", "separable", "zero temperature", "hot", "product", "pure", "refused"}
@@ -198,15 +197,17 @@ def test_kappa_plus_below_one_half_ends_both_paths_alike(capsys, monkeypatch, po
 
 
 def test_row_lines_spell_cells_like_the_cell_writer():
-    template = cli._frame(cli._EVOLVE_COLUMNS, "csv", ["%r"] * 8 + ["%s"])[3]
+    # The rows of evolve through the one writer: eight floats, then the spelled verdict.
     big = 1.7976931348623157e308  # finite cells whose sum overflows
     rows = [(0.0, big, big, 5e-324, 0.1, 1e-300, 2.5, 1e22, False), (0.5, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, -0.0, True)]
     want = [",".join(cli._cell(value, str) for value in row) for row in rows]
-    assert table.lines(template, rows) == want
+    out = io.StringIO()
+    cli._emit_rows(out.write, cli._EVOLVE_COLUMNS, "csv", 8, [[(*row[:8], cli._cell(row[8], str)) for row in rows]])
+    assert out.getvalue() == "\n".join([",".join(cli._EVOLVE_COLUMNS), *want]) + "\n"
     for bad in (math.inf, -math.inf, math.nan):
-        row = (0.0, 1.0, 1.0, bad, 0.1, 0.2, bad, 0.4, True)
+        row = (0.0, 1.0, 1.0, bad, 0.1, 0.2, bad, 0.4, "true")
         with pytest.raises(cli._CliError, match=f"non-finite number {bad!r}$"):
-            table.lines(template, [row])
+            cli._emit_rows(out.write, cli._EVOLVE_COLUMNS, "csv", 8, [[row]])
 
 
 def test_chunks_with_product_or_pure_rows_are_left_to_the_scalar_rows():

@@ -369,26 +369,43 @@ def _dictwriter_text(columns, rows):
     return buf.getvalue()
 
 
+def _emitted(columns, fmt, floats, rows, chunk=3):
+    """What ``cli._emit_rows`` writes of ``rows``, spelled as the commands spell them, in chunks of ``chunk``."""
+    out = io.StringIO()
+    spelled = [(*row[:floats], *(cli._cell(value, cli._SPELL[fmt]) for value in row[floats:])) for row in rows]
+    cli._emit_rows(out.write, columns, fmt, floats, (spelled[i : i + chunk] for i in range(0, len(rows), chunk)))
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 6, 7])
-def test_streaming_writer_matches_csv_and_json_modules(capsys, monkeypatch, n_rows):
-    # A chunk of 3 rows puts row counts on both sides of chunk boundaries.
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
-    pool = [0.0, -0.0, 1.0, 0.1, -2.5e-320, 1.7976931348623157e308, 6.02e23, 1 / 3, True, False,
-            "asymptotic-only", "separable"]
+def test_streaming_writer_matches_csv_and_json_modules(n_rows):
+    # Chunks of 3 rows put row counts on both sides of chunk boundaries.
+    # The first two cells are floats, the others spelled cells (floats too,
+    # as esd and verify give them).
+    floats = [0.0, -0.0, 1.0, 0.1, -2.5e-320, 1.7976931348623157e308, 6.02e23, 1 / 3]
+    pool = [*floats, True, False, "asymptotic-only", "separable"]
     columns = ["t", "b1", "flag", "ts"]
-    rows = [[pool[(7 * i + 3 * j) % len(pool)] for j in range(len(columns))] for i in range(n_rows)]
-    cli._write_table(columns, rows, "csv", None)
-    assert capsys.readouterr().out == _dictwriter_text(columns, rows)
-    cli._write_table(columns, iter(rows), "json", None)
-    assert capsys.readouterr().out == json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+    rows = [
+        (*(floats[(7 * i + 3 * j) % len(floats)] for j in range(2)), *(pool[(7 * i + 3 * j) % len(pool)] for j in (2, 3)))
+        for i in range(n_rows)
+    ]
+    for n_floats in (0, 2):
+        assert _emitted(columns, "csv", n_floats, rows) == _dictwriter_text(columns, rows)
+        want = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+        assert _emitted(columns, "json", n_floats, rows) == want
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_streaming_writer_refuses_non_finite_numbers(capsys, fmt, bad):
+def test_streaming_writer_refuses_non_finite_numbers(fmt, bad):
+    # A float cell is refused by the writer, a spelled one by _cell; either
+    # way the chunk is not written.
+    written = []
     with pytest.raises(cli._CliError, match="non-finite"):
-        cli._write_table(["t", "x"], [[0.0, 1.0], [1.0, bad]], fmt, None)
-    assert capsys.readouterr().out == ""
+        cli._emit_rows(written.append, ["t", "x"], fmt, 2, [[(0.0, 1.0), (1.0, bad)]])
+    assert written == []
+    with pytest.raises(cli._CliError, match="non-finite"):
+        _emitted(["t", "x"], fmt, 0, [(0.0, 1.0), (1.0, bad)])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -419,6 +436,36 @@ def test_overflowing_death_time_is_refused(capsys, fmt):
 def test_entries_that_overflow_a_double_are_refused_as_such(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith(f"error: {message} for b1=")
+
+
+_TOO_SQUEEZED = "squeeze parameter r={!r} is too large: sinh(r)*cosh(r) overflows a double"
+
+
+@pytest.mark.parametrize("r", ["356", "710", "711", "1000"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["report"],
+        ["esd", "--identical", "--nr", "0.5"],
+        ["evolve", "--single-bath", "--nr", "0.5", "--t-end", "1", "--points", "3"],
+        ["sweep", "--param", "n2", "--min", "0", "--max", "1", "--steps", "3"],
+    ],
+    ids=["report", "esd", "evolve", "sweep_n2"],
+)
+def test_squeeze_parameter_whose_entries_overflow_is_refused_by_name(capsys, command, r):
+    # From r near 355.6 no occupancies give finite entries: cosh r overflows
+    # beyond 710.5, and before that sinh(r)*cosh(r) does.
+    code, out, err = run(capsys, *command, "--n1", "1", "--n2", "1", "--r", r)
+    assert (code, out, err) == (2, "", f"error: {_TOO_SQUEEZED.format(float(r))}\n")
+
+
+def test_r_sweep_into_overflowing_entries_is_refused_before_output(capsys):
+    code, out, err = run(capsys, "sweep", "--n1", "1", "--n2", "1", "--param", "r", "--min", "0", "--max", "800", "--steps", "5")
+    assert (code, out, err) == (2, "", f"error: {_TOO_SQUEEZED.format(800.0)}\n")
+    # Just below the edge the entries are finite, and the uncertainty check
+    # refuses them as before.
+    code, out, err = run(capsys, "report", "--n1", "1", "--n2", "1", "--r", "355")
+    assert (code, out) == (2, "") and err.startswith("error: (b_max+1/2)(b_min-1/2) - c^2 overflows a double for b1=")
 
 
 def test_kappa_plus_below_one_half_is_refused_as_such(capsys):
@@ -571,10 +618,10 @@ def test_esd_verify_refusal_names_rate_or_temperature(capsys):
 
 
 def test_report_is_computed_only_for_measure_columns(capsys, monkeypatch):
-    def refuse(sf):
-        raise AssertionError("correlation_report computed for no printed column")
+    def refuse(*entries):
+        raise AssertionError("correlation kernel computed for no printed column")
 
-    monkeypatch.setattr(cli, "correlation_report", refuse)
+    monkeypatch.setattr(cli, "_measures", refuse)
     code, out, _ = run(
         capsys, "sweep", "--n1", "1", "--n2", "1", "--param", "r", "--min", "0", "--max", "2",
         "--steps", "4", "--identical", "--nr", "0.5", "--outputs", "ts",
@@ -582,6 +629,38 @@ def test_report_is_computed_only_for_measure_columns(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 5
     code, out, _ = run(capsys, "report", "--n1", "1", "--n2", "1", "--r", "1", "--outputs", "kappas,separable")
     assert code == 0 and out.splitlines()[0] == "t,b1,b2,c,kappa_plus,kappa_minus,kappa_tilde_plus,kappa_tilde_minus,separable"
+
+
+def test_report_cells_are_those_of_a_one_step_sweep(capsys):
+    # report and sweep share one cell function: at the same state, report's
+    # cells after (t, b1, b2, c) are the sweep row's after its swept value,
+    # for every output subset, both formats and both units.  The states
+    # (entangled and mixed, pure, product with c = 0, separable) take turns.
+    names = cli._REPORT_OUTPUTS
+    states = [("10", "0.1", "2"), ("0", "0", "1.5"), ("1", "1", "0"), ("1.5", "0.8", "0.1")]
+    subsets = [[n for k, n in enumerate(names) if mask >> k & 1] for mask in range(1, 2 ** len(names))]
+    cases = [(outputs, fmt, units) for outputs in subsets for fmt in ("csv", "json") for units in ("nats", "bits")]
+    verdicts = set()
+    for i, (outputs, fmt, units) in enumerate(cases):
+        n1, n2, r = states[i % len(states)]
+        common = ["--n1", n1, "--n2", n2, "--outputs", ",".join(outputs), "--format", fmt, "--units", units]
+        fields = []
+        for argv in (["report", "--r", r], ["sweep", "--param", "r", "--min", r, "--max", r, "--steps", "1"]):
+            code, out, err = run(capsys, *argv, *common)
+            assert (code, err) == (0, ""), argv
+            # CSV: the header and row cells; JSON: the "name": value lines of the record.
+            lines = out.splitlines()
+            fields.append([*lines[0].split(","), *lines[1].split(",")] if fmt == "csv" else lines[2:-2])
+        report, sweep = fields
+        n = len(cli._columns(outputs))
+        if fmt == "csv":
+            assert report[4 : 4 + n] == sweep[1 : 1 + n] == cli._columns(outputs)
+            assert report[-n:] == sweep[-n:]
+        else:
+            assert report[4:] == sweep[1:] and len(sweep) == 1 + n
+        if "separable" in outputs:
+            verdicts.add(report[-1].rsplit(" ", 1)[-1])
+    assert verdicts == {"true", "false"}
 
 
 def test_output_through_a_symlink_writes_the_linked_file(capsys, tmp_path):
