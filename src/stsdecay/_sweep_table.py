@@ -19,7 +19,7 @@ import argparse
 from typing import Iterable, Iterator
 
 from . import cli
-from .core import StandardForm, _bona_fide, _check_sts, _cosh_sinh, _separability_margin, _sts_entries
+from .core import StandardForm, _check_sts, _cosh_sinh, _separability_margin, _sts_entries
 from .dynamics import ASYMPTOTIC_ONLY, ReservoirConfig, _check_reservoir, _death_time
 
 
@@ -43,9 +43,7 @@ def _state_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator
         _check_sts(n1, n2, r, phi)
         if sh is None or param == "r":
             ch, sh = _cosh_sinh(r)
-        b1, b2, c = _sts_entries(n1, n2, ch, sh)
-        b1, b2 = _bona_fide(b1, b2, c)
-        yield value, b1, b2, c
+        yield (value, *_sts_entries(n1, n2, r, ch, sh))
 
 
 def _bath_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator[tuple[float, tuple[float, ...]]]:
@@ -61,15 +59,17 @@ def _bath_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator[
         yield value, rates
 
 
-def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm | None, res: ReservoirConfig | None) -> None:
+def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm, res: ReservoirConfig | None) -> None:
     """Write the sweep table of ``args`` and ``outputs`` to ``args.out``, a chunk at a time.
 
-    ``sf0`` is the fixed state of a reservoir sweep, None for a state
-    sweep; ``res`` is the reservoir of a state sweep (None where none is
-    configured), and a reservoir sweep takes its rates from ``args``.
-    Every value of the sweep lies between its two ends, and what the
-    checks accept along one parameter is an interval, so both ends are
-    checked first: an invalid range fails before any output.
+    ``sf0`` and ``res`` are the state and the reservoir (None where none is
+    configured) of the sweep's first value, which ``cli`` checked through
+    the records.  A reservoir sweep (nr or gamma) takes its state's cells
+    from ``sf0`` and its rates from ``args``; a state sweep (n1, n2 or r)
+    takes its state from ``args`` and its reservoir from ``res``.  Every
+    value of the sweep lies between its two ends, and what the checks
+    accept along one parameter is an interval, so the last value is
+    checked next: an invalid range fails before any output.
     """
     dead, asymptotic = (cli._cell(marker, cli._SPELL[args.format]) for marker in ("separable", "asymptotic-only"))
     units, ts = args.units, ("ts" in outputs)
@@ -82,9 +82,9 @@ def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm | None,
         return asymptotic if t is ASYMPTOTIC_ONLY else t
 
     lo, hi, steps = args.min, args.max, args.steps
-    for end in (0, steps - 1):
-        list((_state_points if sf0 is None else _bath_points)(args, cli._linspace(lo, hi, steps, end, end + 1)))
-    if sf0 is None:
+    state_sweep = args.param in ("n1", "n2", "r")
+    list((_state_points if state_sweep else _bath_points)(args, cli._linspace(lo, hi, steps, steps - 1)))
+    if state_sweep:
         rates = None if res is None else res._fields()
 
         def rows(values: list[float]) -> Iterator[tuple[object, ...]]:
@@ -94,8 +94,6 @@ def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm | None,
                 yield (value, *cells, death_cell(b1, b2, c, margin, rates)) if ts else (value, *cells)
 
     else:
-        # The first row checks the first end, which passed above; its state
-        # cells are every row's.
         b1, b2, c = sf0.b1, sf0.b2, sf0.c
         margin = _separability_margin(b1, b2, c)
         cells = cli._state_cells(b1, b2, c, margin, outputs, units)

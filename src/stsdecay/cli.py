@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, reservoir: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         state = p.add_argument_group(
             "state", "either the physical parameters --n1/--n2/--r or the standard form --b1/--b2/--c"
         )
@@ -123,20 +123,19 @@ def _build_parser() -> argparse.ArgumentParser:
         state.add_argument("--b2", type=float, help="standard-form diagonal entry of mode 2")
         state.add_argument("--c", type=float, help="standard-form cross-block magnitude")
         state.add_argument("--phi", type=float, default=0.0, help="phase (radians, default 0)")
-        if reservoir:
-            res = p.add_argument_group("reservoir")
-            res.add_argument("--gamma1", type=float, help="damping rate of mode 1")
-            res.add_argument("--nr1", type=float, help="reservoir occupancy seen by mode 1")
-            res.add_argument("--gamma2", type=float, help="damping rate of mode 2")
-            res.add_argument("--nr2", type=float, help="reservoir occupancy seen by mode 2")
-            res.add_argument(
-                "--identical", action="store_true", help="identical baths on both modes (uses --gamma/--nr)"
-            )
-            res.add_argument(
-                "--single-bath", action="store_true", help="bath on mode 1 only (uses --gamma/--nr)"
-            )
-            res.add_argument("--gamma", type=float, default=1.0, help="shorthand damping rate (default 1)")
-            res.add_argument("--nr", type=float, help="shorthand reservoir occupancy")
+        res = p.add_argument_group("reservoir")
+        res.add_argument("--gamma1", type=float, help="damping rate of mode 1")
+        res.add_argument("--nr1", type=float, help="reservoir occupancy seen by mode 1")
+        res.add_argument("--gamma2", type=float, help="damping rate of mode 2")
+        res.add_argument("--nr2", type=float, help="reservoir occupancy seen by mode 2")
+        res.add_argument(
+            "--identical", action="store_true", help="identical baths on both modes (uses --gamma/--nr)"
+        )
+        res.add_argument(
+            "--single-bath", action="store_true", help="bath on mode 1 only (uses --gamma/--nr)"
+        )
+        res.add_argument("--gamma", type=float, default=1.0, help="shorthand damping rate (default 1)")
+        res.add_argument("--nr", type=float, help="shorthand reservoir occupancy")
         out = p.add_argument_group("output")
         out.add_argument("--format", choices=["csv", "json"], default="csv")
         out.add_argument("--units", choices=["nats", "bits"], default="nats")
@@ -225,9 +224,6 @@ def _expand_config(argv: list[str]) -> list[str]:
     return [argv[0], *extra, *argv[1:]]
 
 
-_STS_INCOMPLETE = "the physical parametrization needs all of --n1, --n2, --r"
-
-
 def _state_from_args(args: argparse.Namespace) -> StandardForm:
     sts_given = any(v is not None for v in (args.n1, args.n2, args.r))
     sf_given = any(v is not None for v in (args.b1, args.b2, args.c))
@@ -235,7 +231,7 @@ def _state_from_args(args: argparse.Namespace) -> StandardForm:
         raise _CliError("give either --n1/--n2/--r or --b1/--b2/--c, not both")
     if sts_given:
         if None in (args.n1, args.n2, args.r):
-            raise _CliError(_STS_INCOMPLETE)
+            raise _CliError("the physical parametrization needs all of --n1, --n2, --r")
         return standard_form_from_sts(StsParams(args.n1, args.n2, args.r, args.phi))
     if sf_given:
         if None in (args.b1, args.b2, args.c):
@@ -244,7 +240,7 @@ def _state_from_args(args: argparse.Namespace) -> StandardForm:
     raise _CliError("no state given: use --n1/--n2/--r or --b1/--b2/--c")
 
 
-def _reservoir_from_args(args: argparse.Namespace, *, nr_optional: bool = False) -> ReservoirConfig | None:
+def _reservoir_from_args(args: argparse.Namespace) -> ReservoirConfig | None:
     explicit = any(v is not None for v in (args.gamma1, args.nr1, args.gamma2, args.nr2))
     if args.identical and args.single_bath:
         raise _CliError("--identical and --single-bath are mutually exclusive")
@@ -252,14 +248,11 @@ def _reservoir_from_args(args: argparse.Namespace, *, nr_optional: bool = False)
     if explicit and shorthand:
         raise _CliError("give either the explicit --gamma1/--nr1/--gamma2/--nr2 or a shorthand layout")
     if shorthand:
-        n_r = args.nr
-        if n_r is None:
-            if not nr_optional:
-                raise _CliError("the shorthand reservoir layouts need --nr")
-            n_r = 0.0
+        if args.nr is None:
+            raise _CliError("the shorthand reservoir layouts need --nr")
         if args.identical:
-            return ReservoirConfig.identical(args.gamma, n_r)
-        return ReservoirConfig.single_bath(args.gamma, n_r)
+            return ReservoirConfig.identical(args.gamma, args.nr)
+        return ReservoirConfig.single_bath(args.gamma, args.nr)
     if explicit:
         return ReservoirConfig(
             args.gamma1 if args.gamma1 is not None else 0.0,
@@ -504,14 +497,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _CliError("need --steps >= 1")
     if args.param in ("nr", "gamma") and not (args.identical or args.single_bath):
         raise _CliError(f"sweeping {args.param} needs a shorthand layout (--identical or --single-bath)")
-    sweeping_state = args.param in ("n1", "n2", "r")
-    if sweeping_state:
-        if any(v is not None for v in (args.b1, args.b2, args.c)):
-            raise _CliError(f"sweeping {args.param} needs the --n1/--n2/--r parametrization")
-        # The swept flag may be omitted; pin it so the rows see a full triple.
-        if getattr(args, args.param) is None:
-            setattr(args, args.param, args.min)
-    res = _reservoir_from_args(args, nr_optional=(args.param == "nr"))
+    if args.param in ("n1", "n2", "r") and any(v is not None for v in (args.b1, args.b2, args.c)):
+        raise _CliError(f"sweeping {args.param} needs the --n1/--n2/--r parametrization")
+    # No row uses the swept flag's own value, which may be omitted: it is
+    # set to the sweep's first value, so the records below check that value.
+    setattr(args, args.param, args.min)
+    res = _reservoir_from_args(args)
     allowed = _SWEEP_OUTPUTS if res is not None else _REPORT_OUTPUTS
     if args.outputs is None:
         outputs = ["ef", "d1", "d2", "mutual_information", "separable"] + (
@@ -519,12 +510,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     else:
         outputs = _parse_outputs(args.outputs, allowed)
-    if not sweeping_state:
-        sf0 = _state_from_args(args)
-    elif None in (args.n1, args.n2, args.r):
-        raise _CliError(_STS_INCOMPLETE)
-    else:
-        sf0 = None
+    sf0 = _state_from_args(args)
     from . import _sweep_table
 
     _sweep_table.emit(args, outputs, sf0, res)

@@ -237,10 +237,10 @@ def standard_form_from_sts(p: StsParams) -> StandardForm:
 
     Raises:
         InvalidParameterError: when ``sinh(r)*cosh(r)`` overflows a double
-            (r above about 355.6), where no occupancies give finite entries.
+            (r above about 355.6), where no occupancies give finite entries,
+            or where the given ones do not.
     """
-    b1, b2, c = _sts_entries(p.n1, p.n2, *_cosh_sinh(p.r))
-    return StandardForm(b1, b2, c, p.phi)
+    return StandardForm(*_sts_entries(p.n1, p.n2, p.r, *_cosh_sinh(p.r)), p.phi)
 
 
 def _cosh_sinh(r: float) -> tuple[float, float]:
@@ -258,11 +258,22 @@ def _cosh_sinh(r: float) -> tuple[float, float]:
     return ch, sh
 
 
-def _sts_entries(n1: float, n2: float, ch: float, sh: float) -> tuple[float, float, float]:
-    """``(b1, b2, c)`` of ``standard_form_from_sts``, given ``ch = cosh(r)`` and ``sh = sinh(r)``."""
+def _sts_entries(n1: float, n2: float, r: float, ch: float, sh: float) -> tuple[float, float, float]:
+    """``(b1, b2, c)`` of ``standard_form_from_sts``, given ``ch = cosh(r)`` and ``sh = sinh(r)``.
+
+    Checked as StandardForm checks them; entries that overflow a double
+    (tested only once ``_bona_fide`` refuses them) are refused by name.
+    """
     a1 = n1 + 0.5
     a2 = n2 + 0.5
-    return a1 * ch * ch + a2 * sh * sh, a1 * sh * sh + a2 * ch * ch, (n1 + n2 + 1.0) * sh * ch
+    b1, b2, c = a1 * ch * ch + a2 * sh * sh, a1 * sh * sh + a2 * ch * ch, (n1 + n2 + 1.0) * sh * ch
+    try:
+        b1, b2 = _bona_fide(b1, b2, c)
+    except InvalidParameterError:
+        if finite(b1, b2, c):
+            raise
+        raise InvalidParameterError(f"n1={n1!r}, n2={n2!r}, r={r!r} give covariance entries that overflow a double") from None
+    return b1, b2, c
 
 
 def symplectic_spectrum(sf: StandardForm) -> SymplecticSpectrum:

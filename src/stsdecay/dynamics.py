@@ -14,8 +14,9 @@ baths, and a single bath on one mode), the bisection on the separability
 margin that covers every other layout, and ``esd_time``, which picks the
 route for a reservoir.  The evolved characteristic function is an oracle
 cross-check and lives in ``verification``.
-Zero-temperature baths never produce a finite death time; those queries
-return the ASYMPTOTIC_ONLY marker instead of a number.
+Every death-time route first passes one gate, in this order: no active
+bath is refused, then a separable input (one message for every layout);
+where no active bath is hot, the time is the ASYMPTOTIC_ONLY marker.
 """
 
 from __future__ import annotations
@@ -153,13 +154,6 @@ def evolve_identical_baths(
     return evolve(sf0, ReservoirConfig.identical(gamma, n_r), t)
 
 
-def _check_rates(gamma: float, n_r: float) -> None:
-    if not finite(gamma, n_r) or gamma <= 0.0 or n_r < 0.0:
-        raise InvalidParameterError(
-            f"need damping rate > 0 and reservoir occupancy >= 0, got gamma={gamma!r}, n_r={n_r!r}"
-        )
-
-
 _MAX_TIME = sys.float_info.max
 _MIN_NORMAL = sys.float_info.min
 _OVERFLOW = (
@@ -180,41 +174,6 @@ def _ktp_off(b1: float, b2: float, c: float) -> float:
     return 0.5 * ((b1 - 0.5) + (b2 - 0.5) + math.hypot(b1 - b2, 2.0 * c))
 
 
-def _closed_form_time(margin: float, gamma: float, n_r: float, den: float, free: str = "b2") -> float | AsymptoticOnly:
-    """``log1p(-margin / (den * n_r)) / gamma``, the form of both closed-form death times.
-
-    Checks and markers as the two public functions document them; ``free``
-    names the entry of a single bath's undamped mode, whose offset from
-    1/2 is ``den``.  Where
-    ``den * n_r`` is subnormal, the ratio is ``(-margin / den) / n_r``.
-    Where the ratio overflows, or ``den * n_r`` underflows to 0 (a
-    subnormal ``n_r``), the time is taken as ``(log(-margin) - log(den) -
-    log(n_r)) / gamma``: the 1 of log1p lies far below the last bit of
-    such a ratio.
-    """
-    if margin >= 0.0:
-        raise SeparableInputError(
-            "input is already separable: no finite disentanglement time to compute"
-        )
-    if n_r == 0.0:
-        return ASYMPTOTIC_ONLY
-    if den <= 0.0:  # only a single bath's free-mode offset can reach 0 while entangled
-        raise NonPhysicalStateError(
-            f"{free} = 1/2 with residual entanglement: degenerate denominator in the "
-            "single-bath disentanglement time"
-        )
-    prod = den * n_r
-    if prod >= _MIN_NORMAL:
-        ratio = -margin / prod
-    elif prod > 0.0:  # a subnormal product has lost bits; divide twice instead
-        ratio = (-margin / den) / n_r
-    else:
-        ratio = math.inf
-    if ratio == math.inf:
-        return _finite_death_time((math.log(-margin) - math.log(den) - math.log(n_r)) / gamma)
-    return _finite_death_time(math.log1p(ratio) / gamma)
-
-
 def esd_time_identical_baths(
     sf0: StandardForm, gamma: float, n_r: float
 ) -> float | AsymptoticOnly:
@@ -228,14 +187,16 @@ def esd_time_identical_baths(
     which stays accurate when the input is barely entangled; the offset
     kt_plus - 1/2 is assembled from non-negative terms only.
 
-    Returns ASYMPTOTIC_ONLY for a zero-temperature bath (n_r = 0).
+    ``esd_time`` of ``ReservoirConfig.identical(gamma, n_r)``, with its
+    cases in its order: ASYMPTOTIC_ONLY for a zero-temperature bath (n_r = 0).
 
     Raises:
+        InvalidParameterError: if ``gamma`` or ``n_r`` is negative or not
+            finite (ReservoirConfig's check), if ``gamma`` is 0 (no active
+            bath), or if the time overflows a double.
         SeparableInputError: if ``sf0`` is already separable.
-        InvalidParameterError: if the time overflows a double.
     """
-    _check_rates(gamma, n_r)
-    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), (gamma, n_r, gamma, n_r))
+    return esd_time(sf0, ReservoirConfig.identical(gamma, n_r))
 
 
 def esd_time_single_bath(
@@ -249,16 +210,18 @@ def esd_time_single_bath(
     input.  For pure inputs this collapses to (1/gamma)*ln(1 + 1/n_r),
     independent of the squeezing strength.
 
-    Returns ASYMPTOTIC_ONLY for n_r = 0.
+    ``esd_time`` of ``ReservoirConfig.single_bath(gamma, n_r)``, with its
+    cases in its order: ASYMPTOTIC_ONLY for n_r = 0.
 
     Raises:
+        InvalidParameterError: if ``gamma`` or ``n_r`` is negative or not
+            finite (ReservoirConfig's check), if ``gamma`` is 0 (no active
+            bath), or if the time overflows a double.
         SeparableInputError: if ``sf0`` is already separable.
         NonPhysicalStateError: if b2 = 1/2 (entangled inputs cannot reach
             this; the division is guarded rather than taken as a limit).
-        InvalidParameterError: if the time overflows a double.
     """
-    _check_rates(gamma, n_r)
-    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), (gamma, n_r, 0.0, 0.0))
+    return esd_time(sf0, ReservoirConfig.single_bath(gamma, n_r))
 
 
 def _margin_at(sf0: StandardForm, res: ReservoirConfig, t: float) -> float:
@@ -332,9 +295,9 @@ def esd_bisection(
     Every step decides as the compensated margin does, so each midpoint,
     and the result, is the same bit for bit.
 
-    Returns ASYMPTOTIC_ONLY when every damped mode sees a zero-temperature
-    bath: the margin then scales by a positive factor for all finite
-    times and never crosses zero.
+    The gate of ``esd_time`` comes first, in its order; ASYMPTOTIC_ONLY
+    when every damped mode sees a zero-temperature bath: the margin then
+    scales by a positive factor for all finite times and never crosses zero.
 
     Raises:
         InvalidParameterError: if no mode is damped, if the time overflows
@@ -342,7 +305,7 @@ def esd_bisection(
             hot occupancy is lost in ``n_r + 1/2``, or the crossing lies
             below their time resolution (the fastest decay factor is
             within a few ulps of 1 there).
-        SeparableInputError: if ``sf0`` is already separable.
+        SeparableInputError: if ``sf0`` is already separable, as ``esd_time``.
     """
     return _bisection_death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields(), t_tol)
 
@@ -352,17 +315,21 @@ def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
 
     Identical baths and a single bath (on either mode) are answered in
     closed form; two baths that differ in rate or temperature fall back to
-    ``esd_bisection``.  Returns ASYMPTOTIC_ONLY when no active bath is hot.
+    ``esd_bisection``.  Every layout first passes one gate, in this order:
+    no damped mode, a separable ``sf0``, then ASYMPTOTIC_ONLY where no
+    active bath is hot.
 
     Raises:
         InvalidParameterError: if no mode is damped, if the time overflows
             a double, or where ``esd_bisection`` cannot resolve the time.
-        SeparableInputError: if ``sf0`` is already separable.
+        SeparableInputError: if ``sf0`` is already separable (one message).
+        NonPhysicalStateError: a single bath's undamped entry at 1/2.
     """
     return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields())
 
 
 _NO_BATH = "the reservoir has no active bath; nothing evolves"
+_SEPARABLE = "input is already separable: no finite disentanglement time to compute"
 _UNRESOLVED = "the separability crossing lies below the time resolution of the evolved entries"
 # A crossing where the fastest decay factor exp(-gamma t) is within this of
 # 1 is a rounding step of exp, not a property of the state.
@@ -384,43 +351,74 @@ def _death_time(
     return _bisection_death_time(b1, b2, c, margin, res) if t is None else t
 
 
+def _gate(margin: float, res: tuple[float, float, float, float]) -> bool:
+    """The cases every death-time route shares, in their order; True where the time is ASYMPTOTIC_ONLY.
+
+    No active bath is refused, then ``margin >= 0``; where no active bath
+    is hot, the margin only scales by a positive factor, never to zero.
+    """
+    gamma1, n_r1, gamma2, n_r2 = res
+    if gamma1 == 0.0 and gamma2 == 0.0:
+        raise InvalidParameterError(_NO_BATH)
+    if margin >= 0.0:
+        raise SeparableInputError(_SEPARABLE)
+    return (gamma1 == 0.0 or n_r1 == 0.0) and (gamma2 == 0.0 or n_r2 == 0.0)
+
+
 def _closed_form_death_time(
     b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float]
 ) -> float | AsymptoticOnly | None:
     """The closed-form death time of ``_death_time``, or None for two baths that differ in rate or temperature.
 
-    A reservoir with no active bath is refused here, before any closed form.
+    Both closed forms are ``log1p(-margin / (den * n_r)) / gamma``, with
+    ``den`` the offset from 1/2 of kt_plus (identical baths) or of the
+    undamped mode's entry (a single bath).  Where ``den * n_r`` is
+    subnormal, the ratio is ``(-margin / den) / n_r``.  Where the ratio
+    overflows, or ``den * n_r`` underflows to 0 (a subnormal ``n_r``), the
+    time is taken as ``(log(-margin) - log(den) - log(n_r)) / gamma``: the
+    1 of log1p lies far below the last bit of such a ratio.  Two baths
+    that differ are answered None before the gate, so ``esd --verify``
+    refuses them whatever the input.
     """
     gamma1, n_r1, gamma2, n_r2 = res
     if gamma1 > 0.0 and gamma2 > 0.0:
-        if gamma1 == gamma2 and n_r1 == n_r2:
-            return _closed_form_time(margin, gamma1, n_r1, _ktp_off(b1, b2, c))
-        return None
-    if gamma1 > 0.0:
-        return _closed_form_time(margin, gamma1, n_r1, b2 - 0.5)
-    if gamma2 > 0.0:
-        # Bath on mode 2 only: the single-bath formula with the modes
+        if gamma1 != gamma2 or n_r1 != n_r2:
+            return None
+        gamma, n_r, den, free = gamma1, n_r1, _ktp_off(b1, b2, c), "kt_plus"
+    elif gamma1 > 0.0:
+        gamma, n_r, den, free = gamma1, n_r1, b2 - 0.5, "b2"
+    else:
+        # Bath on mode 2 only (or none, which the gate refuses): the modes
         # relabeled.  The margin is symmetric in them (prod_diff is, under
         # a <-> b), so only the denominator changes.
-        return _closed_form_time(margin, gamma2, n_r2, b1 - 0.5, "b1")
-    raise InvalidParameterError(_NO_BATH)
+        gamma, n_r, den, free = gamma2, n_r2, b1 - 0.5, "b1"
+    if _gate(margin, res):
+        return ASYMPTOTIC_ONLY
+    if den <= 0.0:  # only a single bath's free-mode offset can reach 0 while entangled
+        raise NonPhysicalStateError(
+            f"{free} = 1/2 with residual entanglement: degenerate denominator in the "
+            "single-bath disentanglement time"
+        )
+    prod = den * n_r
+    if prod >= _MIN_NORMAL:
+        ratio = -margin / prod
+    elif prod > 0.0:  # a subnormal product has lost bits; divide twice instead
+        ratio = (-margin / den) / n_r
+    else:
+        ratio = math.inf
+    if ratio == math.inf:
+        return _finite_death_time((math.log(-margin) - math.log(den) - math.log(n_r)) / gamma)
+    return _finite_death_time(math.log1p(ratio) / gamma)
 
 
 def _bisection_death_time(
     b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float], t_tol: float = 1e-12
 ) -> float | AsymptoticOnly:
     """The death time of ``_death_time`` by bisection to ``t_tol``, for every layout (``esd_bisection``)."""
-    gamma1, n_r1, gamma2, n_r2 = res
-    if gamma1 == 0.0 and gamma2 == 0.0:
-        raise InvalidParameterError(_NO_BATH)
-    if margin >= 0.0:
-        raise SeparableInputError(
-            "input is already separable: no disentanglement time to bracket"
-        )
-    hot = [n_r for gamma, n_r in ((gamma1, n_r1), (gamma2, n_r2)) if gamma > 0.0 and n_r > 0.0]
-    if not hot:
+    if _gate(margin, res):
         return ASYMPTOTIC_ONLY
-    n_r_eff = max(hot)
+    gamma1, n_r1, gamma2, n_r2 = res
+    n_r_eff = max(n_r1 if gamma1 > 0.0 else 0.0, n_r2 if gamma2 > 0.0 else 0.0)
     if n_r_eff + 0.5 == 0.5:  # the entries decay as in a cold bath: their margin only underflows
         raise InvalidParameterError(
             f"reservoir occupancy {n_r_eff!r} is lost in n_r + 1/2 in double "

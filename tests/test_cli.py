@@ -185,11 +185,25 @@ def test_esd_zero_temperature_prints_marker(capsys):
     assert row["t_s"] == "asymptotic-only"
 
 
+_SEPARABLE = "error: input is already separable: no finite disentanglement time to compute\n"
+# The five bath layouts: identical, single bath on mode 1, single bath on
+# mode 2, equal rates at unequal temperatures, unequal rates.
+_LAYOUTS = [
+    ["--identical", "--nr", "0.5"],
+    ["--single-bath", "--nr", "0.5"],
+    ["--gamma2", "0.7", "--nr2", "0.6"],
+    ["--gamma1", "1.0", "--nr1", "0.2", "--gamma2", "1.0", "--nr2", "0.9"],
+    ["--gamma1", "0.8", "--nr1", "0.4", "--gamma2", "1.1", "--nr2", "0.2"],
+]
+
+
 def test_esd_separable_input_is_exit_3(capsys):
-    code, _, err = run(
-        capsys, "esd", "--b1", "1.5", "--b2", "1.5", "--c", "0", "--identical", "--nr", "0.5"
-    )
-    assert code == 3 and "separable" in err
+    # One message for every layout, and for --verify where it applies.
+    for bath in _LAYOUTS:
+        code, out, err = run(capsys, "esd", "--b1", "1.5", "--b2", "1.5", "--c", "0", *bath)
+        assert (code, out, err) == (3, "", _SEPARABLE), bath
+    for bath in _LAYOUTS[:3]:
+        assert run(capsys, "esd", "--b1", "1.5", "--b2", "1.5", "--c", "0", *bath, "--verify") == (3, "", _SEPARABLE)
 
 
 def test_esd_general_two_bath_uses_bisection(capsys):
@@ -282,6 +296,23 @@ def test_sweep_validation(capsys):
         "sweep", "--param", "r", "--min", "0", "--max", "1", "--steps", "0",
         "--n1", "1", "--n2", "1", "--r", "1",
     )[0] == 2
+
+
+@pytest.mark.parametrize(
+    "sweep, flag",
+    [
+        (["--n2", "0.1", "--r", "2", "--identical", "--nr", "0.5", "--param", "n1", "--min", "0", "--max", "5"], ["--n1", "-1"]),
+        (["--n1", "10", "--n2", "0.1", "--r", "2", "--identical", "--param", "nr", "--min", "0", "--max", "1.2"], ["--nr", "-1"]),
+        (["--n1", "10", "--n2", "0.1", "--r", "2", "--single-bath", "--param", "nr", "--min", "0", "--max", "1.2"], ["--nr", "nan"]),
+        (["--b1", "3.2", "--b2", "1.4", "--c", "1.7", "--single-bath", "--nr", "0.5", "--param", "gamma", "--min", "0.25", "--max", "3"], ["--gamma", "-1"]),
+    ],
+    ids=["n1", "nr", "nr_nan", "gamma"],
+)
+def test_sweep_ignores_the_swept_flags_own_value(capsys, sweep, flag):
+    # No row uses the swept flag's own value, so an invalid one is no error.
+    expected = run(capsys, "sweep", *sweep, "--steps", "6")
+    assert expected[0] == 0
+    assert run(capsys, "sweep", *flag, *sweep, "--steps", "6") == expected
 
 
 def test_sweep_pins_missing_swept_flag(capsys):
@@ -457,6 +488,22 @@ def test_squeeze_parameter_whose_entries_overflow_is_refused_by_name(capsys, com
     # beyond 710.5, and before that sinh(r)*cosh(r) does.
     code, out, err = run(capsys, *command, "--n1", "1", "--n2", "1", "--r", r)
     assert (code, out, err) == (2, "", f"error: {_TOO_SQUEEZED.format(float(r))}\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["report", "--n1", "1e308", "--n2", "1", "--r", "1"],
+        ["esd", "--n1", "1e308", "--n2", "1", "--r", "1", "--identical", "--nr", "0.5"],
+        ["evolve", "--n1", "1e308", "--n2", "1", "--r", "1", "--single-bath", "--nr", "0.5", "--t-end", "1", "--points", "3"],
+        ["sweep", "--n2", "1", "--r", "1", "--param", "n1", "--min", "0", "--max", "1e308", "--steps", "3"],
+    ],
+    ids=["report", "esd", "evolve", "sweep_n1"],
+)
+def test_occupancies_whose_entries_overflow_are_refused_by_name(capsys, command):
+    code, out, err = run(capsys, *command)
+    message = "error: n1=1e+308, n2=1.0, r=1.0 give covariance entries that overflow a double\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_r_sweep_into_overflowing_entries_is_refused_before_output(capsys):

@@ -248,17 +248,32 @@ def test_death_times_whose_ratio_overflows_are_accurate():
                         assert abs(ts - exact) <= 2.0 * math.ulp(ts), (p, n_r, gamma)
 
 
+_SEPARABLE = "^input is already separable: no finite disentanglement time to compute$"
+
+
 def test_esd_rejects_separable_and_bad_rates():
     thermal = StandardForm(1.5, 1.5, 0.0)
-    with pytest.raises(SeparableInputError):
-        esd_time_identical_baths(thermal, 1.0, 0.5)
-    with pytest.raises(SeparableInputError):
-        esd_time_single_bath(thermal, 1.0, 0.5)
+    # One message for every layout and route.
+    for death_time in (esd_time_identical_baths, esd_time_single_bath):
+        with pytest.raises(SeparableInputError, match=_SEPARABLE):
+            death_time(thermal, 1.0, 0.5)
+    for res in (ReservoirConfig(1.0, 0.5, 2.0, 0.1), ReservoirConfig(0.0, 0.0, 1.0, 0.5), ReservoirConfig.identical(1.0, 0.0)):
+        for death_time in (esd_time, esd_bisection):
+            with pytest.raises(SeparableInputError, match=_SEPARABLE):
+                death_time(thermal, res)
     entangled = standard_form_from_sts(StsParams(0.0, 0.0, 1.0))
-    with pytest.raises(InvalidParameterError):
-        esd_time_identical_baths(entangled, 0.0, 0.5)
-    with pytest.raises(InvalidParameterError):
-        esd_time_single_bath(entangled, 1.0, -0.1)
+    for death_time in (esd_time_identical_baths, esd_time_single_bath):
+        # A zero rate is a reservoir with no active bath, before the separable check.
+        for sf in (entangled, thermal):
+            with pytest.raises(InvalidParameterError, match="no active bath"):
+                death_time(sf, 0.0, 0.5)
+        # A negative or NaN rate or occupancy is refused by ReservoirConfig.
+        for gamma, n_r in ((-1.0, 0.5), (1.0, -0.1)):
+            with pytest.raises(InvalidParameterError, match="must be >= 0"):
+                death_time(entangled, gamma, n_r)
+        for gamma, n_r in ((math.nan, 0.5), (1.0, math.nan)):
+            with pytest.raises(InvalidParameterError, match="^ReservoirConfig fields must be finite numbers$"):
+                death_time(entangled, gamma, n_r)
 
 
 def test_esd_time_picks_the_route_for_the_layout():
@@ -387,7 +402,7 @@ def _margin_bisection(sf0, res, t_tol=1e-12):
         raise InvalidParameterError("the reservoir has no active bath; nothing evolves")
     margin0 = separability_margin(sf0)
     if margin0 >= 0.0:
-        raise SeparableInputError("input is already separable: no disentanglement time to bracket")
+        raise SeparableInputError("input is already separable: no finite disentanglement time to compute")
     if not ((res.gamma1 > 0.0 and res.n_r1 > 0.0) or (res.gamma2 > 0.0 and res.n_r2 > 0.0)):
         return ASYMPTOTIC_ONLY
     gamma_eff = min(g for g in (res.gamma1, res.gamma2) if g > 0.0)
