@@ -4,8 +4,9 @@ The package computes, in closed form, the entanglement of formation, the
 two Gaussian quantum discords and the mutual information of two-mode
 squeezed thermal states; evolves those states exactly through local
 thermal reservoirs; finds entanglement sudden-death times analytically
-and by bisection; and cross-checks every closed form against independent
-numeric oracles.  The ``stsdecay`` command-line tool exposes the same
+and, for two hot baths at unequal rates, as the root of the evolved
+separability margin; and cross-checks every closed form and root against
+independent numeric oracles.  The ``stsdecay`` command-line tool exposes the same
 machinery for report generation, time series, death times and parameter
 sweeps.
 """

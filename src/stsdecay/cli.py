@@ -42,7 +42,6 @@ from .dynamics import (
     ASYMPTOTIC_ONLY,
     ReservoirConfig,
     _check_time,
-    _closed_form_death_time,
     esd_bisection,
     esd_time,
     evolve,
@@ -474,12 +473,7 @@ def _cmd_esd(args: argparse.Namespace) -> int:
         raise _CliError("esd needs a reservoir: bath flags or --identical/--single-bath")
     if args.verify:
         # SeparableInputError -> exit 3
-        closed = _closed_form_death_time(sf.b1, sf.b2, sf.c, _separability_margin(sf.b1, sf.b2, sf.c), res._fields())
-        if closed is None:
-            raise _CliError(
-                "no closed form exists for two baths that differ in rate or temperature; drop --verify"
-            )
-        oracle = esd_bisection(sf, res)
+        closed, oracle = esd_time(sf, res), esd_bisection(sf, res)
         columns = ["t_s_closed", "t_s_bisection", "abs_difference"]
         row = [ASYMPTOTIC_ONLY] * 3 if ASYMPTOTIC_ONLY in (closed, oracle) else [closed, oracle, abs(closed - oracle)]
     else:

@@ -8,11 +8,13 @@ and stays in standard form; its entries follow the closed expressions
     c(t)   = c e^{-(gamma_1 + gamma_2) t / 2}
 
 so no differential equation is ever integrated.  On top of the evolution
-this module provides the steady states, the closed-form entanglement
-sudden-death times for the two bath layouts that admit one (identical
-baths, and a single bath on one mode), the bisection on the separability
-margin that covers every other layout, and ``esd_time``, which picks the
-route for a reservoir.  The evolved characteristic function is an oracle
+this module provides the steady states and the entanglement sudden-death
+time of every bath layout, ``esd_time``: in closed form for identical
+baths, one hot bath, and two hot baths at equal rates, and by Newton's
+method on the evolved margin's four-term sum for two hot baths at
+unequal rates.  ``esd_bisection``, bisection on the separability margin
+of the evolved entries, is the death-time oracle and answers no
+production query.  The evolved characteristic function is an oracle
 cross-check and lives in ``verification``.
 Every death-time route first passes one gate, in this order: no active
 bath is refused, then a separable input (one message for every layout);
@@ -160,12 +162,15 @@ _OVERFLOW = (
     "death time overflows a double: the damping rate or reservoir occupancy "
     "is too small for a finite time"
 )
+_UNDERFLOW = "death time underflows a double: the damping rate or reservoir occupancy is too large"
 
 
 def _finite_death_time(t: float) -> float:
-    """``t``, refused when it overflowed a double (a tiny rate or occupancy)."""
+    """``t``, refused where it overflowed a double or fell below its smallest normal value."""
     if not math.isfinite(t):
         raise InvalidParameterError(_OVERFLOW)
+    if t < _MIN_NORMAL:
+        raise InvalidParameterError(_UNDERFLOW)
     return t
 
 
@@ -193,7 +198,8 @@ def esd_time_identical_baths(
     Raises:
         InvalidParameterError: if ``gamma`` or ``n_r`` is negative or not
             finite (ReservoirConfig's check), if ``gamma`` is 0 (no active
-            bath), or if the time overflows a double.
+            bath), or if the time overflows a double or lies below its
+            smallest normal value.
         SeparableInputError: if ``sf0`` is already separable.
     """
     return esd_time(sf0, ReservoirConfig.identical(gamma, n_r))
@@ -216,7 +222,8 @@ def esd_time_single_bath(
     Raises:
         InvalidParameterError: if ``gamma`` or ``n_r`` is negative or not
             finite (ReservoirConfig's check), if ``gamma`` is 0 (no active
-            bath), or if the time overflows a double.
+            bath), or if the time overflows a double or lies below its
+            smallest normal value.
         SeparableInputError: if ``sf0`` is already separable.
         NonPhysicalStateError: if b2 = 1/2 (entangled inputs cannot reach
             this; the division is guarded rather than taken as a limit).
@@ -229,71 +236,19 @@ def _margin_at(sf0: StandardForm, res: ReservoirConfig, t: float) -> float:
     return _separability_margin(*_evolved_entries(sf0, res, t, math.exp))
 
 
-# Bounds of the sign test in ``_margin_is_negative``, and the largest
-# operand whose Dekker split (2**27 + 1 times it) cannot overflow.
-_SIGN_TINY = 2.0**-900
-_SIGN_HUGE = 2.0**900
-_SIGN_REL = 2.0**-50
-_SPLIT_SAFE = 2.0**996
-
-
-def _margin_is_negative(x: float, y: float, c: float) -> bool:
-    """``prod_diff(x, y, c, c) < 0.0``, mostly without calling ``prod_diff``.
-
-    Dekker's split of ``x`` and ``y`` must not overflow: ``(2**27 + 1) * x``
-    and ``(2**27 + 1) * y`` are finite, as they are for ``|x|, |y| <= 2**996``.
-
-    ``prod_diff`` returns ``s + (t + (e1 - e2))`` on ``p1 = x*y``,
-    ``p2 = c*c`` and ``s = p1 - p2``, formed here in the same way.  Let
-    ``m = |p1| + p2`` with ``2**-900 < m < 2**900`` and ``|s| > 2**-50 m``,
-    so ``|s| > 2**-950``.  No other split overflows (``c < 2**450``).  Where
-    ``|p1|`` (``p2``) is at least 2**-960, Dekker's product error ``e1``
-    (``e2``) is exact and at most ``2**-53 |p1|``; below that it may be
-    inexact, but its terms are small multiples of ``|p1| < 2**-960``, so it
-    stays under ``2**-955 < 2**-5 |s|``, and only one of the two products
-    can be that small.  The two-sum error ``t`` is exact and at most
-    ``2**-53 |s|``.  The correction ``t + (e1 - e2)`` is therefore at most
-    ``(2**-53 + 2**-3 + 2**-5) |s|`` before its two roundings, below
-    ``|s|/4``: the exact sum of ``s`` and the correction has the sign of
-    ``s`` and a size above ``3|s|/4``, and round-to-nearest keeps that
-    sign and does not reach 0.  ``abs(p1)``, because ``x = b1(t) - 1/2``
-    can round slightly negative.  Every other triple goes to ``prod_diff``.
-    """
-    p1 = x * y
-    p2 = c * c
-    s = p1 - p2
-    m = abs(p1) + p2
-    if _SIGN_TINY < m < _SIGN_HUGE and abs(s) > _SIGN_REL * m:
-        return s < 0.0
-    return prod_diff(x, y, c, c) < 0.0
-
-
-def _prod_diff_is_negative(x: float, y: float, c: float) -> bool:
-    """``prod_diff(x, y, c, c) < 0.0`` for entries beyond the range of ``_margin_is_negative``."""
-    return prod_diff(x, y, c, c) < 0.0
-
-
 def esd_bisection(
     sf0: StandardForm, res: ReservoirConfig, t_tol: float = 1e-12
 ) -> float | AsymptoticOnly:
-    """Disentanglement time found by bisection on the separability margin.
+    """Disentanglement time found by bisection on the separability margin: the death-time oracle.
 
     Brackets the sign change of margin(t) = (b1(t)-1/2)(b2(t)-1/2)-c(t)^2
     starting from twice the analytic estimate (with the reservoir
     occupancy floored at 1e-6), doubling on failure, then bisects until
-    the bracket is narrower than ``t_tol``.  The closed-form death times
-    are never consulted, so the result is a genuine cross-check for them,
-    and it answers for every bath layout, including two baths that differ
-    in rate or temperature.
-
-    A bisection step needs only the sign of the margin.  It evolves the
-    entries as ``evolve`` does, with the constants of the reservoir
-    computed once per call, and takes the sign of the rounded difference
-    ``x*y - c^2`` of the two products whenever that difference is so far
-    from the products' rounding errors that the compensated margin must
-    share it; only the remaining steps compute the compensated margin.
-    Every step decides as the compensated margin does, so each midpoint,
-    and the result, is the same bit for bit.
+    the bracket is narrower than ``t_tol``.  It never consults the roots
+    that ``esd_time`` takes, so it cross-checks every bath layout.  Each
+    step evolves the entries as ``evolve`` does, with the constants of
+    the reservoir computed once per call, and takes the sign of their
+    compensated margin.
 
     The gate of ``esd_time`` comes first, in its order; ASYMPTOTIC_ONLY
     when every damped mode sees a zero-temperature bath: the margin then
@@ -301,123 +256,19 @@ def esd_bisection(
 
     Raises:
         InvalidParameterError: if no mode is damped, if the time overflows
-            a double, or if the entries cannot resolve the crossing: every
-            hot occupancy is lost in ``n_r + 1/2``, or the crossing lies
-            below their time resolution (the fastest decay factor is
-            within a few ulps of 1 there).
+            a double or lies below its smallest normal value, or if the
+            entries cannot resolve the crossing: every hot occupancy is
+            lost in ``n_r + 1/2``, or the crossing lies below their time
+            resolution (the fastest decay factor is within a few ulps of 1
+            there).  ``esd_time`` answers both wherever its terms stay within
+            a double.
         SeparableInputError: if ``sf0`` is already separable, as ``esd_time``.
     """
-    return _bisection_death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields(), t_tol)
-
-
-def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
-    """Entanglement sudden-death time of ``sf0`` in the reservoirs ``res``.
-
-    Identical baths and a single bath (on either mode) are answered in
-    closed form; two baths that differ in rate or temperature fall back to
-    ``esd_bisection``.  Every layout first passes one gate, in this order:
-    no damped mode, a separable ``sf0``, then ASYMPTOTIC_ONLY where no
-    active bath is hot.
-
-    Raises:
-        InvalidParameterError: if no mode is damped, if the time overflows
-            a double, or where ``esd_bisection`` cannot resolve the time.
-        SeparableInputError: if ``sf0`` is already separable (one message).
-        NonPhysicalStateError: a single bath's undamped entry at 1/2.
-    """
-    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields())
-
-
-_NO_BATH = "the reservoir has no active bath; nothing evolves"
-_SEPARABLE = "input is already separable: no finite disentanglement time to compute"
-_UNRESOLVED = "the separability crossing lies below the time resolution of the evolved entries"
-# A crossing where the fastest decay factor exp(-gamma t) is within this of
-# 1 is a rounding step of exp, not a property of the state.
-_EXP_RESOLUTION = 4.0 * 2.0**-53
-
-
-def _death_time(
-    b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float]
-) -> float | AsymptoticOnly:
-    """Death time of the entries ``(b1, b2, c)``, whose separability margin is ``margin``.
-
-    The kernel of ``esd_time`` and of the closed-form functions, on bare
-    floats: ``res`` is ``(gamma1, n_r1, gamma2, n_r2)`` as ReservoirConfig
-    admits them.  The closed form where one exists, else bisection; the
-    checks, markers and errors are those the public functions document,
-    in their order.
-    """
-    t = _closed_form_death_time(b1, b2, c, margin, res)
-    return _bisection_death_time(b1, b2, c, margin, res) if t is None else t
-
-
-def _gate(margin: float, res: tuple[float, float, float, float]) -> bool:
-    """The cases every death-time route shares, in their order; True where the time is ASYMPTOTIC_ONLY.
-
-    No active bath is refused, then ``margin >= 0``; where no active bath
-    is hot, the margin only scales by a positive factor, never to zero.
-    """
-    gamma1, n_r1, gamma2, n_r2 = res
-    if gamma1 == 0.0 and gamma2 == 0.0:
-        raise InvalidParameterError(_NO_BATH)
-    if margin >= 0.0:
-        raise SeparableInputError(_SEPARABLE)
-    return (gamma1 == 0.0 or n_r1 == 0.0) and (gamma2 == 0.0 or n_r2 == 0.0)
-
-
-def _closed_form_death_time(
-    b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float]
-) -> float | AsymptoticOnly | None:
-    """The closed-form death time of ``_death_time``, or None for two baths that differ in rate or temperature.
-
-    Both closed forms are ``log1p(-margin / (den * n_r)) / gamma``, with
-    ``den`` the offset from 1/2 of kt_plus (identical baths) or of the
-    undamped mode's entry (a single bath).  Where ``den * n_r`` is
-    subnormal, the ratio is ``(-margin / den) / n_r``.  Where the ratio
-    overflows, or ``den * n_r`` underflows to 0 (a subnormal ``n_r``), the
-    time is taken as ``(log(-margin) - log(den) - log(n_r)) / gamma``: the
-    1 of log1p lies far below the last bit of such a ratio.  Two baths
-    that differ are answered None before the gate, so ``esd --verify``
-    refuses them whatever the input.
-    """
-    gamma1, n_r1, gamma2, n_r2 = res
-    if gamma1 > 0.0 and gamma2 > 0.0:
-        if gamma1 != gamma2 or n_r1 != n_r2:
-            return None
-        gamma, n_r, den, free = gamma1, n_r1, _ktp_off(b1, b2, c), "kt_plus"
-    elif gamma1 > 0.0:
-        gamma, n_r, den, free = gamma1, n_r1, b2 - 0.5, "b2"
-    else:
-        # Bath on mode 2 only (or none, which the gate refuses): the modes
-        # relabeled.  The margin is symmetric in them (prod_diff is, under
-        # a <-> b), so only the denominator changes.
-        gamma, n_r, den, free = gamma2, n_r2, b1 - 0.5, "b1"
-    if _gate(margin, res):
+    margin, fields = separability_margin(sf0), res._fields()
+    if _gate(margin, fields):
         return ASYMPTOTIC_ONLY
-    if den <= 0.0:  # only a single bath's free-mode offset can reach 0 while entangled
-        raise NonPhysicalStateError(
-            f"{free} = 1/2 with residual entanglement: degenerate denominator in the "
-            "single-bath disentanglement time"
-        )
-    prod = den * n_r
-    if prod >= _MIN_NORMAL:
-        ratio = -margin / prod
-    elif prod > 0.0:  # a subnormal product has lost bits; divide twice instead
-        ratio = (-margin / den) / n_r
-    else:
-        ratio = math.inf
-    if ratio == math.inf:
-        return _finite_death_time((math.log(-margin) - math.log(den) - math.log(n_r)) / gamma)
-    return _finite_death_time(math.log1p(ratio) / gamma)
-
-
-def _bisection_death_time(
-    b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float], t_tol: float = 1e-12
-) -> float | AsymptoticOnly:
-    """The death time of ``_death_time`` by bisection to ``t_tol``, for every layout (``esd_bisection``)."""
-    if _gate(margin, res):
-        return ASYMPTOTIC_ONLY
-    gamma1, n_r1, gamma2, n_r2 = res
+    b1, b2, c = sf0.b1, sf0.b2, sf0.c
+    gamma1, n_r1, gamma2, n_r2 = fields
     n_r_eff = max(n_r1 if gamma1 > 0.0 else 0.0, n_r2 if gamma2 > 0.0 else 0.0)
     if n_r_eff + 0.5 == 0.5:  # the entries decay as in a cold bath: their margin only underflows
         raise InvalidParameterError(
@@ -446,9 +297,6 @@ def _bisection_death_time(
     else:
         raise InvalidParameterError(_UNRESOLVED)
     one_rate = k1 == k2 == kc  # equal rates: the three exponentials are one
-    # Entries between the initial and the reservoir values stay in the
-    # sign test's range; above it every step takes the compensated margin.
-    negative = _margin_is_negative if max(b1, b2, h1, h2) <= _SPLIT_SAFE else _prod_diff_is_negative
     t_lo = 0.0
     # Halves are added: t_lo + t_hi can overflow once the bracket nears the cap.
     while t_hi - t_lo > t_tol:
@@ -462,7 +310,7 @@ def _bisection_death_time(
             w2 = exp(k2 * t_mid)
             wc = exp(kc * t_mid)
         ct = c * wc
-        if negative(b1 * w1 + h1 * (1.0 - w1) - 0.5, b2 * w2 + h2 * (1.0 - w2) - 0.5, ct):
+        if prod_diff(b1 * w1 + h1 * (1.0 - w1) - 0.5, b2 * w2 + h2 * (1.0 - w2) - 0.5, ct, ct) < 0.0:
             t_lo = t_mid
         else:
             t_hi = t_mid
@@ -470,6 +318,161 @@ def _bisection_death_time(
     if -math.expm1(-max(gamma1, gamma2) * t) <= _EXP_RESOLUTION:
         raise InvalidParameterError(_UNRESOLVED)
     return t
+
+
+def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
+    """Entanglement sudden-death time of ``sf0`` in the reservoirs ``res``.
+
+    Identical baths, and one hot bath (on either mode, beside a cold or
+    absent bath on the other), are answered in closed form.  Two hot baths
+    that differ in rate or temperature get the root of the evolved
+    margin's four-term sum: in closed form for equal rates, by Newton's
+    method in log t for unequal rates.  Every layout first passes one
+    gate, in this order: no damped mode, a separable ``sf0``, then
+    ASYMPTOTIC_ONLY where no active bath is hot.  ``esd_bisection`` is the
+    independent oracle of every route.
+
+    Raises:
+        InvalidParameterError: if no mode is damped, if the time overflows
+            a double or lies below its smallest normal value, or if the
+            terms of two hot baths' margin overflow a double or underflow
+            before it crosses zero.
+        SeparableInputError: if ``sf0`` is already separable (one message).
+        NonPhysicalStateError: a single hot bath's other entry at 1/2.
+    """
+    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields())
+
+
+_NO_BATH = "the reservoir has no active bath; nothing evolves"
+_SEPARABLE = "input is already separable: no finite disentanglement time to compute"
+_TERMS_OVERFLOW = "the terms of the evolved separability margin overflow a double (reservoir occupancies {!r} and {!r})"
+_TERMS_UNDERFLOW = (
+    "the terms of the evolved separability margin underflow a double before it crosses 0 "
+    "(reservoir occupancies {!r} and {!r})"
+)
+_UNRESOLVED = "the separability crossing lies below the time resolution of the evolved entries"
+# A crossing where the fastest decay factor exp(-gamma t) is within this of
+# 1 is a rounding step of exp, not a property of the state.
+_EXP_RESOLUTION = 4.0 * 2.0**-53
+# The largest decay exponent gamma*t of the two-bath root: exp(-709) is
+# already subnormal, and expm1 stays finite up to it.
+_EXP_MAX = 709.0
+
+
+def _death_time(
+    b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float]
+) -> float | AsymptoticOnly:
+    """Death time of the entries ``(b1, b2, c)``, whose separability margin is ``margin``.
+
+    The kernel of ``esd_time`` and of the closed-form functions, on bare
+    floats: ``res`` is ``(gamma1, n_r1, gamma2, n_r2)`` as ReservoirConfig
+    admits them.  After ``_gate``, identical baths and one hot bath take
+    ``log1p(-margin / (den * n_r)) / gamma``, with ``den`` the offset from
+    1/2 of kt_plus (identical baths) or of the other mode's entry (one hot
+    bath; a cold bath on the other mode does not move the root).  Where
+    ``den * n_r`` is subnormal, the ratio is ``(-margin / den) / n_r``.
+    Where the ratio overflows, or ``den * n_r`` underflows to 0 (a
+    subnormal ``n_r``), the time is taken as ``(log(-margin) - log(den) -
+    log(n_r)) / gamma``: the 1 of log1p lies far below the last bit of such
+    a ratio.  Two hot baths that differ go to ``_two_bath_death_time``.
+    """
+    if _gate(margin, res):
+        return ASYMPTOTIC_ONLY
+    gamma1, n_r1, gamma2, n_r2 = res
+    hot1, hot2 = gamma1 > 0.0 and n_r1 > 0.0, gamma2 > 0.0 and n_r2 > 0.0
+    if hot1 and hot2:
+        if gamma1 != gamma2 or n_r1 != n_r2:
+            return _two_bath_death_time(b1 - 0.5, b2 - 0.5, -margin, res)
+        gamma, n_r, den, free = gamma1, n_r1, _ktp_off(b1, b2, c), "kt_plus"
+    elif hot1:
+        gamma, n_r, den, free = gamma1, n_r1, b2 - 0.5, "b2"
+    else:
+        # The hot bath on mode 2: the modes relabeled.  The margin is
+        # symmetric in them (prod_diff is, under a <-> b), so only the
+        # denominator changes.
+        gamma, n_r, den, free = gamma2, n_r2, b1 - 0.5, "b1"
+    if den <= 0.0:  # only a single bath's free-mode offset can reach 0 while entangled
+        raise NonPhysicalStateError(
+            f"{free} = 1/2 with residual entanglement: degenerate denominator in the "
+            "single-bath disentanglement time"
+        )
+    prod = den * n_r
+    if prod >= _MIN_NORMAL:
+        ratio = -margin / prod
+    elif prod > 0.0:  # a subnormal product has lost bits; divide twice instead
+        ratio = (-margin / den) / n_r
+    else:
+        ratio = math.inf
+    if ratio == math.inf:
+        return _finite_death_time((math.log(-margin) - math.log(den) - math.log(n_r)) / gamma)
+    return _finite_death_time(math.log1p(ratio) / gamma)
+
+
+def _gate(margin: float, res: tuple[float, float, float, float]) -> bool:
+    """The cases every death-time route shares, in their order; True where the time is ASYMPTOTIC_ONLY.
+
+    No active bath is refused, then ``margin >= 0``; where no active bath
+    is hot, the margin only scales by a positive factor, never to zero.
+    """
+    gamma1, n_r1, gamma2, n_r2 = res
+    if gamma1 == 0.0 and gamma2 == 0.0:
+        raise InvalidParameterError(_NO_BATH)
+    if margin >= 0.0:
+        raise SeparableInputError(_SEPARABLE)
+    return (gamma1 == 0.0 or n_r1 == 0.0) and (gamma2 == 0.0 or n_r2 == 0.0)
+
+
+def _two_bath_death_time(a1: float, a2: float, neg: float, res: tuple[float, float, float, float]) -> float:
+    """Death time of two hot baths that differ, from ``a_i = b_i - 1/2`` and ``neg = -margin > 0``.
+
+    With E_i = expm1(gamma_i t) and N_i = n_ri*E_i, the evolved margin is
+    exp(-(gamma1 + gamma2) t) * (S - neg), S = a2*N1 + a1*N2 + N1*N2.  Each
+    term of S is >= 0 and rises from 0, so S crosses neg once.  At equal
+    rates S is quadratic in E, with the root E* = 2*neg/(B + hypot(B,
+    2*sqrt(n_r1*n_r2*neg))), B = a2*n_r1 + a1*n_r2.  At unequal rates
+    log(S/neg) is convex and increasing in s = log t (each E_i is
+    log-convex in s, and so are sums and products of them), so Newton's
+    method in s descends monotonically from any time above the root.  It
+    starts at the least of: E* at the slower rate, each single-term root
+    log1p(neg/(a_j*n_ri))/gamma_i, and ``_EXP_MAX``/gamma_max; it stops
+    when a step no longer lowers t.  Below the single-term roots each term
+    of S/neg is under 1, or under neg/(a1*a2) for N1*N2, so S stays finite.
+    """
+    gamma1, n_r1, gamma2, n_r2 = res
+    b = a2 * n_r1 + a1 * n_r2
+    den = b + math.hypot(b, 2.0 * math.sqrt(n_r1) * math.sqrt(n_r2) * math.sqrt(neg))
+    if den == math.inf:
+        raise InvalidParameterError(_TERMS_OVERFLOW.format(n_r1, n_r2))
+    # A subnormal B has lost the bits of the root; E* beyond the largest
+    # double puts exp(-gamma t) below the smallest one.
+    e_star = 2.0 * neg / den if den >= _MIN_NORMAL else math.inf
+    if e_star == math.inf:
+        raise InvalidParameterError(_TERMS_UNDERFLOW.format(n_r1, n_r2))
+    if gamma1 == gamma2:
+        return _finite_death_time(math.log1p(e_star) / gamma1)
+    limit = min(_EXP_MAX / max(gamma1, gamma2), _MAX_TIME)
+    t = min(math.log1p(e_star) / min(gamma1, gamma2), limit)
+    for a, n_r, gamma in ((a2, n_r1, gamma1), (a1, n_r2, gamma2)):
+        if a > 0.0:
+            t = min(t, math.log1p(neg / a / n_r) / gamma)
+    while True:
+        if t < _MIN_NORMAL:
+            raise InvalidParameterError(_UNDERFLOW)
+        u1, u2 = gamma1 * t, gamma2 * t
+        m1, m2 = n_r1 * math.expm1(u1), n_r2 * math.expm1(u2)
+        total = m1 * (a2 + m2) + a1 * m2
+        if total < neg and t == limit:  # the root lies beyond the first bound
+            if t == _MAX_TIME:
+                raise InvalidParameterError(_OVERFLOW)
+            raise InvalidParameterError(_TERMS_UNDERFLOW.format(n_r1, n_r2))
+        # t * dS/dt; the Newton step in s is log(S/neg) / (t * dS/dt / S).
+        slope = u1 * (n_r1 + m1) * (a2 + m2) + u2 * (n_r2 + m2) * (a1 + m1)
+        if not total + slope < math.inf:
+            raise InvalidParameterError(_TERMS_OVERFLOW.format(n_r1, n_r2))
+        t_next = t * math.exp(-math.log(total / neg) * total / slope)
+        if not t_next < t:
+            return t
+        t = t_next
 
 
 def steady_state(res: ReservoirConfig, sf0: StandardForm) -> StandardForm:

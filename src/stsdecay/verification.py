@@ -7,9 +7,9 @@ by routes that share none of that algebra:
 * symplectic spectra from an eigen-decomposition of the full 4x4
   covariance matrix, ``full_cm`` (no two-mode formula involved),
 * disentanglement times from bisection on the separability margin of the
-  evolved state (no logarithm rearrangement involved; ``esd_bisection``
-  lives in ``dynamics``, which answers general bath layouts with it, and
-  is re-exported here),
+  evolved entries (no logarithm rearrangement and no four-term sum
+  involved; ``esd_bisection`` lives in the numpy-free ``dynamics``, where
+  no production death time calls it, and is re-exported here),
 * the evolved characteristic function, ``characteristic_function``,
   cross-checked against the Gaussian characteristic function of the
   evolved state, ``gaussian_cf`` (two different orders of applying the

@@ -10,9 +10,12 @@ import tracemalloc
 import pytest
 
 from stsdecay import (
+    InvalidParameterError,
+    ReservoirConfig,
     StandardForm,
     StsParams,
     correlation_report,
+    esd_bisection,
     esd_time_identical_baths,
     standard_form_from_sts,
 )
@@ -202,27 +205,26 @@ def test_esd_separable_input_is_exit_3(capsys):
     for bath in _LAYOUTS:
         code, out, err = run(capsys, "esd", "--b1", "1.5", "--b2", "1.5", "--c", "0", *bath)
         assert (code, out, err) == (3, "", _SEPARABLE), bath
-    for bath in _LAYOUTS[:3]:
         assert run(capsys, "esd", "--b1", "1.5", "--b2", "1.5", "--c", "0", *bath, "--verify") == (3, "", _SEPARABLE)
 
 
-def test_esd_general_two_bath_uses_bisection(capsys):
-    code, out, _ = run(
-        capsys,
-        "esd", "--n1", "10", "--n2", "0.1", "--r", "2",
-        "--gamma1", "1.0", "--nr1", "0.5", "--gamma2", "0.3", "--nr2", "0.7",
-    )
+def _verified(capsys, *argv):
+    """The one row of ``esd --verify``, after checking that its root agrees with the bisection oracle."""
+    code, out, err = run(capsys, "esd", *argv, "--verify")
+    assert (code, err) == (0, "")
+    (row,) = rows_of(out)
+    assert float(row["abs_difference"]) <= 1e-9
+    return row
+
+
+def test_esd_general_two_bath_verify_agrees_with_bisection(capsys):
+    argv = ("--n1", "10", "--n2", "0.1", "--r", "2", "--gamma1", "1.0", "--nr1", "0.5", "--gamma2", "0.3", "--nr2", "0.7")
+    code, out, _ = run(capsys, "esd", *argv)
     assert code == 0
     (row,) = rows_of(out)
     assert 0.0 < float(row["t_s"]) < 10.0
-    # --verify has no closed form to compare against here.
-    code, _, err = run(
-        capsys,
-        "esd", "--n1", "10", "--n2", "0.1", "--r", "2",
-        "--gamma1", "1.0", "--nr1", "0.5", "--gamma2", "0.3", "--nr2", "0.7",
-        "--verify",
-    )
-    assert code == 2 and "closed form" in err
+    # --verify prints the same time beside the oracle's.
+    assert _verified(capsys, *argv)["t_s_closed"] == row["t_s"]
 
 
 def test_esd_bath_on_mode_two_swaps_roles(capsys):
@@ -549,7 +551,8 @@ def test_death_time_near_the_largest_double_is_finite(capsys, fmt):
     )
     assert code == 0 and err == ""
     assert "inf" not in out.lower()
-    assert "1.0896289723634319e+308" in out
+    # 60-digit mpmath of the same entries: 1.0896289723633786516e+308.
+    assert "1.0896289723633784e+308" in out
 
 
 def test_death_time_with_a_subnormal_occupancy_is_finite(capsys):
@@ -563,32 +566,53 @@ def test_death_time_with_a_subnormal_occupancy_is_finite(capsys):
     "nr, closed_form", [("1e-17", "38.40834027832669"), ("1e-20", "45.31609555730883"), ("1e-320", "736.0916345884018")]
 )
 def test_occupancy_lost_in_n_r_plus_one_half_is_refused_by_bisection(capsys, nr, closed_form):
-    # The evolved entries see n_r + 1/2 == 1/2, so the margin never crosses 0
-    # and only underflows; that is no death time (mpmath: 19.5354... at 1e-17).
+    # The evolved entries see n_r + 1/2 == 1/2, so their margin never crosses
+    # 0 and only underflows: the bisection oracle refuses.  The margin's
+    # four-term sum keeps the occupancy, and its root is the time of 60-digit
+    # mpmath of the same entries (19.535414756097342774 and
+    # 22.989292397085244575).  At 1e-320 the terms underflow before the
+    # crossing, and the two baths' root is refused by name.
     state = ("--n1", "10", "--n2", "0.1", "--r", "2")
-    code, out, err = run(capsys, "esd", *state, "--gamma1", "1", "--nr1", nr, "--gamma2", "2", "--nr2", nr)
-    assert code == 2 and out == ""
-    assert err == (
+    two_baths = ("esd", *state, "--gamma1", "1", "--nr1", nr, "--gamma2", "2", "--nr2", nr)
+    two_bath_time = {"1e-17": "19.535414756097342", "1e-20": "22.989292397085244"}.get(nr)
+    lost = (
         f"error: reservoir occupancy {float(nr)!r} is lost in n_r + 1/2 in double precision: "
         "bisection cannot resolve the death time\n"
     )
-    # The closed form of the same occupancy answers as before; its bisection oracle refuses.
+    if two_bath_time is None:
+        underflow = (
+            "error: the terms of the evolved separability margin underflow a double before it crosses 0 "
+            f"(reservoir occupancies {float(nr)!r} and {float(nr)!r})\n"
+        )
+        assert run(capsys, *two_baths) == run(capsys, *two_baths, "--verify") == (2, "", underflow)
+    else:
+        assert run(capsys, *two_baths) == (0, f"t_s\n{two_bath_time}\n", "")
+        assert run(capsys, *two_baths, "--verify") == (2, "", lost)
+    # Identical baths answer in closed form as before; the oracle refuses.
     identical = ("esd", *state, "--gamma1", "1", "--nr1", nr, "--gamma2", "1", "--nr2", nr)
     assert run(capsys, *identical) == (0, f"t_s\n{closed_form}\n", "")
-    code, out, err = run(capsys, *identical, "--verify")
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: reservoir occupancy {float(nr)!r} is lost") and err.count("\n") == 1
+    assert run(capsys, *identical, "--verify") == (2, "", lost)
+    res = ReservoirConfig(1.0, float(nr), 2.0, float(nr))
+    with pytest.raises(InvalidParameterError, match="is lost in n_r"):
+        esd_bisection(standard_form_from_sts(StsParams(10.0, 0.1, 2.0)), res)
 
 
 def test_crossing_below_the_time_resolution_is_refused(capsys):
-    # 1e100: exp(-gamma t) rounds to 1 through every bracket doubling.
-    # 1e70: it brackets, at the first rounding step of exp(-2 t) near
-    # t = 3.6e-17, where the true crossing is at 9.5e-71.
-    for nr1 in ("1e100", "1e70"):
-        bath = ("--gamma1", "1", "--nr1", nr1, "--gamma2", "2", "--nr2", "0.5")
-        code, out, err = run(capsys, "esd", "--n1", "1", "--n2", "1", "--r", "2", *bath)
-        assert (code, out) == (2, "")
-        assert err == "error: the separability crossing lies below the time resolution of the evolved entries\n"
+    # The bisection oracle refuses: at 1e100 exp(-gamma t) rounds to 1
+    # through every bracket doubling; at 1e70 it brackets at the first
+    # rounding step of exp(-2 t) near t = 3.6e-17.  The root of the
+    # margin's four-term sum is the time of 120-digit mpmath of the same
+    # entries (9.5057133268650197906e-71, 9.5057133268650203289e-101, and
+    # 9.5057133268507735222e-13 at 1e12, where bisection's absolute t_tol
+    # gave 1.4175796250003703e-12).
+    unresolved = "error: the separability crossing lies below the time resolution of the evolved entries\n"
+    argv = ("esd", "--n1", "1", "--n2", "1", "--r", "2", "--gamma1", "1", "--gamma2", "2", "--nr2", "0.5")
+    assert run(capsys, *argv, "--nr1", "1e12") == (0, "t_s\n9.505713326850772e-13\n", "")
+    for nr1, t_s in (("1e100", "9.50571332686502e-101"), ("1e70", "9.50571332686502e-71")):
+        assert run(capsys, *argv, "--nr1", nr1) == (0, f"t_s\n{t_s}\n", "")
+        assert run(capsys, *argv, "--nr1", nr1, "--verify") == (2, "", unresolved)
+        with pytest.raises(InvalidParameterError, match="below the time resolution"):
+            esd_bisection(standard_form_from_sts(StsParams(1.0, 1.0, 2.0)), ReservoirConfig(1.0, float(nr1), 2.0, 0.5))
 
 
 def test_failed_sweep_writes_nothing(capsys, tmp_path):
@@ -655,13 +679,14 @@ def test_evolve_rejects_negative_start_before_output(capsys):
     assert code == 2 and out == "" and "evolution time" in err
 
 
-def test_esd_verify_refusal_names_rate_or_temperature(capsys):
-    code, out, err = run(
-        capsys, "esd", "--n1", "10", "--n2", "0.1", "--r", "2",
-        "--gamma1", "1.0", "--nr1", "0.2", "--gamma2", "1.0", "--nr2", "0.9", "--verify",
-    )
-    assert code == 2 and out == ""
-    assert "differ in rate or temperature" in err
+def test_esd_verify_answers_two_baths_that_differ(capsys):
+    # Equal rates at unequal temperatures, unequal rates, and a hot bath beside a cold one.
+    for bath in (
+        ("--gamma1", "1.0", "--nr1", "0.2", "--gamma2", "1.0", "--nr2", "0.9"),
+        ("--gamma1", "0.8", "--nr1", "0.4", "--gamma2", "1.1", "--nr2", "0.2"),
+        ("--gamma1", "0.8", "--nr1", "0.4", "--gamma2", "3.0", "--nr2", "0"),
+    ):
+        _verified(capsys, "--n1", "10", "--n2", "0.1", "--r", "2", *bath)
 
 
 def test_report_is_computed_only_for_measure_columns(capsys, monkeypatch):

@@ -31,14 +31,12 @@ from stsdecay import (
     uncertainty_margin,
 )
 from stsdecay import dynamics
-from stsdecay._accurate import prod_diff
 from stsdecay.dynamics import (
     _MAX_TIME,
     _OVERFLOW,
     _finite_death_time,
     _ktp_off,
     _margin_at,
-    _margin_is_negative,
 )
 from stsdecay.verification import sample_entangled_sts, sample_sts
 
@@ -224,6 +222,10 @@ def test_death_times_that_overflow_a_double_are_refused():
     for death_time in (esd_bisection, esd_time):
         with pytest.raises(InvalidParameterError, match=overflow):
             death_time(sf, ReservoirConfig(5e-309, 0.5, 5e-311, 0.5))
+    # A time below the smallest normal double is refused too, not printed as 0.0.
+    for res in (ReservoirConfig.identical(1e200, 1e200), ReservoirConfig(1e200, 1e200, 1.0, 0.0)):
+        with pytest.raises(InvalidParameterError, match="^death time underflows a double"):
+            esd_time(sf, res)
 
 
 def test_death_times_whose_ratio_overflows_are_accurate():
@@ -290,7 +292,7 @@ def test_esd_time_picks_the_route_for_the_layout():
         assert on_mode2 == esd_time_single_bath(swapped, gamma, n_r) != esd_time_single_bath(sf, gamma, n_r)
     sf = states[0]
     for res in (ReservoirConfig(1.0, 0.5, 2.0, 0.5), ReservoirConfig(1.0, 0.5, 1.0, 0.2)):
-        assert esd_time(sf, res) == esd_bisection(sf, res)
+        assert abs(esd_time(sf, res) - esd_bisection(sf, res)) <= 1e-9
     assert esd_time(sf, ReservoirConfig(1.0, 0.0, 2.0, 0.0)) is ASYMPTOTIC_ONLY
     with pytest.raises(InvalidParameterError, match="no active bath"):
         esd_time(sf, ReservoirConfig(0.0, 0.5, 0.0, 0.5))
@@ -478,7 +480,7 @@ def _bisection_cases(rng):
             res = ReservoirConfig(tiny, 0.5, tiny * rng.uniform(0.005, 1.0), rng.uniform(0.1, 1.0))
         elif k % 60 == 5:  # a huge occupancy: the bracket fails at tiny times
             res = ReservoirConfig(gamma, 1e300, gamma * rng.uniform(0.5, 2.0), occupancy())
-        else:  # entries past the sign test's range: every step takes prod_diff
+        else:  # entries past 2**996, near the largest whose Dekker split stays finite
             t_tol = 0.0  # these death times are near 1e-16
             b1, b2 = rng.uniform(2.0**996, 1.3e300), 0.5 + 2.0 ** rng.uniform(-45.0, -30.0)
             c = math.sqrt((b1 - 0.5) * (b2 - 0.5))
@@ -502,7 +504,7 @@ def test_bisection_steps_give_the_bits_of_the_margin_loop(monkeypatch):
     # The refusals: every hot bath's occupancy lost in n_r + 1/2 (all
     # subnormal), death times beyond the largest double, and crossings
     # below the time resolution of the entries: a huge occupancy (40), and
-    # the entries past the sign test's range, whose margin is at most
+    # the entries past 2**996, whose margin is at most
     # 1/b1 of their products, so that they cross within a few ulps of exp.
     assert kinds == {
         "time": 1579, "ASYMPTOTIC_ONLY": 52, "InvalidParameterError": 769,
@@ -519,21 +521,93 @@ def test_bisection_steps_give_the_bits_of_the_margin_loop(monkeypatch):
     assert times == 357
 
 
-def _near_margin_triples(rng):
-    """(x, y, c) with c^2 within a few ulps of x*y, at every scale, x sometimes slightly negative."""
-    scales = (1.0, 1e-300, 1e300, 1e-160, 1e150, 5e-324)
-    for _ in range(60000):
-        x = rng.choice(scales) * 10.0 ** rng.uniform(-8.0, 8.0)
-        y = rng.choice(scales) * 10.0 ** rng.uniform(-8.0, 8.0)
-        if rng.random() < 0.2:
-            x = -rng.uniform(0.0, 1.0) * math.ulp(0.5) * rng.choice((1.0, 4.0, 64.0))
-        c = math.sqrt(abs(x * y))
-        for _ in range(rng.randrange(4)):
-            c = math.nextafter(c, rng.choice((math.inf, 0.0)))
-        if math.isfinite(134217729.0 * x) and math.isfinite(134217729.0 * y):
-            yield x, y, c
+def test_esd_time_answers_every_bisection_case_or_names_the_cause():
+    # The oracle's adversarial cases through the production routes: rates
+    # near 1e-309, n_r = 1e300, subnormal n_r, entries past 2**996.  Each
+    # gives a finite time, the marker, or an error that names its cause.
+    causes = (
+        "death time overflows a double",
+        "death time underflows a double",
+        "the terms of the evolved separability margin underflow",
+    )
+    kinds = collections.Counter()
+    for sf, res, _ in _bisection_cases(random.Random(20141202)):
+        try:
+            t = esd_time(sf, res)
+        except InvalidParameterError as exc:
+            (cause,) = (cause for cause in causes if str(exc).startswith(cause))
+            kinds[cause] += 1
+            continue
+        if t is ASYMPTOTIC_ONLY:
+            kinds["ASYMPTOTIC_ONLY"] += 1
+        else:
+            assert type(t) is float and 0.0 < t < math.inf, (sf, res)
+            kinds["time"] += 1
+    # Beyond the largest double (tiny rates), below the smallest normal one
+    # (n_r = 1e300 beside a margin near -1e-14), and two (near) subnormal
+    # occupancies, whose terms underflow before the crossing.  The oracle
+    # refuses each of these as well.
+    assert kinds == {
+        "time": 2182, "ASYMPTOTIC_ONLY": 52, causes[0]: 128, causes[1]: 10, causes[2]: 28,
+    }
 
 
-def test_margin_sign_test_agrees_with_prod_diff():
-    for x, y, c in _near_margin_triples(random.Random(1412)):
-        assert _margin_is_negative(x, y, c) == (prod_diff(x, y, c, c) < 0.0), (x, y, c)
+def _root_within(sf, res, t, ulps, mpmath):
+    """True where the evolved margin of the exact entries changes sign within ``ulps`` ulps of ``t``."""
+    u_min = min(g for g in (res.gamma1, res.gamma2) if g > 0.0) * t
+    u_max = max(res.gamma1, res.gamma2) * t
+    # Digits to resolve 1 - exp(-gamma t) at the smallest rate and exp(-gamma t) at the largest.
+    dps = 40 + max(0, math.ceil(-math.log10(u_min))) + math.ceil(u_max / 2.3)
+    with mpmath.workdps(dps):
+        b1, b2, c, g1, n1, g2, n2 = map(mpmath.mpf, (sf.b1, sf.b2, sf.c, *res._fields()))
+
+        def margin(t):
+            x1, x2 = mpmath.exp(-g1 * t), mpmath.exp(-g2 * t)
+            a1 = b1 * x1 + (n1 + 0.5) * (1 - x1) - 0.5
+            a2 = b2 * x2 + (n2 + 0.5) * (1 - x2) - 0.5
+            return a1 * a2 - c * c * x1 * x2
+
+        step = ulps * math.ulp(t)
+        return margin(mpmath.mpf(t) - step) < 0 < margin(mpmath.mpf(t) + step)
+
+
+def test_two_bath_death_times_are_within_4_ulp_of_the_mpmath_root():
+    mpmath = pytest.importorskip("mpmath")
+    found = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
+    cases = [(found, ReservoirConfig(1.0, n_r, 2.0, n_r)) for n_r in (1e-10, 1e-15, 1e-17, 1e-20)]
+    found = standard_form_from_sts(StsParams(1.0, 1.0, 2.0))
+    cases += [(found, ReservoirConfig(1.0, n_r, 2.0, 0.5)) for n_r in (1e12, 1e70, 1e100)]
+    # A cold bath beside a hot one, at rates 150 apart (the bisection oracle gives 2645.36 here).
+    cases.append((
+        StandardForm(11.804320460145583, 10.844802922081705, 10.90577630953345),
+        ReservoirConfig(0.28163196758243125, 0.0, 0.0018503515403449295, 0.06414402660262296),
+    ))
+    rng = random.Random(1412)
+    for k in range(120):
+        n1, n2 = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
+        r_min = math.asinh(math.sqrt(n1 * n2 / (n1 + n2 + 1.0)))
+        sf = standard_form_from_sts(StsParams(n1, n2, r_min + rng.uniform(1e-3, 3.0)))
+        gamma = 10.0 ** rng.uniform(-1.0, 1.0)
+        ratio = 1.0 if k % 2 else 10.0 ** rng.uniform(-3.0, 3.0)
+        n_r = (10.0 ** rng.uniform(-20.0, 100.0), 10.0 ** rng.uniform(-20.0, 2.0))[:: rng.choice((1, -1))]
+        cases.append((sf, ReservoirConfig(gamma, n_r[0], gamma * ratio, n_r[1])))
+    smallest = math.inf
+    for sf, res in cases:
+        t = esd_time(sf, res)
+        smallest = min(smallest, t)
+        assert _root_within(sf, res, t, 4, mpmath), (sf, res, t)
+    assert smallest < 1e-12
+
+
+def test_a_cold_bath_beside_a_hot_one_keeps_the_single_bath_time():
+    # The cold bath scales the margin by exp(-gamma t) without moving its root.
+    rng = random.Random(1413)
+    for _ in range(300):
+        n1, n2 = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
+        r_min = math.asinh(math.sqrt(n1 * n2 / (n1 + n2 + 1.0)))
+        sf = standard_form_from_sts(StsParams(n1, n2, r_min + rng.uniform(1e-3, 3.0)))
+        swapped = StandardForm(sf.b2, sf.b1, sf.c, sf.phi)
+        gamma, n_r = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-20.0, 20.0)
+        cold = rng.choice((1e-310, 1e300, gamma, gamma * 10.0 ** rng.uniform(-3.0, 3.0)))
+        assert esd_time(sf, ReservoirConfig(gamma, n_r, cold, 0.0)) == esd_time_single_bath(sf, gamma, n_r)
+        assert esd_time(sf, ReservoirConfig(cold, 0.0, gamma, n_r)) == esd_time_single_bath(swapped, gamma, n_r)

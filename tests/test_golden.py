@@ -95,7 +95,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "report_subset_kappas_separable_json": ("report", *_STATE, "--outputs", "kappas,separable", *_JSON),
         "report_subset_discords_mi": ("report", *_FORM, "--outputs", "mutual_information,d2,d1"),
         "report_subset_separable": ("report", *_STATE, "--t", "1.5", *_LAYOUTS["identical"], "--outputs", "separable"),
-        # esd: every layout, markers, and the bisection cross-check.
+        # esd: every layout, markers, and the bisection cross-check of every layout.
         "esd_zero_temperature": ("esd", *_STATE, "--identical", "--nr", "0"),
         "esd_verify_zero_temperature_json": ("esd", *_STATE, "--single-bath", "--nr", "0", "--verify", *_JSON),
         # verify: two batteries, text and JSON.
@@ -107,7 +107,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
     for layout, bath in _LAYOUTS.items():
         cases[f"esd_{layout}"] = ("esd", *_STATE, *bath)
         cases[f"esd_{layout}_json"] = ("esd", *_FORM, *bath, *_JSON)
-    for layout in ("identical", "single1", "single2"):
+    for layout in _LAYOUTS:
         cases[f"esd_verify_{layout}"] = ("esd", *_STATE, *_LAYOUTS[layout], "--verify")
         cases[f"esd_verify_{layout}_json"] = ("esd", *_FORM, *_LAYOUTS[layout], "--verify", *_JSON)
     # sweep: every state parameter over every layout; r from 0 starts with
