@@ -308,6 +308,12 @@ def _spectrum(b1: float, b2: float, c: float) -> tuple[float, float, float, floa
     return kp, km, ktp, u / ktp
 
 
+# Only entries that the construction admits through its relative slack
+# reach the two refusals of _discriminant: they need a slack of 1/4 or
+# more, so products near 1/eps.
+_WITHIN_ROUNDING = "the double-precision entries satisfy the uncertainty inequality only within rounding"
+
+
 def _discriminant(b1: float, b2: float, c: float, u: float) -> float:
     """The compensated ``delta = (b1+b2)^2 - 4c^2``, refused with ``u = b1*b2 - c^2`` unless both are positive.
 
@@ -316,7 +322,7 @@ def _discriminant(b1: float, b2: float, c: float, u: float) -> float:
     delta = sum_sq_minus_4c2(b1, b2, c)
     if delta <= 0.0:
         raise NonPhysicalStateError(
-            f"(b1+b2)^2 - 4c^2 = {delta!r} <= 0: not a physical two-mode state"
+            f"(b1+b2)^2 - 4c^2 = {delta!r} <= 0: {_WITHIN_ROUNDING}"
         )
     if delta == math.inf:
         raise InvalidParameterError(
@@ -324,7 +330,7 @@ def _discriminant(b1: float, b2: float, c: float, u: float) -> float:
         )
     if u <= 0.0:
         raise NonPhysicalStateError(
-            f"b1*b2 - c^2 = {u!r} <= 0: not a physical two-mode state"
+            f"b1*b2 - c^2 = {u!r} <= 0: {_WITHIN_ROUNDING}"
         )
     return delta
 

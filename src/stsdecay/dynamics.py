@@ -12,9 +12,10 @@ this module provides the steady states and the entanglement sudden-death
 time of every bath layout, ``esd_time``: in closed form for identical
 baths, one hot bath, and two hot baths at equal rates, and by Newton's
 method on the evolved margin's four-term sum for two hot baths at
-unequal rates.  ``esd_bisection``, bisection on the separability margin
-of the evolved entries, is the death-time oracle and answers no
-production query.  The evolved characteristic function is an oracle
+unequal rates.  ``esd_bisection``, a bisection over the doubles on the
+separability margin of the evolved offsets b_i(t) - 1/2 (the map above
+with 1/2 taken out of both terms), is the death-time oracle and answers
+no production query.  The evolved characteristic function is an oracle
 cross-check and lives in ``verification``.
 Every death-time route first passes one gate, in this order: no active
 bath is refused, then a separable input (one message for every layout);
@@ -24,10 +25,11 @@ where no active bath is hot, the time is the ASYMPTOTIC_ONLY marker.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 
 from ._accurate import finite, prod_diff
-from .core import StandardForm, _Record, _separability_margin, separability_margin
+from .core import StandardForm, _Record, separability_margin
 from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
 
 __all__ = [
@@ -232,89 +234,73 @@ def esd_time_single_bath(
 
 
 def _margin_at(sf0: StandardForm, res: ReservoirConfig, t: float) -> float:
-    """Separability margin of the evolved state, without object overhead."""
-    return _separability_margin(*_evolved_entries(sf0, res, t, math.exp))
+    """Separability margin of the state ``evolve`` gives at ``t``, on the offsets of its entries from 1/2.
+
+    With a_i = b_i - 1/2 and x_i = exp(-gamma_i t), the offsets are
+    A_i = a_i*x_i - n_ri*expm1(-gamma_i t): the evolution map with 1/2
+    taken out of both terms of b_i(t), so that a_i*x_i is never lost below
+    the ulp of 1/2.  c(t)^2 is (c*x1)*(c*x2), and the margin
+    A1*A2 - c(t)^2 takes one compensated rounding.
+    """
+    u1, u2 = -res.gamma1 * t, -res.gamma2 * t
+    x1, x2 = math.exp(u1), math.exp(u2)
+    a1 = (sf0.b1 - 0.5) * x1 - res.n_r1 * math.expm1(u1)
+    a2 = (sf0.b2 - 0.5) * x2 - res.n_r2 * math.expm1(u2)
+    return prod_diff(a1, a2, sf0.c * x1, sf0.c * x2)
 
 
-def esd_bisection(
-    sf0: StandardForm, res: ReservoirConfig, t_tol: float = 1e-12
-) -> float | AsymptoticOnly:
+# The bit patterns of the non-negative doubles, read as integers, are in
+# the order of their values, from +0.0 (pattern 0) to +inf.
+_BITS, _DOUBLE = struct.Struct("<q"), struct.Struct("<d")
+_INF_BITS = _BITS.unpack(_DOUBLE.pack(math.inf))[0]
+# Dekker's product a*b = p + e is exact when the exponents of a and b
+# (2^E_a <= |a| < 2^(E_a+1)) sum to at least -970: the last bit of the
+# exact product, 2^(E_a+E_b-104), is then no finer than the smallest
+# subnormal 2^-1074.  |a*b| < 2^(E_a+E_b+2), so a rounded product above
+# 2^-969 meets that.  At the crossing A1*A2 is c(t)^2 to rounding, so the
+# oracle tests c(t)^2 alone.
+_DEKKER_MIN = 2.0**-969
+
+
+def esd_bisection(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
     """Disentanglement time found by bisection on the separability margin: the death-time oracle.
 
-    Brackets the sign change of margin(t) = (b1(t)-1/2)(b2(t)-1/2)-c(t)^2
-    starting from twice the analytic estimate (with the reservoir
-    occupancy floored at 1e-6), doubling on failure, then bisects until
-    the bracket is narrower than ``t_tol``.  It never consults the roots
-    that ``esd_time`` takes, so it cross-checks every bath layout.  Each
-    step evolves the entries as ``evolve`` does, with the constants of
-    the reservoir computed once per call, and takes the sign of their
-    compensated margin.
+    After the gate of ``esd_time``, in its order, it bisects the bit
+    patterns of the non-negative doubles from +0.0 to +inf, at most 63
+    halvings, and returns the first double at which ``_margin_at``, the
+    margin of the evolved offsets, is >= 0.  It never consults the
+    logarithms, the four-term sum or the roots that ``esd_time`` takes,
+    so it cross-checks every bath layout.
 
-    The gate of ``esd_time`` comes first, in its order; ASYMPTOTIC_ONLY
-    when every damped mode sees a zero-temperature bath: the margin then
-    scales by a positive factor for all finite times and never crosses zero.
+    ASYMPTOTIC_ONLY when every damped mode sees a zero-temperature bath:
+    the margin then scales by a positive factor for all finite times and
+    never crosses zero.
 
     Raises:
-        InvalidParameterError: if no mode is damped, if the time overflows
-            a double or lies below its smallest normal value, or if the
-            entries cannot resolve the crossing: every hot occupancy is
-            lost in ``n_r + 1/2``, or the crossing lies below their time
-            resolution (the fastest decay factor is within a few ulps of 1
-            there).  ``esd_time`` answers both wherever its terms stay within
-            a double.
+        InvalidParameterError: if no mode is damped, if the margin changes
+            sign at no finite double (the time overflows) or only below the
+            smallest normal one, if the products of the margin at the
+            answer are at most 2^-969, where Dekker's product is no longer
+            exact (its terms underflow), or if the crossing lies below the
+            time resolution of the entries (the fastest decay factor is
+            within a few ulps of 1 there).
         SeparableInputError: if ``sf0`` is already separable, as ``esd_time``.
     """
-    margin, fields = separability_margin(sf0), res._fields()
-    if _gate(margin, fields):
+    fields = res._fields()
+    if _gate(separability_margin(sf0), fields):
         return ASYMPTOTIC_ONLY
-    b1, b2, c = sf0.b1, sf0.b2, sf0.c
+    lo, hi, t = 0, _INF_BITS, math.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t_mid = _DOUBLE.unpack(_BITS.pack(mid))[0]
+        if _margin_at(sf0, res, t_mid) < 0.0:
+            lo = mid
+        else:
+            hi, t = mid, t_mid
+    t = _finite_death_time(t)
     gamma1, n_r1, gamma2, n_r2 = fields
-    n_r_eff = max(n_r1 if gamma1 > 0.0 else 0.0, n_r2 if gamma2 > 0.0 else 0.0)
-    if n_r_eff + 0.5 == 0.5:  # the entries decay as in a cold bath: their margin only underflows
-        raise InvalidParameterError(
-            f"reservoir occupancy {n_r_eff!r} is lost in n_r + 1/2 in double "
-            "precision: bisection cannot resolve the death time"
-        )
-    # Each time evolves the entries with the operations of _evolved_entries
-    # in their order, the reservoir's constants hoisted.
-    k1, k2, kc = -gamma1, -gamma2, -0.5 * (gamma1 + gamma2)
-    h1, h2 = n_r1 + 0.5, n_r2 + 0.5
-    exp = math.exp
-    # Analytic scale for the bracket: the identical-bath expression with
-    # conservative (slow) rate and noise choices, then doubled.
-    gamma_eff = min(g for g in (gamma1, gamma2) if g > 0.0)
-    # The bracket is capped at the largest double: a death time beyond it
-    # is refused, and one below it is bracketed even when the estimate
-    # overflows (a tiny rate on one mode, a finite time set by the other).
-    t_hi = min(2.0 * math.log1p(-margin / (_ktp_off(b1, b2, c) * max(n_r_eff, 1e-6))) / gamma_eff, _MAX_TIME)
-    for _ in range(200):
-        w1, w2 = exp(k1 * t_hi), exp(k2 * t_hi)
-        if _separability_margin(b1 * w1 + h1 * (1.0 - w1), b2 * w2 + h2 * (1.0 - w2), c * exp(kc * t_hi)) >= 0.0:
-            break
-        if t_hi == _MAX_TIME:
-            raise InvalidParameterError(_OVERFLOW)
-        t_hi = min(2.0 * t_hi, _MAX_TIME)
-    else:
-        raise InvalidParameterError(_UNRESOLVED)
-    one_rate = k1 == k2 == kc  # equal rates: the three exponentials are one
-    t_lo = 0.0
-    # Halves are added: t_lo + t_hi can overflow once the bracket nears the cap.
-    while t_hi - t_lo > t_tol:
-        t_mid = 0.5 * t_lo + 0.5 * t_hi
-        if t_mid <= t_lo or t_mid >= t_hi:
-            break  # bracket has collapsed to adjacent floats
-        w1 = exp(k1 * t_mid)
-        if one_rate:
-            w2 = wc = w1
-        else:
-            w2 = exp(k2 * t_mid)
-            wc = exp(kc * t_mid)
-        ct = c * wc
-        if prod_diff(b1 * w1 + h1 * (1.0 - w1) - 0.5, b2 * w2 + h2 * (1.0 - w2) - 0.5, ct, ct) < 0.0:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    t = _finite_death_time(0.5 * t_lo + 0.5 * t_hi)
+    if sf0.c * math.exp(-gamma1 * t) * (sf0.c * math.exp(-gamma2 * t)) <= _DEKKER_MIN:
+        raise InvalidParameterError(_TERMS_UNDERFLOW.format(n_r1, n_r2))
     if -math.expm1(-max(gamma1, gamma2) * t) <= _EXP_RESOLUTION:
         raise InvalidParameterError(_UNRESOLVED)
     return t

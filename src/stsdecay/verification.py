@@ -6,10 +6,11 @@ by routes that share none of that algebra:
 
 * symplectic spectra from an eigen-decomposition of the full 4x4
   covariance matrix, ``full_cm`` (no two-mode formula involved),
-* disentanglement times from bisection on the separability margin of the
-  evolved entries (no logarithm rearrangement and no four-term sum
-  involved; ``esd_bisection`` lives in the numpy-free ``dynamics``, where
-  no production death time calls it, and is re-exported here),
+* disentanglement times from a bisection over the doubles on the
+  separability margin of the evolved offsets b_i(t) - 1/2 (no logarithm,
+  no four-term sum and no root formula involved; ``esd_bisection`` lives
+  in the numpy-free ``dynamics``, where no production death time calls
+  it, and is re-exported here),
 * the evolved characteristic function, ``characteristic_function``,
   cross-checked against the Gaussian characteristic function of the
   evolved state, ``gaussian_cf`` (two different orders of applying the
@@ -286,9 +287,9 @@ def count_margin_crossings(
 ) -> int:
     """Number of sign changes of the separability margin on [0, t_max].
 
-    Dense uniform sampling; used by property tests to flag any appearance
-    of multiple entanglement deaths/revivals, which this channel family
-    must never produce.
+    Dense uniform sampling of the margin that ``esd_bisection`` bisects;
+    used by property tests to flag any appearance of multiple entanglement
+    deaths/revivals, which this channel family must never produce.
     """
     ts = np.linspace(0.0, t_max, n_points)
     signs = np.sign([_margin_at(sf0, res, float(t)) for t in ts])

@@ -517,6 +517,17 @@ def test_r_sweep_into_overflowing_entries_is_refused_before_output(capsys):
     assert (code, out) == (2, "") and err.startswith("error: (b_max+1/2)(b_min-1/2) - c^2 overflows a double for b1=")
 
 
+def test_entries_physical_only_within_rounding_are_refused_as_such(capsys):
+    # At r = 9.7 the rounded entries of this mixed state lose the invariants:
+    # the construction's relative slack admits them, the spectrum does not.
+    argv = ("evolve", "--n1", "4", "--n2", "1.5", "--r", "9.7", "--gamma2", "0.9", "--nr2", "0.35", "--t-end", "11")
+    message = (
+        "error: (b1+b2)^2 - 4c^2 = -103.15883042494715 <= 0: "
+        "the double-precision entries satisfy the uncertainty inequality only within rounding\n"
+    )
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_kappa_plus_below_one_half_is_refused_as_such(capsys):
     # The construction slack admits these entries, but no measure of them exists.
     code, out, err = run(capsys, "report", "--b1", "0.5", "--b2", "0.5", "--c", "1e-7")
@@ -565,49 +576,46 @@ def test_death_time_with_a_subnormal_occupancy_is_finite(capsys):
 @pytest.mark.parametrize(
     "nr, closed_form", [("1e-17", "38.40834027832669"), ("1e-20", "45.31609555730883"), ("1e-320", "736.0916345884018")]
 )
-def test_occupancy_lost_in_n_r_plus_one_half_is_refused_by_bisection(capsys, nr, closed_form):
-    # The evolved entries see n_r + 1/2 == 1/2, so their margin never crosses
-    # 0 and only underflows: the bisection oracle refuses.  The margin's
-    # four-term sum keeps the occupancy, and its root is the time of 60-digit
+def test_occupancy_lost_in_n_r_plus_one_half_is_answered_by_bisection(capsys, nr, closed_form):
+    # n_r + 1/2 == 1/2 in double precision, but the oracle evolves the
+    # offsets b_i - 1/2 with n_r*expm1(-gamma t) kept apart, so it answers
+    # within 4 ulp of esd_time.  The two baths' root is the time of 60-digit
     # mpmath of the same entries (19.535414756097342774 and
     # 22.989292397085244575).  At 1e-320 the terms underflow before the
-    # crossing, and the two baths' root is refused by name.
+    # crossing: the two baths' root and the oracle are refused by name.
     state = ("--n1", "10", "--n2", "0.1", "--r", "2")
     two_baths = ("esd", *state, "--gamma1", "1", "--nr1", nr, "--gamma2", "2", "--nr2", nr)
+    identical = ("esd", *state, "--gamma1", "1", "--nr1", nr, "--gamma2", "1", "--nr2", nr)
     two_bath_time = {"1e-17": "19.535414756097342", "1e-20": "22.989292397085244"}.get(nr)
-    lost = (
-        f"error: reservoir occupancy {float(nr)!r} is lost in n_r + 1/2 in double precision: "
-        "bisection cannot resolve the death time\n"
-    )
+    assert run(capsys, *identical) == (0, f"t_s\n{closed_form}\n", "")
     if two_bath_time is None:
         underflow = (
             "error: the terms of the evolved separability margin underflow a double before it crosses 0 "
             f"(reservoir occupancies {float(nr)!r} and {float(nr)!r})\n"
         )
-        assert run(capsys, *two_baths) == run(capsys, *two_baths, "--verify") == (2, "", underflow)
-    else:
-        assert run(capsys, *two_baths) == (0, f"t_s\n{two_bath_time}\n", "")
-        assert run(capsys, *two_baths, "--verify") == (2, "", lost)
-    # Identical baths answer in closed form as before; the oracle refuses.
-    identical = ("esd", *state, "--gamma1", "1", "--nr1", nr, "--gamma2", "1", "--nr2", nr)
-    assert run(capsys, *identical) == (0, f"t_s\n{closed_form}\n", "")
-    assert run(capsys, *identical, "--verify") == (2, "", lost)
-    res = ReservoirConfig(1.0, float(nr), 2.0, float(nr))
-    with pytest.raises(InvalidParameterError, match="is lost in n_r"):
-        esd_bisection(standard_form_from_sts(StsParams(10.0, 0.1, 2.0)), res)
+        for argv in (two_baths, (*two_baths, "--verify"), (*identical, "--verify")):
+            assert run(capsys, *argv) == (2, "", underflow)
+        return
+    assert run(capsys, *two_baths) == (0, f"t_s\n{two_bath_time}\n", "")
+    for argv in (two_baths, identical):
+        code, out, err = run(capsys, *argv, "--verify")
+        (row,) = rows_of(out)
+        closed, oracle = float(row["t_s_closed"]), float(row["t_s_bisection"])
+        assert (code, err) == (0, "") and abs(closed - oracle) <= 4.0 * math.ulp(closed)
 
 
 def test_crossing_below_the_time_resolution_is_refused(capsys):
-    # The bisection oracle refuses: at 1e100 exp(-gamma t) rounds to 1
-    # through every bracket doubling; at 1e70 it brackets at the first
-    # rounding step of exp(-2 t) near t = 3.6e-17.  The root of the
-    # margin's four-term sum is the time of 120-digit mpmath of the same
-    # entries (9.5057133268650197906e-71, 9.5057133268650203289e-101, and
-    # 9.5057133268507735222e-13 at 1e12, where bisection's absolute t_tol
-    # gave 1.4175796250003703e-12).
+    # The bisection oracle refuses at 1e70 and 1e100: its crossing lies where
+    # exp(-2 t) is within 4 ulps of 1.  The root of the margin's four-term
+    # sum is the time of 120-digit mpmath of the same entries
+    # (9.5057133268650197906e-71, 9.5057133268650203289e-101, and
+    # 9.5057133268507735222e-13 at 1e12, which the oracle answers too).
     unresolved = "error: the separability crossing lies below the time resolution of the evolved entries\n"
     argv = ("esd", "--n1", "1", "--n2", "1", "--r", "2", "--gamma1", "1", "--gamma2", "2", "--nr2", "0.5")
     assert run(capsys, *argv, "--nr1", "1e12") == (0, "t_s\n9.505713326850772e-13\n", "")
+    code, out, err = run(capsys, *argv, "--nr1", "1e12", "--verify")
+    (row,) = rows_of(out)
+    assert (code, err) == (0, "") and float(row["abs_difference"]) <= 1e-11 * 9.505713326850772e-13
     for nr1, t_s in (("1e100", "9.50571332686502e-101"), ("1e70", "9.50571332686502e-71")):
         assert run(capsys, *argv, "--nr1", nr1) == (0, f"t_s\n{t_s}\n", "")
         assert run(capsys, *argv, "--nr1", nr1, "--verify") == (2, "", unresolved)

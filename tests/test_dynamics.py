@@ -30,14 +30,8 @@ from stsdecay import (
     steady_state,
     uncertainty_margin,
 )
-from stsdecay import dynamics
-from stsdecay.dynamics import (
-    _MAX_TIME,
-    _OVERFLOW,
-    _finite_death_time,
-    _ktp_off,
-    _margin_at,
-)
+from stsdecay import verification
+from stsdecay.dynamics import _margin_at
 from stsdecay.verification import sample_entangled_sts, sample_sts
 
 # Frozen 40-digit references: disentanglement time of the (10, 0.1, r=2)
@@ -205,13 +199,12 @@ def test_death_times_that_overflow_a_double_are_refused():
         for death_time in (esd_bisection, esd_time):
             with pytest.raises(InvalidParameterError, match=overflow):
                 death_time(sf, res)
-    # A tiny rate on one mode leaves the time set by the other bath finite,
-    # although the bisection's first bracket overflows.
+    # A tiny rate on one mode leaves the time set by the other bath finite.
     both = esd_time(sf, ReservoirConfig(1.0, 0.5, 1e-310, 0.5))
     assert both == pytest.approx(esd_time_single_bath(sf, 1.0, 0.5), abs=1e-9)
     assert math.isfinite(esd_time_identical_baths(sf, 1e-300, 0.5))
-    # A death time just below the largest double: the bisection's bracket
-    # reaches the cap, and its midpoint must not overflow on the way.
+    # A death time just below the largest double: the bisection's last
+    # steps lie beside the pattern of +inf.
     near_cap = ReservoirConfig(1e-308, 0.5, 1e-310, 0.5)
     for death_time in (esd_bisection, esd_time):
         t = death_time(sf, near_cap)
@@ -398,55 +391,8 @@ def test_entanglement_never_increases_along_trajectory():
         previous = ef
 
 
-def _margin_bisection(sf0, res, t_tol=1e-12):
-    """esd_bisection with every step through _margin_at: the reference for its hoisted steps."""
-    if res.gamma1 == 0.0 and res.gamma2 == 0.0:
-        raise InvalidParameterError("the reservoir has no active bath; nothing evolves")
-    margin0 = separability_margin(sf0)
-    if margin0 >= 0.0:
-        raise SeparableInputError("input is already separable: no finite disentanglement time to compute")
-    if not ((res.gamma1 > 0.0 and res.n_r1 > 0.0) or (res.gamma2 > 0.0 and res.n_r2 > 0.0)):
-        return ASYMPTOTIC_ONLY
-    gamma_eff = min(g for g in (res.gamma1, res.gamma2) if g > 0.0)
-    n_r_eff = max(res.n_r1 if res.gamma1 > 0.0 else 0.0, res.n_r2 if res.gamma2 > 0.0 else 0.0)
-    if n_r_eff + 0.5 == 0.5:
-        raise InvalidParameterError(
-            f"reservoir occupancy {n_r_eff!r} is lost in n_r + 1/2 in double precision: "
-            "bisection cannot resolve the death time"
-        )
-    t_hi = min(2.0 * math.log1p(-margin0 / (_ktp_off(sf0.b1, sf0.b2, sf0.c) * max(n_r_eff, 1e-6))) / gamma_eff, _MAX_TIME)
-    for _ in range(200):
-        if _margin_at(sf0, res, t_hi) >= 0.0:
-            break
-        if t_hi == _MAX_TIME:
-            raise InvalidParameterError(_OVERFLOW)
-        t_hi = min(2.0 * t_hi, _MAX_TIME)
-    else:
-        raise InvalidParameterError("the separability crossing lies below the time resolution of the evolved entries")
-    t_lo = 0.0
-    while t_hi - t_lo > t_tol:
-        t_mid = 0.5 * t_lo + 0.5 * t_hi
-        if t_mid <= t_lo or t_mid >= t_hi:
-            break
-        if _margin_at(sf0, res, t_mid) < 0.0:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    t = _finite_death_time(0.5 * t_lo + 0.5 * t_hi)
-    if -math.expm1(-max(res.gamma1, res.gamma2) * t) <= dynamics._EXP_RESOLUTION:
-        raise InvalidParameterError("the separability crossing lies below the time resolution of the evolved entries")
-    return t
-
-
-def _outcome(death_time, sf0, res, t_tol):
-    try:
-        return repr(death_time(sf0, res, t_tol))
-    except (InvalidParameterError, SeparableInputError) as exc:
-        return repr(exc)
-
-
 def _bisection_cases(rng):
-    """Seeded (state, reservoir, t_tol) that cover every kind of bisection step."""
+    """Seeded (state, reservoir) pairs that cover every kind of bisection step."""
 
     def entangled_state():
         if rng.random() < 0.25:  # barely entangled: margin near -1e-14
@@ -461,8 +407,7 @@ def _bisection_cases(rng):
         return rng.choice((0.0, rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0), 10.0 ** rng.uniform(-323.5, -300.0)))
 
     for k in range(2400):
-        # t_tol = 0 bisects to adjacent doubles, where the margin's last bits decide.
-        sf, t_tol = entangled_state(), (1e-12, 0.0)[k % 2]
+        sf = entangled_state()
         gamma = 10.0 ** rng.uniform(-1.0, 1.0)
         layout = k % 6
         if layout == 0:  # equal rates, unequal occupancies
@@ -478,64 +423,34 @@ def _bisection_cases(rng):
         elif layout == 4:  # death times near the largest double, or beyond it
             tiny = 10.0 ** rng.uniform(-309.0, -307.5)
             res = ReservoirConfig(tiny, 0.5, tiny * rng.uniform(0.005, 1.0), rng.uniform(0.1, 1.0))
-        elif k % 60 == 5:  # a huge occupancy: the bracket fails at tiny times
+        elif k % 60 == 5:  # a huge occupancy: crossings at tiny times
             res = ReservoirConfig(gamma, 1e300, gamma * rng.uniform(0.5, 2.0), occupancy())
         else:  # entries past 2**996, near the largest whose Dekker split stays finite
-            t_tol = 0.0  # these death times are near 1e-16
             b1, b2 = rng.uniform(2.0**996, 1.3e300), 0.5 + 2.0 ** rng.uniform(-45.0, -30.0)
             c = math.sqrt((b1 - 0.5) * (b2 - 0.5))
             for _ in range(rng.randrange(1, 6)):
                 c = math.nextafter(c, math.inf)
             sf = StandardForm(b1, b2, c)
             res = ReservoirConfig(rng.choice((0.0, gamma * 1e-3)), occupancy(), gamma, rng.uniform(0.1, 2.0))
-        yield sf, res, t_tol
+        yield sf, res
 
 
-def test_bisection_steps_give_the_bits_of_the_margin_loop(monkeypatch):
+_CAUSES = (
+    "death time overflows a double",
+    "death time underflows a double",
+    "the terms of the evolved separability margin underflow",
+    "the separability crossing lies below the time resolution",
+)
+
+
+def _case_outcomes(death_time):
+    """Counts of the outcomes of ``death_time`` on the adversarial cases; any other outcome fails."""
     kinds = collections.Counter()
-    unresolved = []
-    for sf, res, t_tol in _bisection_cases(random.Random(20141202)):
-        want = _outcome(_margin_bisection, sf, res, t_tol)
-        assert _outcome(esd_bisection, sf, res, t_tol) == want, (sf, res)
-        kinds["time" if want[0].isdigit() else want.split("(")[0]] += 1
-        kinds.update(reason for reason in ("is lost in", "overflows", "time resolution") if reason in want)
-        if "time resolution" in want:
-            unresolved.append((sf, res, t_tol))
-    # The refusals: every hot bath's occupancy lost in n_r + 1/2 (all
-    # subnormal), death times beyond the largest double, and crossings
-    # below the time resolution of the entries: a huge occupancy (40), and
-    # the entries past 2**996, whose margin is at most
-    # 1/b1 of their products, so that they cross within a few ulps of exp.
-    assert kinds == {
-        "time": 1579, "ASYMPTOTIC_ONLY": 52, "InvalidParameterError": 769,
-        "is lost in": 244, "overflows": 128, "time resolution": 397,
-    }
-    # Without the check after the loop, those steps still give the loop's
-    # bits: 357 of the refused crossings are then (wrong) times.
-    monkeypatch.setattr(dynamics, "_EXP_RESOLUTION", -1.0)
-    times = 0
-    for sf, res, t_tol in unresolved:
-        want = _outcome(_margin_bisection, sf, res, t_tol)
-        assert _outcome(esd_bisection, sf, res, t_tol) == want, (sf, res)
-        times += want[0].isdigit()
-    assert times == 357
-
-
-def test_esd_time_answers_every_bisection_case_or_names_the_cause():
-    # The oracle's adversarial cases through the production routes: rates
-    # near 1e-309, n_r = 1e300, subnormal n_r, entries past 2**996.  Each
-    # gives a finite time, the marker, or an error that names its cause.
-    causes = (
-        "death time overflows a double",
-        "death time underflows a double",
-        "the terms of the evolved separability margin underflow",
-    )
-    kinds = collections.Counter()
-    for sf, res, _ in _bisection_cases(random.Random(20141202)):
+    for sf, res in _bisection_cases(random.Random(20141202)):
         try:
-            t = esd_time(sf, res)
+            t = death_time(sf, res)
         except InvalidParameterError as exc:
-            (cause,) = (cause for cause in causes if str(exc).startswith(cause))
+            (cause,) = (cause for cause in _CAUSES if str(exc).startswith(cause))
             kinds[cause] += 1
             continue
         if t is ASYMPTOTIC_ONLY:
@@ -543,12 +458,31 @@ def test_esd_time_answers_every_bisection_case_or_names_the_cause():
         else:
             assert type(t) is float and 0.0 < t < math.inf, (sf, res)
             kinds["time"] += 1
-    # Beyond the largest double (tiny rates), below the smallest normal one
+    return kinds
+
+
+def test_esd_time_answers_every_bisection_case_or_names_the_cause():
+    # The oracle's adversarial cases through the production routes: rates
+    # near 1e-309, n_r = 1e300, subnormal n_r, entries past 2**996.  Each
+    # gives a finite time, the marker, or an error that names its cause:
+    # beyond the largest double (tiny rates), below the smallest normal one
     # (n_r = 1e300 beside a margin near -1e-14), and two (near) subnormal
-    # occupancies, whose terms underflow before the crossing.  The oracle
-    # refuses each of these as well.
-    assert kinds == {
-        "time": 2182, "ASYMPTOTIC_ONLY": 52, causes[0]: 128, causes[1]: 10, causes[2]: 28,
+    # occupancies, whose terms underflow before the crossing.
+    assert _case_outcomes(esd_time) == {
+        "time": 2182, "ASYMPTOTIC_ONLY": 52, _CAUSES[0]: 128, _CAUSES[1]: 10, _CAUSES[2]: 28,
+    }
+
+
+def test_bisection_answers_every_case_or_names_the_cause():
+    # The oracle refuses every case that esd_time refuses, and more: small
+    # occupancies, whose margin's products fall to 2**-969 before it
+    # crosses 0; and crossings below the time resolution of the entries:
+    # a huge occupancy (40), and the entries past 2**996, whose margin is
+    # at most 1/b1 of their products, so that they cross within a few ulps
+    # of exp.
+    assert _case_outcomes(esd_bisection) == {
+        "time": 1577, "ASYMPTOTIC_ONLY": 52,
+        _CAUSES[0]: 128, _CAUSES[1]: 10, _CAUSES[2]: 239, _CAUSES[3]: 394,
     }
 
 
@@ -571,13 +505,13 @@ def _root_within(sf, res, t, ulps, mpmath):
         return margin(mpmath.mpf(t) - step) < 0 < margin(mpmath.mpf(t) + step)
 
 
-def test_two_bath_death_times_are_within_4_ulp_of_the_mpmath_root():
-    mpmath = pytest.importorskip("mpmath")
+def _two_bath_cases():
+    """128 layouts of two hot baths that differ, with occupancies from 1e-20 to 1e100."""
     found = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
     cases = [(found, ReservoirConfig(1.0, n_r, 2.0, n_r)) for n_r in (1e-10, 1e-15, 1e-17, 1e-20)]
     found = standard_form_from_sts(StsParams(1.0, 1.0, 2.0))
     cases += [(found, ReservoirConfig(1.0, n_r, 2.0, 0.5)) for n_r in (1e12, 1e70, 1e100)]
-    # A cold bath beside a hot one, at rates 150 apart (the bisection oracle gives 2645.36 here).
+    # A cold bath beside a hot one, at rates 150 apart.
     cases.append((
         StandardForm(11.804320460145583, 10.844802922081705, 10.90577630953345),
         ReservoirConfig(0.28163196758243125, 0.0, 0.0018503515403449295, 0.06414402660262296),
@@ -591,12 +525,35 @@ def test_two_bath_death_times_are_within_4_ulp_of_the_mpmath_root():
         ratio = 1.0 if k % 2 else 10.0 ** rng.uniform(-3.0, 3.0)
         n_r = (10.0 ** rng.uniform(-20.0, 100.0), 10.0 ** rng.uniform(-20.0, 2.0))[:: rng.choice((1, -1))]
         cases.append((sf, ReservoirConfig(gamma, n_r[0], gamma * ratio, n_r[1])))
+    return cases
+
+
+def test_two_bath_death_times_are_within_4_ulp_of_the_mpmath_root():
+    mpmath = pytest.importorskip("mpmath")
     smallest = math.inf
-    for sf, res in cases:
+    for sf, res in _two_bath_cases():
         t = esd_time(sf, res)
         smallest = min(smallest, t)
         assert _root_within(sf, res, t, 4, mpmath), (sf, res, t)
     assert smallest < 1e-12
+
+
+def test_bisection_times_are_within_1e_11_of_the_mpmath_root(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    cases = _two_bath_cases()
+    # With them, the identical and single baths of the verify battery of seed 0.
+    monkeypatch.setattr(verification, "esd_bisection", lambda sf, res: cases.append((sf, res)) or esd_bisection(sf, res))
+    verification.run_verification(seed=0)
+    answered = 0
+    for sf, res in cases:
+        try:
+            t = esd_bisection(sf, res)
+        except InvalidParameterError:
+            continue
+        answered += 1
+        # 1e-11 * 2**52 ulps of t are at most 1e-11 of t.
+        assert _root_within(sf, res, t, 1e-11 * 2.0**52, mpmath), (sf, res, t)
+    assert answered == 34 + 400
 
 
 def test_a_cold_bath_beside_a_hot_one_keeps_the_single_bath_time():

@@ -110,6 +110,15 @@ def _cases() -> dict[str, tuple[str, ...]]:
     for layout in _LAYOUTS:
         cases[f"esd_verify_{layout}"] = ("esd", *_STATE, *_LAYOUTS[layout], "--verify")
         cases[f"esd_verify_{layout}_json"] = ("esd", *_FORM, *_LAYOUTS[layout], "--verify", *_JSON)
+    # A cold bath beside a hot one at rates 150 apart: entries that add 1/2
+    # before subtracting it lose a_i*x_i below the ulp of 1/2 here.
+    hot_beside_cold = (
+        "esd", "--b1", "11.804320460145583", "--b2", "10.844802922081705", "--c", "10.90577630953345",
+        "--gamma1", "0.28163196758243125", "--nr1", "0", "--gamma2", "0.0018503515403449295",
+        "--nr2", "0.06414402660262296", "--verify",
+    )
+    cases["esd_verify_hot_beside_cold"] = hot_beside_cold
+    cases["esd_verify_hot_beside_cold_json"] = (*hot_beside_cold, *_JSON)
     # sweep: every state parameter over every layout; r from 0 starts with
     # separable rows.
     for layout, bath in _LAYOUTS.items():
