@@ -32,14 +32,28 @@ from .correlations import _NEG_CLAMP, _general, _h_offset
 from .dynamics import ReservoirConfig, _evolved_entries
 
 
-def _libm(f, x: np.ndarray) -> np.ndarray:
-    """The float function ``f`` applied elementwise."""
-    return np.fromiter(map(f, x.tolist()), float, len(x))
+def _libm(f, *xs: np.ndarray) -> np.ndarray:
+    """The float function ``f`` applied elementwise to the arrays ``xs``."""
+    return np.fromiter(map(f, *(x.tolist() for x in xs)), float, len(xs[0]))
 
 
 def _max(a, b) -> np.ndarray:
     """Python's ``max(a, b)`` elementwise: ``b`` where ``b > a``, else ``a``."""
     return np.where(b > a, b, a)
+
+
+def _bona_fide(b1: np.ndarray, b2: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``core._bona_fide`` elementwise: the clamped ``(b1, b2)``, or None where it refuses some element.
+
+    A non-finite entry makes the margin NaN, which is refused.
+    """
+    if (b1 < 0.5 - _ABS_SLACK).any() or (b2 < 0.5 - _ABS_SLACK).any():
+        return None
+    b1 = _max(b1, 0.5)
+    b2 = _max(b2, 0.5)
+    first = b1 >= b2
+    margin, slack = _uncertainty(np.where(first, b1, b2), np.where(first, b2, b1), c, _max)
+    return (b1, b2) if (margin >= -slack).all() else None
 
 
 def evolve_rows(
@@ -58,16 +72,10 @@ def evolve_rows(
 def _columns(sf0: StandardForm, res: ReservoirConfig, t: np.ndarray, units: str) -> tuple[np.ndarray, ...] | None:
     """The nine row columns, the verdict spelled, or None."""
     b1, b2, c = _evolved_entries(sf0, res, t, functools.partial(_libm, math.exp))
-
-    # core._bona_fide; a non-finite entry makes the margin NaN.
-    if (b1 < 0.5 - _ABS_SLACK).any() or (b2 < 0.5 - _ABS_SLACK).any():
+    clamped = _bona_fide(b1, b2, c)
+    if clamped is None:
         return None
-    b1 = _max(b1, 0.5)
-    b2 = _max(b2, 0.5)
-    first = b1 >= b2
-    margin, slack = _uncertainty(np.where(first, b1, b2), np.where(first, b2, b1), c, _max)
-    if not (margin >= -slack).all():
-        return None
+    b1, b2 = clamped
 
     # The general branch of correlations._measures; product and pure rows are the scalar rows'.
     u = prod_diff(b1, b2, c, c)

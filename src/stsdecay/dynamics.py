@@ -233,20 +233,22 @@ def esd_time_single_bath(
     return esd_time(sf0, ReservoirConfig.single_bath(gamma, n_r))
 
 
-def _margin_at(sf0: StandardForm, res: ReservoirConfig, t: float) -> float:
-    """Separability margin of the state ``evolve`` gives at ``t``, on the offsets of its entries from 1/2.
+def _margin_at(b1, b2, c, res, t, exp, expm1):
+    """Separability margin of the entries ``(b1, b2, c)`` evolved to ``t``, on their offsets from 1/2.
 
-    With a_i = b_i - 1/2 and x_i = exp(-gamma_i t), the offsets are
-    A_i = a_i*x_i - n_ri*expm1(-gamma_i t): the evolution map with 1/2
-    taken out of both terms of b_i(t), so that a_i*x_i is never lost below
-    the ulp of 1/2.  c(t)^2 is (c*x1)*(c*x2), and the margin
-    A1*A2 - c(t)^2 takes one compensated rounding.
+    ``res`` is ``(gamma1, n_r1, gamma2, n_r2)``.  With a_i = b_i - 1/2 and
+    x_i = exp(-gamma_i t), the offsets are A_i = a_i*x_i - n_ri*expm1(-gamma_i t):
+    the evolution map with 1/2 taken out of both terms of b_i(t), so that
+    a_i*x_i is never lost below the ulp of 1/2.  c(t)^2 is (c*x1)*(c*x2),
+    and the margin A1*A2 - c(t)^2 takes one compensated rounding.
+    Elementwise with the caller's ``exp`` and ``expm1``.
     """
-    u1, u2 = -res.gamma1 * t, -res.gamma2 * t
-    x1, x2 = math.exp(u1), math.exp(u2)
-    a1 = (sf0.b1 - 0.5) * x1 - res.n_r1 * math.expm1(u1)
-    a2 = (sf0.b2 - 0.5) * x2 - res.n_r2 * math.expm1(u2)
-    return prod_diff(a1, a2, sf0.c * x1, sf0.c * x2)
+    gamma1, n_r1, gamma2, n_r2 = res
+    u1, u2 = -gamma1 * t, -gamma2 * t
+    x1, x2 = exp(u1), exp(u2)
+    a1 = (b1 - 0.5) * x1 - n_r1 * expm1(u1)
+    a2 = (b2 - 0.5) * x2 - n_r2 * expm1(u2)
+    return prod_diff(a1, a2, c * x1, c * x2)
 
 
 # The bit patterns of the non-negative doubles, read as integers, are in
@@ -265,12 +267,13 @@ _DEKKER_MIN = 2.0**-969
 def esd_bisection(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
     """Disentanglement time found by bisection on the separability margin: the death-time oracle.
 
-    After the gate of ``esd_time``, in its order, it bisects the bit
-    patterns of the non-negative doubles from +0.0 to +inf, at most 63
-    halvings, and returns the first double at which ``_margin_at``, the
-    margin of the evolved offsets, is >= 0.  It never consults the
-    logarithms, the four-term sum or the roots that ``esd_time`` takes,
-    so it cross-checks every bath layout.
+    It bisects the bit patterns of the non-negative doubles from +0.0 to
+    +inf, at most 63 halvings, for the first double at which
+    ``_margin_at``, the margin of the evolved offsets, is >= 0; the gate of
+    ``esd_time``, in its order, decides before that double is answered
+    (``_bisection_answer``).  It never consults the logarithms, the
+    four-term sum or the roots that ``esd_time`` takes, so it cross-checks
+    every bath layout.
 
     ASYMPTOTIC_ONLY when every damped mode sees a zero-temperature bath:
     the margin then scales by a positive factor for all finite times and
@@ -286,20 +289,32 @@ def esd_bisection(sf0: StandardForm, res: ReservoirConfig) -> float | Asymptotic
             within a few ulps of 1 there).
         SeparableInputError: if ``sf0`` is already separable, as ``esd_time``.
     """
-    fields = res._fields()
-    if _gate(separability_margin(sf0), fields):
-        return ASYMPTOTIC_ONLY
-    lo, hi, t = 0, _INF_BITS, math.inf
+    b1, b2, c, fields = sf0.b1, sf0.b2, sf0.c, res._fields()
+    lo, hi = 0, _INF_BITS
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        t_mid = _DOUBLE.unpack(_BITS.pack(mid))[0]
-        if _margin_at(sf0, res, t_mid) < 0.0:
+        if _margin_at(b1, b2, c, fields, _DOUBLE.unpack(_BITS.pack(mid))[0], math.exp, math.expm1) < 0.0:
             lo = mid
         else:
-            hi, t = mid, t_mid
+            hi = mid
+    return _bisection_answer(separability_margin(sf0), c, fields, _DOUBLE.unpack(_BITS.pack(hi))[0])
+
+
+def _bisection_answer(
+    margin: float, c: float, res: tuple[float, float, float, float], t: float
+) -> float | AsymptoticOnly:
+    """What ``esd_bisection`` answers for entries of separability margin ``margin`` and bisected crossing ``t``.
+
+    ``_gate`` first, then ``t`` with its refusals: a time that overflows or
+    falls below the smallest normal double, products of the margin at or
+    below ``_DEKKER_MIN``, and a crossing below ``_EXP_RESOLUTION``.  The
+    scalar oracle and the stacked one in ``verification`` share it.
+    """
+    if _gate(margin, res):
+        return ASYMPTOTIC_ONLY
     t = _finite_death_time(t)
-    gamma1, n_r1, gamma2, n_r2 = fields
-    if sf0.c * math.exp(-gamma1 * t) * (sf0.c * math.exp(-gamma2 * t)) <= _DEKKER_MIN:
+    gamma1, n_r1, gamma2, n_r2 = res
+    if c * math.exp(-gamma1 * t) * (c * math.exp(-gamma2 * t)) <= _DEKKER_MIN:
         raise InvalidParameterError(_TERMS_UNDERFLOW.format(n_r1, n_r2))
     if -math.expm1(-max(gamma1, gamma2) * t) <= _EXP_RESOLUTION:
         raise InvalidParameterError(_UNRESOLVED)

@@ -33,21 +33,31 @@ silently losing that precision.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 
 import numpy as np
 
-from ._accurate import prod_diff
+from ._accurate import prod_diff, sum_sq_minus_4c2
+from ._batch import _bona_fide, _libm
 from .core import (
     StandardForm,
     StsParams,
+    _cosh_sinh,
+    _kappas,
     _Record,
+    _separability_margin,
+    _spectrum,
+    _sts_entries,
     separability_margin,
     standard_form_from_sts,
-    symplectic_spectrum,
 )
 from .dynamics import (
+    _INF_BITS,
+    AsymptoticOnly,
     ReservoirConfig,
+    _bisection_answer,
     _check_time,
     _margin_at,
     esd_bisection,
@@ -88,6 +98,13 @@ _PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 # States per stacked oracle call in run_verification; one buffer of this
 # many matrices is reused, so the battery's memory does not grow with it.
 _ORACLE_BLOCK = 250
+# The entries of full_cm at phi = 0, b1, b1, b2, b2, c, c, -c, -c, sit at
+# these (row, column) places; the others are 0.
+_CM_PLACES = ((0, 1, 2, 3, 0, 2, 1, 3), (0, 1, 2, 3, 2, 0, 3, 1))
+
+# libm's exp and expm1 elementwise: numpy's differ in the last bit.
+_EXP = functools.partial(_libm, math.exp)
+_EXPM1 = functools.partial(_libm, math.expm1)
 
 
 def full_cm(sf: StandardForm) -> np.ndarray:
@@ -287,20 +304,16 @@ def count_margin_crossings(
 ) -> int:
     """Number of sign changes of the separability margin on [0, t_max].
 
-    Dense uniform sampling of the margin that ``esd_bisection`` bisects;
-    used by property tests to flag any appearance of multiple entanglement
-    deaths/revivals, which this channel family must never produce.
+    Dense uniform sampling of the margin that ``esd_bisection`` bisects,
+    evaluated on the whole grid at once; a sample where it is 0 neither
+    starts nor ends a crossing.  Used by property tests to flag any
+    appearance of multiple entanglement deaths/revivals, which this channel
+    family must never produce.
     """
     ts = np.linspace(0.0, t_max, n_points)
-    signs = np.sign([_margin_at(sf0, res, float(t)) for t in ts])
-    crossings = 0
-    prev = signs[0]
-    for s in signs[1:]:
-        if s != 0.0 and prev != 0.0 and s != prev:
-            crossings += 1
-        if s != 0.0:
-            prev = s
-    return crossings
+    signs = np.sign(_margin_at(sf0.b1, sf0.b2, sf0.c, res._fields(), ts, _EXP, _EXPM1))
+    signs = signs[signs != 0.0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def sample_sts(
@@ -367,9 +380,91 @@ def sample_standard_form(
             return StandardForm(b1, b2, c, phi)
 
 
-def _worst(pairs: list[tuple[float, float]]) -> tuple[float, float]:
-    """The (closed_form, oracle) pair that differs the most."""
-    return max(pairs, key=lambda pair: abs(pair[0] - pair[1]))
+def _scalar_columns(f, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The scalar function ``f`` of each element's floats, its results as columns.
+
+    A stacked kernel hands a stack with an element it does not answer to
+    its scalar function this way: the special branches, and the error of
+    the first refused element, are then that function's own.
+    """
+    return tuple(np.array(column) for column in zip(*map(f, *(x.tolist() for x in columns))))
+
+
+def _sts_entry_stack(n1: np.ndarray, n2: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(b1, b2, c)`` of ``standard_form_from_sts`` for each element, bit for bit.
+
+    The arithmetic of ``core._sts_entries`` on arrays, with libm's cosh and
+    sinh.  A stack with an element that ``core._cosh_sinh`` or
+    ``core._sts_entries`` refuses goes whole to them.
+    """
+    with contextlib.suppress(OverflowError), np.errstate(all="ignore"):  # math.cosh raises beyond r = 710
+        ch, sh = _libm(math.cosh, r), _libm(math.sinh, r)
+        if not (sh * ch == math.inf).any():
+            a1 = n1 + 0.5
+            a2 = n2 + 0.5
+            b1, b2, c = a1 * ch * ch + a2 * sh * sh, a1 * sh * sh + a2 * ch * ch, (n1 + n2 + 1.0) * sh * ch
+            clamped = _bona_fide(b1, b2, c)
+            if clamped is not None:
+                return (*clamped, c)
+    return _scalar_columns(lambda n1, n2, r: _sts_entries(n1, n2, r, *_cosh_sinh(r)), n1, n2, r)
+
+
+def _spectrum_stack(b1: np.ndarray, b2: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four kappas of ``symplectic_spectrum`` for each element's entries, bit for bit, as columns.
+
+    The general branch of ``core._spectrum`` on arrays, with libm's
+    ``hypot``.  A stack with a product state (c = 0), or with an element
+    whose discriminant ``core._discriminant`` refuses, goes whole to
+    ``core._spectrum``.
+    """
+    with np.errstate(all="ignore"):
+        u = prod_diff(b1, b2, c, c)
+        delta = sum_sq_minus_4c2(b1, b2, c)
+    if ((c == 0.0) | (delta <= 0.0) | (delta == math.inf) | (u <= 0.0)).any():
+        return _scalar_columns(_spectrum, b1, b2, c)
+    kp, km = _kappas(b1, b2, u, delta, np.sqrt)
+    ktp = 0.5 * ((b1 + b2) + _libm(math.hypot, b1 - b2, 2.0 * c))
+    return kp, km, ktp, u / ktp
+
+
+def _bisection_stack(
+    b1: np.ndarray, b2: np.ndarray, c: np.ndarray, res: list[np.ndarray]
+) -> list[float | AsymptoticOnly]:
+    """``esd_bisection`` of each case, bit for bit, from one bisection of all cases at once.
+
+    ``b1``, ``b2`` and ``c`` hold the entries, and ``res`` the four arrays
+    gamma1, n_r1, gamma2, n_r2, one case per element.  Each case halves its
+    range of bit patterns as the scalar loop does, on the elementwise
+    ``_margin_at`` with libm's exp and expm1, until it is one pattern wide.
+    The scalar ``dynamics._bisection_answer`` then answers the cases in
+    order, so the first case that ``esd_bisection`` refuses raises its error.
+    """
+    lo = np.zeros(len(c), np.int64)
+    hi = np.full(len(c), _INF_BITS, np.int64)
+    with np.errstate(all="ignore"):
+        while (live := hi - lo > 1).any():
+            mid = lo + (hi - lo) // 2  # lo + hi overflows an int64
+            below = _margin_at(b1, b2, c, res, mid.view(np.float64), _EXP, _EXPM1) < 0.0
+            lo = np.where(live & below, mid, lo)
+            hi = np.where(live & ~below, mid, hi)
+        margin = _separability_margin(b1, b2, c)
+    cases = zip(margin.tolist(), c.tolist(), zip(*(x.tolist() for x in res)), hi.view(np.float64).tolist())
+    return [_bisection_answer(*case) for case in cases]
+
+
+def _worst(quantity: str, closed, oracle, tol: float, relative: bool = False) -> OracleReport:
+    """The report on the pair of ``closed`` and ``oracle`` elements that differs the most.
+
+    The difference is taken relative to the oracle where ``relative``.  A
+    pair whose difference is NaN, where a value is not finite, is the
+    worst, and fails.
+    """
+    with np.errstate(invalid="ignore"):
+        err = np.abs(closed - oracle)
+        if relative:
+            err = err / oracle
+    i = int(np.argmax(err))  # the first NaN, where there is one
+    return OracleReport(quantity, closed[i].item(), oracle[i].item(), err[i].item(), tol, bool(err[i] <= tol))
 
 
 def run_verification(
@@ -381,8 +476,14 @@ def run_verification(
     """Run the full closed-form-versus-oracle battery.
 
     Returns one aggregated OracleReport per checked quantity, each
-    carrying the worst-agreeing pair observed over its random sample.
-    Seeded, hence reproducible.
+    carrying the worst-agreeing pair observed over its random sample; a
+    pair that is not finite is the worst.  Seeded, hence reproducible.
+
+    The spectra and the bisection run on stacks: the entries, the closed
+    spectra and the eigen-oracle's matrices of all spectrum states, and the
+    bisection of all death-time cases, are array passes in which each
+    element keeps the bits of its scalar call.  The rejection samplers and
+    the characteristic-function check run one state at a time.
 
     Raises:
         InvalidParameterError: if ``seed`` is negative.
@@ -395,80 +496,73 @@ def run_verification(
     # Thermal-occupancy identity of the spectrum on the parametrized family.
     # Ranges are chosen so the identity is resolvable in double precision:
     # the stored standard form perturbs kappa_minus by O(n^2 e^{4r} eps).
-    pairs_p: list[tuple[float, float]] = []
-    pairs_m: list[tuple[float, float]] = []
-    for _ in range(spectrum_samples):
-        p = sample_sts(rng, n_max=10.0, r_max=1.5)
-        spec = symplectic_spectrum(standard_form_from_sts(p))
-        pairs_p.append((spec.kappa_plus, max(p.n1, p.n2) + 0.5))
-        pairs_m.append((spec.kappa_minus, min(p.n1, p.n2) + 0.5))
-    for name, pairs in (
-        ("kappa_plus = n_max + 1/2 (relative)", pairs_p),
-        ("kappa_minus = n_min + 1/2 (relative)", pairs_m),
-    ):
-        closed, expect = max(pairs, key=lambda pr: abs(pr[0] - pr[1]) / pr[1])
-        rel = abs(closed - expect) / expect
-        reports.append(OracleReport(name, closed, expect, rel, 1e-12, rel <= 1e-12))
+    # One call draws what sample_sts(rng, n_max=10.0, r_max=1.5) draws for
+    # each state: n1, n2, r and the phase.
+    draws = rng.random((spectrum_samples, 4))
+    n1, n2, r = 10.0 * draws[:, 0], 10.0 * draws[:, 1], 1.5 * draws[:, 2]
+    kp, km, _, _ = _spectrum_stack(*_sts_entry_stack(n1, n2, r))
+    reports.append(_worst("kappa_plus = n_max + 1/2 (relative)", kp, np.maximum(n1, n2) + 0.5, 1e-12, relative=True))
+    reports.append(_worst("kappa_minus = n_min + 1/2 (relative)", km, np.minimum(n1, n2) + 0.5, 1e-12, relative=True))
 
     # Closed-form spectra vs the eigen-decomposition oracle.  Comparison
     # states are assembled at phi = 0, where the covariance matrix holds
     # the standard-form entries exactly; phase invariance is checked
-    # separately against the closed forms' phase-free outputs.
-    sp: list[tuple[float, float]] = []
-    sm: list[tuple[float, float]] = []
-    tp: list[tuple[float, float]] = []
-    tm: list[tuple[float, float]] = []
-    cms = np.empty((_ORACLE_BLOCK, 4, 4))
-    for start in range(0, spectrum_samples, _ORACLE_BLOCK):
-        specs = []
-        for i in range(start, min(start + _ORACLE_BLOCK, spectrum_samples)):
-            if i % 10 == 0:
-                sf = sample_standard_form(rng, with_phase=False)
-            else:
-                p = sample_sts(rng, with_phase=False)
-                sf = standard_form_from_sts(p)
-            specs.append(symplectic_spectrum(sf))
-            cms[i - start] = full_cm(sf)
-        block = cms[: len(specs)]
-        okp, okm = (x.tolist() for x in symplectic_spectrum_oracle(block))
-        otp, otm = (x.tolist() for x in ppt_spectrum_oracle(block))
-        for j, spec in enumerate(specs):
-            sp.append((spec.kappa_plus, okp[j]))
-            sm.append((spec.kappa_minus, okm[j]))
-            tp.append((spec.kappa_tilde_plus, otp[j]))
-            tm.append((spec.kappa_tilde_minus, otm[j]))
-    for name, pairs in (
-        ("kappa_plus vs eigen-oracle", sp),
-        ("kappa_minus vs eigen-oracle", sm),
-        ("kappa_tilde_plus vs eigen-oracle", tp),
-        ("kappa_tilde_minus vs eigen-oracle", tm),
+    # separately against the closed forms' phase-free outputs.  Every tenth
+    # state comes from sample_standard_form; after it, one call draws what
+    # sample_sts(rng, with_phase=False) draws for the next nine.
+    n = spectrum_samples
+    b1, b2, c = np.empty((3, n))
+    draws = []
+    for i in range(0, n, 10):
+        sf = sample_standard_form(rng, with_phase=False)
+        b1[i], b2[i], c[i] = sf.b1, sf.b2, sf.c
+        draws.append(rng.random((min(9, n - 1 - i), 3)))
+    draws = np.concatenate(draws)
+    sts = np.arange(n) % 10 != 0
+    b1[sts], b2[sts], c[sts] = _sts_entry_stack(20.0 * draws[:, 0], 20.0 * draws[:, 1], 3.0 * draws[:, 2])
+    closed = _spectrum_stack(b1, b2, c)
+    oracle = np.empty((4, n))
+    cms = np.zeros((_ORACLE_BLOCK, 4, 4))
+    cells = np.stack((b1, b1, b2, b2, c, c, -c, -c), axis=-1)
+    for start in range(0, n, _ORACLE_BLOCK):
+        stop = min(start + _ORACLE_BLOCK, n)
+        block = cms[: stop - start]
+        block[:, _CM_PLACES[0], _CM_PLACES[1]] = cells[start:stop]
+        oracle[:2, start:stop] = symplectic_spectrum_oracle(block)
+        oracle[2:, start:stop] = ppt_spectrum_oracle(block)
+    for name, x, y in zip(
+        (
+            "kappa_plus vs eigen-oracle",
+            "kappa_minus vs eigen-oracle",
+            "kappa_tilde_plus vs eigen-oracle",
+            "kappa_tilde_minus vs eigen-oracle",
+        ),
+        closed,
+        oracle,
     ):
-        reports.append(OracleReport.compare(name, *_worst(pairs), 1e-10))
+        reports.append(_worst(name, x, y, 1e-10))
 
-    # Closed-form death times vs bisection.
-    ident: list[tuple[float, float]] = []
-    single: list[tuple[float, float]] = []
+    # Closed-form death times vs bisection, identical baths and one bath
+    # for each state; the bisection takes all cases at once.
+    ts: list[float] = []
+    rows = []
     for _ in range(esd_samples):
         sf = sample_entangled_sts(rng)
         gamma = rng.uniform(0.25, 2.0)
         n_r = rng.uniform(0.05, 1.5)
-        ts = esd_time_identical_baths(sf, gamma, n_r)
-        tb = esd_bisection(sf, ReservoirConfig.identical(gamma, n_r))
-        assert isinstance(ts, float) and isinstance(tb, float)
-        ident.append((ts, tb))
-        ts = esd_time_single_bath(sf, gamma, n_r)
-        tb = esd_bisection(sf, ReservoirConfig.single_bath(gamma, n_r))
-        assert isinstance(ts, float) and isinstance(tb, float)
-        single.append((ts, tb))
-    for name, pairs in (
-        ("identical-baths death time vs bisection", ident),
-        ("single-bath death time vs bisection", single),
-    ):
-        reports.append(OracleReport.compare(name, *_worst(pairs), 1e-9))
+        ts += [esd_time_identical_baths(sf, gamma, n_r), esd_time_single_bath(sf, gamma, n_r)]
+        rows += [(sf.b1, sf.b2, sf.c, gamma, n_r, gamma, n_r), (sf.b1, sf.b2, sf.c, gamma, n_r, 0.0, 0.0)]
+    b1, b2, c, *res = np.array(rows).T
+    tb = _bisection_stack(b1, b2, c, res)
+    assert all(isinstance(t, float) for t in ts + tb)
+    ts, tb = np.array(ts), np.array(tb)
+    for k, name in enumerate(("identical-baths death time vs bisection", "single-bath death time vs bisection")):
+        reports.append(_worst(name, ts[k::2], tb[k::2], 1e-9))
 
     # Evolved characteristic function vs characteristic function of the
     # evolved state: the two orders of applying the channel must agree.
-    cf_pairs: list[tuple[float, float]] = []
+    chi_channel: list[float] = []
+    chi_state: list[float] = []
     for _ in range(cf_samples):
         sf = standard_form_from_sts(sample_sts(rng, n_max=5.0, r_max=2.0))
         res = ReservoirConfig(
@@ -477,10 +571,9 @@ def run_verification(
         t = rng.uniform(0.0, 3.0)
         lam1 = complex(rng.normal(), rng.normal())
         lam2 = complex(rng.normal(), rng.normal())
-        chi_channel = characteristic_function(sf, res, t, lam1, lam2)
-        chi_state = gaussian_cf(evolve(sf, res, t).sf, lam1, lam2)
-        cf_pairs.append((chi_channel.real, chi_state.real))
+        chi_channel.append(characteristic_function(sf, res, t, lam1, lam2).real)
+        chi_state.append(gaussian_cf(evolve(sf, res, t).sf, lam1, lam2).real)
     name = "evolved characteristic function vs evolved state"
-    reports.append(OracleReport.compare(name, *_worst(cf_pairs), 1e-10))
+    reports.append(_worst(name, np.array(chi_channel), np.array(chi_state), 1e-10))
 
     return reports

@@ -31,7 +31,7 @@ from stsdecay import (
     uncertainty_margin,
 )
 from stsdecay import verification
-from stsdecay.dynamics import _margin_at
+from stsdecay.dynamics import _bisection_answer, _margin_at
 from stsdecay.verification import sample_entangled_sts, sample_sts
 
 # Frozen 40-digit references: disentanglement time of the (10, 0.1, r=2)
@@ -209,8 +209,9 @@ def test_death_times_that_overflow_a_double_are_refused():
     for death_time in (esd_bisection, esd_time):
         t = death_time(sf, near_cap)
         assert math.isfinite(t) and t > 1e308
-        assert _margin_at(sf, near_cap, t * (1.0 + 1e-12)) >= 0.0
-        assert _margin_at(sf, near_cap, t * (1.0 - 1e-12)) < 0.0
+        fields = near_cap._fields()
+        assert _margin_at(sf.b1, sf.b2, sf.c, fields, t * (1.0 + 1e-12), math.exp, math.expm1) >= 0.0
+        assert _margin_at(sf.b1, sf.b2, sf.c, fields, t * (1.0 - 1e-12), math.exp, math.expm1) < 0.0
     # Halve the rates and the same crossing lies beyond it.
     for death_time in (esd_bisection, esd_time):
         with pytest.raises(InvalidParameterError, match=overflow):
@@ -486,6 +487,47 @@ def test_bisection_answers_every_case_or_names_the_cause():
     }
 
 
+def _columns(cases):
+    """The entries and the reservoir of ``(state, reservoir)`` cases, as the arrays of ``verification._bisection_stack``."""
+    b1, b2, c, *res = (np.array(x) for x in zip(*((sf.b1, sf.b2, sf.c, *res._fields()) for sf, res in cases)))
+    return b1, b2, c, res
+
+
+def _answer_or_error(death_time, *args):
+    try:
+        return death_time(*args)
+    except (InvalidParameterError, SeparableInputError) as exc:
+        return exc
+
+
+def test_the_stacked_bisection_answers_each_case_as_esd_bisection(monkeypatch):
+    # One array pass over the adversarial cases: each case's time (the same
+    # bits), marker or error (the same type and message) is esd_bisection's.
+    monkeypatch.setattr(verification, "_bisection_answer", lambda *case: _answer_or_error(_bisection_answer, *case))
+    cases = list(_bisection_cases(random.Random(20141202)))
+    stacked = verification._bisection_stack(*_columns(cases))
+    for (sf, res), got in zip(cases, stacked, strict=True):
+        want = _answer_or_error(esd_bisection, sf, res)
+        assert (type(got), repr(got)) == (type(want), repr(want)), (sf, res)
+
+
+def test_a_stack_with_refused_cases_raises_the_first_refusal():
+    entangled = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
+    good = (entangled, ReservoirConfig(1.0, 0.5, 2.0, 0.1))
+    refused = [
+        (StandardForm(1.5, 1.5, 0.0), ReservoirConfig.identical(1.0, 0.5)),  # separable
+        (entangled, ReservoirConfig(0.0, 0.0, 0.0, 0.0)),  # no active bath
+        (entangled, ReservoirConfig.single_bath(1e-310, 0.5)),  # beyond the largest double
+        (entangled, ReservoirConfig.identical(1.0, 1e300)),  # below the time resolution
+        (entangled, ReservoirConfig(1.0, 1e-320, 2.0, 1e-320)),  # terms underflow
+    ]
+    for first, second in zip(refused, refused[1:] + refused[:1]):
+        exc = _answer_or_error(esd_bisection, *first)
+        with pytest.raises(type(exc)) as raised:
+            verification._bisection_stack(*_columns([good, first, good, second]))
+        assert str(raised.value) == str(exc)
+
+
 def _root_within(sf, res, t, ulps, mpmath):
     """True where the evolved margin of the exact entries changes sign within ``ulps`` ulps of ``t``."""
     u_min = min(g for g in (res.gamma1, res.gamma2) if g > 0.0) * t
@@ -541,8 +583,16 @@ def test_two_bath_death_times_are_within_4_ulp_of_the_mpmath_root():
 def test_bisection_times_are_within_1e_11_of_the_mpmath_root(monkeypatch):
     mpmath = pytest.importorskip("mpmath")
     cases = _two_bath_cases()
-    # With them, the identical and single baths of the verify battery of seed 0.
-    monkeypatch.setattr(verification, "esd_bisection", lambda sf, res: cases.append((sf, res)) or esd_bisection(sf, res))
+    # With them, the identical and single baths of the verify battery of
+    # seed 0, which it bisects in one stack.
+    stack = verification._bisection_stack
+
+    def record(b1, b2, c, res):
+        for case in zip(b1.tolist(), b2.tolist(), c.tolist(), *(x.tolist() for x in res)):
+            cases.append((StandardForm(*case[:3]), ReservoirConfig(*case[3:])))
+        return stack(b1, b2, c, res)
+
+    monkeypatch.setattr(verification, "_bisection_stack", record)
     verification.run_verification(seed=0)
     answered = 0
     for sf, res in cases:

@@ -22,7 +22,8 @@ from stsdecay import (
     symplectic_spectrum,
     uncertainty_margin,
 )
-from stsdecay import cli
+from stsdecay import cli, verification
+from stsdecay.dynamics import _margin_at
 from stsdecay.verification import (
     OracleReport,
     count_margin_crossings,
@@ -204,8 +205,20 @@ def test_bisection_markers_and_errors():
 def test_margin_crossing_counts():
     sf = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
     ts = esd_time_identical_baths(sf, 1.0, 0.5)
-    assert count_margin_crossings(sf, ReservoirConfig.identical(1.0, 0.5), 4.0 * ts) == 1
-    assert count_margin_crossings(sf, ReservoirConfig.identical(1.0, 0.0), 10.0) == 0
+    for res, t_max, crossings in (
+        (ReservoirConfig.identical(1.0, 0.5), 4.0 * ts, 1),
+        (ReservoirConfig.identical(1.0, 0.0), 10.0, 0),
+    ):
+        assert count_margin_crossings(sf, res, t_max) == crossings
+        # The margin on the whole grid at once has the bits, so the signs,
+        # of the scalar margin at each point.
+        grid = np.linspace(0.0, t_max, 4000)
+        stacked = _margin_at(sf.b1, sf.b2, sf.c, res._fields(), grid, verification._EXP, verification._EXPM1)
+        scalar = [_margin_at(sf.b1, sf.b2, sf.c, res._fields(), t, math.exp, math.expm1) for t in grid.tolist()]
+        assert stacked.tobytes() == np.array(scalar).tobytes()
+        assert np.sign(stacked).tolist() == [math.copysign(1.0, m) if m else 0.0 for m in scalar]
+    # A margin of exactly 0 at t = 0, positive after it: a zero sample starts no crossing.
+    assert count_margin_crossings(StandardForm(1.5, 1.5, 1.0), ReservoirConfig.identical(1.0, 0.5), 5.0) == 0
 
 
 def test_samplers_produce_valid_states():
@@ -239,6 +252,78 @@ def test_run_verification_battery_passes_and_is_deterministic():
     assert len(set(names)) == 9
     again = run_verification(seed=3, spectrum_samples=300, esd_samples=40, cf_samples=40)
     assert again == reports
+
+
+def test_the_spectrum_stacks_give_each_battery_state_its_scalar_bits(monkeypatch):
+    # All 4,000 spectrum states of the battery of seed 11: the entries of
+    # standard_form_from_sts and the four kappas of symplectic_spectrum.
+    seen = {"_sts_entry_stack": [], "_spectrum_stack": []}
+    for name, rows in seen.items():
+
+        def record(*args, stack=getattr(verification, name), rows=rows):
+            out = stack(*args)
+            rows.extend(zip(*(x.tolist() for x in (*args, *out))))
+            return out
+
+        monkeypatch.setattr(verification, name, record)
+    run_verification(seed=11, esd_samples=1, cf_samples=1)
+    entries, spectra = seen.values()
+    assert len(entries) == 2000 + 1800 and len(spectra) == 4000
+    for n1, n2, r, *stacked in entries:
+        assert stacked == list(standard_form_from_sts(StsParams(n1, n2, r))._fields()[:3])
+    for b1, b2, c, *stacked in spectra:
+        assert stacked == list(symplectic_spectrum(StandardForm(b1, b2, c))._fields())
+
+
+def _error(f, *args):
+    with pytest.raises(Exception) as raised:
+        f(*args)
+    return type(raised.value), str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, r",
+    [(1.0, 1.0, 400.0), (1.0, 1.0, 800.0), (1e308, 1.0, 1.0)],
+    ids=["sinh-cosh-overflow", "cosh-overflow", "entries-overflow"],
+)
+def test_an_entry_stack_with_a_refused_state_raises_its_error(n1, n2, r):
+    params = np.array([(2.0, 0.5, 1.0), (n1, n2, r), (3.0, 1.0, 0.5)]).T
+    want = _error(lambda: standard_form_from_sts(StsParams(n1, n2, r)))
+    assert _error(verification._sts_entry_stack, *params) == want
+
+
+def test_a_spectrum_stack_with_a_refused_or_product_state_is_the_scalar_ones():
+    # Entries admitted only within rounding: the discriminant is refused.
+    within_rounding = standard_form_from_sts(StsParams(4.0, 1.5, 9.7))
+    good = standard_form_from_sts(StsParams(2.0, 0.5, 1.0))
+    columns = np.array([good._fields()[:3], within_rounding._fields()[:3], good._fields()[:3]]).T
+    want = _error(symplectic_spectrum, within_rounding)
+    assert want[0] is NonPhysicalStateError
+    assert _error(verification._spectrum_stack, *columns) == want
+    # A product state takes the scalar branch, and the stack keeps its bits.
+    states = [good, StandardForm(2.5, 1.5, 0.0), good]
+    stacked = verification._spectrum_stack(*np.array([sf._fields()[:3] for sf in states]).T)
+    assert list(zip(*(x.tolist() for x in stacked))) == [symplectic_spectrum(sf)._fields() for sf in states]
+
+
+def test_a_pair_that_is_not_finite_is_the_worst_and_fails(monkeypatch):
+    closed, oracle = np.array([1.0, math.nan, 1.0]), np.array([1.0, 1.0, 1.000000000001])
+    for relative in (False, True):
+        report = verification._worst("q", closed, oracle, 1e-10, relative)
+        assert math.isnan(report.closed_form) and report.oracle == 1.0 and not report.passed
+    assert not verification._worst("q", np.array([1.0, math.inf]), np.array([1.0, math.inf]), 1e-10).passed
+    # In the battery: one NaN among an eigen-oracle's values fails the check.
+    oracle_stack = verification.symplectic_spectrum_oracle
+
+    def nan_at_5(v, pair_tol=1e-8):
+        kp, km = oracle_stack(v, pair_tol)
+        kp[5] = math.nan
+        return kp, km
+
+    monkeypatch.setattr(verification, "symplectic_spectrum_oracle", nan_at_5)
+    reports = run_verification(seed=3, spectrum_samples=300, esd_samples=4, cf_samples=4)
+    (report,) = [r for r in reports if r.quantity == "kappa_plus vs eigen-oracle"]
+    assert math.isnan(report.oracle) and not report.passed
 
 
 def test_a_negative_seed_is_refused_before_sampling(capsys, monkeypatch):
