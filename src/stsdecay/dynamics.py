@@ -9,10 +9,10 @@ and stays in standard form; its entries follow the closed expressions
 
 so no differential equation is ever integrated.  On top of the evolution
 this module provides the steady states and the entanglement sudden-death
-time of every bath layout, ``esd_time``: in closed form for identical
-baths, one hot bath, and two hot baths at equal rates, and by Newton's
-method on the evolved margin's four-term sum for two hot baths at
-unequal rates.  ``esd_bisection``, a bisection over the doubles on the
+time of every bath layout, ``esd_time``: one root of the evolved
+margin's four-term sum, in closed form at equal rates (the paper's
+identical and single baths among them) and by Newton's method at unequal
+rates.  ``esd_bisection``, a bisection over the doubles on the
 separability margin of the evolved offsets b_i(t) - 1/2 (the map above
 with 1/2 taken out of both terms), is the death-time oracle and answers
 no production query.  The evolved characteristic function is an oracle
@@ -176,11 +176,6 @@ def _finite_death_time(t: float) -> float:
     return t
 
 
-def _ktp_off(b1: float, b2: float, c: float) -> float:
-    """kt_plus - 1/2 of the entries, assembled from non-negative terms only."""
-    return 0.5 * ((b1 - 0.5) + (b2 - 0.5) + math.hypot(b1 - b2, 2.0 * c))
-
-
 def esd_time_identical_baths(
     sf0: StandardForm, gamma: float, n_r: float
 ) -> float | AsymptoticOnly:
@@ -189,10 +184,10 @@ def esd_time_identical_baths(
         t_s = (1/gamma) * ln(1 + (1/2 - kt_minus) / n_r)
 
     with kt_minus the smaller symplectic eigenvalue of the partially
-    transposed input.  Internally the numerator is evaluated as
-    -margin / (kt_plus - 1/2) on the compensated separability margin,
-    which stays accurate when the input is barely entangled; the offset
-    kt_plus - 1/2 is assembled from non-negative terms only.
+    transposed input.  The time is the equal-rate root of ``esd_time``,
+    whose ratio (1/2 - kt_minus)/n_r it equals: -margin divided by
+    n_r*(kt_plus - 1/2), with the compensated separability margin, so it
+    stays accurate when the input is barely entangled.
 
     ``esd_time`` of ``ReservoirConfig.identical(gamma, n_r)``, with its
     cases in its order: ASYMPTOTIC_ONLY for a zero-temperature bath (n_r = 0).
@@ -324,14 +319,14 @@ def _bisection_answer(
 def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
     """Entanglement sudden-death time of ``sf0`` in the reservoirs ``res``.
 
-    Identical baths, and one hot bath (on either mode, beside a cold or
-    absent bath on the other), are answered in closed form.  Two hot baths
-    that differ in rate or temperature get the root of the evolved
-    margin's four-term sum: in closed form for equal rates, by Newton's
-    method in log t for unequal rates.  Every layout first passes one
-    gate, in this order: no damped mode, a separable ``sf0``, then
-    ASYMPTOTIC_ONLY where no active bath is hot.  ``esd_bisection`` is the
-    independent oracle of every route.
+    Every layout first passes one gate, in this order: no damped mode, a
+    separable ``sf0``, then ASYMPTOTIC_ONLY where no active bath is hot.
+    Then one root of the evolved margin's four-term sum answers it: in
+    closed form at equal rates, by Newton's method in log t at unequal
+    rates.  A cold or absent bath beside a hot one does not move the root
+    (it only scales the margin by its own exp(-gamma t)), so one hot bath
+    and identical baths give the paper's closed forms.  ``esd_bisection``
+    is the independent oracle.
 
     Raises:
         InvalidParameterError: if no mode is damped, if the time overflows
@@ -367,46 +362,19 @@ def _death_time(
 
     The kernel of ``esd_time`` and of the closed-form functions, on bare
     floats: ``res`` is ``(gamma1, n_r1, gamma2, n_r2)`` as ReservoirConfig
-    admits them.  After ``_gate``, identical baths and one hot bath take
-    ``log1p(-margin / (den * n_r)) / gamma``, with ``den`` the offset from
-    1/2 of kt_plus (identical baths) or of the other mode's entry (one hot
-    bath; a cold bath on the other mode does not move the root).  Where
-    ``den * n_r`` is subnormal, the ratio is ``(-margin / den) / n_r``.
-    Where the ratio overflows, or ``den * n_r`` underflows to 0 (a
-    subnormal ``n_r``), the time is taken as ``(log(-margin) - log(den) -
-    log(n_r)) / gamma``: the 1 of log1p lies far below the last bit of such
-    a ratio.  Two hot baths that differ go to ``_two_bath_death_time``.
+    admits them; ``c`` enters through ``margin`` alone.  After ``_gate``
+    every layout takes ``_root``.  A cold or absent bath only scales the
+    evolved margin by its own exp(-gamma t), so it does not move the root:
+    it enters at the hot bath's rate with occupancy 0.
     """
     if _gate(margin, res):
         return ASYMPTOTIC_ONLY
     gamma1, n_r1, gamma2, n_r2 = res
-    hot1, hot2 = gamma1 > 0.0 and n_r1 > 0.0, gamma2 > 0.0 and n_r2 > 0.0
-    if hot1 and hot2:
-        if gamma1 != gamma2 or n_r1 != n_r2:
-            return _two_bath_death_time(b1 - 0.5, b2 - 0.5, -margin, res)
-        gamma, n_r, den, free = gamma1, n_r1, _ktp_off(b1, b2, c), "kt_plus"
-    elif hot1:
-        gamma, n_r, den, free = gamma1, n_r1, b2 - 0.5, "b2"
-    else:
-        # The hot bath on mode 2: the modes relabeled.  The margin is
-        # symmetric in them (prod_diff is, under a <-> b), so only the
-        # denominator changes.
-        gamma, n_r, den, free = gamma2, n_r2, b1 - 0.5, "b1"
-    if den <= 0.0:  # only a single bath's free-mode offset can reach 0 while entangled
-        raise NonPhysicalStateError(
-            f"{free} = 1/2 with residual entanglement: degenerate denominator in the "
-            "single-bath disentanglement time"
-        )
-    prod = den * n_r
-    if prod >= _MIN_NORMAL:
-        ratio = -margin / prod
-    elif prod > 0.0:  # a subnormal product has lost bits; divide twice instead
-        ratio = (-margin / den) / n_r
-    else:
-        ratio = math.inf
-    if ratio == math.inf:
-        return _finite_death_time((math.log(-margin) - math.log(den) - math.log(n_r)) / gamma)
-    return _finite_death_time(math.log1p(ratio) / gamma)
+    if gamma1 == 0.0 or n_r1 == 0.0:
+        res = (gamma2, 0.0, gamma2, n_r2)
+    elif gamma2 == 0.0 or n_r2 == 0.0:
+        res = (gamma1, n_r1, gamma1, 0.0)
+    return _root(b1 - 0.5, b2 - 0.5, -margin, res)
 
 
 def _gate(margin: float, res: tuple[float, float, float, float]) -> bool:
@@ -423,33 +391,49 @@ def _gate(margin: float, res: tuple[float, float, float, float]) -> bool:
     return (gamma1 == 0.0 or n_r1 == 0.0) and (gamma2 == 0.0 or n_r2 == 0.0)
 
 
-def _two_bath_death_time(a1: float, a2: float, neg: float, res: tuple[float, float, float, float]) -> float:
-    """Death time of two hot baths that differ, from ``a_i = b_i - 1/2`` and ``neg = -margin > 0``.
+def _root(a1: float, a2: float, neg: float, res: tuple[float, float, float, float]) -> float:
+    """Death time from ``a_i = b_i - 1/2`` and ``neg = -margin > 0``, with at least one bath hot.
 
     With E_i = expm1(gamma_i t) and N_i = n_ri*E_i, the evolved margin is
     exp(-(gamma1 + gamma2) t) * (S - neg), S = a2*N1 + a1*N2 + N1*N2.  Each
     term of S is >= 0 and rises from 0, so S crosses neg once.  At equal
     rates S is quadratic in E, with the root E* = 2*neg/(B + hypot(B,
-    2*sqrt(n_r1*n_r2*neg))), B = a2*n_r1 + a1*n_r2.  At unequal rates
-    log(S/neg) is convex and increasing in s = log t (each E_i is
-    log-convex in s, and so are sums and products of them), so Newton's
-    method in s descends monotonically from any time above the root.  It
-    starts at the least of: E* at the slower rate, each single-term root
+    2*sqrt(n_r1*n_r2*neg))), B = a2*n_r1 + a1*n_r2: neg/(n_r*(kt_plus -
+    1/2)) for identical baths, neg/(a2*n_r1) beside a cold bath.  E* is of
+    degree -1 in the occupancies, so it is taken on them scaled by 2^-k, k
+    even, which is exact and commutes with sqrt and hypot.  Where E*
+    overflows, log1p(E*) is 2*log(sqrt(E*_scaled)*2^(-k/2)); where it is
+    subnormal, log1p(E*)/gamma is (E*_scaled*2^(-k/2)/gamma)*2^(-k/2), so
+    no bit of E*_scaled is lost.  At unequal rates log(S/neg) is convex
+    and increasing in s = log t (each E_i is log-convex in s, and so are
+    sums and products of them), so Newton's method in s descends
+    monotonically from any time above the root.  It starts at the least
+    of: E* at the slower rate, each single-term root
     log1p(neg/(a_j*n_ri))/gamma_i, and ``_EXP_MAX``/gamma_max; it stops
     when a step no longer lowers t.  Below the single-term roots each term
     of S/neg is under 1, or under neg/(a1*a2) for N1*N2, so S stays finite.
     """
     gamma1, n_r1, gamma2, n_r2 = res
-    b = a2 * n_r1 + a1 * n_r2
-    den = b + math.hypot(b, 2.0 * math.sqrt(n_r1) * math.sqrt(n_r2) * math.sqrt(neg))
+    k = math.frexp(n_r1 if n_r1 > n_r2 else n_r2)[1] & -2
+    n1, n2 = math.ldexp(n_r1, -k), math.ldexp(n_r2, -k)
+    b = a2 * n1 + a1 * n2
+    den = b + math.hypot(b, 2.0 * math.sqrt(n1) * math.sqrt(n2) * math.sqrt(neg))
+    if den <= 0.0:  # only beside a cold bath, whose mode's offset is then 0
+        free = "b2" if n_r2 == 0.0 else "b1"
+        raise NonPhysicalStateError(f"{free} = 1/2 with residual entanglement: degenerate denominator in the single-bath disentanglement time")
     if den == math.inf:
         raise InvalidParameterError(_TERMS_OVERFLOW.format(n_r1, n_r2))
-    # A subnormal B has lost the bits of the root; E* beyond the largest
-    # double puts exp(-gamma t) below the smallest one.
-    e_star = 2.0 * neg / den if den >= _MIN_NORMAL else math.inf
-    if e_star == math.inf:
-        raise InvalidParameterError(_TERMS_UNDERFLOW.format(n_r1, n_r2))
+    scaled = 2.0 * neg / den
+    try:
+        e_star = math.ldexp(scaled, -k)
+    except OverflowError:
+        if gamma1 == gamma2:
+            return _finite_death_time(2.0 * math.log(math.ldexp(math.sqrt(scaled), -k // 2)) / gamma1)
+        # E* beyond the largest double puts exp(-gamma t) below the smallest one.
+        raise InvalidParameterError(_TERMS_UNDERFLOW.format(n_r1, n_r2)) from None
     if gamma1 == gamma2:
+        if e_star < _MIN_NORMAL:
+            return _finite_death_time(math.ldexp(math.ldexp(scaled, -k // 2) / gamma1, -k // 2))
         return _finite_death_time(math.log1p(e_star) / gamma1)
     limit = min(_EXP_MAX / max(gamma1, gamma2), _MAX_TIME)
     t = min(math.log1p(e_star) / min(gamma1, gamma2), limit)

@@ -486,10 +486,14 @@ def run_verification(
     the characteristic-function check run one state at a time.
 
     Raises:
-        InvalidParameterError: if ``seed`` is negative.
+        InvalidParameterError: if ``seed`` is negative, or a sample count
+            is below 1.
     """
     if seed < 0:
         raise InvalidParameterError(f"the verification seed (verify --seed) must be >= 0, got {seed!r}")
+    for name, count in (("spectrum_samples", spectrum_samples), ("esd_samples", esd_samples), ("cf_samples", cf_samples)):
+        if count < 1:
+            raise InvalidParameterError(f"{name} must be >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     reports: list[OracleReport] = []
 

@@ -4,6 +4,7 @@ import cmath
 import collections
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -223,9 +224,9 @@ def test_death_times_that_overflow_a_double_are_refused():
 
 
 def test_death_times_whose_ratio_overflows_are_accurate():
-    # -margin / (den * n_r) overflows, or den * n_r underflows to 0, for a
-    # subnormal n_r; the closed forms then take the logarithm term by term.
-    # For the larger n_r, den * n_r is subnormal but the ratio finite.
+    # A subnormal n_r: the root scales the occupancies into the normal
+    # range, and where E* = -margin / (den * n_r) overflows, the time comes
+    # from log E*.  For the larger n_r, den * n_r is subnormal but E* finite.
     mpmath = pytest.importorskip("mpmath")
     for p in (StsParams(10.0, 0.1, 2.0), StsParams(0.3, 5.0, 1.5), StsParams(0.0, 0.0, 6.0), StsParams(0.0, 0.0, 0.01)):
         sf = standard_form_from_sts(p)
@@ -468,9 +469,12 @@ def test_esd_time_answers_every_bisection_case_or_names_the_cause():
     # gives a finite time, the marker, or an error that names its cause:
     # beyond the largest double (tiny rates), below the smallest normal one
     # (n_r = 1e300 beside a margin near -1e-14), and two (near) subnormal
-    # occupancies, whose terms underflow before the crossing.
+    # occupancies at unequal rates, whose terms underflow before the
+    # crossing.  Two such baths at equal rates (10 cases), and one pair at
+    # unequal rates whose E* is finite, get times that
+    # test_death_times_of_every_layout_are_within_4_ulp_of_the_mpmath_root checks.
     assert _case_outcomes(esd_time) == {
-        "time": 2182, "ASYMPTOTIC_ONLY": 52, _CAUSES[0]: 128, _CAUSES[1]: 10, _CAUSES[2]: 28,
+        "time": 2193, "ASYMPTOTIC_ONLY": 52, _CAUSES[0]: 128, _CAUSES[1]: 10, _CAUSES[2]: 17,
     }
 
 
@@ -547,8 +551,14 @@ def _root_within(sf, res, t, ulps, mpmath):
         return margin(mpmath.mpf(t) - step) < 0 < margin(mpmath.mpf(t) + step)
 
 
-def _two_bath_cases():
-    """128 layouts of two hot baths that differ, with occupancies from 1e-20 to 1e100."""
+def _entangled_sts(rng):
+    n1, n2 = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
+    r_min = math.asinh(math.sqrt(n1 * n2 / (n1 + n2 + 1.0)))
+    return standard_form_from_sts(StsParams(n1, n2, r_min + rng.uniform(1e-3, 3.0)))
+
+
+def _every_layout_cases():
+    """Two hot baths that differ, with occupancies from 1e-20 to 1e100; then the layouts of the paper's forms and subnormal occupancies."""
     found = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
     cases = [(found, ReservoirConfig(1.0, n_r, 2.0, n_r)) for n_r in (1e-10, 1e-15, 1e-17, 1e-20)]
     found = standard_form_from_sts(StsParams(1.0, 1.0, 2.0))
@@ -560,20 +570,59 @@ def _two_bath_cases():
     ))
     rng = random.Random(1412)
     for k in range(120):
-        n1, n2 = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
-        r_min = math.asinh(math.sqrt(n1 * n2 / (n1 + n2 + 1.0)))
-        sf = standard_form_from_sts(StsParams(n1, n2, r_min + rng.uniform(1e-3, 3.0)))
+        sf = _entangled_sts(rng)
         gamma = 10.0 ** rng.uniform(-1.0, 1.0)
         ratio = 1.0 if k % 2 else 10.0 ** rng.uniform(-3.0, 3.0)
         n_r = (10.0 ** rng.uniform(-20.0, 100.0), 10.0 ** rng.uniform(-20.0, 2.0))[:: rng.choice((1, -1))]
         cases.append((sf, ReservoirConfig(gamma, n_r[0], gamma * ratio, n_r[1])))
+    # Identical baths, one hot bath on either mode, a cold bath beside a hot one on either mode.
+    rng = random.Random(1414)
+    for k in range(100):
+        sf = _entangled_sts(rng)
+        gamma, n_r = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-10.0, 10.0)
+        other = gamma * 10.0 ** rng.uniform(-2.0, 2.0)
+        layouts = (
+            ReservoirConfig.identical(gamma, n_r),
+            ReservoirConfig.single_bath(gamma, n_r),
+            ReservoirConfig(0.0, 0.0, gamma, n_r),
+            ReservoirConfig(gamma, n_r, other, 0.0),
+            ReservoirConfig(other, 0.0, gamma, n_r),
+        )
+        cases.append((sf, layouts[k % 5]))
+    # Subnormal occupancies: equal rates at 1e-320 and 2e-320 (60-digit
+    # mpmath: 735.67551189502212880...), identical baths at 1e-320, and the
+    # adversarial cases of two such hot baths at equal rates, then one pair
+    # at unequal rates whose E* is finite: refused while E* was taken on the
+    # unscaled occupancies.
+    found = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
+    cases += [(found, ReservoirConfig(1.0, 1e-320, 1.0, 2e-320)), (found, ReservoirConfig.identical(1.0, 1e-320))]
+    cases += [
+        (sf, res) for sf, res in _bisection_cases(random.Random(20141202))
+        if res.gamma1 == res.gamma2 > 0.0 and 0.0 < min(res.n_r1, res.n_r2) and max(res.n_r1, res.n_r2) < sys.float_info.min
+    ]
+    cases.append((
+        StandardForm(3.954670424477392, 5.121826499860192, 3.995858770794196),
+        ReservoirConfig(3.149657219665234, 3.8507394713e-314, 1.751992708351839, 2.449876986e-314),
+    ))
+    # Entries past 2**996 beside a huge occupancy: a*n_r overflows a double
+    # (the time is 1.02e-221), or E* is subnormal while the time is not; and
+    # a pure state's E* = 1/n_r, subnormal, at a subnormal rate (time 100).
+    cases.append((standard_form_from_sts(StsParams(0.0, 0.0, 1.0)), ReservoirConfig.single_bath(1e-310, 1e308)))
+    cases.append((
+        StandardForm(8.818220518090299e299, 0.500000000963707, 2.9151639521740596e145),
+        ReservoirConfig(0.0, 0.0, 1.2926618856571521e-05, 1.5509180457167434e202),
+    ))
+    cases.append((
+        StandardForm(1.0819733731729026e300, 0.5000270238219722, 5.407315028297768e147),
+        ReservoirConfig(0.0, 0.0, 0.00013483948109285117, 8.328149736460352e291),
+    ))
     return cases
 
 
-def test_two_bath_death_times_are_within_4_ulp_of_the_mpmath_root():
+def test_death_times_of_every_layout_are_within_4_ulp_of_the_mpmath_root():
     mpmath = pytest.importorskip("mpmath")
     smallest = math.inf
-    for sf, res in _two_bath_cases():
+    for sf, res in _every_layout_cases():
         t = esd_time(sf, res)
         smallest = min(smallest, t)
         assert _root_within(sf, res, t, 4, mpmath), (sf, res, t)
@@ -582,7 +631,7 @@ def test_two_bath_death_times_are_within_4_ulp_of_the_mpmath_root():
 
 def test_bisection_times_are_within_1e_11_of_the_mpmath_root(monkeypatch):
     mpmath = pytest.importorskip("mpmath")
-    cases = _two_bath_cases()
+    cases = _every_layout_cases()
     # With them, the identical and single baths of the verify battery of
     # seed 0, which it bisects in one stack.
     stack = verification._bisection_stack
@@ -603,16 +652,14 @@ def test_bisection_times_are_within_1e_11_of_the_mpmath_root(monkeypatch):
         answered += 1
         # 1e-11 * 2**52 ulps of t are at most 1e-11 of t.
         assert _root_within(sf, res, t, 1e-11 * 2.0**52, mpmath), (sf, res, t)
-    assert answered == 34 + 400
+    assert answered == 34 + 99 + 400
 
 
 def test_a_cold_bath_beside_a_hot_one_keeps_the_single_bath_time():
     # The cold bath scales the margin by exp(-gamma t) without moving its root.
     rng = random.Random(1413)
     for _ in range(300):
-        n1, n2 = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
-        r_min = math.asinh(math.sqrt(n1 * n2 / (n1 + n2 + 1.0)))
-        sf = standard_form_from_sts(StsParams(n1, n2, r_min + rng.uniform(1e-3, 3.0)))
+        sf = _entangled_sts(rng)
         swapped = StandardForm(sf.b2, sf.b1, sf.c, sf.phi)
         gamma, n_r = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-20.0, 20.0)
         cold = rng.choice((1e-310, 1e300, gamma, gamma * 10.0 ** rng.uniform(-3.0, 3.0)))

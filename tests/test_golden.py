@@ -119,6 +119,11 @@ def _cases() -> dict[str, tuple[str, ...]]:
     )
     cases["esd_verify_hot_beside_cold"] = hot_beside_cold
     cases["esd_verify_hot_beside_cold_json"] = (*hot_beside_cold, *_JSON)
+    # Equal rates at subnormal occupancies: E* overflows a double, and the
+    # time comes from its logarithm.
+    subnormal = ("esd", *_STATE, "--gamma1", "1", "--nr1", "1e-320", "--gamma2", "1", "--nr2", "2e-320")
+    cases["esd_equal_rates_subnormal"] = subnormal
+    cases["esd_equal_rates_subnormal_json"] = (*subnormal, *_JSON)
     # sweep: every state parameter over every layout; r from 0 starts with
     # separable rows.
     for layout, bath in _LAYOUTS.items():

@@ -337,3 +337,10 @@ def test_a_negative_seed_is_refused_before_sampling(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the verification seed (verify --seed) must be >= 0, got -1\n"
+
+
+def test_a_sample_count_below_one_is_refused_by_name():
+    for name in ("spectrum_samples", "esd_samples", "cf_samples"):
+        for count in (0, -3):
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be >= 1, got {count}$"):
+                run_verification(**{name: count})
