@@ -11,15 +11,21 @@ machinery for report generation, time series, death times and parameter
 sweeps.
 """
 
-from . import core, correlations, dynamics, errors
-from .core import *
-from .correlations import *
-from .dynamics import *
-from .errors import *
+import importlib
 
-# The oracles need numpy, which the closed forms do not; they are imported
-# on first access (PEP 562), so ``import stsdecay`` does not load numpy.
-# These are the names of ``verification.__all__`` not in ``dynamics.__all__``.
+__version__ = "0.1.0"
+
+# ``import stsdecay`` imports no submodule: each public name is imported on
+# first access (PEP 562), from the module that defines it.  The namespace is
+# the ``__all__`` of these modules, searched in this order; each imports
+# only modules before it, so a name loads no module after its own.
+_MODULES = ("errors", "core", "dynamics", "correlations")
+# Submodules without a leading underscore.  They, and every name with one
+# (``from . import _sweep_table``), go straight to the import system, and
+# never start the search.
+_SUBMODULES = {*_MODULES, "cli", "verification"}
+# The oracles need numpy, which the closed forms do not; their names are
+# those of ``verification.__all__`` not in ``dynamics.__all__``.
 _LAZY = {
     "OracleReport",
     "characteristic_function",
@@ -35,19 +41,31 @@ _LAZY = {
 }
 
 
-def __getattr__(name: str) -> object:
-    if name in _LAZY:
-        from . import verification
+def _module(short: str) -> object:
+    return importlib.import_module(f"{__name__}.{short}")
 
-        return getattr(verification, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name: str) -> object:
+    if name in _SUBMODULES:
+        return _module(name)
+    if name == "__all__":
+        # The public API is each module's ``__all__``; no name is listed twice.
+        value = [*(n for short in _MODULES for n in _module(short).__all__), *sorted(_LAZY), "__version__"]
+    elif name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    elif name in _LAZY:
+        value = getattr(_module("verification"), name)
+    else:
+        for short in _MODULES:
+            module = _module(short)
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
-
-
-__version__ = "0.1.0"
-
-# The public API is each module's ``__all__``; no name is listed twice.
-__all__ = [*core.__all__, *correlations.__all__, *dynamics.__all__, *sorted(_LAZY), *errors.__all__, "__version__"]
+    return sorted({*globals(), *__getattr__("__all__")})

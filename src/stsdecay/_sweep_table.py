@@ -1,7 +1,8 @@
 """The `sweep` table: its rows on bare entries.
 
-``cli`` imports this module for ``sweep`` alone.  Each output of a row
-comes from the kernel that its public function wraps: ``cli._state_cells``
+``cli`` imports this module for ``sweep`` alone, and ``dynamics`` is
+imported only for a sweep with a reservoir.  Each output of a row comes
+from the kernel that its public function wraps: ``cli._state_cells``
 (shared with ``report``) for the measures, the kappas and the separable
 verdict, and ``dynamics._death_time`` for ts; the separability margin is
 taken once per state.  No record is built per row, and ``cli._emit_rows``
@@ -16,11 +17,13 @@ the public functions.
 from __future__ import annotations
 
 import argparse
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import cli
 from .core import StandardForm, _check_sts, _cosh_sinh, _separability_margin, _sts_entries
-from .dynamics import ASYMPTOTIC_ONLY, ReservoirConfig, _check_reservoir, _death_time
+
+if TYPE_CHECKING:
+    from .dynamics import ReservoirConfig
 
 
 def _state_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator[tuple[float, float, float, float]]:
@@ -48,6 +51,8 @@ def _state_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator
 
 def _bath_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator[tuple[float, tuple[float, ...]]]:
     """``(value, (gamma1, n_r1, gamma2, n_r2))`` at each value of an nr or gamma sweep, checked as ReservoirConfig checks them."""
+    from .dynamics import _check_reservoir
+
     gamma, n_r = args.gamma, args.nr
     for value in values:
         if args.param == "gamma":
@@ -71,14 +76,17 @@ def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm, res: R
     accept along one parameter is an interval, so the last value is
     checked next: an invalid range fails before any output.
     """
-    dead, asymptotic = (cli._cell(marker, cli._SPELL[args.format]) for marker in ("separable", "asymptotic-only"))
-    units, ts = args.units, ("ts" in outputs)
+    ts, state_cells = ("ts" in outputs), cli._state_cells(outputs, args.units)
+    if ts:
+        from .dynamics import ASYMPTOTIC_ONLY, _death_time
 
-    def death_cell(b1: float, b2: float, c: float, margin: float, rates: tuple[float, ...]) -> object:
+        dead, asymptotic = (cli._cell(marker, cli._SPELL[args.format]) for marker in ("separable", "asymptotic-only"))
+
+    def death_cell(b1: float, b2: float, margin: float, rates: tuple[float, ...]) -> object:
         """The ts cell: a finite time, or the separable or asymptotic-only marker, spelled."""
         if margin >= 0.0:
             return dead
-        t = _death_time(b1, b2, c, margin, rates)
+        t = _death_time(b1, b2, margin, rates)
         return asymptotic if t is ASYMPTOTIC_ONLY else t
 
     lo, hi, steps = args.min, args.max, args.steps
@@ -90,17 +98,17 @@ def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm, res: R
         def rows(values: list[float]) -> Iterator[tuple[object, ...]]:
             for value, b1, b2, c in _state_points(args, values):
                 margin = _separability_margin(b1, b2, c)
-                cells = cli._state_cells(b1, b2, c, margin, outputs, units)
-                yield (value, *cells, death_cell(b1, b2, c, margin, rates)) if ts else (value, *cells)
+                cells = state_cells(b1, b2, c, margin)
+                yield (value, *cells, death_cell(b1, b2, margin, rates)) if ts else (value, *cells)
 
     else:
         b1, b2, c = sf0.b1, sf0.b2, sf0.c
         margin = _separability_margin(b1, b2, c)
-        cells = cli._state_cells(b1, b2, c, margin, outputs, units)
+        cells = state_cells(b1, b2, c, margin)
 
         def rows(values: list[float]) -> Iterator[tuple[object, ...]]:
             return (
-                (value, *cells, death_cell(b1, b2, c, margin, rates)) if ts else (value, *cells)
+                (value, *cells, death_cell(b1, b2, margin, rates)) if ts else (value, *cells)
                 for value, rates in _bath_points(args, values)
             )
 

@@ -22,7 +22,11 @@ on this platform: an oracle without extended precision, or ``verify`` and
 Only ``verify``, ``evolve --log-spacing`` and ``evolve`` on a grid of at
 least ``_evolve_table.BATCH_POINTS`` points import numpy; the last two
 compute their rows in numpy batches (``_batch``) that are bit for bit the
-scalar rows, which answer instead where numpy cannot be imported.
+scalar rows, which answer instead where numpy cannot be imported.  No
+command imports what it does not run: ``dynamics`` only where a bath or a
+death time is used, ``correlations`` only where a measure is printed, json
+only for JSON output, and the parser gets the arguments of the named
+subcommand alone.
 """
 
 from __future__ import annotations
@@ -30,28 +34,21 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import math
 import os
 import sys
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .core import StandardForm, StsParams, _separability_margin, _spectrum, standard_form_from_sts
-from .correlations import _measures
-from .dynamics import (
-    ASYMPTOTIC_ONLY,
-    ReservoirConfig,
-    _check_time,
-    esd_bisection,
-    esd_time,
-    evolve,
-)
 from .errors import (
     InvalidParameterError,
     NonPhysicalStateError,
     OraclePrecisionError,
     SeparableInputError,
 )
+
+if TYPE_CHECKING:
+    from .dynamics import ReservoirConfig
 
 # Canonical column order for the selectable outputs.
 _OUTPUT_COLUMNS = {
@@ -79,8 +76,16 @@ _VERIFY_COLUMNS = ["quantity", "closed_form", "oracle", "abs_err", "tol", "passe
 # writes nothing.
 _CHUNK_ROWS = 1024
 
+
+def _json_string(value: object) -> str:
+    """``json.dumps(value)``; json is imported for JSON output alone."""
+    import json
+
+    return json.dumps(value)
+
+
 # How each format spells a string cell.
-_SPELL = {"csv": str, "json": json.dumps}
+_SPELL = {"csv": str, "json": _json_string}
 
 _LN2 = math.log(2.0)
 
@@ -101,78 +106,73 @@ def _require_numpy(command: str) -> None:
         raise _Unavailable(f"{command} needs numpy, which cannot be imported") from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stsdecay",
-        description=(
-            "Quantum correlations of two-mode squeezed thermal states and "
-            "their decay in local thermal reservoirs."
-        ),
+def _common_args(p: argparse.ArgumentParser) -> None:
+    """The state, reservoir and output flags of ``report``, ``evolve``, ``esd`` and ``sweep``."""
+    state = p.add_argument_group(
+        "state", "either the physical parameters --n1/--n2/--r or the standard form --b1/--b2/--c"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    state.add_argument("--n1", type=float, help="mean thermal photon number of mode 1")
+    state.add_argument("--n2", type=float, help="mean thermal photon number of mode 2")
+    state.add_argument("--r", type=float, help="squeeze parameter")
+    state.add_argument("--b1", type=float, help="standard-form diagonal entry of mode 1")
+    state.add_argument("--b2", type=float, help="standard-form diagonal entry of mode 2")
+    state.add_argument("--c", type=float, help="standard-form cross-block magnitude")
+    state.add_argument("--phi", type=float, default=0.0, help="phase (radians, default 0)")
+    res = p.add_argument_group("reservoir")
+    res.add_argument("--gamma1", type=float, help="damping rate of mode 1")
+    res.add_argument("--nr1", type=float, help="reservoir occupancy seen by mode 1")
+    res.add_argument("--gamma2", type=float, help="damping rate of mode 2")
+    res.add_argument("--nr2", type=float, help="reservoir occupancy seen by mode 2")
+    res.add_argument(
+        "--identical", action="store_true", help="identical baths on both modes (uses --gamma/--nr)"
+    )
+    res.add_argument(
+        "--single-bath", action="store_true", help="bath on mode 1 only (uses --gamma/--nr)"
+    )
+    res.add_argument("--gamma", type=float, default=1.0, help="shorthand damping rate (default 1)")
+    res.add_argument("--nr", type=float, help="shorthand reservoir occupancy")
+    out = p.add_argument_group("output")
+    out.add_argument("--format", choices=["csv", "json"], default="csv")
+    out.add_argument("--units", choices=["nats", "bits"], default="nats")
+    out.add_argument("--out", help="write to this path instead of stdout")
+    p.add_argument("--config", help="key=value file; command-line flags override it")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        state = p.add_argument_group(
-            "state", "either the physical parameters --n1/--n2/--r or the standard form --b1/--b2/--c"
-        )
-        state.add_argument("--n1", type=float, help="mean thermal photon number of mode 1")
-        state.add_argument("--n2", type=float, help="mean thermal photon number of mode 2")
-        state.add_argument("--r", type=float, help="squeeze parameter")
-        state.add_argument("--b1", type=float, help="standard-form diagonal entry of mode 1")
-        state.add_argument("--b2", type=float, help="standard-form diagonal entry of mode 2")
-        state.add_argument("--c", type=float, help="standard-form cross-block magnitude")
-        state.add_argument("--phi", type=float, default=0.0, help="phase (radians, default 0)")
-        res = p.add_argument_group("reservoir")
-        res.add_argument("--gamma1", type=float, help="damping rate of mode 1")
-        res.add_argument("--nr1", type=float, help="reservoir occupancy seen by mode 1")
-        res.add_argument("--gamma2", type=float, help="damping rate of mode 2")
-        res.add_argument("--nr2", type=float, help="reservoir occupancy seen by mode 2")
-        res.add_argument(
-            "--identical", action="store_true", help="identical baths on both modes (uses --gamma/--nr)"
-        )
-        res.add_argument(
-            "--single-bath", action="store_true", help="bath on mode 1 only (uses --gamma/--nr)"
-        )
-        res.add_argument("--gamma", type=float, default=1.0, help="shorthand damping rate (default 1)")
-        res.add_argument("--nr", type=float, help="shorthand reservoir occupancy")
-        out = p.add_argument_group("output")
-        out.add_argument("--format", choices=["csv", "json"], default="csv")
-        out.add_argument("--units", choices=["nats", "bits"], default="nats")
-        out.add_argument("--out", help="write to this path instead of stdout")
-        p.add_argument("--config", help="key=value file; command-line flags override it")
 
-    p_report = sub.add_parser("report", help="all correlation measures of one state at one time")
-    add_common(p_report)
-    p_report.add_argument("--t", type=float, default=0.0, help="evolution time (default 0)")
-    p_report.add_argument(
+def _report_args(p: argparse.ArgumentParser) -> None:
+    _common_args(p)
+    p.add_argument("--t", type=float, default=0.0, help="evolution time (default 0)")
+    p.add_argument(
         "--outputs",
         default=",".join(_REPORT_OUTPUTS),
         help=f"comma-separated subset of {{{','.join(_REPORT_OUTPUTS)}}}",
     )
 
-    p_evolve = sub.add_parser("evolve", help="correlation time series over a time grid")
-    add_common(p_evolve)
-    grid = p_evolve.add_argument_group("grid")
+
+def _evolve_args(p: argparse.ArgumentParser) -> None:
+    _common_args(p)
+    grid = p.add_argument_group("grid")
     grid.add_argument("--t-start", type=float, default=0.0)
     grid.add_argument("--t-end", type=float, required=True)
     grid.add_argument("--points", type=int, default=200)
     grid.add_argument("--log-spacing", action="store_true", help="logarithmic grid (needs --t-start > 0)")
 
-    p_esd = sub.add_parser("esd", help="entanglement sudden-death time")
-    add_common(p_esd)
-    p_esd.add_argument(
+
+def _esd_args(p: argparse.ArgumentParser) -> None:
+    _common_args(p)
+    p.add_argument(
         "--verify",
         action="store_true",
         help="also run the bisection oracle and print the difference",
     )
 
-    p_sweep = sub.add_parser("sweep", help="scalar outputs along a one-parameter sweep")
-    add_common(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=["n1", "n2", "r", "nr", "gamma"])
-    p_sweep.add_argument("--min", type=float, required=True)
-    p_sweep.add_argument("--max", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument(
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
+    _common_args(p)
+    p.add_argument("--param", required=True, choices=["n1", "n2", "r", "nr", "gamma"])
+    p.add_argument("--min", type=float, required=True)
+    p.add_argument("--max", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument(
         "--outputs",
         default=None,
         help=(
@@ -181,12 +181,34 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p_verify = sub.add_parser("verify", help="closed forms vs independent numeric oracles")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.add_argument("--out", help="write to this path instead of stdout")
-    p_verify.add_argument("--config", help="key=value file; command-line flags override it")
 
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--out", help="write to this path instead of stdout")
+    p.add_argument("--config", help="key=value file; command-line flags override it")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with the arguments of the subcommand ``command`` alone, or of every one where None.
+
+    Every subcommand is registered with its help line, so the top-level
+    help and the "invalid choice" error are the same whatever ``command``
+    is; argparse hands the rest of argv to the subcommand it names, whose
+    parser is the one that needs its arguments.
+    """
+    parser = argparse.ArgumentParser(
+        prog="stsdecay",
+        description=(
+            "Quantum correlations of two-mode squeezed thermal states and "
+            "their decay in local thermal reservoirs."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_args(p)
     return parser
 
 
@@ -246,20 +268,22 @@ def _reservoir_from_args(args: argparse.Namespace) -> ReservoirConfig | None:
     shorthand = args.identical or args.single_bath
     if explicit and shorthand:
         raise _CliError("give either the explicit --gamma1/--nr1/--gamma2/--nr2 or a shorthand layout")
-    if shorthand:
-        if args.nr is None:
-            raise _CliError("the shorthand reservoir layouts need --nr")
-        if args.identical:
-            return ReservoirConfig.identical(args.gamma, args.nr)
+    if not (explicit or shorthand):
+        return None
+    if shorthand and args.nr is None:
+        raise _CliError("the shorthand reservoir layouts need --nr")
+    from .dynamics import ReservoirConfig
+
+    if args.identical:
+        return ReservoirConfig.identical(args.gamma, args.nr)
+    if args.single_bath:
         return ReservoirConfig.single_bath(args.gamma, args.nr)
-    if explicit:
-        return ReservoirConfig(
-            args.gamma1 if args.gamma1 is not None else 0.0,
-            args.nr1 if args.nr1 is not None else 0.0,
-            args.gamma2 if args.gamma2 is not None else 0.0,
-            args.nr2 if args.nr2 is not None else 0.0,
-        )
-    return None
+    return ReservoirConfig(
+        args.gamma1 if args.gamma1 is not None else 0.0,
+        args.nr1 if args.nr1 is not None else 0.0,
+        args.gamma2 if args.gamma2 is not None else 0.0,
+        args.nr2 if args.nr2 is not None else 0.0,
+    )
 
 
 def _parse_outputs(selection: str, allowed: list[str]) -> list[str]:
@@ -275,27 +299,36 @@ def _scale(value: float, units: str) -> float:
     return value / _LN2 if units == "bits" else value
 
 
-def _state_cells(b1: float, b2: float, c: float, margin: float, outputs: list[str], units: str) -> tuple[object, ...]:
-    """The cells of the per-state ``outputs`` of the entries ``(b1, b2, c)``, in canonical order.
+def _state_cells(outputs: list[str], units: str) -> Callable[[float, float, float, float], tuple[object, ...]]:
+    """The function from entries ``(b1, b2, c)`` and their separability margin to the cells of ``outputs``.
 
-    ``margin`` is their separability margin.  Each cell comes from the
-    kernel that its public function wraps, and only when selected: the
-    measures (floats) from ``correlations._measures``, the kappas (floats)
-    from ``core._spectrum``, and the separable verdict, spelled, from the
-    sign of ``margin``.  So the values, the errors and their order are
-    those of ``correlation_report``, ``symplectic_spectrum`` and
-    ``is_separable``.
+    The cells are those of the per-state ``outputs``, in canonical order.
+    Each comes from the kernel that its public function wraps, and only
+    when selected: the measures (floats) from ``correlations._measures``,
+    the kappas (floats) from ``core._spectrum``, and the separable
+    verdict, spelled, from the sign of the margin.  So the values, the
+    errors and their order are those of ``correlation_report``,
+    ``symplectic_spectrum`` and ``is_separable``.  The correlation kernel
+    is bound here, once per command, and imported only where a measure is
+    selected.
     """
-    cells: list[object] = []
     measures = [i for i, name in enumerate(_MEASURES) if name in outputs]
+    kappas, separable = "kappas" in outputs, "separable" in outputs
     if measures:
-        report = _measures(b1, b2, c, margin)
-        cells += [_scale(report[i], units) for i in measures]
-    if "kappas" in outputs:
-        cells += _spectrum(b1, b2, c)
-    if "separable" in outputs:
-        cells.append("true" if margin >= 0.0 else "false")
-    return tuple(cells)
+        from .correlations import _measures
+
+    def cells(b1: float, b2: float, c: float, margin: float) -> tuple[object, ...]:
+        row: list[object] = []
+        if measures:
+            report = _measures(b1, b2, c, margin)
+            row += [_scale(report[i], units) for i in measures]
+        if kappas:
+            row += _spectrum(b1, b2, c)
+        if separable:
+            row.append("true" if margin >= 0.0 else "false")
+        return tuple(row)
+
+    return cells
 
 
 def _columns(outputs: list[str]) -> list[str]:
@@ -378,7 +411,7 @@ def _emit_rows(
     if fmt == "csv":
         lead, sep, tail, template = ",".join(columns) + "\n", "\n", "\n", ",".join(slots)
     else:
-        fields = ",\n".join(f"    {json.dumps(name)}: {slot}" for name, slot in zip(columns, slots))
+        fields = ",\n".join(f"    {_json_string(name)}: {slot}" for name, slot in zip(columns, slots))
         lead, sep, tail, template = "[\n", ",\n", "\n]\n", "  {\n" + fields + "\n  }"
     for chunk in chunks:
         lines = []
@@ -430,9 +463,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if t != 0.0:
         if res is None:
             raise _CliError("--t > 0 needs a reservoir; add bath flags or use --t 0")
+        from .dynamics import evolve
+
         sf = evolve(sf, res, t).sf
     b1, b2, c = sf.b1, sf.b2, sf.c
-    row = (t, b1, b2, c, *_state_cells(b1, b2, c, _separability_margin(b1, b2, c), outputs, args.units))
+    row = (t, b1, b2, c, *_state_cells(outputs, args.units)(b1, b2, c, _separability_margin(b1, b2, c)))
     floats = len(row) - ("separable" in outputs)
     with _destination(args.out) as write:
         _emit_rows(write, ["t", "b1", "b2", "c", *_columns(outputs)], args.format, floats, [[row]])
@@ -455,6 +490,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.log_spacing:
         _require_numpy("evolve --log-spacing")
     from . import _evolve_table as table
+    from .dynamics import _check_time
 
     chunks = table.grid_chunks(args.t_start, args.t_end, args.points, args.log_spacing)
     first = next(chunks)
@@ -471,6 +507,8 @@ def _cmd_esd(args: argparse.Namespace) -> int:
     res = _reservoir_from_args(args)
     if res is None:
         raise _CliError("esd needs a reservoir: bath flags or --identical/--single-bath")
+    from .dynamics import ASYMPTOTIC_ONLY, esd_bisection, esd_time
+
     if args.verify:
         # SeparableInputError -> exit 3
         closed, oracle = esd_time(sf, res), esd_bisection(sf, res)
@@ -521,7 +559,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         reports = run_verification(seed=args.seed)
         if args.format == "json":
             # _VERIFY_COLUMNS are the report's fields, in order.
-            rows = [tuple(_cell(value, json.dumps) for value in r._fields()) for r in reports]
+            rows = [tuple(_cell(value, _json_string) for value in r._fields()) for r in reports]
             _emit_rows(write, _VERIFY_COLUMNS, "json", 0, [rows])
         else:
             lines = [
@@ -536,6 +574,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# Subcommand -> its help line, the function that adds its arguments, and the command.
+_SUBCOMMANDS = {
+    "report": ("all correlation measures of one state at one time", _report_args, _cmd_report),
+    "evolve": ("correlation time series over a time grid", _evolve_args, _cmd_evolve),
+    "esd": ("entanglement sudden-death time", _esd_args, _cmd_esd),
+    "sweep": ("scalar outputs along a one-parameter sweep", _sweep_args, _cmd_sweep),
+    "verify": ("closed forms vs independent numeric oracles", _verify_args, _cmd_verify),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -544,16 +592,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, _CliError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    args = _build_parser().parse_args(expanded)
-    commands = {
-        "report": _cmd_report,
-        "evolve": _cmd_evolve,
-        "esd": _cmd_esd,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-    }
+    # argparse hands the rest of argv to the subcommand named by the first
+    # token that is not a flag, or refuses that token if it names none.
+    command = next((tok for tok in expanded if not tok.startswith("-")), "")
+    args = _build_parser(command).parse_args(expanded)
     try:
-        return commands[args.command](args)
+        return _SUBCOMMANDS[args.command][2](args)
     except SeparableInputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

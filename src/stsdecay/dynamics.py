@@ -336,7 +336,7 @@ def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
         SeparableInputError: if ``sf0`` is already separable (one message).
         NonPhysicalStateError: a single hot bath's other entry at 1/2.
     """
-    return _death_time(sf0.b1, sf0.b2, sf0.c, separability_margin(sf0), res._fields())
+    return _death_time(sf0.b1, sf0.b2, separability_margin(sf0), res._fields())
 
 
 _NO_BATH = "the reservoir has no active bath; nothing evolves"
@@ -355,17 +355,15 @@ _EXP_RESOLUTION = 4.0 * 2.0**-53
 _EXP_MAX = 709.0
 
 
-def _death_time(
-    b1: float, b2: float, c: float, margin: float, res: tuple[float, float, float, float]
-) -> float | AsymptoticOnly:
-    """Death time of the entries ``(b1, b2, c)``, whose separability margin is ``margin``.
+def _death_time(b1: float, b2: float, margin: float, res: tuple[float, float, float, float]) -> float | AsymptoticOnly:
+    """Death time of a state with diagonal entries ``b1``, ``b2`` and separability margin ``margin``.
 
     The kernel of ``esd_time`` and of the closed-form functions, on bare
     floats: ``res`` is ``(gamma1, n_r1, gamma2, n_r2)`` as ReservoirConfig
-    admits them; ``c`` enters through ``margin`` alone.  After ``_gate``
-    every layout takes ``_root``.  A cold or absent bath only scales the
-    evolved margin by its own exp(-gamma t), so it does not move the root:
-    it enters at the hot bath's rate with occupancy 0.
+    admits them; the cross block c enters through ``margin`` alone.  After
+    ``_gate`` every layout takes ``_root``.  A cold or absent bath only
+    scales the evolved margin by its own exp(-gamma t), so it does not move
+    the root: it enters at the hot bath's rate with occupancy 0.
     """
     if _gate(margin, res):
         return ASYMPTOTIC_ONLY

@@ -16,8 +16,9 @@ by routes that share none of that algebra:
   evolved state, ``gaussian_cf`` (two different orders of applying the
   channel).
 
-Everything here needs numpy, which the closed forms do not: the package
-imports this module on first use of one of its names.
+Everything here needs numpy, which the closed forms do not.  Like every
+submodule, this one is imported on first use of one of its names in the
+package namespace, and never by ``import stsdecay`` alone.
 
 The eigenvalue route deliberately goes through an extended-precision
 Cholesky factor: V = L L^T turns i*Omega*V, by similarity, into the

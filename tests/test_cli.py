@@ -19,7 +19,7 @@ from stsdecay import (
     esd_time_identical_baths,
     standard_form_from_sts,
 )
-from stsdecay import cli
+from stsdecay import cli, correlations
 
 
 def run(capsys, *argv):
@@ -701,7 +701,8 @@ def test_report_is_computed_only_for_measure_columns(capsys, monkeypatch):
     def refuse(*entries):
         raise AssertionError("correlation kernel computed for no printed column")
 
-    monkeypatch.setattr(cli, "_measures", refuse)
+    # The commands bind the correlation kernel from its module, once each.
+    monkeypatch.setattr(correlations, "_measures", refuse)
     code, out, _ = run(
         capsys, "sweep", "--n1", "1", "--n2", "1", "--param", "r", "--min", "0", "--max", "2",
         "--steps", "4", "--identical", "--nr", "0.5", "--outputs", "ts",

@@ -1,9 +1,13 @@
-"""numpy and the dataclasses machinery are loaded only where used, and the package namespace stays whole.
+"""numpy, json, the dataclasses machinery and each submodule are loaded only where used, and the package namespace stays whole.
 
 numpy is used by the oracle, the log grid of `evolve`, and the batch rows of
 long `evolve` grids, which give the bytes of the scalar rows without it.
+``import stsdecay`` loads no submodule, and each command loads only the
+modules, and builds only the subparser, that it runs.
 """
 
+import ast
+import functools
 import json
 import os
 import random
@@ -124,6 +128,91 @@ def test_commands_load_no_dataclasses_or_inspect():
         ["esd", *_STATE, "--identical", "--nr", "0.3", "--format", "json"],
     )
     assert [(name, code, loaded) for name, code, loaded in results if code != 0 or loaded] == []
+
+
+# Runs one step in a fresh interpreter and prints, as a Python literal, the
+# package's submodules and which of numpy and json are loaded by then.  The
+# probe imports nothing itself, so what it reports is what the step loaded.
+_LOADED_PROBE = """
+import sys
+{}
+print(sorted(m for m in sys.modules if m.startswith("stsdecay.") or m in ("numpy", "json")))
+"""
+# The command line: argv after the source, refused unless it exits 0.
+_MAIN = "from stsdecay import cli\nif cli.main(sys.argv[1:]): sys.exit('nonzero exit code')"
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded(step, *argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE.format(step), *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def _added(step, *argv):
+    """The modules of the probe that ``step`` loads beyond those of the interpreter's start-up."""
+    return _loaded(step, *argv) - _loaded("pass")
+
+
+def test_import_stsdecay_loads_no_submodule():
+    assert _added("import stsdecay") == set()
+
+
+def test_csv_esd_loads_neither_correlations_nor_json():
+    added = _added(_MAIN, "esd", *_STATE, "--identical", "--nr", "0.3")
+    assert "stsdecay.dynamics" in added
+    assert not {"stsdecay.correlations", "json"} & added
+
+
+def test_report_without_a_bath_loads_no_dynamics():
+    assert "stsdecay.correlations" in _added(_MAIN, "report", *_STATE)
+    assert "stsdecay.dynamics" not in _added(_MAIN, "report", *_STATE)
+    assert "stsdecay.dynamics" not in _added(_MAIN, "report", *_STATE, "--t", "0", "--format", "json")
+
+
+@pytest.mark.parametrize(
+    "step",
+    ["from stsdecay import cli", "import stsdecay\ntry:\n    stsdecay.no_such_name\nexcept AttributeError:\n    pass"],
+    ids=["cli", "unknown_name"],
+)
+def test_cli_and_an_unknown_name_load_no_numpy(step):
+    assert "numpy" not in _added(step)
+
+
+# What each command line must print alike from the parser that `main` builds
+# for its subcommand and from the parser with every subcommand populated:
+# help, an unknown flag and a missing required flag (for the commands that
+# have none, a flag without its value), at the top level and per subcommand.
+_REQUIRED = {
+    "report": [],
+    "evolve": ["--t-end", "1"],
+    "esd": [],
+    "sweep": ["--param", "r", "--min", "0", "--max", "1", "--steps", "2"],
+    "verify": [],
+}
+_PARSER_CASES = [
+    ["--help"],
+    ["--no-such-flag"],
+    [],
+    ["no-such-command"],
+    ["--no-such-flag", "report"],
+    *([command, "--help"] for command in _REQUIRED),
+    *([command, *required, "--no-such-flag"] for command, required in _REQUIRED.items()),
+    *([command, *required[:-2]] if required else [command, "--format"] for command, required in _REQUIRED.items()),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_the_subcommand_parser_prints_the_bytes_of_the_full_parser(argv, capsys):
+    def printed(parse):
+        with pytest.raises(SystemExit) as exited:
+            parse(argv)
+        return exited.value.code, *capsys.readouterr()
+
+    assert printed(cli.main) == printed(cli._build_parser().parse_args)
 
 
 @pytest.mark.parametrize(
