@@ -82,12 +82,12 @@ def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm, res: R
 
         dead, asymptotic = (cli._cell(marker, cli._SPELL[args.format]) for marker in ("separable", "asymptotic-only"))
 
-    def death_cell(b1: float, b2: float, margin: float, rates: tuple[float, ...]) -> object:
-        """The ts cell: a finite time, or the separable or asymptotic-only marker, spelled."""
-        if margin >= 0.0:
-            return dead
-        t = _death_time(b1, b2, margin, rates)
-        return asymptotic if t is ASYMPTOTIC_ONLY else t
+        def death_cell(b1: float, b2: float, margin: float, rates: tuple[float, ...]) -> object:
+            """The ts cell: a finite time, or the separable or asymptotic-only marker, spelled."""
+            if margin >= 0.0:
+                return dead
+            t = _death_time(b1, b2, margin, rates)
+            return asymptotic if t is ASYMPTOTIC_ONLY else t
 
     lo, hi, steps = args.min, args.max, args.steps
     state_sweep = args.param in ("n1", "n2", "r")
