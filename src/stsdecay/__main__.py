@@ -1,6 +1,6 @@
-"""Allow ``python -m stsdecay ...`` to behave like the installed script."""
+"""``python -m stsdecay ...``: the ``stsdecay`` script, through the same entry point ``cli.run``."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -5,7 +5,7 @@ same floats and spelled verdicts that ``_evolve_table.scalar_rows`` yields
 one at a time, for ``cli._emit_rows`` to write.  It runs the scalar row
 code on float64 arrays: that code uses only IEEE operations that round
 once, so each element gets the bits of its scalar call.  ``math.exp`` and
-``h`` (libm's ``log1p``) are mapped over the arrays, as numpy's ``exp``
+libm's ``log1p`` (in ``_h``) are mapped over the arrays, as numpy's ``exp``
 and ``log1p`` differ from libm in the last bit on a few percent of inputs.  This module adds the masks for what the
 scalar rows refuse or clamp, and runs only the general branch of the
 correlation kernel.  A chunk with a product (c = 0) or pure row, or a row
@@ -28,13 +28,24 @@ import numpy as np
 from ._accurate import prod_diff, sum_sq_minus_4c2
 from .cli import _scale
 from .core import _ABS_SLACK, StandardForm, _is_pure, _kappas, _separability_margin, _uncertainty
-from .correlations import _NEG_CLAMP, _general, _h_offset
+from .correlations import _NEG_CLAMP, _general
 from .dynamics import ReservoirConfig, _evolved_entries
 
 
 def _libm(f, *xs: np.ndarray) -> np.ndarray:
     """The float function ``f`` applied elementwise to the arrays ``xs``."""
     return np.fromiter(map(f, *(x.tolist() for x in xs)), float, len(xs[0]))
+
+
+def _h(a: np.ndarray) -> np.ndarray:
+    """``correlations._h_offset`` elementwise, bit for bit: 0 where ``a <= 0``, NaN kept.
+
+    libm's ``log1p`` is mapped over ``a`` and ``1/a``; the product and sum
+    are the array operations, which round as the scalar ones do.
+    """
+    positive = ~(a <= 0.0)
+    a = np.where(positive, a, 1.0)
+    return np.where(positive, _libm(math.log1p, a) + a * _libm(math.log1p, 1.0 / a), 0.0)
 
 
 def _max(a, b) -> np.ndarray:
@@ -83,9 +94,8 @@ def _columns(sf0: StandardForm, res: ReservoirConfig, t: np.ndarray, units: str)
         return None
     separable = _separability_margin(b1, b2, c) >= 0.0
     delta = sum_sq_minus_4c2(b1, b2, c)
-    h = functools.partial(_libm, _h_offset)
     kp, km = _kappas(b1, b2, u, delta, np.sqrt)
-    ef, _, y_off, z_off, d1, d2, mi, _ = _general(b1, b2, c, u, delta, kp, km, separable, np.sqrt, _max, np.where, h)
+    ef, _, y_off, z_off, d1, d2, mi, _ = _general(b1, b2, c, u, delta, kp, km, separable, np.sqrt, _max, np.where, _h)
     refused = (delta <= 0.0) | (delta == math.inf) | (u <= 0.0) | (kp < 0.5) | (y_off < -1e-9) | (z_off < -1e-9)
     for value in (d1, d2, mi):
         refused |= ~(value >= -_NEG_CLAMP)  # NaN included

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from test_golden import CASES, GOLDEN
 
-from stsdecay import ReservoirConfig, StandardForm, StsParams, _batch, cli, is_pure, standard_form_from_sts
+from stsdecay import ReservoirConfig, StandardForm, StsParams, _batch, cli, correlations, is_pure, standard_form_from_sts
 from stsdecay import _evolve_table as table
 
 
@@ -208,6 +208,16 @@ def test_row_lines_spell_cells_like_the_cell_writer():
         row = (0.0, 1.0, 1.0, bad, 0.1, 0.2, bad, 0.4, "true")
         with pytest.raises(cli._CliError, match=f"non-finite number {bad!r}$"):
             cli._emit_rows(out.write, cli._EVOLVE_COLUMNS, "csv", 8, [[row]])
+
+
+def test_entropic_function_on_arrays_is_the_scalar_one_bit_for_bit():
+    rng = random.Random(20261019)
+    offsets = [0.0, -0.0, -1e-300, 5e-324, 1e-300, 1e-9, 0.5, 1.0, 1e15, 1e300, math.inf, math.nan]
+    offsets += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320, 308) for _ in range(5000)]
+    with np.errstate(all="ignore"):
+        got = _batch._h(np.array(offsets)).tolist()
+    assert [repr(x) for x in got] == [repr(correlations._h_offset(a)) for a in offsets]
+    assert math.isnan(got[11])
 
 
 def test_chunks_with_product_or_pure_rows_are_left_to_the_scalar_rows():

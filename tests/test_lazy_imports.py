@@ -260,8 +260,10 @@ def test_evolve_without_numpy_writes_the_same_bytes():
     assert _python(_BYTES_PROBE, "importable", argv) == [0, True, digest]
 
 
+# Makes numpy unimportable for the source that follows.
+_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 # The command line with numpy blocked: argv after the source, exit code of cli.main.
-_BLOCKED_MAIN = "import sys; sys.modules['numpy'] = None; from stsdecay import cli; sys.exit(cli.main(sys.argv[1:]))"
+_BLOCKED_MAIN = _BLOCK_NUMPY + "from stsdecay import cli; sys.exit(cli.main(sys.argv[1:]))"
 
 
 @pytest.mark.parametrize(
