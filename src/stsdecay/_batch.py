@@ -5,13 +5,14 @@ same floats and spelled verdicts that ``_evolve_table.scalar_rows`` yields
 one at a time, for ``cli._emit_rows`` to write.  It runs the scalar row
 code on float64 arrays: that code uses only IEEE operations that round
 once, so each element gets the bits of its scalar call.  ``math.exp`` and
-libm's ``log1p`` (in ``_h``) are mapped over the arrays, as numpy's ``exp``
-and ``log1p`` differ from libm in the last bit on a few percent of inputs.  This module adds the masks for what the
-scalar rows refuse or clamp, and runs only the general branch of the
-correlation kernel.  A chunk with a product (c = 0) or pure row, or a row
-that would be refused or print a non-finite number, is left whole to the
-scalar rows (``None`` is returned): the special branches, error messages
-and partial output are theirs.
+libm's ``log1p`` (in ``_h``) are mapped over the arrays, as numpy's
+``exp`` and ``log1p`` differ from libm in the last bit on a few percent of
+inputs.  This module adds the masks for what the scalar rows refuse or
+clamp, and runs only the general branch of the correlation kernel.  A
+chunk with a product (c = 0) or pure row, or a row that would be refused
+or print a non-finite number, is left whole to the scalar rows (``None``
+is returned): the special branches, error messages and partial output
+are theirs.
 
 Importing this module imports numpy; ``cli`` does so only for the grids
 where the batch pays for that import.

@@ -17,9 +17,9 @@ a time; ``--out`` files appear only once complete.  ``report`` and
 Exit codes: 0 success, 1 verification failure (or a command that cannot run
 on this platform: an oracle without extended precision, or ``verify`` and
 ``evolve --log-spacing`` where numpy cannot be imported), 2 invalid input
-or an output that cannot be written (an ``--out`` file, or stdout: full,
-a closed pipe, or closed), 3 inapplicable request (death time of an
-already-separable state).
+or an output that cannot be written (an ``--out`` path, or a stdout that
+is full, a pipe without a reader, or closed), 3 inapplicable request
+(death time of an already-separable state).
 
 ``run`` is the entry point of the ``stsdecay`` script and of ``python -m
 stsdecay``: it runs ``main``, then the exit handlers, flushes the standard
@@ -376,8 +376,9 @@ def _stdout_failed(exc: OSError | None) -> _CliError:
 def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
     """A write function for stdout, or for the file ``out``.
 
-    A stdout that is closed, or a write to it that fails, is a
-    ``_CliError`` (exit code 2), as is a file that cannot be opened.
+    A closed stdout, or a write to stdout that fails, is a ``_CliError``
+    (exit code 2), as is a file that cannot be opened.
+
     A regular file is written under a temporary name in its directory and
     renamed over ``out`` only once all of it is written, so a failed
     command leaves no new file and an existing one untouched.  Symlinks
@@ -653,8 +654,8 @@ def run() -> None:
     The entry point of the ``stsdecay`` script and of ``python -m
     stsdecay``.  Once the exit handlers have run and stdout and stderr are
     flushed, nothing is pending, and the teardown (a last garbage
-    collection, then freeing every module and object: about 10 ms of CPU,
-    25-35 ms once numpy is loaded) would only delay the exit, so the
+    collection, then freeing every module and object, which costs more
+    CPU than a ``report`` computes) would only delay the exit, so the
     process ends with ``os._exit``.  A stdout that fails its flush is
     reported as a failed write in ``main`` is, with exit code 2.  The
     interpreter exits as usual under ``python -i``, after an exception
