@@ -16,17 +16,17 @@ the public functions.
 
 from __future__ import annotations
 
-import argparse
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import cli
 from .core import StandardForm, _check_sts, _cosh_sinh, _separability_margin, _sts_entries
 
 if TYPE_CHECKING:
+    from .cli import Args
     from .dynamics import ReservoirConfig
 
 
-def _state_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator[tuple[float, float, float, float]]:
+def _state_points(args: Args, values: Iterable[float]) -> Iterator[tuple[float, float, float, float]]:
     """``(value, b1, b2, c)`` at each value of an n1, n2 or r sweep.
 
     The checks of StsParams, then ``standard_form_from_sts``, then the
@@ -49,7 +49,7 @@ def _state_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator
         yield (value, *_sts_entries(n1, n2, r, ch, sh))
 
 
-def _bath_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator[tuple[float, tuple[float, ...]]]:
+def _bath_points(args: Args, values: Iterable[float]) -> Iterator[tuple[float, tuple[float, ...]]]:
     """``(value, (gamma1, n_r1, gamma2, n_r2))`` at each value of an nr or gamma sweep, checked as ReservoirConfig checks them."""
     from .dynamics import _check_reservoir
 
@@ -64,7 +64,7 @@ def _bath_points(args: argparse.Namespace, values: Iterable[float]) -> Iterator[
         yield value, rates
 
 
-def emit(args: argparse.Namespace, outputs: list[str], sf0: StandardForm, res: ReservoirConfig | None) -> None:
+def emit(args: Args, outputs: list[str], sf0: StandardForm, res: ReservoirConfig | None) -> None:
     """Write the sweep table of ``args`` and ``outputs`` to ``args.out``, a chunk at a time.
 
     ``sf0`` and ``res`` are the state and the reservoir (None where none is

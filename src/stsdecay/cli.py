@@ -32,19 +32,23 @@ compute their rows in numpy batches (``_batch``) that are bit for bit the
 scalar rows, which answer instead where numpy cannot be imported.  No
 command imports what it does not run: ``dynamics`` only where a bath or a
 death time is used, ``correlations`` only where a measure is printed, json
-only for JSON output, and the parser gets the arguments of the named
-subcommand alone.
+only for JSON output.  argparse is not imported for a command line in the
+plain form (the subcommand, then exact long flags and their values):
+``_read_argv`` reads it from the option table that the parser is built
+from.  The parser is built, for the named subcommand alone, only for help,
+for a usage error, and for the forms that argparse alone reads (an
+abbreviated flag, ``--flag=value``).
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import contextlib
 import itertools
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .core import StandardForm, StsParams, _separability_margin, _spectrum, standard_form_from_sts
@@ -56,7 +60,12 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .dynamics import ReservoirConfig
+
+    # The arguments of a command line, from `_read_argv` or from argparse.
+    Args = SimpleNamespace | argparse.Namespace
 
 # Canonical column order for the selectable outputs.
 _OUTPUT_COLUMNS = {
@@ -114,87 +123,144 @@ def _require_numpy(command: str) -> None:
         raise _Unavailable(f"{command} needs numpy, which cannot be imported") from exc
 
 
-def _common_args(p: argparse.ArgumentParser) -> None:
-    """The state, reservoir and output flags of ``report``, ``evolve``, ``esd`` and ``sweep``."""
-    state = p.add_argument_group(
-        "state", "either the physical parameters --n1/--n2/--r or the standard form --b1/--b2/--c"
-    )
-    state.add_argument("--n1", type=float, help="mean thermal photon number of mode 1")
-    state.add_argument("--n2", type=float, help="mean thermal photon number of mode 2")
-    state.add_argument("--r", type=float, help="squeeze parameter")
-    state.add_argument("--b1", type=float, help="standard-form diagonal entry of mode 1")
-    state.add_argument("--b2", type=float, help="standard-form diagonal entry of mode 2")
-    state.add_argument("--c", type=float, help="standard-form cross-block magnitude")
-    state.add_argument("--phi", type=float, default=0.0, help="phase (radians, default 0)")
-    res = p.add_argument_group("reservoir")
-    res.add_argument("--gamma1", type=float, help="damping rate of mode 1")
-    res.add_argument("--nr1", type=float, help="reservoir occupancy seen by mode 1")
-    res.add_argument("--gamma2", type=float, help="damping rate of mode 2")
-    res.add_argument("--nr2", type=float, help="reservoir occupancy seen by mode 2")
-    res.add_argument(
-        "--identical", action="store_true", help="identical baths on both modes (uses --gamma/--nr)"
-    )
-    res.add_argument(
-        "--single-bath", action="store_true", help="bath on mode 1 only (uses --gamma/--nr)"
-    )
-    res.add_argument("--gamma", type=float, default=1.0, help="shorthand damping rate (default 1)")
-    res.add_argument("--nr", type=float, help="shorthand reservoir occupancy")
-    out = p.add_argument_group("output")
-    out.add_argument("--format", choices=["csv", "json"], default="csv")
-    out.add_argument("--units", choices=["nats", "bits"], default="nats")
-    out.add_argument("--out", help="write to this path instead of stdout")
-    p.add_argument("--config", help="key=value file; command-line flags override it")
+# The options of each subcommand, one row each, in the order of its help:
+# (flag, kind, default, choices, required, help, group).  The kind is the
+# type of the value (float, int or str), or bool for a flag that takes no
+# value and stores True; the dest is the flag without its dashes, with "_"
+# for "-", as argparse derives it.  A row of group None belongs to the
+# parser itself; the other groups are created, with their descriptions in
+# _GROUPS, where their first row is.  Both `_read_argv` and `_build_parser`
+# read these rows.
+_GROUPS = {
+    "state": "either the physical parameters --n1/--n2/--r or the standard form --b1/--b2/--c",
+    "reservoir": None,
+    "output": None,
+    "grid": None,
+}
+_CONFIG_OPTION = ("--config", str, None, None, False, "key=value file; command-line flags override it", None)
+_COMMON_OPTIONS = [
+    ("--n1", float, None, None, False, "mean thermal photon number of mode 1", "state"),
+    ("--n2", float, None, None, False, "mean thermal photon number of mode 2", "state"),
+    ("--r", float, None, None, False, "squeeze parameter", "state"),
+    ("--b1", float, None, None, False, "standard-form diagonal entry of mode 1", "state"),
+    ("--b2", float, None, None, False, "standard-form diagonal entry of mode 2", "state"),
+    ("--c", float, None, None, False, "standard-form cross-block magnitude", "state"),
+    ("--phi", float, 0.0, None, False, "phase (radians, default 0)", "state"),
+    ("--gamma1", float, None, None, False, "damping rate of mode 1", "reservoir"),
+    ("--nr1", float, None, None, False, "reservoir occupancy seen by mode 1", "reservoir"),
+    ("--gamma2", float, None, None, False, "damping rate of mode 2", "reservoir"),
+    ("--nr2", float, None, None, False, "reservoir occupancy seen by mode 2", "reservoir"),
+    ("--identical", bool, False, None, False, "identical baths on both modes (uses --gamma/--nr)", "reservoir"),
+    ("--single-bath", bool, False, None, False, "bath on mode 1 only (uses --gamma/--nr)", "reservoir"),
+    ("--gamma", float, 1.0, None, False, "shorthand damping rate (default 1)", "reservoir"),
+    ("--nr", float, None, None, False, "shorthand reservoir occupancy", "reservoir"),
+    ("--format", str, "csv", ("csv", "json"), False, None, "output"),
+    ("--units", str, "nats", ("nats", "bits"), False, None, "output"),
+    ("--out", str, None, None, False, "write to this path instead of stdout", "output"),
+    _CONFIG_OPTION,
+]
+_REPORT_OPTIONS = [
+    *_COMMON_OPTIONS,
+    ("--t", float, 0.0, None, False, "evolution time (default 0)", None),
+    ("--outputs", str, ",".join(_REPORT_OUTPUTS), None, False, f"comma-separated subset of {{{','.join(_REPORT_OUTPUTS)}}}", None),
+]
+_EVOLVE_OPTIONS = [
+    *_COMMON_OPTIONS,
+    ("--t-start", float, 0.0, None, False, None, "grid"),
+    ("--t-end", float, None, None, True, None, "grid"),
+    ("--points", int, 200, None, False, None, "grid"),
+    ("--log-spacing", bool, False, None, False, "logarithmic grid (needs --t-start > 0)", "grid"),
+]
+_ESD_OPTIONS = [
+    *_COMMON_OPTIONS,
+    ("--verify", bool, False, None, False, "also run the bisection oracle and print the difference", None),
+]
+_SWEEP_OPTIONS = [
+    *_COMMON_OPTIONS,
+    ("--param", str, None, ("n1", "n2", "r", "nr", "gamma"), True, None, None),
+    ("--min", float, None, None, True, None, None),
+    ("--max", float, None, None, True, None, None),
+    ("--steps", int, None, None, True, None, None),
+    (
+        "--outputs", str, None, None, False,
+        f"comma-separated subset of {{{','.join(_SWEEP_OUTPUTS)}}}; defaults to the "
+        "correlation measures, plus ts when a reservoir is configured",
+        None,
+    ),
+]
+_VERIFY_OPTIONS = [
+    ("--seed", int, 0, None, False, None, None),
+    ("--format", str, "text", ("text", "json"), False, None, None),
+    ("--out", str, None, None, False, "write to this path instead of stdout", None),
+    _CONFIG_OPTION,
+]
 
 
-def _report_args(p: argparse.ArgumentParser) -> None:
-    _common_args(p)
-    p.add_argument("--t", type=float, default=0.0, help="evolution time (default 0)")
-    p.add_argument(
-        "--outputs",
-        default=",".join(_REPORT_OUTPUTS),
-        help=f"comma-separated subset of {{{','.join(_REPORT_OUTPUTS)}}}",
-    )
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _evolve_args(p: argparse.ArgumentParser) -> None:
-    _common_args(p)
-    grid = p.add_argument_group("grid")
-    grid.add_argument("--t-start", type=float, default=0.0)
-    grid.add_argument("--t-end", type=float, required=True)
-    grid.add_argument("--points", type=int, default=200)
-    grid.add_argument("--log-spacing", action="store_true", help="logarithmic grid (needs --t-start > 0)")
+def _negative_number(token: str) -> bool:
+    """Whether argparse reads ``token``, which starts with "-", as a value rather than as a flag.
+
+    The pattern is argparse's own, for parsers without options that look
+    like negative numbers (as these are).
+    """
+    import re
+
+    return re.match(r"^-\d+$|^-\d*\.\d+$", token) is not None
 
 
-def _esd_args(p: argparse.ArgumentParser) -> None:
-    _common_args(p)
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="also run the bisection oracle and print the difference",
-    )
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a plain command line, as argparse gives them, or None.
 
-
-def _sweep_args(p: argparse.ArgumentParser) -> None:
-    _common_args(p)
-    p.add_argument("--param", required=True, choices=["n1", "n2", "r", "nr", "gamma"])
-    p.add_argument("--min", type=float, required=True)
-    p.add_argument("--max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument(
-        "--outputs",
-        default=None,
-        help=(
-            f"comma-separated subset of {{{','.join(_SWEEP_OUTPUTS)}}}; defaults to the "
-            "correlation measures, plus ts when a reservoir is configured"
-        ),
-    )
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out", help="write to this path instead of stdout")
-    p.add_argument("--config", help="key=value file; command-line flags override it")
+    ``argv`` is read as ``_build_parser().parse_args(argv)`` would read
+    it, and the namespace holds the same values in the same order, but
+    only in the plain form that every valid command line can take: the
+    subcommand first, then the exact long flags of that subcommand, each
+    followed by its value (none for a store-True flag).  A value that
+    starts with "-" must be a negative number in argparse's sense.  None
+    is returned for anything else (an abbreviated flag, ``--flag=value``,
+    ``-h``, ``--``, a stray token, a missing required flag, a value that
+    fails its conversion or its choices), so that argparse answers it,
+    with its help or its usage error.
+    """
+    entry = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options = entry[1]
+    rows = {row[0]: row for row in options}
+    values: dict[str, object] = {"command": argv[0]}
+    for flag, _, default, *_ in options:
+        values[_dest(flag)] = default
+    seen = set()
+    i = 1
+    while i < len(argv):
+        row = rows.get(argv[i])
+        if row is None:
+            return None
+        flag, kind, _, choices, *_ = row
+        seen.add(flag)
+        if kind is bool:
+            values[_dest(flag)] = True
+            i += 1
+            continue
+        if i + 1 == len(argv):
+            return None
+        token = argv[i + 1]
+        if token.startswith("-") and not _negative_number(token):
+            return None
+        try:
+            value = kind(token)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[_dest(flag)] = value
+        i += 2
+    if any(required and flag not in seen for flag, _, _, _, required, *_ in options):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -203,8 +269,11 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     Every subcommand is registered with its help line, so the top-level
     help and the "invalid choice" error are the same whatever ``command``
     is; argparse hands the rest of argv to the subcommand it names, whose
-    parser is the one that needs its arguments.
+    parser is the one that needs its arguments.  argparse is imported
+    here, so only a command line that needs the parser loads it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="stsdecay",
         description=(
@@ -213,10 +282,22 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_args, _) in _SUBCOMMANDS.items():
+    for name, (help_line, options, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        if command is None or command == name:
-            add_args(p)
+        if command is not None and command != name:
+            continue
+        groups: dict[str | None, argparse._ActionsContainer] = {None: p}
+        for flag, kind, default, choices, required, help_text, group in options:
+            if group not in groups:
+                groups[group] = p.add_argument_group(group, _GROUPS[group])
+            kwargs: dict[str, object] = {"help": help_text}
+            if kind is bool:
+                kwargs["action"] = "store_true"
+            else:
+                kwargs.update(default=default, choices=choices, required=required)
+                if kind is not str:
+                    kwargs["type"] = kind
+            groups[group].add_argument(flag, **kwargs)
     return parser
 
 
@@ -253,7 +334,7 @@ def _expand_config(argv: list[str]) -> list[str]:
     return [argv[0], *extra, *argv[1:]]
 
 
-def _state_from_args(args: argparse.Namespace) -> StandardForm:
+def _state_from_args(args: Args) -> StandardForm:
     sts_given = any(v is not None for v in (args.n1, args.n2, args.r))
     sf_given = any(v is not None for v in (args.b1, args.b2, args.c))
     if sts_given and sf_given:
@@ -269,7 +350,7 @@ def _state_from_args(args: argparse.Namespace) -> StandardForm:
     raise _CliError("no state given: use --n1/--n2/--r or --b1/--b2/--c")
 
 
-def _reservoir_from_args(args: argparse.Namespace) -> ReservoirConfig | None:
+def _reservoir_from_args(args: Args) -> ReservoirConfig | None:
     explicit = any(v is not None for v in (args.gamma1, args.nr1, args.gamma2, args.nr2))
     if args.identical and args.single_bath:
         raise _CliError("--identical and --single-bath are mutually exclusive")
@@ -372,12 +453,24 @@ def _stdout_failed(exc: OSError | None) -> _CliError:
     return _CliError(f"cannot write stdout: {'it is closed' if exc is None else exc.strerror or exc}")
 
 
+def _checked(write: Callable[[str], object], failed: Callable[[OSError], _CliError]) -> Callable[[str], None]:
+    """``write``, with an OSError that it raises turned into the error ``failed(exc)``."""
+
+    def checked(text: str) -> None:
+        try:
+            write(text)
+        except OSError as exc:
+            raise failed(exc) from exc
+
+    return checked
+
+
 @contextlib.contextmanager
 def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
     """A write function for stdout, or for the file ``out``.
 
     A closed stdout, or a write to stdout that fails, is a ``_CliError``
-    (exit code 2), as is a file that cannot be opened.
+    (exit code 2), as is a file that cannot be opened, written or closed.
 
     A regular file is written under a temporary name in its directory and
     renamed over ``out`` only once all of it is written, so a failed
@@ -387,39 +480,37 @@ def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
     link or the special file itself.
     """
     if out is None:
-        stdout = sys.stdout
-        if stdout is None:
+        if sys.stdout is None:
             raise _stdout_failed(None)
-
-        def write(text: str) -> None:
-            try:
-                stdout.write(text)
-            except OSError as exc:
-                raise _stdout_failed(exc) from exc
-
-        yield write
+        yield _checked(sys.stdout.write, _stdout_failed)
         return
-    if os.path.islink(out) or (os.path.exists(out) and not os.path.isfile(out)):
-        try:
-            fh = open(out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise _CliError(f"cannot write {out}: {exc.strerror}") from exc
-        with fh:
-            yield fh.write
-        return
+
+    def failed(exc: OSError) -> _CliError:
+        return _CliError(f"cannot write {out}: {exc.strerror}")
+
+    in_place = os.path.islink(out) or (os.path.exists(out) and not os.path.isfile(out))
     tmp = f"{out}.{os.getpid()}.tmp"
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        target = out if in_place else os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        fh = open(target, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise _CliError(f"cannot write {out}: {exc.strerror}") from exc
+        raise failed(exc) from exc
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh.write
-        if os.path.isfile(out):
-            os.chmod(tmp, os.stat(out).st_mode & 0o7777)
-        os.replace(tmp, out)
+        try:
+            yield _checked(fh.write, failed)
+        finally:
+            # Closing flushes the last bytes, so it can fail as a write does.
+            try:
+                fh.close()
+            except OSError as exc:
+                raise failed(exc) from exc
+        if not in_place:
+            if os.path.isfile(out):
+                os.chmod(tmp, os.stat(out).st_mode & 0o7777)
+            os.replace(tmp, out)
     except BaseException:
-        os.unlink(tmp)
+        if not in_place:
+            os.unlink(tmp)
         raise
 
 
@@ -494,7 +585,7 @@ def _linear_chunks(start: float, stop: float, num: int) -> Iterator[list[float]]
     return (_linspace(start, stop, num, lo, lo + _CHUNK_ROWS) for lo in range(0, num, _CHUNK_ROWS))
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: Args) -> int:
     sf = _state_from_args(args)
     outputs = _parse_outputs(args.outputs, _REPORT_OUTPUTS)
     res = _reservoir_from_args(args)
@@ -513,7 +604,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evolve(args: argparse.Namespace) -> int:
+def _cmd_evolve(args: Args) -> int:
     sf0 = _state_from_args(args)
     res = _reservoir_from_args(args)
     if res is None:
@@ -541,7 +632,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_esd(args: argparse.Namespace) -> int:
+def _cmd_esd(args: Args) -> int:
     sf = _state_from_args(args)
     res = _reservoir_from_args(args)
     if res is None:
@@ -563,7 +654,7 @@ def _cmd_esd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: Args) -> int:
     if args.steps < 1:
         raise _CliError("need --steps >= 1")
     if args.param in ("nr", "gamma") and not (args.identical or args.single_bath):
@@ -588,7 +679,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: Args) -> int:
     # The destination is opened first, so an unwritable --out fails before
     # the battery's work rather than after it.
     with _destination(args.out) as write:
@@ -613,13 +704,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-# Subcommand -> its help line, the function that adds its arguments, and the command.
+# Subcommand -> its help line, its options, and the command.
 _SUBCOMMANDS = {
-    "report": ("all correlation measures of one state at one time", _report_args, _cmd_report),
-    "evolve": ("correlation time series over a time grid", _evolve_args, _cmd_evolve),
-    "esd": ("entanglement sudden-death time", _esd_args, _cmd_esd),
-    "sweep": ("scalar outputs along a one-parameter sweep", _sweep_args, _cmd_sweep),
-    "verify": ("closed forms vs independent numeric oracles", _verify_args, _cmd_verify),
+    "report": ("all correlation measures of one state at one time", _REPORT_OPTIONS, _cmd_report),
+    "evolve": ("correlation time series over a time grid", _EVOLVE_OPTIONS, _cmd_evolve),
+    "esd": ("entanglement sudden-death time", _ESD_OPTIONS, _cmd_esd),
+    "sweep": ("scalar outputs along a one-parameter sweep", _SWEEP_OPTIONS, _cmd_sweep),
+    "verify": ("closed forms vs independent numeric oracles", _VERIFY_OPTIONS, _cmd_verify),
 }
 
 
@@ -631,10 +722,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, _CliError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    # argparse hands the rest of argv to the subcommand named by the first
-    # token that is not a flag, or refuses that token if it names none.
-    command = next((tok for tok in expanded if not tok.startswith("-")), "")
-    args = _build_parser(command).parse_args(expanded)
+    args = _read_argv(expanded)
+    if args is None:
+        # argparse hands the rest of argv to the subcommand named by the
+        # first token that is not a flag, or refuses that token if it names none.
+        command = next((tok for tok in expanded if not tok.startswith("-")), "")
+        args = _build_parser(command).parse_args(expanded)
     try:
         return _SUBCOMMANDS[args.command][2](args)
     except SeparableInputError as exc:

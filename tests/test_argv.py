@@ -1,4 +1,4 @@
-"""The command line: help and usage errors against frozen bytes.
+"""The command line: help and usage errors against frozen bytes, and the direct reader of argv.
 
 ``usage_golden.json`` holds, for each argv of ``test_lazy_imports._PARSER_CASES``
 (help at the top level and per subcommand, unknown flags and commands, a
@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from stsdecay import cli
+from test_golden import CASES
 from test_lazy_imports import _PARSER_CASES
 
 _USAGE_GOLDEN = Path(__file__).with_name("usage_golden.json")
@@ -70,6 +71,62 @@ def test_help_and_usage_errors_match_golden(argv, monkeypatch):
 def test_every_usage_golden_has_a_case():
     golden = json.loads(_USAGE_GOLDEN.read_text(encoding="utf-8"))
     assert list(golden) == [_key(argv) for argv in _CASES]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_reader_answers_every_golden_command_line_as_argparse_does(name):
+    argv = list(CASES[name])
+    args = cli._read_argv(argv)
+    assert args is not None
+    assert repr(vars(args)) == repr(vars(cli._build_parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--n1", "-1", "--n2", "-.5", "--r", "-0", "--phi", "-12.25"],
+        ["report", "--n1", "1", "--n1", "2", "--n2", " 3", "--r", "1_0", "--out", "", "--outputs", "ef"],
+        ["sweep", "--steps", "-3", "--param", "nr", "--max", "nan", "--min", "inf", "--identical", "--identical"],
+        ["verify", "--seed", "-7", "--format", "json", "--config", "x=y"],
+    ],
+)
+def test_the_reader_takes_negative_numbers_repeats_and_any_value_of_a_string(argv):
+    args = cli._read_argv(argv)
+    assert args is not None
+    assert repr(vars(args)) == repr(vars(cli._build_parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["reports"],
+        ["report", "--n1=1"],
+        ["report", "--ident"],
+        ["report", "--n1", "1", "-h"],
+        ["report", "--n1", "1", "--"],
+        ["report", "--n1"],
+        ["report", "--n1", "-1e-3"],
+        ["report", "--n1", "-inf"],
+        ["report", "--out", "-"],
+        ["report", "--n1", "one"],
+        ["report", "--format", "xml"],
+        ["report", "--identical", "1"],
+        ["report", "--t-end", "1"],
+        ["evolve", "--n1", "1"],
+        ["sweep", "--param", "r", "--min", "0", "--max", "1"],
+        ["verify", "--seed", "1.5"],
+    ],
+    ids=lambda argv: _key(argv) or "no-argv",
+)
+def test_the_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._read_argv(argv) is None
+
+
+def test_the_reader_builds_no_parser(monkeypatch):
+    monkeypatch.setattr(cli, "_build_parser", None)
+    assert cli.main(["report", "--n1", "1", "--n2", "1", "--r", "1", "--out", os.devnull]) == 0
 
 
 def _regenerate() -> None:

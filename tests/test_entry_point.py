@@ -155,3 +155,31 @@ def test_a_failed_write_in_main_leaves_nothing_pending(end):
     finally:
         os.close(fd)
     assert (proc.returncode, proc.stderr.decode()) == (2, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
+# -- an --out file that cannot be written --------------------------------------
+
+
+# The short report fails when its file is closed, the long evolve at a write.
+@pytest.mark.parametrize("argv", [_REPORT, _EVOLVE], ids=["report", "evolve_20000_json"])
+def test_a_failed_write_to_an_out_device_is_one_line_and_exit_code_2(argv, capsys, monkeypatch):
+    os.close(_full_device())
+    code, out, err = _in_process([*argv, "--out", "/dev/full"], capsys, monkeypatch)
+    assert (code, out, err.decode()) == (2, b"", f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_a_failed_write_to_a_regular_out_file_leaves_no_temporary_file(tmp_path):
+    resource = pytest.importorskip("resource")
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+
+    def limit_file_size():
+        # Writes past 4 kB fail with EFBIG; the interpreter ignores SIGXFSZ.
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096 if hard == resource.RLIM_INFINITY else min(4096, hard), hard))
+
+    proc = _spawn(["-m", "stsdecay", *_EVOLVE, "--out", str(target)], preexec_fn=limit_file_size)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"error: cannot write {target}: {os.strerror(errno.EFBIG)}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["out.json"]
+    assert target.read_text() == "old\n"

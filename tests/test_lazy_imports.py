@@ -1,9 +1,10 @@
-"""numpy, json, the dataclasses machinery and each submodule are loaded only where used, and the package namespace stays whole.
+"""numpy, json, argparse, the dataclasses machinery and each submodule are loaded only where used, and the package namespace stays whole.
 
 numpy is used by the oracle, the log grid of `evolve`, and the batch rows of
 long `evolve` grids, which give the bytes of the scalar rows without it.
 ``import stsdecay`` loads no submodule, and each command loads only the
-modules, and builds only the subparser, that it runs.
+modules that it runs.  argparse (with gettext and locale) is loaded only
+for help and usage errors, and then builds only the subparser needed.
 """
 
 import ast
@@ -24,18 +25,24 @@ from stsdecay import _evolve_table, cli, dynamics, verification
 _SRC = str(Path(stsdecay.__file__).resolve().parents[1])
 
 # Runs each argv through cli.main in one interpreter and reports, per argv,
-# the exit code and which of numpy, dataclasses and inspect were imported
-# by then.
+# the exit code (argparse's for help and usage errors) and which of numpy,
+# dataclasses, inspect, argparse, gettext and locale were imported by then
+# that the interpreter's start-up had not imported.
 _PROBE = """
 import contextlib, io, json, sys
+started = set(sys.modules)
 def loaded():
-    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+    names = ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale")
+    return [m for m in names if m in sys.modules and m not in started]
 import stsdecay
 results = [["import stsdecay", 0, loaded()]]
 from stsdecay import cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     results.append([" ".join(argv), code, loaded()])
 print(json.dumps(results))
 """
@@ -128,6 +135,31 @@ def test_commands_load_no_dataclasses_or_inspect():
         ["esd", *_STATE, "--identical", "--nr", "0.3", "--format", "json"],
     )
     assert [(name, code, loaded) for name, code, loaded in results if code != 0 or loaded] == []
+
+
+def test_valid_commands_load_no_argument_parser():
+    results = _probe(
+        ["report", *_STATE],
+        ["report", *_STATE, "--identical", "--nr", "0.3", "--t", "-0", "--format", "json", "--units", "bits"],
+        ["esd", *_STATE, "--identical", "--nr", "0.3", "--verify"],
+        ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "9"],
+        ["sweep", *_STATE, "--param", "r", "--min", "0", "--max", "2", "--steps", "7", "--identical", "--nr", "0.2"],
+        ["verify", "--seed", "1", "--format", "json"],
+    )
+    parser = {"argparse", "gettext", "locale"}
+    assert [(name, code, parser & set(loaded)) for name, code, loaded in results] == [
+        (name, 0, set()) for name, _, _ in results
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["report", "--help"], 0), (["report", *_STATE, "--ident", "--nr", "0.3"], 0), (["esd", "--nr", "x"], 2)],
+    ids=["help", "abbreviation", "usage_error"],
+)
+def test_help_abbreviations_and_usage_errors_load_argparse(argv, code):
+    (_, _, imported), (_, exited, loaded) = _probe(argv)
+    assert "argparse" not in imported and exited == code and "argparse" in loaded
 
 
 # Runs one step in a fresh interpreter and prints, as a Python literal, the
