@@ -162,7 +162,11 @@ _COMMON_OPTIONS = [
 _REPORT_OPTIONS = [
     *_COMMON_OPTIONS,
     ("--t", float, 0.0, None, False, "evolution time (default 0)", None),
-    ("--outputs", str, ",".join(_REPORT_OUTPUTS), None, False, f"comma-separated subset of {{{','.join(_REPORT_OUTPUTS)}}}", None),
+    (
+        "--outputs", str, ",".join(_REPORT_OUTPUTS), None, False,
+        f"comma-separated subset of {{{','.join(_REPORT_OUTPUTS)}}}",
+        None,
+    ),
 ]
 _EVOLVE_OPTIONS = [
     *_COMMON_OPTIONS,
@@ -203,8 +207,8 @@ def _dest(flag: str) -> str:
 def _negative_number(token: str) -> bool:
     """Whether argparse reads ``token``, which starts with "-", as a value rather than as a flag.
 
-    The pattern is argparse's own, for parsers without options that look
-    like negative numbers (as these are).
+    The pattern is argparse's own for a parser none of whose options looks
+    like a negative number, as is the case for every parser here.
     """
     import re
 

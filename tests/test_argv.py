@@ -4,9 +4,9 @@
 (help at the top level and per subcommand, unknown flags and commands, a
 missing value or required flag) and of ``_USAGE_CASES`` (values that fail
 their conversion or choices, ambiguous abbreviations, stray tokens), the
-exit code, stdout and stderr of ``cli.main`` under ``COLUMNS=80``.  The help bytes are the same on Python
-3.10 to 3.12.  Regenerate the file (only when a help or error text is meant
-to change) with
+exit code, stdout and stderr of ``cli.main`` under ``COLUMNS=80``.  The
+help bytes are the same on Python 3.10 to 3.12.  Regenerate the file (only
+when a help or error text is meant to change) with
 
     PYTHONPATH=src python tests/test_argv.py --regenerate
 """
@@ -122,11 +122,6 @@ def test_the_reader_takes_negative_numbers_repeats_and_any_value_of_a_string(arg
 )
 def test_the_reader_leaves_the_rest_to_argparse(argv):
     assert cli._read_argv(argv) is None
-
-
-def test_the_reader_builds_no_parser(monkeypatch):
-    monkeypatch.setattr(cli, "_build_parser", None)
-    assert cli.main(["report", "--n1", "1", "--n2", "1", "--r", "1", "--out", os.devnull]) == 0
 
 
 def _regenerate() -> None:

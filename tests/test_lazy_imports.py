@@ -4,7 +4,8 @@ numpy is used by the oracle, the log grid of `evolve`, and the batch rows of
 long `evolve` grids, which give the bytes of the scalar rows without it.
 ``import stsdecay`` loads no submodule, and each command loads only the
 modules that it runs.  argparse (with gettext and locale) is loaded only
-for help and usage errors, and then builds only the subparser needed.
+for help, usage errors and the spellings that only it reads, and then
+builds only the subparser needed.
 """
 
 import ast
