@@ -12,7 +12,8 @@ The compensated helpers are written for ``float`` arguments, which they
 get inside tight rejection-sampling and bisection loops where numpy
 dispatch overhead dominates.  They use only correctly rounded ``+ - *``
 in a fixed order, so on float64 numpy arrays they run elementwise and give
-each element the bits its scalar call gives: ``_batch`` calls them that way.
+each element the bits its scalar call gives: the kernels that take an
+``ops`` namespace call them so when run on stacks with ``_batch._Arrays``.
 """
 
 from __future__ import annotations

@@ -2,16 +2,16 @@
 
 ``cli`` imports this module for ``evolve`` alone, so the other commands do
 not compile it.  Rows come from the scalar kernel, ``scalar_rows``, or, on
-the grids where that pays, from the numpy batch kernel of ``_batch``, whose
-rows are bit for bit the same; ``cli._emit_rows`` writes both.  A chunk
-with a product, pure, refused or non-finite row goes whole to
-``scalar_rows``, which alone holds those branches; the batch answers every
-other chunk.
+the grids where that pays, from ``_batch.evolve_rows``, which runs the same
+kernels on numpy arrays, so its rows are bit for bit the same;
+``cli._emit_rows`` writes both.  A chunk with a product, pure, refused or
+non-finite row goes whole to ``scalar_rows``, which alone runs those
+branches; the batch answers every other chunk.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from typing import Callable, Iterable, Iterator
 
 from . import cli
@@ -53,9 +53,9 @@ def scalar_rows(
     The eight numbers are floats and the verdict is spelled, as
     ``cli._emit_rows`` takes them.
     """
-    scale, exp = cli._scale, math.exp
+    scale = cli._scale
     for t in times:
-        b1, b2, c = _evolved_entries(sf0, res, t, exp)
+        b1, b2, c = _evolved_entries(sf0, res, t)
         b1, b2 = _bona_fide(b1, b2, c)
         ef, d1, d2, mi, separable, _, _, _, _ = _measures(b1, b2, c)
         verdict = "true" if separable else "false"
@@ -85,8 +85,10 @@ def emit(
     ``batch`` is the ``_batch`` module, or None for the scalar rows alone.
     The scalar rows also answer, whole, every chunk the batch leaves them.
     """
+    scale = functools.partial(cli._scale, units=units)
+
     def rows(times: list[float]) -> Iterable[tuple[object, ...]]:
-        batch_rows = batch.evolve_rows(sf0, res, times, units) if batch is not None else None
+        batch_rows = batch.evolve_rows(sf0, res, times, scale) if batch is not None else None
         return scalar_rows(sf0, res, times, units) if batch_rows is None else batch_rows
 
     cli._emit_rows(write, cli._EVOLVE_COLUMNS, fmt, 8, map(rows, chunks))

@@ -309,7 +309,8 @@ def _expand_config(argv: list[str]) -> list[str]:
     """Splice flags from a --config key=value file in after the subcommand.
 
     User-supplied flags come later in argv, so they win (argparse keeps
-    the last occurrence of a repeated option).
+    the last occurrence of a repeated option).  A file that cannot be
+    opened or read, or is not UTF-8 text, is a ``_CliError``.
     """
     path = None
     for i, tok in enumerate(argv):
@@ -319,22 +320,28 @@ def _expand_config(argv: list[str]) -> list[str]:
             path = tok.split("=", 1)[1]
     if path is None or not argv:
         return argv
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read {path}: it is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     extra: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise _CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            flag = "--" + key.strip().replace("_", "-")
-            value = value.strip()
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    extra.append(flag)
-            else:
-                extra.extend([flag, value])
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise _CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        flag = "--" + key.strip().replace("_", "-")
+        value = value.strip()
+        if value.lower() in ("true", "false"):
+            if value.lower() == "true":
+                extra.append(flag)
+        else:
+            extra.extend([flag, value])
     return [argv[0], *extra, *argv[1:]]
 
 
@@ -723,7 +730,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         expanded = _expand_config(list(argv))
-    except (OSError, _CliError) as exc:
+    except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     args = _read_argv(expanded)

@@ -17,6 +17,7 @@ with the oracles in ``verification``, its only consumer.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 from ._accurate import finite, prod_diff, sum_sq_minus_4c2
@@ -43,6 +44,50 @@ _EPS = sys.float_info.epsilon
 # fixed absolute allowance once b ~ e^{2r} is large.
 _ABS_SLACK = 1e-12
 _REL_SLACK = 64.0 * _EPS
+
+
+def _h_offset(a: float) -> float:
+    """Entropic function evaluated at ``x = 1/2 + a`` for ``a >= 0``.
+
+    Uses h(1/2 + a) = log1p(a) + a*log1p(1/a), which is accurate for both
+    tiny and huge offsets; the direct two-logarithm form loses digits as
+    a -> 0.  Non-positive offsets are rounding residue and map to 0.
+    """
+    if a <= 0.0:
+        return 0.0
+    return math.log1p(a) + a * math.log1p(1.0 / a)
+
+
+class _Floats:
+    """The elementwise operations of the kernels, on floats.
+
+    Each kernel that takes ``ops`` runs on floats with this namespace, its
+    default, and on float64 arrays with ``_batch._Arrays``, which has the
+    same names: ``math``'s functions, Python's ``max`` and ``min`` of two,
+    ``select`` (``a if cond else b``), ``not_``, ``h`` (``_h_offset``) and
+    the hook ``branch``.  ``branch(cond)`` is true where the element takes
+    a branch or a refusal of its own, which the kernel then runs on floats;
+    on arrays it raises instead where any element does, and the caller
+    hands the whole stack to the scalar kernel.  So the checks, their
+    messages and their order are written once, in the scalar kernel.
+    """
+
+    sqrt, hypot, exp, expm1 = math.sqrt, math.hypot, math.exp, math.expm1
+    cosh, sinh, isfinite = math.cosh, math.sinh, math.isfinite
+    not_, branch, h = operator.not_, operator.truth, _h_offset
+
+    # max and min of two as the builtins pick them, in half their time.
+    @staticmethod
+    def max(a: float, b: float) -> float:
+        return b if b > a else a
+
+    @staticmethod
+    def min(a: float, b: float) -> float:
+        return b if b < a else a
+
+    @staticmethod
+    def select(cond: bool, a: float, b: float) -> float:
+        return a if cond else b
 
 
 class _Record:
@@ -161,8 +206,8 @@ class StandardForm(_Record):
         self.__dict__.update(b1=b1, b2=b2, c=c, phi=_wrap_angle(phi))
 
 
-def _bona_fide(b1: float, b2: float, c: float) -> tuple[float, float]:
-    """Validate the standard-form entries ``(b1, b2, c)``, ``c >= 0``.
+def _bona_fide(b1: float, b2: float, c: float, ops=_Floats) -> tuple[float, float]:
+    """Validate the standard-form entries ``(b1, b2, c)``, ``c >= 0``; elementwise.
 
     This is the check of StandardForm construction, shared with code that
     works on bare entries: all three must be finite, variances up to the
@@ -171,17 +216,16 @@ def _bona_fide(b1: float, b2: float, c: float) -> tuple[float, float]:
     NaN (its products overflow a double) is refused as well.  Returns the
     clamped ``(b1, b2)``.
     """
-    if not (math.isfinite(b1) and math.isfinite(b2) and math.isfinite(c)):
+    if ops.branch(ops.not_(ops.isfinite(b1) & ops.isfinite(b2) & ops.isfinite(c))):
         raise InvalidParameterError("StandardForm fields must be finite numbers")
-    if b1 < 0.5 - _ABS_SLACK or b2 < 0.5 - _ABS_SLACK:
+    if ops.branch((b1 < 0.5 - _ABS_SLACK) | (b2 < 0.5 - _ABS_SLACK)):
         raise NonPhysicalStateError(
             f"diagonal variances must be >= 1/2 (vacuum), got b1={b1!r}, b2={b2!r}"
         )
-    b1 = max(b1, 0.5)
-    b2 = max(b2, 0.5)
-    hi, lo = (b1, b2) if b1 >= b2 else (b2, b1)
-    margin, slack = _uncertainty(hi, lo, c, max)
-    if not margin >= -slack:
+    b1 = ops.max(b1, 0.5)
+    b2 = ops.max(b2, 0.5)
+    margin, slack = _uncertainty(ops.max(b1, b2), ops.min(b1, b2), c, ops)
+    if ops.branch(ops.not_(margin >= -slack)):
         if math.isnan(margin):
             raise InvalidParameterError(
                 f"(b_max+1/2)(b_min-1/2) - c^2 overflows a double for b1={b1!r}, b2={b2!r}, c={c!r}"
@@ -194,12 +238,9 @@ def _bona_fide(b1: float, b2: float, c: float) -> tuple[float, float]:
     return b1, b2
 
 
-def _uncertainty(hi, lo, c, max_):
-    """Margin ``(hi + 1/2)*(lo - 1/2) - c^2`` of clamped ``hi >= lo`` and its slack; elementwise.
-
-    ``max_`` is Python's ``max`` of two floats, or its equivalent on arrays.
-    """
-    return prod_diff(hi + 0.5, lo - 0.5, c, c), max_(_ABS_SLACK, _REL_SLACK * (hi * lo + c * c + 0.25))
+def _uncertainty(hi, lo, c, ops=_Floats):
+    """Margin ``(hi + 1/2)*(lo - 1/2) - c^2`` of clamped ``hi >= lo`` and its slack; elementwise."""
+    return prod_diff(hi + 0.5, lo - 0.5, c, c), ops.max(_ABS_SLACK, _REL_SLACK * (hi * lo + c * c + 0.25))
 
 
 class SymplecticSpectrum(_Record):
@@ -243,23 +284,23 @@ def standard_form_from_sts(p: StsParams) -> StandardForm:
     return StandardForm(*_sts_entries(p.n1, p.n2, p.r, *_cosh_sinh(p.r)), p.phi)
 
 
-def _cosh_sinh(r: float) -> tuple[float, float]:
-    """``(cosh r, sinh r)`` of an admissible squeeze parameter, refused where their product overflows a double.
+def _cosh_sinh(r: float, ops=_Floats) -> tuple[float, float]:
+    """``(cosh r, sinh r)`` of an admissible squeeze parameter, refused where their product overflows a double; elementwise.
 
     ``c = (n1 + n2 + 1)*sinh(r)*cosh(r)`` is then infinite whatever the
     occupancies.
     """
     try:
-        ch, sh = math.cosh(r), math.sinh(r)
+        ch, sh = ops.cosh(r), ops.sinh(r)
     except OverflowError:
         ch = sh = math.inf
-    if sh * ch == math.inf:
+    if ops.branch(sh * ch == math.inf):
         raise InvalidParameterError(f"squeeze parameter r={r!r} is too large: sinh(r)*cosh(r) overflows a double")
     return ch, sh
 
 
-def _sts_entries(n1: float, n2: float, r: float, ch: float, sh: float) -> tuple[float, float, float]:
-    """``(b1, b2, c)`` of ``standard_form_from_sts``, given ``ch = cosh(r)`` and ``sh = sinh(r)``.
+def _sts_entries(n1: float, n2: float, r: float, ch: float, sh: float, ops=_Floats) -> tuple[float, float, float]:
+    """``(b1, b2, c)`` of ``standard_form_from_sts``, given ``ch = cosh(r)`` and ``sh = sinh(r)``; elementwise.
 
     Checked as StandardForm checks them; entries that overflow a double
     (tested only once ``_bona_fide`` refuses them) are refused by name.
@@ -268,7 +309,7 @@ def _sts_entries(n1: float, n2: float, r: float, ch: float, sh: float) -> tuple[
     a2 = n2 + 0.5
     b1, b2, c = a1 * ch * ch + a2 * sh * sh, a1 * sh * sh + a2 * ch * ch, (n1 + n2 + 1.0) * sh * ch
     try:
-        b1, b2 = _bona_fide(b1, b2, c)
+        b1, b2 = _bona_fide(b1, b2, c, ops)
     except InvalidParameterError:
         if finite(b1, b2, c):
             raise
@@ -297,14 +338,14 @@ def symplectic_spectrum(sf: StandardForm) -> SymplecticSpectrum:
     return SymplecticSpectrum(*_spectrum(sf.b1, sf.b2, sf.c))
 
 
-def _spectrum(b1: float, b2: float, c: float) -> tuple[float, float, float, float]:
-    """``symplectic_spectrum`` on bare entries: ``(kappa_plus, kappa_minus, kappa_tilde_plus, kappa_tilde_minus)``."""
-    if c == 0.0:
+def _spectrum(b1: float, b2: float, c: float, ops=_Floats) -> tuple[float, float, float, float]:
+    """``symplectic_spectrum`` on bare entries: ``(kappa_plus, kappa_minus, kappa_tilde_plus, kappa_tilde_minus)``; elementwise."""
+    if ops.branch(c == 0.0):
         hi, lo = (b1, b2) if b1 >= b2 else (b2, b1)
         return hi, lo, hi, lo
     u = prod_diff(b1, b2, c, c)
-    kp, km = _kappas(b1, b2, u, _discriminant(b1, b2, c, u), math.sqrt)
-    ktp = 0.5 * ((b1 + b2) + math.hypot(b1 - b2, 2.0 * c))
+    kp, km = _kappas(b1, b2, u, _discriminant(b1, b2, c, u, ops), ops)
+    ktp = 0.5 * ((b1 + b2) + ops.hypot(b1 - b2, 2.0 * c))
     return kp, km, ktp, u / ktp
 
 
@@ -314,35 +355,35 @@ def _spectrum(b1: float, b2: float, c: float) -> tuple[float, float, float, floa
 _WITHIN_ROUNDING = "the double-precision entries satisfy the uncertainty inequality only within rounding"
 
 
-def _discriminant(b1: float, b2: float, c: float, u: float) -> float:
-    """The compensated ``delta = (b1+b2)^2 - 4c^2``, refused with ``u = b1*b2 - c^2`` unless both are positive.
+def _discriminant(b1: float, b2: float, c: float, u: float, ops=_Floats) -> float:
+    """The compensated ``delta = (b1+b2)^2 - 4c^2``, refused with ``u = b1*b2 - c^2`` unless both are positive; elementwise.
 
     A ``delta`` that overflows a double is refused too.
     """
     delta = sum_sq_minus_4c2(b1, b2, c)
-    if delta <= 0.0:
+    if ops.branch(delta <= 0.0):
         raise NonPhysicalStateError(
             f"(b1+b2)^2 - 4c^2 = {delta!r} <= 0: {_WITHIN_ROUNDING}"
         )
-    if delta == math.inf:
+    if ops.branch(delta == math.inf):
         raise InvalidParameterError(
             f"(b1+b2)^2 - 4c^2 overflows a double for b1={b1!r}, b2={b2!r}, c={c!r}"
         )
-    if u <= 0.0:
+    if ops.branch(u <= 0.0):
         raise NonPhysicalStateError(
             f"b1*b2 - c^2 = {u!r} <= 0: {_WITHIN_ROUNDING}"
         )
     return delta
 
 
-def _kappas(b1, b2, u, delta, sqrt):
-    """``(kappa_plus, kappa_minus)`` from ``u = b1*b2 - c^2`` and ``delta``; elementwise with ``sqrt``.
+def _kappas(b1, b2, u, delta, ops=_Floats):
+    """``(kappa_plus, kappa_minus)`` from ``u = b1*b2 - c^2`` and ``delta``; elementwise.
 
     kappa_minus comes from the eigenvalue product ``u = kappa_plus *
     kappa_minus`` rather than from the subtractive closed form.  This is
     the one place the spectrum is evaluated; the correlation kernel shares it.
     """
-    kp = 0.5 * (sqrt(delta) + abs(b1 - b2))
+    kp = 0.5 * (ops.sqrt(delta) + abs(b1 - b2))
     return kp, u / kp
 
 
@@ -368,7 +409,7 @@ def uncertainty_margin(sf: StandardForm) -> float:
     quantity the StandardForm constructor checks.
     """
     hi, lo = (sf.b1, sf.b2) if sf.b1 >= sf.b2 else (sf.b2, sf.b1)
-    return _uncertainty(hi, lo, sf.c, max)[0]
+    return _uncertainty(hi, lo, sf.c)[0]
 
 
 def is_separable(sf: StandardForm) -> bool:

@@ -24,7 +24,17 @@ from __future__ import annotations
 import math
 
 from ._accurate import prod_diff
-from .core import StandardForm, _Record, _discriminant, _is_pure, _kappas, _separability_margin, is_separable
+from .core import (
+    StandardForm,
+    _discriminant,
+    _Floats,
+    _h_offset,
+    _is_pure,
+    _kappas,
+    _Record,
+    _separability_margin,
+    is_separable,
+)
 from .errors import InvalidParameterError, NonPhysicalStateError
 
 __all__ = [
@@ -84,18 +94,6 @@ class CorrelationReport(_Record):
         )
 
 
-def _h_offset(a: float) -> float:
-    """Entropic function evaluated at ``x = 1/2 + a`` for ``a >= 0``.
-
-    Uses h(1/2 + a) = log1p(a) + a*log1p(1/a), which is accurate for both
-    tiny and huge offsets; the direct two-logarithm form loses digits as
-    a -> 0.  Non-positive offsets are rounding residue and map to 0.
-    """
-    if a <= 0.0:
-        return 0.0
-    return math.log1p(a) + a * math.log1p(1.0 / a)
-
-
 def entropic_h(x: float) -> float:
     """Entropy h(x) of a thermal mode with symplectic eigenvalue ``x``.
 
@@ -132,13 +130,11 @@ def entanglement_of_formation(sf: StandardForm) -> tuple[float, float]:
     return ef, x_m
 
 
-def _clamp_measure(value: float, name: str) -> float:
-    """Clamp tiny negative rounding residue of a measure to zero."""
-    if value >= 0.0:
-        return value
-    if value >= -_NEG_CLAMP:
-        return 0.0
-    raise NonPhysicalStateError(f"{name} = {value!r} is negative beyond rounding tolerance")
+def _clamp_measure(value: float, name: str, ops=_Floats) -> float:
+    """Clamp tiny negative rounding residue of a measure to zero; elementwise.  NaN is refused."""
+    if ops.branch(ops.not_(value >= -_NEG_CLAMP)):
+        raise NonPhysicalStateError(f"{name} = {value!r} is negative beyond rounding tolerance")
+    return ops.max(value, 0.0)
 
 
 def discords(sf: StandardForm) -> tuple[float, float, float, float]:
@@ -173,75 +169,56 @@ def correlation_report(sf: StandardForm) -> CorrelationReport:
 
 
 def _measures(
-    b1: float, b2: float, c: float, margin: float | None = None
+    b1: float, b2: float, c: float, margin: float | None = None, ops=_Floats
 ) -> tuple[float, float, float, float, bool, float, float, float, float]:
-    """The fused kernel: every measure of the standard-form entries ``(b1, b2, c)``.
+    """The fused kernel: every measure of the standard-form entries ``(b1, b2, c)``; elementwise.
 
     Returns the CorrelationReport fields in order (ef, d1, d2,
     mutual_information, separable, x_m, y, z, invariant_d).  Each shared
     scalar (separability margin, u = b1 b2 - c^2, the spectrum, the y/z
     offsets and every h value) is computed once; the public measures are
     projections of this tuple.  A caller that holds the separability
-    margin already passes it as ``margin``.
+    margin already passes it as ``margin``.  The product (c = 0) and pure
+    branches and the refusals are ``ops.branch`` cases (see
+    ``core._Floats``): on arrays, a stack with an element that takes one
+    is the scalar kernel's, and the rest is the general branch.
     """
-    if c == 0.0:
+    if ops.branch(c == 0.0):
         kp, km = max(b1, b2), min(b1, b2)
         inv_d = (kp - 0.5) * (kp + 0.5) * max((km - 0.5) * (km + 0.5), 0.0)
         return 0.0, 0.0, 0.0, 0.0, True, 0.5, b1, b2, inv_d
     separable = (_separability_margin(b1, b2, c) if margin is None else margin) >= 0.0
     u = prod_diff(b1, b2, c, c)
-    if _is_pure(b1, b2, c, u):
+    if ops.branch(_is_pure(b1, b2, c, u)):
         b = 0.5 * (b1 + b2)
         hb = _h_offset(b - 0.5)
         return hb, hb, hb, 2.0 * hb, separable, b, 0.5, 0.5, 0.0
-    delta = _discriminant(b1, b2, c, u)
-    kp, km = _kappas(b1, b2, u, delta, math.sqrt)
-    if kp < 0.5:  # admitted by the construction slack; no measure exists
+    delta = _discriminant(b1, b2, c, u, ops)
+    kp, km = _kappas(b1, b2, u, delta, ops)
+    if ops.branch(kp < 0.5):  # admitted by the construction slack; no measure exists
         raise NonPhysicalStateError(
             f"kappa_plus = {kp!r} < 1/2: not a physical two-mode state"
         )
-    ef, x_m, y_off, z_off, d1, d2, mi, inv_d = _general(
-        b1, b2, c, u, delta, kp, km, separable, math.sqrt, max, _select, _h_offset
-    )
-    if y_off < -1e-9 or z_off < -1e-9:
-        raise NonPhysicalStateError(
-            f"discord auxiliaries below 1/2: y={0.5 + y_off!r}, z={0.5 + z_off!r}"
-        )
-    d1 = _clamp_measure(d1, "d1")
-    d2 = _clamp_measure(d2, "d2")
-    mi = _clamp_measure(mi, "mutual information")
-    return ef, d1, d2, mi, separable, x_m, 0.5 + max(y_off, 0.0), 0.5 + max(z_off, 0.0), inv_d
-
-
-def _select(cond: bool, a: float, b: float) -> float:
-    """``a if cond else b``: the select of ``_general`` on floats."""
-    return a if cond else b
-
-
-def _general(b1, b2, c, u, delta, kp, km, separable, sqrt, max_, select, h):
-    """The general branch of the kernel (c != 0, not pure), elementwise.
-
-    ``kp``, ``km`` are the ``_kappas``.  Returns ``(ef, x_m, y - 1/2,
-    z - 1/2, d1, d2, mi, invariant_d)``; a kappa_plus below 1/2, the
-    offsets and d1/d2/mi are left to the callers to refuse and clamp
-    (``_measures`` raises, the batch kernel masks).  ``sqrt``, ``max_``
-    (Python's ``max`` of two), ``select`` (``a if cond else b``) and ``h``
-    (``_h_offset``) are those of floats or of float64 arrays.
-    """
+    sqrt, max_, h = ops.sqrt, ops.max, ops.h
     mp = (kp - 0.5) * (kp + 0.5)
     mm = max_((km - 0.5) * (km + 0.5), 0.0)
-    # The callers refuse kp < 1/2 (mp < 0) before math.sqrt(mp) could raise.
-    x_m = select(separable, 0.5, max_(((b1 + b2) * (u + 0.25) - 2.0 * c * (sqrt(mp) * sqrt(mm))) / delta, 0.5))
+    # The refusal of kp < 1/2 above keeps math.sqrt(mp) from raising.
+    x_m = ops.select(separable, 0.5, max_(((b1 + b2) * (u + 0.25) - 2.0 * c * (sqrt(mp) * sqrt(mm))) / delta, 0.5))
     # Offsets y - 1/2 and z - 1/2 as compensated product differences:
     # y - 1/2 = [ (b1 - 1/2)(b2 + 1/2) - c^2 ] / (b2 + 1/2).  h maps the
     # negative residue of either to 0, as its clamp would.
     y_off = prod_diff(b1 - 0.5, b2 + 0.5, c, c) / (b2 + 0.5)
     z_off = prod_diff(b2 - 0.5, b1 + 0.5, c, c) / (b1 + 0.5)
+    if ops.branch((y_off < -1e-9) | (z_off < -1e-9)):
+        raise NonPhysicalStateError(
+            f"discord auxiliaries below 1/2: y={0.5 + y_off!r}, z={0.5 + z_off!r}"
+        )
     h1 = h(b1 - 0.5)
     h2 = h(b2 - 0.5)
     hkp = h(kp - 0.5)
     hkm = h(km - 0.5)
     hk = hkp + hkm
-    d1 = h2 - hk + h(y_off)
-    d2 = h1 - hk + h(z_off)
-    return h(x_m - 0.5), x_m, y_off, z_off, d1, d2, h1 + h2 - hkp - hkm, mp * mm
+    d1 = _clamp_measure(h2 - hk + h(y_off), "d1", ops)
+    d2 = _clamp_measure(h1 - hk + h(z_off), "d2", ops)
+    mi = _clamp_measure(h1 + h2 - hkp - hkm, "mutual information", ops)
+    return h(x_m - 0.5), d1, d2, mi, separable, x_m, 0.5 + max_(y_off, 0.0), 0.5 + max_(z_off, 0.0), mp * mm

@@ -29,7 +29,7 @@ import struct
 import sys
 
 from ._accurate import finite, prod_diff
-from .core import StandardForm, _Record, separability_margin
+from .core import StandardForm, _Floats, _Record, separability_margin
 from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
 
 __all__ = [
@@ -119,8 +119,9 @@ def _check_time(t: float) -> None:
         raise InvalidParameterError(f"evolution time must be finite and >= 0, got {t!r}")
 
 
-def _evolved_entries(sf0: StandardForm, res: ReservoirConfig, t, exp):
-    """(b1(t), b2(t), c(t)) without StandardForm overhead; elementwise with the caller's ``exp``."""
+def _evolved_entries(sf0: StandardForm, res: ReservoirConfig, t, ops=_Floats):
+    """(b1(t), b2(t), c(t)) without StandardForm overhead; elementwise in ``t``."""
+    exp = ops.exp
     w1 = exp(-res.gamma1 * t)
     w2 = exp(-res.gamma2 * t)
     # Convex-combination form: exact at t = 0 (weights are exactly 1) and
@@ -142,7 +143,7 @@ def evolve(sf0: StandardForm, res: ReservoirConfig, t: float) -> EvolvedState:
         InvalidParameterError: for negative or non-finite ``t``.
     """
     _check_time(t)
-    b1t, b2t, ct = _evolved_entries(sf0, res, t, math.exp)
+    b1t, b2t, ct = _evolved_entries(sf0, res, t)
     return EvolvedState(t, StandardForm(b1t, b2t, ct, sf0.phi))
 
 
@@ -228,7 +229,7 @@ def esd_time_single_bath(
     return esd_time(sf0, ReservoirConfig.single_bath(gamma, n_r))
 
 
-def _margin_at(b1, b2, c, res, t, exp, expm1):
+def _margin_at(b1, b2, c, res, t, ops=_Floats):
     """Separability margin of the entries ``(b1, b2, c)`` evolved to ``t``, on their offsets from 1/2.
 
     ``res`` is ``(gamma1, n_r1, gamma2, n_r2)``.  With a_i = b_i - 1/2 and
@@ -236,13 +237,13 @@ def _margin_at(b1, b2, c, res, t, exp, expm1):
     the evolution map with 1/2 taken out of both terms of b_i(t), so that
     a_i*x_i is never lost below the ulp of 1/2.  c(t)^2 is (c*x1)*(c*x2),
     and the margin A1*A2 - c(t)^2 takes one compensated rounding.
-    Elementwise with the caller's ``exp`` and ``expm1``.
+    Elementwise.
     """
     gamma1, n_r1, gamma2, n_r2 = res
     u1, u2 = -gamma1 * t, -gamma2 * t
-    x1, x2 = exp(u1), exp(u2)
-    a1 = (b1 - 0.5) * x1 - n_r1 * expm1(u1)
-    a2 = (b2 - 0.5) * x2 - n_r2 * expm1(u2)
+    x1, x2 = ops.exp(u1), ops.exp(u2)
+    a1 = (b1 - 0.5) * x1 - n_r1 * ops.expm1(u1)
+    a2 = (b2 - 0.5) * x2 - n_r2 * ops.expm1(u2)
     return prod_diff(a1, a2, c * x1, c * x2)
 
 
@@ -288,7 +289,7 @@ def esd_bisection(sf0: StandardForm, res: ReservoirConfig) -> float | Asymptotic
     lo, hi = 0, _INF_BITS
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _margin_at(b1, b2, c, fields, _DOUBLE.unpack(_BITS.pack(mid))[0], math.exp, math.expm1) < 0.0:
+        if _margin_at(b1, b2, c, fields, _DOUBLE.unpack(_BITS.pack(mid))[0]) < 0.0:
             lo = mid
         else:
             hi = mid

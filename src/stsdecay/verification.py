@@ -34,19 +34,17 @@ silently losing that precision.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
 
 import numpy as np
 
-from ._accurate import prod_diff, sum_sq_minus_4c2
-from ._batch import _bona_fide, _libm
+from ._accurate import prod_diff
+from ._batch import _Arrays, _Fallback
 from .core import (
     StandardForm,
     StsParams,
     _cosh_sinh,
-    _kappas,
+    _Floats,
     _Record,
     _separability_margin,
     _spectrum,
@@ -102,10 +100,6 @@ _ORACLE_BLOCK = 250
 # The entries of full_cm at phi = 0, b1, b1, b2, b2, c, c, -c, -c, sit at
 # these (row, column) places; the others are 0.
 _CM_PLACES = ((0, 1, 2, 3, 0, 2, 1, 3), (0, 1, 2, 3, 2, 0, 3, 1))
-
-# libm's exp and expm1 elementwise: numpy's differ in the last bit.
-_EXP = functools.partial(_libm, math.exp)
-_EXPM1 = functools.partial(_libm, math.expm1)
 
 
 def full_cm(sf: StandardForm) -> np.ndarray:
@@ -312,7 +306,7 @@ def count_margin_crossings(
     family must never produce.
     """
     ts = np.linspace(0.0, t_max, n_points)
-    signs = np.sign(_margin_at(sf0.b1, sf0.b2, sf0.c, res._fields(), ts, _EXP, _EXPM1))
+    signs = np.sign(_margin_at(sf0.b1, sf0.b2, sf0.c, res._fields(), ts, _Arrays))
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
@@ -381,51 +375,24 @@ def sample_standard_form(
             return StandardForm(b1, b2, c, phi)
 
 
-def _scalar_columns(f, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The scalar function ``f`` of each element's floats, its results as columns.
+def _stack(kernel, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The elementwise ``kernel`` of each element of ``columns``, bit for bit, its results as columns.
 
-    A stacked kernel hands a stack with an element it does not answer to
-    its scalar function this way: the special branches, and the error of
-    the first refused element, are then that function's own.
+    One call runs the kernel on the arrays, with ``_batch._Arrays``.  A
+    stack with an element that takes a branch or a refusal of its own goes
+    whole to the scalar kernel, one call per element: the special branches,
+    and the error of the first refused element, are then its own.
     """
-    return tuple(np.array(column) for column in zip(*map(f, *(x.tolist() for x in columns))))
+    try:
+        with np.errstate(all="ignore"):
+            return kernel(*columns, ops=_Arrays)
+    except _Fallback:
+        return tuple(np.array(column) for column in zip(*map(kernel, *(x.tolist() for x in columns))))
 
 
-def _sts_entry_stack(n1: np.ndarray, n2: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(b1, b2, c)`` of ``standard_form_from_sts`` for each element, bit for bit.
-
-    The arithmetic of ``core._sts_entries`` on arrays, with libm's cosh and
-    sinh.  A stack with an element that ``core._cosh_sinh`` or
-    ``core._sts_entries`` refuses goes whole to them.
-    """
-    with contextlib.suppress(OverflowError), np.errstate(all="ignore"):  # math.cosh raises beyond r = 710
-        ch, sh = _libm(math.cosh, r), _libm(math.sinh, r)
-        if not (sh * ch == math.inf).any():
-            a1 = n1 + 0.5
-            a2 = n2 + 0.5
-            b1, b2, c = a1 * ch * ch + a2 * sh * sh, a1 * sh * sh + a2 * ch * ch, (n1 + n2 + 1.0) * sh * ch
-            clamped = _bona_fide(b1, b2, c)
-            if clamped is not None:
-                return (*clamped, c)
-    return _scalar_columns(lambda n1, n2, r: _sts_entries(n1, n2, r, *_cosh_sinh(r)), n1, n2, r)
-
-
-def _spectrum_stack(b1: np.ndarray, b2: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four kappas of ``symplectic_spectrum`` for each element's entries, bit for bit, as columns.
-
-    The general branch of ``core._spectrum`` on arrays, with libm's
-    ``hypot``.  A stack with a product state (c = 0), or with an element
-    whose discriminant ``core._discriminant`` refuses, goes whole to
-    ``core._spectrum``.
-    """
-    with np.errstate(all="ignore"):
-        u = prod_diff(b1, b2, c, c)
-        delta = sum_sq_minus_4c2(b1, b2, c)
-    if ((c == 0.0) | (delta <= 0.0) | (delta == math.inf) | (u <= 0.0)).any():
-        return _scalar_columns(_spectrum, b1, b2, c)
-    kp, km = _kappas(b1, b2, u, delta, np.sqrt)
-    ktp = 0.5 * ((b1 + b2) + _libm(math.hypot, b1 - b2, 2.0 * c))
-    return kp, km, ktp, u / ktp
+def _entries(n1, n2, r, ops=_Floats):
+    """``(b1, b2, c)`` of ``standard_form_from_sts`` from the bare parameters; elementwise."""
+    return _sts_entries(n1, n2, r, *_cosh_sinh(r, ops), ops)
 
 
 def _bisection_stack(
@@ -435,8 +402,8 @@ def _bisection_stack(
 
     ``b1``, ``b2`` and ``c`` hold the entries, and ``res`` the four arrays
     gamma1, n_r1, gamma2, n_r2, one case per element.  Each case halves its
-    range of bit patterns as the scalar loop does, on the elementwise
-    ``_margin_at`` with libm's exp and expm1, until it is one pattern wide.
+    range of bit patterns as the scalar loop does, on ``_margin_at`` with
+    ``_batch._Arrays``, until it is one pattern wide.
     The scalar ``dynamics._bisection_answer`` then answers the cases in
     order, so the first case that ``esd_bisection`` refuses raises its error.
     """
@@ -445,7 +412,7 @@ def _bisection_stack(
     with np.errstate(all="ignore"):
         while (live := hi - lo > 1).any():
             mid = lo + (hi - lo) // 2  # lo + hi overflows an int64
-            below = _margin_at(b1, b2, c, res, mid.view(np.float64), _EXP, _EXPM1) < 0.0
+            below = _margin_at(b1, b2, c, res, mid.view(np.float64), _Arrays) < 0.0
             lo = np.where(live & below, mid, lo)
             hi = np.where(live & ~below, mid, hi)
         margin = _separability_margin(b1, b2, c)
@@ -483,8 +450,12 @@ def run_verification(
     The spectra and the bisection run on stacks: the entries, the closed
     spectra and the eigen-oracle's matrices of all spectrum states, and the
     bisection of all death-time cases, are array passes in which each
-    element keeps the bits of its scalar call.  The rejection samplers and
-    the characteristic-function check run one state at a time.
+    element keeps the bits of its scalar call.  The entries, the spectra and
+    the margin that the bisection halves on come from the scalar kernels
+    themselves, run on the arrays with ``_batch._Arrays``; a stack with a
+    state that takes a branch or a refusal of its own goes whole to the
+    scalar kernel (``_stack``).  The rejection samplers and the
+    characteristic-function check run one state at a time.
 
     Raises:
         InvalidParameterError: if ``seed`` is negative, or a sample count
@@ -505,7 +476,7 @@ def run_verification(
     # each state: n1, n2, r and the phase.
     draws = rng.random((spectrum_samples, 4))
     n1, n2, r = 10.0 * draws[:, 0], 10.0 * draws[:, 1], 1.5 * draws[:, 2]
-    kp, km, _, _ = _spectrum_stack(*_sts_entry_stack(n1, n2, r))
+    kp, km, _, _ = _stack(_spectrum, *_stack(_entries, n1, n2, r))
     reports.append(_worst("kappa_plus = n_max + 1/2 (relative)", kp, np.maximum(n1, n2) + 0.5, 1e-12, relative=True))
     reports.append(_worst("kappa_minus = n_min + 1/2 (relative)", km, np.minimum(n1, n2) + 0.5, 1e-12, relative=True))
 
@@ -524,8 +495,8 @@ def run_verification(
         draws.append(rng.random((min(9, n - 1 - i), 3)))
     draws = np.concatenate(draws)
     sts = np.arange(n) % 10 != 0
-    b1[sts], b2[sts], c[sts] = _sts_entry_stack(20.0 * draws[:, 0], 20.0 * draws[:, 1], 3.0 * draws[:, 2])
-    closed = _spectrum_stack(b1, b2, c)
+    b1[sts], b2[sts], c[sts] = _stack(_entries, 20.0 * draws[:, 0], 20.0 * draws[:, 1], 3.0 * draws[:, 2])
+    closed = _stack(_spectrum, b1, b2, c)
     oracle = np.empty((4, n))
     cms = np.zeros((_ORACLE_BLOCK, 4, 4))
     cells = np.stack((b1, b1, b2, b2, c, c, -c, -c), axis=-1)

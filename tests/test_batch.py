@@ -215,7 +215,7 @@ def test_entropic_function_on_arrays_is_the_scalar_one_bit_for_bit():
     offsets = [0.0, -0.0, -1e-300, 5e-324, 1e-300, 1e-9, 0.5, 1.0, 1e15, 1e300, math.inf, math.nan]
     offsets += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320, 308) for _ in range(5000)]
     with np.errstate(all="ignore"):
-        got = _batch._h(np.array(offsets)).tolist()
+        got = _batch._Arrays.h(np.array(offsets)).tolist()
     assert [repr(x) for x in got] == [repr(correlations._h_offset(a)) for a in offsets]
     assert math.isnan(got[11])
 

@@ -354,6 +354,23 @@ def test_config_file_with_command_line_override(capsys, tmp_path):
     assert run(capsys, "esd", "--config", str(tmp_path / "missing.cfg"))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        ("missing.cfg", "No such file or directory"),
+        ("", "Is a directory"),
+        ("latin1.cfg", "it is not UTF-8 text (invalid start byte at byte 3)"),
+    ],
+    ids=["missing", "directory", "not_utf8"],
+)
+def test_a_config_file_that_cannot_be_read_is_one_error_line(capsys, tmp_path, name, reason):
+    (tmp_path / "latin1.cfg").write_bytes(b"n1=\xff\n")
+    path = str(tmp_path / name)
+    assert run(capsys, "report", "--n1", "1", "--n2", "1", "--r", "1", "--config", path) == (
+        2, "", f"error: cannot read {path}: {reason}\n"
+    )
+
+
 def test_output_file_matches_stdout(capsys, tmp_path):
     args = (
         "report", "--n1", "10", "--n2", "0.1", "--r", "2", "--format", "json"

@@ -211,8 +211,8 @@ def test_death_times_that_overflow_a_double_are_refused():
         t = death_time(sf, near_cap)
         assert math.isfinite(t) and t > 1e308
         fields = near_cap._fields()
-        assert _margin_at(sf.b1, sf.b2, sf.c, fields, t * (1.0 + 1e-12), math.exp, math.expm1) >= 0.0
-        assert _margin_at(sf.b1, sf.b2, sf.c, fields, t * (1.0 - 1e-12), math.exp, math.expm1) < 0.0
+        assert _margin_at(sf.b1, sf.b2, sf.c, fields, t * (1.0 + 1e-12)) >= 0.0
+        assert _margin_at(sf.b1, sf.b2, sf.c, fields, t * (1.0 - 1e-12)) < 0.0
     # Halve the rates and the same crossing lies beyond it.
     for death_time in (esd_bisection, esd_time):
         with pytest.raises(InvalidParameterError, match=overflow):

@@ -194,6 +194,12 @@ def test_import_stsdecay_loads_no_submodule():
     assert _added("import stsdecay") == set()
 
 
+def test_the_oracle_module_loads_neither_the_command_line_nor_the_evolve_table():
+    added = _added("import stsdecay.verification")
+    assert "numpy" in added
+    assert not {"stsdecay.cli", "stsdecay._evolve_table"} & added
+
+
 def test_csv_esd_loads_neither_correlations_nor_json():
     added = _added(_MAIN, "esd", *_STATE, "--identical", "--nr", "0.3")
     assert "stsdecay.dynamics" in added

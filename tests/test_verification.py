@@ -22,7 +22,7 @@ from stsdecay import (
     symplectic_spectrum,
     uncertainty_margin,
 )
-from stsdecay import cli, verification
+from stsdecay import _batch, cli, verification
 from stsdecay.dynamics import _margin_at
 from stsdecay.verification import (
     OracleReport,
@@ -213,8 +213,8 @@ def test_margin_crossing_counts():
         # The margin on the whole grid at once has the bits, so the signs,
         # of the scalar margin at each point.
         grid = np.linspace(0.0, t_max, 4000)
-        stacked = _margin_at(sf.b1, sf.b2, sf.c, res._fields(), grid, verification._EXP, verification._EXPM1)
-        scalar = [_margin_at(sf.b1, sf.b2, sf.c, res._fields(), t, math.exp, math.expm1) for t in grid.tolist()]
+        stacked = _margin_at(sf.b1, sf.b2, sf.c, res._fields(), grid, _batch._Arrays)
+        scalar = [_margin_at(sf.b1, sf.b2, sf.c, res._fields(), t) for t in grid.tolist()]
         assert stacked.tobytes() == np.array(scalar).tobytes()
         assert np.sign(stacked).tolist() == [math.copysign(1.0, m) if m else 0.0 for m in scalar]
     # A margin of exactly 0 at t = 0, positive after it: a zero sample starts no crossing.
@@ -257,15 +257,14 @@ def test_run_verification_battery_passes_and_is_deterministic():
 def test_the_spectrum_stacks_give_each_battery_state_its_scalar_bits(monkeypatch):
     # All 4,000 spectrum states of the battery of seed 11: the entries of
     # standard_form_from_sts and the four kappas of symplectic_spectrum.
-    seen = {"_sts_entry_stack": [], "_spectrum_stack": []}
-    for name, rows in seen.items():
+    seen = {verification._entries: [], verification._spectrum: []}
 
-        def record(*args, stack=getattr(verification, name), rows=rows):
-            out = stack(*args)
-            rows.extend(zip(*(x.tolist() for x in (*args, *out))))
-            return out
+    def record(kernel, *args, stack=verification._stack):
+        out = stack(kernel, *args)
+        seen[kernel].extend(zip(*(x.tolist() for x in (*args, *out))))
+        return out
 
-        monkeypatch.setattr(verification, name, record)
+    monkeypatch.setattr(verification, "_stack", record)
     run_verification(seed=11, esd_samples=1, cf_samples=1)
     entries, spectra = seen.values()
     assert len(entries) == 2000 + 1800 and len(spectra) == 4000
@@ -289,7 +288,7 @@ def _error(f, *args):
 def test_an_entry_stack_with_a_refused_state_raises_its_error(n1, n2, r):
     params = np.array([(2.0, 0.5, 1.0), (n1, n2, r), (3.0, 1.0, 0.5)]).T
     want = _error(lambda: standard_form_from_sts(StsParams(n1, n2, r)))
-    assert _error(verification._sts_entry_stack, *params) == want
+    assert _error(verification._stack, verification._entries, *params) == want
 
 
 def test_a_spectrum_stack_with_a_refused_or_product_state_is_the_scalar_ones():
@@ -299,10 +298,10 @@ def test_a_spectrum_stack_with_a_refused_or_product_state_is_the_scalar_ones():
     columns = np.array([good._fields()[:3], within_rounding._fields()[:3], good._fields()[:3]]).T
     want = _error(symplectic_spectrum, within_rounding)
     assert want[0] is NonPhysicalStateError
-    assert _error(verification._spectrum_stack, *columns) == want
+    assert _error(verification._stack, verification._spectrum, *columns) == want
     # A product state takes the scalar branch, and the stack keeps its bits.
     states = [good, StandardForm(2.5, 1.5, 0.0), good]
-    stacked = verification._spectrum_stack(*np.array([sf._fields()[:3] for sf in states]).T)
+    stacked = verification._stack(verification._spectrum, *np.array([sf._fields()[:3] for sf in states]).T)
     assert list(zip(*(x.tolist() for x in stacked))) == [symplectic_spectrum(sf)._fields() for sf in states]
 
 
