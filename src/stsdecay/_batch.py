@@ -1,4 +1,4 @@
-"""The elementwise operations of the kernels on float64 arrays, and the numpy batch rows of the ``evolve`` table.
+"""The elementwise operations of the kernels on float64 arrays, and ``stack``, which runs a kernel on them.
 
 ``_Arrays`` holds the names of ``core._Floats`` for float64 arrays, so one
 kernel runs on floats and on stacks, and each element gets the bits of its
@@ -7,15 +7,14 @@ scalar call: the kernels use only IEEE operations that round once (``+ -
 libm's functions, mapped over the arrays (``_libm``), as numpy's ``exp``,
 ``log1p`` and the like differ from libm in the last bit on a few percent
 of inputs.  Its ``branch`` raises ``_Fallback`` where any element takes a
-branch or a refusal of its own; the caller then hands the whole stack to
-the scalar kernel, whose special branches, error messages and partial
-output they are.
+branch or a refusal of its own.
 
-``evolve_rows`` takes one writer chunk of times and returns its rows, the
-same floats and spelled verdicts that ``_evolve_table.scalar_rows`` yields
-one at a time, for ``cli._emit_rows`` to write, or None for a chunk that
-is the scalar rows': one with a product (c = 0) or pure row, a row that
-would be refused, or one that would print a non-finite number.
+``stack`` holds the one fallback: it runs a kernel on the arrays, and hands
+a stack that raised ``_Fallback``, or whose results hold a non-finite
+number, whole to the scalar kernel, whose special branches, error messages
+and partial output they are.  The batch rows of the ``evolve`` table (one
+writer chunk of times, in ``_evolve_table.emit``) and the stacks of
+``verification`` go through it.
 
 Importing this module imports numpy; ``cli`` does so only for the grids
 where the batch pays for that import, and ``verification`` for its stacks.
@@ -25,13 +24,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import StandardForm, _bona_fide, _h_offset
-from .correlations import _measures
-from .dynamics import ReservoirConfig, _evolved_entries
+from .core import _h_offset
 
 
 class _Fallback(Exception):
@@ -67,24 +63,21 @@ class _Arrays:
         return np.where(b < a, b, a)
 
 
-def evolve_rows(
-    sf0: StandardForm, res: ReservoirConfig, times: list[float], scale: Callable[[np.ndarray], np.ndarray]
-) -> Iterator[tuple] | None:
-    """Rows ``(t, b1, b2, c, ef, d1, d2, mi, separable)`` of one chunk, or None.
+def stack(kernel, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The elementwise ``kernel`` of each element of ``columns``, bit for bit, its results as columns.
 
-    ``scale`` converts the four measures to the table's units.  None
-    leaves the whole chunk to the scalar rows: some row is a product or
-    pure state, is refused there, or prints a non-finite number.
+    One call runs the kernel on the arrays, with ``_Arrays``.  A stack
+    with an element that takes a branch or a refusal of its own, or whose
+    float results hold a non-finite number, goes whole to the scalar
+    kernel, one call per element: the special branches, and the error of
+    the first refused element, are then its own (the scalar kernel may
+    refuse what the arrays carry as NaN).
     """
-    t = np.array(times, dtype=float)
     try:
         with np.errstate(all="ignore"):
-            b1, b2, c = _evolved_entries(sf0, res, t, _Arrays)
-            b1, b2 = _bona_fide(b1, b2, c, _Arrays)
-            ef, d1, d2, mi, separable, _, _, _, _ = _measures(b1, b2, c, None, _Arrays)
-            measures = [scale(value) for value in (ef, d1, d2, mi)]
+            results = kernel(*columns, ops=_Arrays)
+        if all(np.isfinite(x).all() for x in results if x.dtype.kind == "f"):
+            return results
     except _Fallback:
-        return None
-    if not np.isfinite(measures).all():
-        return None
-    return zip(*(x.tolist() for x in (t, b1, b2, c, *measures)), np.where(separable, "true", "false").tolist())
+        pass
+    return tuple(np.array(column) for column in zip(*map(kernel, *(x.tolist() for x in columns))))

@@ -11,8 +11,9 @@ of a number, in both formats: "asymptotic-only" (zero-temperature bath;
 decay never finishes) or "separable" (sweep rows whose state has nothing
 left to lose).  A non-finite number is never printed: the command exits 2
 instead.  Every table goes through one writer, ``_emit_rows``, a chunk at
-a time; ``--out`` files appear only once complete.  ``report`` and
-``sweep`` take their per-state cells from one function, ``_state_cells``.
+a time; ``--out`` files appear only once complete.  ``report``, ``sweep``
+and ``evolve`` (its scalar and batch rows alike) take their per-state
+cells from one function, ``_state_cells``.
 
 Exit codes: 0 success, 1 verification failure (or a command that cannot run
 on this platform: an oracle without extended precision, or ``verify`` and
@@ -46,12 +47,13 @@ import atexit
 import contextlib
 import itertools
 import math
+import operator
 import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .core import StandardForm, StsParams, _separability_margin, _spectrum, standard_form_from_sts
+from .core import StandardForm, StsParams, _Floats, _separability_margin, _spectrum, standard_form_from_sts
 from .errors import (
     InvalidParameterError,
     NonPhysicalStateError,
@@ -305,12 +307,18 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# The longest --config file read, in characters: 1 Mi, a bound on memory
+# far above any file of flags.
+_CONFIG_CHARS = 1 << 20
+
+
 def _expand_config(argv: list[str]) -> list[str]:
     """Splice flags from a --config key=value file in after the subcommand.
 
     User-supplied flags come later in argv, so they win (argparse keeps
     the last occurrence of a repeated option).  A file that cannot be
-    opened or read, or is not UTF-8 text, is a ``_CliError``.
+    opened or read, is not UTF-8 text, or is longer than ``_CONFIG_CHARS``
+    characters, is a ``_CliError``; no more of it than that is read.
     """
     path = None
     for i, tok in enumerate(argv):
@@ -322,13 +330,15 @@ def _expand_config(argv: list[str]) -> list[str]:
         return argv
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+            text = fh.read(_CONFIG_CHARS + 1)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise _CliError(f"cannot read {path}: it is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    if len(text) > _CONFIG_CHARS:
+        raise _CliError(f"cannot read {path}: it is longer than {_CONFIG_CHARS} characters")
     extra: list[str] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -395,38 +405,37 @@ def _parse_outputs(selection: str, allowed: list[str]) -> list[str]:
     return [name for name in allowed if name in chosen]
 
 
-def _scale(value: float, units: str) -> float:
-    return value / _LN2 if units == "bits" else value
-
-
-def _state_cells(outputs: list[str], units: str) -> Callable[[float, float, float, float], tuple[object, ...]]:
-    """The function from entries ``(b1, b2, c)`` and their separability margin to the cells of ``outputs``.
+def _state_cells(outputs: list[str], units: str) -> Callable[..., tuple[object, ...]]:
+    """The function from entries ``(b1, b2, c)`` and their separability margin to the cells of ``outputs``; elementwise.
 
     The cells are those of the per-state ``outputs``, in canonical order.
     Each comes from the kernel that its public function wraps, and only
-    when selected: the measures (floats) from ``correlations._measures``,
-    the kappas (floats) from ``core._spectrum``, and the separable
-    verdict, spelled, from the sign of the margin.  So the values, the
-    errors and their order are those of ``correlation_report``,
-    ``symplectic_spectrum`` and ``is_separable``.  The correlation kernel
-    is bound here, once per command, and imported only where a measure is
-    selected.
+    when selected: the measures (floats, in ``units``) from
+    ``correlations._measures``, the kappas (floats) from ``core._spectrum``,
+    and the separable verdict, spelled, from the sign of the margin.  So
+    the values, the errors and their order are those of
+    ``correlation_report``, ``symplectic_spectrum`` and ``is_separable``.
+    The correlation kernel is bound here, once per command, and imported
+    only where a measure is selected.  The cells take the elementwise
+    namespace ``ops`` of the kernels: ``core._Floats`` by default, or
+    ``_batch._Arrays`` for a column of each cell.
     """
-    measures = [i for i, name in enumerate(_MEASURES) if name in outputs]
-    kappas, separable = "kappas" in outputs, "separable" in outputs
-    if measures:
+    picks = [i for i, name in enumerate(_MEASURES) if name in outputs]
+    kappas, separable, bits = "kappas" in outputs, "separable" in outputs, units == "bits"
+    if picks:
         from .correlations import _measures
 
-    def cells(b1: float, b2: float, c: float, margin: float) -> tuple[object, ...]:
-        row: list[object] = []
-        if measures:
-            report = _measures(b1, b2, c, margin)
-            row += [_scale(report[i], units) for i in measures]
+        pick = operator.itemgetter(*picks) if len(picks) > 1 else lambda report: (report[picks[0]],)
+
+    def cells(b1, b2, c, margin, ops=_Floats) -> tuple[object, ...]:
+        row = pick(_measures(b1, b2, c, margin, ops)) if picks else ()
+        if bits:
+            row = tuple([value / _LN2 for value in row])
         if kappas:
-            row += _spectrum(b1, b2, c)
+            row += _spectrum(b1, b2, c, ops)
         if separable:
-            row.append("true" if margin >= 0.0 else "false")
-        return tuple(row)
+            row += (ops.select(margin >= 0.0, "true", "false"),)
+        return row
 
     return cells
 

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from ._accurate import prod_diff
-from ._batch import _Arrays, _Fallback
+from ._batch import _Arrays, stack
 from .core import (
     StandardForm,
     StsParams,
@@ -375,21 +375,6 @@ def sample_standard_form(
             return StandardForm(b1, b2, c, phi)
 
 
-def _stack(kernel, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The elementwise ``kernel`` of each element of ``columns``, bit for bit, its results as columns.
-
-    One call runs the kernel on the arrays, with ``_batch._Arrays``.  A
-    stack with an element that takes a branch or a refusal of its own goes
-    whole to the scalar kernel, one call per element: the special branches,
-    and the error of the first refused element, are then its own.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            return kernel(*columns, ops=_Arrays)
-    except _Fallback:
-        return tuple(np.array(column) for column in zip(*map(kernel, *(x.tolist() for x in columns))))
-
-
 def _entries(n1, n2, r, ops=_Floats):
     """``(b1, b2, c)`` of ``standard_form_from_sts`` from the bare parameters; elementwise."""
     return _sts_entries(n1, n2, r, *_cosh_sinh(r, ops), ops)
@@ -452,9 +437,9 @@ def run_verification(
     bisection of all death-time cases, are array passes in which each
     element keeps the bits of its scalar call.  The entries, the spectra and
     the margin that the bisection halves on come from the scalar kernels
-    themselves, run on the arrays with ``_batch._Arrays``; a stack with a
-    state that takes a branch or a refusal of its own goes whole to the
-    scalar kernel (``_stack``).  The rejection samplers and the
+    themselves, run on the arrays by ``_batch.stack``, which hands a stack
+    with a state that takes a branch or a refusal of its own whole to the
+    scalar kernel.  The rejection samplers and the
     characteristic-function check run one state at a time.
 
     Raises:
@@ -476,7 +461,7 @@ def run_verification(
     # each state: n1, n2, r and the phase.
     draws = rng.random((spectrum_samples, 4))
     n1, n2, r = 10.0 * draws[:, 0], 10.0 * draws[:, 1], 1.5 * draws[:, 2]
-    kp, km, _, _ = _stack(_spectrum, *_stack(_entries, n1, n2, r))
+    kp, km, _, _ = stack(_spectrum, *stack(_entries, n1, n2, r))
     reports.append(_worst("kappa_plus = n_max + 1/2 (relative)", kp, np.maximum(n1, n2) + 0.5, 1e-12, relative=True))
     reports.append(_worst("kappa_minus = n_min + 1/2 (relative)", km, np.minimum(n1, n2) + 0.5, 1e-12, relative=True))
 
@@ -495,8 +480,8 @@ def run_verification(
         draws.append(rng.random((min(9, n - 1 - i), 3)))
     draws = np.concatenate(draws)
     sts = np.arange(n) % 10 != 0
-    b1[sts], b2[sts], c[sts] = _stack(_entries, 20.0 * draws[:, 0], 20.0 * draws[:, 1], 3.0 * draws[:, 2])
-    closed = _stack(_spectrum, b1, b2, c)
+    b1[sts], b2[sts], c[sts] = stack(_entries, 20.0 * draws[:, 0], 20.0 * draws[:, 1], 3.0 * draws[:, 2])
+    closed = stack(_spectrum, b1, b2, c)
     oracle = np.empty((4, n))
     cms = np.zeros((_ORACLE_BLOCK, 4, 4))
     cells = np.stack((b1, b1, b2, b2, c, c, -c, -c), axis=-1)

@@ -14,18 +14,26 @@ from stsdecay import _evolve_table as table
 
 
 class _Spy:
-    """The ``_batch`` module, counting the chunks it answers and those it leaves to the scalar rows."""
+    """The ``_batch`` module, counting the chunks its ``stack`` answers and those it leaves to the scalar kernel."""
 
     def __init__(self):
         self.batched = self.left = 0
 
-    def evolve_rows(self, *args):
-        rows = _batch.evolve_rows(*args)
-        if rows is None:
-            self.left += 1
-        else:
-            self.batched += 1
-        return rows
+    def stack(self, kernel, *columns):
+        calls = []
+
+        def spied(*args, **ops):
+            calls.append(ops)
+            return kernel(*args, **ops)
+
+        try:
+            return _batch.stack(spied, *columns)
+        finally:
+            # The scalar kernel is called without ops.
+            if {} in calls:
+                self.left += 1
+            else:
+                self.batched += 1
 
 
 def _table(sf0, res, chunks, units, fmt, batch):
@@ -53,6 +61,22 @@ def _both_tables(argv):
     return tables, spy
 
 
+def _scalar_rows(sf0, res, times, units):
+    """The scalar rows of ``times`` before the first refused one, read back from their CSV lines, and the refusal or None.
+
+    Each time is a chunk of its own, so every row before the refusal is written.
+    """
+    out = io.StringIO()
+    try:
+        table.emit(out.write, sf0, res, ([t] for t in times), units, "csv")
+    except (ValueError, cli._CliError) as exc:
+        refusal = exc
+    else:
+        refusal = None
+    cells = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    return [(*map(float, row[:8]), row[8]) for row in cells], refusal
+
+
 def _routing(argv):
     """``(batched, left)``: the chunks of ``argv`` that the batch must answer and leave.
 
@@ -62,10 +86,8 @@ def _routing(argv):
     sf0, res, grid, units, _ = _parsed(argv)
     batched = left = 0
     for times in table.grid_chunks(*grid):
-        try:
-            rows = list(table.scalar_rows(sf0, res, times, units))
-            cli._emit_rows(lambda text: None, cli._EVOLVE_COLUMNS, "csv", 8, [rows])
-        except (ValueError, cli._CliError):
+        rows, refusal = _scalar_rows(sf0, res, times, units)
+        if refusal is not None:
             return batched, left + 1
         if any(row[3] == 0.0 or is_pure(StandardForm(*row[1:4])) for row in rows):
             left += 1
@@ -144,11 +166,12 @@ def test_seeded_set_covers_the_branches():
         args = cli._build_parser().parse_args(argv)
         sf0, res = cli._state_from_args(args), cli._reservoir_from_args(args)
         rows = []
-        try:
-            for times in table.grid_chunks(args.t_start, args.t_end, args.points, args.log_spacing):
-                rows += table.scalar_rows(sf0, res, times, args.units)
-        except ValueError:
-            seen.add("refused")
+        for times in table.grid_chunks(args.t_start, args.t_end, args.points, args.log_spacing):
+            chunk, refusal = _scalar_rows(sf0, res, times, args.units)
+            rows += chunk
+            if refusal is not None:
+                seen.add("refused")
+                break
         verdicts = {row[8] for row in rows}
         seen.add("crossing" if verdicts == {"false", "true"} else "entangled" if verdicts == {"false"} else "separable")
         seen.add("zero temperature" if res.n_r1 == res.n_r2 == 0.0 and "false" in verdicts else "hot")
@@ -231,22 +254,23 @@ def test_chunks_with_product_or_pure_rows_are_left_to_the_scalar_rows():
         standard_form_from_sts(StsParams(0.0, 0.0, 1.0)),
     ):
         for units in ("nats", "bits"):
-            assert _batch.evolve_rows(sf, res, times, units) is None
-            assert list(table.scalar_rows(sf, res, times, units))[-1][3] == 0.0
+            assert _scalar_rows(sf, res, times, units)[0][-1][3] == 0.0
             for fmt in ("csv", "json"):
-                assert _table(sf, res, [times], units, fmt, _batch) == _table(sf, res, [times], units, fmt, None)
+                spy = _Spy()
+                assert _table(sf, res, [times], units, fmt, spy) == _table(sf, res, [times], units, fmt, None)
+                assert (spy.batched, spy.left) == (0, 1)
     assert is_pure(standard_form_from_sts(StsParams(0.0, 0.0, 1.0)))
 
 
-def test_first_chunk_of_a_million_point_grid_is_small():
-    chunks = table.grid_chunks(0.0, 10.0, 10**6, False)
+@pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+def test_first_chunk_of_a_million_point_grid_is_small(log):
     tracemalloc.start()
     try:
-        first = next(chunks)
+        first = next(table.grid_chunks(0.001, 10.0, 10**6, log))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(first) == cli._CHUNK_ROWS and first[0] == 0.0
+    assert len(first) == cli._CHUNK_ROWS and first[0] == 0.001
     assert peak < 100_000  # 1024 floats and their list: about 33 kB
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import tracemalloc
 
@@ -369,6 +370,31 @@ def test_a_config_file_that_cannot_be_read_is_one_error_line(capsys, tmp_path, n
     assert run(capsys, "report", "--n1", "1", "--n2", "1", "--r", "1", "--config", path) == (
         2, "", f"error: cannot read {path}: {reason}\n"
     )
+
+
+def test_a_config_file_over_the_bound_is_one_error_line(capsys, tmp_path):
+    # A file of exactly the bound is read: flags, then comment lines.
+    flags = "n1 = 1\nn2 = 1\nr = 1\n"
+    at_bound = tmp_path / "at_bound.cfg"
+    at_bound.write_text(flags + "#" * (cli._CONFIG_CHARS - len(flags) - 1) + "\n")
+    assert run(capsys, "report", "--config", str(at_bound)) == run(capsys, "report", "--n1", "1", "--n2", "1", "--r", "1")
+    over = tmp_path / "over.cfg"
+    over.write_text(flags + "#" * (cli._CONFIG_CHARS - len(flags)) + "\n")
+    assert run(capsys, "report", "--config", str(over)) == (
+        2, "", f"error: cannot read {over}: it is longer than {cli._CONFIG_CHARS} characters\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_an_endless_config_file_is_one_error_line(capsys):
+    tracemalloc.start()
+    try:
+        got = run(capsys, "report", "--n1", "1", "--n2", "1", "--r", "1", "--config", "/dev/zero")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (2, "", f"error: cannot read /dev/zero: it is longer than {cli._CONFIG_CHARS} characters\n")
+    assert peak < 16 * cli._CONFIG_CHARS
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):
@@ -759,6 +785,41 @@ def test_report_cells_are_those_of_a_one_step_sweep(capsys):
         if "separable" in outputs:
             verdicts.add(report[-1].rsplit(" ", 1)[-1])
     assert verdicts == {"true", "false"}
+
+
+@pytest.mark.parametrize("points", ["3", "10000"], ids=["scalar", "batch"])
+@pytest.mark.parametrize(
+    "bath",
+    [
+        ["--identical", "--nr", "0.5"],
+        ["--single-bath", "--gamma", "0.7", "--nr", "0.2"],
+        ["--gamma1", "0.7", "--nr1", "0.1", "--gamma2", "1.3", "--nr2", "0.4"],
+    ],
+    ids=["identical", "single_bath", "two_baths"],
+)
+def test_report_at_t_prints_the_last_evolve_row_to_t(capsys, bath, points):
+    # report and evolve share one cell function: report --t T with evolve's
+    # outputs prints the row that evolve --t-end T ends with, from its
+    # scalar rows (3 points) and from its batch rows (10,000 points).
+    outputs = "ef,d1,d2,mutual_information,separable"
+    state = ["--n1", "1", "--n2", "0.5", "--r", "1", *bath]
+    verdicts = set()
+    # Each format in each unit; the state is entangled at t = 0.3 and separable at t = 4.
+    for t, fmt, units in [("0.3", "csv", "nats"), ("0.3", "json", "bits"), ("4", "csv", "bits"), ("4", "json", "nats")]:
+        common = [*state, "--format", fmt, "--units", units]
+        code, report, err = run(capsys, "report", *common, "--t", t, "--outputs", outputs)
+        assert (code, err) == (0, "")
+        code, evolve, err = run(capsys, "evolve", *common, "--t-end", t, "--points", points)
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            header, row = report.splitlines()
+            lines = evolve.splitlines()
+            assert (header, row) == (lines[0], lines[-1]) and len(lines) == 1 + int(points)
+        else:
+            # "[", then the record; evolve's last record follows a ",".
+            assert report.startswith("[\n") and evolve.endswith("}," + report[1:])
+        verdicts.add((t, row.rsplit(",", 1)[-1] if fmt == "csv" else report.split()[-3]))
+    assert verdicts == {("0.3", "false"), ("4", "true")}
 
 
 def test_output_through_a_symlink_writes_the_linked_file(capsys, tmp_path):

@@ -259,12 +259,12 @@ def test_the_spectrum_stacks_give_each_battery_state_its_scalar_bits(monkeypatch
     # standard_form_from_sts and the four kappas of symplectic_spectrum.
     seen = {verification._entries: [], verification._spectrum: []}
 
-    def record(kernel, *args, stack=verification._stack):
+    def record(kernel, *args, stack=_batch.stack):
         out = stack(kernel, *args)
         seen[kernel].extend(zip(*(x.tolist() for x in (*args, *out))))
         return out
 
-    monkeypatch.setattr(verification, "_stack", record)
+    monkeypatch.setattr(verification, "stack", record)
     run_verification(seed=11, esd_samples=1, cf_samples=1)
     entries, spectra = seen.values()
     assert len(entries) == 2000 + 1800 and len(spectra) == 4000
@@ -288,7 +288,7 @@ def _error(f, *args):
 def test_an_entry_stack_with_a_refused_state_raises_its_error(n1, n2, r):
     params = np.array([(2.0, 0.5, 1.0), (n1, n2, r), (3.0, 1.0, 0.5)]).T
     want = _error(lambda: standard_form_from_sts(StsParams(n1, n2, r)))
-    assert _error(verification._stack, verification._entries, *params) == want
+    assert _error(_batch.stack, verification._entries, *params) == want
 
 
 def test_a_spectrum_stack_with_a_refused_or_product_state_is_the_scalar_ones():
@@ -298,10 +298,10 @@ def test_a_spectrum_stack_with_a_refused_or_product_state_is_the_scalar_ones():
     columns = np.array([good._fields()[:3], within_rounding._fields()[:3], good._fields()[:3]]).T
     want = _error(symplectic_spectrum, within_rounding)
     assert want[0] is NonPhysicalStateError
-    assert _error(verification._stack, verification._spectrum, *columns) == want
+    assert _error(_batch.stack, verification._spectrum, *columns) == want
     # A product state takes the scalar branch, and the stack keeps its bits.
     states = [good, StandardForm(2.5, 1.5, 0.0), good]
-    stacked = verification._stack(verification._spectrum, *np.array([sf._fields()[:3] for sf in states]).T)
+    stacked = _batch.stack(verification._spectrum, *np.array([sf._fields()[:3] for sf in states]).T)
     assert list(zip(*(x.tolist() for x in stacked))) == [symplectic_spectrum(sf)._fields() for sf in states]
 
 
