@@ -55,6 +55,10 @@ class _Arrays:
         return False
 
     @staticmethod
+    def double(bits):
+        return np.asarray(bits, np.int64).view(np.float64)
+
+    @staticmethod
     def max(a, b):
         return np.where(b > a, b, a)
 

@@ -20,9 +20,9 @@ from .core import StandardForm, _bona_fide, _Floats, _separability_margin
 from .dynamics import ReservoirConfig, _evolved_entries
 
 # Grids of at least this many points take the numpy batch rows.  Loading
-# numpy and the batch module costs about 100 ms of CPU and a batch row
-# saves about 10 us; measured as whole commands, the two paths break even
-# near 10^4 rows.
+# numpy and the batch module costs about 68 ms of CPU and a batch row
+# saves about 6.7 us (14.6 against 7.9 us per row), so the two paths
+# break even near 10^4 rows, as whole commands measure too.
 BATCH_POINTS = 10_000
 
 

@@ -773,8 +773,11 @@ def run() -> None:
     reported as a failed write in ``main`` is, with exit code 2.  The
     interpreter exits as usual under ``python -i``, after an exception
     out of ``main`` (argparse's ``SystemExit`` among them), and where
-    stderr cannot be flushed.
+    stderr cannot be flushed.  ``OPENBLAS_NUM_THREADS`` is 1 unless the
+    environment sets it: numpy's OpenBLAS would start a pool of threads
+    that the package's 4x4 ``@`` and ``eigvalsh`` are too small to use.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     if sys.flags.inspect:
         sys.exit(code)

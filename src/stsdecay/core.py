@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 import sys
 
 from ._accurate import finite, prod_diff, sum_sq_minus_4c2
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
+# A double's bit pattern as a signed 64-bit integer, and the double.
+_BITS, _DOUBLE = struct.Struct("<q"), struct.Struct("<d")
 
 # Absolute slack absorbed by all physicality checks.  A relative term
 # (64 eps of the products involved) is added on top because the stored
@@ -64,12 +67,13 @@ class _Floats:
     Each kernel that takes ``ops`` runs on floats with this namespace, its
     default, and on float64 arrays with ``_batch._Arrays``, which has the
     same names: ``math``'s functions, Python's ``max`` and ``min`` of two,
-    ``select`` (``a if cond else b``), ``not_``, ``h`` (``_h_offset``) and
-    the hook ``branch``.  ``branch(cond)`` is true where the element takes
-    a branch or a refusal of its own, which the kernel then runs on floats;
-    on arrays it raises instead where any element does, and the caller
-    hands the whole stack to the scalar kernel.  So the checks, their
-    messages and their order are written once, in the scalar kernel.
+    ``select`` (``a if cond else b``), ``not_``, ``h`` (``_h_offset``),
+    ``double`` (the double of a bit pattern) and the hook ``branch``.
+    ``branch(cond)`` is true where the element takes a branch or a refusal
+    of its own, which the kernel then runs on floats; on arrays it raises
+    instead where any element does, and the caller hands the whole stack
+    to the scalar kernel.  So the checks, their messages and their order
+    are written once, in the scalar kernel.
     """
 
     sqrt, hypot, exp, expm1 = math.sqrt, math.hypot, math.exp, math.expm1
@@ -88,6 +92,10 @@ class _Floats:
     @staticmethod
     def select(cond: bool, a: float, b: float) -> float:
         return a if cond else b
+
+    @staticmethod
+    def double(bits: int) -> float:
+        return _DOUBLE.unpack(_BITS.pack(bits))[0]
 
 
 class _Record:

@@ -25,11 +25,10 @@ where no active bath is hot, the time is the ASYMPTOTIC_ONLY marker.
 from __future__ import annotations
 
 import math
-import struct
 import sys
 
 from ._accurate import finite, prod_diff
-from .core import StandardForm, _Floats, _Record, separability_margin
+from .core import _BITS, _DOUBLE, StandardForm, _Floats, _Record, separability_margin
 from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
 
 __all__ = [
@@ -249,7 +248,6 @@ def _margin_at(b1, b2, c, res, t, ops=_Floats):
 
 # The bit patterns of the non-negative doubles, read as integers, are in
 # the order of their values, from +0.0 (pattern 0) to +inf.
-_BITS, _DOUBLE = struct.Struct("<q"), struct.Struct("<d")
 _INF_BITS = _BITS.unpack(_DOUBLE.pack(math.inf))[0]
 # Dekker's product a*b = p + e is exact when the exponents of a and b
 # (2^E_a <= |a| < 2^(E_a+1)) sum to at least -970: the last bit of the
@@ -260,11 +258,28 @@ _INF_BITS = _BITS.unpack(_DOUBLE.pack(math.inf))[0]
 _DEKKER_MIN = 2.0**-969
 
 
+def _crossing(b1, b2, c, res, ops=_Floats):
+    """The first non-negative double at which ``_margin_at`` of the entries ``(b1, b2, c)`` is >= 0; elementwise.
+
+    The bit patterns from +0.0 to +inf are fewer than 2^63, so 63
+    halvings narrow them to one; +inf where no finite double crosses.  The
+    low end holds a time of negative margin, or +0.0, so a range one
+    pattern wide (its middle is its low end) stays as it is wherever the
+    margin at +0.0 is < 0: for every input that ``_gate`` passes.
+    """
+    lo, hi = 0, _INF_BITS
+    for _ in range(63):
+        mid = lo + (hi - lo) // 2  # lo + hi overflows an int64
+        below = _margin_at(b1, b2, c, res, ops.double(mid), ops) < 0.0
+        lo, hi = ops.select(below, mid, lo), ops.select(below, hi, mid)
+    return ops.double(hi)
+
+
 def esd_bisection(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
     """Disentanglement time found by bisection on the separability margin: the death-time oracle.
 
-    It bisects the bit patterns of the non-negative doubles from +0.0 to
-    +inf, at most 63 halvings, for the first double at which
+    ``_crossing`` bisects the bit patterns of the non-negative doubles
+    from +0.0 to +inf, in 63 halvings, for the first double at which
     ``_margin_at``, the margin of the evolved offsets, is >= 0; the gate of
     ``esd_time``, in its order, decides before that double is answered
     (``_bisection_answer``).  It never consults the logarithms, the
@@ -285,21 +300,14 @@ def esd_bisection(sf0: StandardForm, res: ReservoirConfig) -> float | Asymptotic
             within a few ulps of 1 there).
         SeparableInputError: if ``sf0`` is already separable, as ``esd_time``.
     """
-    b1, b2, c, fields = sf0.b1, sf0.b2, sf0.c, res._fields()
-    lo, hi = 0, _INF_BITS
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _margin_at(b1, b2, c, fields, _DOUBLE.unpack(_BITS.pack(mid))[0]) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return _bisection_answer(separability_margin(sf0), c, fields, _DOUBLE.unpack(_BITS.pack(hi))[0])
+    fields = res._fields()
+    return _bisection_answer(separability_margin(sf0), sf0.c, fields, _crossing(sf0.b1, sf0.b2, sf0.c, fields))
 
 
 def _bisection_answer(
     margin: float, c: float, res: tuple[float, float, float, float], t: float
 ) -> float | AsymptoticOnly:
-    """What ``esd_bisection`` answers for entries of separability margin ``margin`` and bisected crossing ``t``.
+    """What ``esd_bisection`` answers for entries of separability margin ``margin`` and crossing ``t`` (``_crossing``).
 
     ``_gate`` first, then ``t`` with its refusals: a time that overflows or
     falls below the smallest normal double, products of the margin at or

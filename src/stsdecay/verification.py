@@ -8,9 +8,10 @@ by routes that share none of that algebra:
   covariance matrix, ``full_cm`` (no two-mode formula involved),
 * disentanglement times from a bisection over the doubles on the
   separability margin of the evolved offsets b_i(t) - 1/2 (no logarithm,
-  no four-term sum and no root formula involved; ``esd_bisection`` lives
-  in the numpy-free ``dynamics``, where no production death time calls
-  it, and is re-exported here),
+  no four-term sum and no root formula involved; ``esd_bisection``, whose
+  halving kernel the battery runs on arrays, lives in the numpy-free
+  ``dynamics``, where no production death time calls it, and is
+  re-exported here),
 * the evolved characteristic function, ``characteristic_function``,
   cross-checked against the Gaussian characteristic function of the
   evolved state, ``gaussian_cf`` (two different orders of applying the
@@ -53,11 +54,11 @@ from .core import (
     standard_form_from_sts,
 )
 from .dynamics import (
-    _INF_BITS,
     AsymptoticOnly,
     ReservoirConfig,
     _bisection_answer,
     _check_time,
+    _crossing,
     _margin_at,
     esd_bisection,
     esd_time_identical_baths,
@@ -386,22 +387,15 @@ def _bisection_stack(
     """``esd_bisection`` of each case, bit for bit, from one bisection of all cases at once.
 
     ``b1``, ``b2`` and ``c`` hold the entries, and ``res`` the four arrays
-    gamma1, n_r1, gamma2, n_r2, one case per element.  Each case halves its
-    range of bit patterns as the scalar loop does, on ``_margin_at`` with
-    ``_batch._Arrays``, until it is one pattern wide.
-    The scalar ``dynamics._bisection_answer`` then answers the cases in
-    order, so the first case that ``esd_bisection`` refuses raises its error.
+    gamma1, n_r1, gamma2, n_r2, one case per element.  The halving kernel
+    of ``esd_bisection``, ``dynamics._crossing``, runs on the arrays; the
+    scalar ``dynamics._bisection_answer`` then answers the cases in order,
+    so the first case that ``esd_bisection`` refuses raises its error.
     """
-    lo = np.zeros(len(c), np.int64)
-    hi = np.full(len(c), _INF_BITS, np.int64)
     with np.errstate(all="ignore"):
-        while (live := hi - lo > 1).any():
-            mid = lo + (hi - lo) // 2  # lo + hi overflows an int64
-            below = _margin_at(b1, b2, c, res, mid.view(np.float64), _Arrays) < 0.0
-            lo = np.where(live & below, mid, lo)
-            hi = np.where(live & ~below, mid, hi)
+        t = _crossing(b1, b2, c, res, _Arrays)
         margin = _separability_margin(b1, b2, c)
-    cases = zip(margin.tolist(), c.tolist(), zip(*(x.tolist() for x in res)), hi.view(np.float64).tolist())
+    cases = zip(margin.tolist(), c.tolist(), zip(*(x.tolist() for x in res)), t.tolist())
     return [_bisection_answer(*case) for case in cases]
 
 
@@ -435,12 +429,11 @@ def run_verification(
     The spectra and the bisection run on stacks: the entries, the closed
     spectra and the eigen-oracle's matrices of all spectrum states, and the
     bisection of all death-time cases, are array passes in which each
-    element keeps the bits of its scalar call.  The entries, the spectra and
-    the margin that the bisection halves on come from the scalar kernels
-    themselves, run on the arrays by ``_batch.stack``, which hands a stack
-    with a state that takes a branch or a refusal of its own whole to the
-    scalar kernel.  The rejection samplers and the
-    characteristic-function check run one state at a time.
+    element keeps the bits of its scalar call: the scalar kernels run on
+    the arrays, ``_crossing`` for the bisection and ``_batch.stack`` for
+    the rest, which hands a stack with a state that takes a branch or a
+    refusal of its own whole to the scalar kernel.  The rejection
+    samplers and the characteristic-function check run one state at a time.
 
     Raises:
         InvalidParameterError: if ``seed`` is negative, or a sample count

@@ -666,10 +666,31 @@ def test_crossing_below_the_time_resolution_is_refused(capsys):
             esd_bisection(standard_form_from_sts(StsParams(1.0, 1.0, 2.0)), ReservoirConfig(1.0, float(nr1), 2.0, 0.5))
 
 
-def test_failed_sweep_writes_nothing(capsys, tmp_path):
-    args = ("sweep", "--n1", "1", "--n2", "1", "--param", "r", "--min", "1", "--max", "-1", "--steps", "5")
+_RATES_REFUSED = "damping rates and reservoir occupancies must be >= 0, got "
+
+
+# Each swept parameter's far end is invalid; it is checked before any output.
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        (("--n2", "1", "--r", "1", "--param", "n1"), "thermal occupancies must be >= 0, got n1=-1.0, n2=1.0"),
+        (("--n1", "1", "--r", "1", "--param", "n2"), "thermal occupancies must be >= 0, got n1=1.0, n2=-1.0"),
+        (("--n1", "1", "--n2", "1", "--param", "r"), "squeeze parameter must be >= 0, got r=-1.0"),
+        (
+            ("--n1", "1", "--n2", "1", "--r", "1", "--identical", "--gamma", "1", "--param", "nr"),
+            _RATES_REFUSED + "gamma1=1.0, n_r1=-1.0, gamma2=1.0, n_r2=-1.0",
+        ),
+        (
+            ("--n1", "1", "--n2", "1", "--r", "1", "--identical", "--nr", "0.5", "--param", "gamma"),
+            _RATES_REFUSED + "gamma1=-1.0, n_r1=0.5, gamma2=-1.0, n_r2=0.5",
+        ),
+    ],
+    ids=["n1", "n2", "r", "nr", "gamma"],
+)
+def test_failed_sweep_writes_nothing(capsys, tmp_path, sweep, message):
+    args = ("sweep", *sweep, "--min", "1", "--max", "-1", "--steps", "5")
     code, out, err = run(capsys, *args)
-    assert code == 2 and out == "" and "squeeze" in err
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     target = tmp_path / "f.csv"
     code, _, _ = run(capsys, *args, "--out", str(target))
     assert code == 2

@@ -104,6 +104,38 @@ def test_exit_handlers_run_after_the_command(unbuffered, capsys, monkeypatch):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + b"handler\n", err) == (0, out + b"handler\n", b"")
 
 
+# `cli.run` with a `main` that imports numpy and prints the process's threads
+# and the BLAS thread setting.
+_THREADS = """import os
+from stsdecay import cli
+def main():
+    import numpy
+    print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+    return 0
+cli.main = main
+cli.run()
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) == 1, reason="needs /proc/self/task and 2 CPUs"
+)
+@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "set_by_the_user"])
+def test_run_starts_no_blas_thread_pool_unless_asked(setting):
+    pytest.importorskip("numpy")
+    env = _env(False)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = subprocess.run([sys.executable, "-c", _THREADS], capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    threads, kept = proc.stdout.split()
+    if setting is None:
+        assert (threads, kept) == (b"1", b"1")
+    else:
+        assert kept == setting.encode()
+
+
 # -- a stdout that cannot be written -------------------------------------------
 
 

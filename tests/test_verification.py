@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ def test_stacked_oracles_match_frozen_digest():
         for kp, km, tp, tm in zip(*(col.tolist() for col in columns)):
             h.update(f"{kp!r} {km!r} {tp!r} {tm!r}\n".encode())
     assert h.hexdigest() == ORACLE_DIGEST
+
+
+# "k sha256" of the stdout of `verify --seed k`, for each seed the benchmark draws.
+_VERIFY_DIGESTS = dict(line.split() for line in (Path(__file__).parent / "verify_seeds.sha256").read_text().splitlines())
+
+
+# Ten of the recorded batteries, from the first seed to the last.
+@pytest.mark.parametrize("seed", [0, 5, 11, 16, 22, 27, 33, 38, 44, 49])
+def test_verify_battery_keeps_its_recorded_bytes(seed, capsys):
+    assert cli.main(["verify", "--seed", str(seed)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _VERIFY_DIGESTS[str(seed)]
 
 
 @pytest.mark.parametrize("oracle", [symplectic_spectrum_oracle, ppt_spectrum_oracle])
