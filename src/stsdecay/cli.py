@@ -10,8 +10,9 @@ Death-time cells that have no finite value carry a marker string instead
 of a number, in both formats: "asymptotic-only" (zero-temperature bath;
 decay never finishes) or "separable" (sweep rows whose state has nothing
 left to lose).  A non-finite number is never printed: the command exits 2
-instead.  Every table goes through one writer, ``_emit_rows``, a chunk at
-a time; ``--out`` files appear only once complete.  ``report``, ``sweep``
+instead.  Every table goes through one writer, ``_emit_rows``: its rows
+are made and checked a chunk at a time, and their text is written a slice
+at a time; ``--out`` files appear only once complete.  ``report``, ``sweep``
 and ``evolve`` (its scalar and batch rows alike) take their per-state
 cells from one function, ``_state_cells``.
 
@@ -90,10 +91,13 @@ _MEASURES = ("ef", "d1", "d2", "mutual_information")
 _EVOLVE_COLUMNS = ["t", "b1", "b2", "c", "ef", "d1", "d2", "mutual_information", "separable"]
 _VERIFY_COLUMNS = ["quantity", "closed_form", "oracle", "abs_err", "tol", "passed"]
 
-# Tables are formatted and written this many rows at a time, so memory does
-# not grow with the table; a command that fails within its first chunk
-# writes nothing.
+# Table rows are made and checked this many at a time, so memory does not
+# grow with the table; a command that fails within its first chunk writes
+# nothing.
 _CHUNK_ROWS = 1024
+# A checked chunk's text is formatted and written this many rows at a time,
+# so the writer holds a slice's text, not a chunk's.
+_SLICE_ROWS = 128
 
 
 def _json_string(value: object) -> str:
@@ -541,7 +545,7 @@ def _emit_rows(
     floats: int,
     chunks: Iterable[Iterable[tuple[object, ...]]],
 ) -> None:
-    """Write the non-empty ``chunks`` of rows under ``columns`` as CSV or JSON, a chunk at a time.
+    """Write the non-empty ``chunks`` of rows under ``columns`` as CSV or JSON.
 
     The bytes are those of ``csv.DictWriter(lineterminator="\\n")`` and of
     ``json.dumps(records, indent=2) + "\\n"`` on the same records.  The
@@ -553,9 +557,11 @@ def _emit_rows(
     (``"true"``/``"false"``, markers through ``_cell``) or is a death time,
     finite by construction, and is printed as it is.
 
-    A chunk is written once all its lines are made, so a command that fails
-    within its first chunk writes nothing; it is let go before the next one
-    is made, so memory holds one chunk.
+    A chunk's rows are all made and checked before any of its text is
+    written, so a command that fails within its first chunk writes nothing.
+    Its text is then formatted and written ``_SLICE_ROWS`` rows at a time,
+    and the chunk is let go before the next one is made, so memory holds
+    one chunk's rows and one slice's text.
     """
     slots = ["%r"] * floats + ["%s"] * (len(columns) - floats)
     if fmt == "csv":
@@ -564,15 +570,16 @@ def _emit_rows(
         fields = ",\n".join(f"    {_json_string(name)}: {slot}" for name, slot in zip(columns, slots))
         lead, sep, tail, template = "[\n", ",\n", "\n]\n", "  {\n" + fields + "\n  }"
     for chunk in chunks:
-        lines = []
-        for row in chunk:
+        rows = list(chunk)
+        del chunk
+        for row in rows:
             if not math.isfinite(sum(row[:floats])):
                 for value in row[:floats]:
                     _cell(value, str)
-            lines.append(template % row)
-        write(lead + sep.join(lines))
-        lead = sep
-        del chunk, lines
+        for lo in range(0, len(rows), _SLICE_ROWS):
+            write(lead + sep.join([template % row for row in rows[lo : lo + _SLICE_ROWS]]))
+            lead = sep
+        del rows
     write(tail)
 
 

@@ -1,0 +1,92 @@
+"""Replay one corpus of command lines on two source trees; print each invocation whose output differs.
+
+    python tests/compare_trees.py PARENT CHANGE
+
+PARENT and CHANGE are copies of the repository (``git archive`` of two
+commits, say); every invocation runs ``python -m stsdecay`` with
+``PYTHONPATH`` set to the tree's own ``src``.  The corpus is taken from the
+checkout this script sits in:
+
+* the argv of every case of ``tests/test_golden.py``;
+* the first round of each workload of ``bench/workloads.py``, at seeds 1
+  and 2;
+* ``verify --seed k`` for every k below ``workloads.VERIFY_SEEDS``.
+
+An invocation differs when its stdout, its stderr or its exit code does.
+Each one that differs is printed with what differs; the last line counts
+the invocations.  Exit status 0 when none differs, 1 when one does, 2 for
+a tree without a ``src/stsdecay`` package.  Outputs are compared by
+sha256, so no table is held whole; two invocations run at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2)
+
+
+def corpus() -> list[list[str]]:
+    """The argv lists to replay, in a fixed order."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
+    import test_golden
+    import workloads
+
+    argvs = [list(argv) for _, argv in sorted(test_golden._cases().items())]
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            argvs += next(workloads.rounds(workload, seed))
+    argvs += [["verify", "--seed", str(k)] for k in range(workloads.VERIFY_SEEDS)]
+    return argvs
+
+
+def outcome(tree: Path, argv: list[str], cwd: str) -> tuple[str, str, int]:
+    """The sha256 of stdout, stderr as text, and the exit code of ``argv`` run on ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    digest = hashlib.sha256()
+    with subprocess.Popen(
+        [sys.executable, "-m", "stsdecay", *argv], cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        # stderr is at most a few lines; stdout is read a block at a time.
+        for block in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(block)
+        err = proc.stderr.read().decode(errors="replace")
+    return digest.hexdigest(), err, proc.returncode
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args()
+    trees = [args.parent.resolve(), args.change.resolve()]
+    for tree in trees:
+        if not (tree / "src" / "stsdecay" / "__init__.py").is_file():
+            sys.stderr.write(f"error: no stsdecay package under {tree / 'src'}\n")
+            return 2
+    argvs = corpus()
+    with tempfile.TemporaryDirectory() as cwd, ThreadPoolExecutor(2) as pool:
+        results = pool.map(lambda argv: [outcome(tree, argv, cwd) for tree in trees], argvs)
+        differing = 0
+        for argv, (before, after) in zip(argvs, results):
+            what = [name for name, x, y in zip(("stdout", "stderr", "exit code"), before, after) if x != y]
+            if what:
+                differing += 1
+                print(f"differs ({', '.join(what)}): stsdecay {shlex.join(argv)}")
+                if "stderr" in what or "exit code" in what:
+                    print(f"  parent: exit {before[2]}, stderr {before[1]!r}\n  change: exit {after[2]}, stderr {after[1]!r}")
+    print(f"{differing} of {len(argvs)} invocations differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -397,15 +397,29 @@ def test_an_endless_config_file_is_one_error_line(capsys):
     assert peak < 16 * cli._CONFIG_CHARS
 
 
-def test_output_file_matches_stdout(capsys, tmp_path):
-    args = (
-        "report", "--n1", "10", "--n2", "0.1", "--r", "2", "--format", "json"
-    )
-    _, out, _ = run(capsys, *args)
-    target = tmp_path / "report.json"
+_STS = ("--n1", "10", "--n2", "0.1", "--r", "2")
+_BATH = ("--identical", "--gamma", "1", "--nr", "0.5")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("report", *_STS, "--format", "json"),
+        # Scalar rows in three chunks, each written in slices.
+        ("evolve", *_STS, *_BATH, "--t-end", "3", "--points", "3000", "--format", "json"),
+        # The batch rows of the log grid.
+        ("evolve", *_STS, *_BATH, "--t-start", "1e-3", "--t-end", "3", "--points", "3000", "--log-spacing"),
+        ("sweep", *_STS, *_BATH, "--param", "gamma", "--min", "0.1", "--max", "2", "--steps", "2500"),
+    ],
+    ids=["report", "evolve_json", "evolve_log", "sweep"],
+)
+def test_output_file_matches_stdout(capsys, tmp_path, args):
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    target = tmp_path / "table.out"
     code, silent, _ = run(capsys, *args, "--out", str(target))
     assert code == 0 and silent == ""
-    assert target.read_text() == out
+    assert target.read_bytes() == out.encode()
 
 
 def test_json_rows_reparse_to_identical_floats(capsys):
@@ -719,7 +733,7 @@ def test_failure_after_first_chunk(capsys, monkeypatch, tmp_path):
 
 
 class _FirstChunk(Exception):
-    """Raised by the standard output once the first chunk of a table is written."""
+    """Raised by the standard output at its first write: a table's header and first slice of rows."""
 
 
 class _StopAfterFirstChunk:
@@ -729,7 +743,8 @@ class _StopAfterFirstChunk:
 
 def test_first_chunk_of_a_million_step_sweep_is_small(monkeypatch):
     # The swept values are made a chunk at a time, not as one list of
-    # 10^6 floats (32 MB) before the first row.
+    # 10^6 floats (32 MB) before the first row; the first write holds the
+    # header and the first slice of that chunk's rows.
     argv = ["sweep", "--n1", "1", "--n2", "0.5", "--param", "r", "--min", "0.1", "--max", "2", "--steps", "1000000"]
     monkeypatch.setattr(sys, "stdout", _StopAfterFirstChunk())
     tracemalloc.start()
@@ -739,8 +754,33 @@ def test_first_chunk_of_a_million_step_sweep_is_small(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first.value.args[0].count("\n") == cli._CHUNK_ROWS
-    assert peak < 2_000_000
+    header, *rows = first.value.args[0].split("\n")
+    assert header == "r,ef,d1,d2,mutual_information,separable"
+    assert len(rows) == cli._SLICE_ROWS and rows[0].startswith("0.1,")
+    assert peak < 1_000_000
+
+
+def test_writer_holds_one_slice_of_text():
+    # One chunk of evolve-shaped JSON rows: the writer's own memory is a
+    # slice's text, not the chunk's, and no write carries more than a slice.
+    rows = [
+        (i / 1024, 1 + 1 / 3, 2 + 1 / 7, 0.1 + i / 9e3, 1 / 11, 1 / 13, 1 / 17, 1 / 19, "false")
+        for i in range(cli._CHUNK_ROWS)
+    ]
+    counts = []
+
+    def write(text):
+        counts.append(text.count('"t":'))
+        text.encode()
+
+    tracemalloc.start()
+    try:
+        cli._emit_rows(write, cli._EVOLVE_COLUMNS, "json", 8, [rows])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(counts) == cli._CHUNK_ROWS and max(counts) <= cli._SLICE_ROWS
+    assert peak < 256 * 1024
 
 
 def test_evolve_rejects_negative_start_before_output(capsys):
