@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # only modules before it, so a name loads no module after its own.
 _MODULES = ("errors", "core", "dynamics", "correlations")
 # Submodules without a leading underscore.  They, and every name with one
-# (``from . import _sweep_table``), go straight to the import system, and
+# (``from . import _batch``), go straight to the import system, and
 # never start the search.
 _SUBMODULES = {*_MODULES, "cli", "verification"}
 # The oracles need numpy, which the closed forms do not; their names are

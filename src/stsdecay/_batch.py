@@ -13,7 +13,7 @@ branch or a refusal of its own.
 a stack that raised ``_Fallback``, or whose results hold a non-finite
 number, whole to the scalar kernel, whose special branches, error messages
 and partial output they are.  The batch rows of the ``evolve`` table (one
-writer chunk of times, in ``_evolve_table.emit``) and the stacks of
+writer chunk of times, in ``cli._emit_evolve``) and the stacks of
 ``verification`` go through it.
 
 Importing this module imports numpy; ``cli`` does so only for the grids

@@ -29,32 +29,42 @@ streams and ends the process with ``os._exit``, skipping the interpreter's
 teardown.  ``main`` returns its exit code, for callers in the same process.
 
 Only ``verify``, ``evolve --log-spacing`` and ``evolve`` on a grid of at
-least ``_evolve_table.BATCH_POINTS`` points import numpy; the last two
-compute their rows in numpy batches (``_batch``) that are bit for bit the
-scalar rows, which answer instead where numpy cannot be imported.  No
-command imports what it does not run: ``dynamics`` only where a bath or a
-death time is used, ``correlations`` only where a measure is printed, json
-only for JSON output.  argparse is not imported for a command line in the
-plain form (the subcommand, then exact long flags and their values):
+least ``_BATCH_POINTS`` points import numpy; the last two compute their
+rows in numpy batches (``_batch``) that are bit for bit the scalar rows,
+which answer instead where numpy cannot be imported.  No command imports
+what it does not run: ``dynamics`` only where a bath or a death time is
+used, ``correlations`` only where a measure is printed, json only for JSON
+output, and typing never.  argparse is not imported for a command line in
+the plain form (the subcommand, then exact long flags and their values):
 ``_read_argv`` reads it from the option table that the parser is built
-from.  The parser is built, for the named subcommand alone, only for help,
-for a usage error, and for the forms that argparse alone reads (an
-abbreviated flag, ``--flag=value``).
+from.  The parser is built only for help, for a usage error, and for the
+forms that argparse alone reads (an abbreviated flag, ``--flag=value``).
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
+import functools
 import itertools
 import math
 import operator
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .core import StandardForm, StsParams, _Floats, _separability_margin, _spectrum, standard_form_from_sts
+from .core import (
+    StandardForm,
+    StsParams,
+    _bona_fide,
+    _check_sts,
+    _cosh_sinh,
+    _Floats,
+    _separability_margin,
+    _spectrum,
+    _sts_entries,
+    standard_form_from_sts,
+)
 from .errors import (
     InvalidParameterError,
     NonPhysicalStateError,
@@ -62,8 +72,12 @@ from .errors import (
     SeparableInputError,
 )
 
+# Every annotation is a string (``from __future__ import annotations``), so
+# the names they use are imported for a type checker alone, not at run time.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from typing import Callable, Iterable, Iterator, Sequence
 
     from .dynamics import ReservoirConfig
 
@@ -80,15 +94,16 @@ _OUTPUT_COLUMNS = {
     "separable": ["separable"],
     "ts": ["ts"],
 }
-_REPORT_OUTPUTS = ["ef", "d1", "d2", "mutual_information", "kappas", "separable"]
-_SWEEP_OUTPUTS = _REPORT_OUTPUTS + ["ts"]
-
 # Selectable outputs that are fields of the correlation report.
 _MEASURES = ("ef", "d1", "d2", "mutual_information")
+_REPORT_OUTPUTS = [*_MEASURES, "kappas", "separable"]
+_SWEEP_OUTPUTS = _REPORT_OUTPUTS + ["ts"]
+# The per-state outputs of every `evolve` row, and of `sweep` by default.
+_STATE_OUTPUTS = [*_MEASURES, "separable"]
 
 # Fixed column schemas of the `evolve` and `verify --format json` tables
 # (documented in README).
-_EVOLVE_COLUMNS = ["t", "b1", "b2", "c", "ef", "d1", "d2", "mutual_information", "separable"]
+_EVOLVE_COLUMNS = ["t", "b1", "b2", "c", *_STATE_OUTPUTS]
 _VERIFY_COLUMNS = ["quantity", "closed_form", "oracle", "abs_err", "tol", "passed"]
 
 # Table rows are made and checked this many at a time, so memory does not
@@ -273,14 +288,11 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser, with the arguments of the subcommand ``command`` alone, or of every one where None.
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built from the option table.
 
-    Every subcommand is registered with its help line, so the top-level
-    help and the "invalid choice" error are the same whatever ``command``
-    is; argparse hands the rest of argv to the subcommand it names, whose
-    parser is the one that needs its arguments.  argparse is imported
-    here, so only a command line that needs the parser loads it.
+    argparse is imported here, so only a command line that needs the
+    parser loads it.
     """
     import argparse
 
@@ -294,8 +306,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, options, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        if command is not None and command != name:
-            continue
         groups: dict[str | None, argparse._ActionsContainer] = {None: p}
         for flag, kind, default, choices, required, help_text, group in options:
             if group not in groups:
@@ -607,9 +617,78 @@ def _linspace(start: float, stop: float, num: int, first: int = 0, end: int | No
     return grid
 
 
-def _linear_chunks(start: float, stop: float, num: int) -> Iterator[list[float]]:
-    """``_linspace(start, stop, num)`` in lists of ``_CHUNK_ROWS`` points, made one at a time."""
-    return (_linspace(start, stop, num, lo, lo + _CHUNK_ROWS) for lo in range(0, num, _CHUNK_ROWS))
+def _grid(start: float, stop: float, num: int, log: bool = False) -> Iterator[list[float]]:
+    """The grid of ``num`` points from ``start`` to ``stop`` in lists of ``_CHUNK_ROWS`` points, made one at a time.
+
+    The linear grid is ``_linspace``.  The log grid is ``numpy.geomspace``,
+    made the way it makes it, with numpy's own log10/power rather than
+    libm's (they differ in the last bit on some points, and the grid is
+    part of the output): 10 to the power of the linear grid of the
+    exponents, then the first and last points set to ``start`` and ``stop``.
+    """
+    if log:
+        import numpy as np
+
+        log_start, log_stop = float(np.log10(start)), float(np.log10(stop))
+
+    def chunk(lo: int) -> list[float]:
+        hi = lo + _CHUNK_ROWS
+        if not log:
+            return _linspace(start, stop, num, lo, hi)
+        grid = np.power(10.0, np.array(_linspace(log_start, log_stop, num, lo, hi))).tolist()
+        if hi >= num:
+            grid[-1] = stop
+        if lo == 0:
+            grid[0] = start
+        return grid
+
+    return map(chunk, range(0, num, _CHUNK_ROWS))
+
+
+# Grids of at least this many points take the numpy batch rows of `evolve`.
+# Loading numpy and the batch module costs about 68 ms of CPU and a batch
+# row saves about 6.7 us (14.6 against 7.9 us per row), so the two paths
+# break even near 10^4 rows, as whole commands measure too.
+_BATCH_POINTS = 10_000
+
+
+def _emit_evolve(
+    write: Callable[[str], object],
+    sf0: StandardForm,
+    res: ReservoirConfig,
+    chunks: Iterable[list[float]],
+    units: str,
+    fmt: str,
+    batch: object = None,
+) -> None:
+    """Write the `evolve` table over the time grid ``chunks``, a chunk at a time.
+
+    A row is one elementwise kernel of its time: the evolved entries,
+    checked as StandardForm checks them, and ``_state_cells`` of them.  It
+    runs on floats, one row at a time, or, where ``batch`` is the
+    ``_batch`` module, on a chunk's times at once through ``_batch.stack``,
+    whose rows are bit for bit the same.  A chunk with a product, pure,
+    refused or non-finite row goes whole to the scalar kernel, which alone
+    runs those branches; the batch answers every other chunk.
+    """
+    from .dynamics import _evolved_entries
+
+    cells = _state_cells(_STATE_OUTPUTS, units)
+
+    def row(t, ops=_Floats):
+        b1, b2, c = _evolved_entries(sf0, res, t, ops)
+        b1, b2 = _bona_fide(b1, b2, c, ops)
+        return (t, b1, b2, c) + cells(b1, b2, c, _separability_margin(b1, b2, c), ops)
+
+    if batch is None:
+        rows = functools.partial(map, row)
+    else:
+        import numpy as np
+
+        def rows(times: list[float]) -> Iterable[tuple[object, ...]]:
+            return zip(*(column.tolist() for column in batch.stack(row, np.array(times))))
+
+    _emit_rows(write, _EVOLVE_COLUMNS, fmt, 8, map(rows, chunks))
 
 
 def _cmd_report(args: Args) -> int:
@@ -646,16 +725,20 @@ def _cmd_evolve(args: Args) -> int:
         raise _CliError("--log-spacing needs --t-start > 0")
     if args.log_spacing:
         _require_numpy("evolve --log-spacing")
-    from . import _evolve_table as table
     from .dynamics import _check_time
 
-    chunks = table.grid_chunks(args.t_start, args.t_end, args.points, args.log_spacing)
+    chunks = _grid(args.t_start, args.t_end, args.points, args.log_spacing)
     first = next(chunks)
     # The grid rises from its first time, so this checks every time on it.
     _check_time(first[0])
-    batch = table.batch_kernel() if args.log_spacing or args.points >= table.BATCH_POINTS else None
+    batch = None
+    if args.log_spacing or args.points >= _BATCH_POINTS:
+        try:
+            from . import _batch as batch
+        except ImportError:
+            pass
     with _destination(args.out) as write:
-        table.emit(write, sf0, res, itertools.chain([first], chunks), args.units, args.format, batch)
+        _emit_evolve(write, sf0, res, itertools.chain([first], chunks), args.units, args.format, batch)
     return 0
 
 
@@ -682,6 +765,27 @@ def _cmd_esd(args: Args) -> int:
 
 
 def _cmd_sweep(args: Args) -> int:
+    """Write the sweep table, a chunk at a time.
+
+    A row is one function of its swept value, ``row``, as an ``evolve``
+    row is one function of its time.  ``point`` runs the construction
+    checks at a value: a state sweep (n1, n2 or r) forms the entries with
+    the arithmetic of ``standard_form_from_sts`` and runs the checks of
+    StsParams and StandardForm on them; a reservoir sweep (nr or gamma)
+    runs the checks of ReservoirConfig on the rates.  ``row`` then takes
+    the separability margin once, and each output comes from the kernel
+    that its public function wraps: ``_state_cells`` (shared with
+    ``report``) for the measures, the kappas and the separable verdict,
+    and ``dynamics._death_time`` for ts.  A reservoir sweep's state is
+    fixed, so its cells are computed once.  No record is built per row.
+    So the values, the errors and their order are those of the records
+    and the public functions.
+
+    Every value of the sweep lies between its two ends, and what the
+    checks accept along one parameter is an interval, so ``point`` of the
+    last value runs before any row: an invalid range fails before any
+    output.  A row's kernels run in its turn, after the chunks before it.
+    """
     if args.steps < 1:
         raise _CliError("need --steps >= 1")
     if args.param in ("nr", "gamma") and not (args.identical or args.single_bath):
@@ -692,17 +796,69 @@ def _cmd_sweep(args: Args) -> int:
     # set to the sweep's first value, so the records below check that value.
     setattr(args, args.param, args.min)
     res = _reservoir_from_args(args)
-    allowed = _SWEEP_OUTPUTS if res is not None else _REPORT_OUTPUTS
     if args.outputs is None:
-        outputs = ["ef", "d1", "d2", "mutual_information", "separable"] + (
-            ["ts"] if res is not None else []
-        )
+        outputs = _STATE_OUTPUTS + (["ts"] if res is not None else [])
     else:
-        outputs = _parse_outputs(args.outputs, allowed)
+        outputs = _parse_outputs(args.outputs, _SWEEP_OUTPUTS if res is not None else _REPORT_OUTPUTS)
     sf0 = _state_from_args(args)
-    from . import _sweep_table
+    ts, state_cells = ("ts" in outputs), _state_cells(outputs, args.units)
+    if ts:
+        from .dynamics import ASYMPTOTIC_ONLY, _death_time
 
-    _sweep_table.emit(args, outputs, sf0, res)
+        dead, asymptotic = (_cell(marker, _SPELL[args.format]) for marker in ("separable", "asymptotic-only"))
+    param, n1, n2, r, phi = args.param, args.n1, args.n2, args.r, args.phi
+    if param in ("n1", "n2", "r"):
+        rates = None if res is None else res._fields()
+        # cosh r and sinh r, computed once while r is fixed.
+        ch, sh = _cosh_sinh(r)
+
+        def state(b1: float, b2: float, c: float) -> tuple[float, tuple[object, ...]]:
+            """The separability margin of the entries, and their cells."""
+            margin = _separability_margin(b1, b2, c)
+            return margin, state_cells(b1, b2, c, margin)
+
+        def point(value: float) -> tuple[float, float, float, tuple[float, ...] | None]:
+            """The entries and the rates at ``value``, checked as StsParams, then StandardForm, check them.
+
+            The entries are those of ``standard_form_from_sts``; StandardForm's
+            phase and sign checks pass (phi is finite, and r >= 0 gives c >= 0).
+            """
+            x1, x2, s = (value, n2, r) if param == "n1" else (n1, value, r) if param == "n2" else (n1, n2, value)
+            _check_sts(x1, x2, s, phi)
+            return (*_sts_entries(x1, x2, s, *(_cosh_sinh(s) if param == "r" else (ch, sh))), rates)
+
+    else:
+        from .dynamics import _check_reservoir
+
+        # The margin and the cells of the sweep's one state, computed once.
+        b1, b2, c = sf0.b1, sf0.b2, sf0.c
+        margin = _separability_margin(b1, b2, c)
+        fixed = margin, state_cells(b1, b2, c, margin)
+        state = lambda b1, b2, c: fixed  # noqa: E731
+
+        def point(value: float) -> tuple[float, float, float, tuple[float, ...]]:
+            """The entries and the rates ``(gamma1, n_r1, gamma2, n_r2)`` at ``value``, checked as ReservoirConfig checks them."""
+            gamma, n_r = (value, args.nr) if param == "gamma" else (args.gamma, value)
+            rates = (gamma, n_r, gamma, n_r) if args.identical else (gamma, n_r, 0.0, 0.0)
+            _check_reservoir(*rates)
+            return b1, b2, c, rates
+
+    def row(value: float) -> tuple[object, ...]:
+        """The row at ``value``: the value, the state's cells and, where selected, the ts cell, spelled."""
+        b1, b2, c, rates = point(value)
+        margin, cells = state(b1, b2, c)
+        if not ts:
+            return (value, *cells)
+        t = dead if margin >= 0.0 else _death_time(b1, b2, margin, rates)
+        return (value, *cells, asymptotic if t is ASYMPTOTIC_ONLY else t)
+
+    lo, hi, steps = args.min, args.max, args.steps
+    point(*_linspace(lo, hi, steps, steps - 1))
+    columns = [param, *_columns(outputs)]
+    floats = len(columns) - ("separable" in outputs) - ts
+    rows = (map(row, chunk) for chunk in _grid(lo, hi, steps))
+    with _destination(args.out) as write:
+        _emit_rows(write, columns, args.format, floats, rows)
     return 0
 
 
@@ -749,12 +905,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    args = _read_argv(expanded)
-    if args is None:
-        # argparse hands the rest of argv to the subcommand named by the
-        # first token that is not a flag, or refuses that token if it names none.
-        command = next((tok for tok in expanded if not tok.startswith("-")), "")
-        args = _build_parser(command).parse_args(expanded)
+    args = _read_argv(expanded) or _build_parser().parse_args(expanded)
     try:
         return _SUBCOMMANDS[args.command][2](args)
     except SeparableInputError as exc:

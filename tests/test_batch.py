@@ -3,14 +3,15 @@
 import io
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from test_golden import CASES, GOLDEN
 
+import stsdecay
 from stsdecay import ReservoirConfig, StandardForm, StsParams, _batch, cli, correlations, is_pure, standard_form_from_sts
-from stsdecay import _evolve_table as table
 
 
 class _Spy:
@@ -36,11 +37,20 @@ class _Spy:
                 self.batched += 1
 
 
+def _use_batch(monkeypatch, module):
+    """Make ``evolve``'s import of ``_batch`` give ``module``, or fail as it does without numpy where None."""
+    if module is None:
+        monkeypatch.delattr(stsdecay, "_batch")
+        monkeypatch.setitem(sys.modules, "stsdecay._batch", None)
+    else:
+        monkeypatch.setattr(stsdecay, "_batch", module)
+
+
 def _table(sf0, res, chunks, units, fmt, batch):
     """The output written, and the refusal that ended it, or None."""
     out = io.StringIO()
     try:
-        table.emit(out.write, sf0, res, chunks, units, fmt, batch)
+        cli._emit_evolve(out.write, sf0, res, chunks, units, fmt, batch)
     except (ValueError, cli._CliError) as exc:
         return out.getvalue(), repr(exc)
     return out.getvalue(), None
@@ -57,7 +67,7 @@ def _both_tables(argv):
     """``_table`` of ``argv`` from the scalar rows, and from the batch rows with its spy."""
     sf0, res, grid, units, fmt = _parsed(argv)
     spy = _Spy()
-    tables = [_table(sf0, res, table.grid_chunks(*grid), units, fmt, batch) for batch in (None, spy)]
+    tables = [_table(sf0, res, cli._grid(*grid), units, fmt, batch) for batch in (None, spy)]
     return tables, spy
 
 
@@ -68,7 +78,7 @@ def _scalar_rows(sf0, res, times, units):
     """
     out = io.StringIO()
     try:
-        table.emit(out.write, sf0, res, ([t] for t in times), units, "csv")
+        cli._emit_evolve(out.write, sf0, res, ([t] for t in times), units, "csv")
     except (ValueError, cli._CliError) as exc:
         refusal = exc
     else:
@@ -85,7 +95,7 @@ def _routing(argv):
     """
     sf0, res, grid, units, _ = _parsed(argv)
     batched = left = 0
-    for times in table.grid_chunks(*grid):
+    for times in cli._grid(*grid):
         rows, refusal = _scalar_rows(sf0, res, times, units)
         if refusal is not None:
             return batched, left + 1
@@ -166,7 +176,7 @@ def test_seeded_set_covers_the_branches():
         args = cli._build_parser().parse_args(argv)
         sf0, res = cli._state_from_args(args), cli._reservoir_from_args(args)
         rows = []
-        for times in table.grid_chunks(args.t_start, args.t_end, args.points, args.log_spacing):
+        for times in cli._grid(args.t_start, args.t_end, args.points, args.log_spacing):
             chunk, refusal = _scalar_rows(sf0, res, times, args.units)
             rows += chunk
             if refusal is not None:
@@ -185,12 +195,12 @@ def test_a_row_refused_mid_table_ends_both_paths_alike(capsys, monkeypatch):
     # and the row is refused as such; the chunks before it are already written.
     argv = [
         "evolve", "--b1", "2", "--b2", "2", "--c", "1", "--single-bath", "--nr", "1e160",
-        "--t-end", "2e-6", "--points", str(table.BATCH_POINTS), "--format", "json",
+        "--t-end", "2e-6", "--points", str(cli._BATCH_POINTS), "--format", "json",
     ]
     spy = _Spy()
-    monkeypatch.setattr(table, "batch_kernel", lambda: spy)
+    _use_batch(monkeypatch, spy)
     batch = cli.main(argv), *capsys.readouterr()
-    monkeypatch.setattr(table, "batch_kernel", lambda: None)
+    _use_batch(monkeypatch, None)
     scalar = cli.main(argv), *capsys.readouterr()
     assert batch == scalar
     code, out, err = batch
@@ -201,22 +211,22 @@ def test_a_row_refused_mid_table_ends_both_paths_alike(capsys, monkeypatch):
     assert out.count('"t":') == spy.batched * cli._CHUNK_ROWS
 
 
-@pytest.mark.parametrize("points", [3, table.BATCH_POINTS])
+@pytest.mark.parametrize("points", [3, cli._BATCH_POINTS])
 def test_kappa_plus_below_one_half_ends_both_paths_alike(capsys, monkeypatch, points):
     argv = [
         "evolve", "--b1", "0.5", "--b2", "0.5", "--c", "1e-7", "--identical", "--nr", "0.5",
         "--t-end", "1", "--points", str(points),
     ]
     spy = _Spy()
-    monkeypatch.setattr(table, "batch_kernel", lambda: spy)
+    _use_batch(monkeypatch, spy)
     batch = cli.main(argv), *capsys.readouterr()
-    monkeypatch.setattr(table, "batch_kernel", lambda: None)
+    _use_batch(monkeypatch, None)
     scalar = cli.main(argv), *capsys.readouterr()
     assert batch == scalar
     code, out, err = batch
     assert code == 2 and err == "error: kappa_plus = 0.49999999999998995 < 1/2: not a physical two-mode state\n"
     assert out == ""  # row t = 0 is the refused one
-    assert (spy.batched, spy.left) == ((0, 1) if points == table.BATCH_POINTS else (0, 0))
+    assert (spy.batched, spy.left) == ((0, 1) if points == cli._BATCH_POINTS else (0, 0))
 
 
 def test_row_lines_spell_cells_like_the_cell_writer():
@@ -266,7 +276,7 @@ def test_chunks_with_product_or_pure_rows_are_left_to_the_scalar_rows():
 def test_first_chunk_of_a_million_point_grid_is_small(log):
     tracemalloc.start()
     try:
-        first = next(table.grid_chunks(0.001, 10.0, 10**6, log))
+        first = next(cli._grid(0.001, 10.0, 10**6, log))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -277,7 +287,7 @@ def test_first_chunk_of_a_million_point_grid_is_small(log):
 @pytest.mark.parametrize("num", [2, 3, 1023, 1024, 1025, 3000])
 def test_grid_chunks_are_the_numpy_grids(num):
     for log, numpy_grid in ((False, np.linspace), (True, np.geomspace)):
-        chunks = list(table.grid_chunks(0.001, 7.5, num, log))
+        chunks = list(cli._grid(0.001, 7.5, num, log))
         assert [len(chunk) for chunk in chunks[:-1]] == [cli._CHUNK_ROWS] * (len(chunks) - 1)
         assert 1 <= len(chunks[-1]) <= cli._CHUNK_ROWS
         got = [x for chunk in chunks for x in chunk]

@@ -1,11 +1,10 @@
-"""numpy, json, argparse, the dataclasses machinery and each submodule are loaded only where used, and the package namespace stays whole.
+"""numpy, json, argparse, typing, the dataclasses machinery and each submodule are loaded only where used, and the package namespace stays whole.
 
 numpy is used by the oracle, the log grid of `evolve`, and the batch rows of
 long `evolve` grids, which give the bytes of the scalar rows without it.
 ``import stsdecay`` loads no submodule, and each command loads only the
 modules that it runs.  argparse (with gettext and locale) is loaded only
-for help, usage errors and the spellings that only it reads, and then
-builds only the subparser needed.
+for help, usage errors and the spellings that only it reads.
 """
 
 import ast
@@ -21,7 +20,7 @@ import numpy as np
 import pytest
 
 import stsdecay
-from stsdecay import _evolve_table, cli, dynamics, verification
+from stsdecay import cli, dynamics, verification
 
 _SRC = str(Path(stsdecay.__file__).resolve().parents[1])
 
@@ -154,6 +153,30 @@ def test_valid_commands_load_no_argument_parser():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", *_STATE],
+        ["esd", *_STATE, "--identical", "--nr", "0.3"],
+        ["sweep", *_STATE, "--param", "r", "--min", "0.5", "--max", "2", "--steps", "5", "--identical", "--nr", "0.2", "--outputs", "ts"],
+        ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "50"],
+    ],
+    ids=["report", "esd", "sweep_ts", "evolve"],
+)
+def test_commands_without_numpy_load_no_typing_without_site(argv):
+    # Under -S no site hook preloads typing, as in a plain venv; annotations
+    # are strings, so a command that needs no numpy does not load it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "stsdecay", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "stsdecay.cli" in imported
+    assert [line for line in imported if line.split(".")[0] == "typing"] == []
+
+
+@pytest.mark.parametrize(
     "argv, code",
     [(["report", "--help"], 0), (["report", *_STATE, "--ident", "--nr", "0.3"], 0), (["esd", "--nr", "x"], 2)],
     ids=["help", "abbreviation", "usage_error"],
@@ -197,7 +220,8 @@ def test_import_stsdecay_loads_no_submodule():
 def test_the_oracle_module_loads_neither_the_command_line_nor_the_evolve_table():
     added = _added("import stsdecay.verification")
     assert "numpy" in added
-    assert not {"stsdecay.cli", "stsdecay._evolve_table"} & added
+    # The evolve table is written by the command-line module.
+    assert "stsdecay.cli" not in added
 
 
 def test_csv_esd_loads_neither_correlations_nor_json():
@@ -221,10 +245,10 @@ def test_cli_and_an_unknown_name_load_no_numpy(step):
     assert "numpy" not in _added(step)
 
 
-# What each command line must print alike from the parser that `main` builds
-# for its subcommand and from the parser with every subcommand populated:
-# help, an unknown flag and a missing required flag (for the commands that
-# have none, a flag without its value), at the top level and per subcommand.
+# What each command line must print alike through `main` and from the
+# parser: help, an unknown flag and a missing required flag (for the
+# commands that have none, a flag without its value), at the top level and
+# per subcommand.
 _REQUIRED = {
     "report": [],
     "evolve": ["--t-end", "1"],
@@ -271,7 +295,7 @@ _EVOLVE = ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "-
 
 
 def test_evolve_loads_numpy_from_the_batch_threshold_on():
-    n = _evolve_table.BATCH_POINTS
+    n = cli._BATCH_POINTS
     _, below, at = _probe([*_EVOLVE, str(n - 1)], [*_EVOLVE, str(n)])
     assert below[1:] == [0, []]
     assert at[1] == 0 and "numpy" in at[2]
@@ -293,7 +317,7 @@ print(json.dumps([code, loaded, hashlib.sha256(out.getvalue().encode()).hexdiges
 
 
 def test_evolve_without_numpy_writes_the_same_bytes():
-    argv = json.dumps([*_EVOLVE, str(_evolve_table.BATCH_POINTS)])
+    argv = json.dumps([*_EVOLVE, str(cli._BATCH_POINTS)])
     code, loaded, digest = _python(_BYTES_PROBE, "blocked", argv)
     assert (code, loaded) == (0, False)
     assert _python(_BYTES_PROBE, "importable", argv) == [0, True, digest]
