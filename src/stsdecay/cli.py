@@ -12,9 +12,11 @@ decay never finishes) or "separable" (sweep rows whose state has nothing
 left to lose).  A non-finite number is never printed: the command exits 2
 instead.  Every table goes through one writer, ``_emit_rows``: its rows
 are made and checked a chunk at a time, and their text is written a slice
-at a time; ``--out`` files appear only once complete.  ``report``, ``sweep``
-and ``evolve`` (its scalar and batch rows alike) take their per-state
-cells from one function, ``_state_cells``.
+at a time; ``--out`` files appear only once complete.  A chunk of the
+batch rows of ``evolve`` is computed and checked whole on arrays, and its
+rows become Python objects only a slice at a time, as the writer reaches
+them.  ``report``, ``sweep`` and ``evolve`` (its scalar and batch rows
+alike) take their per-state cells from one function, ``_state_cells``.
 
 Exit codes: 0 success, 1 verification failure (or a command that cannot run
 on this platform: an oracle without extended precision, or ``verify`` and
@@ -108,10 +110,11 @@ _VERIFY_COLUMNS = ["quantity", "closed_form", "oracle", "abs_err", "tol", "passe
 
 # Table rows are made and checked this many at a time, so memory does not
 # grow with the table; a command that fails within its first chunk writes
-# nothing.
+# nothing.  A chunk of batch rows is made and checked on arrays.
 _CHUNK_ROWS = 1024
 # A checked chunk's text is formatted and written this many rows at a time,
-# so the writer holds a slice's text, not a chunk's.
+# so the writer holds a slice's text, not a chunk's; a checked chunk of
+# batch rows becomes Python rows this many at a time too.
 _SLICE_ROWS = 128
 
 
@@ -571,7 +574,10 @@ def _emit_rows(
     written, so a command that fails within its first chunk writes nothing.
     Its text is then formatted and written ``_SLICE_ROWS`` rows at a time,
     and the chunk is let go before the next one is made, so memory holds
-    one chunk's rows and one slice's text.
+    one chunk's rows and one slice's text.  The batch rows of ``evolve``
+    arrive already checked, their chunk whole on arrays, as chunks of one
+    slice each, so memory holds a batch chunk's columns and one slice's
+    rows and text.
     """
     slots = ["%r"] * floats + ["%s"] * (len(columns) - floats)
     if fmt == "csv":
@@ -646,9 +652,9 @@ def _grid(start: float, stop: float, num: int, log: bool = False) -> Iterator[li
 
 
 # Grids of at least this many points take the numpy batch rows of `evolve`.
-# Loading numpy and the batch module costs about 68 ms of CPU and a batch
-# row saves about 6.7 us (14.6 against 7.9 us per row), so the two paths
-# break even near 10^4 rows, as whole commands measure too.
+# Loading numpy and the batch module costs a child about 126 ms of CPU and a
+# batch row saves about 11 us (25.5 against 14.5 us per row, written), so
+# the two paths break even near 1.2*10^4 rows (README, "Command line").
 _BATCH_POINTS = 10_000
 
 
@@ -670,6 +676,14 @@ def _emit_evolve(
     whose rows are bit for bit the same.  A chunk with a product, pure,
     refused or non-finite row goes whole to the scalar kernel, which alone
     runs those branches; the batch answers every other chunk.
+
+    A batch chunk is computed whole, so every refusal and every fallback
+    to the scalar kernel comes before any of its text, and its float
+    columns are tested for finiteness on the arrays.  A finite chunk
+    reaches the writer as pieces of ``_SLICE_ROWS`` rows, each turned into
+    Python rows (one ``tolist`` per column) only when the writer reaches
+    it; a chunk with a non-finite float reaches it whole, to be refused as
+    the scalar rows are.
     """
     from .dynamics import _evolved_entries
 
@@ -681,14 +695,23 @@ def _emit_evolve(
         return (t, b1, b2, c) + cells(b1, b2, c, _separability_margin(b1, b2, c), ops)
 
     if batch is None:
-        rows = functools.partial(map, row)
+        chunk_rows = map(functools.partial(map, row), chunks)
     else:
         import numpy as np
 
-        def rows(times: list[float]) -> Iterable[tuple[object, ...]]:
-            return zip(*(column.tolist() for column in batch.stack(row, np.array(times))))
+        def pieces(times: list[float]) -> Iterator[Iterable[tuple[object, ...]]]:
+            """The rows of ``times``, computed and checked on arrays, in lazy pieces of ``_SLICE_ROWS`` rows.
 
-    _emit_rows(write, _EVOLVE_COLUMNS, fmt, 8, map(rows, chunks))
+            A chunk with a non-finite float is one piece, which the writer
+            refuses before any of its text, as it refuses the scalar rows.
+            """
+            columns = batch.stack(row, np.array(times))
+            finite = all(np.isfinite(column).all() for column in columns[:8])
+            step = _SLICE_ROWS if finite else len(times)
+            return (zip(*(column[lo : lo + step].tolist() for column in columns)) for lo in range(0, len(times), step))
+
+        chunk_rows = itertools.chain.from_iterable(map(pieces, chunks))
+    _emit_rows(write, _EVOLVE_COLUMNS, fmt, 8, chunk_rows)
 
 
 def _cmd_report(args: Args) -> int:
@@ -723,10 +746,15 @@ def _cmd_evolve(args: Args) -> int:
         raise _CliError("need --points >= 2")
     if args.log_spacing and args.t_start <= 0.0:
         raise _CliError("--log-spacing needs --t-start > 0")
-    if args.log_spacing:
-        _require_numpy("evolve --log-spacing")
+    # Every row runs correlations and dynamics.  They are imported before
+    # numpy, so the scratch memory of compiling them is freed before
+    # numpy's 12.6 MB are resident, rather than stacked on it: a lower
+    # peak RSS.  (`_state_cells` takes `_measures` from the loaded module.)
+    from .correlations import _measures  # noqa: F401
     from .dynamics import _check_time
 
+    if args.log_spacing:
+        _require_numpy("evolve --log-spacing")
     chunks = _grid(args.t_start, args.t_end, args.points, args.log_spacing)
     first = next(chunks)
     # The grid rises from its first time, so this checks every time on it.

@@ -55,7 +55,13 @@ class CorrelationReport(_Record):
     """All correlation measures of one state, computed consistently.
 
     Attributes:
-        ef: entanglement of formation (nats); 0 exactly iff separable.
+        ef: entanglement of formation (nats); 0 where separable, with one
+            known exception: at extreme squeezing the separability margin
+            is rounding noise, and a state judged separable can get a
+            positive ef (for StsParams(1, 1, 19), ef = 38.71231792754822
+            with separable True, while ``entanglement_of_formation``
+            returns (0.0, 0.5)).  ROADMAP item 3 plans the kernel that
+            mends it.
         d1: discord with Gaussian measurements on mode 2 (nats).
         d2: discord with Gaussian measurements on mode 1 (nats).
         mutual_information: quantum mutual information (nats).

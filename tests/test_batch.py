@@ -293,3 +293,60 @@ def test_grid_chunks_are_the_numpy_grids(num):
         got = [x for chunk in chunks for x in chunk]
         assert [repr(x) for x in got] == [repr(x) for x in numpy_grid(0.001, 7.5, num).tolist()]
         assert got[-1] == 7.5
+
+
+def _mixed_state_table():
+    """A mixed state in a hot bath, and the times of one chunk that the batch answers."""
+    sf0 = standard_form_from_sts(StsParams(1.0, 0.5, 1.0))
+    return sf0, ReservoirConfig.single_bath(1.0, 0.2), next(cli._grid(0.0, 3.0, cli._CHUNK_ROWS))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_batch_chunk_becomes_python_rows_a_slice_at_a_time(fmt):
+    # The chunk's columns are computed and checked whole on arrays; its
+    # rows become Python tuples one slice at a time.  Holding all 1,024
+    # rows as Python objects at once peaks near 414 kB; a slice at a
+    # time, near 280 kB.
+    sf0, res, times = _mixed_state_table()
+    spy = _Spy()
+    batch = _table(sf0, res, [times], "nats", fmt, spy)
+    assert batch == _table(sf0, res, [times], "nats", fmt, None)
+    assert (spy.batched, spy.left) == (1, 0)
+
+    def discard(text):
+        pass
+
+    cli._emit_evolve(discard, sf0, res, [times], "nats", fmt, _batch)
+    tracemalloc.start()
+    try:
+        cli._emit_evolve(discard, sf0, res, [times], "nats", fmt, _batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 350_000
+
+
+class _InfAt:
+    """The ``_batch`` module, whose ``stack`` puts inf in row ``row`` of the ef column of chunk ``chunk`` (from 0)."""
+
+    def __init__(self, chunk, row):
+        self.chunk, self.row, self.stacks = chunk, row, 0
+
+    def stack(self, kernel, *columns):
+        results = _batch.stack(kernel, *columns)
+        if self.stacks == self.chunk:
+            results[cli._EVOLVE_COLUMNS.index("ef")][self.row] = math.inf
+        self.stacks += 1
+        return results
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_batch_chunk_with_a_non_finite_float_is_refused_whole(fmt):
+    # inf in row 700 of the second of three chunks: the output is exactly
+    # the first chunk's rows, and the refusal is the scalar path's.
+    sf0, res, _ = _mixed_state_table()
+    chunks = list(cli._grid(0.0, 3.0, 3 * cli._CHUNK_ROWS))
+    out, refusal = _table(sf0, res, chunks, "nats", fmt, _InfAt(1, 700))
+    first, _ = _table(sf0, res, chunks[:1], "nats", fmt, None)
+    assert out == first[: -len("\n" if fmt == "csv" else "\n]\n")]
+    assert refusal == repr(cli._CliError("refusing to print the non-finite number inf"))

@@ -152,6 +152,17 @@ def test_valid_commands_load_no_argument_parser():
     ]
 
 
+def _import_order(argv, *options):
+    """The modules that ``python options -X importtime -m stsdecay argv`` imports, in the order their imports end; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, *options, "-X", "importtime", "-m", "stsdecay", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -165,13 +176,7 @@ def test_valid_commands_load_no_argument_parser():
 def test_commands_without_numpy_load_no_typing_without_site(argv):
     # Under -S no site hook preloads typing, as in a plain venv; annotations
     # are strings, so a command that needs no numpy does not load it.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "stsdecay", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    imported = _import_order(argv, "-S")
     assert "stsdecay.cli" in imported
     assert [line for line in imported if line.split(".")[0] == "typing"] == []
 
@@ -299,6 +304,21 @@ def test_evolve_loads_numpy_from_the_batch_threshold_on():
     _, below, at = _probe([*_EVOLVE, str(n - 1)], [*_EVOLVE, str(n)])
     assert below[1:] == [0, []]
     assert at[1] == 0 and "numpy" in at[2]
+
+
+@pytest.mark.parametrize(
+    "points, grid",
+    [(3000, ["--t-start", "0.0003", "--log-spacing"]), (cli._BATCH_POINTS, [])],
+    ids=["log_spacing", "batch_threshold"],
+)
+def test_batch_evolve_compiles_its_modules_before_numpy(points, grid):
+    # Every evolve row runs dynamics and correlations; imported before
+    # numpy, their compile-time scratch memory is freed before numpy's
+    # arrays are resident, which lowers the command's peak RSS.
+    imported = _import_order([*_EVOLVE[:-1], *grid, "--points", str(points)])
+    numpy_starts = min(i for i, name in enumerate(imported) if name.split(".")[0] == "numpy")
+    assert imported.index("stsdecay.dynamics") < numpy_starts
+    assert imported.index("stsdecay.correlations") < numpy_starts
 
 
 # Runs one argv through cli.main, with numpy importable or not, and prints
