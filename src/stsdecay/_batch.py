@@ -27,8 +27,6 @@ import math
 
 import numpy as np
 
-from .core import _h_offset
-
 
 class _Fallback(Exception):
     """Some element of a stack takes a branch or a refusal of its own."""
@@ -43,9 +41,16 @@ class _Arrays:
     """``core._Floats`` on float64 arrays; Python's ``max(a, b)`` is ``b`` where ``b > a``, else ``a``."""
 
     sqrt, isfinite, select, not_ = np.sqrt, np.isfinite, np.where, np.logical_not
-    exp, expm1, hypot, cosh, sinh, h = (
-        functools.partial(_libm, f) for f in (math.exp, math.expm1, math.hypot, math.cosh, math.sinh, _h_offset)
+    exp, expm1, hypot, cosh, sinh = (
+        functools.partial(_libm, f) for f in (math.exp, math.expm1, math.hypot, math.cosh, math.sinh)
     )
+
+    @staticmethod
+    def h(a):
+        """``core._h_offset`` of each element: libm's ``log1p`` mapped, the rest on the arrays."""
+        rounding = a <= 0.0
+        a = np.where(rounding, 1.0, a)
+        return np.where(rounding, 0.0, _libm(math.log1p, a) + a * _libm(math.log1p, 1.0 / a))
 
     @staticmethod
     def branch(cond) -> bool:

@@ -59,8 +59,6 @@ from .core import (
     StandardForm,
     StsParams,
     _bona_fide,
-    _check_sts,
-    _cosh_sinh,
     _Floats,
     _separability_margin,
     _spectrum,
@@ -796,23 +794,24 @@ def _cmd_sweep(args: Args) -> int:
     """Write the sweep table, a chunk at a time.
 
     A row is one function of its swept value, ``row``, as an ``evolve``
-    row is one function of its time.  ``point`` runs the construction
-    checks at a value: a state sweep (n1, n2 or r) forms the entries with
-    the arithmetic of ``standard_form_from_sts`` and runs the checks of
-    StsParams and StandardForm on them; a reservoir sweep (nr or gamma)
-    runs the checks of ReservoirConfig on the rates.  ``row`` then takes
-    the separability margin once, and each output comes from the kernel
-    that its public function wraps: ``_state_cells`` (shared with
-    ``report``) for the measures, the kappas and the separable verdict,
-    and ``dynamics._death_time`` for ts.  A reservoir sweep's state is
-    fixed, so its cells are computed once.  No record is built per row.
-    So the values, the errors and their order are those of the records
-    and the public functions.
-
-    Every value of the sweep lies between its two ends, and what the
-    checks accept along one parameter is an interval, so ``point`` of the
-    last value runs before any row: an invalid range fails before any
-    output.  A row's kernels run in its turn, after the chunks before it.
+    row is one function of its time.  The records check the two ends of
+    the range, and only they: the first value, then the last, each through
+    ``_state_from_args`` (StsParams, then StandardForm) or
+    ``_reservoir_from_args`` (ReservoirConfig), so an invalid range fails
+    before any output, with the error the records raise and in their order.
+    Every value lies between the two ends, and what the checks accept
+    along one parameter is an interval, so every row passes them, and a
+    row runs no construction check.  ``point`` only computes: the entries
+    of a state sweep (n1, n2 or r) come from ``core._sts_entries``, the
+    kernel of ``standard_form_from_sts``, and a reservoir sweep (nr or
+    gamma) forms the rates.  ``row`` then takes the separability margin
+    once, and each output comes from the kernel that its public function
+    wraps: ``_state_cells`` (shared with ``report``) for the measures, the
+    kappas and the separable verdict, and ``dynamics._death_time`` for ts.
+    A reservoir sweep's state is fixed, so its cells are computed once.
+    So the values are those of the records and the public functions.  A
+    row's kernels run in its turn, and one that refuses its row ends the
+    output after the chunks before it.
     """
     if args.steps < 1:
         raise _CliError("need --steps >= 1")
@@ -834,11 +833,9 @@ def _cmd_sweep(args: Args) -> int:
         from .dynamics import ASYMPTOTIC_ONLY, _death_time
 
         dead, asymptotic = (_cell(marker, _SPELL[args.format]) for marker in ("separable", "asymptotic-only"))
-    param, n1, n2, r, phi = args.param, args.n1, args.n2, args.r, args.phi
+    param, n1, n2, r = args.param, args.n1, args.n2, args.r
     if param in ("n1", "n2", "r"):
         rates = None if res is None else res._fields()
-        # cosh r and sinh r, computed once while r is fixed.
-        ch, sh = _cosh_sinh(r)
 
         def state(b1: float, b2: float, c: float) -> tuple[float, tuple[object, ...]]:
             """The separability margin of the entries, and their cells."""
@@ -846,18 +843,11 @@ def _cmd_sweep(args: Args) -> int:
             return margin, state_cells(b1, b2, c, margin)
 
         def point(value: float) -> tuple[float, float, float, tuple[float, ...] | None]:
-            """The entries and the rates at ``value``, checked as StsParams, then StandardForm, check them.
-
-            The entries are those of ``standard_form_from_sts``; StandardForm's
-            phase and sign checks pass (phi is finite, and r >= 0 gives c >= 0).
-            """
+            """The entries of ``standard_form_from_sts`` at ``value``, and the rates."""
             x1, x2, s = (value, n2, r) if param == "n1" else (n1, value, r) if param == "n2" else (n1, n2, value)
-            _check_sts(x1, x2, s, phi)
-            return (*_sts_entries(x1, x2, s, *(_cosh_sinh(s) if param == "r" else (ch, sh))), rates)
+            return (*_sts_entries(x1, x2, s), rates)
 
     else:
-        from .dynamics import _check_reservoir
-
         # The margin and the cells of the sweep's one state, computed once.
         b1, b2, c = sf0.b1, sf0.b2, sf0.c
         margin = _separability_margin(b1, b2, c)
@@ -865,11 +855,9 @@ def _cmd_sweep(args: Args) -> int:
         state = lambda b1, b2, c: fixed  # noqa: E731
 
         def point(value: float) -> tuple[float, float, float, tuple[float, ...]]:
-            """The entries and the rates ``(gamma1, n_r1, gamma2, n_r2)`` at ``value``, checked as ReservoirConfig checks them."""
+            """The entries and the rates ``(gamma1, n_r1, gamma2, n_r2)`` at ``value``."""
             gamma, n_r = (value, args.nr) if param == "gamma" else (args.gamma, value)
-            rates = (gamma, n_r, gamma, n_r) if args.identical else (gamma, n_r, 0.0, 0.0)
-            _check_reservoir(*rates)
-            return b1, b2, c, rates
+            return b1, b2, c, ((gamma, n_r, gamma, n_r) if args.identical else (gamma, n_r, 0.0, 0.0))
 
     def row(value: float) -> tuple[object, ...]:
         """The row at ``value``: the value, the state's cells and, where selected, the ts cell, spelled."""
@@ -881,7 +869,12 @@ def _cmd_sweep(args: Args) -> int:
         return (value, *cells, asymptotic if t is ASYMPTOTIC_ONLY else t)
 
     lo, hi, steps = args.min, args.max, args.steps
-    point(*_linspace(lo, hi, steps, steps - 1))
+    # The records check the last value as they checked the first.
+    setattr(args, param, _linspace(lo, hi, steps, steps - 1)[0])
+    if param in ("nr", "gamma"):
+        _reservoir_from_args(args)
+    else:
+        _state_from_args(args)
     columns = [param, *_columns(outputs)]
     floats = len(columns) - ("separable" in outputs) - ts
     rows = (map(row, chunk) for chunk in _grid(lo, hi, steps))

@@ -44,7 +44,9 @@ _BITS, _DOUBLE = struct.Struct("<q"), struct.Struct("<d")
 # (64 eps of the products involved) is added on top because the stored
 # double-precision entries of a strongly squeezed pure state sit up to
 # ~b^2*eps away from the exact uncertainty boundary, which dwarfs any
-# fixed absolute allowance once b ~ e^{2r} is large.
+# fixed absolute allowance once b ~ e^{2r} is large.  Each product is
+# scaled before the sum, so a slack stays finite while its terms are (the
+# scale is a power of two: the same bits wherever the sum is finite).
 _ABS_SLACK = 1e-12
 _REL_SLACK = 64.0 * _EPS
 
@@ -157,6 +159,9 @@ class StsParams(_Record):
         r: squeeze parameter (>= 0; 0 is admitted as the degenerate
             thermal-product case).
         phi: squeeze phase in radians, normalized to (-pi, pi].
+
+    Construction checks the fields.  What it accepts along one field is an
+    interval, so CLI ``sweep`` builds the record at the two ends only.
     """
 
     __match_args__ = ("n1", "n2", "r", "phi")
@@ -166,18 +171,14 @@ class StsParams(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _check_sts(self.n1, self.n2, self.r, self.phi)
-        self.__dict__["phi"] = _wrap_angle(self.phi)
-
-
-def _check_sts(n1: float, n2: float, r: float, phi: float) -> None:
-    """The check of StsParams construction, shared with code that works on bare parameters."""
-    if not finite(n1, n2, r, phi):
-        raise InvalidParameterError("StsParams fields must be finite numbers")
-    if n1 < 0.0 or n2 < 0.0:
-        raise InvalidParameterError(f"thermal occupancies must be >= 0, got n1={n1!r}, n2={n2!r}")
-    if r < 0.0:
-        raise InvalidParameterError(f"squeeze parameter must be >= 0, got r={r!r}")
+        n1, n2, r, phi = self.n1, self.n2, self.r, self.phi
+        if not finite(n1, n2, r, phi):
+            raise InvalidParameterError("StsParams fields must be finite numbers")
+        if n1 < 0.0 or n2 < 0.0:
+            raise InvalidParameterError(f"thermal occupancies must be >= 0, got n1={n1!r}, n2={n2!r}")
+        if r < 0.0:
+            raise InvalidParameterError(f"squeeze parameter must be >= 0, got r={r!r}")
+        self.__dict__["phi"] = _wrap_angle(phi)
 
 
 class StandardForm(_Record):
@@ -248,7 +249,7 @@ def _bona_fide(b1: float, b2: float, c: float, ops=_Floats) -> tuple[float, floa
 
 def _uncertainty(hi, lo, c, ops=_Floats):
     """Margin ``(hi + 1/2)*(lo - 1/2) - c^2`` of clamped ``hi >= lo`` and its slack; elementwise."""
-    return prod_diff(hi + 0.5, lo - 0.5, c, c), ops.max(_ABS_SLACK, _REL_SLACK * (hi * lo + c * c + 0.25))
+    return prod_diff(hi + 0.5, lo - 0.5, c, c), ops.max(_ABS_SLACK, _REL_SLACK * hi * lo + _REL_SLACK * c * c + _REL_SLACK * 0.25)
 
 
 class SymplecticSpectrum(_Record):
@@ -280,16 +281,20 @@ def standard_form_from_sts(p: StsParams) -> StandardForm:
         b2 = (n1+1/2)*sinh(r)^2 + (n2+1/2)*cosh(r)^2
         c  = (n1+n2+1)*sinh(r)*cosh(r)
 
-    with the phase carried through unchanged.  The output satisfies the
-    uncertainty inequality by construction (up to rounding, which the
-    StandardForm validation slack absorbs).
+    with the phase carried through unchanged.  The entries come from
+    ``_sts_entries``, and StandardForm runs the bona fide check on them
+    once.  They satisfy the uncertainty inequality by construction (up to
+    rounding, which the StandardForm validation slack absorbs).  Each
+    refusal below is the overflow of a quantity that grows with every
+    parameter, so what this accepts along one of them is an interval.
 
     Raises:
         InvalidParameterError: when ``sinh(r)*cosh(r)`` overflows a double
-            (r above about 355.6), where no occupancies give finite entries,
-            or where the given ones do not.
+            (r above about 355.6), where no occupancies give finite entries;
+            where the given ones do not; or where the uncertainty margin of
+            the entries overflows a double.
     """
-    return StandardForm(*_sts_entries(p.n1, p.n2, p.r, *_cosh_sinh(p.r)), p.phi)
+    return StandardForm(*_sts_entries(p.n1, p.n2, p.r), p.phi)
 
 
 def _cosh_sinh(r: float, ops=_Floats) -> tuple[float, float]:
@@ -307,21 +312,20 @@ def _cosh_sinh(r: float, ops=_Floats) -> tuple[float, float]:
     return ch, sh
 
 
-def _sts_entries(n1: float, n2: float, r: float, ch: float, sh: float, ops=_Floats) -> tuple[float, float, float]:
-    """``(b1, b2, c)`` of ``standard_form_from_sts``, given ``ch = cosh(r)`` and ``sh = sinh(r)``; elementwise.
+def _sts_entries(n1: float, n2: float, r: float, ops=_Floats) -> tuple[float, float, float]:
+    """``(b1, b2, c)`` of ``standard_form_from_sts`` from the bare parameters; elementwise.
 
-    Checked as StandardForm checks them; entries that overflow a double
-    (tested only once ``_bona_fide`` refuses them) are refused by name.
+    The one kernel that forms the entries: ``_cosh_sinh`` refuses an
+    ``r`` first, then entries that overflow a double are refused by name.
+    It runs no bona fide check; StandardForm runs it on the entries.
+    Every admissible ``(n1, n2)`` gives entries of at least 1/2.
     """
+    ch, sh = _cosh_sinh(r, ops)
     a1 = n1 + 0.5
     a2 = n2 + 0.5
     b1, b2, c = a1 * ch * ch + a2 * sh * sh, a1 * sh * sh + a2 * ch * ch, (n1 + n2 + 1.0) * sh * ch
-    try:
-        b1, b2 = _bona_fide(b1, b2, c, ops)
-    except InvalidParameterError:
-        if finite(b1, b2, c):
-            raise
-        raise InvalidParameterError(f"n1={n1!r}, n2={n2!r}, r={r!r} give covariance entries that overflow a double") from None
+    if ops.branch(ops.not_(ops.isfinite(b1) & ops.isfinite(b2) & ops.isfinite(c))):
+        raise InvalidParameterError(f"n1={n1!r}, n2={n2!r}, r={r!r} give covariance entries that overflow a double")
     return b1, b2, c
 
 
@@ -444,5 +448,5 @@ def is_pure(sf: StandardForm) -> bool:
 
 def _is_pure(b1: float, b2: float, c: float, u: float) -> bool:
     """``is_pure`` on bare entries, given ``u = b1*b2 - c^2`` (compensated); elementwise on arrays."""
-    return (abs(b1 - b2) <= _REL_SLACK * (b1 + b2)) & (abs(u - 0.25) <= _REL_SLACK * (b1 * b2 + c * c + 0.25))
+    return (abs(b1 - b2) <= _REL_SLACK * (b1 + b2)) & (abs(u - 0.25) <= _REL_SLACK * b1 * b2 + _REL_SLACK * c * c + _REL_SLACK * 0.25)
 

@@ -71,6 +71,9 @@ class ReservoirConfig(_Record):
     ``gamma1``/``gamma2`` are the damping rates (>= 0, inverse time) and
     ``n_r1``/``n_r2`` the reservoir mean occupancies (>= 0).  A rate of 0
     decouples that mode; both rates 0 is the trivial identity channel.
+
+    Construction checks the fields.  What it accepts along one field is an
+    interval, so CLI ``sweep`` builds the record at the two ends only.
     """
 
     __match_args__ = ("gamma1", "n_r1", "gamma2", "n_r2")
@@ -80,7 +83,14 @@ class ReservoirConfig(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _check_reservoir(self.gamma1, self.n_r1, self.gamma2, self.n_r2)
+        gamma1, n_r1, gamma2, n_r2 = self.gamma1, self.n_r1, self.gamma2, self.n_r2
+        if not finite(gamma1, n_r1, gamma2, n_r2):
+            raise InvalidParameterError("ReservoirConfig fields must be finite numbers")
+        if min(gamma1, n_r1, gamma2, n_r2) < 0.0:
+            raise InvalidParameterError(
+                "damping rates and reservoir occupancies must be >= 0, got "
+                f"gamma1={gamma1!r}, n_r1={n_r1!r}, gamma2={gamma2!r}, n_r2={n_r2!r}"
+            )
 
     @classmethod
     def identical(cls, gamma: float, n_r: float) -> ReservoirConfig:
@@ -91,17 +101,6 @@ class ReservoirConfig(_Record):
     def single_bath(cls, gamma: float, n_r: float) -> ReservoirConfig:
         """One bath on mode 1 only; mode 2 evolves freely."""
         return cls(gamma, n_r, 0.0, 0.0)
-
-
-def _check_reservoir(gamma1: float, n_r1: float, gamma2: float, n_r2: float) -> None:
-    """The check of ReservoirConfig construction, shared with code that works on bare rates."""
-    if not finite(gamma1, n_r1, gamma2, n_r2):
-        raise InvalidParameterError("ReservoirConfig fields must be finite numbers")
-    if min(gamma1, n_r1, gamma2, n_r2) < 0.0:
-        raise InvalidParameterError(
-            "damping rates and reservoir occupancies must be >= 0, got "
-            f"gamma1={gamma1!r}, n_r1={n_r1!r}, gamma2={gamma2!r}, n_r2={n_r2!r}"
-        )
 
 
 class EvolvedState(_Record):

@@ -44,8 +44,6 @@ from ._batch import _Arrays, stack
 from .core import (
     StandardForm,
     StsParams,
-    _cosh_sinh,
-    _Floats,
     _Record,
     _separability_margin,
     _spectrum,
@@ -376,11 +374,6 @@ def sample_standard_form(
             return StandardForm(b1, b2, c, phi)
 
 
-def _entries(n1, n2, r, ops=_Floats):
-    """``(b1, b2, c)`` of ``standard_form_from_sts`` from the bare parameters; elementwise."""
-    return _sts_entries(n1, n2, r, *_cosh_sinh(r, ops), ops)
-
-
 def _bisection_stack(
     b1: np.ndarray, b2: np.ndarray, c: np.ndarray, res: list[np.ndarray]
 ) -> list[float | AsymptoticOnly]:
@@ -454,7 +447,7 @@ def run_verification(
     # each state: n1, n2, r and the phase.
     draws = rng.random((spectrum_samples, 4))
     n1, n2, r = 10.0 * draws[:, 0], 10.0 * draws[:, 1], 1.5 * draws[:, 2]
-    kp, km, _, _ = stack(_spectrum, *stack(_entries, n1, n2, r))
+    kp, km, _, _ = stack(_spectrum, *stack(_sts_entries, n1, n2, r))
     reports.append(_worst("kappa_plus = n_max + 1/2 (relative)", kp, np.maximum(n1, n2) + 0.5, 1e-12, relative=True))
     reports.append(_worst("kappa_minus = n_min + 1/2 (relative)", km, np.minimum(n1, n2) + 0.5, 1e-12, relative=True))
 
@@ -473,7 +466,7 @@ def run_verification(
         draws.append(rng.random((min(9, n - 1 - i), 3)))
     draws = np.concatenate(draws)
     sts = np.arange(n) % 10 != 0
-    b1[sts], b2[sts], c[sts] = stack(_entries, 20.0 * draws[:, 0], 20.0 * draws[:, 1], 3.0 * draws[:, 2])
+    b1[sts], b2[sts], c[sts] = stack(_sts_entries, 20.0 * draws[:, 0], 20.0 * draws[:, 1], 3.0 * draws[:, 2])
     closed = stack(_spectrum, b1, b2, c)
     oracle = np.empty((4, n))
     cms = np.zeros((_ORACLE_BLOCK, 4, 4))

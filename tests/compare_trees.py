@@ -10,7 +10,8 @@ checkout this script sits in:
 * the argv of every case of ``tests/test_golden.py``;
 * the first round of each workload of ``bench/workloads.py``, at seeds 1
   and 2;
-* ``verify --seed k`` for every k below ``workloads.VERIFY_SEEDS``.
+* ``verify --seed k`` for every k below ``workloads.VERIFY_SEEDS``;
+* the edge command lines of ``edges()``.
 
 An invocation differs when its stdout, its stderr or its exit code does.
 Each one that differs is printed with what differs; the last line counts
@@ -35,6 +36,36 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 
 
+def edges() -> list[list[str]]:
+    """Command lines at the edges of the construction checks.
+
+    Sweeps of each parameter whose ends sit at zero, the subnormals, near
+    the largest double, where the uncertainty margin of the entries
+    overflows (r near 177.5) and where sinh(r)*cosh(r) does (r near
+    355.6); entries whose relative slacks, summed before scaling, would
+    pass the largest double; and ``report``/``esd`` at r = 176, 177.5 and
+    355.
+    """
+    fixed = {"n1": "0.5", "n2": "0.25", "r": "1", "gamma": "1", "nr": "0.5"}
+    ends = [("0", "5e-324"), ("1e-310", "1e300"), ("0", "1e308"), ("177", "178.5"), ("355.5", "355.7"), ("178.5", "0")]
+    argvs = [
+        ["sweep", *(t for k, v in fixed.items() if k != param for t in ("--" + k, v)), "--identical"]
+        + ["--param", param, "--min", lo, "--max", hi, "--steps", "40", "--outputs", "ts"]
+        for param in fixed
+        for lo, hi in ends
+    ]
+    bath = ["--identical", "--nr", "0.5"]
+    argvs += [
+        ["esd", "--b1", "1e154", "--b2", "1e154", "--c", "1.2e154", *bath],
+        ["report", "--b1", "1e154", "--b2", "1e154", "--c", "1.2e154"],
+        ["report", "--b1", "1e154", "--b2", "1e154", "--c", "9e153"],
+        ["report", "--b1", "1e153", "--b2", "1e153", "--c", "9e152"],
+    ]
+    for r in ("176", "177.5", "355"):
+        argvs += [["report", "--n1", "1", "--n2", "1", "--r", r], ["esd", "--n1", "1", "--n2", "1", "--r", r, *bath]]
+    return argvs
+
+
 def corpus() -> list[list[str]]:
     """The argv lists to replay, in a fixed order."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
@@ -46,7 +77,7 @@ def corpus() -> list[list[str]]:
         for seed in SEEDS:
             argvs += next(workloads.rounds(workload, seed))
     argvs += [["verify", "--seed", str(k)] for k in range(workloads.VERIFY_SEEDS)]
-    return argvs
+    return argvs + edges()
 
 
 def outcome(tree: Path, argv: list[str], cwd: str) -> tuple[str, str, int]:

@@ -592,6 +592,28 @@ def test_kappa_plus_below_one_half_is_refused_as_such(capsys):
     assert err == "error: kappa_plus = 0.49999999999998995 < 1/2: not a physical two-mode state\n"
 
 
+def test_uncertainty_slack_stays_finite_where_its_terms_are(capsys):
+    # b1*b2 + c^2 passes the largest double here while each product is
+    # finite; the relative slack must not become inf and admit the state.
+    message = (
+        "error: uncertainty inequality violated: (b_max+1/2)(b_min-1/2) - c^2 = -4.400000000000001e+307 < 0 "
+        "for b1=1e+154, b2=1e+154, c=1.2e+154\n"
+    )
+    entries = ("--b1", "1e154", "--b2", "1e154", "--c", "1.2e154")
+    assert run(capsys, "esd", *entries, "--identical", "--nr", "0.5") == (2, "", message)
+    assert run(capsys, "report", *entries) == (2, "", message)
+
+
+@pytest.mark.parametrize("scale", ["1e153", "1e154"])
+def test_purity_slack_stays_finite_where_its_terms_are(capsys, scale):
+    # The same ratios of entries at two scales: mixed, not pure, at both.
+    b, c = float(scale), 0.9 * float(scale)
+    code, out, err = run(capsys, "report", "--b1", repr(b), "--b2", repr(b), "--c", repr(c), "--outputs", "ef,d1,d2,mutual_information")
+    assert (code, err) == (0, "")
+    (row,) = rows_of(out)
+    assert [row[k] for k in ("ef", "d1", "d2", "mutual_information")] == ["0.0", "0.0", "0.0", "1.6607312068216515"]
+
+
 @pytest.mark.parametrize(
     "entries, bath, free",
     [

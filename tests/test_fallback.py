@@ -39,6 +39,10 @@ def _margin(b1, b2, c, t, ops=core._Floats):
     return _margin_at(b1, b2, c, _RES, t, ops)
 
 
+def _h(a, ops=core._Floats):
+    return ops.h(a)
+
+
 def _product_or_pure(b1, b2, c, *_):
     return c == 0.0 or core._is_pure(b1, b2, c, prod_diff(b1, b2, c, c))
 
@@ -58,7 +62,8 @@ def _elements(ordinary, *columns):
 # kernel, its elements, and whether an element's scalar call takes a branch of its own.
 _KERNELS = {
     "bona_fide": (core._bona_fide, _elements(_STATES, *[_VALUES] * 3), _never),
-    "sts_entries": (verification._entries, _elements(_PARAMETERS, *[_VALUES] * 3), _never),
+    "h": (_h, _elements([(0.25,), (3.0,)], _VALUES), _never),
+    "sts_entries": (verification._sts_entries, _elements(_PARAMETERS, *[_VALUES] * 3), _never),
     "spectrum": (core._spectrum, _elements(_STATES, *[_VALUES] * 3), _product),
     "measures": (correlations._measures, _elements(_STATES, *[_VALUES] * 3), _product_or_pure),
     "margin_at": (_margin, _elements([(*state, 0.5) for state in _STATES], *[_VALUES] * 3, _TIMES), _never),

@@ -269,7 +269,7 @@ def test_run_verification_battery_passes_and_is_deterministic():
 def test_the_spectrum_stacks_give_each_battery_state_its_scalar_bits(monkeypatch):
     # All 4,000 spectrum states of the battery of seed 11: the entries of
     # standard_form_from_sts and the four kappas of symplectic_spectrum.
-    seen = {verification._entries: [], verification._spectrum: []}
+    seen = {verification._sts_entries: [], verification._spectrum: []}
 
     def record(kernel, *args, stack=_batch.stack):
         out = stack(kernel, *args)
@@ -300,7 +300,7 @@ def _error(f, *args):
 def test_an_entry_stack_with_a_refused_state_raises_its_error(n1, n2, r):
     params = np.array([(2.0, 0.5, 1.0), (n1, n2, r), (3.0, 1.0, 0.5)]).T
     want = _error(lambda: standard_form_from_sts(StsParams(n1, n2, r)))
-    assert _error(_batch.stack, verification._entries, *params) == want
+    assert _error(_batch.stack, verification._sts_entries, *params) == want
 
 
 def test_a_spectrum_stack_with_a_refused_or_product_state_is_the_scalar_ones():
