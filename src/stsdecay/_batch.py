@@ -13,11 +13,12 @@ branch or a refusal of its own.
 a stack that raised ``_Fallback``, or whose results hold a non-finite
 number, whole to the scalar kernel, whose special branches, error messages
 and partial output they are.  The batch rows of the ``evolve`` table (one
-writer chunk of times, in ``cli._emit_evolve``) and the stacks of
+writer chunk of times, in ``_cmd_evolve._emit_evolve``) and the stacks of
 ``verification`` go through it.
 
-Importing this module imports numpy; ``cli`` does so only for the grids
-where the batch pays for that import, and ``verification`` for its stacks.
+Importing this module imports numpy; ``evolve`` does so only for the
+grids where the batch pays for that import, and ``verification`` for its
+stacks.
 """
 
 from __future__ import annotations
@@ -50,7 +51,12 @@ class _Arrays:
         """``core._h_offset`` of each element: libm's ``log1p`` mapped, the rest on the arrays."""
         rounding = a <= 0.0
         a = np.where(rounding, 1.0, a)
-        return np.where(rounding, 0.0, _libm(math.log1p, a) + a * _libm(math.log1p, 1.0 / a))
+        log1p_a, inv = _libm(math.log1p, a), 1.0 / a
+        tail = _libm(math.log1p, inv)
+        overflow = inv == np.inf
+        if overflow.any():
+            tail = np.where(overflow, log1p_a - _libm(math.log, a), tail)
+        return np.where(rounding, 0.0, log1p_a + a * tail)
 
     @staticmethod
     def branch(cond) -> bool:

@@ -30,41 +30,38 @@ stsdecay``: it runs ``main``, then the exit handlers, flushes the standard
 streams and ends the process with ``os._exit``, skipping the interpreter's
 teardown.  ``main`` returns its exit code, for callers in the same process.
 
+No command compiles another command's code: each subcommand's handler,
+and the code that only it uses, is the module ``_cmd_<subcommand>``,
+which ``main`` imports for that subcommand alone.  This module holds the
+option table, the reading of the command line, ``main``, ``run`` and the
+helpers that two or more commands share.
+
 Only ``verify``, ``evolve --log-spacing`` and ``evolve`` on a grid of at
-least ``_BATCH_POINTS`` points import numpy; the last two compute their
-rows in numpy batches (``_batch``) that are bit for bit the scalar rows,
-which answer instead where numpy cannot be imported.  No command imports
-what it does not run: ``dynamics`` only where a bath or a death time is
-used, ``correlations`` only where a measure is printed, json only for JSON
-output, and typing never.  argparse is not imported for a command line in
+least ``_cmd_evolve._BATCH_POINTS`` points import numpy; the last two
+compute their rows in numpy batches (``_batch``) that are bit for bit the
+scalar rows, which answer instead where numpy cannot be imported.  No
+command imports what it does not run: ``dynamics`` only where a bath or a
+death time is used, ``correlations`` only where a measure is printed,
+json only for a string that JSON must escape (none that the commands
+spell), and typing never.  argparse is not imported for a command line in
 the plain form (the subcommand, then exact long flags and their values):
 ``_read_argv`` reads it from the option table that the parser is built
-from.  The parser is built only for help, for a usage error, and for the
-forms that argparse alone reads (an abbreviated flag, ``--flag=value``).
+from.  The parser, ``_parser``, is imported and built only for help, for
+a usage error, and for the forms that argparse alone reads (an
+abbreviated flag, ``--flag=value``).
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
-import functools
-import itertools
 import math
 import operator
 import os
 import sys
 from types import SimpleNamespace
 
-from .core import (
-    StandardForm,
-    StsParams,
-    _bona_fide,
-    _Floats,
-    _separability_margin,
-    _spectrum,
-    _sts_entries,
-    standard_form_from_sts,
-)
+from .core import StandardForm, StsParams, _Floats, _spectrum, standard_form_from_sts
 from .errors import (
     InvalidParameterError,
     NonPhysicalStateError,
@@ -101,10 +98,8 @@ _SWEEP_OUTPUTS = _REPORT_OUTPUTS + ["ts"]
 # The per-state outputs of every `evolve` row, and of `sweep` by default.
 _STATE_OUTPUTS = [*_MEASURES, "separable"]
 
-# Fixed column schemas of the `evolve` and `verify --format json` tables
-# (documented in README).
+# The fixed column schema of the `evolve` table (documented in README).
 _EVOLVE_COLUMNS = ["t", "b1", "b2", "c", *_STATE_OUTPUTS]
-_VERIFY_COLUMNS = ["quantity", "closed_form", "oracle", "abs_err", "tol", "passed"]
 
 # Table rows are made and checked this many at a time, so memory does not
 # grow with the table; a command that fails within its first chunk writes
@@ -117,7 +112,14 @@ _SLICE_ROWS = 128
 
 
 def _json_string(value: object) -> str:
-    """``json.dumps(value)``; json is imported for JSON output alone."""
+    """``json.dumps(value)``; json is imported only for a value that it must escape.
+
+    A string of printable ASCII without ``"`` and ``\\`` is spelled as
+    itself between quotes, as ``json.dumps`` spells it.  Every string that
+    the commands spell (column names, markers, quantity names) is one.
+    """
+    if isinstance(value, str) and value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+        return '"' + value + '"'
     import json
 
     return json.dumps(value)
@@ -151,14 +153,8 @@ def _require_numpy(command: str) -> None:
 # value and stores True; the dest is the flag without its dashes, with "_"
 # for "-", as argparse derives it.  A row of group None belongs to the
 # parser itself; the other groups are created, with their descriptions in
-# _GROUPS, where their first row is.  Both `_read_argv` and `_build_parser`
-# read these rows.
-_GROUPS = {
-    "state": "either the physical parameters --n1/--n2/--r or the standard form --b1/--b2/--c",
-    "reservoir": None,
-    "output": None,
-    "grid": None,
-}
+# `_parser._GROUPS`, where their first row is.  Both `_read_argv` and
+# `_parser._build_parser` read these rows.
 _CONFIG_OPTION = ("--config", str, None, None, False, "key=value file; command-line flags override it", None)
 _COMMON_OPTIONS = [
     ("--n1", float, None, None, False, "mean thermal photon number of mode 1", "state"),
@@ -221,6 +217,16 @@ _VERIFY_OPTIONS = [
     _CONFIG_OPTION,
 ]
 
+# Subcommand -> its help line and its options.  The command itself is the
+# function ``command`` of the module ``_cmd_<subcommand>``.
+_SUBCOMMANDS = {
+    "report": ("all correlation measures of one state at one time", _REPORT_OPTIONS),
+    "evolve": ("correlation time series over a time grid", _EVOLVE_OPTIONS),
+    "esd": ("entanglement sudden-death time", _ESD_OPTIONS),
+    "sweep": ("scalar outputs along a one-parameter sweep", _SWEEP_OPTIONS),
+    "verify": ("closed forms vs independent numeric oracles", _VERIFY_OPTIONS),
+}
+
 
 def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
@@ -240,7 +246,7 @@ def _negative_number(token: str) -> bool:
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a plain command line, as argparse gives them, or None.
 
-    ``argv`` is read as ``_build_parser().parse_args(argv)`` would read
+    ``argv`` is read as ``_parser._build_parser().parse_args(argv)`` would read
     it, and the namespace holds the same values in the same order, but
     only in the plain form that every valid command line can take: the
     subcommand first, then the exact long flags of that subcommand, each
@@ -288,38 +294,6 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
         return None
     return SimpleNamespace(**values)
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built from the option table.
-
-    argparse is imported here, so only a command line that needs the
-    parser loads it.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="stsdecay",
-        description=(
-            "Quantum correlations of two-mode squeezed thermal states and "
-            "their decay in local thermal reservoirs."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, options, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        groups: dict[str | None, argparse._ActionsContainer] = {None: p}
-        for flag, kind, default, choices, required, help_text, group in options:
-            if group not in groups:
-                groups[group] = p.add_argument_group(group, _GROUPS[group])
-            kwargs: dict[str, object] = {"help": help_text}
-            if kind is bool:
-                kwargs["action"] = "store_true"
-            else:
-                kwargs.update(default=default, choices=choices, required=required)
-                if kind is not str:
-                    kwargs["type"] = kind
-            groups[group].add_argument(flag, **kwargs)
-    return parser
 
 
 # The longest --config file read, in characters: 1 Mi, a bound on memory
@@ -649,275 +623,6 @@ def _grid(start: float, stop: float, num: int, log: bool = False) -> Iterator[li
     return map(chunk, range(0, num, _CHUNK_ROWS))
 
 
-# Grids of at least this many points take the numpy batch rows of `evolve`.
-# Loading numpy and the batch module costs a child about 126 ms of CPU and a
-# batch row saves about 11 us (25.5 against 14.5 us per row, written), so
-# the two paths break even near 1.2*10^4 rows (README, "Command line").
-_BATCH_POINTS = 10_000
-
-
-def _emit_evolve(
-    write: Callable[[str], object],
-    sf0: StandardForm,
-    res: ReservoirConfig,
-    chunks: Iterable[list[float]],
-    units: str,
-    fmt: str,
-    batch: object = None,
-) -> None:
-    """Write the `evolve` table over the time grid ``chunks``, a chunk at a time.
-
-    A row is one elementwise kernel of its time: the evolved entries,
-    checked as StandardForm checks them, and ``_state_cells`` of them.  It
-    runs on floats, one row at a time, or, where ``batch`` is the
-    ``_batch`` module, on a chunk's times at once through ``_batch.stack``,
-    whose rows are bit for bit the same.  A chunk with a product, pure,
-    refused or non-finite row goes whole to the scalar kernel, which alone
-    runs those branches; the batch answers every other chunk.
-
-    A batch chunk is computed whole, so every refusal and every fallback
-    to the scalar kernel comes before any of its text, and its float
-    columns are tested for finiteness on the arrays.  A finite chunk
-    reaches the writer as pieces of ``_SLICE_ROWS`` rows, each turned into
-    Python rows (one ``tolist`` per column) only when the writer reaches
-    it; a chunk with a non-finite float reaches it whole, to be refused as
-    the scalar rows are.
-    """
-    from .dynamics import _evolved_entries
-
-    cells = _state_cells(_STATE_OUTPUTS, units)
-
-    def row(t, ops=_Floats):
-        b1, b2, c = _evolved_entries(sf0, res, t, ops)
-        b1, b2 = _bona_fide(b1, b2, c, ops)
-        return (t, b1, b2, c) + cells(b1, b2, c, _separability_margin(b1, b2, c), ops)
-
-    if batch is None:
-        chunk_rows = map(functools.partial(map, row), chunks)
-    else:
-        import numpy as np
-
-        def pieces(times: list[float]) -> Iterator[Iterable[tuple[object, ...]]]:
-            """The rows of ``times``, computed and checked on arrays, in lazy pieces of ``_SLICE_ROWS`` rows.
-
-            A chunk with a non-finite float is one piece, which the writer
-            refuses before any of its text, as it refuses the scalar rows.
-            """
-            columns = batch.stack(row, np.array(times))
-            finite = all(np.isfinite(column).all() for column in columns[:8])
-            step = _SLICE_ROWS if finite else len(times)
-            return (zip(*(column[lo : lo + step].tolist() for column in columns)) for lo in range(0, len(times), step))
-
-        chunk_rows = itertools.chain.from_iterable(map(pieces, chunks))
-    _emit_rows(write, _EVOLVE_COLUMNS, fmt, 8, chunk_rows)
-
-
-def _cmd_report(args: Args) -> int:
-    sf = _state_from_args(args)
-    outputs = _parse_outputs(args.outputs, _REPORT_OUTPUTS)
-    res = _reservoir_from_args(args)
-    t = args.t
-    if t != 0.0:
-        if res is None:
-            raise _CliError("--t > 0 needs a reservoir; add bath flags or use --t 0")
-        from .dynamics import evolve
-
-        sf = evolve(sf, res, t).sf
-    b1, b2, c = sf.b1, sf.b2, sf.c
-    row = (t, b1, b2, c, *_state_cells(outputs, args.units)(b1, b2, c, _separability_margin(b1, b2, c)))
-    floats = len(row) - ("separable" in outputs)
-    with _destination(args.out) as write:
-        _emit_rows(write, ["t", "b1", "b2", "c", *_columns(outputs)], args.format, floats, [[row]])
-    return 0
-
-
-def _cmd_evolve(args: Args) -> int:
-    sf0 = _state_from_args(args)
-    res = _reservoir_from_args(args)
-    if res is None:
-        raise _CliError("evolve needs a reservoir: bath flags or --identical/--single-bath")
-    if not (math.isfinite(args.t_start) and math.isfinite(args.t_end)):
-        raise _CliError("the time grid must be finite")
-    if args.t_end <= args.t_start:
-        raise _CliError(f"need --t-end > --t-start, got [{args.t_start!r}, {args.t_end!r}]")
-    if args.points < 2:
-        raise _CliError("need --points >= 2")
-    if args.log_spacing and args.t_start <= 0.0:
-        raise _CliError("--log-spacing needs --t-start > 0")
-    # Every row runs correlations and dynamics.  They are imported before
-    # numpy, so the scratch memory of compiling them is freed before
-    # numpy's 12.6 MB are resident, rather than stacked on it: a lower
-    # peak RSS.  (`_state_cells` takes `_measures` from the loaded module.)
-    from .correlations import _measures  # noqa: F401
-    from .dynamics import _check_time
-
-    if args.log_spacing:
-        _require_numpy("evolve --log-spacing")
-    chunks = _grid(args.t_start, args.t_end, args.points, args.log_spacing)
-    first = next(chunks)
-    # The grid rises from its first time, so this checks every time on it.
-    _check_time(first[0])
-    batch = None
-    if args.log_spacing or args.points >= _BATCH_POINTS:
-        try:
-            from . import _batch as batch
-        except ImportError:
-            pass
-    with _destination(args.out) as write:
-        _emit_evolve(write, sf0, res, itertools.chain([first], chunks), args.units, args.format, batch)
-    return 0
-
-
-def _cmd_esd(args: Args) -> int:
-    sf = _state_from_args(args)
-    res = _reservoir_from_args(args)
-    if res is None:
-        raise _CliError("esd needs a reservoir: bath flags or --identical/--single-bath")
-    from .dynamics import ASYMPTOTIC_ONLY, esd_bisection, esd_time
-
-    if args.verify:
-        # SeparableInputError -> exit 3
-        closed, oracle = esd_time(sf, res), esd_bisection(sf, res)
-        columns = ["t_s_closed", "t_s_bisection", "abs_difference"]
-        row = [ASYMPTOTIC_ONLY] * 3 if ASYMPTOTIC_ONLY in (closed, oracle) else [closed, oracle, abs(closed - oracle)]
-    else:
-        columns, row = ["t_s"], [esd_time(sf, res)]
-    if row[0] is ASYMPTOTIC_ONLY:
-        sys.stderr.write("no sudden death (zero-temperature bath)\n")
-    cells = tuple(_cell("asymptotic-only" if value is ASYMPTOTIC_ONLY else value, _SPELL[args.format]) for value in row)
-    with _destination(args.out) as write:
-        _emit_rows(write, columns, args.format, 0, [[cells]])
-    return 0
-
-
-def _cmd_sweep(args: Args) -> int:
-    """Write the sweep table, a chunk at a time.
-
-    A row is one function of its swept value, ``row``, as an ``evolve``
-    row is one function of its time.  The records check the two ends of
-    the range, and only they: the first value, then the last, each through
-    ``_state_from_args`` (StsParams, then StandardForm) or
-    ``_reservoir_from_args`` (ReservoirConfig), so an invalid range fails
-    before any output, with the error the records raise and in their order.
-    Every value lies between the two ends, and what the checks accept
-    along one parameter is an interval, so every row passes them, and a
-    row runs no construction check.  ``point`` only computes: the entries
-    of a state sweep (n1, n2 or r) come from ``core._sts_entries``, the
-    kernel of ``standard_form_from_sts``, and a reservoir sweep (nr or
-    gamma) forms the rates.  ``row`` then takes the separability margin
-    once, and each output comes from the kernel that its public function
-    wraps: ``_state_cells`` (shared with ``report``) for the measures, the
-    kappas and the separable verdict, and ``dynamics._death_time`` for ts.
-    A reservoir sweep's state is fixed, so its cells are computed once.
-    So the values are those of the records and the public functions.  A
-    row's kernels run in its turn, and one that refuses its row ends the
-    output after the chunks before it.
-    """
-    if args.steps < 1:
-        raise _CliError("need --steps >= 1")
-    if args.param in ("nr", "gamma") and not (args.identical or args.single_bath):
-        raise _CliError(f"sweeping {args.param} needs a shorthand layout (--identical or --single-bath)")
-    if args.param in ("n1", "n2", "r") and any(v is not None for v in (args.b1, args.b2, args.c)):
-        raise _CliError(f"sweeping {args.param} needs the --n1/--n2/--r parametrization")
-    # No row uses the swept flag's own value, which may be omitted: it is
-    # set to the sweep's first value, so the records below check that value.
-    setattr(args, args.param, args.min)
-    res = _reservoir_from_args(args)
-    if args.outputs is None:
-        outputs = _STATE_OUTPUTS + (["ts"] if res is not None else [])
-    else:
-        outputs = _parse_outputs(args.outputs, _SWEEP_OUTPUTS if res is not None else _REPORT_OUTPUTS)
-    sf0 = _state_from_args(args)
-    ts, state_cells = ("ts" in outputs), _state_cells(outputs, args.units)
-    if ts:
-        from .dynamics import ASYMPTOTIC_ONLY, _death_time
-
-        dead, asymptotic = (_cell(marker, _SPELL[args.format]) for marker in ("separable", "asymptotic-only"))
-    param, n1, n2, r = args.param, args.n1, args.n2, args.r
-    if param in ("n1", "n2", "r"):
-        rates = None if res is None else res._fields()
-
-        def state(b1: float, b2: float, c: float) -> tuple[float, tuple[object, ...]]:
-            """The separability margin of the entries, and their cells."""
-            margin = _separability_margin(b1, b2, c)
-            return margin, state_cells(b1, b2, c, margin)
-
-        def point(value: float) -> tuple[float, float, float, tuple[float, ...] | None]:
-            """The entries of ``standard_form_from_sts`` at ``value``, and the rates."""
-            x1, x2, s = (value, n2, r) if param == "n1" else (n1, value, r) if param == "n2" else (n1, n2, value)
-            return (*_sts_entries(x1, x2, s), rates)
-
-    else:
-        # The margin and the cells of the sweep's one state, computed once.
-        b1, b2, c = sf0.b1, sf0.b2, sf0.c
-        margin = _separability_margin(b1, b2, c)
-        fixed = margin, state_cells(b1, b2, c, margin)
-        state = lambda b1, b2, c: fixed  # noqa: E731
-
-        def point(value: float) -> tuple[float, float, float, tuple[float, ...]]:
-            """The entries and the rates ``(gamma1, n_r1, gamma2, n_r2)`` at ``value``."""
-            gamma, n_r = (value, args.nr) if param == "gamma" else (args.gamma, value)
-            return b1, b2, c, ((gamma, n_r, gamma, n_r) if args.identical else (gamma, n_r, 0.0, 0.0))
-
-    def row(value: float) -> tuple[object, ...]:
-        """The row at ``value``: the value, the state's cells and, where selected, the ts cell, spelled."""
-        b1, b2, c, rates = point(value)
-        margin, cells = state(b1, b2, c)
-        if not ts:
-            return (value, *cells)
-        t = dead if margin >= 0.0 else _death_time(b1, b2, margin, rates)
-        return (value, *cells, asymptotic if t is ASYMPTOTIC_ONLY else t)
-
-    lo, hi, steps = args.min, args.max, args.steps
-    # The records check the last value as they checked the first.
-    setattr(args, param, _linspace(lo, hi, steps, steps - 1)[0])
-    if param in ("nr", "gamma"):
-        _reservoir_from_args(args)
-    else:
-        _state_from_args(args)
-    columns = [param, *_columns(outputs)]
-    floats = len(columns) - ("separable" in outputs) - ts
-    rows = (map(row, chunk) for chunk in _grid(lo, hi, steps))
-    with _destination(args.out) as write:
-        _emit_rows(write, columns, args.format, floats, rows)
-    return 0
-
-
-def _cmd_verify(args: Args) -> int:
-    # The destination is opened first, so an unwritable --out fails before
-    # the battery's work rather than after it.
-    with _destination(args.out) as write:
-        _require_numpy("verify")
-        from .verification import run_verification
-
-        reports = run_verification(seed=args.seed)
-        if args.format == "json":
-            # _VERIFY_COLUMNS are the report's fields, in order.
-            rows = [tuple(_cell(value, _json_string) for value in r._fields()) for r in reports]
-            _emit_rows(write, _VERIFY_COLUMNS, "json", 0, [rows])
-        else:
-            lines = [
-                f"{'PASS' if r.passed else 'FAIL'}  {r.quantity}: "
-                f"closed={r.closed_form!r}  oracle={r.oracle!r}  "
-                f"|err|={r.abs_err:.3e}  tol={r.tol:g}"
-                for r in reports
-            ]
-            ok = sum(r.passed for r in reports)
-            lines.append(f"{ok}/{len(reports)} checks passed")
-            write("\n".join(lines) + "\n")
-    return 0 if all(r.passed for r in reports) else 1
-
-
-# Subcommand -> its help line, its options, and the command.
-_SUBCOMMANDS = {
-    "report": ("all correlation measures of one state at one time", _REPORT_OPTIONS, _cmd_report),
-    "evolve": ("correlation time series over a time grid", _EVOLVE_OPTIONS, _cmd_evolve),
-    "esd": ("entanglement sudden-death time", _ESD_OPTIONS, _cmd_esd),
-    "sweep": ("scalar outputs along a one-parameter sweep", _SWEEP_OPTIONS, _cmd_sweep),
-    "verify": ("closed forms vs independent numeric oracles", _VERIFY_OPTIONS, _cmd_verify),
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -926,9 +631,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    args = _read_argv(expanded) or _build_parser().parse_args(expanded)
+    args = _read_argv(expanded)
+    if args is None:
+        from ._parser import _build_parser
+
+        args = _build_parser().parse_args(expanded)
+    # The module of this subcommand alone; ``__import__``, since -X importtime
+    # does not list a module that ``importlib.import_module`` loads.
+    command = __import__(f"{__package__}._cmd_{args.command}", fromlist=["command"]).command
     try:
-        return _SUBCOMMANDS[args.command][2](args)
+        return command(args)
     except SeparableInputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -56,11 +56,16 @@ def _h_offset(a: float) -> float:
 
     Uses h(1/2 + a) = log1p(a) + a*log1p(1/a), which is accurate for both
     tiny and huge offsets; the direct two-logarithm form loses digits as
-    a -> 0.  Non-positive offsets are rounding residue and map to 0.
+    a -> 0.  Where 1/a overflows (a at most 2^-1024), a*log1p(1/a) is
+    a*(log1p(a) - log(a)).  Non-positive offsets are rounding residue and
+    map to 0.
     """
     if a <= 0.0:
         return 0.0
-    return math.log1p(a) + a * math.log1p(1.0 / a)
+    inv = 1.0 / a
+    if inv == math.inf:
+        return math.log1p(a) + a * (math.log1p(a) - math.log(a))
+    return math.log1p(a) + a * math.log1p(inv)
 
 
 class _Floats:

@@ -11,6 +11,8 @@ checkout this script sits in:
 * the first round of each workload of ``bench/workloads.py``, at seeds 1
   and 2;
 * ``verify --seed k`` for every k below ``workloads.VERIFY_SEEDS``;
+* the command lines of ``tests/usage_golden.json`` (help, usage errors,
+  abbreviated flags and ``--flag=value``), which argparse answers;
 * the edge command lines of ``edges()``.
 
 An invocation differs when its stdout, its stderr or its exit code does.
@@ -43,8 +45,9 @@ def edges() -> list[list[str]]:
     the largest double, where the uncertainty margin of the entries
     overflows (r near 177.5) and where sinh(r)*cosh(r) does (r near
     355.6); entries whose relative slacks, summed before scaling, would
-    pass the largest double; and ``report``/``esd`` at r = 176, 177.5 and
-    355.
+    pass the largest double; ``report``/``esd`` at r = 176, 177.5 and
+    355; and valid command lines in the spellings that argparse alone
+    reads (abbreviated flags, ``--flag=value``).
     """
     fixed = {"n1": "0.5", "n2": "0.25", "r": "1", "gamma": "1", "nr": "0.5"}
     ends = [("0", "5e-324"), ("1e-310", "1e300"), ("0", "1e308"), ("177", "178.5"), ("355.5", "355.7"), ("178.5", "0")]
@@ -63,16 +66,25 @@ def edges() -> list[list[str]]:
     ]
     for r in ("176", "177.5", "355"):
         argvs += [["report", "--n1", "1", "--n2", "1", "--r", r], ["esd", "--n1", "1", "--n2", "1", "--r", r, *bath]]
+    argvs += [
+        ["report", "--n1=1", "--n2", "1", "--r", "1", "--ident", "--nr", "0.5", "--t", "1", "--format=json"],
+        ["esd", "--n1", "10", "--n2", "0.1", "--r=2", "--single", "--nr", "0.5", "--verif"],
+        ["evolve", "--n1", "1", "--n2", "0.5", "--r", "1", "--single-bath", "--nr", "0.2", "--t-end=3", "--poi", "9"],
+        ["sweep", "--param=r", "--min", "0", "--max", "2", "--steps", "5", "--n1", "1", "--n2", "0.5", "--ident", "--nr", "0.2"],
+        ["verify", "--se", "3", "--format=json"],
+    ]
     return argvs
 
 
 def corpus() -> list[list[str]]:
     """The argv lists to replay, in a fixed order."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
+    import test_argv
     import test_golden
     import workloads
 
     argvs = [list(argv) for _, argv in sorted(test_golden._cases().items())]
+    argvs += [list(argv) for argv in test_argv._CASES]
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             argvs += next(workloads.rounds(workload, seed))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from stsdecay import cli
+from stsdecay import _parser, cli
 from test_golden import CASES
 from test_lazy_imports import _PARSER_CASES
 
@@ -78,7 +78,7 @@ def test_the_reader_answers_every_golden_command_line_as_argparse_does(name):
     argv = list(CASES[name])
     args = cli._read_argv(argv)
     assert args is not None
-    assert repr(vars(args)) == repr(vars(cli._build_parser().parse_args(argv)))
+    assert repr(vars(args)) == repr(vars(_parser._build_parser().parse_args(argv)))
 
 
 @pytest.mark.parametrize(
@@ -93,7 +93,7 @@ def test_the_reader_answers_every_golden_command_line_as_argparse_does(name):
 def test_the_reader_takes_negative_numbers_repeats_and_any_value_of_a_string(argv):
     args = cli._read_argv(argv)
     assert args is not None
-    assert repr(vars(args)) == repr(vars(cli._build_parser().parse_args(argv)))
+    assert repr(vars(args)) == repr(vars(_parser._build_parser().parse_args(argv)))
 
 
 @pytest.mark.parametrize(

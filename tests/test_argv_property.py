@@ -18,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from stsdecay import cli  # noqa: E402
+from stsdecay._parser import _build_parser  # noqa: E402
 
 _VALUES = ["-1", "-.5", "-1e-3", "-inf", "nan", "", "0.5", "2", "1e3", "-0", "x", "1_0", " 3", "-", "-1\n"]
 # Values that convert, for the drawn option to take most of the time.
@@ -29,7 +30,7 @@ _FORMS = ["abbreviated", "equals", "stray", "--", "-h"]
 
 @functools.lru_cache(maxsize=None)
 def _parser():
-    return cli._build_parser()
+    return _build_parser()
 
 
 @st.composite

@@ -11,7 +11,8 @@ import pytest
 from test_golden import CASES, GOLDEN
 
 import stsdecay
-from stsdecay import ReservoirConfig, StandardForm, StsParams, _batch, cli, correlations, is_pure, standard_form_from_sts
+from stsdecay import ReservoirConfig, StandardForm, StsParams, _batch, _cmd_evolve, _parser, cli, correlations, is_pure
+from stsdecay import standard_form_from_sts
 
 
 class _Spy:
@@ -50,7 +51,7 @@ def _table(sf0, res, chunks, units, fmt, batch):
     """The output written, and the refusal that ended it, or None."""
     out = io.StringIO()
     try:
-        cli._emit_evolve(out.write, sf0, res, chunks, units, fmt, batch)
+        _cmd_evolve._emit_evolve(out.write, sf0, res, chunks, units, fmt, batch)
     except (ValueError, cli._CliError) as exc:
         return out.getvalue(), repr(exc)
     return out.getvalue(), None
@@ -58,7 +59,7 @@ def _table(sf0, res, chunks, units, fmt, batch):
 
 def _parsed(argv):
     """The state, reservoir, time-grid arguments, units and format of an `evolve` argv."""
-    args = cli._build_parser().parse_args(list(argv))
+    args = _parser._build_parser().parse_args(list(argv))
     grid = (args.t_start, args.t_end, args.points, args.log_spacing)
     return cli._state_from_args(args), cli._reservoir_from_args(args), grid, args.units, args.format
 
@@ -78,7 +79,7 @@ def _scalar_rows(sf0, res, times, units):
     """
     out = io.StringIO()
     try:
-        cli._emit_evolve(out.write, sf0, res, ([t] for t in times), units, "csv")
+        _cmd_evolve._emit_evolve(out.write, sf0, res, ([t] for t in times), units, "csv")
     except (ValueError, cli._CliError) as exc:
         refusal = exc
     else:
@@ -173,7 +174,7 @@ def test_seeded_set_covers_the_branches():
     # strongly squeezed mixed states are refused (ROADMAP item 2).
     seen = set()
     for argv in _seeded_argvs():
-        args = cli._build_parser().parse_args(argv)
+        args = _parser._build_parser().parse_args(argv)
         sf0, res = cli._state_from_args(args), cli._reservoir_from_args(args)
         rows = []
         for times in cli._grid(args.t_start, args.t_end, args.points, args.log_spacing):
@@ -195,7 +196,7 @@ def test_a_row_refused_mid_table_ends_both_paths_alike(capsys, monkeypatch):
     # and the row is refused as such; the chunks before it are already written.
     argv = [
         "evolve", "--b1", "2", "--b2", "2", "--c", "1", "--single-bath", "--nr", "1e160",
-        "--t-end", "2e-6", "--points", str(cli._BATCH_POINTS), "--format", "json",
+        "--t-end", "2e-6", "--points", str(_cmd_evolve._BATCH_POINTS), "--format", "json",
     ]
     spy = _Spy()
     _use_batch(monkeypatch, spy)
@@ -211,7 +212,7 @@ def test_a_row_refused_mid_table_ends_both_paths_alike(capsys, monkeypatch):
     assert out.count('"t":') == spy.batched * cli._CHUNK_ROWS
 
 
-@pytest.mark.parametrize("points", [3, cli._BATCH_POINTS])
+@pytest.mark.parametrize("points", [3, _cmd_evolve._BATCH_POINTS])
 def test_kappa_plus_below_one_half_ends_both_paths_alike(capsys, monkeypatch, points):
     argv = [
         "evolve", "--b1", "0.5", "--b2", "0.5", "--c", "1e-7", "--identical", "--nr", "0.5",
@@ -226,7 +227,7 @@ def test_kappa_plus_below_one_half_ends_both_paths_alike(capsys, monkeypatch, po
     code, out, err = batch
     assert code == 2 and err == "error: kappa_plus = 0.49999999999998995 < 1/2: not a physical two-mode state\n"
     assert out == ""  # row t = 0 is the refused one
-    assert (spy.batched, spy.left) == ((0, 1) if points == cli._BATCH_POINTS else (0, 0))
+    assert (spy.batched, spy.left) == ((0, 1) if points == _cmd_evolve._BATCH_POINTS else (0, 0))
 
 
 def test_row_lines_spell_cells_like_the_cell_writer():
@@ -246,11 +247,27 @@ def test_row_lines_spell_cells_like_the_cell_writer():
 def test_entropic_function_on_arrays_is_the_scalar_one_bit_for_bit():
     rng = random.Random(20261019)
     offsets = [0.0, -0.0, -1e-300, 5e-324, 1e-300, 1e-9, 0.5, 1.0, 1e15, 1e300, math.inf, math.nan]
+    # Where 1/a overflows, up to 2^-1024, and the first offset past it.
+    offsets += [1e-320, 5e-309, 2.0**-1024, math.nextafter(2.0**-1024, 1.0)]
     offsets += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320, 308) for _ in range(5000)]
     with np.errstate(all="ignore"):
         got = _batch._Arrays.h(np.array(offsets)).tolist()
     assert [repr(x) for x in got] == [repr(correlations._h_offset(a)) for a in offsets]
     assert math.isnan(got[11])
+
+
+def test_entropic_function_of_subnormal_offsets_is_within_an_ulp_of_mpmath():
+    # 1/a overflows for these offsets; h(1/2 + a) = (1 + a)*log1p(a) - a*log(a).
+    mpmath = pytest.importorskip("mpmath")
+    offsets = [5e-324, 1e-320, 5e-309]
+    with np.errstate(all="ignore"):
+        arrays = _batch._Arrays.h(np.array(offsets)).tolist()
+    with mpmath.workprec(200):
+        for a, array in zip(offsets, arrays):
+            x = mpmath.mpf(a)
+            exact = (1 + x) * mpmath.log1p(x) - x * mpmath.log(x)
+            for got in (correlations._h_offset(a), array):
+                assert abs(got - exact) <= math.ulp(float(exact)), (a, got)
 
 
 def test_chunks_with_product_or_pure_rows_are_left_to_the_scalar_rows():
@@ -316,10 +333,10 @@ def test_a_batch_chunk_becomes_python_rows_a_slice_at_a_time(fmt):
     def discard(text):
         pass
 
-    cli._emit_evolve(discard, sf0, res, [times], "nats", fmt, _batch)
+    _cmd_evolve._emit_evolve(discard, sf0, res, [times], "nats", fmt, _batch)
     tracemalloc.start()
     try:
-        cli._emit_evolve(discard, sf0, res, [times], "nats", fmt, _batch)
+        _cmd_evolve._emit_evolve(discard, sf0, res, [times], "nats", fmt, _batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -498,6 +498,37 @@ def test_streaming_writer_refuses_non_finite_numbers(fmt, bad):
         _emitted(["t", "x"], fmt, 0, [(0.0, 1.0), (1.0, bad)])
 
 
+def test_every_string_the_commands_spell_is_json_dumps_without_json(monkeypatch):
+    from stsdecay import _cmd_verify, run_verification
+
+    strings = {
+        *(column for columns in cli._OUTPUT_COLUMNS.values() for column in columns),
+        *cli._EVOLVE_COLUMNS,
+        *_cmd_verify._VERIFY_COLUMNS,
+        *("t_s", "t_s_closed", "t_s_bisection", "abs_difference"),
+        *("n1", "n2", "r", "nr", "gamma"),
+        *("separable", "asymptotic-only"),
+        *(report.quantity for report in run_verification(seed=0)),
+        # Every printable ASCII character that JSON does not escape.
+        "".join(chr(i) for i in range(0x20, 0x7F) if chr(i) not in '"\\'),
+        "",
+    }
+    want = {string: json.dumps(string) for string in strings}
+    monkeypatch.setitem(sys.modules, "json", None)
+    assert {string: cli._json_string(string) for string in strings} == want
+
+
+def test_json_string_is_json_dumps_on_any_text():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, strategies as st
+
+    @given(st.text() | st.text(st.characters(min_codepoint=0x1F, max_codepoint=0x80)))
+    def spelled_as_json_dumps(string):
+        assert cli._json_string(string) == json.dumps(string)
+
+    spelled_as_json_dumps()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_overflowing_death_time_is_refused(capsys, fmt):
     code, out, err = run(

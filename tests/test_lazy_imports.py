@@ -3,8 +3,10 @@
 numpy is used by the oracle, the log grid of `evolve`, and the batch rows of
 long `evolve` grids, which give the bytes of the scalar rows without it.
 ``import stsdecay`` loads no submodule, and each command loads only the
-modules that it runs.  argparse (with gettext and locale) is loaded only
-for help, usage errors and the spellings that only it reads.
+modules that it runs: of the command-line modules, ``cli`` and its own
+``_cmd_*`` module.  argparse (with gettext and locale) and the parser
+module ``_parser`` are loaded only for help, usage errors and the
+spellings that only argparse reads.
 """
 
 import ast
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 import stsdecay
-from stsdecay import cli, dynamics, verification
+from stsdecay import _cmd_evolve, _parser, cli, dynamics, verification
 
 _SRC = str(Path(stsdecay.__file__).resolve().parents[1])
 
@@ -192,15 +194,18 @@ def test_help_abbreviations_and_usage_errors_load_argparse(argv, code):
 
 
 # Runs one step in a fresh interpreter and prints, as a Python literal, the
-# package's submodules and which of numpy and json are loaded by then.  The
-# probe imports only sys, so what it reports beyond start-up the step loaded.
+# package's submodules and which of numpy, json and argparse are loaded by
+# then.  The probe imports only sys, so what it reports beyond start-up the
+# step loaded.
 _LOADED_PROBE = """
 import sys
 {}
-print(sorted(m for m in sys.modules if m.startswith("stsdecay.") or m in ("numpy", "json")))
+print(sorted(m for m in sys.modules if m.startswith("stsdecay.") or m in ("numpy", "json", "argparse")))
 """
 # The command line: argv after the source, refused unless it exits 0.
 _MAIN = "from stsdecay import cli\nif cli.main(sys.argv[1:]): sys.exit('nonzero exit code')"
+# The command line, ending as argparse ends it for help and usage errors.
+_MAIN_OR_PARSER_EXIT = "from stsdecay import cli\ntry:\n    cli.main(sys.argv[1:])\nexcept SystemExit:\n    pass"
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,6 +255,56 @@ def test_cli_and_an_unknown_name_load_no_numpy(step):
     assert "numpy" not in _added(step)
 
 
+# A valid command line of each subcommand, and the library modules it runs.
+_COMMAND_LINES = {
+    "report": (["report", *_STATE], {"core", "_accurate", "errors", "correlations"}),
+    "evolve": (
+        ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "9"],
+        {"core", "_accurate", "errors", "correlations", "dynamics"},
+    ),
+    "esd": (["esd", *_STATE, "--identical", "--nr", "0.3"], {"core", "_accurate", "errors", "dynamics"}),
+    "sweep": (
+        ["sweep", *_STATE, "--param", "r", "--min", "0", "--max", "2", "--steps", "7", "--identical", "--nr", "0.2"],
+        {"core", "_accurate", "errors", "correlations", "dynamics"},
+    ),
+    "verify": (
+        ["verify", "--seed", "1"],
+        {"core", "_accurate", "errors", "dynamics", "verification", "_batch"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", _COMMAND_LINES)
+def test_a_command_loads_its_own_module_and_the_library_it_runs_alone(command):
+    argv, library = _COMMAND_LINES[command]
+    added = _added(_MAIN, *argv)
+    want = {"stsdecay.cli", f"stsdecay._cmd_{command}", *(f"stsdecay.{name}" for name in library)}
+    assert {name for name in added if name.startswith("stsdecay.")} == want
+    assert "argparse" not in added
+
+
+@pytest.mark.parametrize("form", ["help", "usage_error", "abbreviation", "equals"])
+@pytest.mark.parametrize("command", _COMMAND_LINES)
+def test_help_usage_errors_and_argparse_spellings_load_the_parser(command, form):
+    argv, _ = _COMMAND_LINES[command]
+    flag, value = ("--seed", "1") if command == "verify" else ("--phi", "0")
+    line = {
+        "help": [command, "--help"],
+        "usage_error": [*argv, "--no-such-flag"],
+        "abbreviation": [*argv, flag[:-1], value],
+        "equals": [*argv, f"{flag}={value}"],
+    }[form]
+    added = _added(_MAIN_OR_PARSER_EXIT, *line)
+    assert {"stsdecay._parser", "argparse"} <= added
+    assert {name for name in added if name.startswith("stsdecay._cmd_")} <= {f"stsdecay._cmd_{command}"}
+
+
+@pytest.mark.parametrize("command", ["report", "esd"])
+def test_json_output_loads_no_json(command):
+    argv, _ = _COMMAND_LINES[command]
+    assert "json" not in _added(_MAIN, *argv, "--format", "json")
+
+
 # What each command line must print alike through `main` and from the
 # parser: help, an unknown flag and a missing required flag (for the
 # commands that have none, a flag without its value), at the top level and
@@ -280,7 +335,7 @@ def test_the_subcommand_parser_prints_the_bytes_of_the_full_parser(argv, capsys)
             parse(argv)
         return exited.value.code, *capsys.readouterr()
 
-    assert printed(cli.main) == printed(cli._build_parser().parse_args)
+    assert printed(cli.main) == printed(_parser._build_parser().parse_args)
 
 
 @pytest.mark.parametrize(
@@ -300,7 +355,7 @@ _EVOLVE = ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "-
 
 
 def test_evolve_loads_numpy_from_the_batch_threshold_on():
-    n = cli._BATCH_POINTS
+    n = _cmd_evolve._BATCH_POINTS
     _, below, at = _probe([*_EVOLVE, str(n - 1)], [*_EVOLVE, str(n)])
     assert below[1:] == [0, []]
     assert at[1] == 0 and "numpy" in at[2]
@@ -308,7 +363,7 @@ def test_evolve_loads_numpy_from_the_batch_threshold_on():
 
 @pytest.mark.parametrize(
     "points, grid",
-    [(3000, ["--t-start", "0.0003", "--log-spacing"]), (cli._BATCH_POINTS, [])],
+    [(3000, ["--t-start", "0.0003", "--log-spacing"]), (_cmd_evolve._BATCH_POINTS, [])],
     ids=["log_spacing", "batch_threshold"],
 )
 def test_batch_evolve_compiles_its_modules_before_numpy(points, grid):
@@ -337,7 +392,7 @@ print(json.dumps([code, loaded, hashlib.sha256(out.getvalue().encode()).hexdiges
 
 
 def test_evolve_without_numpy_writes_the_same_bytes():
-    argv = json.dumps([*_EVOLVE, str(cli._BATCH_POINTS)])
+    argv = json.dumps([*_EVOLVE, str(_cmd_evolve._BATCH_POINTS)])
     code, loaded, digest = _python(_BYTES_PROBE, "blocked", argv)
     assert (code, loaded) == (0, False)
     assert _python(_BYTES_PROBE, "importable", argv) == [0, True, digest]
