@@ -139,6 +139,17 @@ class _Unavailable(Exception):
     """A command that cannot run on this platform; maps to exit code 1."""
 
 
+# The exit code of each error that ``main`` reports as one line on stderr.
+_EXIT_CODES = {
+    SeparableInputError: 3,
+    OraclePrecisionError: 1,
+    _Unavailable: 1,
+    _CliError: 2,
+    InvalidParameterError: 2,
+    NonPhysicalStateError: 2,
+}
+
+
 def _require_numpy(command: str) -> None:
     """Import numpy, or refuse ``command`` where it cannot be imported."""
     try:
@@ -628,28 +639,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         expanded = _expand_config(list(argv))
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    args = _read_argv(expanded)
-    if args is None:
-        from ._parser import _build_parser
+        args = _read_argv(expanded)
+        if args is None:
+            from ._parser import _build_parser
 
-        args = _build_parser().parse_args(expanded)
-    # The module of this subcommand alone; ``__import__``, since -X importtime
-    # does not list a module that ``importlib.import_module`` loads.
-    command = __import__(f"{__package__}._cmd_{args.command}", fromlist=["command"]).command
-    try:
-        return command(args)
-    except SeparableInputError as exc:
+            args = _build_parser().parse_args(expanded)
+        # The module of this subcommand alone; ``__import__``, since -X importtime
+        # does not list a module that ``importlib.import_module`` loads.
+        return __import__(f"{__package__}._cmd_{args.command}", fromlist=["command"]).command(args)
+    except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (OraclePrecisionError, _Unavailable) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (_CliError, InvalidParameterError, NonPhysicalStateError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 def run() -> None:

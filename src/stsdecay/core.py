@@ -108,24 +108,52 @@ class _Floats:
 class _Record:
     """Base of the package's immutable value records.
 
-    A subclass lists its fields, in order, as ``__match_args__`` and stores
-    them in ``__init__`` through the instance ``__dict__``; assignment and
-    deletion are refused afterwards.  A validating record checks (and
-    normalizes) its fields in ``__post_init__``, which ``__init__`` calls
-    last, so tools that wrap that hook keep seeing the check.
+    A subclass declares its fields once, in order, as ``__match_args__``;
+    ``repr``, ``==``, ``hash``, pattern matching and this one ``__init__``
+    all read them from there.  ``__init__(*values, **named)`` binds the
+    values to the fields as a Python signature would: by position, then by
+    keyword, with a trailing field that the class's ``_defaults`` maps to
+    a value optional.  A missing field, an unknown keyword, a value too
+    many, or a field given both by position and by keyword raises
+    ``TypeError``.  The fields go into the instance ``__dict__`` in field
+    order, and ``__post_init__`` runs last: a validating record checks
+    (and normalizes) its fields there, so tools that wrap that hook keep
+    seeing the check.  Assignment and deletion are refused afterwards.
 
     ``repr``, ``==`` and ``hash`` are those of a frozen dataclass:
     ``Name(field=value, ...)``, equal only to an instance of the same class
     with equal fields, hashed as the tuple of the fields.  The instance
     ``__dict__`` is what ``copy``, ``deepcopy`` and ``pickle`` restore,
-    without going through ``__setattr__``.  (With ``__slots__`` instead,
-    they would restore through ``__setattr__`` and fail.)  The dataclass
-    machinery itself is not used: importing ``dataclasses`` (which pulls in
-    ``inspect``) and decorating the records cost each command-line call
-    about 15 ms of start-up.
+    without going through ``__setattr__`` or ``__init__``.  (With
+    ``__slots__`` instead, they would restore through ``__setattr__`` and
+    fail.)  The dataclass machinery itself is not used: importing
+    ``dataclasses`` (which pulls in ``inspect``) and decorating the records
+    cost each command-line call about 15 ms of start-up.
     """
 
     __match_args__: tuple[str, ...] = ()
+    # The value of each optional trailing field.
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self.__match_args__
+        if named or len(values) != len(fields):
+            name = type(self).__qualname__
+            if len(values) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} positional arguments but {len(values)} were given")
+            for key in named:
+                if key not in fields[len(values):]:
+                    kind = "multiple values for" if key in fields else "an unexpected keyword"
+                    raise TypeError(f"{name}() got {kind} argument {key!r}")
+            named = {**self._defaults, **dict(zip(fields, values)), **named}
+            if missing := [field for field in fields if field not in named]:
+                raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+            values = [named[field] for field in fields]
+        self.__dict__.update(zip(fields, values))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check and normalize the fields; a record without checks has nothing to do."""
 
     def _fields(self) -> tuple[object, ...]:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -170,10 +198,7 @@ class StsParams(_Record):
     """
 
     __match_args__ = ("n1", "n2", "r", "phi")
-
-    def __init__(self, n1: float, n2: float, r: float, phi: float = 0.0) -> None:
-        self.__dict__.update(n1=n1, n2=n2, r=r, phi=phi)
-        self.__post_init__()
+    _defaults = {"phi": 0.0}
 
     def __post_init__(self) -> None:
         n1, n2, r, phi = self.n1, self.n2, self.r, self.phi
@@ -204,10 +229,7 @@ class StandardForm(_Record):
     """
 
     __match_args__ = ("b1", "b2", "c", "phi")
-
-    def __init__(self, b1: float, b2: float, c: float, phi: float = 0.0) -> None:
-        self.__dict__.update(b1=b1, b2=b2, c=c, phi=phi)
-        self.__post_init__()
+    _defaults = {"phi": 0.0}
 
     def __post_init__(self) -> None:
         b1, b2, c, phi = self.b1, self.b2, self.c, self.phi
@@ -265,16 +287,6 @@ class SymplecticSpectrum(_Record):
     """
 
     __match_args__ = ("kappa_plus", "kappa_minus", "kappa_tilde_plus", "kappa_tilde_minus")
-
-    def __init__(
-        self, kappa_plus: float, kappa_minus: float, kappa_tilde_plus: float, kappa_tilde_minus: float
-    ) -> None:
-        self.__dict__.update(
-            kappa_plus=kappa_plus,
-            kappa_minus=kappa_minus,
-            kappa_tilde_plus=kappa_tilde_plus,
-            kappa_tilde_minus=kappa_tilde_minus,
-        )
 
 
 def standard_form_from_sts(p: StsParams) -> StandardForm:

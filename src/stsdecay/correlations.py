@@ -33,7 +33,6 @@ from .core import (
     _kappas,
     _Record,
     _separability_margin,
-    is_separable,
 )
 from .errors import InvalidParameterError, NonPhysicalStateError
 
@@ -55,13 +54,13 @@ class CorrelationReport(_Record):
     """All correlation measures of one state, computed consistently.
 
     Attributes:
-        ef: entanglement of formation (nats); 0 where separable, with one
-            known exception: at extreme squeezing the separability margin
-            is rounding noise, and a state judged separable can get a
-            positive ef (for StsParams(1, 1, 19), ef = 38.71231792754822
-            with separable True, while ``entanglement_of_formation``
-            returns (0.0, 0.5)).  ROADMAP item 3 plans the kernel that
-            mends it.
+        ef: entanglement of formation (nats); 0 where separable, but h(b)
+            for a pure state whatever its verdict.  At extreme squeezing
+            the separability margin is rounding noise, and a mixed state
+            judged separable can also get a positive ef (for
+            StsParams(1, 1, 19), ef = 38.71231792754822 with separable
+            True, where the exact value is 36.515).  ROADMAP item 3 plans
+            the kernel that mends it.
         d1: discord with Gaussian measurements on mode 2 (nats).
         d2: discord with Gaussian measurements on mode 1 (nats).
         mutual_information: quantum mutual information (nats).
@@ -74,30 +73,6 @@ class CorrelationReport(_Record):
     """
 
     __match_args__ = ("ef", "d1", "d2", "mutual_information", "separable", "x_m", "y", "z", "invariant_d")
-
-    def __init__(
-        self,
-        ef: float,
-        d1: float,
-        d2: float,
-        mutual_information: float,
-        separable: bool,
-        x_m: float,
-        y: float,
-        z: float,
-        invariant_d: float,
-    ) -> None:
-        self.__dict__.update(
-            ef=ef,
-            d1=d1,
-            d2=d2,
-            mutual_information=mutual_information,
-            separable=separable,
-            x_m=x_m,
-            y=y,
-            z=z,
-            invariant_d=invariant_d,
-        )
 
 
 def entropic_h(x: float) -> float:
@@ -115,8 +90,9 @@ def entropic_h(x: float) -> float:
 def entanglement_of_formation(sf: StandardForm) -> tuple[float, float]:
     """Entanglement of formation of ``sf`` and its auxiliary parameter.
 
-    Returns ``(ef, x_m)``.  Separable states return ``(0.0, 0.5)`` (the EF
-    of a separable state is zero by definition).  Entangled states use
+    Returns ``(ef, x_m)``, the fields of ``correlation_report(sf)``.
+    Separable states give ``(0.0, 0.5)`` (the EF of a separable state is
+    zero by definition).  Entangled states use
 
         D   = (b1 b2 - c^2)^2 - (b1^2 + b2^2 - 2c^2)/4 + 1/16
         x_m = [ (b1+b2)(b1 b2 - c^2 + 1/4) - 2 c sqrt(D) ] / [ (b1+b2)^2 - 4 c^2 ]
@@ -124,14 +100,10 @@ def entanglement_of_formation(sf: StandardForm) -> tuple[float, float]:
 
     with D evaluated in the equivalent product form
     (kappa_plus^2 - 1/4)(kappa_minus^2 - 1/4), which does not cancel.
-    Pure states short-circuit to the exact identity ef = h(b), x_m = b.
+    Pure states short-circuit to the exact identity ef = h(b), x_m = b,
+    whatever the separability verdict (which is rounding noise for a
+    near-pure state next to the vacuum or at extreme squeezing).
     """
-    # Separable states return at once.  The verdict also overrides the
-    # pure-state branch here, unlike in the report: the two disagree only
-    # where a near-pure state's margin is rounding noise (next to the
-    # vacuum, or at extreme squeezing).
-    if is_separable(sf):
-        return 0.0, 0.5
     ef, _, _, _, _, x_m, _, _, _ = _measures(sf.b1, sf.b2, sf.c)
     return ef, x_m
 

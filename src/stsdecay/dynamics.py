@@ -78,10 +78,6 @@ class ReservoirConfig(_Record):
 
     __match_args__ = ("gamma1", "n_r1", "gamma2", "n_r2")
 
-    def __init__(self, gamma1: float, n_r1: float, gamma2: float, n_r2: float) -> None:
-        self.__dict__.update(gamma1=gamma1, n_r1=n_r1, gamma2=gamma2, n_r2=n_r2)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         gamma1, n_r1, gamma2, n_r2 = self.gamma1, self.n_r1, self.gamma2, self.n_r2
         if not finite(gamma1, n_r1, gamma2, n_r2):
@@ -107,9 +103,6 @@ class EvolvedState(_Record):
     """A standard-form state tagged with the elapsed evolution time."""
 
     __match_args__ = ("t", "sf")
-
-    def __init__(self, t: float, sf: StandardForm) -> None:
-        self.__dict__.update(t=t, sf=sf)
 
 
 def _check_time(t: float) -> None:

@@ -168,13 +168,6 @@ class OracleReport(_Record):
 
     __match_args__ = ("quantity", "closed_form", "oracle", "abs_err", "tol", "passed")
 
-    def __init__(
-        self, quantity: str, closed_form: float, oracle: float, abs_err: float, tol: float, passed: bool
-    ) -> None:
-        self.__dict__.update(
-            quantity=quantity, closed_form=closed_form, oracle=oracle, abs_err=abs_err, tol=tol, passed=passed
-        )
-
     @classmethod
     def compare(cls, quantity: str, closed_form: float, oracle: float, tol: float) -> OracleReport:
         """Build a report from the two values, deriving abs_err and the verdict."""

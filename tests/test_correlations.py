@@ -190,6 +190,20 @@ def test_correlation_report_is_consistent():
         assert rep.invariant_d >= 0.0
 
 
+def test_ef_is_the_reports_ef_and_x_m():
+    # At r >= 19 the separability margin of a pure state is rounding noise
+    # and reads separable; the pure branch still gives ef = h(b), x_m = b.
+    rng = np.random.default_rng(43)
+    states = [standard_form_from_sts(StsParams(0.0, 0.0, r)) for r in (19.0, 30.0, 100.0)]
+    states += [sample_standard_form(rng) for _ in range(100)]
+    states += [standard_form_from_sts(sample_sts(rng)) for _ in range(100)]
+    for sf in states:
+        rep = correlation_report(sf)
+        assert entanglement_of_formation(sf) == (rep.ef, rep.x_m), sf
+    for sf in states[:3]:
+        assert entanglement_of_formation(sf) == (entropic_h(sf.b1), sf.b1)
+
+
 def test_correlation_report_frozen_state():
     rep = correlation_report(standard_form_from_sts(StsParams(10.0, 0.1, 2.0)))
     assert rep.ef == pytest.approx(EF_REF, abs=5e-12)

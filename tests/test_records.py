@@ -95,13 +95,47 @@ def test_construction_normalizes_the_phase():
     assert repr(StandardForm(2.0, 1.5, -0.5, 3.0)) == "StandardForm(b1=2.0, b2=1.5, c=0.5, phi=-0.14159265358979312)"
 
 
-def test_missing_and_unknown_arguments_are_type_errors():
-    with pytest.raises(TypeError):
-        StandardForm(2.0, 1.5)
-    with pytest.raises(TypeError):
-        StandardForm(2.0, 1.5, 0.5, 0.0, 1.0)
-    with pytest.raises(TypeError):
-        ReservoirConfig(1.0, 0.25, 2.0, n_r3=0.0)
+@pytest.mark.parametrize("cls, values, text", RECORDS, ids=IDS)
+def test_the_binder_refuses_what_a_signature_refuses(cls, values, text):
+    names = FIELDS[cls]
+    calls = {
+        "missing by position": lambda: cls(*values[:-2]),
+        "missing by keyword": lambda: cls(**dict(zip(names[1:], values[1:]))),
+        "extra positional": lambda: cls(*values, 0.0),
+        "unknown keyword": lambda: cls(*values, not_a_field=0.0),
+        "repeated": lambda: cls(*values[:1], **dict(zip(names, values))),
+    }
+    for call in calls.values():
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) "):
+            call()
+
+
+@pytest.mark.parametrize("cls, values, text", RECORDS, ids=IDS)
+def test_phi_alone_has_a_default(cls, values, text):
+    if cls in (StsParams, StandardForm):
+        assert cls(*values[:-1]).phi == 0.0
+        assert cls(**dict(zip(FIELDS[cls][:-1], values))).phi == 0.0
+    else:
+        with pytest.raises(TypeError, match="missing required arguments"):
+            cls(*values[:-1])
+
+
+@pytest.mark.parametrize("cls, values, text", RECORDS, ids=IDS)
+def test_post_init_runs_once_per_construction(cls, values, text, monkeypatch):
+    calls = []
+    post_init = cls.__post_init__
+
+    def counted(self):
+        calls.append(dict(self.__dict__))
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    fields = dict(zip(FIELDS[cls], values))
+    for construct in (lambda: cls(*values), lambda: cls(**fields)):
+        calls.clear()
+        record = construct()
+        # It sees every field, bound in field order.
+        assert calls == [fields] and list(record.__dict__) == list(FIELDS[cls])
 
 
 @pytest.mark.parametrize("cls, values, text", RECORDS, ids=IDS)
