@@ -311,10 +311,10 @@ def sample_sts(
 ) -> StsParams:
     """Random squeezed-thermal parameters, uniform over the given box."""
     return StsParams(
-        n1=n_max * rng.random(),
-        n2=n_max * rng.random(),
-        r=r_max * rng.random(),
-        phi=rng.uniform(-math.pi, math.pi) if with_phase else 0.0,
+        n_max * rng.random(),
+        n_max * rng.random(),
+        r_max * rng.random(),
+        rng.uniform(-math.pi, math.pi) if with_phase else 0.0,
     )
 
 
@@ -332,11 +332,13 @@ def sample_entangled_sts(
     still covering strongly asymmetric states.
     """
     while True:
+        # By position, (n1, n2, r, phi), as the rng draws them: the
+        # record's fast path, for each rejection draw.
         p = StsParams(
-            n1=n_max * rng.random(),
-            n2=n_max * rng.random(),
-            r=rng.uniform(r_min, r_max),
-            phi=rng.uniform(-math.pi, math.pi) if with_phase else 0.0,
+            n_max * rng.random(),
+            n_max * rng.random(),
+            rng.uniform(r_min, r_max),
+            rng.uniform(-math.pi, math.pi) if with_phase else 0.0,
         )
         sf = standard_form_from_sts(p)
         if separability_margin(sf) < 0.0:

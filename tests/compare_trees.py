@@ -46,9 +46,11 @@ def edges() -> list[list[str]]:
     overflows (r near 177.5) and where sinh(r)*cosh(r) does (r near
     355.6); entries whose relative slacks, summed before scaling, would
     pass the largest double; ``report``/``esd`` at r = 176, 177.5 and
-    355; and valid command lines in the spellings that argparse alone
-    reads (abbreviated flags, ``--flag=value``).
+    355; valid command lines in the spellings that argparse alone reads
+    (abbreviated flags, ``--flag=value``); and the lines that
+    ``test_contract.CITED`` cites as defects or edges.
     """
+    from test_contract import CITED
     fixed = {"n1": "0.5", "n2": "0.25", "r": "1", "gamma": "1", "nr": "0.5"}
     ends = [("0", "5e-324"), ("1e-310", "1e300"), ("0", "1e308"), ("177", "178.5"), ("355.5", "355.7"), ("178.5", "0")]
     argvs = [
@@ -73,7 +75,7 @@ def edges() -> list[list[str]]:
         ["sweep", "--param=r", "--min", "0", "--max", "2", "--steps", "5", "--n1", "1", "--n2", "0.5", "--ident", "--nr", "0.2"],
         ["verify", "--se", "3", "--format=json"],
     ]
-    return argvs
+    return argvs + [shlex.split(line) for line in CITED]
 
 
 def corpus() -> list[list[str]]:

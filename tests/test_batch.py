@@ -115,82 +115,6 @@ def test_golden_evolve_tables_from_both_row_paths(name):
     assert (spy.batched, spy.left) == _routing(CASES[name])
 
 
-_LAYOUTS = {
-    "identical": ("--identical", "--gamma", "{g}", "--nr", "{nr}"),
-    "single1": ("--single-bath", "--gamma", "{g}", "--nr", "{nr}"),
-    "single2": ("--gamma2", "{g}", "--nr2", "{nr}"),
-    "equal_rates": ("--gamma1", "{g}", "--nr1", "{nr}", "--gamma2", "{g}", "--nr2", "{nr2}"),
-    "unequal_rates": ("--gamma1", "{g}", "--nr1", "{nr}", "--gamma2", "{g2}", "--nr2", "{nr2}"),
-}
-
-
-def _seeded_argvs(seed=20260418):
-    """`evolve` argvs over every state kind, bath layout, unit, format and grid spacing."""
-    rng = random.Random(seed)
-
-    def num(lo, hi):
-        return repr(rng.uniform(lo, hi))
-
-    states = {
-        "product": lambda: ("--b1", num(0.5, 4.0), "--b2", num(0.5, 4.0), "--c", "0"),
-        "pure": lambda: ("--n1", "0", "--n2", "0", "--r", num(0.1, 10.0)),
-        "mixed": lambda: ("--n1", num(0.0, 5.0), "--n2", num(0.0, 5.0), "--r", num(0.5, 10.0)),
-        "form": lambda: ("--b1", "3.2", "--b2", "1.4", "--c", num(0.1, 1.7)),
-    }
-    argvs = []
-    for i in range(30):
-        kind = list(states)[i % 4]
-        layout = list(_LAYOUTS)[i % 5]
-        # Every third bath is at zero temperature; the others are hot, so
-        # entangled inputs cross into separability inside the grid.
-        nr = 0.0 if i % 3 == 0 else rng.uniform(0.1, 1.5)
-        values = {"g": rng.uniform(0.3, 2.0), "g2": rng.uniform(2.5, 4.0), "nr": nr, "nr2": nr + rng.uniform(0.1, 1.0)}
-        bath = [token.format(**{k: repr(v) for k, v in values.items()}) for token in _LAYOUTS[layout]]
-        points = rng.choice([2, 3, 700, 1023, 1025, 2100])
-        t_end = rng.uniform(1.0, 12.0)
-        grid = ["--t-start", repr(t_end * 1e-4), "--log-spacing"] if (i // 2) % 2 else []
-        argv = ["evolve", *states[kind](), *bath, "--t-end", repr(t_end), *grid, "--points", str(points)]
-        argv += ["--units", "bits"] if (i // 3) % 2 else []
-        argv += ["--format", "json"] if i % 7 in (0, 3, 5) else []
-        argvs.append(argv)
-    # A strongly squeezed mixed state whose entries lose the invariants
-    # (ROADMAP item 2): refused, on both paths, within the grid.
-    argvs.append(
-        ["evolve", "--n1", "4", "--n2", "1.5", "--r", "9.7", "--gamma2", "0.9", "--nr2", "0.35", "--t-end", "11", "--points", "1023"]
-    )
-    return argvs
-
-
-@pytest.mark.parametrize("argv", _seeded_argvs(), ids=lambda argv: " ".join(argv[1:]))
-def test_seeded_evolve_tables_from_both_row_paths(argv):
-    (scalar, batch), spy = _both_tables(argv)
-    assert scalar == batch
-    assert (spy.batched, spy.left) == _routing(argv)
-
-
-def test_seeded_set_covers_the_branches():
-    # Product rows (c = 0), pure rows, entangled rows at zero temperature,
-    # and crossings into separability all occur in the seeded set.  Some
-    # strongly squeezed mixed states are refused (ROADMAP item 2).
-    seen = set()
-    for argv in _seeded_argvs():
-        args = _parser._build_parser().parse_args(argv)
-        sf0, res = cli._state_from_args(args), cli._reservoir_from_args(args)
-        rows = []
-        for times in cli._grid(args.t_start, args.t_end, args.points, args.log_spacing):
-            chunk, refusal = _scalar_rows(sf0, res, times, args.units)
-            rows += chunk
-            if refusal is not None:
-                seen.add("refused")
-                break
-        verdicts = {row[8] for row in rows}
-        seen.add("crossing" if verdicts == {"false", "true"} else "entangled" if verdicts == {"false"} else "separable")
-        seen.add("zero temperature" if res.n_r1 == res.n_r2 == 0.0 and "false" in verdicts else "hot")
-        seen |= {"product" for row in rows if row[3] == 0.0}
-        seen |= {"pure" for row in rows if is_pure(StandardForm(*row[1:4]))}
-    assert seen == {"crossing", "entangled", "separable", "zero temperature", "hot", "product", "pure", "refused"}
-
-
 def test_a_row_refused_mid_table_ends_both_paths_alike(capsys, monkeypatch):
     # b1(t) grows past 1e154 near t = 1.3e-6, where (b1 + b2)^2 overflows
     # and the row is refused as such; the chunks before it are already written.

@@ -13,9 +13,7 @@ import pytest
 from stsdecay import (
     InvalidParameterError,
     ReservoirConfig,
-    StandardForm,
     StsParams,
-    correlation_report,
     esd_bisection,
     esd_time_identical_baths,
     standard_form_from_sts,
@@ -90,56 +88,6 @@ def test_report_selected_outputs_in_canonical_order(capsys):
         capsys, "report", "--n1", "1", "--n2", "1", "--r", "1", "--outputs", "bogus"
     )
     assert code == 2 and "bogus" in err
-
-
-def test_units_bits_rescales_only_the_entropic_measures(capsys):
-    args = ("report", "--n1", "10", "--n2", "0.1", "--r", "2")
-    _, out_nats, _ = run(capsys, *args)
-    _, out_bits, _ = run(capsys, *args, "--units", "bits")
-    (nats,) = rows_of(out_nats)
-    (bits,) = rows_of(out_bits)
-    for key in ("ef", "d1", "d2", "mutual_information"):
-        assert float(nats[key]) / float(bits[key]) == pytest.approx(math.log(2.0), rel=1e-14)
-    for key in ("kappa_plus", "kappa_minus", "kappa_tilde_plus", "kappa_tilde_minus", "b1"):
-        assert nats[key] == bits[key]
-
-
-def test_evolve_has_fixed_schema_and_row_count(capsys):
-    code, out, _ = run(
-        capsys,
-        "evolve", "--n1", "10", "--n2", "0.1", "--r", "2",
-        "--identical", "--nr", "0.5", "--t-end", "2", "--points", "50",
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "t,b1,b2,c,ef,d1,d2,mutual_information,separable"
-    assert len(lines) == 51
-    rows = rows_of(out)
-    assert float(rows[0]["t"]) == 0.0
-    assert float(rows[-1]["t"]) == 2.0
-    # Entanglement dies strictly inside this window (t_s ~ 0.672).
-    assert rows[0]["separable"] == "false"
-    assert rows[-1]["separable"] == "true"
-    assert float(rows[-1]["ef"]) == 0.0
-
-
-def test_evolve_csv_rows_recompute_exactly(capsys):
-    _, out, _ = run(
-        capsys,
-        "evolve", "--n1", "3", "--n2", "1", "--r", "1.5",
-        "--gamma1", "0.8", "--nr1", "0.4", "--gamma2", "1.1", "--nr2", "0.2",
-        "--t-end", "3", "--points", "40",
-    )
-    for row in rows_of(out):
-        sf = StandardForm(float(row["b1"]), float(row["b2"]), float(row["c"]))
-        rep = correlation_report(sf)
-        # Shortest round-trip floats reconstruct the state bit-for-bit, so
-        # the measures recompute bit-for-bit as well.
-        assert float(row["ef"]) == rep.ef
-        assert float(row["d1"]) == rep.d1
-        assert float(row["d2"]) == rep.d2
-        assert float(row["mutual_information"]) == rep.mutual_information
-        assert (row["separable"] == "true") == rep.separable
 
 
 def test_evolve_grid_validation(capsys):
@@ -420,20 +368,6 @@ def test_output_file_matches_stdout(capsys, tmp_path, args):
     code, silent, _ = run(capsys, *args, "--out", str(target))
     assert code == 0 and silent == ""
     assert target.read_bytes() == out.encode()
-
-
-def test_json_rows_reparse_to_identical_floats(capsys):
-    args = (
-        "report", "--n1", "10", "--n2", "0.1", "--r", "2", "--format", "json"
-    )
-    _, first, _ = run(capsys, *args)
-    _, second, _ = run(capsys, *args)
-    assert first == second
-    (row,) = json.loads(first)
-    sf = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
-    rep = correlation_report(sf)
-    assert row["ef"] == rep.ef
-    assert row["b1"] == sf.b1
 
 
 def test_verify_command_passes(capsys):
@@ -867,73 +801,6 @@ def test_report_is_computed_only_for_measure_columns(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 5
     code, out, _ = run(capsys, "report", "--n1", "1", "--n2", "1", "--r", "1", "--outputs", "kappas,separable")
     assert code == 0 and out.splitlines()[0] == "t,b1,b2,c,kappa_plus,kappa_minus,kappa_tilde_plus,kappa_tilde_minus,separable"
-
-
-def test_report_cells_are_those_of_a_one_step_sweep(capsys):
-    # report and sweep share one cell function: at the same state, report's
-    # cells after (t, b1, b2, c) are the sweep row's after its swept value,
-    # for every output subset, both formats and both units.  The states
-    # (entangled and mixed, pure, product with c = 0, separable) take turns.
-    names = cli._REPORT_OUTPUTS
-    states = [("10", "0.1", "2"), ("0", "0", "1.5"), ("1", "1", "0"), ("1.5", "0.8", "0.1")]
-    subsets = [[n for k, n in enumerate(names) if mask >> k & 1] for mask in range(1, 2 ** len(names))]
-    cases = [(outputs, fmt, units) for outputs in subsets for fmt in ("csv", "json") for units in ("nats", "bits")]
-    verdicts = set()
-    for i, (outputs, fmt, units) in enumerate(cases):
-        n1, n2, r = states[i % len(states)]
-        common = ["--n1", n1, "--n2", n2, "--outputs", ",".join(outputs), "--format", fmt, "--units", units]
-        fields = []
-        for argv in (["report", "--r", r], ["sweep", "--param", "r", "--min", r, "--max", r, "--steps", "1"]):
-            code, out, err = run(capsys, *argv, *common)
-            assert (code, err) == (0, ""), argv
-            # CSV: the header and row cells; JSON: the "name": value lines of the record.
-            lines = out.splitlines()
-            fields.append([*lines[0].split(","), *lines[1].split(",")] if fmt == "csv" else lines[2:-2])
-        report, sweep = fields
-        n = len(cli._columns(outputs))
-        if fmt == "csv":
-            assert report[4 : 4 + n] == sweep[1 : 1 + n] == cli._columns(outputs)
-            assert report[-n:] == sweep[-n:]
-        else:
-            assert report[4:] == sweep[1:] and len(sweep) == 1 + n
-        if "separable" in outputs:
-            verdicts.add(report[-1].rsplit(" ", 1)[-1])
-    assert verdicts == {"true", "false"}
-
-
-@pytest.mark.parametrize("points", ["3", "10000"], ids=["scalar", "batch"])
-@pytest.mark.parametrize(
-    "bath",
-    [
-        ["--identical", "--nr", "0.5"],
-        ["--single-bath", "--gamma", "0.7", "--nr", "0.2"],
-        ["--gamma1", "0.7", "--nr1", "0.1", "--gamma2", "1.3", "--nr2", "0.4"],
-    ],
-    ids=["identical", "single_bath", "two_baths"],
-)
-def test_report_at_t_prints_the_last_evolve_row_to_t(capsys, bath, points):
-    # report and evolve share one cell function: report --t T with evolve's
-    # outputs prints the row that evolve --t-end T ends with, from its
-    # scalar rows (3 points) and from its batch rows (10,000 points).
-    outputs = "ef,d1,d2,mutual_information,separable"
-    state = ["--n1", "1", "--n2", "0.5", "--r", "1", *bath]
-    verdicts = set()
-    # Each format in each unit; the state is entangled at t = 0.3 and separable at t = 4.
-    for t, fmt, units in [("0.3", "csv", "nats"), ("0.3", "json", "bits"), ("4", "csv", "bits"), ("4", "json", "nats")]:
-        common = [*state, "--format", fmt, "--units", units]
-        code, report, err = run(capsys, "report", *common, "--t", t, "--outputs", outputs)
-        assert (code, err) == (0, "")
-        code, evolve, err = run(capsys, "evolve", *common, "--t-end", t, "--points", points)
-        assert (code, err) == (0, "")
-        if fmt == "csv":
-            header, row = report.splitlines()
-            lines = evolve.splitlines()
-            assert (header, row) == (lines[0], lines[-1]) and len(lines) == 1 + int(points)
-        else:
-            # "[", then the record; evolve's last record follows a ",".
-            assert report.startswith("[\n") and evolve.endswith("}," + report[1:])
-        verdicts.add((t, row.rsplit(",", 1)[-1] if fmt == "csv" else report.split()[-3]))
-    assert verdicts == {("0.3", "false"), ("4", "true")}
 
 
 def test_output_through_a_symlink_writes_the_linked_file(capsys, tmp_path):

@@ -22,7 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from stsdecay import ReservoirConfig, StandardForm, StsParams, cli, core, dynamics, standard_form_from_sts  # noqa: E402
-from test_sweep_rows import _expected, _table  # noqa: E402
+from test_contract import _cells, _spelled  # noqa: E402
 
 _ENDS = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-310, 1e300, 1e308]),
@@ -53,7 +53,7 @@ def _outcome(param, values, layout):
         # Both ends pass the records, so every value between them does.
         sf, res = at(value)
         try:
-            rows.append([repr(value), *_expected(sf, res, ["ts"], "nats")])
+            rows.append([repr(value), *map(_spelled, _cells(sf, res, ["ts"], "nats"))])
         except ValueError as exc:
             return rows[: len(rows) // _CHUNK_ROWS * _CHUNK_ROWS], str(exc)
     return rows, None
@@ -76,7 +76,7 @@ def test_a_sweep_is_its_records_at_both_ends_and_its_kernels_between(param, lo, 
         code = cli.main(argv)
     assert (code, err.getvalue()) == ((0, "") if error is None else (2, f"error: {error}\n")), argv
     if rows:
-        assert _table(out.getvalue(), "csv") == ([param, "ts"], rows)
+        assert [line.split(",") for line in out.getvalue().splitlines()] == [[param, "ts"], *rows]
     else:
         assert out.getvalue() == ""
 
