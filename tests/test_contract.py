@@ -5,8 +5,8 @@ from the option table of ``cli`` in the plain form that ``cli._read_argv``
 reads, as ``test_argv_property.py`` draws them, with values from an
 adversarial pool (5e-324 to 1e308, 1/2 and its neighbours, r up to 355.58,
 subnormal and huge occupancies) mixed with ordinary ones; the lines that
-ROADMAP.md and CHANGES.md cite as defects or edges (``CITED``) are explicit
-examples.  Each line runs through ``cli.main``, and:
+ROADMAP.md and CHANGES.md cite as defects or edges (``CITED``) run too, in
+CSV and in JSON.  Each line runs through ``cli.main``, and:
 
 * exit: the exit code is 0, 2 or 3;
 * error line: on a nonzero exit, stderr is one ``error: `` line, and no
@@ -20,6 +20,9 @@ examples.  Each line runs through ``cli.main``, and:
   ``numpy.linspace`` and ``numpy.geomspace``;
 * batch: ``_cmd_evolve._emit_evolve`` writes the same bytes, and refusal,
   from its scalar rows and from the numpy batch rows of ``_batch``.
+
+``_MUTANTS`` holds faults that the contract catches: each is patched into
+the program alone, and the contract must fail on a line that meets it.
 
 Not asserted yet (ROADMAP item 10): that a refusal is true, that is, that
 what its message says overflows or is below 0 does so when recomputed
@@ -45,8 +48,10 @@ np = pytest.importorskip("numpy")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from stsdecay import ASYMPTOTIC_ONLY, ReservoirConfig, StandardForm, StsParams, _batch, _cmd_evolve, cli  # noqa: E402
+from stsdecay import _cmd_report, _cmd_sweep, correlations  # noqa: E402
 from stsdecay import correlation_report, esd_bisection, esd_time, evolve, is_pure, is_separable  # noqa: E402
 from stsdecay import standard_form_from_sts, symplectic_spectrum  # noqa: E402
+from stsdecay.errors import NonPhysicalStateError, SeparableInputError  # noqa: E402
 
 # The command lines cited as defects or edges; tests/compare_trees.py replays them too.
 CITED = [
@@ -80,6 +85,7 @@ _BRANCH_LINES = [
     "evolve --b1 2 --b2 3 --c 0 --identical --nr 0.5 --t-end 5 --points 17",
     "evolve --n1 0 --n2 0 --r 1 --identical --nr 0.5 --t-end 5 --points 17",
     "evolve --n1 1 --n2 0.5 --r 1 --single-bath --nr 0 --t-end 3 --points 17",
+    "evolve --n1 4 --n2 1.5 --r 9.7 --identical --nr 0.35 --t-end 11 --points 17",
     "sweep --n1 1 --n2 1 --identical --nr 0 --param r --min 0 --max 2 --steps 5 --outputs ts",
 ]
 # The documented columns of each selectable output, in canonical order.
@@ -339,8 +345,91 @@ def test_every_command_line_meets_the_contract(command):
     def check(argv):
         _check(argv, seen)
 
-    for line in CITED + _BRANCH_LINES:
+    for line in _BRANCH_LINES:
         if line.startswith(command + " "):
             check = example(shlex.split(line))(check)
     check()
     assert seen == _BRANCHES[command]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("line", CITED)
+def test_every_cited_line_meets_the_contract(line, fmt):
+    _check([*shlex.split(line), "--format", fmt], set())
+
+
+def _float_cells(f, checked=True):
+    """The stand-in for ``_emit_rows`` that writes ``f`` of each float cell, unchecked for finiteness unless ``checked``."""
+
+    def stand_in(emit):
+        def emit_mutant(write, columns, fmt, floats, chunks):
+            rows = ([tuple(f(v) if i < floats else v for i, v in enumerate(row)) for row in chunk] for chunk in chunks)
+            return emit(write, columns, fmt, floats if checked else 0, rows)
+
+        return emit_mutant
+
+    return stand_in
+
+
+def _bare(kernel):
+    """``kernel`` refusing with a bare ValueError, which ``main`` does not catch."""
+
+    def bare(*args):
+        try:
+            return kernel(*args)
+        except NonPhysicalStateError as exc:
+            raise ValueError(*exc.args) from None
+
+    return bare
+
+
+def _nudged(stack):
+    """``_batch.stack`` with its d2 column one ulp up."""
+
+    def nudged(kernel, *columns):
+        results = list(stack(kernel, *columns))
+        results[6] = np.nextafter(results[6], np.inf)
+        return tuple(results)
+
+    return nudged
+
+
+_NAN = _float_cells(lambda v: math.nan if v == 0.0 else v, checked=False)
+_NATS = lambda f: lambda outputs, units: f(outputs, "nats")  # noqa: E731
+_SHORT = lambda f: lambda start, stop, num, *log: f(start, stop, num - 1, *log)  # noqa: E731
+_REPORT = "report --n1 10 --n2 0.1 --r 2"
+_EVOLVE = "evolve --n1 10 --n2 0.1 --r 2 --identical --nr 0.5 --t-end 2 --points 50"
+_SWEEP = "sweep --n1 1 --n2 0.5 --r 1 --gamma1 1 --nr1 0.5 --param r --min 0 --max 2 --steps 9"
+# Faults that the contract catches, each on a line that meets it: (module, name, the name's stand-in made from it, line).
+_MUTANTS = {
+    "nan cell in report": (_cmd_report, "_emit_rows", _NAN, "report --n1 0 --n2 0 --r 0"),
+    "nan cell in evolve json": (_cmd_evolve, "_emit_rows", _NAN, _BRANCH_LINES[0] + " --format json"),
+    "nan cell in sweep": (_cmd_sweep, "_emit_rows", _NAN, "sweep --n1 1 --n2 1 --param r --min 0 --max 2 --steps 5"),
+    "bare ValueError": (correlations, "_measures", _bare, "report --n1 10 --n2 0.1 --r 9"),
+    "refusal exits 0": (cli, "_EXIT_CODES", lambda codes: dict.fromkeys(codes, 0), "report --n1 10 --n2 0.1 --r 9"),
+    "separable input exits 1": (cli, "_EXIT_CODES", lambda codes: {**codes, SeparableInputError: 1}, "esd --n1 0 --n2 0 --r 0 --identical --nr 0.5"),
+    "two-line error": (_cmd_evolve, "_CliError", lambda error: lambda message: error(message + "\nsee --help"), "evolve --n1 1 --n2 1 --r 1 --t-end 1"),
+    "batch d2 one ulp up": (_batch, "stack", _nudged, _EVOLVE),
+    "batch log1p of numpy": (_batch, "_libm", lambda libm: lambda f, *xs: np.log1p(*xs) if f is math.log1p else libm(f, *xs), _EVOLVE),
+    "json cells to 15 digits": (_cmd_report, "_emit_rows", _float_cells(lambda v: float("%.15g" % v)), _REPORT + " --format json"),
+    "json header upper case": (cli, "_json_string", lambda spell: lambda value: spell(value.upper()), _REPORT + " --format json"),
+    "report columns reversed": (_cmd_report, "_columns", lambda f: lambda outputs: f(outputs)[::-1], _REPORT),
+    "report verdict inverted": (_cmd_report, "_separability_margin", lambda f: lambda *entries: -f(*entries), _REPORT + " --outputs separable"),
+    "report ignores units": (_cmd_report, "_state_cells", _NATS, _REPORT + " --units bits"),
+    "evolve ignores units": (_cmd_evolve, "_state_cells", _NATS, _EVOLVE + " --units bits"),
+    "sweep ignores units": (_cmd_sweep, "_state_cells", _NATS, _SWEEP + " --units bits"),
+    "evolve entries swapped": (_cmd_evolve, "_bona_fide", lambda f: lambda *entries: f(*entries)[::-1], _EVOLVE),
+    "sweep entries swapped": (_cmd_sweep, "_sts_entries", lambda f: lambda *x: (lambda b1, b2, c: (b2, b1, c))(*f(*x)), _SWEEP),
+    "evolve always entangled": (_cmd_evolve, "_separability_margin", lambda f: lambda *entries: -abs(f(*entries)), _EVOLVE),
+    "evolve grid one point short": (_cmd_evolve, "_grid", _SHORT, _EVOLVE),
+    "evolve log grid linear": (_cmd_evolve, "_grid", lambda f: lambda start, stop, num, log: f(start, stop, num), _EVOLVE + " --t-start 0.01 --log-spacing"),
+    "sweep grid one point short": (_cmd_sweep, "_grid", _SHORT, _SWEEP),
+}
+
+
+@pytest.mark.parametrize("mutant", _MUTANTS)
+def test_the_contract_fails_on_each_mutant(mutant):
+    module, name, stand_in, line = _MUTANTS[mutant]
+    _check(shlex.split(line), set())
+    with mock.patch.object(module, name, stand_in(getattr(module, name))), pytest.raises((AssertionError, ValueError)):
+        _check(shlex.split(line), set())
