@@ -47,8 +47,10 @@ def edges() -> list[list[str]]:
     355.6); entries whose relative slacks, summed before scaling, would
     pass the largest double; ``report``/``esd`` at r = 176, 177.5 and
     355; valid command lines in the spellings that argparse alone reads
-    (abbreviated flags, ``--flag=value``); and the lines that
-    ``test_contract.CITED`` cites as defects or edges.
+    (abbreviated flags, ``--flag=value``); refusals that no other line
+    reaches (a partial standard form, two bath layouts at once, an
+    infinite grid or phase); and the lines that ``test_contract.CITED``
+    cites as defects or edges.
     """
     from test_contract import CITED
     fixed = {"n1": "0.5", "n2": "0.25", "r": "1", "gamma": "1", "nr": "0.5"}
@@ -74,6 +76,13 @@ def edges() -> list[list[str]]:
         ["evolve", "--n1", "1", "--n2", "0.5", "--r", "1", "--single-bath", "--nr", "0.2", "--t-end=3", "--poi", "9"],
         ["sweep", "--param=r", "--min", "0", "--max", "2", "--steps", "5", "--n1", "1", "--n2", "0.5", "--ident", "--nr", "0.2"],
         ["verify", "--se", "3", "--format=json"],
+    ]
+    argvs += [
+        ["report", "--b1", "2", "--b2", "2"],
+        ["report", "--n1", "1", "--n2", "1", "--r", "1", "--identical", "--single-bath", "--nr", "0.5"],
+        ["report", "--n1", "1", "--n2", "1", "--r", "1", "--gamma1", "1", "--identical", "--nr", "0.5"],
+        ["evolve", "--n1", "1", "--n2", "1", "--r", "1", "--identical", "--nr", "0.5", "--t-end", "inf"],
+        ["report", "--b1", "2", "--b2", "2", "--c", "1", "--phi", "inf"],
     ]
     return argvs + [shlex.split(line) for line in CITED]
 

@@ -303,6 +303,12 @@ def test_config_file_with_command_line_override(capsys, tmp_path):
     assert run(capsys, "esd", "--config", str(tmp_path / "missing.cfg"))[0] == 2
 
 
+def test_config_given_with_equals_reads_the_same_file(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n1 = 1\nn2 = 0.5\nr = 1\n")
+    assert run(capsys, "report", f"--config={cfg}") == run(capsys, "report", "--config", str(cfg))
+
+
 @pytest.mark.parametrize(
     "name, reason",
     [
@@ -815,6 +821,41 @@ def test_output_through_a_symlink_writes_the_linked_file(capsys, tmp_path):
     assert link.is_symlink()
     assert real.read_text().startswith("t,b1,b2,c,")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_out_over_an_existing_file_replaces_its_bytes_and_keeps_its_mode(capsys, tmp_path):
+    argv = ("report", "--n1", "1", "--n2", "1", "--r", "1")
+    target = tmp_path / "table.csv"
+    target.write_text("previous\n")
+    target.chmod(0o640)
+    _, out, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
+    assert target.stat().st_mode & 0o7777 == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        ("report --b1 2 --b2 2", 2, "the standard form needs all of --b1, --b2, --c"),
+        (
+            "report --n1 1 --n2 1 --r 1 --identical --single-bath --nr 0.5",
+            2,
+            "--identical and --single-bath are mutually exclusive",
+        ),
+        (
+            "report --n1 1 --n2 1 --r 1 --gamma1 1 --identical --nr 0.5",
+            2,
+            "give either the explicit --gamma1/--nr1/--gamma2/--nr2 or a shorthand layout",
+        ),
+        ("evolve --n1 1 --n2 1 --r 1 --identical --nr 0.5 --t-end inf", 2, "the time grid must be finite"),
+        ("report --b1 2 --b2 2 --c 1 --phi inf", 2, "StandardForm fields must be finite numbers"),
+    ],
+    ids=["partial_standard_form", "two_shorthand_layouts", "explicit_and_shorthand", "infinite_grid", "infinite_phase"],
+)
+def test_a_refused_line_prints_one_error_line(capsys, argv, code, err):
+    assert run(capsys, *argv.split()) == (code, "", f"error: {err}\n")
 
 
 def test_out_naming_a_directory_is_exit_2(capsys, tmp_path):

@@ -1,19 +1,23 @@
-"""numpy, json, argparse, typing, the dataclasses machinery and each submodule are loaded only where used, and the package namespace stays whole.
+"""Each command loads only the modules that it runs, and the package namespace stays whole.
 
-numpy is used by the oracle, the log grid of `evolve`, and the batch rows of
-long `evolve` grids, which give the bytes of the scalar rows without it.
-``import stsdecay`` loads no submodule, and each command loads only the
-modules that it runs: of the command-line modules, ``cli`` and its own
-``_cmd_*`` module.  argparse (with gettext and locale) and the parser
-module ``_parser`` are loaded only for help, usage errors and the
-spellings that only argparse reads.
+``_MANIFEST`` is the executable form of README's promise: for each step
+(a command line run through ``cli.main``, or a Python statement), its exit
+code and the exact set of modules that it loads, of the package's own and
+of the watched ones (numpy, json, re, argparse, gettext, locale, typing,
+dataclasses, inspect).  ``import stsdecay`` loads no submodule; only
+``verify``, ``evolve --log-spacing`` and ``evolve`` on a grid of at least
+``_cmd_evolve._BATCH_POINTS`` points load numpy; and argparse, with
+gettext, locale and the parser module ``_parser``, is loaded only for
+help, usage errors and the spellings that only argparse reads.  One probe
+runs every step under ``python -S``, so that no site hook can load a
+module first and hide the step's load of it.
 """
 
 import ast
-import functools
-import json
+import hashlib
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,52 +28,145 @@ import pytest
 import stsdecay
 from stsdecay import _cmd_evolve, _parser, cli, dynamics, verification
 
-_SRC = str(Path(stsdecay.__file__).resolve().parents[1])
+# The modules that a step loads only where its manifest names them, besides
+# the package's own.
+_WATCHED = {"numpy", "json", "re", "argparse", "gettext", "locale", "typing", "dataclasses", "inspect"}
+# Makes numpy unimportable for the source that follows.
+_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
-# Runs each argv through cli.main in one interpreter and reports, per argv,
-# the exit code (argparse's for help and usage errors) and which of numpy,
-# dataclasses, inspect, argparse, gettext and locale were imported by then
-# that the interpreter's start-up had not imported.
+# Runs each step of STEPS in a child forked from one interpreter that has
+# imported only os and sys (io is loaded at start-up).  A step is
+# (prelude, argv, statement): the prelude executed (_BLOCK_NUMPY or
+# nothing), then argv run through cli.main, or else the statement.  Each
+# child writes, as a Python literal, its exit code (for an exception out
+# of the step, its type and message), the sha256 of its stdout, its
+# stderr, and the modules added to sys.modules since start-up (not a
+# blocked numpy, which is None there), in the order their imports began;
+# a child that fails writes None.  The probe's own imports are among those
+# added, so the step "pass" shows that they load no watched module.
 _PROBE = """
-import contextlib, io, json, sys
+import sys
 started = set(sys.modules)
-def loaded():
-    names = ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale")
-    return [m for m in names if m in sys.modules and m not in started]
-import stsdecay
-results = [["import stsdecay", 0, loaded()]]
-from stsdecay import cli
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
+import io, os
+
+def run(prelude, argv, statement, report):
+    exec(prelude, {})
+    sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
+    code = 0
+    try:
+        if argv is None:
+            exec(statement, {})
+        else:
+            from stsdecay import cli
             code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    results.append([" ".join(argv), code, loaded()])
-print(json.dumps(results))
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:
+        code = f"{type(exc).__name__}: {exc}"
+    added = [name for name, module in sys.modules.items() if name not in started and module is not None]
+    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    import hashlib
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    with open(report, "wb") as fh:
+        fh.write(repr((code, digest, err.getvalue(), added)).encode())
+
+results = []
+for step in STEPS:
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        status = 1
+        try:
+            run(*step, write)
+            status = 0
+        except BaseException:
+            import traceback
+            traceback.print_exc(file=sys.__stderr__)
+        finally:
+            os._exit(status)
+    os.close(write)
+    with open(read, "rb") as fh:
+        report = fh.read()
+    results.append(report if os.waitpid(pid, 0)[1] == 0 else b"None")
+sys.stdout.buffer.write(b"[" + b",".join(results) + b"]")
 """
 
-_STATE = ["--n1", "1", "--n2", "0.5", "--r", "1"]
+# A step's text: "stsdecay ..." is a command line, anything else a Python
+# statement; after this prefix, either runs with numpy blocked.
+_NO_NUMPY = "without numpy: "
 
+_STATE = "--n1 1 --n2 0.5 --r 1"
+# What ``from stsdecay import cli`` loads, and what the parser adds to it.
+_CLI = "cli core _accurate errors"
+_PARSER = "_parser argparse gettext locale re"
+_GRID = f"stsdecay evolve {_STATE} --single-bath --nr 0.2 --t-end 3 --format json"
+_BATCH = f"{_GRID} --points {_cmd_evolve._BATCH_POINTS}"
+_LOG = f"{_GRID} --t-start 0.0003 --points 3000 --log-spacing"
 
-def _python(source, *args):
-    """The JSON that ``source`` prints, run in a fresh interpreter on this checkout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", source, *args], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+# A valid command line of each subcommand, a flag and value of it for the
+# spellings that argparse alone reads, and the modules it runs beyond
+# those of _CLI.
+_COMMANDS = {
+    "report": (f"stsdecay report {_STATE}", ("--phi", "0"), "_cmd_report correlations"),
+    "evolve": (
+        f"stsdecay evolve {_STATE} --single-bath --nr 0.2 --t-end 3 --points 9",
+        ("--phi", "0"),
+        "_cmd_evolve correlations dynamics",
+    ),
+    "esd": (f"stsdecay esd {_STATE} --identical --nr 0.3", ("--phi", "0"), "_cmd_esd dynamics"),
+    "sweep": (
+        f"stsdecay sweep {_STATE} --param r --min 0 --max 2 --steps 7 --identical --nr 0.2",
+        ("--phi", "0"),
+        "_cmd_sweep correlations dynamics",
+    ),
+    "verify": ("stsdecay verify --seed 1", ("--seed", "1"), "_cmd_verify dynamics verification _batch numpy"),
+}
 
+# Step -> its exit code and the package's submodules and watched modules
+# that it loads, by name, without the "stsdecay." of a submodule.  "numpy"
+# stands for numpy and the watched modules that ``import numpy`` loads.
+_MANIFEST = {
+    "pass": (0, ""),
+    "import stsdecay": (0, ""),
+    # An unknown name is searched for in every closed-form module.
+    "import stsdecay\ntry:\n    stsdecay.no_such_name\nexcept AttributeError:\n    pass": (
+        0, "core _accurate errors correlations dynamics"),
+    "from stsdecay import cli": (0, _CLI),
+    "import stsdecay.verification": (0, "verification core _accurate errors dynamics _batch numpy"),
+    **{line: (0, f"{_CLI} {modules}") for line, _, modules in _COMMANDS.values()},
+    # Help, a usage error and the spellings that argparse alone reads load the parser.
+    **{f"stsdecay {command} --help": (0, f"{_CLI} {_PARSER}") for command in _COMMANDS},
+    **{f"{line} --no-such-flag": (2, f"{_CLI} {_PARSER}") for line, _, _ in _COMMANDS.values()},
+    **{f"{line} {flag[:-1]} {value}": (0, f"{_CLI} {_PARSER} {modules}") for line, (flag, value), modules in
+       _COMMANDS.values()},
+    **{f"{line} {flag}={value}": (0, f"{_CLI} {_PARSER} {modules}") for line, (flag, value), modules in
+       _COMMANDS.values()},
+    f"stsdecay report {_STATE} --t 0 --format json": (0, f"{_CLI} _cmd_report correlations"),
+    # A value that starts with "-" is matched against argparse's pattern of a negative number.
+    f"stsdecay report {_STATE} --identical --nr 0.3 --t -0 --format json --units bits": (
+        0, f"{_CLI} _cmd_report correlations dynamics re"),
+    f"stsdecay report {_STATE} --identical --nr 0.3 --t 0.5 --outputs ef,kappas": (
+        0, f"{_CLI} _cmd_report correlations dynamics"),
+    f"stsdecay esd {_STATE} --identical --nr 0.3 --verify --format json": (0, f"{_CLI} _cmd_esd dynamics"),
+    f"stsdecay esd {_STATE} --gamma1 1 --nr1 0.3 --gamma2 2 --nr2 0.1": (0, f"{_CLI} _cmd_esd dynamics"),
+    f"stsdecay sweep {_STATE} --param gamma --min 0.5 --max 2 --steps 5 --identical --nr 0.2 --outputs ts": (
+        0, f"{_CLI} _cmd_sweep dynamics"),
+    "stsdecay verify --seed 1 --format json": (0, f"{_CLI} _cmd_verify dynamics verification _batch numpy"),
+    f"{_GRID} --points {_cmd_evolve._BATCH_POINTS - 1}": (0, f"{_CLI} _cmd_evolve correlations dynamics"),
+    _BATCH: (0, f"{_CLI} _cmd_evolve correlations dynamics _batch numpy"),
+    _LOG: (0, f"{_CLI} _cmd_evolve correlations dynamics _batch numpy"),
+    # Where numpy cannot be imported, the scalar rows answer a long grid.
+    _NO_NUMPY + _BATCH: (0, f"{_CLI} _cmd_evolve correlations dynamics"),
+    f"{_NO_NUMPY}{_LOG} --out needs-numpy.out": (1, f"{_CLI} _cmd_evolve correlations dynamics"),
+    f"{_NO_NUMPY}stsdecay verify --out needs-numpy.out": (1, f"{_CLI} _cmd_verify"),
+}
 
-def _probe(*argvs):
-    return _python(_PROBE, json.dumps(argvs))
-
-
-# Calls every public function of the closed-form modules once, and reports
-# the names without a call below and those after whose call numpy was loaded.
-_CLOSED_FORMS_PROBE = """
-import json, sys
+# Calls every public function of the closed-form modules once, and exits
+# with the names without a call below and those after whose call numpy
+# was loaded, if there are any.
+_CLOSED_FORMS = """
+import sys
 from stsdecay import core, correlations, dynamics
 sts = core.StsParams(1.0, 0.5, 1.0)
 sf = core.standard_form_from_sts(sts)
@@ -106,203 +203,85 @@ for module in (core, correlations, dynamics):
         fn(*args[name])
         if "numpy" in sys.modules:
             numpy_after.append(name)
-print(json.dumps([uncalled, numpy_after]))
+if uncalled or numpy_after:
+    sys.exit(f"uncalled: {uncalled}, numpy after: {numpy_after}")
 """
+_STEPS = [*_MANIFEST, _CLOSED_FORMS, "import numpy"]
 
 
-def test_closed_form_modules_load_no_numpy():
-    assert _python(_CLOSED_FORMS_PROBE) == [[], []]
+def _step(text):
+    """(prelude, argv, statement) of a step's text."""
+    prelude = _BLOCK_NUMPY if text.startswith(_NO_NUMPY) else ""
+    text = text.removeprefix(_NO_NUMPY)
+    return prelude, shlex.split(text)[1:] if text.startswith("stsdecay ") else None, text
 
 
-def test_closed_form_commands_do_not_load_numpy():
-    results = _probe(
-        ["report", *_STATE],
-        ["esd", *_STATE, "--identical", "--nr", "0.3"],
-        ["esd", *_STATE, "--identical", "--nr", "0.3", "--verify"],
-        ["esd", *_STATE, "--gamma1", "1", "--nr1", "0.3", "--gamma2", "2", "--nr2", "0.1"],
-        ["sweep", *_STATE, "--param", "r", "--min", "0", "--max", "2", "--steps", "7", "--identical", "--nr", "0.2"],
-        ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "9", "--format", "json"],
-    )
-    assert [(name, code, loaded) for name, code, loaded in results if code != 0 or "numpy" in loaded] == []
-
-
-def test_commands_load_no_dataclasses_or_inspect():
-    results = _probe(
-        ["report", *_STATE],
-        ["report", *_STATE, "--identical", "--nr", "0.3", "--t", "0.5", "--outputs", "ef,kappas"],
-        ["esd", *_STATE, "--identical", "--nr", "0.3", "--verify"],
-        ["esd", *_STATE, "--gamma1", "1", "--nr1", "0.3", "--gamma2", "2", "--nr2", "0.1"],
-        ["sweep", *_STATE, "--param", "gamma", "--min", "0.5", "--max", "2", "--steps", "7", "--identical", "--nr", "0.2"],
-        ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "9"],
-        ["esd", *_STATE, "--identical", "--nr", "0.3", "--format", "json"],
-    )
-    assert [(name, code, loaded) for name, code, loaded in results if code != 0 or loaded] == []
-
-
-def test_valid_commands_load_no_argument_parser():
-    results = _probe(
-        ["report", *_STATE],
-        ["report", *_STATE, "--identical", "--nr", "0.3", "--t", "-0", "--format", "json", "--units", "bits"],
-        ["esd", *_STATE, "--identical", "--nr", "0.3", "--verify"],
-        ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "9"],
-        ["sweep", *_STATE, "--param", "r", "--min", "0", "--max", "2", "--steps", "7", "--identical", "--nr", "0.2"],
-        ["verify", "--seed", "1", "--format", "json"],
-    )
-    parser = {"argparse", "gettext", "locale"}
-    assert [(name, code, parser & set(loaded)) for name, code, loaded in results] == [
-        (name, 0, set()) for name, _, _ in results
-    ]
-
-
-def _import_order(argv, *options):
-    """The modules that ``python options -X importtime -m stsdecay argv`` imports, in the order their imports end; it must exit 0."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+@pytest.fixture(scope="module")
+def probed(tmp_path_factory):
+    """Step -> (exit code, sha256 of stdout, stderr, added modules), and the directory the steps ran in."""
+    cwd = tmp_path_factory.mktemp("probe")
+    path = [str(Path(stsdecay.__file__).resolve().parents[1]), str(Path(np.__file__).resolve().parents[1])]
+    source = f"STEPS = {[_step(text) for text in _STEPS]!r}\n{_PROBE}"
     proc = subprocess.run(
-        [sys.executable, *options, "-X", "importtime", "-m", "stsdecay", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-S", "-c", source],
+        capture_output=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert proc.returncode == 0, proc.stderr.decode()
+    results = ast.literal_eval(proc.stdout.decode())
+    assert None not in results, proc.stderr.decode()
+    return dict(zip(_STEPS, results)), cwd
+
+
+def _loads(added):
+    """The package's submodules, by their short names, and the watched modules in ``added``."""
+    return {name.removeprefix("stsdecay.") for name in added if name.startswith("stsdecay.") or name in _WATCHED}
+
+
+@pytest.mark.parametrize("step", _MANIFEST)
+def test_each_step_loads_exactly_its_manifest(step, probed):
+    results, _ = probed
+    code, modules = _MANIFEST[step]
+    want = set(modules.split())
+    if "numpy" in want:
+        want |= _loads(results["import numpy"][3])
+    assert (results[step][0], _loads(results[step][3])) == (code, want)
+
+
+def test_closed_form_modules_load_no_numpy(probed):
+    results, _ = probed
+    code, _, _, added = results[_CLOSED_FORMS]
+    assert code == 0 and "numpy" not in added
+
+
+@pytest.mark.parametrize("step", [_LOG, _BATCH], ids=["log_spacing", "batch_threshold"])
+def test_batch_evolve_compiles_its_modules_before_numpy(step, probed):
+    # Every evolve row runs dynamics and correlations; imported before
+    # numpy, their compile-time scratch memory is freed before numpy's
+    # arrays are resident, which lowers the command's peak RSS.
+    results, _ = probed
+    added = results[step][3]
+    assert added.index("stsdecay.dynamics") < added.index("numpy")
+    assert added.index("stsdecay.correlations") < added.index("numpy")
+
+
+def test_evolve_without_numpy_writes_the_same_bytes(probed):
+    results, _ = probed
+    code, digest, err, _ = results[_BATCH]
+    assert (code, err) == (0, "")
+    assert results[_NO_NUMPY + _BATCH][:3] == (0, digest, "")
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["report", *_STATE],
-        ["esd", *_STATE, "--identical", "--nr", "0.3"],
-        ["sweep", *_STATE, "--param", "r", "--min", "0.5", "--max", "2", "--steps", "5", "--identical", "--nr", "0.2", "--outputs", "ts"],
-        ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "50"],
-    ],
-    ids=["report", "esd", "sweep_ts", "evolve"],
+    "step, command",
+    [(f"{_NO_NUMPY}{_LOG} --out needs-numpy.out", "evolve --log-spacing"),
+     (f"{_NO_NUMPY}stsdecay verify --out needs-numpy.out", "verify")],
+    ids=["evolve_log_spacing", "verify"],
 )
-def test_commands_without_numpy_load_no_typing_without_site(argv):
-    # Under -S no site hook preloads typing, as in a plain venv; annotations
-    # are strings, so a command that needs no numpy does not load it.
-    imported = _import_order(argv, "-S")
-    assert "stsdecay.cli" in imported
-    assert [line for line in imported if line.split(".")[0] == "typing"] == []
-
-
-@pytest.mark.parametrize(
-    "argv, code",
-    [(["report", "--help"], 0), (["report", *_STATE, "--ident", "--nr", "0.3"], 0), (["esd", "--nr", "x"], 2)],
-    ids=["help", "abbreviation", "usage_error"],
-)
-def test_help_abbreviations_and_usage_errors_load_argparse(argv, code):
-    (_, _, imported), (_, exited, loaded) = _probe(argv)
-    assert "argparse" not in imported and exited == code and "argparse" in loaded
-
-
-# Runs one step in a fresh interpreter and prints, as a Python literal, the
-# package's submodules and which of numpy, json and argparse are loaded by
-# then.  The probe imports only sys, so what it reports beyond start-up the
-# step loaded.
-_LOADED_PROBE = """
-import sys
-{}
-print(sorted(m for m in sys.modules if m.startswith("stsdecay.") or m in ("numpy", "json", "argparse")))
-"""
-# The command line: argv after the source, refused unless it exits 0.
-_MAIN = "from stsdecay import cli\nif cli.main(sys.argv[1:]): sys.exit('nonzero exit code')"
-# The command line, ending as argparse ends it for help and usage errors.
-_MAIN_OR_PARSER_EXIT = "from stsdecay import cli\ntry:\n    cli.main(sys.argv[1:])\nexcept SystemExit:\n    pass"
-
-
-@functools.lru_cache(maxsize=None)
-def _loaded(step, *argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_PROBE.format(step), *argv], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
-
-
-def _added(step, *argv):
-    """The modules of the probe that ``step`` loads beyond those of the interpreter's start-up."""
-    return _loaded(step, *argv) - _loaded("pass")
-
-
-def test_import_stsdecay_loads_no_submodule():
-    assert _added("import stsdecay") == set()
-
-
-def test_the_oracle_module_loads_neither_the_command_line_nor_the_evolve_table():
-    added = _added("import stsdecay.verification")
-    assert "numpy" in added
-    # The evolve table is written by the command-line module.
-    assert "stsdecay.cli" not in added
-
-
-def test_csv_esd_loads_neither_correlations_nor_json():
-    added = _added(_MAIN, "esd", *_STATE, "--identical", "--nr", "0.3")
-    assert "stsdecay.dynamics" in added
-    assert not {"stsdecay.correlations", "json"} & added
-
-
-def test_report_without_a_bath_loads_no_dynamics():
-    added = _added(_MAIN, "report", *_STATE)
-    assert "stsdecay.correlations" in added and "stsdecay.dynamics" not in added
-    assert "stsdecay.dynamics" not in _added(_MAIN, "report", *_STATE, "--t", "0", "--format", "json")
-
-
-@pytest.mark.parametrize(
-    "step",
-    ["from stsdecay import cli", "import stsdecay\ntry:\n    stsdecay.no_such_name\nexcept AttributeError:\n    pass"],
-    ids=["cli", "unknown_name"],
-)
-def test_cli_and_an_unknown_name_load_no_numpy(step):
-    assert "numpy" not in _added(step)
-
-
-# A valid command line of each subcommand, and the library modules it runs.
-_COMMAND_LINES = {
-    "report": (["report", *_STATE], {"core", "_accurate", "errors", "correlations"}),
-    "evolve": (
-        ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--points", "9"],
-        {"core", "_accurate", "errors", "correlations", "dynamics"},
-    ),
-    "esd": (["esd", *_STATE, "--identical", "--nr", "0.3"], {"core", "_accurate", "errors", "dynamics"}),
-    "sweep": (
-        ["sweep", *_STATE, "--param", "r", "--min", "0", "--max", "2", "--steps", "7", "--identical", "--nr", "0.2"],
-        {"core", "_accurate", "errors", "correlations", "dynamics"},
-    ),
-    "verify": (
-        ["verify", "--seed", "1"],
-        {"core", "_accurate", "errors", "dynamics", "verification", "_batch"},
-    ),
-}
-
-
-@pytest.mark.parametrize("command", _COMMAND_LINES)
-def test_a_command_loads_its_own_module_and_the_library_it_runs_alone(command):
-    argv, library = _COMMAND_LINES[command]
-    added = _added(_MAIN, *argv)
-    want = {"stsdecay.cli", f"stsdecay._cmd_{command}", *(f"stsdecay.{name}" for name in library)}
-    assert {name for name in added if name.startswith("stsdecay.")} == want
-    assert "argparse" not in added
-
-
-@pytest.mark.parametrize("form", ["help", "usage_error", "abbreviation", "equals"])
-@pytest.mark.parametrize("command", _COMMAND_LINES)
-def test_help_usage_errors_and_argparse_spellings_load_the_parser(command, form):
-    argv, _ = _COMMAND_LINES[command]
-    flag, value = ("--seed", "1") if command == "verify" else ("--phi", "0")
-    line = {
-        "help": [command, "--help"],
-        "usage_error": [*argv, "--no-such-flag"],
-        "abbreviation": [*argv, flag[:-1], value],
-        "equals": [*argv, f"{flag}={value}"],
-    }[form]
-    added = _added(_MAIN_OR_PARSER_EXIT, *line)
-    assert {"stsdecay._parser", "argparse"} <= added
-    assert {name for name in added if name.startswith("stsdecay._cmd_")} <= {f"stsdecay._cmd_{command}"}
-
-
-@pytest.mark.parametrize("command", ["report", "esd"])
-def test_json_output_loads_no_json(command):
-    argv, _ = _COMMAND_LINES[command]
-    assert "json" not in _added(_MAIN, *argv, "--format", "json")
+def test_commands_that_need_numpy_say_so_in_one_line_without_it(step, command, probed):
+    results, cwd = probed
+    empty = hashlib.sha256(b"").hexdigest()
+    assert results[step][:3] == (1, empty, f"error: {command} needs numpy, which cannot be imported\n")
+    assert list(cwd.iterdir()) == []
 
 
 # What each command line must print alike through `main` and from the
@@ -336,91 +315,6 @@ def test_the_subcommand_parser_prints_the_bytes_of_the_full_parser(argv, capsys)
         return exited.value.code, *capsys.readouterr()
 
     assert printed(cli.main) == printed(_parser._build_parser().parse_args)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify"],
-        ["evolve", *_STATE, "--identical", "--nr", "0.2", "--t-start", "0.1", "--t-end", "3", "--log-spacing"],
-    ],
-    ids=["verify", "evolve_log_spacing"],
-)
-def test_oracle_and_log_grid_load_numpy(argv):
-    (_, _, imported), (_, code, loaded) = _probe(argv)
-    assert "numpy" not in imported and code == 0 and "numpy" in loaded
-
-
-_EVOLVE = ["evolve", *_STATE, "--single-bath", "--nr", "0.2", "--t-end", "3", "--format", "json", "--points"]
-
-
-def test_evolve_loads_numpy_from_the_batch_threshold_on():
-    n = _cmd_evolve._BATCH_POINTS
-    _, below, at = _probe([*_EVOLVE, str(n - 1)], [*_EVOLVE, str(n)])
-    assert below[1:] == [0, []]
-    assert at[1] == 0 and "numpy" in at[2]
-
-
-@pytest.mark.parametrize(
-    "points, grid",
-    [(3000, ["--t-start", "0.0003", "--log-spacing"]), (_cmd_evolve._BATCH_POINTS, [])],
-    ids=["log_spacing", "batch_threshold"],
-)
-def test_batch_evolve_compiles_its_modules_before_numpy(points, grid):
-    # Every evolve row runs dynamics and correlations; imported before
-    # numpy, their compile-time scratch memory is freed before numpy's
-    # arrays are resident, which lowers the command's peak RSS.
-    imported = _import_order([*_EVOLVE[:-1], *grid, "--points", str(points)])
-    numpy_starts = min(i for i, name in enumerate(imported) if name.split(".")[0] == "numpy")
-    assert imported.index("stsdecay.dynamics") < numpy_starts
-    assert imported.index("stsdecay.correlations") < numpy_starts
-
-
-# Runs one argv through cli.main, with numpy importable or not, and prints
-# the exit code, whether numpy was loaded, and the sha256 of stdout.
-_BYTES_PROBE = """
-import contextlib, hashlib, io, json, sys
-if sys.argv[1] == "blocked":
-    sys.modules["numpy"] = None
-from stsdecay import cli
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = cli.main(json.loads(sys.argv[2]))
-loaded = sys.modules.get("numpy") is not None
-print(json.dumps([code, loaded, hashlib.sha256(out.getvalue().encode()).hexdigest()]))
-"""
-
-
-def test_evolve_without_numpy_writes_the_same_bytes():
-    argv = json.dumps([*_EVOLVE, str(_cmd_evolve._BATCH_POINTS)])
-    code, loaded, digest = _python(_BYTES_PROBE, "blocked", argv)
-    assert (code, loaded) == (0, False)
-    assert _python(_BYTES_PROBE, "importable", argv) == [0, True, digest]
-
-
-# Makes numpy unimportable for the source that follows.
-_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
-# The command line with numpy blocked: argv after the source, exit code of cli.main.
-_BLOCKED_MAIN = _BLOCK_NUMPY + "from stsdecay import cli; sys.exit(cli.main(sys.argv[1:]))"
-
-
-@pytest.mark.parametrize(
-    "argv, command",
-    [
-        (["verify"], "verify"),
-        (["evolve", *_STATE, "--identical", "--nr", "0.2", "--t-start", "0.1", "--t-end", "3", "--log-spacing"], "evolve --log-spacing"),
-    ],
-    ids=["verify", "evolve_log_spacing"],
-)
-def test_commands_that_need_numpy_say_so_in_one_line_without_it(argv, command, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-c", _BLOCKED_MAIN, *argv, "--out", str(out)], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"error: {command} needs numpy, which cannot be imported\n"
-    assert list(tmp_path.iterdir()) == []
 
 
 _LINSPACE_CASES = [
