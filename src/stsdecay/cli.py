@@ -244,14 +244,15 @@ def _dest(flag: str) -> str:
 
 
 def _negative_number(token: str) -> bool:
-    """Whether argparse reads ``token``, which starts with "-", as a value rather than as a flag.
+    r"""Whether argparse reads ``token``, which starts with "-", as a value rather than as a flag.
 
-    The pattern is argparse's own for a parser none of whose options looks
-    like a negative number, as is the case for every parser here.
+    The test is argparse's pattern ``^-\d+$|^-\d*\.\d+$`` for a parser none of
+    whose options looks like a negative number, as is the case for every
+    parser here, spelled without ``re``: ``\d`` is a character for which
+    ``str.isdecimal`` holds, and ``$`` also matches before one final "\n".
     """
-    import re
-
-    return re.match(r"^-\d+$|^-\d*\.\d+$", token) is not None
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
+    return (frac.isdecimal() and (not whole or whole.isdecimal())) if dot else whole.isdecimal()
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
@@ -316,17 +317,20 @@ def _expand_config(argv: list[str]) -> list[str]:
     """Splice flags from a --config key=value file in after the subcommand.
 
     User-supplied flags come later in argv, so they win (argparse keeps
-    the last occurrence of a repeated option).  A file that cannot be
-    opened or read, is not UTF-8 text, or is longer than ``_CONFIG_CHARS``
-    characters, is a ``_CliError``; no more of it than that is read.
+    the last occurrence of a repeated option).  The flag is read as
+    argparse reads it: ``--config``, or a prefix of it that starts none of
+    the subcommand's other flags, followed by the path or by ``=path``.  A
+    file that cannot be opened or read, is not UTF-8 text, or is longer
+    than ``_CONFIG_CHARS`` characters, is a ``_CliError``; no more of it
+    than that is read.
     """
+    flags = [row[0] for row in _SUBCOMMANDS[argv[0]][1]] if argv and argv[0] in _SUBCOMMANDS else []
     path = None
     for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None or not argv:
+        name, eq, value = tok.partition("=")
+        if ([name] if name in flags else [flag for flag in flags if flag.startswith(name)]) == ["--config"]:
+            path = value if eq else argv[i + 1] if i + 1 < len(argv) else path
+    if path is None:
         return argv
     try:
         with open(path, encoding="utf-8") as fh:
@@ -606,32 +610,9 @@ def _linspace(start: float, stop: float, num: int, first: int = 0, end: int | No
     return grid
 
 
-def _grid(start: float, stop: float, num: int, log: bool = False) -> Iterator[list[float]]:
-    """The grid of ``num`` points from ``start`` to ``stop`` in lists of ``_CHUNK_ROWS`` points, made one at a time.
-
-    The linear grid is ``_linspace``.  The log grid is ``numpy.geomspace``,
-    made the way it makes it, with numpy's own log10/power rather than
-    libm's (they differ in the last bit on some points, and the grid is
-    part of the output): 10 to the power of the linear grid of the
-    exponents, then the first and last points set to ``start`` and ``stop``.
-    """
-    if log:
-        import numpy as np
-
-        log_start, log_stop = float(np.log10(start)), float(np.log10(stop))
-
-    def chunk(lo: int) -> list[float]:
-        hi = lo + _CHUNK_ROWS
-        if not log:
-            return _linspace(start, stop, num, lo, hi)
-        grid = np.power(10.0, np.array(_linspace(log_start, log_stop, num, lo, hi))).tolist()
-        if hi >= num:
-            grid[-1] = stop
-        if lo == 0:
-            grid[0] = start
-        return grid
-
-    return map(chunk, range(0, num, _CHUNK_ROWS))
+def _grid(start: float, stop: float, num: int) -> Iterator[list[float]]:
+    """The grid ``_linspace(start, stop, num)`` in lists of ``_CHUNK_ROWS`` points, made one at a time."""
+    return (_linspace(start, stop, num, lo, lo + _CHUNK_ROWS) for lo in range(0, num, _CHUNK_ROWS))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -93,9 +93,18 @@ _OMEGA = np.array(
 # Partial transposition of mode 2 flips the sign of p2.
 _PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 
-# States per stacked oracle call in run_verification; one buffer of this
-# many matrices is reused, so the battery's memory does not grow with it.
+# The battery of run_verification: spectrum states, death-time states (each
+# in two bath layouts) and characteristic-function points.
+_SPECTRUM_SAMPLES = 2000
+_ESD_SAMPLES = 200
+_CF_SAMPLES = 100
+# States per stacked oracle call in run_verification, a divisor of
+# _SPECTRUM_SAMPLES; one buffer of this many matrices is reused, so the
+# battery's memory does not grow with it.
 _ORACLE_BLOCK = 250
+# The eigen-oracles refuse a matrix whose doubly degenerate eigenvalue
+# moduli differ by more than this.
+_PAIR_TOL = 1e-8
 # The entries of full_cm at phi = 0, b1, b1, b2, b2, c, c, -c, -c, sit at
 # these (row, column) places; the others are 0.
 _CM_PLACES = ((0, 1, 2, 3, 0, 2, 1, 3), (0, 1, 2, 3, 2, 0, 3, 1))
@@ -168,12 +177,6 @@ class OracleReport(_Record):
 
     __match_args__ = ("quantity", "closed_form", "oracle", "abs_err", "tol", "passed")
 
-    @classmethod
-    def compare(cls, quantity: str, closed_form: float, oracle: float, tol: float) -> OracleReport:
-        """Build a report from the two values, deriving abs_err and the verdict."""
-        abs_err = abs(closed_form - oracle)
-        return cls(quantity, closed_form, oracle, abs_err, tol, abs_err <= tol)
-
 
 def _cm_stack(v: np.ndarray) -> np.ndarray:
     """``v`` as a float array of shape ``(..., 4, 4)``."""
@@ -231,9 +234,7 @@ def _cholesky_longdouble(v: np.ndarray) -> np.ndarray:
     return low.transpose(*(k + 2 for k in stack_axes), 0, 1)
 
 
-def symplectic_spectrum_oracle(
-    v: np.ndarray, pair_tol: float = 1e-8
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+def symplectic_spectrum_oracle(v: np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Symplectic eigenvalues of a 4x4 covariance matrix, by eigen-decomposition.
 
     Returns the two distinct moduli of the eigenvalues of i*Omega*V
@@ -250,7 +251,7 @@ def symplectic_spectrum_oracle(
     Raises:
         InvalidParameterError: if the trailing shape is not 4x4.
         NonPhysicalStateError: if a matrix is not positive definite, or if
-            its eigenvalue moduli fail to pair within ``pair_tol``; the
+            its eigenvalue moduli fail to pair within ``_PAIR_TOL``; the
             message names the matrix's index in a stack.
     """
     v = _cm_stack(v)
@@ -259,11 +260,11 @@ def symplectic_spectrum_oracle(
     a = 0.5 * (a - np.swapaxes(a, -1, -2))  # enforce exact antisymmetry before symmetrizing with i
     moduli = np.sort(np.abs(np.linalg.eigvalsh(1j * a)), axis=-1)[..., ::-1]
     # Moduli 0, 1 and 2, 3 are the two degenerate pairs.
-    unpaired = np.abs(moduli[..., 0::2] - moduli[..., 1::2]) > pair_tol
+    unpaired = np.abs(moduli[..., 0::2] - moduli[..., 1::2]) > _PAIR_TOL
     if np.count_nonzero(unpaired):
         bad = unpaired.any(axis=-1)
         raise NonPhysicalStateError(
-            f"eigenvalue moduli{_at(bad)} do not pair within {pair_tol!r}: "
+            f"eigenvalue moduli{_at(bad)} do not pair within {_PAIR_TOL!r}: "
             f"{moduli[bad][0].tolist()!r}"
         )
     kappas = 0.5 * (moduli[..., 0::2] + moduli[..., 1::2])
@@ -273,9 +274,7 @@ def symplectic_spectrum_oracle(
     return kappa_plus, kappa_minus
 
 
-def ppt_spectrum_oracle(
-    v: np.ndarray, pair_tol: float = 1e-8
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+def ppt_spectrum_oracle(v: np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Symplectic eigenvalues of the partial transpose of ``v``.
 
     Applies the momentum-sign flip on mode 2 and defers to
@@ -283,21 +282,19 @@ def ppt_spectrum_oracle(
     dropping below 1/2 is the entanglement witness the closed forms must
     reproduce.
     """
-    return symplectic_spectrum_oracle(_PT_FLIP @ _cm_stack(v) @ _PT_FLIP, pair_tol)
+    return symplectic_spectrum_oracle(_PT_FLIP @ _cm_stack(v) @ _PT_FLIP)
 
 
-def count_margin_crossings(
-    sf0: StandardForm, res: ReservoirConfig, t_max: float, n_points: int = 4000
-) -> int:
+def count_margin_crossings(sf0: StandardForm, res: ReservoirConfig, t_max: float) -> int:
     """Number of sign changes of the separability margin on [0, t_max].
 
-    Dense uniform sampling of the margin that ``esd_bisection`` bisects,
-    evaluated on the whole grid at once; a sample where it is 0 neither
-    starts nor ends a crossing.  Used by property tests to flag any
+    Dense uniform sampling, at 4,000 points, of the margin that
+    ``esd_bisection`` bisects, evaluated on the whole grid at once; a
+    sample where it is 0 neither starts nor ends a crossing.  Used by property tests to flag any
     appearance of multiple entanglement deaths/revivals, which this channel
     family must never produce.
     """
-    ts = np.linspace(0.0, t_max, n_points)
+    ts = np.linspace(0.0, t_max, 4000)
     signs = np.sign(_margin_at(sf0.b1, sf0.b2, sf0.c, res._fields(), ts, _Arrays))
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
@@ -402,17 +399,15 @@ def _worst(quantity: str, closed, oracle, tol: float, relative: bool = False) ->
     return OracleReport(quantity, closed[i].item(), oracle[i].item(), err[i].item(), tol, bool(err[i] <= tol))
 
 
-def run_verification(
-    seed: int = 0,
-    spectrum_samples: int = 2000,
-    esd_samples: int = 200,
-    cf_samples: int = 100,
-) -> list[OracleReport]:
-    """Run the full closed-form-versus-oracle battery.
+def run_verification(seed: int = 0) -> list[OracleReport]:
+    """Run the closed-form-versus-oracle battery.
 
-    Returns one aggregated OracleReport per checked quantity, each
-    carrying the worst-agreeing pair observed over its random sample; a
-    pair that is not finite is the worst.  Seeded, hence reproducible.
+    The battery is fixed: 2,000 spectrum states for each spectrum check,
+    200 entangled states whose death times are checked in two bath
+    layouts, and 100 characteristic-function points.  Returns one
+    aggregated OracleReport per checked quantity, each carrying the
+    worst-agreeing pair observed over its random sample; a pair that is
+    not finite is the worst.  Seeded, hence reproducible.
 
     The spectra and the bisection run on stacks: the entries, the closed
     spectra and the eigen-oracle's matrices of all spectrum states, and the
@@ -424,14 +419,10 @@ def run_verification(
     samplers and the characteristic-function check run one state at a time.
 
     Raises:
-        InvalidParameterError: if ``seed`` is negative, or a sample count
-            is below 1.
+        InvalidParameterError: if ``seed`` is negative.
     """
     if seed < 0:
         raise InvalidParameterError(f"the verification seed (verify --seed) must be >= 0, got {seed!r}")
-    for name, count in (("spectrum_samples", spectrum_samples), ("esd_samples", esd_samples), ("cf_samples", cf_samples)):
-        if count < 1:
-            raise InvalidParameterError(f"{name} must be >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     reports: list[OracleReport] = []
 
@@ -440,7 +431,7 @@ def run_verification(
     # the stored standard form perturbs kappa_minus by O(n^2 e^{4r} eps).
     # One call draws what sample_sts(rng, n_max=10.0, r_max=1.5) draws for
     # each state: n1, n2, r and the phase.
-    draws = rng.random((spectrum_samples, 4))
+    draws = rng.random((_SPECTRUM_SAMPLES, 4))
     n1, n2, r = 10.0 * draws[:, 0], 10.0 * draws[:, 1], 1.5 * draws[:, 2]
     kp, km, _, _ = stack(_spectrum, *stack(_sts_entries, n1, n2, r))
     reports.append(_worst("kappa_plus = n_max + 1/2 (relative)", kp, np.maximum(n1, n2) + 0.5, 1e-12, relative=True))
@@ -452,13 +443,13 @@ def run_verification(
     # separately against the closed forms' phase-free outputs.  Every tenth
     # state comes from sample_standard_form; after it, one call draws what
     # sample_sts(rng, with_phase=False) draws for the next nine.
-    n = spectrum_samples
+    n = _SPECTRUM_SAMPLES
     b1, b2, c = np.empty((3, n))
     draws = []
     for i in range(0, n, 10):
         sf = sample_standard_form(rng, with_phase=False)
         b1[i], b2[i], c[i] = sf.b1, sf.b2, sf.c
-        draws.append(rng.random((min(9, n - 1 - i), 3)))
+        draws.append(rng.random((9, 3)))
     draws = np.concatenate(draws)
     sts = np.arange(n) % 10 != 0
     b1[sts], b2[sts], c[sts] = stack(_sts_entries, 20.0 * draws[:, 0], 20.0 * draws[:, 1], 3.0 * draws[:, 2])
@@ -467,11 +458,10 @@ def run_verification(
     cms = np.zeros((_ORACLE_BLOCK, 4, 4))
     cells = np.stack((b1, b1, b2, b2, c, c, -c, -c), axis=-1)
     for start in range(0, n, _ORACLE_BLOCK):
-        stop = min(start + _ORACLE_BLOCK, n)
-        block = cms[: stop - start]
-        block[:, _CM_PLACES[0], _CM_PLACES[1]] = cells[start:stop]
-        oracle[:2, start:stop] = symplectic_spectrum_oracle(block)
-        oracle[2:, start:stop] = ppt_spectrum_oracle(block)
+        stop = start + _ORACLE_BLOCK
+        cms[:, _CM_PLACES[0], _CM_PLACES[1]] = cells[start:stop]
+        oracle[:2, start:stop] = symplectic_spectrum_oracle(cms)
+        oracle[2:, start:stop] = ppt_spectrum_oracle(cms)
     for name, x, y in zip(
         (
             "kappa_plus vs eigen-oracle",
@@ -488,7 +478,7 @@ def run_verification(
     # for each state; the bisection takes all cases at once.
     ts: list[float] = []
     rows = []
-    for _ in range(esd_samples):
+    for _ in range(_ESD_SAMPLES):
         sf = sample_entangled_sts(rng)
         gamma = rng.uniform(0.25, 2.0)
         n_r = rng.uniform(0.05, 1.5)
@@ -505,7 +495,7 @@ def run_verification(
     # evolved state: the two orders of applying the channel must agree.
     chi_channel: list[float] = []
     chi_state: list[float] = []
-    for _ in range(cf_samples):
+    for _ in range(_CF_SAMPLES):
         sf = standard_form_from_sts(sample_sts(rng, n_max=5.0, r_max=2.0))
         res = ReservoirConfig(
             rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.5)

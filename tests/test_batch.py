@@ -58,9 +58,13 @@ def _table(sf0, res, chunks, units, fmt, batch):
 
 
 def _parsed(argv):
-    """The state, reservoir, time-grid arguments, units and format of an `evolve` argv."""
+    """The state, reservoir, a function making its time grid's chunks, units and format of an `evolve` argv."""
     args = _parser._build_parser().parse_args(list(argv))
-    grid = (args.t_start, args.t_end, args.points, args.log_spacing)
+    make = _cmd_evolve._log_grid if args.log_spacing else cli._grid
+
+    def grid():
+        return make(args.t_start, args.t_end, args.points)
+
     return cli._state_from_args(args), cli._reservoir_from_args(args), grid, args.units, args.format
 
 
@@ -68,7 +72,7 @@ def _both_tables(argv):
     """``_table`` of ``argv`` from the scalar rows, and from the batch rows with its spy."""
     sf0, res, grid, units, fmt = _parsed(argv)
     spy = _Spy()
-    tables = [_table(sf0, res, cli._grid(*grid), units, fmt, batch) for batch in (None, spy)]
+    tables = [_table(sf0, res, grid(), units, fmt, batch) for batch in (None, spy)]
     return tables, spy
 
 
@@ -96,7 +100,7 @@ def _routing(argv):
     """
     sf0, res, grid, units, _ = _parsed(argv)
     batched = left = 0
-    for times in cli._grid(*grid):
+    for times in grid():
         rows, refusal = _scalar_rows(sf0, res, times, units)
         if refusal is not None:
             return batched, left + 1
@@ -213,11 +217,11 @@ def test_chunks_with_product_or_pure_rows_are_left_to_the_scalar_rows():
     assert is_pure(standard_form_from_sts(StsParams(0.0, 0.0, 1.0)))
 
 
-@pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
-def test_first_chunk_of_a_million_point_grid_is_small(log):
+@pytest.mark.parametrize("grid", [cli._grid, _cmd_evolve._log_grid], ids=["linear", "log"])
+def test_first_chunk_of_a_million_point_grid_is_small(grid):
     tracemalloc.start()
     try:
-        first = next(cli._grid(0.001, 10.0, 10**6, log))
+        first = next(grid(0.001, 10.0, 10**6))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -227,8 +231,8 @@ def test_first_chunk_of_a_million_point_grid_is_small(log):
 
 @pytest.mark.parametrize("num", [2, 3, 1023, 1024, 1025, 3000])
 def test_grid_chunks_are_the_numpy_grids(num):
-    for log, numpy_grid in ((False, np.linspace), (True, np.geomspace)):
-        chunks = list(cli._grid(0.001, 7.5, num, log))
+    for grid, numpy_grid in ((cli._grid, np.linspace), (_cmd_evolve._log_grid, np.geomspace)):
+        chunks = list(grid(0.001, 7.5, num))
         assert [len(chunk) for chunk in chunks[:-1]] == [cli._CHUNK_ROWS] * (len(chunks) - 1)
         assert 1 <= len(chunks[-1]) <= cli._CHUNK_ROWS
         got = [x for chunk in chunks for x in chunk]

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tracemalloc
 
@@ -307,6 +308,37 @@ def test_config_given_with_equals_reads_the_same_file(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n1 = 1\nn2 = 0.5\nr = 1\n")
     assert run(capsys, "report", f"--config={cfg}") == run(capsys, "report", "--config", str(cfg))
+
+
+# The flags of a config file for each command, and the spellings that
+# argparse reads as --config: a prefix that starts no other flag of the
+# command, with the path after it or after "=".
+_CONFIG_FLAGS = {
+    "report": "n1 = 10\nn2 = 0.1\nr = 2\nformat = json\n",
+    "esd": "n1 = 10\nn2 = 0.1\nr = 2\nidentical = true\nnr = 0.5\n",
+    "verify": "seed = 3\nformat = json\n",
+}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "report --co {}",
+        "report --conf {}",
+        "report --confi {}",
+        "report --conf={}",
+        "report --n1 2 --n2 1 --r 1 --confi {}",
+        "esd --con={} --nr 1",
+        "verify --c {}",
+        "verify --co={}",
+    ],
+)
+def test_an_abbreviated_config_reads_the_file(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_CONFIG_FLAGS[line.split()[0]])
+    got = run(capsys, *(tok.format(cfg) for tok in line.split()))
+    assert got[0] == 0
+    assert got == run(capsys, *(tok.format(cfg) for tok in re.sub(r"--c\w*[ =]\{\}", "--config {}", line).split()))
 
 
 @pytest.mark.parametrize(

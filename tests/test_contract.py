@@ -396,7 +396,7 @@ def _nudged(stack):
 
 _NAN = _float_cells(lambda v: math.nan if v == 0.0 else v, checked=False)
 _NATS = lambda f: lambda outputs, units: f(outputs, "nats")  # noqa: E731
-_SHORT = lambda f: lambda start, stop, num, *log: f(start, stop, num - 1, *log)  # noqa: E731
+_SHORT = lambda f: lambda start, stop, num: f(start, stop, num - 1)  # noqa: E731
 _REPORT = "report --n1 10 --n2 0.1 --r 2"
 _EVOLVE = "evolve --n1 10 --n2 0.1 --r 2 --identical --nr 0.5 --t-end 2 --points 50"
 _SWEEP = "sweep --n1 1 --n2 0.5 --r 1 --gamma1 1 --nr1 0.5 --param r --min 0 --max 2 --steps 9"
@@ -422,7 +422,7 @@ _MUTANTS = {
     "sweep entries swapped": (_cmd_sweep, "_sts_entries", lambda f: lambda *x: (lambda b1, b2, c: (b2, b1, c))(*f(*x)), _SWEEP),
     "evolve always entangled": (_cmd_evolve, "_separability_margin", lambda f: lambda *entries: -abs(f(*entries)), _EVOLVE),
     "evolve grid one point short": (_cmd_evolve, "_grid", _SHORT, _EVOLVE),
-    "evolve log grid linear": (_cmd_evolve, "_grid", lambda f: lambda start, stop, num, log: f(start, stop, num), _EVOLVE + " --t-start 0.01 --log-spacing"),
+    "evolve log grid linear": (_cmd_evolve, "_log_grid", lambda f: _cmd_evolve._grid, _EVOLVE + " --t-start 0.01 --log-spacing"),
     "sweep grid one point short": (_cmd_sweep, "_grid", _SHORT, _SWEEP),
 }
 

@@ -31,7 +31,7 @@ from stsdecay import (
     steady_state,
     uncertainty_margin,
 )
-from stsdecay import verification
+from stsdecay import dynamics, verification
 from stsdecay.dynamics import _bisection_answer, _margin_at
 from stsdecay.verification import sample_entangled_sts, sample_sts
 
@@ -221,6 +221,19 @@ def test_death_times_that_overflow_a_double_are_refused():
     for res in (ReservoirConfig.identical(1e200, 1e200), ReservoirConfig(1e200, 1e200, 1.0, 0.0)):
         with pytest.raises(InvalidParameterError, match="^death time underflows a double"):
             esd_time(sf, res)
+
+
+@pytest.mark.parametrize(
+    "a1, a2, neg, res",
+    [(1e308, 1e308, 1.0, (1.0, 1.0, 1.0, 1.0)), (1e300, 1e-3, 1e307, (1.0, 0.3, 1.5, 0.3))],
+    ids=["closed_form_denominator", "newton_slope"],
+)
+def test_the_root_refuses_terms_that_overflow_a_double(a1, a2, neg, res):
+    # Offsets near the largest double: the closed form's denominator is
+    # inf; at unequal rates, the first Newton step's S + t*dS/dt is.
+    message = f"^the terms of the evolved separability margin overflow a double \\(reservoir occupancies {res[1]!r} and {res[3]!r}\\)$"
+    with pytest.raises(InvalidParameterError, match=message):
+        dynamics._root(a1, a2, neg, res)
 
 
 def test_death_times_whose_ratio_overflows_are_accurate():

@@ -133,6 +133,9 @@ _MANIFEST = {
     "import stsdecay\ntry:\n    stsdecay.no_such_name\nexcept AttributeError:\n    pass": (
         0, "core _accurate errors correlations dynamics"),
     "from stsdecay import cli": (0, _CLI),
+    # A submodule as an attribute of the package loads that module alone.
+    "import stsdecay\nstsdecay.core": (0, "core _accurate errors"),
+    "import stsdecay\nstsdecay.cli": (0, _CLI),
     "import stsdecay.verification": (0, "verification core _accurate errors dynamics _batch numpy"),
     **{line: (0, f"{_CLI} {modules}") for line, _, modules in _COMMANDS.values()},
     # Help, a usage error and the spellings that argparse alone reads load the parser.
@@ -143,9 +146,9 @@ _MANIFEST = {
     **{f"{line} {flag}={value}": (0, f"{_CLI} {_PARSER} {modules}") for line, (flag, value), modules in
        _COMMANDS.values()},
     f"stsdecay report {_STATE} --t 0 --format json": (0, f"{_CLI} _cmd_report correlations"),
-    # A value that starts with "-" is matched against argparse's pattern of a negative number.
+    # A value that starts with "-" is tested against argparse's pattern of a negative number, without re.
     f"stsdecay report {_STATE} --identical --nr 0.3 --t -0 --format json --units bits": (
-        0, f"{_CLI} _cmd_report correlations dynamics re"),
+        0, f"{_CLI} _cmd_report correlations dynamics"),
     f"stsdecay report {_STATE} --identical --nr 0.3 --t 0.5 --outputs ef,kappas": (
         0, f"{_CLI} _cmd_report correlations dynamics"),
     f"stsdecay esd {_STATE} --identical --nr 0.3 --verify --format json": (0, f"{_CLI} _cmd_esd dynamics"),

@@ -26,7 +26,6 @@ from stsdecay import (
 from stsdecay import _batch, cli, verification
 from stsdecay.dynamics import _margin_at
 from stsdecay.verification import (
-    OracleReport,
     count_margin_crossings,
     esd_bisection,
     ppt_spectrum_oracle,
@@ -58,7 +57,7 @@ def test_oracle_ppt_of_pure_state():
     assert ktm == pytest.approx(sf.b1 - sf.c, abs=1e-10)
 
 
-def test_oracle_rejects_bad_matrices():
+def test_oracle_rejects_bad_matrices(monkeypatch):
     with pytest.raises(NonPhysicalStateError):
         symplectic_spectrum_oracle(np.diag([1.0, 1.0, 1.0, -0.5]))
     with pytest.raises(InvalidParameterError):
@@ -66,8 +65,9 @@ def test_oracle_rejects_bad_matrices():
     # With a zero pairing tolerance the unavoidable eigensolver noise in
     # the doubly degenerate moduli must be flagged.
     v = full_cm(standard_form_from_sts(StsParams(10.0, 0.1, 2.0)))
+    monkeypatch.setattr(verification, "_PAIR_TOL", 0.0)
     with pytest.raises(NonPhysicalStateError):
-        symplectic_spectrum_oracle(v, pair_tol=0.0)
+        symplectic_spectrum_oracle(v)
 
 
 def _oracle_stack(seed: int, n: int, with_phase: bool) -> np.ndarray:
@@ -132,7 +132,7 @@ def test_one_matrix_returns_two_python_floats(oracle):
     assert out == (stacked[0][0], stacked[1][0])
 
 
-def test_a_non_physical_matrix_in_a_stack_is_named_by_index():
+def test_a_non_physical_matrix_in_a_stack_is_named_by_index(monkeypatch):
     v = _oracle_stack(9, 6, with_phase=False)
     v[3] = np.diag([1.0, 1.0, 1.0, -0.5])
     with pytest.raises(NonPhysicalStateError, match=r"index 3\b"):
@@ -141,8 +141,9 @@ def test_a_non_physical_matrix_in_a_stack_is_named_by_index():
         ppt_spectrum_oracle(v.reshape(2, 3, 4, 4))
     # A thermal product state pairs exactly; the squeezed one does not.
     squeezed = full_cm(standard_form_from_sts(StsParams(10.0, 0.1, 2.0)))
-    with pytest.raises(NonPhysicalStateError, match=r"moduli at index 1 do not pair"):
-        symplectic_spectrum_oracle(np.stack([1.5 * np.eye(4), squeezed]), pair_tol=0.0)
+    monkeypatch.setattr(verification, "_PAIR_TOL", 0.0)
+    with pytest.raises(NonPhysicalStateError, match=r"moduli at index 1 do not pair within 0.0: "):
+        symplectic_spectrum_oracle(np.stack([1.5 * np.eye(4), squeezed]))
 
 
 @pytest.mark.parametrize("oracle", [symplectic_spectrum_oracle, ppt_spectrum_oracle])
@@ -249,20 +250,13 @@ def test_samplers_produce_valid_states():
     assert sample_sts(rng, with_phase=False).phi == 0.0
 
 
-def test_oracle_report_compare():
-    rep = OracleReport.compare("thing", 1.0, 1.0 + 5e-11, 1e-10)
-    assert rep.passed
-    assert rep.abs_err == pytest.approx(5e-11)
-    assert not OracleReport.compare("thing", 1.0, 1.0 + 2e-10, 1e-10).passed
-
-
 def test_run_verification_battery_passes_and_is_deterministic():
-    reports = run_verification(seed=3, spectrum_samples=300, esd_samples=40, cf_samples=40)
+    reports = run_verification(seed=3)
     assert len(reports) == 9
     assert all(r.passed for r in reports)
     names = [r.quantity for r in reports]
     assert len(set(names)) == 9
-    again = run_verification(seed=3, spectrum_samples=300, esd_samples=40, cf_samples=40)
+    again = run_verification(seed=3)
     assert again == reports
 
 
@@ -277,7 +271,7 @@ def test_the_spectrum_stacks_give_each_battery_state_its_scalar_bits(monkeypatch
         return out
 
     monkeypatch.setattr(verification, "stack", record)
-    run_verification(seed=11, esd_samples=1, cf_samples=1)
+    run_verification(seed=11)
     entries, spectra = seen.values()
     assert len(entries) == 2000 + 1800 and len(spectra) == 4000
     for n1, n2, r, *stacked in entries:
@@ -326,13 +320,13 @@ def test_a_pair_that_is_not_finite_is_the_worst_and_fails(monkeypatch):
     # In the battery: one NaN among an eigen-oracle's values fails the check.
     oracle_stack = verification.symplectic_spectrum_oracle
 
-    def nan_at_5(v, pair_tol=1e-8):
-        kp, km = oracle_stack(v, pair_tol)
+    def nan_at_5(v):
+        kp, km = oracle_stack(v)
         kp[5] = math.nan
         return kp, km
 
     monkeypatch.setattr(verification, "symplectic_spectrum_oracle", nan_at_5)
-    reports = run_verification(seed=3, spectrum_samples=300, esd_samples=4, cf_samples=4)
+    reports = run_verification(seed=3)
     (report,) = [r for r in reports if r.quantity == "kappa_plus vs eigen-oracle"]
     assert math.isnan(report.oracle) and not report.passed
 
@@ -348,10 +342,3 @@ def test_a_negative_seed_is_refused_before_sampling(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the verification seed (verify --seed) must be >= 0, got -1\n"
-
-
-def test_a_sample_count_below_one_is_refused_by_name():
-    for name in ("spectrum_samples", "esd_samples", "cf_samples"):
-        for count in (0, -3):
-            with pytest.raises(InvalidParameterError, match=f"^{name} must be >= 1, got {count}$"):
-                run_verification(**{name: count})
