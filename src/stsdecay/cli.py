@@ -244,15 +244,14 @@ def _dest(flag: str) -> str:
 
 
 def _negative_number(token: str) -> bool:
-    r"""Whether argparse reads ``token``, which starts with "-", as a value rather than as a flag.
+    """Whether argparse reads ``token``, which starts with "-", as a value rather than as a flag.
 
-    The test is argparse's pattern ``^-\d+$|^-\d*\.\d+$`` for a parser none of
-    whose options looks like a negative number, as is the case for every
-    parser here, spelled without ``re``: ``\d`` is a character for which
-    ``str.isdecimal`` holds, and ``$`` also matches before one final "\n".
+    The pattern is argparse's own for a parser none of whose options looks
+    like a negative number, as is the case for every parser here.
     """
-    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
-    return (frac.isdecimal() and (not whole or whole.isdecimal())) if dot else whole.isdecimal()
+    import re
+
+    return re.match(r"^-\d+$|^-\d*\.\d+$", token) is not None
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
@@ -328,7 +327,7 @@ def _expand_config(argv: list[str]) -> list[str]:
     path = None
     for i, tok in enumerate(argv):
         name, eq, value = tok.partition("=")
-        if ([name] if name in flags else [flag for flag in flags if flag.startswith(name)]) == ["--config"]:
+        if [flag for flag in flags if flag.startswith(name)] == ["--config"]:
             path = value if eq else argv[i + 1] if i + 1 < len(argv) else path
     if path is None:
         return argv

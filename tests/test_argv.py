@@ -17,7 +17,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -123,22 +122,6 @@ def test_the_reader_takes_negative_numbers_repeats_and_any_value_of_a_string(arg
 )
 def test_the_reader_leaves_the_rest_to_argparse(argv):
     assert cli._read_argv(argv) is None
-
-
-# Each character in the forms -x, -.x, -1.x and -x.5: ASCII and other
-# decimal digits (Arabic-Indic, fullwidth, Devanagari, mathematical),
-# digits and numerals that are not decimal (superscript two, one half,
-# Roman twelve), and the characters around a number.
-_CHARS = "09\u0663\uff19\u096b\U0001d7d8\u00b2\u00bd\u216b.-+eE \n\t"
-_NUMBER_TOKENS = [
-    *(form.format(x) for x in _CHARS for form in ("-{}", "-.{}", "-1.{}", "-{}.5")),
-    "-", "-.", "-1.", "--1", "-1e5", "-1.5.2", "-1\n", "-.5\n", "-1\n\n", "-1\n5",
-]
-
-
-@pytest.mark.parametrize("token", _NUMBER_TOKENS, ids=ascii)
-def test_a_negative_number_is_what_argparse_s_pattern_matches(token):
-    assert cli._negative_number(token) == (re.match(r"^-\d+$|^-\d*\.\d+$", token) is not None)
 
 
 def _regenerate() -> None:

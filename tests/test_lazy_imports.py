@@ -146,9 +146,9 @@ _MANIFEST = {
     **{f"{line} {flag}={value}": (0, f"{_CLI} {_PARSER} {modules}") for line, (flag, value), modules in
        _COMMANDS.values()},
     f"stsdecay report {_STATE} --t 0 --format json": (0, f"{_CLI} _cmd_report correlations"),
-    # A value that starts with "-" is tested against argparse's pattern of a negative number, without re.
+    # A value that starts with "-" is matched against argparse's pattern of a negative number.
     f"stsdecay report {_STATE} --identical --nr 0.3 --t -0 --format json --units bits": (
-        0, f"{_CLI} _cmd_report correlations dynamics"),
+        0, f"{_CLI} _cmd_report correlations dynamics re"),
     f"stsdecay report {_STATE} --identical --nr 0.3 --t 0.5 --outputs ef,kappas": (
         0, f"{_CLI} _cmd_report correlations dynamics"),
     f"stsdecay esd {_STATE} --identical --nr 0.3 --verify --format json": (0, f"{_CLI} _cmd_esd dynamics"),

@@ -250,7 +250,16 @@ def test_samplers_produce_valid_states():
     assert sample_sts(rng, with_phase=False).phi == 0.0
 
 
-def test_run_verification_battery_passes_and_is_deterministic():
+def _battery(monkeypatch, spectrum, esd, cf):
+    # A smaller battery than run_verification's own; the spectrum count
+    # stays a multiple of _ORACLE_BLOCK and of 10.
+    monkeypatch.setattr(verification, "_SPECTRUM_SAMPLES", spectrum)
+    monkeypatch.setattr(verification, "_ESD_SAMPLES", esd)
+    monkeypatch.setattr(verification, "_CF_SAMPLES", cf)
+
+
+def test_run_verification_battery_passes_and_is_deterministic(monkeypatch):
+    _battery(monkeypatch, 500, 40, 40)
     reports = run_verification(seed=3)
     assert len(reports) == 9
     assert all(r.passed for r in reports)
@@ -271,6 +280,7 @@ def test_the_spectrum_stacks_give_each_battery_state_its_scalar_bits(monkeypatch
         return out
 
     monkeypatch.setattr(verification, "stack", record)
+    _battery(monkeypatch, 2000, 1, 1)
     run_verification(seed=11)
     entries, spectra = seen.values()
     assert len(entries) == 2000 + 1800 and len(spectra) == 4000
@@ -326,6 +336,7 @@ def test_a_pair_that_is_not_finite_is_the_worst_and_fails(monkeypatch):
         return kp, km
 
     monkeypatch.setattr(verification, "symplectic_spectrum_oracle", nan_at_5)
+    _battery(monkeypatch, 500, 4, 4)
     reports = run_verification(seed=3)
     (report,) = [r for r in reports if r.quantity == "kappa_plus vs eigen-oracle"]
     assert math.isnan(report.oracle) and not report.passed
