@@ -3,11 +3,12 @@
 ``_Arrays`` holds the names of ``core._Floats`` for float64 arrays, so one
 kernel runs on floats and on stacks, and each element gets the bits of its
 scalar call: the kernels use only IEEE operations that round once (``+ -
-* /``, ``sqrt``, comparisons), which numpy rounds as Python does, and
-libm's functions, mapped over the arrays (``_libm``), as numpy's ``exp``,
-``log1p`` and the like differ from libm in the last bit on a few percent
-of inputs.  Its ``branch`` raises ``_Fallback`` where any element takes a
-branch or a refusal of its own.
+* /``, ``sqrt``, comparisons), which numpy rounds as Python does, and the
+scalar functions themselves, mapped over the arrays (``_libm``): libm's
+``exp``, ``hypot`` and the like, which numpy's differ from in the last bit
+on a few percent of inputs, and the entropic function ``core._h_offset``.
+Its ``branch`` raises ``_Fallback`` where any element takes a branch or a
+refusal of its own.
 
 ``stack`` holds the one fallback: it runs a kernel on the arrays, and hands
 a stack that raised ``_Fallback``, or whose results hold a non-finite
@@ -28,6 +29,8 @@ import math
 
 import numpy as np
 
+from .core import _h_offset
+
 
 class _Fallback(Exception):
     """Some element of a stack takes a branch or a refusal of its own."""
@@ -39,24 +42,12 @@ def _libm(f, *xs: np.ndarray) -> np.ndarray:
 
 
 class _Arrays:
-    """``core._Floats`` on float64 arrays; Python's ``max(a, b)`` is ``b`` where ``b > a``, else ``a``."""
+    """``core._Floats`` on float64 arrays: numpy's correctly rounded operations and selections, and the scalar functions mapped."""
 
     sqrt, isfinite, select, not_ = np.sqrt, np.isfinite, np.where, np.logical_not
-    exp, expm1, hypot, cosh, sinh = (
-        functools.partial(_libm, f) for f in (math.exp, math.expm1, math.hypot, math.cosh, math.sinh)
+    exp, expm1, hypot, cosh, sinh, h = (
+        functools.partial(_libm, f) for f in (math.exp, math.expm1, math.hypot, math.cosh, math.sinh, _h_offset)
     )
-
-    @staticmethod
-    def h(a):
-        """``core._h_offset`` of each element: libm's ``log1p`` mapped, the rest on the arrays."""
-        rounding = a <= 0.0
-        a = np.where(rounding, 1.0, a)
-        log1p_a, inv = _libm(math.log1p, a), 1.0 / a
-        tail = _libm(math.log1p, inv)
-        overflow = inv == np.inf
-        if overflow.any():
-            tail = np.where(overflow, log1p_a - _libm(math.log, a), tail)
-        return np.where(rounding, 0.0, log1p_a + a * tail)
 
     @staticmethod
     def branch(cond) -> bool:

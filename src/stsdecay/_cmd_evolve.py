@@ -135,6 +135,8 @@ def command(args: Args) -> int:
     # numpy, so the scratch memory of compiling them is freed before
     # numpy's 12.6 MB are resident, rather than stacked on it: a lower
     # peak RSS.  (`_state_cells` takes `_measures` from the loaded module.)
+    # So the refusal of `--log-spacing` without numpy loads them for nothing; with
+    # `_require_numpy` first, the 3,000-point JSON log grid peaked at 28.35, not 28.25 MB.
     from .correlations import _measures  # noqa: F401
     from .dynamics import _check_time
 

@@ -8,22 +8,18 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .cli import Args
 
-# The fixed column schema of `verify --format json` (documented in README):
-# the fields of an oracle report, in order.
-_VERIFY_COLUMNS = ["quantity", "closed_form", "oracle", "abs_err", "tol", "passed"]
-
 
 def command(args: Args) -> int:
     # The destination is opened first, so an unwritable --out fails before
     # the battery's work rather than after it.
     with _destination(args.out) as write:
         _require_numpy("verify")
-        from .verification import run_verification
+        from .verification import OracleReport, run_verification
 
         reports = run_verification(seed=args.seed)
         if args.format == "json":
             rows = [tuple(_cell(value, _json_string) for value in r._fields()) for r in reports]
-            _emit_rows(write, _VERIFY_COLUMNS, "json", 0, [rows])
+            _emit_rows(write, OracleReport.__match_args__, "json", 0, [rows])
         else:
             lines = [
                 f"{'PASS' if r.passed else 'FAIL'}  {r.quantity}: "

@@ -61,7 +61,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .core import StandardForm, StsParams, _Floats, _spectrum, standard_form_from_sts
+from .core import StandardForm, StsParams, SymplecticSpectrum, _Floats, _spectrum, standard_form_from_sts
 from .errors import (
     InvalidParameterError,
     NonPhysicalStateError,
@@ -87,7 +87,7 @@ _OUTPUT_COLUMNS = {
     "d1": ["d1"],
     "d2": ["d2"],
     "mutual_information": ["mutual_information"],
-    "kappas": ["kappa_plus", "kappa_minus", "kappa_tilde_plus", "kappa_tilde_minus"],
+    "kappas": list(SymplecticSpectrum.__match_args__),
     "separable": ["separable"],
     "ts": ["ts"],
 }
@@ -306,6 +306,16 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
+def _flag_value(token: str, flags: list[str]) -> bool:
+    """Whether argparse reads ``token`` after a flag as its value; ``flags`` are the subcommand's, ``-h`` and ``--help`` among them."""
+    if not token.startswith("-") or token == "-":
+        return True
+    # A token that starts a flag (by its name, for "--name=value"), or whose "-x" is one, is that flag.
+    name = token.partition("=")[0] if token.startswith("--") else token
+    if any(flag.startswith(name) or flag == token[:2] for flag in flags):
+        return False
+    return " " in token or _negative_number(token)
+
 
 # The longest --config file read, in characters: 1 Mi, a bound on memory
 # far above any file of flags.
@@ -318,17 +328,19 @@ def _expand_config(argv: list[str]) -> list[str]:
     User-supplied flags come later in argv, so they win (argparse keeps
     the last occurrence of a repeated option).  The flag is read as
     argparse reads it: ``--config``, or a prefix of it that starts none of
-    the subcommand's other flags, followed by the path or by ``=path``.  A
-    file that cannot be opened or read, is not UTF-8 text, or is longer
-    than ``_CONFIG_CHARS`` characters, is a ``_CliError``; no more of it
-    than that is read.
+    the subcommand's other flags, followed by ``=path`` or by a path (a
+    ``_flag_value``); without one, ``argv`` is left for argparse to refuse.
+    A file that cannot be opened or read, is not UTF-8 text, or is longer
+    than ``_CONFIG_CHARS`` characters, is a ``_CliError``; no more is read.
     """
-    flags = [row[0] for row in _SUBCOMMANDS[argv[0]][1]] if argv and argv[0] in _SUBCOMMANDS else []
+    flags = [row[0] for row in _SUBCOMMANDS[argv[0]][1]] + ["-h", "--help"] if argv and argv[0] in _SUBCOMMANDS else []
     path = None
     for i, tok in enumerate(argv):
         name, eq, value = tok.partition("=")
         if [flag for flag in flags if flag.startswith(name)] == ["--config"]:
-            path = value if eq else argv[i + 1] if i + 1 < len(argv) else path
+            if not (eq or i + 1 < len(argv) and _flag_value(argv[i + 1], flags)):
+                return argv
+            path = value if eq else argv[i + 1]
     if path is None:
         return argv
     try:
@@ -539,7 +551,7 @@ def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
 
 def _emit_rows(
     write: Callable[[str], object],
-    columns: list[str],
+    columns: Sequence[str],
     fmt: str,
     floats: int,
     chunks: Iterable[Iterable[tuple[object, ...]]],
@@ -547,14 +559,13 @@ def _emit_rows(
     """Write the non-empty ``chunks`` of rows under ``columns`` as CSV or JSON.
 
     The bytes are those of ``csv.DictWriter(lineterminator="\\n")`` and of
-    ``json.dumps(records, indent=2) + "\\n"`` on the same records.  The
-    first ``floats`` cells of a row are floats, printed in shortest
-    round-trip form.  A row is tested for finiteness once, by their sum;
-    only a row that fails that test is checked cell by cell, and a
-    non-finite number is refused, since neither format has a valid
-    spelling for it.  Every other cell arrives spelled for ``fmt``
-    (``"true"``/``"false"``, markers through ``_cell``) or is a death time,
-    finite by construction, and is printed as it is.
+    ``json.dumps(records, indent=2) + "\\n"`` on the same records.  Every
+    cell prints through ``%s``, which spells a float as ``repr`` does.  A
+    row is tested for finiteness once, by the sum of its first ``floats``
+    cells, the floats; only a row that fails is checked cell by cell, and
+    a non-finite number is refused, as neither format can spell it.  Every
+    other cell arrives spelled for ``fmt`` (``"true"``/``"false"``, markers
+    through ``_cell``) or is a death time, finite by construction.
 
     A chunk's rows are all made and checked before any of its text is
     written, so a command that fails within its first chunk writes nothing.
@@ -565,11 +576,10 @@ def _emit_rows(
     slice each, so memory holds a batch chunk's columns and one slice's
     rows and text.
     """
-    slots = ["%r"] * floats + ["%s"] * (len(columns) - floats)
     if fmt == "csv":
-        lead, sep, tail, template = ",".join(columns) + "\n", "\n", "\n", ",".join(slots)
+        lead, sep, tail, template = ",".join(columns) + "\n", "\n", "\n", ",".join(["%s"] * len(columns))
     else:
-        fields = ",\n".join(f"    {_json_string(name)}: {slot}" for name, slot in zip(columns, slots))
+        fields = ",\n".join(f"    {_json_string(name)}: %s" for name in columns)
         lead, sep, tail, template = "[\n", ",\n", "\n]\n", "  {\n" + fields + "\n  }"
     for chunk in chunks:
         rows = list(chunk)

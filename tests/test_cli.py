@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, exit codes, and output formats."""
 
+import contextlib
 import csv
 import io
 import json
@@ -342,6 +343,30 @@ def test_an_abbreviated_config_reads_the_file(capsys, tmp_path, line):
 
 
 @pytest.mark.parametrize(
+    "token", ["--t", "--ti", "--t=1", "--n1=a b", "-", "- x", "-1", "-1e5", "-.5", "--", "-- x", "-x", "a", "-h x"]
+)
+def test_the_token_after_config_is_its_path_exactly_where_argparse_reads_one(monkeypatch, capsys, token):
+    from stsdecay._parser import _build_parser
+
+    def opened(path, *args, **kwargs):
+        paths.append(path)
+        raise FileNotFoundError(2, "No such file or directory")
+
+    monkeypatch.setattr(cli, "open", opened, raising=False)
+    for flag in ("--config", "--conf"):
+        argv = ["report", "--n1", "1", "--n2", "1", "--r", "1", flag, token]
+        try:
+            want = [_build_parser().parse_args(argv).config]
+        except SystemExit:
+            want = []
+            assert capsys.readouterr().err.endswith("argument --config: expected one argument\n")
+        paths = []
+        with pytest.raises(cli._CliError) if want else contextlib.nullcontext():
+            assert cli._expand_config(argv) == argv
+        assert paths == want, flag
+
+
+@pytest.mark.parametrize(
     "name, reason",
     [
         ("missing.cfg", "No such file or directory"),
@@ -471,12 +496,12 @@ def test_streaming_writer_refuses_non_finite_numbers(fmt, bad):
 
 
 def test_every_string_the_commands_spell_is_json_dumps_without_json(monkeypatch):
-    from stsdecay import _cmd_verify, run_verification
+    from stsdecay import OracleReport, run_verification
 
     strings = {
         *(column for columns in cli._OUTPUT_COLUMNS.values() for column in columns),
         *cli._EVOLVE_COLUMNS,
-        *_cmd_verify._VERIFY_COLUMNS,
+        *OracleReport.__match_args__,
         *("t_s", "t_s_closed", "t_s_bisection", "abs_difference"),
         *("n1", "n2", "r", "nr", "gamma"),
         *("separable", "asymptotic-only"),

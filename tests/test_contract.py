@@ -400,7 +400,7 @@ _SHORT = lambda f: lambda start, stop, num: f(start, stop, num - 1)  # noqa: E73
 _REPORT = "report --n1 10 --n2 0.1 --r 2"
 _EVOLVE = "evolve --n1 10 --n2 0.1 --r 2 --identical --nr 0.5 --t-end 2 --points 50"
 _SWEEP = "sweep --n1 1 --n2 0.5 --r 1 --gamma1 1 --nr1 0.5 --param r --min 0 --max 2 --steps 9"
-# Faults that the contract catches, each on a line that meets it: (module, name, the name's stand-in made from it, line).
+# Faults that the contract catches, each on a line that meets it: (module or class, name, the name's stand-in made from it, line).
 _MUTANTS = {
     "nan cell in report": (_cmd_report, "_emit_rows", _NAN, "report --n1 0 --n2 0 --r 0"),
     "nan cell in evolve json": (_cmd_evolve, "_emit_rows", _NAN, _BRANCH_LINES[0] + " --format json"),
@@ -410,7 +410,7 @@ _MUTANTS = {
     "separable input exits 1": (cli, "_EXIT_CODES", lambda codes: {**codes, SeparableInputError: 1}, "esd --n1 0 --n2 0 --r 0 --identical --nr 0.5"),
     "two-line error": (_cmd_evolve, "_CliError", lambda error: lambda message: error(message + "\nsee --help"), "evolve --n1 1 --n2 1 --r 1 --t-end 1"),
     "batch d2 one ulp up": (_batch, "stack", _nudged, _EVOLVE),
-    "batch log1p of numpy": (_batch, "_libm", lambda libm: lambda f, *xs: np.log1p(*xs) if f is math.log1p else libm(f, *xs), _EVOLVE),
+    "batch log1p of numpy": (_batch._Arrays, "h", lambda h: lambda a: np.where(a > 0.0, np.log1p(a) + a * np.log1p(1.0 / a), 0.0), _EVOLVE),
     "json cells to 15 digits": (_cmd_report, "_emit_rows", _float_cells(lambda v: float("%.15g" % v)), _REPORT + " --format json"),
     "json header upper case": (cli, "_json_string", lambda spell: lambda value: spell(value.upper()), _REPORT + " --format json"),
     "report columns reversed": (_cmd_report, "_columns", lambda f: lambda outputs: f(outputs)[::-1], _REPORT),
