@@ -8,7 +8,6 @@ import math
 
 from .cli import (
     _CHUNK_ROWS,
-    _EVOLVE_COLUMNS,
     _SLICE_ROWS,
     _STATE_OUTPUTS,
     _CliError,
@@ -91,7 +90,7 @@ def _emit_evolve(
     """
     from .dynamics import _evolved_entries
 
-    cells = _state_cells(_STATE_OUTPUTS, units)
+    names, cells = _state_cells(_STATE_OUTPUTS, units)
 
     def row(t, ops=_Floats):
         b1, b2, c = _evolved_entries(sf0, res, t, ops)
@@ -115,7 +114,7 @@ def _emit_evolve(
             return (zip(*(column[lo : lo + step].tolist() for column in columns)) for lo in range(0, len(times), step))
 
         chunk_rows = itertools.chain.from_iterable(map(pieces, chunks))
-    _emit_rows(write, _EVOLVE_COLUMNS, fmt, 8, chunk_rows)
+    _emit_rows(write, ["t", "b1", "b2", "c", *names], fmt, 8, chunk_rows)
 
 
 def command(args: Args) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from .cli import (
     _REPORT_OUTPUTS,
     _CliError,
-    _columns,
     _destination,
     _emit_rows,
     _parse_outputs,
@@ -32,8 +31,9 @@ def command(args: Args) -> int:
 
         sf = evolve(sf, res, t).sf
     b1, b2, c = sf.b1, sf.b2, sf.c
-    row = (t, b1, b2, c, *_state_cells(outputs, args.units)(b1, b2, c, _separability_margin(b1, b2, c)))
+    columns, cells = _state_cells(outputs, args.units)
+    row = (t, b1, b2, c, *cells(b1, b2, c, _separability_margin(b1, b2, c)))
     floats = len(row) - ("separable" in outputs)
     with _destination(args.out) as write:
-        _emit_rows(write, ["t", "b1", "b2", "c", *_columns(outputs)], args.format, floats, [[row]])
+        _emit_rows(write, ["t", "b1", "b2", "c", *columns], args.format, floats, [[row]])
     return 0

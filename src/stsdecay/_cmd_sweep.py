@@ -9,7 +9,6 @@ from .cli import (
     _SWEEP_OUTPUTS,
     _CliError,
     _cell,
-    _columns,
     _destination,
     _emit_rows,
     _grid,
@@ -64,7 +63,8 @@ def command(args: Args) -> int:
     else:
         outputs = _parse_outputs(args.outputs, _SWEEP_OUTPUTS if res is not None else _REPORT_OUTPUTS)
     sf0 = _state_from_args(args)
-    ts, state_cells = ("ts" in outputs), _state_cells(outputs, args.units)
+    ts = "ts" in outputs
+    state_columns, state_cells = _state_cells(outputs, args.units)
     if ts:
         from .dynamics import ASYMPTOTIC_ONLY, _death_time
 
@@ -111,7 +111,7 @@ def command(args: Args) -> int:
         _reservoir_from_args(args)
     else:
         _state_from_args(args)
-    columns = [param, *_columns(outputs)]
+    columns = [param, *state_columns] + ["ts"] * ts
     floats = len(columns) - ("separable" in outputs) - ts
     rows = (map(row, chunk) for chunk in _grid(lo, hi, steps))
     with _destination(args.out) as write:

@@ -16,14 +16,17 @@ at a time; ``--out`` files appear only once complete.  A chunk of the
 batch rows of ``evolve`` is computed and checked whole on arrays, and its
 rows become Python objects only a slice at a time, as the writer reaches
 them.  ``report``, ``sweep`` and ``evolve`` (its scalar and batch rows
-alike) take their per-state cells from one function, ``_state_cells``.
+alike) take their per-state cells, and those cells' columns, from one
+function, ``_state_cells``.
 
 Exit codes: 0 success, 1 verification failure (or a command that cannot run
 on this platform: an oracle without extended precision, or ``verify`` and
 ``evolve --log-spacing`` where numpy cannot be imported), 2 invalid input
 or an output that cannot be written (an ``--out`` path, or a stdout that
 is full, a pipe without a reader, or closed), 3 inapplicable request
-(death time of an already-separable state).
+(death time of an already-separable state).  An error is one line,
+``error: ...``, on stderr; where stderr cannot take it (closed, or
+failing), the line is dropped and the exit code stands.
 
 ``run`` is the entry point of the ``stsdecay`` script and of ``python -m
 stsdecay``: it runs ``main``, then the exit handlers, flushes the standard
@@ -81,25 +84,12 @@ if TYPE_CHECKING:
     # The arguments of a command line, from `_read_argv` or from argparse.
     Args = SimpleNamespace | argparse.Namespace
 
-# Canonical column order for the selectable outputs.
-_OUTPUT_COLUMNS = {
-    "ef": ["ef"],
-    "d1": ["d1"],
-    "d2": ["d2"],
-    "mutual_information": ["mutual_information"],
-    "kappas": list(SymplecticSpectrum.__match_args__),
-    "separable": ["separable"],
-    "ts": ["ts"],
-}
 # Selectable outputs that are fields of the correlation report.
 _MEASURES = ("ef", "d1", "d2", "mutual_information")
 _REPORT_OUTPUTS = [*_MEASURES, "kappas", "separable"]
 _SWEEP_OUTPUTS = _REPORT_OUTPUTS + ["ts"]
 # The per-state outputs of every `evolve` row, and of `sweep` by default.
 _STATE_OUTPUTS = [*_MEASURES, "separable"]
-
-# The fixed column schema of the `evolve` table (documented in README).
-_EVOLVE_COLUMNS = ["t", "b1", "b2", "c", *_STATE_OUTPUTS]
 
 # Table rows are made and checked this many at a time, so memory does not
 # grow with the table; a command that fails within its first chunk writes
@@ -332,6 +322,7 @@ def _expand_config(argv: list[str]) -> list[str]:
     ``_flag_value``); without one, ``argv`` is left for argparse to refuse.
     A file that cannot be opened or read, is not UTF-8 text, or is longer
     than ``_CONFIG_CHARS`` characters, is a ``_CliError``; no more is read.
+    One leading byte-order mark (U+FEFF) is dropped.
     """
     flags = [row[0] for row in _SUBCOMMANDS[argv[0]][1]] + ["-h", "--help"] if argv and argv[0] in _SUBCOMMANDS else []
     path = None
@@ -353,7 +344,7 @@ def _expand_config(argv: list[str]) -> list[str]:
     if len(text) > _CONFIG_CHARS:
         raise _CliError(f"cannot read {path}: it is longer than {_CONFIG_CHARS} characters")
     extra: list[str] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -420,15 +411,16 @@ def _parse_outputs(selection: str, allowed: list[str]) -> list[str]:
     return [name for name in allowed if name in chosen]
 
 
-def _state_cells(outputs: list[str], units: str) -> Callable[..., tuple[object, ...]]:
-    """The function from entries ``(b1, b2, c)`` and their separability margin to the cells of ``outputs``; elementwise.
+def _state_cells(outputs: list[str], units: str) -> tuple[list[str], Callable[..., tuple[object, ...]]]:
+    """The columns of ``outputs``, and the function from entries ``(b1, b2, c)`` and their margin to its cells; elementwise.
 
-    The cells are those of the per-state ``outputs``, in canonical order.
-    Each comes from the kernel that its public function wraps, and only
-    when selected: the measures (floats, in ``units``) from
-    ``correlations._measures``, the kappas (floats) from ``core._spectrum``,
-    and the separable verdict, spelled, from the sign of the margin.  So
-    the values, the errors and their order are those of
+    The columns are the picked measures, then the kappas
+    (``SymplecticSpectrum.__match_args__``), then ``separable``: the order
+    of the cells.  Each cell comes from the kernel that its public
+    function wraps, and only when selected: the measures (floats, in
+    ``units``) from ``correlations._measures``, the kappas (floats) from
+    ``core._spectrum``, and the separable verdict, spelled, from the sign
+    of the margin.  So the values, the errors and their order are those of
     ``correlation_report``, ``symplectic_spectrum`` and ``is_separable``.
     The correlation kernel is bound here, once per command, and imported
     only where a measure is selected.  The cells take the elementwise
@@ -437,6 +429,7 @@ def _state_cells(outputs: list[str], units: str) -> Callable[..., tuple[object, 
     """
     picks = [i for i, name in enumerate(_MEASURES) if name in outputs]
     kappas, separable, bits = "kappas" in outputs, "separable" in outputs, units == "bits"
+    columns = [_MEASURES[i] for i in picks] + [*SymplecticSpectrum.__match_args__] * kappas + ["separable"] * separable
     if picks:
         from .correlations import _measures
 
@@ -452,11 +445,7 @@ def _state_cells(outputs: list[str], units: str) -> Callable[..., tuple[object, 
             row += (ops.select(margin >= 0.0, "true", "false"),)
         return row
 
-    return cells
-
-
-def _columns(outputs: list[str]) -> list[str]:
-    return [col for name in outputs for col in _OUTPUT_COLUMNS[name]]
+    return columns, cells
 
 
 def _cell(value: object, spell: Callable[[object], str]) -> str:
@@ -488,64 +477,48 @@ def _stdout_failed(exc: OSError | None) -> _CliError:
     return _CliError(f"cannot write stdout: {'it is closed' if exc is None else exc.strerror or exc}")
 
 
-def _checked(write: Callable[[str], object], failed: Callable[[OSError], _CliError]) -> Callable[[str], None]:
-    """``write``, with an OSError that it raises turned into the error ``failed(exc)``."""
-
-    def checked(text: str) -> None:
-        try:
-            write(text)
-        except OSError as exc:
-            raise failed(exc) from exc
-
-    return checked
-
-
 @contextlib.contextmanager
 def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
-    """A write function for stdout, or for the file ``out``.
+    """The write function of stdout, or of the file ``out``; the body raises OSError only from it.
 
     A closed stdout, or a write to stdout that fails, is a ``_CliError``
-    (exit code 2), as is a file that cannot be opened, written or closed.
+    (exit code 2), as is a file that cannot be opened, written, closed,
+    given its mode or renamed.
 
-    A regular file is written under a temporary name in its directory and
-    renamed over ``out`` only once all of it is written, so a failed
-    command leaves no new file and an existing one untouched.  Symlinks
-    (/dev/stdout among them) and targets that are not regular files
-    (devices, pipes) are written in place, as renaming would replace the
-    link or the special file itself.
+    A regular file is written under the name ``.stsdecay-<pid>.tmp`` in
+    its directory, created anew, and renamed over ``out`` only once all of
+    it is written, so a failed command leaves no new file and an existing
+    one untouched.  Symlinks (/dev/stdout among them) and targets that are
+    not regular files (devices, pipes) are written in place, as renaming
+    would replace the link or the special file itself.
     """
     if out is None:
         if sys.stdout is None:
             raise _stdout_failed(None)
-        yield _checked(sys.stdout.write, _stdout_failed)
-        return
-
-    def failed(exc: OSError) -> _CliError:
-        return _CliError(f"cannot write {out}: {exc.strerror}")
-
-    in_place = os.path.islink(out) or (os.path.exists(out) and not os.path.isfile(out))
-    tmp = f"{out}.{os.getpid()}.tmp"
-    try:
-        target = out if in_place else os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        fh = open(target, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise failed(exc) from exc
-    try:
         try:
-            yield _checked(fh.write, failed)
-        finally:
-            # Closing flushes the last bytes, so it can fail as a write does.
-            try:
-                fh.close()
-            except OSError as exc:
-                raise failed(exc) from exc
+            yield sys.stdout.write
+        except OSError as exc:
+            raise _stdout_failed(exc) from exc
+        return
+    in_place = os.path.islink(out) or (os.path.exists(out) and not os.path.isfile(out))
+    tmp = os.path.join(os.path.dirname(out), f".stsdecay-{os.getpid()}.tmp")
+    made = False
+    try:
         if not in_place:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            made = True
+        # Closing flushes the last bytes, so it can fail as a write does.
+        with open(out if in_place else fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh.write
+        if made:
             if os.path.isfile(out):
                 os.chmod(tmp, os.stat(out).st_mode & 0o7777)
             os.replace(tmp, out)
-    except BaseException:
-        if not in_place:
+    except BaseException as exc:
+        if made:
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise _CliError(f"cannot write {out}: {exc.strerror}") from exc
         raise
 
 
@@ -624,6 +597,14 @@ def _grid(start: float, stop: float, num: int) -> Iterator[list[float]]:
     return (_linspace(start, stop, num, lo, lo + _CHUNK_ROWS) for lo in range(0, num, _CHUNK_ROWS))
 
 
+def _report(exc: Exception) -> int:
+    """Write ``error: exc`` where stderr can take it (None or failing, the line is dropped); return the code of ``exc``."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.write(f"error: {exc}\n")
+    return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -638,8 +619,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # does not list a module that ``importlib.import_module`` loads.
         return __import__(f"{__package__}._cmd_{args.command}", fromlist=["command"]).command(args)
     except tuple(_EXIT_CODES) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+        return _report(exc)
 
 
 def run() -> None:
@@ -651,12 +631,13 @@ def run() -> None:
     collection, then freeing every module and object, which costs more
     CPU than a ``report`` computes) would only delay the exit, so the
     process ends with ``os._exit``.  A stdout that fails its flush is
-    reported as a failed write in ``main`` is, with exit code 2.  The
-    interpreter exits as usual under ``python -i``, after an exception
-    out of ``main`` (argparse's ``SystemExit`` among them), and where
-    stderr cannot be flushed.  ``OPENBLAS_NUM_THREADS`` is 1 unless the
-    environment sets it: numpy's OpenBLAS would start a pool of threads
-    that the package's 4x4 ``@`` and ``eigvalsh`` are too small to use.
+    reported as a failed write in ``main`` is, with exit code 2; what a
+    stderr that fails its flush holds is dropped, and the code stands.
+    The interpreter exits as usual under ``python -i`` and after an
+    exception out of ``main`` (argparse's ``SystemExit`` among them).
+    ``OPENBLAS_NUM_THREADS`` is 1 unless the environment sets it: numpy's
+    OpenBLAS would start a pool of threads that the package's 4x4 ``@``
+    and ``eigvalsh`` are too small to use.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
@@ -669,11 +650,8 @@ def run() -> None:
         try:
             sys.stdout.flush()
         except OSError as exc:
-            sys.stderr.write(f"error: {_stdout_failed(exc)}\n")
-            code = 2
+            code = _report(_stdout_failed(exc))
     if sys.stderr is not None:
-        try:
+        with contextlib.suppress(OSError):
             sys.stderr.flush()
-        except OSError:
-            sys.exit(code)
     os._exit(code)

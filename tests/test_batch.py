@@ -14,6 +14,9 @@ import stsdecay
 from stsdecay import ReservoirConfig, StandardForm, StsParams, _batch, _cmd_evolve, _parser, cli, correlations, is_pure
 from stsdecay import standard_form_from_sts
 
+# The column schema of the `evolve` table, as README documents it.
+_EVOLVE_SCHEMA = ["t", "b1", "b2", "c", "ef", "d1", "d2", "mutual_information", "separable"]
+
 
 class _Spy:
     """The ``_batch`` module, counting the chunks its ``stack`` answers and those it leaves to the scalar kernel."""
@@ -164,12 +167,12 @@ def test_row_lines_spell_cells_like_the_cell_writer():
     rows = [(0.0, big, big, 5e-324, 0.1, 1e-300, 2.5, 1e22, False), (0.5, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, -0.0, True)]
     want = [",".join(cli._cell(value, str) for value in row) for row in rows]
     out = io.StringIO()
-    cli._emit_rows(out.write, cli._EVOLVE_COLUMNS, "csv", 8, [[(*row[:8], cli._cell(row[8], str)) for row in rows]])
-    assert out.getvalue() == "\n".join([",".join(cli._EVOLVE_COLUMNS), *want]) + "\n"
+    cli._emit_rows(out.write, _EVOLVE_SCHEMA, "csv", 8, [[(*row[:8], cli._cell(row[8], str)) for row in rows]])
+    assert out.getvalue() == "\n".join([",".join(_EVOLVE_SCHEMA), *want]) + "\n"
     for bad in (math.inf, -math.inf, math.nan):
         row = (0.0, 1.0, 1.0, bad, 0.1, 0.2, bad, 0.4, "true")
         with pytest.raises(cli._CliError, match=f"non-finite number {bad!r}$"):
-            cli._emit_rows(out.write, cli._EVOLVE_COLUMNS, "csv", 8, [[row]])
+            cli._emit_rows(out.write, _EVOLVE_SCHEMA, "csv", 8, [[row]])
 
 
 def test_entropic_function_on_arrays_is_the_scalar_one_bit_for_bit():
@@ -280,7 +283,7 @@ class _InfAt:
     def stack(self, kernel, *columns):
         results = _batch.stack(kernel, *columns)
         if self.stacks == self.chunk:
-            results[cli._EVOLVE_COLUMNS.index("ef")][self.row] = math.inf
+            results[_EVOLVE_SCHEMA.index("ef")][self.row] = math.inf
         self.stacks += 1
         return results
 

@@ -342,6 +342,16 @@ def test_an_abbreviated_config_reads_the_file(capsys, tmp_path, line):
     assert got == run(capsys, *(tok.format(cfg) for tok in re.sub(r"--c\w*[ =]\{\}", "--config {}", line).split()))
 
 
+def test_a_config_file_with_a_byte_order_mark_reads_as_without_it(capsys, tmp_path):
+    flags = _CONFIG_FLAGS["report"].encode()
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(flags)
+    marked.write_bytes(b"\xef\xbb\xbf" + flags)
+    got = run(capsys, "report", "--config", str(marked))
+    assert got[0] == 0
+    assert got == run(capsys, "report", "--config", str(plain))
+
+
 @pytest.mark.parametrize(
     "token", ["--t", "--ti", "--t=1", "--n1=a b", "-", "- x", "-1", "-1e5", "-.5", "--", "-- x", "-x", "a", "-h x"]
 )
@@ -499,8 +509,8 @@ def test_every_string_the_commands_spell_is_json_dumps_without_json(monkeypatch)
     from stsdecay import OracleReport, run_verification
 
     strings = {
-        *(column for columns in cli._OUTPUT_COLUMNS.values() for column in columns),
-        *cli._EVOLVE_COLUMNS,
+        *cli._state_cells(cli._REPORT_OUTPUTS, "nats")[0],
+        *("t", "b1", "b2", "c", "ts"),
         *OracleReport.__match_args__,
         *("t_s", "t_s_closed", "t_s_bisection", "abs_difference"),
         *("n1", "n2", "r", "nr", "gamma"),
@@ -823,9 +833,10 @@ def test_writer_holds_one_slice_of_text():
         counts.append(text.count('"t":'))
         text.encode()
 
+    schema = ["t", "b1", "b2", "c", "ef", "d1", "d2", "mutual_information", "separable"]
     tracemalloc.start()
     try:
-        cli._emit_rows(write, cli._EVOLVE_COLUMNS, "json", 8, [rows])
+        cli._emit_rows(write, schema, "json", 8, [rows])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -890,6 +901,16 @@ def test_out_over_an_existing_file_replaces_its_bytes_and_keeps_its_mode(capsys,
     assert target.read_text() == out
     assert target.stat().st_mode & 0o7777 == 0o640
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_out_with_the_longest_file_name_writes_that_file(capsys, tmp_path):
+    # The temporary file's name does not grow with the target's.
+    name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".csv")) + ".csv"
+    argv = ("report", "--n1", "1", "--n2", "1", "--r", "1")
+    _, out, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(tmp_path / name)) == (0, "", "")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_text() == out
 
 
 @pytest.mark.parametrize(

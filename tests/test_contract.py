@@ -396,6 +396,7 @@ def _nudged(stack):
 
 _NAN = _float_cells(lambda v: math.nan if v == 0.0 else v, checked=False)
 _NATS = lambda f: lambda outputs, units: f(outputs, "nats")  # noqa: E731
+_REVERSED = lambda f: lambda outputs, units: (lambda columns, cells: (columns[::-1], cells))(*f(outputs, units))  # noqa: E731
 _SHORT = lambda f: lambda start, stop, num: f(start, stop, num - 1)  # noqa: E731
 _REPORT = "report --n1 10 --n2 0.1 --r 2"
 _EVOLVE = "evolve --n1 10 --n2 0.1 --r 2 --identical --nr 0.5 --t-end 2 --points 50"
@@ -410,10 +411,10 @@ _MUTANTS = {
     "separable input exits 1": (cli, "_EXIT_CODES", lambda codes: {**codes, SeparableInputError: 1}, "esd --n1 0 --n2 0 --r 0 --identical --nr 0.5"),
     "two-line error": (_cmd_evolve, "_CliError", lambda error: lambda message: error(message + "\nsee --help"), "evolve --n1 1 --n2 1 --r 1 --t-end 1"),
     "batch d2 one ulp up": (_batch, "stack", _nudged, _EVOLVE),
-    "batch log1p of numpy": (_batch._Arrays, "h", lambda h: lambda a: np.where(a > 0.0, np.log1p(a) + a * np.log1p(1.0 / a), 0.0), _EVOLVE),
+    "batch h in two logarithms": (_batch._Arrays, "h", lambda h: lambda a: np.where(a > 0.0, (a + 1.0) * np.log(a + 1.0) - a * np.log(np.where(a > 0.0, a, 1.0)), 0.0), _EVOLVE),
     "json cells to 15 digits": (_cmd_report, "_emit_rows", _float_cells(lambda v: float("%.15g" % v)), _REPORT + " --format json"),
     "json header upper case": (cli, "_json_string", lambda spell: lambda value: spell(value.upper()), _REPORT + " --format json"),
-    "report columns reversed": (_cmd_report, "_columns", lambda f: lambda outputs: f(outputs)[::-1], _REPORT),
+    "report columns reversed": (_cmd_report, "_state_cells", _REVERSED, _REPORT),
     "report verdict inverted": (_cmd_report, "_separability_margin", lambda f: lambda *entries: -f(*entries), _REPORT + " --outputs separable"),
     "report ignores units": (_cmd_report, "_state_cells", _NATS, _REPORT + " --units bits"),
     "evolve ignores units": (_cmd_evolve, "_state_cells", _NATS, _EVOLVE + " --units bits"),

@@ -39,9 +39,8 @@ def _env(unbuffered):
 def _spawn(command, unbuffered=False, **kwargs):
     """``python command...`` on this checkout; stdout and stderr are captured unless given."""
     kwargs.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run(
-        [sys.executable, *command], stderr=subprocess.PIPE, env=_env(unbuffered), timeout=120, **kwargs
-    )
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *command], env=_env(unbuffered), timeout=120, **kwargs)
 
 
 def _in_process(argv, capsys, monkeypatch):
@@ -175,6 +174,27 @@ def test_a_closed_stdout_is_one_line_and_exit_code_2():
     assert (proc.returncode, proc.stderr) == (2, b"error: cannot write stdout: it is closed\n")
 
 
+# -- an error line that stderr cannot take ------------------------------------
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_refusal_with_stderr_closed_keeps_exit_code_2(unbuffered):
+    argv = ["report", "--n1", "-1", "--n2", "0.5", "--r", "1"]
+    proc = _spawn(["-m", "stsdecay", *argv], unbuffered, preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+# The evolve fails at a write to stdout, and its error line fails on the same pipe.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_failed_write_with_stderr_on_the_same_broken_pipe_is_exit_code_2(unbuffered):
+    fd = _broken_pipe()
+    try:
+        proc = _spawn(["-m", "stsdecay", *_EVOLVE], unbuffered, stdout=fd, stderr=fd)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2
+
+
 # Output written before the command waits in stdout's buffer when the
 # command's first write fails.  Neither run's flush nor, without run, the
 # interpreter's flush at exit may retry it and print a second error.
@@ -198,6 +218,15 @@ def test_a_failed_write_to_an_out_device_is_one_line_and_exit_code_2(argv, capsy
     os.close(_full_device())
     code, out, err = _in_process([*argv, "--out", "/dev/full"], capsys, monkeypatch)
     assert (code, out, err.decode()) == (2, b"", f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_an_out_path_that_cannot_be_renamed_to_is_one_line_and_exit_code_2(tmp_path):
+    # The empty path: the temporary file is written in the working directory,
+    # and renaming it over "" fails.
+    proc = _spawn(["-m", "stsdecay", *_REPORT, "--out", ""], cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"error: cannot write : {os.strerror(errno.ENOENT)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_failed_write_to_a_regular_out_file_leaves_no_temporary_file(tmp_path):
