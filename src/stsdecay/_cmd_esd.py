@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import sys
-
-from .cli import _SPELL, _CliError, _cell, _destination, _emit_rows, _reservoir_from_args, _state_from_args
+from .cli import _SPELL, _CliError, _cell, _destination, _emit_rows, _note, _reservoir_from_args, _state_from_args
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -26,7 +24,7 @@ def command(args: Args) -> int:
     else:
         columns, row = ["t_s"], [esd_time(sf, res)]
     if row[0] is ASYMPTOTIC_ONLY:
-        sys.stderr.write("no sudden death (zero-temperature bath)\n")
+        _note("no sudden death (zero-temperature bath)\n")
     cells = tuple(_cell("asymptotic-only" if value is ASYMPTOTIC_ONLY else value, _SPELL[args.format]) for value in row)
     with _destination(args.out) as write:
         _emit_rows(write, columns, args.format, 0, [[cells]])

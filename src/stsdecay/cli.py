@@ -57,6 +57,7 @@ abbreviated flag, ``--flag=value``).
 from __future__ import annotations
 
 import atexit
+import codecs
 import contextlib
 import math
 import operator
@@ -308,8 +309,10 @@ def _flag_value(token: str, flags: list[str]) -> bool:
 
 
 # The longest --config file read, in characters: 1 Mi, a bound on memory
-# far above any file of flags.
+# far above any file of flags.  At most 4 bytes a character, this many bytes
+# hold one character more.
 _CONFIG_CHARS = 1 << 20
+_CONFIG_BYTES = 4 * _CONFIG_CHARS + 4
 
 
 def _expand_config(argv: list[str]) -> list[str]:
@@ -322,7 +325,9 @@ def _expand_config(argv: list[str]) -> list[str]:
     ``_flag_value``); without one, ``argv`` is left for argparse to refuse.
     A file that cannot be opened or read, is not UTF-8 text, or is longer
     than ``_CONFIG_CHARS`` characters, is a ``_CliError``; no more is read.
-    One leading byte-order mark (U+FEFF) is dropped.
+    The bytes are decoded whole, so a decoding error names its offset in the
+    file, and line ends are read as text mode reads them.  One leading
+    byte-order mark (U+FEFF) is dropped.
     """
     flags = [row[0] for row in _SUBCOMMANDS[argv[0]][1]] + ["-h", "--help"] if argv and argv[0] in _SUBCOMMANDS else []
     path = None
@@ -335,12 +340,15 @@ def _expand_config(argv: list[str]) -> list[str]:
     if path is None:
         return argv
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read(_CONFIG_CHARS + 1)
+        with open(path, "rb") as fh:
+            data = fh.read(_CONFIG_BYTES)
+        # Not final where the file may go on: a character cut short there is left out.
+        text = codecs.utf_8_decode(data, None, len(data) < _CONFIG_BYTES)[0]
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise _CliError(f"cannot read {path}: it is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     if len(text) > _CONFIG_CHARS:
         raise _CliError(f"cannot read {path}: it is longer than {_CONFIG_CHARS} characters")
     extra: list[str] = []
@@ -597,11 +605,16 @@ def _grid(start: float, stop: float, num: int) -> Iterator[list[float]]:
     return (_linspace(start, stop, num, lo, lo + _CHUNK_ROWS) for lo in range(0, num, _CHUNK_ROWS))
 
 
-def _report(exc: Exception) -> int:
-    """Write ``error: exc`` where stderr can take it (None or failing, the line is dropped); return the code of ``exc``."""
+def _note(line: str) -> None:
+    """Write ``line`` to stderr where it can take it: a None or failing stderr drops it."""
     if sys.stderr is not None:
         with contextlib.suppress(OSError):
-            sys.stderr.write(f"error: {exc}\n")
+            sys.stderr.write(line)
+
+
+def _report(exc: Exception) -> int:
+    """Write ``error: exc`` through ``_note``; return the code of ``exc``."""
+    _note(f"error: {exc}\n")
     return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 

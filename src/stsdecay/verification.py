@@ -36,6 +36,7 @@ silently losing that precision.
 from __future__ import annotations
 
 import math
+from random import Random
 
 import numpy as np
 
@@ -64,6 +65,19 @@ from .dynamics import (
     evolve,
 )
 from .errors import InvalidParameterError, NonPhysicalStateError, OraclePrecisionError
+
+# Every annotation is a string (``from __future__ import annotations``), so
+# the names they use are imported for a type checker alone, not at run time.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Protocol
+
+    class _Rng(Protocol):
+        """What the samplers draw from: ``random.Random`` and numpy's ``Generator`` both have it."""
+
+        def random(self) -> float: ...
+
+        def uniform(self, a: float, b: float) -> float: ...
 
 __all__ = [
     "full_cm",
@@ -301,12 +315,16 @@ def count_margin_crossings(sf0: StandardForm, res: ReservoirConfig, t_max: float
 
 
 def sample_sts(
-    rng: np.random.Generator,
+    rng: _Rng,
     n_max: float = 20.0,
     r_max: float = 3.0,
     with_phase: bool = True,
 ) -> StsParams:
-    """Random squeezed-thermal parameters, uniform over the given box."""
+    """Random squeezed-thermal parameters, uniform over the given box.
+
+    ``rng`` is any generator with ``random()`` and ``uniform(a, b)``: a
+    ``random.Random`` or a numpy ``Generator``.
+    """
     return StsParams(
         n_max * rng.random(),
         n_max * rng.random(),
@@ -316,7 +334,7 @@ def sample_sts(
 
 
 def sample_entangled_sts(
-    rng: np.random.Generator,
+    rng: _Rng,
     n_max: float = 5.0,
     r_min: float = 0.2,
     r_max: float = 2.5,
@@ -326,7 +344,8 @@ def sample_entangled_sts(
 
     Rejection-samples the parametrization until the separability margin
     is negative.  The default box keeps the acceptance rate high while
-    still covering strongly asymmetric states.
+    still covering strongly asymmetric states.  ``rng`` is any generator
+    with ``random()`` and ``uniform(a, b)``, as for ``sample_sts``.
     """
     while True:
         # By position, (n1, n2, r, phi), as the rng draws them: the
@@ -343,7 +362,7 @@ def sample_entangled_sts(
 
 
 def sample_standard_form(
-    rng: np.random.Generator,
+    rng: _Rng,
     b_max: float = 8.0,
     with_phase: bool = True,
 ) -> StandardForm:
@@ -353,7 +372,8 @@ def sample_standard_form(
     uncertainty bound sqrt((b_max'+1/2)(b_min'-1/2)) and keeps the rare
     rounding-edge rejects out.  Unlike the squeezed-thermal sampler this
     covers the whole standard-form family, including states no squeezed
-    thermal parametrization reaches.
+    thermal parametrization reaches.  ``rng`` is any generator with
+    ``random()`` and ``uniform(a, b)``, as for ``sample_sts``.
     """
     while True:
         b1 = rng.uniform(0.5, b_max)
@@ -407,7 +427,9 @@ def run_verification(seed: int = 0) -> list[OracleReport]:
     layouts, and 100 characteristic-function points.  Returns one
     aggregated OracleReport per checked quantity, each carrying the
     worst-agreeing pair observed over its random sample; a pair that is
-    not finite is the worst.  Seeded, hence reproducible.
+    not finite is the worst.  Seeded, hence reproducible: every state is
+    drawn from ``random.Random(seed)`` through ``random()`` and
+    ``uniform(a, b)`` alone, whose sequences every Python version keeps.
 
     The spectra and the bisection run on stacks: the entries, the closed
     spectra and the eigen-oracle's matrices of all spectrum states, and the
@@ -423,15 +445,15 @@ def run_verification(seed: int = 0) -> list[OracleReport]:
     """
     if seed < 0:
         raise InvalidParameterError(f"the verification seed (verify --seed) must be >= 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = Random(seed)
     reports: list[OracleReport] = []
 
     # Thermal-occupancy identity of the spectrum on the parametrized family.
     # Ranges are chosen so the identity is resolvable in double precision:
     # the stored standard form perturbs kappa_minus by O(n^2 e^{4r} eps).
-    # One call draws what sample_sts(rng, n_max=10.0, r_max=1.5) draws for
-    # each state: n1, n2, r and the phase.
-    draws = rng.random((_SPECTRUM_SAMPLES, 4))
+    # Each row holds what sample_sts(rng, n_max=10.0, r_max=1.5) draws for
+    # its state: n1, n2, r and the phase.
+    draws = np.array([rng.random() for _ in range(4 * _SPECTRUM_SAMPLES)]).reshape(-1, 4)
     n1, n2, r = 10.0 * draws[:, 0], 10.0 * draws[:, 1], 1.5 * draws[:, 2]
     kp, km, _, _ = stack(_spectrum, *stack(_sts_entries, n1, n2, r))
     reports.append(_worst("kappa_plus = n_max + 1/2 (relative)", kp, np.maximum(n1, n2) + 0.5, 1e-12, relative=True))
@@ -441,7 +463,7 @@ def run_verification(seed: int = 0) -> list[OracleReport]:
     # states are assembled at phi = 0, where the covariance matrix holds
     # the standard-form entries exactly; phase invariance is checked
     # separately against the closed forms' phase-free outputs.  Every tenth
-    # state comes from sample_standard_form; after it, one call draws what
+    # state comes from sample_standard_form; after it, nine rows hold what
     # sample_sts(rng, with_phase=False) draws for the next nine.
     n = _SPECTRUM_SAMPLES
     b1, b2, c = np.empty((3, n))
@@ -449,8 +471,8 @@ def run_verification(seed: int = 0) -> list[OracleReport]:
     for i in range(0, n, 10):
         sf = sample_standard_form(rng, with_phase=False)
         b1[i], b2[i], c[i] = sf.b1, sf.b2, sf.c
-        draws.append(rng.random((9, 3)))
-    draws = np.concatenate(draws)
+        draws += [rng.random() for _ in range(9 * 3)]
+    draws = np.array(draws).reshape(-1, 3)
     sts = np.arange(n) % 10 != 0
     b1[sts], b2[sts], c[sts] = stack(_sts_entries, 20.0 * draws[:, 0], 20.0 * draws[:, 1], 3.0 * draws[:, 2])
     closed = stack(_spectrum, b1, b2, c)
@@ -501,8 +523,8 @@ def run_verification(seed: int = 0) -> list[OracleReport]:
             rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.5)
         )
         t = rng.uniform(0.0, 3.0)
-        lam1 = complex(rng.normal(), rng.normal())
-        lam2 = complex(rng.normal(), rng.normal())
+        lam1 = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        lam2 = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         chi_channel.append(characteristic_function(sf, res, t, lam1, lam2).real)
         chi_state.append(gaussian_cf(evolve(sf, res, t).sf, lam1, lam2).real)
     name = "evolved characteristic function vs evolved state"

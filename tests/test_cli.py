@@ -352,6 +352,17 @@ def test_a_config_file_with_a_byte_order_mark_reads_as_without_it(capsys, tmp_pa
     assert got == run(capsys, "report", "--config", str(plain))
 
 
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_a_config_file_reads_its_line_ends_as_text_mode_does(capsys, tmp_path, end):
+    flags = _CONFIG_FLAGS["report"].encode()
+    plain, other = tmp_path / "plain.cfg", tmp_path / "other.cfg"
+    plain.write_bytes(flags)
+    other.write_bytes(flags.replace(b"\n", end))
+    got = run(capsys, "report", "--config", str(other))
+    assert got[0] == 0
+    assert got == run(capsys, "report", "--config", str(plain))
+
+
 @pytest.mark.parametrize(
     "token", ["--t", "--ti", "--t=1", "--n1=a b", "-", "- x", "-1", "-1e5", "-.5", "--", "-- x", "-x", "a", "-h x"]
 )
@@ -382,11 +393,14 @@ def test_the_token_after_config_is_its_path_exactly_where_argparse_reads_one(mon
         ("missing.cfg", "No such file or directory"),
         ("", "Is a directory"),
         ("latin1.cfg", "it is not UTF-8 text (invalid start byte at byte 3)"),
+        # The offset is within the file, not within the last block read of it.
+        ("cut.cfg", "it is not UTF-8 text (unexpected end of data at byte 19)"),
     ],
-    ids=["missing", "directory", "not_utf8"],
+    ids=["missing", "directory", "not_utf8", "cut_short"],
 )
 def test_a_config_file_that_cannot_be_read_is_one_error_line(capsys, tmp_path, name, reason):
     (tmp_path / "latin1.cfg").write_bytes(b"n1=\xff\n")
+    (tmp_path / "cut.cfg").write_bytes(b"n1 = 1\nn2 = 1\nr = 1\xc3")
     path = str(tmp_path / name)
     assert run(capsys, "report", "--n1", "1", "--n2", "1", "--r", "1", "--config", path) == (
         2, "", f"error: cannot read {path}: {reason}\n"

@@ -184,6 +184,24 @@ def test_a_refusal_with_stderr_closed_keeps_exit_code_2(unbuffered):
     assert (proc.returncode, proc.stdout) == (2, b"")
 
 
+# esd's note that a zero-temperature bath brings no sudden death goes to
+# stderr ahead of the table; closed or full, stderr drops it, and the table
+# and exit code 0 stand.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr", ["closed", "dev_full"])
+def test_esd_note_that_stderr_cannot_take_keeps_the_table(stderr, unbuffered):
+    argv = ["esd", "--n1", "10", "--n2", "0.1", "--r", "2", "--identical", "--nr", "0"]
+    if stderr == "closed":
+        proc = _spawn(["-m", "stsdecay", *argv], unbuffered, preexec_fn=lambda: os.close(2))
+    else:
+        fd = _full_device()
+        try:
+            proc = _spawn(["-m", "stsdecay", *argv], unbuffered, stderr=fd)
+        finally:
+            os.close(fd)
+    assert (proc.returncode, proc.stdout) == (0, b"t_s\nasymptotic-only\n")
+
+
 # The evolve fails at a write to stdout, and its error line fails on the same pipe.
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_failed_write_with_stderr_on_the_same_broken_pipe_is_exit_code_2(unbuffered):

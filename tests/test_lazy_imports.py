@@ -3,10 +3,12 @@
 ``_MANIFEST`` is the executable form of README's promise: for each step
 (a command line run through ``cli.main``, or a Python statement), its exit
 code and the exact set of modules that it loads, of the package's own and
-of the watched ones (numpy, json, re, argparse, gettext, locale, typing,
-dataclasses, inspect).  ``import stsdecay`` loads no submodule; only
-``verify``, ``evolve --log-spacing`` and ``evolve`` on a grid of at least
-``_cmd_evolve._BATCH_POINTS`` points load numpy; and argparse, with
+of the watched ones (numpy, numpy.random, hashlib, secrets, json, re,
+argparse, gettext, locale, typing, dataclasses, inspect).  ``import
+stsdecay`` loads no submodule; only ``verify``, ``evolve --log-spacing``
+and ``evolve`` on a grid of at least ``_cmd_evolve._BATCH_POINTS`` points
+load numpy, and none of them numpy.random, hashlib or secrets (``verify``
+draws from ``random.Random``); and argparse, with
 gettext, locale and the parser module ``_parser``, is loaded only for
 help, usage errors and the spellings that only argparse reads.  One probe
 runs every step under ``python -S``, so that no site hook can load a
@@ -30,7 +32,10 @@ from stsdecay import _cmd_evolve, _parser, cli, dynamics, verification
 
 # The modules that a step loads only where its manifest names them, besides
 # the package's own.
-_WATCHED = {"numpy", "json", "re", "argparse", "gettext", "locale", "typing", "dataclasses", "inspect"}
+_WATCHED = {
+    "numpy", "numpy.random", "hashlib", "secrets", "json", "re", "argparse", "gettext", "locale", "typing",
+    "dataclasses", "inspect",
+}
 # Makes numpy unimportable for the source that follows.
 _BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 

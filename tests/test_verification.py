@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -234,8 +235,11 @@ def test_margin_crossing_counts():
     assert count_margin_crossings(StandardForm(1.5, 1.5, 1.0), ReservoirConfig.identical(1.0, 0.5), 5.0) == 0
 
 
-def test_samplers_produce_valid_states():
-    rng = np.random.default_rng(73)
+# The samplers take any generator with random() and uniform(a, b): the
+# battery's random.Random and numpy's Generator alike.
+@pytest.mark.parametrize("generator", [random.Random, np.random.default_rng], ids=["random.Random", "numpy"])
+def test_samplers_produce_valid_states(generator):
+    rng = generator(73)
     for _ in range(200):
         p = sample_sts(rng, n_max=4.0, r_max=2.0)
         assert 0.0 <= p.n1 <= 4.0 and 0.0 <= p.n2 <= 4.0
@@ -346,7 +350,8 @@ def test_a_negative_seed_is_refused_before_sampling(capsys, monkeypatch):
     def no_rng(seed):
         raise AssertionError("sampled with a negative seed")
 
-    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    # The battery's generator, as run_verification builds it.
+    monkeypatch.setattr(verification, "Random", no_rng)
     with pytest.raises(InvalidParameterError, match="seed"):
         run_verification(seed=-1)
     assert cli.main(["verify", "--seed", "-1"]) == 2
