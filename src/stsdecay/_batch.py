@@ -11,11 +11,12 @@ Its ``branch`` raises ``_Fallback`` where any element takes a branch or a
 refusal of its own.
 
 ``stack`` holds the one fallback: it runs a kernel on the arrays, and hands
-a stack that raised ``_Fallback``, or whose results hold a non-finite
-number, whole to the scalar kernel, whose special branches, error messages
-and partial output they are.  The batch rows of the ``evolve`` table (one
-writer chunk of times, in ``_cmd_evolve._emit_evolve``) and the stacks of
-``verification`` go through it.
+a stack that raised ``_Fallback`` whole to the scalar kernel, whose special
+branches, error messages and partial output they are.  Every other stack's
+results are the scalar bits, non-finite numbers among them, so whoever
+prints them decides their finiteness.  The batch rows of the ``evolve``
+table (one writer chunk of times, in ``_cmd_evolve._emit_evolve``) and the
+stacks of ``verification`` go through it.
 
 Importing this module imports numpy; ``evolve`` does so only for the
 grids where the batch pays for that import, and ``verification`` for its
@@ -73,17 +74,15 @@ def stack(kernel, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
     """The elementwise ``kernel`` of each element of ``columns``, bit for bit, its results as columns.
 
     One call runs the kernel on the arrays, with ``_Arrays``.  A stack
-    with an element that takes a branch or a refusal of its own, or whose
-    float results hold a non-finite number, goes whole to the scalar
-    kernel, one call per element: the special branches, and the error of
-    the first refused element, are then its own (the scalar kernel may
-    refuse what the arrays carry as NaN).
+    with an element that takes a branch or a refusal of its own goes whole
+    to the scalar kernel, one call per element: the special branches, and
+    the error of the first refused element, are then its own.  Otherwise
+    the arrays hold each element's scalar bits, a NaN or an infinity as
+    the scalar call gives it, and are returned as they are.
     """
     try:
         with np.errstate(all="ignore"):
-            results = kernel(*columns, ops=_Arrays)
-        if all(np.isfinite(x).all() for x in results if x.dtype.kind == "f"):
-            return results
+            return kernel(*columns, ops=_Arrays)
     except _Fallback:
         pass
     return tuple(np.array(column) for column in zip(*map(kernel, *(x.tolist() for x in columns))))

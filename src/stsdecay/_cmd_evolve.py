@@ -11,6 +11,7 @@ from .cli import (
     _SLICE_ROWS,
     _STATE_OUTPUTS,
     _CliError,
+    _cell,
     _destination,
     _emit_rows,
     _grid,
@@ -20,7 +21,7 @@ from .cli import (
     _state_cells,
     _state_from_args,
 )
-from .core import _bona_fide, _Floats, _separability_margin
+from .core import _bona_fide, _Floats
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -76,17 +77,17 @@ def _emit_evolve(
     checked as StandardForm checks them, and ``_state_cells`` of them.  It
     runs on floats, one row at a time, or, where ``batch`` is the
     ``_batch`` module, on a chunk's times at once through ``_batch.stack``,
-    whose rows are bit for bit the same.  A chunk with a product, pure,
-    refused or non-finite row goes whole to the scalar kernel, which alone
-    runs those branches; the batch answers every other chunk.
+    whose rows are bit for bit the same.  A chunk with a product, pure or
+    refused row goes whole to the scalar kernel, which alone runs those
+    branches; the batch answers every other chunk.
 
     A batch chunk is computed whole, so every refusal and every fallback
-    to the scalar kernel comes before any of its text, and its float
-    columns are tested for finiteness on the arrays.  A finite chunk
-    reaches the writer as pieces of ``_SLICE_ROWS`` rows, each turned into
-    Python rows (one ``tolist`` per column) only when the writer reaches
-    it; a chunk with a non-finite float reaches it whole, to be refused as
-    the scalar rows are.
+    to the scalar kernel comes before any of its text.  ``pieces`` then
+    decides its finiteness once, on its float columns: a non-finite cell
+    is refused, the first in row order, as the writer refuses a scalar
+    row's.  A finite chunk reaches the writer as pieces of ``_SLICE_ROWS``
+    rows, each turned into Python rows (one ``tolist`` per column) only
+    when the writer reaches it, and the writer tests no batch row again.
     """
     from .dynamics import _evolved_entries
 
@@ -95,7 +96,7 @@ def _emit_evolve(
     def row(t, ops=_Floats):
         b1, b2, c = _evolved_entries(sf0, res, t, ops)
         b1, b2 = _bona_fide(b1, b2, c, ops)
-        return (t, b1, b2, c) + cells(b1, b2, c, _separability_margin(b1, b2, c), ops)
+        return (t, b1, b2, c) + cells(b1, b2, c, ops)[1]
 
     if batch is None:
         chunk_rows = map(functools.partial(map, row), chunks)
@@ -103,18 +104,15 @@ def _emit_evolve(
         import numpy as np
 
         def pieces(times: list[float]) -> Iterator[Iterable[tuple[object, ...]]]:
-            """The rows of ``times``, computed and checked on arrays, in lazy pieces of ``_SLICE_ROWS`` rows.
-
-            A chunk with a non-finite float is one piece, which the writer
-            refuses before any of its text, as it refuses the scalar rows.
-            """
+            """The rows of ``times``, computed and checked on arrays, in lazy pieces of ``_SLICE_ROWS`` rows."""
             columns = batch.stack(row, np.array(times))
-            finite = all(np.isfinite(column).all() for column in columns[:8])
-            step = _SLICE_ROWS if finite else len(times)
-            return (zip(*(column[lo : lo + step].tolist() for column in columns)) for lo in range(0, len(times), step))
+            if not all(np.isfinite(column).all() for column in columns[:8]):
+                floats = np.stack(columns[:8], axis=1)
+                _cell(floats[~np.isfinite(floats)][0].item(), str)
+            return (zip(*(column[lo : lo + _SLICE_ROWS].tolist() for column in columns)) for lo in range(0, len(times), _SLICE_ROWS))
 
         chunk_rows = itertools.chain.from_iterable(map(pieces, chunks))
-    _emit_rows(write, ["t", "b1", "b2", "c", *names], fmt, 8, chunk_rows)
+    _emit_rows(write, ["t", "b1", "b2", "c", *names], fmt, 8 if batch is None else 0, chunk_rows)
 
 
 def command(args: Args) -> int:
@@ -141,10 +139,9 @@ def command(args: Args) -> int:
 
     if args.log_spacing:
         _require_numpy("evolve --log-spacing")
+    # The grid rises from its start, so this checks every time on it.
+    _check_time(args.t_start)
     chunks = (_log_grid if args.log_spacing else _grid)(args.t_start, args.t_end, args.points)
-    first = next(chunks)
-    # The grid rises from its first time, so this checks every time on it.
-    _check_time(first[0])
     batch = None
     if args.log_spacing or args.points >= _BATCH_POINTS:
         try:
@@ -152,5 +149,5 @@ def command(args: Args) -> int:
         except ImportError:
             pass
     with _destination(args.out) as write:
-        _emit_evolve(write, sf0, res, itertools.chain([first], chunks), args.units, args.format, batch)
+        _emit_evolve(write, sf0, res, chunks, args.units, args.format, batch)
     return 0

@@ -12,7 +12,6 @@ from .cli import (
     _state_cells,
     _state_from_args,
 )
-from .core import _separability_margin
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -32,7 +31,7 @@ def command(args: Args) -> int:
         sf = evolve(sf, res, t).sf
     b1, b2, c = sf.b1, sf.b2, sf.c
     columns, cells = _state_cells(outputs, args.units)
-    row = (t, b1, b2, c, *cells(b1, b2, c, _separability_margin(b1, b2, c)))
+    row = (t, b1, b2, c, *cells(b1, b2, c)[1])
     floats = len(row) - ("separable" in outputs)
     with _destination(args.out) as write:
         _emit_rows(write, ["t", "b1", "b2", "c", *columns], args.format, floats, [[row]])

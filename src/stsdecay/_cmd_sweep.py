@@ -18,7 +18,7 @@ from .cli import (
     _state_cells,
     _state_from_args,
 )
-from .core import _separability_margin, _sts_entries
+from .core import _sts_entries
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -39,11 +39,12 @@ def command(args: Args) -> int:
     row runs no construction check.  ``point`` only computes: the entries
     of a state sweep (n1, n2 or r) come from ``core._sts_entries``, the
     kernel of ``standard_form_from_sts``, and a reservoir sweep (nr or
-    gamma) forms the rates.  ``row`` then takes the separability margin
-    once, and each output comes from the kernel that its public function
-    wraps: ``_state_cells`` (shared with ``report``) for the measures, the
-    kappas and the separable verdict, and ``dynamics._death_time`` for ts.
-    A reservoir sweep's state is fixed, so its cells are computed once.
+    gamma) forms the rates.  Each output comes from the kernel that its
+    public function wraps: ``_state_cells`` (shared with ``report`` and
+    ``evolve``) for the separability margin, taken once, and the measures,
+    the kappas and the separable verdict, and ``dynamics._death_time``,
+    given that margin, for ts.  A reservoir sweep's state is fixed, so its
+    margin and cells are computed once.
     So the values are those of the records and the public functions.  A
     row's kernels run in its turn, and one that refuses its row ends the
     output after the chunks before it.
@@ -72,11 +73,7 @@ def command(args: Args) -> int:
     param, n1, n2, r = args.param, args.n1, args.n2, args.r
     if param in ("n1", "n2", "r"):
         rates = None if res is None else res._fields()
-
-        def state(b1: float, b2: float, c: float) -> tuple[float, tuple[object, ...]]:
-            """The separability margin of the entries, and their cells."""
-            margin = _separability_margin(b1, b2, c)
-            return margin, state_cells(b1, b2, c, margin)
+        state = state_cells
 
         def point(value: float) -> tuple[float, float, float, tuple[float, ...] | None]:
             """The entries of ``standard_form_from_sts`` at ``value``, and the rates."""
@@ -86,8 +83,7 @@ def command(args: Args) -> int:
     else:
         # The margin and the cells of the sweep's one state, computed once.
         b1, b2, c = sf0.b1, sf0.b2, sf0.c
-        margin = _separability_margin(b1, b2, c)
-        fixed = margin, state_cells(b1, b2, c, margin)
+        fixed = state_cells(b1, b2, c)
         state = lambda b1, b2, c: fixed  # noqa: E731
 
         def point(value: float) -> tuple[float, float, float, tuple[float, ...]]:

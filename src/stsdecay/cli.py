@@ -13,9 +13,9 @@ left to lose).  A non-finite number is never printed: the command exits 2
 instead.  Every table goes through one writer, ``_emit_rows``: its rows
 are made and checked a chunk at a time, and their text is written a slice
 at a time; ``--out`` files appear only once complete.  A chunk of the
-batch rows of ``evolve`` is computed and checked whole on arrays, and its
-rows become Python objects only a slice at a time, as the writer reaches
-them.  ``report``, ``sweep`` and ``evolve`` (its scalar and batch rows
+batch rows of ``evolve`` is computed and checked whole on arrays, once,
+and its rows become Python objects only a slice at a time, as the writer
+reaches them.  ``report``, ``sweep`` and ``evolve`` (its scalar and batch rows
 alike) take their per-state cells, and those cells' columns, from one
 function, ``_state_cells``.
 
@@ -65,7 +65,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .core import StandardForm, StsParams, SymplecticSpectrum, _Floats, _spectrum, standard_form_from_sts
+from .core import StandardForm, StsParams, SymplecticSpectrum, _Floats, _separability_margin, _spectrum, standard_form_from_sts
 from .errors import (
     InvalidParameterError,
     NonPhysicalStateError,
@@ -419,21 +419,24 @@ def _parse_outputs(selection: str, allowed: list[str]) -> list[str]:
     return [name for name in allowed if name in chosen]
 
 
-def _state_cells(outputs: list[str], units: str) -> tuple[list[str], Callable[..., tuple[object, ...]]]:
-    """The columns of ``outputs``, and the function from entries ``(b1, b2, c)`` and their margin to its cells; elementwise.
+def _state_cells(outputs: list[str], units: str) -> tuple[list[str], Callable[..., tuple[object, tuple[object, ...]]]]:
+    """The columns of ``outputs``, and the function from entries ``(b1, b2, c)`` to their margin and cells; elementwise.
 
     The columns are the picked measures, then the kappas
     (``SymplecticSpectrum.__match_args__``), then ``separable``: the order
-    of the cells.  Each cell comes from the kernel that its public
-    function wraps, and only when selected: the measures (floats, in
-    ``units``) from ``correlations._measures``, the kappas (floats) from
-    ``core._spectrum``, and the separable verdict, spelled, from the sign
-    of the margin.  So the values, the errors and their order are those of
-    ``correlation_report``, ``symplectic_spectrum`` and ``is_separable``.
-    The correlation kernel is bound here, once per command, and imported
-    only where a measure is selected.  The cells take the elementwise
-    namespace ``ops`` of the kernels: ``core._Floats`` by default, or
-    ``_batch._Arrays`` for a column of each cell.
+    of the cells.  ``cells`` takes the separability margin of the entries
+    once, through ``core._separability_margin``, and returns it with the
+    cells, for ``sweep``'s death time.  Each cell comes from the kernel
+    that its public function wraps, and only when selected: the measures
+    (floats, in ``units``) from ``correlations._measures``, the kappas
+    (floats) from ``core._spectrum``, and the separable verdict, spelled,
+    from the sign of the margin.  So the values, the errors and their
+    order are those of ``correlation_report``, ``symplectic_spectrum`` and
+    ``is_separable``.  The correlation kernel is bound here, once per
+    command, and imported only where a measure is selected.  The cells
+    take the elementwise namespace ``ops`` of the kernels:
+    ``core._Floats`` by default, or ``_batch._Arrays`` for a column of
+    each cell.
     """
     picks = [i for i, name in enumerate(_MEASURES) if name in outputs]
     kappas, separable, bits = "kappas" in outputs, "separable" in outputs, units == "bits"
@@ -443,7 +446,8 @@ def _state_cells(outputs: list[str], units: str) -> tuple[list[str], Callable[..
 
         pick = operator.itemgetter(*picks) if len(picks) > 1 else lambda report: (report[picks[0]],)
 
-    def cells(b1, b2, c, margin, ops=_Floats) -> tuple[object, ...]:
+    def cells(b1, b2, c, ops=_Floats) -> tuple[object, tuple[object, ...]]:
+        margin = _separability_margin(b1, b2, c)
         row = pick(_measures(b1, b2, c, margin, ops)) if picks else ()
         if bits:
             row = tuple([value / _LN2 for value in row])
@@ -451,7 +455,7 @@ def _state_cells(outputs: list[str], units: str) -> tuple[list[str], Callable[..
             row += _spectrum(b1, b2, c, ops)
         if separable:
             row += (ops.select(margin >= 0.0, "true", "false"),)
-        return row
+        return margin, row
 
     return columns, cells
 
@@ -554,8 +558,8 @@ def _emit_rows(
     and the chunk is let go before the next one is made, so memory holds
     one chunk's rows and one slice's text.  The batch rows of ``evolve``
     arrive already checked, their chunk whole on arrays, as chunks of one
-    slice each, so memory holds a batch chunk's columns and one slice's
-    rows and text.
+    slice each, with ``floats`` 0, so no row of theirs is tested again;
+    memory holds a batch chunk's columns and one slice's rows and text.
     """
     if fmt == "csv":
         lead, sep, tail, template = ",".join(columns) + "\n", "\n", "\n", ",".join(["%s"] * len(columns))

@@ -50,7 +50,8 @@ def edges() -> list[list[str]]:
     (abbreviated flags, ``--flag=value``); refusals that no other line
     reaches (a partial standard form, two bath layouts at once, an
     infinite grid or phase); and the lines that ``test_contract.CITED``
-    cites as defects or edges.
+    cites as defects or edges, a negative ``--t-start`` whose grid step
+    overflows among them.
     """
     from test_contract import CITED
     fixed = {"n1": "0.5", "n2": "0.25", "r": "1", "gamma": "1", "nr": "0.5"}

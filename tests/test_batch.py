@@ -274,27 +274,41 @@ def test_a_batch_chunk_becomes_python_rows_a_slice_at_a_time(fmt):
     assert peak < 350_000
 
 
-class _InfAt:
-    """The ``_batch`` module, whose ``stack`` puts inf in row ``row`` of the ef column of chunk ``chunk`` (from 0)."""
+class _NonFiniteAt:
+    """The ``_batch`` module, whose ``stack`` puts ``value`` in row ``row`` of column ``column`` of chunk ``chunk`` (from 0), for each of ``cells``."""
 
-    def __init__(self, chunk, row):
-        self.chunk, self.row, self.stacks = chunk, row, 0
+    def __init__(self, chunk, *cells):
+        self.chunk, self.cells, self.stacks = chunk, cells, 0
 
     def stack(self, kernel, *columns):
         results = _batch.stack(kernel, *columns)
         if self.stacks == self.chunk:
-            results[_EVOLVE_SCHEMA.index("ef")][self.row] = math.inf
+            for row, column, value in self.cells:
+                results[_EVOLVE_SCHEMA.index(column)][row] = value
         self.stacks += 1
         return results
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_batch_chunk_with_a_non_finite_float_is_refused_whole(fmt):
-    # inf in row 700 of the second of three chunks: the output is exactly
-    # the first chunk's rows, and the refusal is the scalar path's.
+@pytest.mark.parametrize(
+    "chunk, cells, refused",
+    [
+        # inf in row 700 of the second of three chunks.
+        (1, [(700, "ef", math.inf)], math.inf),
+        # inf in the first chunk: nothing is written.
+        (0, [(5, "d1", math.inf)], math.inf),
+        # NaN in a row before inf, though in a later column: the NaN is named.
+        (1, [(300, "d2", math.nan), (301, "b1", math.inf)], math.nan),
+    ],
+    ids=["inf_in_second_chunk", "inf_in_first_chunk", "nan_before_inf"],
+)
+def test_a_batch_chunk_with_a_non_finite_float_is_refused_whole(fmt, chunk, cells, refused):
+    # The output is exactly the rows of the chunks before the refused one,
+    # and the refusal is the scalar path's: the first non-finite cell in
+    # row order, as the writer checks a row's cells.
     sf0, res, _ = _mixed_state_table()
     chunks = list(cli._grid(0.0, 3.0, 3 * cli._CHUNK_ROWS))
-    out, refusal = _table(sf0, res, chunks, "nats", fmt, _InfAt(1, 700))
-    first, _ = _table(sf0, res, chunks[:1], "nats", fmt, None)
-    assert out == first[: -len("\n" if fmt == "csv" else "\n]\n")]
-    assert refusal == repr(cli._CliError("refusing to print the non-finite number inf"))
+    out, refusal = _table(sf0, res, chunks, "nats", fmt, _NonFiniteAt(chunk, *cells))
+    before, _ = _table(sf0, res, chunks[:chunk], "nats", fmt, None)
+    assert out == before[: -len("\n" if fmt == "csv" else "\n]\n")]
+    assert refusal == repr(cli._CliError(f"refusing to print the non-finite number {refused!r}"))

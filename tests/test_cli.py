@@ -943,8 +943,20 @@ def test_out_with_the_longest_file_name_writes_that_file(capsys, tmp_path):
         ),
         ("evolve --n1 1 --n2 1 --r 1 --identical --nr 0.5 --t-end inf", 2, "the time grid must be finite"),
         ("report --b1 2 --b2 2 --c 1 --phi inf", 2, "StandardForm fields must be finite numbers"),
+        # The grid's step overflows to inf; the start is refused before the grid is made.
+        *(
+            (
+                f"evolve --n1 1 --n2 1 --r 1 --identical --nr 0.5 --t-start=-1e308 --t-end 1e308 --points {points}",
+                2,
+                "evolution time must be finite and >= 0, got -1e+308",
+            )
+            for points in (5, 20000)
+        ),
     ],
-    ids=["partial_standard_form", "two_shorthand_layouts", "explicit_and_shorthand", "infinite_grid", "infinite_phase"],
+    ids=[
+        "partial_standard_form", "two_shorthand_layouts", "explicit_and_shorthand", "infinite_grid", "infinite_phase",
+        "overflowing_grid_scalar_rows", "overflowing_grid_batch_rows",
+    ],
 )
 def test_a_refused_line_prints_one_error_line(capsys, argv, code, err):
     assert run(capsys, *argv.split()) == (code, "", f"error: {err}\n")
