@@ -21,7 +21,7 @@ from .cli import (
     _state_cells,
     _state_from_args,
 )
-from .core import _bona_fide, _Floats
+from .core import _bona_fide, _Floats, _offsets
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -96,7 +96,7 @@ def _emit_evolve(
     def row(t, ops=_Floats):
         b1, b2, c = _evolved_entries(sf0, res, t, ops)
         b1, b2 = _bona_fide(b1, b2, c, ops)
-        return (t, b1, b2, c) + cells(b1, b2, c, ops)[1]
+        return (t, b1, b2, c) + cells(b1, b2, c, _offsets(b1, b2, c)[2], ops)
 
     if batch is None:
         chunk_rows = map(functools.partial(map, row), chunks)

@@ -12,6 +12,7 @@ from .cli import (
     _state_cells,
     _state_from_args,
 )
+from .core import _offsets
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -31,7 +32,7 @@ def command(args: Args) -> int:
         sf = evolve(sf, res, t).sf
     b1, b2, c = sf.b1, sf.b2, sf.c
     columns, cells = _state_cells(outputs, args.units)
-    row = (t, b1, b2, c, *cells(b1, b2, c)[1])
+    row = (t, b1, b2, c, *cells(b1, b2, c, _offsets(b1, b2, c)[2]))
     floats = len(row) - ("separable" in outputs)
     with _destination(args.out) as write:
         _emit_rows(write, ["t", "b1", "b2", "c", *columns], args.format, floats, [[row]])

@@ -18,7 +18,7 @@ from .cli import (
     _state_cells,
     _state_from_args,
 )
-from .core import _sts_entries
+from .core import _offsets, _sts_entries
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -39,12 +39,13 @@ def command(args: Args) -> int:
     row runs no construction check.  ``point`` only computes: the entries
     of a state sweep (n1, n2 or r) come from ``core._sts_entries``, the
     kernel of ``standard_form_from_sts``, and a reservoir sweep (nr or
-    gamma) forms the rates.  Each output comes from the kernel that its
-    public function wraps: ``_state_cells`` (shared with ``report`` and
-    ``evolve``) for the separability margin, taken once, and the measures,
-    the kappas and the separable verdict, and ``dynamics._death_time``,
-    given that margin, for ts.  A reservoir sweep's state is fixed, so its
-    margin and cells are computed once.
+    gamma) forms the rates.  The offsets (a1, a2, m) of the entries come
+    from ``core._offsets``, once per state.  Each output comes from the
+    kernel that its public function wraps: ``_state_cells`` (shared with
+    ``report`` and ``evolve``), given m, for the measures, the kappas and
+    the separable verdict, and ``dynamics._death_time``, given the
+    offsets, for ts.  A reservoir sweep's state is fixed, so its offsets
+    and cells are computed once.
     So the values are those of the records and the public functions.  A
     row's kernels run in its turn, and one that refuses its row ends the
     output after the chunks before it.
@@ -73,31 +74,30 @@ def command(args: Args) -> int:
     param, n1, n2, r = args.param, args.n1, args.n2, args.r
     if param in ("n1", "n2", "r"):
         rates = None if res is None else res._fields()
-        state = state_cells
 
-        def point(value: float) -> tuple[float, float, float, tuple[float, ...] | None]:
-            """The entries of ``standard_form_from_sts`` at ``value``, and the rates."""
+        def point(value: float) -> tuple[tuple[float, float, float], tuple[object, ...], tuple[float, ...] | None]:
+            """The offsets and the cells of the state of ``standard_form_from_sts`` at ``value``, and the rates."""
             x1, x2, s = (value, n2, r) if param == "n1" else (n1, value, r) if param == "n2" else (n1, n2, value)
-            return (*_sts_entries(x1, x2, s), rates)
+            b1, b2, c = _sts_entries(x1, x2, s)
+            offsets = _offsets(b1, b2, c)
+            return offsets, state_cells(b1, b2, c, offsets[2]), rates
 
     else:
-        # The margin and the cells of the sweep's one state, computed once.
-        b1, b2, c = sf0.b1, sf0.b2, sf0.c
-        fixed = state_cells(b1, b2, c)
-        state = lambda b1, b2, c: fixed  # noqa: E731
+        # The offsets and the cells of the sweep's one state, computed once.
+        offsets = _offsets(sf0.b1, sf0.b2, sf0.c)
+        fixed = state_cells(sf0.b1, sf0.b2, sf0.c, offsets[2])
 
-        def point(value: float) -> tuple[float, float, float, tuple[float, ...]]:
-            """The entries and the rates ``(gamma1, n_r1, gamma2, n_r2)`` at ``value``."""
+        def point(value: float) -> tuple[tuple[float, float, float], tuple[object, ...], tuple[float, ...]]:
+            """The offsets and the cells of the state, and the rates ``(gamma1, n_r1, gamma2, n_r2)`` at ``value``."""
             gamma, n_r = (value, args.nr) if param == "gamma" else (args.gamma, value)
-            return b1, b2, c, ((gamma, n_r, gamma, n_r) if args.identical else (gamma, n_r, 0.0, 0.0))
+            return offsets, fixed, ((gamma, n_r, gamma, n_r) if args.identical else (gamma, n_r, 0.0, 0.0))
 
     def row(value: float) -> tuple[object, ...]:
         """The row at ``value``: the value, the state's cells and, where selected, the ts cell, spelled."""
-        b1, b2, c, rates = point(value)
-        margin, cells = state(b1, b2, c)
+        (a1, a2, m), cells, rates = point(value)
         if not ts:
             return (value, *cells)
-        t = dead if margin >= 0.0 else _death_time(b1, b2, margin, rates)
+        t = dead if m >= 0.0 else _death_time(a1, a2, m, rates)
         return (value, *cells, asymptotic if t is ASYMPTOTIC_ONLY else t)
 
     lo, hi, steps = args.min, args.max, args.steps

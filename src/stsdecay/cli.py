@@ -65,7 +65,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .core import StandardForm, StsParams, SymplecticSpectrum, _Floats, _separability_margin, _spectrum, standard_form_from_sts
+from .core import StandardForm, StsParams, SymplecticSpectrum, _Floats, _spectrum, standard_form_from_sts
 from .errors import (
     InvalidParameterError,
     NonPhysicalStateError,
@@ -419,14 +419,14 @@ def _parse_outputs(selection: str, allowed: list[str]) -> list[str]:
     return [name for name in allowed if name in chosen]
 
 
-def _state_cells(outputs: list[str], units: str) -> tuple[list[str], Callable[..., tuple[object, tuple[object, ...]]]]:
-    """The columns of ``outputs``, and the function from entries ``(b1, b2, c)`` to their margin and cells; elementwise.
+def _state_cells(outputs: list[str], units: str) -> tuple[list[str], Callable[..., tuple[object, ...]]]:
+    """The columns of ``outputs``, and the function from entries ``(b1, b2, c)`` and margin ``m`` to their cells; elementwise.
 
     The columns are the picked measures, then the kappas
     (``SymplecticSpectrum.__match_args__``), then ``separable``: the order
-    of the cells.  ``cells`` takes the separability margin of the entries
-    once, through ``core._separability_margin``, and returns it with the
-    cells, for ``sweep``'s death time.  Each cell comes from the kernel
+    of the cells.  ``cells`` takes the separability margin from the row's
+    source, which has it from ``core._offsets`` with the offsets that
+    ``sweep``'s death time reads.  Each cell comes from the kernel
     that its public function wraps, and only when selected: the measures
     (floats, in ``units``) from ``correlations._measures``, the kappas
     (floats) from ``core._spectrum``, and the separable verdict, spelled,
@@ -446,16 +446,15 @@ def _state_cells(outputs: list[str], units: str) -> tuple[list[str], Callable[..
 
         pick = operator.itemgetter(*picks) if len(picks) > 1 else lambda report: (report[picks[0]],)
 
-    def cells(b1, b2, c, ops=_Floats) -> tuple[object, tuple[object, ...]]:
-        margin = _separability_margin(b1, b2, c)
-        row = pick(_measures(b1, b2, c, margin, ops)) if picks else ()
+    def cells(b1, b2, c, m, ops=_Floats) -> tuple[object, ...]:
+        row = pick(_measures(b1, b2, c, m, ops)) if picks else ()
         if bits:
             row = tuple([value / _LN2 for value in row])
         if kappas:
             row += _spectrum(b1, b2, c, ops)
         if separable:
-            row += (ops.select(margin >= 0.0, "true", "false"),)
-        return margin, row
+            row += (ops.select(m >= 0.0, "true", "false"),)
+        return row
 
     return columns, cells
 

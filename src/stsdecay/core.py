@@ -423,12 +423,16 @@ def separability_margin(sf: StandardForm) -> float:
     compensated rounding, so the sign is trustworthy even within a few
     ulps of the separability threshold.
     """
-    return _separability_margin(sf.b1, sf.b2, sf.c)
+    return _offsets(sf.b1, sf.b2, sf.c)[2]
 
 
-def _separability_margin(b1: float, b2: float, c: float) -> float:
-    """``separability_margin`` on bare entries."""
-    return prod_diff(b1 - 0.5, b2 - 0.5, c, c)
+def _offsets(b1, b2, c):
+    """Offsets a_i = b_i - 1/2 of the entries and their separability margin m = a1*a2 - c^2, compensated; elementwise.
+
+    The one source of ``(a1, a2, m)``: every verdict and death time reads them here.
+    """
+    a1, a2 = b1 - 0.5, b2 - 0.5
+    return a1, a2, prod_diff(a1, a2, c, c)
 
 
 def uncertainty_margin(sf: StandardForm) -> float:

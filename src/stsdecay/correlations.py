@@ -31,8 +31,8 @@ from .core import (
     _h_offset,
     _is_pure,
     _kappas,
+    _offsets,
     _Record,
-    _separability_margin,
 )
 from .errors import InvalidParameterError, NonPhysicalStateError
 
@@ -165,7 +165,7 @@ def _measures(
         kp, km = max(b1, b2), min(b1, b2)
         inv_d = (kp - 0.5) * (kp + 0.5) * max((km - 0.5) * (km + 0.5), 0.0)
         return 0.0, 0.0, 0.0, 0.0, True, 0.5, b1, b2, inv_d
-    separable = (_separability_margin(b1, b2, c) if margin is None else margin) >= 0.0
+    separable = (_offsets(b1, b2, c)[2] if margin is None else margin) >= 0.0
     u = prod_diff(b1, b2, c, c)
     if ops.branch(_is_pure(b1, b2, c, u)):
         b = 0.5 * (b1 + b2)

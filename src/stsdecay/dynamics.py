@@ -28,7 +28,7 @@ import math
 import sys
 
 from ._accurate import finite, prod_diff
-from .core import _BITS, _DOUBLE, StandardForm, _Floats, _Record, separability_margin
+from .core import _BITS, _DOUBLE, StandardForm, _Floats, _offsets, _Record
 from .errors import InvalidParameterError, NonPhysicalStateError, SeparableInputError
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "AsymptoticOnly",
     "ASYMPTOTIC_ONLY",
     "evolve",
-    "evolve_identical_baths",
     "esd_time_identical_baths",
     "esd_time_single_bath",
     "esd_bisection",
@@ -138,18 +137,6 @@ def evolve(sf0: StandardForm, res: ReservoirConfig, t: float) -> EvolvedState:
     return EvolvedState(t, StandardForm(b1t, b2t, ct, sf0.phi))
 
 
-def evolve_identical_baths(
-    sf0: StandardForm, gamma: float, n_r: float, t: float
-) -> EvolvedState:
-    """Damp both modes in identical baths ``(gamma, n_r)`` for time ``t``.
-
-    Equivalent to the full covariance-matrix contraction
-    V(t) = e^{-gamma t} V(0) + (n_r + 1/2)(1 - e^{-gamma t}) I_4;
-    a symmetric input (b1 = b2) therefore stays symmetric exactly.
-    """
-    return evolve(sf0, ReservoirConfig.identical(gamma, n_r), t)
-
-
 _MAX_TIME = sys.float_info.max
 _MIN_NORMAL = sys.float_info.min
 _OVERFLOW = (
@@ -220,11 +207,11 @@ def esd_time_single_bath(
     return esd_time(sf0, ReservoirConfig.single_bath(gamma, n_r))
 
 
-def _margin_at(b1, b2, c, res, t, ops=_Floats):
-    """Separability margin of the entries ``(b1, b2, c)`` evolved to ``t``, on their offsets from 1/2.
+def _margin_at(a1, a2, c, res, t, ops=_Floats):
+    """Separability margin at ``t`` of the state of offsets ``a_i = b_i - 1/2`` (``core._offsets``) and cross block ``c``.
 
-    ``res`` is ``(gamma1, n_r1, gamma2, n_r2)``.  With a_i = b_i - 1/2 and
-    x_i = exp(-gamma_i t), the offsets are A_i = a_i*x_i - n_ri*expm1(-gamma_i t):
+    ``res`` is ``(gamma1, n_r1, gamma2, n_r2)``.  With x_i = exp(-gamma_i t),
+    the evolved offsets are A_i = a_i*x_i - n_ri*expm1(-gamma_i t):
     the evolution map with 1/2 taken out of both terms of b_i(t), so that
     a_i*x_i is never lost below the ulp of 1/2.  c(t)^2 is (c*x1)*(c*x2),
     and the margin A1*A2 - c(t)^2 takes one compensated rounding.
@@ -233,9 +220,7 @@ def _margin_at(b1, b2, c, res, t, ops=_Floats):
     gamma1, n_r1, gamma2, n_r2 = res
     u1, u2 = -gamma1 * t, -gamma2 * t
     x1, x2 = ops.exp(u1), ops.exp(u2)
-    a1 = (b1 - 0.5) * x1 - n_r1 * ops.expm1(u1)
-    a2 = (b2 - 0.5) * x2 - n_r2 * ops.expm1(u2)
-    return prod_diff(a1, a2, c * x1, c * x2)
+    return prod_diff(a1 * x1 - n_r1 * ops.expm1(u1), a2 * x2 - n_r2 * ops.expm1(u2), c * x1, c * x2)
 
 
 # The bit patterns of the non-negative doubles, read as integers, are in
@@ -250,8 +235,8 @@ _INF_BITS = _BITS.unpack(_DOUBLE.pack(math.inf))[0]
 _DEKKER_MIN = 2.0**-969
 
 
-def _crossing(b1, b2, c, res, ops=_Floats):
-    """The first non-negative double at which ``_margin_at`` of the entries ``(b1, b2, c)`` is >= 0; elementwise.
+def _crossing(a1, a2, c, res, ops=_Floats):
+    """The first non-negative double at which ``_margin_at`` of ``(a1, a2, c)`` is >= 0; elementwise.
 
     The bit patterns from +0.0 to +inf are fewer than 2^63, so 63
     halvings narrow them to one; +inf where no finite double crosses.  The
@@ -262,7 +247,7 @@ def _crossing(b1, b2, c, res, ops=_Floats):
     lo, hi = 0, _INF_BITS
     for _ in range(63):
         mid = lo + (hi - lo) // 2  # lo + hi overflows an int64
-        below = _margin_at(b1, b2, c, res, ops.double(mid), ops) < 0.0
+        below = _margin_at(a1, a2, c, res, ops.double(mid), ops) < 0.0
         lo, hi = ops.select(below, mid, lo), ops.select(below, hi, mid)
     return ops.double(hi)
 
@@ -292,8 +277,8 @@ def esd_bisection(sf0: StandardForm, res: ReservoirConfig) -> float | Asymptotic
             within a few ulps of 1 there).
         SeparableInputError: if ``sf0`` is already separable, as ``esd_time``.
     """
-    fields = res._fields()
-    return _bisection_answer(separability_margin(sf0), sf0.c, fields, _crossing(sf0.b1, sf0.b2, sf0.c, fields))
+    fields, (a1, a2, m) = res._fields(), _offsets(sf0.b1, sf0.b2, sf0.c)
+    return _bisection_answer(m, sf0.c, fields, _crossing(a1, a2, sf0.c, fields))
 
 
 def _bisection_answer(
@@ -337,7 +322,7 @@ def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:
         SeparableInputError: if ``sf0`` is already separable (one message).
         NonPhysicalStateError: a single hot bath's other entry at 1/2.
     """
-    return _death_time(sf0.b1, sf0.b2, separability_margin(sf0), res._fields())
+    return _death_time(*_offsets(sf0.b1, sf0.b2, sf0.c), res._fields())
 
 
 _NO_BATH = "the reservoir has no active bath; nothing evolves"
@@ -356,24 +341,25 @@ _EXP_RESOLUTION = 4.0 * 2.0**-53
 _EXP_MAX = 709.0
 
 
-def _death_time(b1: float, b2: float, margin: float, res: tuple[float, float, float, float]) -> float | AsymptoticOnly:
-    """Death time of a state with diagonal entries ``b1``, ``b2`` and separability margin ``margin``.
+def _death_time(a1: float, a2: float, m: float, res: tuple[float, float, float, float]) -> float | AsymptoticOnly:
+    """Death time of a state of offsets ``a_i = b_i - 1/2`` and separability margin ``m``, as ``core._offsets`` gives them.
 
-    The kernel of ``esd_time`` and of the closed-form functions, on bare
-    floats: ``res`` is ``(gamma1, n_r1, gamma2, n_r2)`` as ReservoirConfig
-    admits them; the cross block c enters through ``margin`` alone.  After
-    ``_gate`` every layout takes ``_root``.  A cold or absent bath only
-    scales the evolved margin by its own exp(-gamma t), so it does not move
-    the root: it enters at the hot bath's rate with occupancy 0.
+    The kernel of ``esd_time`` and of the closed-form functions, and of
+    ``sweep``'s ts cells, which pass their row's offsets: ``res`` is
+    ``(gamma1, n_r1, gamma2, n_r2)`` as ReservoirConfig admits them; the
+    cross block c enters through ``m`` alone.  After ``_gate`` every layout
+    takes ``_root``.  A cold or absent bath only scales the evolved margin
+    by its own exp(-gamma t), so it does not move the root: it enters at
+    the hot bath's rate with occupancy 0.
     """
-    if _gate(margin, res):
+    if _gate(m, res):
         return ASYMPTOTIC_ONLY
     gamma1, n_r1, gamma2, n_r2 = res
     if gamma1 == 0.0 or n_r1 == 0.0:
         res = (gamma2, 0.0, gamma2, n_r2)
     elif gamma2 == 0.0 or n_r2 == 0.0:
         res = (gamma1, n_r1, gamma1, 0.0)
-    return _root(b1 - 0.5, b2 - 0.5, -margin, res)
+    return _root(a1, a2, -m, res)
 
 
 def _gate(margin: float, res: tuple[float, float, float, float]) -> bool:

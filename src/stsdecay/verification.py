@@ -45,8 +45,8 @@ from ._batch import _Arrays, stack
 from .core import (
     StandardForm,
     StsParams,
+    _offsets,
     _Record,
-    _separability_margin,
     _spectrum,
     _sts_entries,
     separability_margin,
@@ -309,7 +309,8 @@ def count_margin_crossings(sf0: StandardForm, res: ReservoirConfig, t_max: float
     family must never produce.
     """
     ts = np.linspace(0.0, t_max, 4000)
-    signs = np.sign(_margin_at(sf0.b1, sf0.b2, sf0.c, res._fields(), ts, _Arrays))
+    a1, a2, _ = _offsets(sf0.b1, sf0.b2, sf0.c)
+    signs = np.sign(_margin_at(a1, a2, sf0.c, res._fields(), ts, _Arrays))
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
@@ -398,8 +399,8 @@ def _bisection_stack(
     so the first case that ``esd_bisection`` refuses raises its error.
     """
     with np.errstate(all="ignore"):
-        t = _crossing(b1, b2, c, res, _Arrays)
-        margin = _separability_margin(b1, b2, c)
+        a1, a2, margin = _offsets(b1, b2, c)
+        t = _crossing(a1, a2, c, res, _Arrays)
     cases = zip(margin.tolist(), c.tolist(), zip(*(x.tolist() for x in res)), t.tolist())
     return [_bisection_answer(*case) for case in cases]
 

@@ -982,3 +982,40 @@ def test_verify_opens_out_before_the_battery(capsys, monkeypatch, tmp_path):
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {tmp_path}: Is a directory\n"
     assert calls == []
+
+
+def test_each_state_takes_its_offsets_once(capsys, monkeypatch):
+    # The row's source takes (a1, a2, m) from core._offsets once per state,
+    # and once per chunk on arrays: a report, an esd, a scalar evolve row, a
+    # batch evolve chunk and a state sweep row each call it once, and a
+    # reservoir sweep, whose state is fixed, once in all.
+    from stsdecay import _batch, _cmd_evolve, _cmd_report, _cmd_sweep, core, dynamics, verification  # noqa: F401
+
+    calls = []
+
+    def counted(*entries):
+        calls.append(entries)
+        return offsets(*entries)
+
+    offsets = core._offsets
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("stsdecay") and getattr(module, "_offsets", None) is offsets:
+            monkeypatch.setattr(module, "_offsets", counted)
+    state = ["--n1", "1", "--n2", "0.5", "--r", "1"]
+    bath = ["--single-bath", "--nr", "0.2"]
+    grid = ["evolve", *state, *bath, "--t-end", "3", "--points"]
+    sweep = ["sweep", *state, "--identical", "--nr", "0.2", "--min", "0.5", "--max", "2", "--steps", "40"]
+    points = _cmd_evolve._BATCH_POINTS
+    for argv, want in (
+        (["report", *state], 1),
+        (["report", *state, *bath, "--t", "0.5"], 1),
+        (["esd", *state, *bath], 1),
+        ([*grid, "50"], 50),
+        ([*grid, str(points)], -(-points // cli._CHUNK_ROWS)),
+        ([*sweep, "--param", "r"], 40),
+        ([*sweep, "--param", "r", "--outputs", "ts"], 40),
+        ([*sweep, "--param", "nr"], 1),
+    ):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(calls) == want, argv

@@ -22,7 +22,9 @@ CSV and in JSON.  Each line runs through ``cli.main``, and:
   from its scalar rows and from the numpy batch rows of ``_batch``.
 
 ``_MUTANTS`` holds faults that the contract catches: each is patched into
-the program alone, and the contract must fail on a line that meets it.
+the program alone (``cli.main`` and the other row path of ``evolve``, not
+the rebuild, which stays the reference), and the contract must fail on a
+line that meets it.
 
 Not asserted yet (ROADMAP item 10): that a refusal is true, that is, that
 what its message says overflows or is below 0 does so when recomputed
@@ -48,7 +50,7 @@ np = pytest.importorskip("numpy")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from stsdecay import ASYMPTOTIC_ONLY, ReservoirConfig, StandardForm, StsParams, _batch, _cmd_evolve, cli  # noqa: E402
-from stsdecay import _cmd_report, _cmd_sweep, _parser, correlations  # noqa: E402
+from stsdecay import _cmd_report, _cmd_sweep, _parser, core, correlations, dynamics, verification  # noqa: E402
 from stsdecay import correlation_report, esd_bisection, esd_time, evolve, is_pure, is_separable  # noqa: E402
 from stsdecay import standard_form_from_sts, symplectic_spectrum  # noqa: E402
 from stsdecay.errors import NonPhysicalStateError, SeparableInputError  # noqa: E402
@@ -281,8 +283,12 @@ def _other_rows(call):
     return out.getvalue(), ""
 
 
-def _check(argv, seen):
-    """Run ``argv`` through ``cli.main``, assert the contract, and add the branches that its rows took to ``seen``."""
+def _check(argv, seen, mutant=()):
+    """Run ``argv`` through ``cli.main``, assert the contract, and add the branches that its rows took to ``seen``.
+
+    The patches of ``mutant`` are in force while the program runs, and not
+    while the rows are rebuilt through the public API.
+    """
     args = cli._read_argv(argv)
     if args is None:
         # Only a cited line may take a spelling that argparse alone reads.
@@ -295,17 +301,20 @@ def _check(argv, seen):
         return emit(*calls[-1])
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with mock.patch.object(_cmd_evolve, "_emit_evolve", recorded):
-            code = cli.main(argv)
-    out, err = out.getvalue(), err.getvalue()
-    # exit; error line.
-    assert code in (0, 2, 3), (code, err)
-    assert not code or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), err
-    # batch: the other row path writes what main wrote, and refuses as it did.
-    for call in calls:
-        assert _other_rows(call) == (out, err if code else "")
-        seen.update(["refused"] if code else [])
+    with contextlib.ExitStack() as program:
+        for patch in mutant:
+            program.enter_context(patch)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with mock.patch.object(_cmd_evolve, "_emit_evolve", recorded):
+                code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        # exit; error line.
+        assert code in (0, 2, 3), (code, err)
+        assert not code or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), err
+        # batch: the other row path writes what main wrote, and refuses as it did.
+        for call in calls:
+            assert _other_rows(call) == (out, err if code else "")
+            seen.update(["refused"] if code else [])
     if code:
         return
     if a["command"] == "sweep":
@@ -404,11 +413,23 @@ _NAN = _float_cells(lambda v: math.nan if v == 0.0 else v, checked=False)
 _NATS = lambda f: lambda outputs, units: f(outputs, "nats")  # noqa: E731
 _REVERSED = lambda f: lambda outputs, units: (lambda columns, cells: (columns[::-1], cells))(*f(outputs, units))  # noqa: E731
 _SHORT = lambda f: lambda start, stop, num: f(start, stop, num - 1)  # noqa: E731
-_INVERTED = lambda f: lambda *entries: -f(*entries)  # noqa: E731
+_INVERTED = lambda m: -m  # noqa: E731
+# Every module of the package that binds ``core._offsets``: a mutant of it reaches every row.
+_OFFSETS = (core, correlations, dynamics, verification, _cmd_report, _cmd_evolve, _cmd_sweep)
+
+
+def _margin(g):
+    """The stand-in for ``core._offsets`` whose margin m is ``g(m)``."""
+    return lambda f: lambda *entries: (lambda a1, a2, m: (a1, a2, g(m)))(*f(*entries))
+
+
+# ``dynamics._root`` handed b_i = a_i + 1/2, the entries, in place of the offsets.
+_ENTRIES_TO_ROOT = lambda f: lambda a1, a2, neg, res: f(a1 + 0.5, a2 + 0.5, neg, res)  # noqa: E731
 _REPORT = "report --n1 10 --n2 0.1 --r 2"
 _EVOLVE = "evolve --n1 10 --n2 0.1 --r 2 --identical --nr 0.5 --t-end 2 --points 50"
 _SWEEP = "sweep --n1 1 --n2 0.5 --r 1 --gamma1 1 --nr1 0.5 --param r --min 0 --max 2 --steps 9"
-# Faults that the contract catches, each on a line that meets it: (module or class, name, the name's stand-in made from it, line).
+# Faults that the contract catches, each on a line that meets it: (module or class, or a tuple of them, name, the
+# name's stand-in made from it, line).
 _MUTANTS = {
     "nan cell in report": (_cmd_report, "_emit_rows", _NAN, "report --n1 0 --n2 0 --r 0"),
     "nan cell in evolve json": (_cmd_evolve, "_emit_rows", _NAN, _BRANCH_LINES[0] + " --format json"),
@@ -422,14 +443,16 @@ _MUTANTS = {
     "json cells to 15 digits": (_cmd_report, "_emit_rows", _float_cells(lambda v: float("%.15g" % v)), _REPORT + " --format json"),
     "json header upper case": (cli, "_json_string", lambda spell: lambda value: spell(value.upper()), _REPORT + " --format json"),
     "report columns reversed": (_cmd_report, "_state_cells", _REVERSED, _REPORT),
-    "report verdict inverted": (cli, "_separability_margin", _INVERTED, _REPORT + " --outputs separable"),
+    "report verdict inverted": (_OFFSETS, "_offsets", _margin(_INVERTED), _REPORT + " --outputs separable"),
     "report ignores units": (_cmd_report, "_state_cells", _NATS, _REPORT + " --units bits"),
     "evolve ignores units": (_cmd_evolve, "_state_cells", _NATS, _EVOLVE + " --units bits"),
     "sweep ignores units": (_cmd_sweep, "_state_cells", _NATS, _SWEEP + " --units bits"),
     "evolve entries swapped": (_cmd_evolve, "_bona_fide", lambda f: lambda *entries: f(*entries)[::-1], _EVOLVE),
     "sweep entries swapped": (_cmd_sweep, "_sts_entries", lambda f: lambda *x: (lambda b1, b2, c: (b2, b1, c))(*f(*x)), _SWEEP),
-    "evolve always entangled": (cli, "_separability_margin", lambda f: lambda *entries: -abs(f(*entries)), _EVOLVE),
-    "sweep verdict inverted": (cli, "_separability_margin", _INVERTED, _SWEEP + " --outputs separable,ts"),
+    "evolve always entangled": (_OFFSETS, "_offsets", _margin(lambda m: -abs(m)), _EVOLVE),
+    "sweep verdict inverted": (_OFFSETS, "_offsets", _margin(_INVERTED), _SWEEP + " --outputs separable,ts"),
+    "esd root given the entries": (dynamics, "_root", _ENTRIES_TO_ROOT, "esd --n1 0 --n2 0 --r 2 --single-bath --nr 0.5"),
+    "sweep root given the entries": (dynamics, "_root", _ENTRIES_TO_ROOT, _SWEEP + " --outputs ts"),
     "evolve grid one point short": (_cmd_evolve, "_grid", _SHORT, _EVOLVE),
     "evolve log grid linear": (_cmd_evolve, "_log_grid", lambda f: _cmd_evolve._grid, _EVOLVE + " --t-start 0.01 --log-spacing"),
     "sweep grid one point short": (_cmd_sweep, "_grid", _SHORT, _SWEEP),
@@ -438,7 +461,9 @@ _MUTANTS = {
 
 @pytest.mark.parametrize("mutant", _MUTANTS)
 def test_the_contract_fails_on_each_mutant(mutant):
-    module, name, stand_in, line = _MUTANTS[mutant]
+    modules, name, stand_in, line = _MUTANTS[mutant]
     _check(shlex.split(line), set())
-    with mock.patch.object(module, name, stand_in(getattr(module, name))), pytest.raises((AssertionError, ValueError)):
-        _check(shlex.split(line), set())
+    modules = modules if isinstance(modules, tuple) else (modules,)
+    patches = [mock.patch.object(module, name, stand_in(getattr(module, name))) for module in modules]
+    with pytest.raises((AssertionError, ValueError)):
+        _check(shlex.split(line), set(), patches)

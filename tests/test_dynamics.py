@@ -24,14 +24,13 @@ from stsdecay import (
     esd_time_identical_baths,
     esd_time_single_bath,
     evolve,
-    evolve_identical_baths,
     gaussian_cf,
     separability_margin,
     standard_form_from_sts,
     steady_state,
     uncertainty_margin,
 )
-from stsdecay import dynamics, verification
+from stsdecay import core, dynamics, verification
 from stsdecay.dynamics import _bisection_answer, _margin_at
 from stsdecay.verification import sample_entangled_sts, sample_sts
 
@@ -87,14 +86,14 @@ def test_identical_baths_preserve_symmetry_bitwise():
     sf = standard_form_from_sts(StsParams(2.0, 2.0, 1.2))
     assert sf.b1 == sf.b2
     for t in (0.3, 1.7, 12.0):
-        out = evolve_identical_baths(sf, 1.3, 0.7, t).sf
+        out = evolve(sf, ReservoirConfig.identical(1.3, 0.7), t).sf
         assert out.b1 == out.b2
 
 
 def test_zero_temperature_half_life_is_exact():
     # gamma = 1 and t = ln 2 make the decay weight exactly 1/2.
     sf = standard_form_from_sts(StsParams(0.0, 0.0, 2.0))
-    out = evolve_identical_baths(sf, 1.0, 0.0, math.log(2.0)).sf
+    out = evolve(sf, ReservoirConfig.identical(1.0, 0.0), math.log(2.0)).sf
     assert out.b1 == sf.b1 * 0.5 + 0.5 * (1.0 - 0.5)
     assert out.b2 == sf.b2 * 0.5 + 0.5 * (1.0 - 0.5)
     assert out.c == sf.c * 0.5
@@ -141,7 +140,7 @@ def test_esd_identical_frozen_reference():
     ts = esd_time_identical_baths(sf, 1.0, 0.5)
     assert ts == pytest.approx(TS_IDENTICAL_REF, abs=1e-12)
     # The state evolved to t_s sits on the separability boundary.
-    out = evolve_identical_baths(sf, 1.0, 0.5, ts).sf
+    out = evolve(sf, ReservoirConfig.identical(1.0, 0.5), ts).sf
     assert abs(separability_margin(out)) < 1e-9
 
 
@@ -151,7 +150,7 @@ def test_esd_identical_near_boundary_input():
     sf = StandardForm(0.65, 0.65, c)
     ts = esd_time_identical_baths(sf, 1.0, 0.5)
     assert 0.0 < ts < 1e-8
-    out = evolve_identical_baths(sf, 1.0, 0.5, ts).sf
+    out = evolve(sf, ReservoirConfig.identical(1.0, 0.5), ts).sf
     assert abs(separability_margin(out)) < 1e-12
 
 
@@ -210,9 +209,9 @@ def test_death_times_that_overflow_a_double_are_refused():
     for death_time in (esd_bisection, esd_time):
         t = death_time(sf, near_cap)
         assert math.isfinite(t) and t > 1e308
-        fields = near_cap._fields()
-        assert _margin_at(sf.b1, sf.b2, sf.c, fields, t * (1.0 + 1e-12)) >= 0.0
-        assert _margin_at(sf.b1, sf.b2, sf.c, fields, t * (1.0 - 1e-12)) < 0.0
+        fields, (a1, a2, _) = near_cap._fields(), core._offsets(sf.b1, sf.b2, sf.c)
+        assert _margin_at(a1, a2, sf.c, fields, t * (1.0 + 1e-12)) >= 0.0
+        assert _margin_at(a1, a2, sf.c, fields, t * (1.0 - 1e-12)) < 0.0
     # Halve the rates and the same crossing lies beyond it.
     for death_time in (esd_bisection, esd_time):
         with pytest.raises(InvalidParameterError, match=overflow):

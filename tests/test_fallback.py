@@ -39,8 +39,14 @@ _STATES = [(2.0, 3.0, 1.0), (1.0, 1.0, 0.5), (0.75, 2.5, 0.3), (3.0, 3.0, 2.5)]
 _PARAMETERS = [(1.0, 0.5, 1.0), (0.0, 0.0, 2.0), (3.0, 2.5, 0.5)]
 
 
+def _offsets(b1, b2, c, ops=core._Floats):
+    return core._offsets(b1, b2, c)
+
+
 def _margin(b1, b2, c, t, ops=core._Floats):
-    return _margin_at(b1, b2, c, _RES, t, ops)
+    """The evolved margin at ``t`` of the offsets of the entries ``(b1, b2, c)``."""
+    a1, a2, _ = core._offsets(b1, b2, c)
+    return _margin_at(a1, a2, c, _RES, t, ops)
 
 
 def _h(a, ops=core._Floats):
@@ -63,7 +69,7 @@ def _evolve_row(units):
 
     def row(b1, b2, c, t, ops=core._Floats):
         b1, b2, c = _evolved(b1, b2, c, t, ops)
-        return (t, b1, b2, c) + cells(b1, b2, c, ops)[1]
+        return (t, b1, b2, c) + cells(b1, b2, c, core._offsets(b1, b2, c)[2], ops)
 
     return row
 
@@ -91,6 +97,7 @@ _KERNELS = {
     "sts_entries": (verification._sts_entries, _elements(_PARAMETERS, *[_VALUES] * 3), _never),
     "spectrum": (core._spectrum, _elements(_STATES, *[_VALUES] * 3), _product),
     "measures": (correlations._measures, _elements(_STATES, *[_VALUES] * 3), _product_or_pure),
+    "offsets": (_offsets, _elements(_STATES, *[_VALUES] * 3), _never),
     "margin_at": (_margin, _elements([(*state, 0.5) for state in _STATES], *[_VALUES] * 3, _TIMES), _never),
     **{
         f"evolve_row_{units}": (

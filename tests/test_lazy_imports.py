@@ -160,6 +160,9 @@ _MANIFEST = {
     f"stsdecay esd {_STATE} --gamma1 1 --nr1 0.3 --gamma2 2 --nr2 0.1": (0, f"{_CLI} _cmd_esd dynamics"),
     f"stsdecay sweep {_STATE} --param gamma --min 0.5 --max 2 --steps 5 --identical --nr 0.2 --outputs ts": (
         0, f"{_CLI} _cmd_sweep dynamics"),
+    # The benchmark's deathtimes line: a state sweep's offsets and death times load no correlations.
+    f"stsdecay sweep {_STATE} --param r --min 0 --max 2 --steps 7 --identical --nr 0.2 --outputs ts": (
+        0, f"{_CLI} _cmd_sweep dynamics"),
     "stsdecay verify --seed 1 --format json": (0, f"{_CLI} _cmd_verify dynamics verification _batch numpy"),
     f"{_GRID} --points {_cmd_evolve._BATCH_POINTS - 1}": (0, f"{_CLI} _cmd_evolve correlations dynamics"),
     _BATCH: (0, f"{_CLI} _cmd_evolve correlations dynamics _batch numpy"),
@@ -192,7 +195,6 @@ args = {
     "mutual_information": (sf,),
     "correlation_report": (sf,),
     "evolve": (sf, res, 0.5),
-    "evolve_identical_baths": (sf, 1.0, 0.3, 0.5),
     "esd_time_identical_baths": (sf, 1.0, 0.3),
     "esd_time_single_bath": (sf, 1.0, 0.3),
     "esd_bisection": (sf, res),
@@ -398,7 +400,6 @@ _PUBLIC_NAMES = {
     "esd_time_identical_baths",
     "esd_time_single_bath",
     "evolve",
-    "evolve_identical_baths",
     "full_cm",
     "gaussian_cf",
     "is_pure",

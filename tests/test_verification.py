@@ -25,6 +25,7 @@ from stsdecay import (
     uncertainty_margin,
 )
 from stsdecay import _batch, cli, verification
+from stsdecay.core import _offsets
 from stsdecay.dynamics import _margin_at
 from stsdecay.verification import (
     count_margin_crossings,
@@ -226,9 +227,9 @@ def test_margin_crossing_counts():
         assert count_margin_crossings(sf, res, t_max) == crossings
         # The margin on the whole grid at once has the bits, so the signs,
         # of the scalar margin at each point.
-        grid = np.linspace(0.0, t_max, 4000)
-        stacked = _margin_at(sf.b1, sf.b2, sf.c, res._fields(), grid, _batch._Arrays)
-        scalar = [_margin_at(sf.b1, sf.b2, sf.c, res._fields(), t) for t in grid.tolist()]
+        grid, (a1, a2, _) = np.linspace(0.0, t_max, 4000), _offsets(sf.b1, sf.b2, sf.c)
+        stacked = _margin_at(a1, a2, sf.c, res._fields(), grid, _batch._Arrays)
+        scalar = [_margin_at(a1, a2, sf.c, res._fields(), t) for t in grid.tolist()]
         assert stacked.tobytes() == np.array(scalar).tobytes()
         assert np.sign(stacked).tolist() == [math.copysign(1.0, m) if m else 0.0 for m in scalar]
     # A margin of exactly 0 at t = 0, positive after it: a zero sample starts no crossing.
