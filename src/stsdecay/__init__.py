@@ -29,7 +29,6 @@ _SUBMODULES = {*_MODULES, "cli", "verification"}
 _LAZY = {
     "OracleReport",
     "characteristic_function",
-    "count_margin_crossings",
     "full_cm",
     "gaussian_cf",
     "ppt_spectrum_oracle",

@@ -31,9 +31,7 @@ __all__ = [
     "standard_form_from_sts",
     "symplectic_spectrum",
     "separability_margin",
-    "uncertainty_margin",
     "is_separable",
-    "is_pure",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -260,7 +258,9 @@ def _bona_fide(b1: float, b2: float, c: float, ops=_Floats) -> tuple[float, floa
         )
     b1 = ops.max(b1, 0.5)
     b2 = ops.max(b2, 0.5)
-    margin, slack = _uncertainty(ops.max(b1, b2), ops.min(b1, b2), c, ops)
+    hi, lo = ops.max(b1, b2), ops.min(b1, b2)
+    margin = prod_diff(hi + 0.5, lo - 0.5, c, c)
+    slack = ops.max(_ABS_SLACK, _REL_SLACK * hi * lo + _REL_SLACK * c * c + _REL_SLACK * 0.25)
     if ops.branch(ops.not_(margin >= -slack)):
         if math.isnan(margin):
             raise InvalidParameterError(
@@ -272,11 +272,6 @@ def _bona_fide(b1: float, b2: float, c: float, ops=_Floats) -> tuple[float, floa
             f"for b1={b1!r}, b2={b2!r}, c={c!r}"
         )
     return b1, b2
-
-
-def _uncertainty(hi, lo, c, ops=_Floats):
-    """Margin ``(hi + 1/2)*(lo - 1/2) - c^2`` of clamped ``hi >= lo`` and its slack; elementwise."""
-    return prod_diff(hi + 0.5, lo - 0.5, c, c), ops.max(_ABS_SLACK, _REL_SLACK * hi * lo + _REL_SLACK * c * c + _REL_SLACK * 0.25)
 
 
 class SymplecticSpectrum(_Record):
@@ -435,16 +430,6 @@ def _offsets(b1, b2, c):
     return a1, a2, prod_diff(a1, a2, c, c)
 
 
-def uncertainty_margin(sf: StandardForm) -> float:
-    """Signed bona-fide margin ``(b_max + 1/2)*(b_min - 1/2) - c^2``.
-
-    Non-negative (up to rounding) for every physical state; this is the
-    quantity the StandardForm constructor checks.
-    """
-    hi, lo = (sf.b1, sf.b2) if sf.b1 >= sf.b2 else (sf.b2, sf.b1)
-    return _uncertainty(hi, lo, sf.c)[0]
-
-
 def is_separable(sf: StandardForm) -> bool:
     """True iff ``sf`` is separable (PPT margin non-negative).
 
@@ -454,8 +439,8 @@ def is_separable(sf: StandardForm) -> bool:
     return separability_margin(sf) >= 0.0
 
 
-def is_pure(sf: StandardForm) -> bool:
-    """True when ``sf`` is a two-mode squeezed vacuum up to rounding.
+def _is_pure(b1: float, b2: float, c: float, u: float) -> bool:
+    """True when ``(b1, b2, c)`` is a two-mode squeezed vacuum up to rounding, given ``u = b1*b2 - c^2`` (compensated); elementwise.
 
     Purity in standard form means ``b1 = b2`` and ``b1*b2 - c^2 = 1/4``.
     Both conditions are tested relative to the magnitudes involved: the
@@ -463,11 +448,5 @@ def is_pure(sf: StandardForm) -> bool:
     miss the exact relations by O(b^2 * eps), so any fixed absolute
     tolerance would misclassify strongly squeezed pure states.
     """
-    b1, b2, c = sf.b1, sf.b2, sf.c
-    return _is_pure(b1, b2, c, prod_diff(b1, b2, c, c))
-
-
-def _is_pure(b1: float, b2: float, c: float, u: float) -> bool:
-    """``is_pure`` on bare entries, given ``u = b1*b2 - c^2`` (compensated); elementwise on arrays."""
     return (abs(b1 - b2) <= _REL_SLACK * (b1 + b2)) & (abs(u - 0.25) <= _REL_SLACK * b1 * b2 + _REL_SLACK * c * c + _REL_SLACK * 0.25)
 

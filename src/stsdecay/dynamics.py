@@ -8,15 +8,15 @@ and stays in standard form; its entries follow the closed expressions
     c(t)   = c e^{-(gamma_1 + gamma_2) t / 2}
 
 so no differential equation is ever integrated.  On top of the evolution
-this module provides the steady states and the entanglement sudden-death
-time of every bath layout, ``esd_time``: one root of the evolved
-margin's four-term sum, in closed form at equal rates (the paper's
-identical and single baths among them) and by Newton's method at unequal
-rates.  ``esd_bisection``, a bisection over the doubles on the
-separability margin of the evolved offsets b_i(t) - 1/2 (the map above
-with 1/2 taken out of both terms), is the death-time oracle and answers
-no production query.  The evolved characteristic function is an oracle
-cross-check and lives in ``verification``.
+this module provides the entanglement sudden-death time of every bath
+layout, ``esd_time``: one root of the evolved margin's four-term sum, in
+closed form at equal rates (the paper's identical and single baths among
+them) and by Newton's method at unequal rates.  ``esd_bisection``, a
+bisection over the doubles on the separability margin of the evolved
+offsets b_i(t) - 1/2 (the map above with 1/2 taken out of both terms), is
+the death-time oracle and answers no production query.  The evolved
+characteristic function is an oracle cross-check and lives in
+``verification``.
 Every death-time route first passes one gate, in this order: no active
 bath is refused, then a separable input (one message for every layout);
 where no active bath is hot, the time is the ASYMPTOTIC_ONLY marker.
@@ -41,7 +41,6 @@ __all__ = [
     "esd_time_single_bath",
     "esd_bisection",
     "esd_time",
-    "steady_state",
 ]
 
 
@@ -443,24 +442,3 @@ def _root(a1: float, a2: float, neg: float, res: tuple[float, float, float, floa
         if not t_next < t:
             return t
         t = t_next
-
-
-def steady_state(res: ReservoirConfig, sf0: StandardForm) -> StandardForm:
-    """Asymptotic (t -> infinity) state of ``sf0`` under ``res``.
-
-    With both baths active the state relaxes to the product of the two
-    reservoir thermal states, b_i = n_ri + 1/2 with no cross block.  With
-    a single active bath, the free mode keeps its initial variance.  The
-    result is always a product state, hence has zero discord and zero
-    entanglement.
-
-    Raises:
-        InvalidParameterError: when both damping rates are 0 (nothing
-            relaxes, no steady state exists).
-    """
-    if res.gamma1 == 0.0 and res.gamma2 == 0.0:
-        raise InvalidParameterError("steady state undefined for the identity channel")
-    b1 = res.n_r1 + 0.5 if res.gamma1 > 0.0 else sf0.b1
-    b2 = res.n_r2 + 0.5 if res.gamma2 > 0.0 else sf0.b2
-    return StandardForm(b1, b2, 0.0, sf0.phi)
-

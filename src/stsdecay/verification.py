@@ -58,7 +58,6 @@ from .dynamics import (
     _bisection_answer,
     _check_time,
     _crossing,
-    _margin_at,
     esd_bisection,
     esd_time_identical_baths,
     esd_time_single_bath,
@@ -87,7 +86,6 @@ __all__ = [
     "symplectic_spectrum_oracle",
     "ppt_spectrum_oracle",
     "esd_bisection",
-    "count_margin_crossings",
     "sample_sts",
     "sample_entangled_sts",
     "sample_standard_form",
@@ -297,22 +295,6 @@ def ppt_spectrum_oracle(v: np.ndarray) -> tuple[float, float] | tuple[np.ndarray
     reproduce.
     """
     return symplectic_spectrum_oracle(_PT_FLIP @ _cm_stack(v) @ _PT_FLIP)
-
-
-def count_margin_crossings(sf0: StandardForm, res: ReservoirConfig, t_max: float) -> int:
-    """Number of sign changes of the separability margin on [0, t_max].
-
-    Dense uniform sampling, at 4,000 points, of the margin that
-    ``esd_bisection`` bisects, evaluated on the whole grid at once; a
-    sample where it is 0 neither starts nor ends a crossing.  Used by property tests to flag any
-    appearance of multiple entanglement deaths/revivals, which this channel
-    family must never produce.
-    """
-    ts = np.linspace(0.0, t_max, 4000)
-    a1, a2, _ = _offsets(sf0.b1, sf0.b2, sf0.c)
-    signs = np.sign(_margin_at(a1, a2, sf0.c, res._fields(), ts, _Arrays))
-    signs = signs[signs != 0.0]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def sample_sts(

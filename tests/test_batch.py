@@ -8,10 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import pure
 from test_golden import CASES, GOLDEN
 
 import stsdecay
-from stsdecay import ReservoirConfig, StandardForm, StsParams, _batch, _cmd_evolve, _parser, cli, correlations, is_pure
+from stsdecay import ReservoirConfig, StandardForm, StsParams, _batch, _cmd_evolve, _parser, cli, correlations
 from stsdecay import standard_form_from_sts
 
 # The column schema of the `evolve` table, as README documents it.
@@ -107,7 +108,7 @@ def _routing(argv):
         rows, refusal = _scalar_rows(sf0, res, times, units)
         if refusal is not None:
             return batched, left + 1
-        if any(row[3] == 0.0 or is_pure(StandardForm(*row[1:4])) for row in rows):
+        if any(row[3] == 0.0 or pure(StandardForm(*row[1:4])) for row in rows):
             left += 1
         else:
             batched += 1
@@ -217,7 +218,7 @@ def test_chunks_with_product_or_pure_rows_are_left_to_the_scalar_rows():
                 spy = _Spy()
                 assert _table(sf, res, [times], units, fmt, spy) == _table(sf, res, [times], units, fmt, None)
                 assert (spy.batched, spy.left) == (0, 1)
-    assert is_pure(standard_form_from_sts(StsParams(0.0, 0.0, 1.0)))
+    assert pure(standard_form_from_sts(StsParams(0.0, 0.0, 1.0)))
 
 
 @pytest.mark.parametrize("grid", [cli._grid, _cmd_evolve._log_grid], ids=["linear", "log"])

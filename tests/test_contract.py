@@ -51,9 +51,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from stsdecay import ASYMPTOTIC_ONLY, ReservoirConfig, StandardForm, StsParams, _batch, _cmd_evolve, cli  # noqa: E402
 from stsdecay import _cmd_report, _cmd_sweep, _parser, core, correlations, dynamics, verification  # noqa: E402
-from stsdecay import correlation_report, esd_bisection, esd_time, evolve, is_pure, is_separable  # noqa: E402
+from stsdecay import correlation_report, esd_bisection, esd_time, evolve, is_separable  # noqa: E402
 from stsdecay import standard_form_from_sts, symplectic_spectrum  # noqa: E402
 from stsdecay.errors import NonPhysicalStateError, SeparableInputError  # noqa: E402
+from conftest import pure  # noqa: E402
 
 # The command lines cited as defects or edges; tests/compare_trees.py replays them too.
 CITED = [
@@ -337,7 +338,7 @@ def _check(argv, seen, mutant=()):
         seen.update(["crossing"] if verdicts == {"false", "true"} else [])
         seen.update(["zero temperature"] if res.n_r1 == res.n_r2 == 0.0 and "false" in verdicts else [])
         seen.update("product" for row in expected if row[3] == 0.0)
-        seen.update("pure" for row in expected if is_pure(StandardForm(*row[1:4])))
+        seen.update("pure" for row in expected if pure(StandardForm(*row[1:4])))
     if a["command"] == "sweep" and "ts" in columns:
         seen.update(row[-1] for row in rows if row[-1] in ("separable", "asymptotic-only"))
 

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import bona_fide_margin, pure
 
 from stsdecay import (
     InvalidParameterError,
@@ -13,12 +14,10 @@ from stsdecay import (
     StsParams,
     correlation_report,
     full_cm,
-    is_pure,
     is_separable,
     separability_margin,
     standard_form_from_sts,
     symplectic_spectrum,
-    uncertainty_margin,
 )
 from stsdecay._accurate import prod_diff, two_sum
 from stsdecay.verification import sample_standard_form, sample_sts
@@ -233,7 +232,7 @@ def test_margins_properties():
     rng = np.random.default_rng(13)
     for _ in range(2000):
         sf = sample_standard_form(rng)
-        assert uncertainty_margin(sf) >= 0.0
+        assert bona_fide_margin(sf) >= 0.0
         spec = symplectic_spectrum(sf)
         # The separability margin factors through the PPT eigenvalues.
         factored = (spec.kappa_tilde_plus - 0.5) * (spec.kappa_tilde_minus - 0.5)
@@ -254,7 +253,7 @@ def test_full_cm_structure():
 
 def test_is_pure_detection():
     for r in (0.5, 2.0, 3.5, 5.0):
-        assert is_pure(standard_form_from_sts(StsParams(0.0, 0.0, r)))
-    assert not is_pure(StandardForm(1.5, 1.5, 0.0))
-    assert not is_pure(standard_form_from_sts(StsParams(1e-6, 0.0, 1.0)))
-    assert not is_pure(standard_form_from_sts(StsParams(10.0, 0.1, 2.0)))
+        assert pure(standard_form_from_sts(StsParams(0.0, 0.0, r)))
+    assert not pure(StandardForm(1.5, 1.5, 0.0))
+    assert not pure(standard_form_from_sts(StsParams(1e-6, 0.0, 1.0)))
+    assert not pure(standard_form_from_sts(StsParams(10.0, 0.1, 2.0)))

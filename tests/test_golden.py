@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import pure
 
 from stsdecay import (
     ReservoirConfig,
@@ -36,7 +37,6 @@ from stsdecay import (
     discords,
     entanglement_of_formation,
     evolve,
-    is_pure,
     mutual_information,
     standard_form_from_sts,
 )
@@ -212,7 +212,7 @@ def _adversarial_states() -> list[StandardForm]:
     add(0.5, 0.5, 0.0)
     for _ in range(200):
         add(0.5 + rng.expovariate(0.5), 0.5 + rng.expovariate(2.0), 0.0)
-    # Squeezed vacua perturbed across the is_pure relative tolerance, on
+    # Squeezed vacua perturbed across the pure-state relative tolerance, on
     # both sides, in b2 and in c.
     for _ in range(150):
         r = rng.uniform(0.05, 9.0)
@@ -265,8 +265,8 @@ API_DIGEST = "f30cac25f2ac4d54a13370e9dca7a0cf91627384f433c65343fce3aeff4440e4"
 
 def test_adversarial_set_straddles_the_thresholds():
     states = _adversarial_states()
-    pure = [is_pure(sf) for sf in states]
-    assert any(pure) and not all(pure)
+    flags = [pure(sf) for sf in states]
+    assert any(flags) and not all(flags)
     assert any(sf.c == 0.0 for sf in states)
 
 

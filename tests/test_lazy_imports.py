@@ -174,8 +174,9 @@ _MANIFEST = {
 }
 
 # Calls every public function of the closed-form modules once, and exits
-# with the names without a call below and those after whose call numpy
-# was loaded, if there are any.
+# with the names without a call below, those after whose call numpy was
+# loaded, and the calls below of names that no module exports, if there
+# are any.
 _CLOSED_FORMS = """
 import sys
 from stsdecay import core, correlations, dynamics
@@ -186,9 +187,7 @@ args = {
     "standard_form_from_sts": (sts,),
     "symplectic_spectrum": (sf,),
     "separability_margin": (sf,),
-    "uncertainty_margin": (sf,),
     "is_separable": (sf,),
-    "is_pure": (sf,),
     "entropic_h": (1.5,),
     "entanglement_of_formation": (sf,),
     "discords": (sf,),
@@ -199,9 +198,9 @@ args = {
     "esd_time_single_bath": (sf, 1.0, 0.3),
     "esd_bisection": (sf, res),
     "esd_time": (sf, res),
-    "steady_state": (res, sf),
 }
 uncalled, numpy_after = [], []
+stale = set(args).difference(*(module.__all__ for module in (core, correlations, dynamics)))
 for module in (core, correlations, dynamics):
     for name in module.__all__:
         fn = getattr(module, name)
@@ -213,8 +212,8 @@ for module in (core, correlations, dynamics):
         fn(*args[name])
         if "numpy" in sys.modules:
             numpy_after.append(name)
-if uncalled or numpy_after:
-    sys.exit(f"uncalled: {uncalled}, numpy after: {numpy_after}")
+if uncalled or numpy_after or stale:
+    sys.exit(f"uncalled: {uncalled}, numpy after: {numpy_after}, not exported: {sorted(stale)}")
 """
 _STEPS = [*_MANIFEST, _CLOSED_FORMS, "import numpy"]
 
@@ -261,6 +260,19 @@ def test_closed_form_modules_load_no_numpy(probed):
     results, _ = probed
     code, _, _, added = results[_CLOSED_FORMS]
     assert code == 0 and "numpy" not in added
+
+
+def test_closed_forms_exits_on_a_call_of_a_name_no_module_exports():
+    last = '    "esd_time": (sf, res),\n'
+    assert last in _CLOSED_FORMS
+    source = _CLOSED_FORMS.replace(last, last + '    "steady_state": (res, sf),\n')
+    path = str(Path(stsdecay.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", source],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "uncalled: [], numpy after: [], not exported: ['steady_state']\n"
 
 
 @pytest.mark.parametrize("step", [_LOG, _BATCH], ids=["log_spacing", "batch_threshold"])
@@ -391,7 +403,6 @@ _PUBLIC_NAMES = {
     "__version__",
     "characteristic_function",
     "correlation_report",
-    "count_margin_crossings",
     "discords",
     "entanglement_of_formation",
     "entropic_h",
@@ -402,7 +413,6 @@ _PUBLIC_NAMES = {
     "evolve",
     "full_cm",
     "gaussian_cf",
-    "is_pure",
     "is_separable",
     "mutual_information",
     "ppt_spectrum_oracle",
@@ -412,10 +422,8 @@ _PUBLIC_NAMES = {
     "sample_sts",
     "separability_margin",
     "standard_form_from_sts",
-    "steady_state",
     "symplectic_spectrum",
     "symplectic_spectrum_oracle",
-    "uncertainty_margin",
 }
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import bona_fide_margin
 
 from stsdecay import (
     ASYMPTOTIC_ONLY,
@@ -22,13 +23,11 @@ from stsdecay import (
     separability_margin,
     standard_form_from_sts,
     symplectic_spectrum,
-    uncertainty_margin,
 )
 from stsdecay import _batch, cli, verification
 from stsdecay.core import _offsets
 from stsdecay.dynamics import _margin_at
 from stsdecay.verification import (
-    count_margin_crossings,
     esd_bisection,
     ppt_spectrum_oracle,
     run_verification,
@@ -217,6 +216,17 @@ def test_bisection_markers_and_errors():
         esd_bisection(StandardForm(1.5, 1.5, 0.0), ReservoirConfig.identical(1.0, 0.5))
 
 
+def _count_margin_crossings(sf, res, t_max):
+    """Sign changes of the separability margin at 4,000 even points of [0, t_max].
+
+    A sample where the margin is 0 neither starts nor ends a crossing.
+    """
+    a1, a2, _ = _offsets(sf.b1, sf.b2, sf.c)
+    signs = np.sign(_margin_at(a1, a2, sf.c, res._fields(), np.linspace(0.0, t_max, 4000), _batch._Arrays))
+    signs = signs[signs != 0.0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
 def test_margin_crossing_counts():
     sf = standard_form_from_sts(StsParams(10.0, 0.1, 2.0))
     ts = esd_time_identical_baths(sf, 1.0, 0.5)
@@ -224,7 +234,7 @@ def test_margin_crossing_counts():
         (ReservoirConfig.identical(1.0, 0.5), 4.0 * ts, 1),
         (ReservoirConfig.identical(1.0, 0.0), 10.0, 0),
     ):
-        assert count_margin_crossings(sf, res, t_max) == crossings
+        assert _count_margin_crossings(sf, res, t_max) == crossings
         # The margin on the whole grid at once has the bits, so the signs,
         # of the scalar margin at each point.
         grid, (a1, a2, _) = np.linspace(0.0, t_max, 4000), _offsets(sf.b1, sf.b2, sf.c)
@@ -233,7 +243,7 @@ def test_margin_crossing_counts():
         assert stacked.tobytes() == np.array(scalar).tobytes()
         assert np.sign(stacked).tolist() == [math.copysign(1.0, m) if m else 0.0 for m in scalar]
     # A margin of exactly 0 at t = 0, positive after it: a zero sample starts no crossing.
-    assert count_margin_crossings(StandardForm(1.5, 1.5, 1.0), ReservoirConfig.identical(1.0, 0.5), 5.0) == 0
+    assert _count_margin_crossings(StandardForm(1.5, 1.5, 1.0), ReservoirConfig.identical(1.0, 0.5), 5.0) == 0
 
 
 # The samplers take any generator with random() and uniform(a, b): the
@@ -251,7 +261,7 @@ def test_samplers_produce_valid_states(generator):
         sf = sample_standard_form(rng, b_max=6.0)
         assert 0.5 <= sf.b1 <= 6.0 and 0.5 <= sf.b2 <= 6.0
         assert sf.c >= 0.0
-        assert uncertainty_margin(sf) >= 0.0
+        assert bona_fide_margin(sf) >= 0.0
     assert sample_sts(rng, with_phase=False).phi == 0.0
 
 
