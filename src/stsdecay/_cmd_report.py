@@ -25,10 +25,11 @@ def command(args: Args) -> int:
     res = _reservoir_from_args(args)
     t = args.t
     if t != 0.0:
+        from .dynamics import _check_time, evolve
+
+        _check_time(t)
         if res is None:
             raise _CliError("--t > 0 needs a reservoir; add bath flags or use --t 0")
-        from .dynamics import evolve
-
         sf = evolve(sf, res, t).sf
     b1, b2, c = sf.b1, sf.b2, sf.c
     columns, cells = _state_cells(outputs, args.units)

@@ -237,8 +237,10 @@ _DEKKER_MIN = 2.0**-969
 def _crossing(a1, a2, c, res, ops=_Floats):
     """The first non-negative double at which ``_margin_at`` of ``(a1, a2, c)`` is >= 0; elementwise.
 
-    The bit patterns from +0.0 to +inf are fewer than 2^63, so 63
-    halvings narrow them to one; +inf where no finite double crosses.  The
+    The halving kernel of ``_bisection``, on one case or, through
+    ``_batch.stack``, on the arrays of ``verify``'s cases.  The bit
+    patterns from +0.0 to +inf are fewer than 2^63, so 63 halvings narrow
+    them to one; +inf where no finite double crosses.  The
     low end holds a time of negative margin, or +0.0, so a range one
     pattern wide (its middle is its low end) stays as it is wherever the
     margin at +0.0 is < 0: for every input that ``_gate`` passes.
@@ -257,10 +259,11 @@ def esd_bisection(sf0: StandardForm, res: ReservoirConfig) -> float | Asymptotic
     ``_crossing`` bisects the bit patterns of the non-negative doubles
     from +0.0 to +inf, in 63 halvings, for the first double at which
     ``_margin_at``, the margin of the evolved offsets, is >= 0; the gate of
-    ``esd_time``, in its order, decides before that double is answered
-    (``_bisection_answer``).  It never consults the logarithms, the
-    four-term sum or the roots that ``esd_time`` takes, so it cross-checks
-    every bath layout.
+    ``esd_time``, in its order, decides before it, and the refusals of
+    that double after it.  Its kernel, ``_bisection``, is elementwise, and
+    ``verify`` runs it on 400 cases at once through ``_batch.stack``.  It
+    never consults the logarithms, the four-term sum or the roots that
+    ``esd_time`` takes, so it cross-checks every bath layout.
 
     ASYMPTOTIC_ONLY when every damped mode sees a zero-temperature bath:
     the margin then scales by a positive factor for all finite times and
@@ -276,29 +279,33 @@ def esd_bisection(sf0: StandardForm, res: ReservoirConfig) -> float | Asymptotic
             within a few ulps of 1 there).
         SeparableInputError: if ``sf0`` is already separable, as ``esd_time``.
     """
-    fields, (a1, a2, m) = res._fields(), _offsets(sf0.b1, sf0.b2, sf0.c)
-    return _bisection_answer(m, sf0.c, fields, _crossing(a1, a2, sf0.c, fields))
+    return _bisection(sf0.b1, sf0.b2, sf0.c, *res._fields())[0]
 
 
-def _bisection_answer(
-    margin: float, c: float, res: tuple[float, float, float, float], t: float
-) -> float | AsymptoticOnly:
-    """What ``esd_bisection`` answers for entries of separability margin ``margin`` and crossing ``t`` (``_crossing``).
+def _bisection(b1, b2, c, gamma1, n_r1, gamma2, n_r2, ops=_Floats):
+    """``(esd_bisection,)`` of the entries ``(b1, b2, c)`` in the reservoir ``(gamma1, n_r1, gamma2, n_r2)``; elementwise.
 
-    ``_gate`` first, then ``t`` with its refusals: a time that overflows or
+    ``_gate``'s cases are one branch, true exactly where ``_gate`` raises or
+    is True, so a NaN margin goes on to ``_crossing``.  Each refusal of the
+    crossing is a branch of its own, in order: a time that overflows or
     falls below the smallest normal double, products of the margin at or
-    below ``_DEKKER_MIN``, and a crossing below ``_EXP_RESOLUTION``.  The
-    scalar oracle and the stacked one in ``verification`` share it.
+    below ``_DEKKER_MIN``, and a crossing below ``_EXP_RESOLUTION``.
     """
-    if _gate(margin, res):
-        return ASYMPTOTIC_ONLY
-    t = _finite_death_time(t)
-    gamma1, n_r1, gamma2, n_r2 = res
-    if c * math.exp(-gamma1 * t) * (c * math.exp(-gamma2 * t)) <= _DEKKER_MIN:
+    a1, a2, m = _offsets(b1, b2, c)
+    res = (gamma1, n_r1, gamma2, n_r2)
+    if ops.branch((m >= 0.0) | (((gamma1 == 0.0) | (n_r1 == 0.0)) & ((gamma2 == 0.0) | (n_r2 == 0.0)))):
+        _gate(m, res)  # raises, or is True
+        return (ASYMPTOTIC_ONLY,)
+    t = _crossing(a1, a2, c, res, ops)
+    if ops.branch(ops.not_(ops.isfinite(t))):
+        raise InvalidParameterError(_OVERFLOW)
+    if ops.branch(t < _MIN_NORMAL):
+        raise InvalidParameterError(_UNDERFLOW)
+    if ops.branch(c * ops.exp(-gamma1 * t) * (c * ops.exp(-gamma2 * t)) <= _DEKKER_MIN):
         raise InvalidParameterError(_TERMS_UNDERFLOW.format(n_r1, n_r2))
-    if -math.expm1(-max(gamma1, gamma2) * t) <= _EXP_RESOLUTION:
+    if ops.branch(-ops.expm1(-ops.max(gamma1, gamma2) * t) <= _EXP_RESOLUTION):
         raise InvalidParameterError(_UNRESOLVED)
-    return t
+    return (t,)
 
 
 def esd_time(sf0: StandardForm, res: ReservoirConfig) -> float | AsymptoticOnly:

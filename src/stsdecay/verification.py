@@ -8,10 +8,11 @@ by routes that share none of that algebra:
   covariance matrix, ``full_cm`` (no two-mode formula involved),
 * disentanglement times from a bisection over the doubles on the
   separability margin of the evolved offsets b_i(t) - 1/2 (no logarithm,
-  no four-term sum and no root formula involved; ``esd_bisection``, whose
-  halving kernel the battery runs on arrays, lives in the numpy-free
-  ``dynamics``, where no production death time calls it, and is
-  re-exported here),
+  no four-term sum and no root formula involved; ``esd_bisection`` and
+  its elementwise kernel ``_bisection``, which the battery runs on arrays
+  through ``_batch.stack``, live in the numpy-free ``dynamics``, where no
+  production death time calls them, and ``esd_bisection`` is re-exported
+  here),
 * the evolved characteristic function, ``characteristic_function``,
   cross-checked against the Gaussian characteristic function of the
   evolved state, ``gaussian_cf`` (two different orders of applying the
@@ -41,11 +42,10 @@ from random import Random
 import numpy as np
 
 from ._accurate import prod_diff
-from ._batch import _Arrays, stack
+from ._batch import stack
 from .core import (
     StandardForm,
     StsParams,
-    _offsets,
     _Record,
     _spectrum,
     _sts_entries,
@@ -53,11 +53,9 @@ from .core import (
     standard_form_from_sts,
 )
 from .dynamics import (
-    AsymptoticOnly,
     ReservoirConfig,
-    _bisection_answer,
+    _bisection,
     _check_time,
-    _crossing,
     esd_bisection,
     esd_time_identical_baths,
     esd_time_single_bath,
@@ -111,8 +109,11 @@ _SPECTRUM_SAMPLES = 2000
 _ESD_SAMPLES = 200
 _CF_SAMPLES = 100
 # States per stacked oracle call in run_verification, a divisor of
-# _SPECTRUM_SAMPLES; one buffer of this many matrices is reused, so the
-# battery's memory does not grow with it.
+# _SPECTRUM_SAMPLES; one buffer of this many matrices is reused.  One stack
+# of all 2,000 ran the eigen-oracles 1 ms faster in-process (29.5 ms
+# against 30.5 ms on a 2-core Xeon), but peaked `verify` at 33.3 MB of RSS
+# against 31.5 MB (median of 6 runs each): +5.7%, against the 10% bound
+# of the benchmark's peak_rss_mb.
 _ORACLE_BLOCK = 250
 # The eigen-oracles refuse a matrix whose doubly degenerate eigenvalue
 # moduli differ by more than this.
@@ -369,24 +370,6 @@ def sample_standard_form(
             return StandardForm(b1, b2, c, phi)
 
 
-def _bisection_stack(
-    b1: np.ndarray, b2: np.ndarray, c: np.ndarray, res: list[np.ndarray]
-) -> list[float | AsymptoticOnly]:
-    """``esd_bisection`` of each case, bit for bit, from one bisection of all cases at once.
-
-    ``b1``, ``b2`` and ``c`` hold the entries, and ``res`` the four arrays
-    gamma1, n_r1, gamma2, n_r2, one case per element.  The halving kernel
-    of ``esd_bisection``, ``dynamics._crossing``, runs on the arrays; the
-    scalar ``dynamics._bisection_answer`` then answers the cases in order,
-    so the first case that ``esd_bisection`` refuses raises its error.
-    """
-    with np.errstate(all="ignore"):
-        a1, a2, margin = _offsets(b1, b2, c)
-        t = _crossing(a1, a2, c, res, _Arrays)
-    cases = zip(margin.tolist(), c.tolist(), zip(*(x.tolist() for x in res)), t.tolist())
-    return [_bisection_answer(*case) for case in cases]
-
-
 def _worst(quantity: str, closed, oracle, tol: float, relative: bool = False) -> OracleReport:
     """The report on the pair of ``closed`` and ``oracle`` elements that differs the most.
 
@@ -418,9 +401,9 @@ def run_verification(seed: int = 0) -> list[OracleReport]:
     spectra and the eigen-oracle's matrices of all spectrum states, and the
     bisection of all death-time cases, are array passes in which each
     element keeps the bits of its scalar call: the scalar kernels run on
-    the arrays, ``_crossing`` for the bisection and ``_batch.stack`` for
-    the rest, which hands a stack with a state that takes a branch or a
-    refusal of its own whole to the scalar kernel.  The rejection
+    the arrays through ``_batch.stack``, which hands a stack with a case
+    that takes a branch or a refusal of its own whole to the scalar
+    kernel, so the first refused case raises its own error.  The rejection
     samplers and the characteristic-function check run one state at a time.
 
     Raises:
@@ -490,9 +473,9 @@ def run_verification(seed: int = 0) -> list[OracleReport]:
         ts += [esd_time_identical_baths(sf, gamma, n_r), esd_time_single_bath(sf, gamma, n_r)]
         rows += [(sf.b1, sf.b2, sf.c, gamma, n_r, gamma, n_r), (sf.b1, sf.b2, sf.c, gamma, n_r, 0.0, 0.0)]
     b1, b2, c, *res = np.array(rows).T
-    tb = _bisection_stack(b1, b2, c, res)
-    assert all(isinstance(t, float) for t in ts + tb)
-    ts, tb = np.array(ts), np.array(tb)
+    (tb,) = stack(_bisection, b1, b2, c, *res)
+    assert all(isinstance(t, float) for t in ts) and tb.dtype == float
+    ts = np.array(ts)
     for k, name in enumerate(("identical-baths death time vs bisection", "single-bath death time vs bisection")):
         reports.append(_worst(name, ts[k::2], tb[k::2], 1e-9))
 

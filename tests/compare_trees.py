@@ -49,9 +49,11 @@ def edges() -> list[list[str]]:
     355; valid command lines in the spellings that argparse alone reads
     (abbreviated flags, ``--flag=value``); refusals that no other line
     reaches (a partial standard form, two bath layouts at once, an
-    infinite grid or phase); and the lines that ``test_contract.CITED``
-    cites as defects or edges, a negative ``--t-start`` whose grid step
-    overflows among them.
+    infinite grid or phase); the ``esd --verify`` lines that only the
+    bisection oracle refuses, below the time resolution (``--nr 1e300``)
+    and where its terms underflow (``--nr 1e-300``); and the lines that
+    ``test_contract.CITED`` cites as defects or edges, a negative
+    ``--t-start`` whose grid step overflows among them.
     """
     from test_contract import CITED
     fixed = {"n1": "0.5", "n2": "0.25", "r": "1", "gamma": "1", "nr": "0.5"}
@@ -85,6 +87,7 @@ def edges() -> list[list[str]]:
         ["evolve", "--n1", "1", "--n2", "1", "--r", "1", "--identical", "--nr", "0.5", "--t-end", "inf"],
         ["report", "--b1", "2", "--b2", "2", "--c", "1", "--phi", "inf"],
     ]
+    argvs += [["esd", "--n1", "10", "--n2", "0.1", "--r", "2", "--identical", "--nr", nr, "--verify"] for nr in ("1e300", "1e-300")]
     return argvs + [shlex.split(line) for line in CITED]
 
 

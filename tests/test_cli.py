@@ -943,6 +943,14 @@ def test_out_with_the_longest_file_name_writes_that_file(capsys, tmp_path):
         ),
         ("evolve --n1 1 --n2 1 --r 1 --identical --nr 0.5 --t-end inf", 2, "the time grid must be finite"),
         ("report --b1 2 --b2 2 --c 1 --phi inf", 2, "StandardForm fields must be finite numbers"),
+        # The time is refused as the time, with bath flags or without.
+        *(
+            (f"report --n1 1 --n2 1 --r 1{bath} --t {t}", 2, f"evolution time must be finite and >= 0, got {float(t)!r}")
+            for bath in ("", " --identical --nr 0.5")
+            for t in ("-1", "nan", "inf")
+        ),
+        ("report --n1 1 --n2 1 --r 1 --t 1", 2, "--t > 0 needs a reservoir; add bath flags or use --t 0"),
+        ("report --n1 1 --n2 1 --r 1 --identical", 2, "the shorthand reservoir layouts need --nr"),
         # The grid's step overflows to inf; the start is refused before the grid is made.
         *(
             (
@@ -955,6 +963,8 @@ def test_out_with_the_longest_file_name_writes_that_file(capsys, tmp_path):
     ],
     ids=[
         "partial_standard_form", "two_shorthand_layouts", "explicit_and_shorthand", "infinite_grid", "infinite_phase",
+        *(f"{bath}_time_{name}" for bath in ("no_bath", "bath") for name in ("negative", "nan", "inf")),
+        "time_without_bath", "shorthand_without_nr",
         "overflowing_grid_scalar_rows", "overflowing_grid_batch_rows",
     ],
 )

@@ -50,7 +50,7 @@ np = pytest.importorskip("numpy")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from stsdecay import ASYMPTOTIC_ONLY, ReservoirConfig, StandardForm, StsParams, _batch, _cmd_evolve, cli  # noqa: E402
-from stsdecay import _cmd_report, _cmd_sweep, _parser, core, correlations, dynamics, verification  # noqa: E402
+from stsdecay import _cmd_report, _cmd_sweep, _parser, core, correlations, dynamics  # noqa: E402
 from stsdecay import correlation_report, esd_bisection, esd_time, evolve, is_separable  # noqa: E402
 from stsdecay import standard_form_from_sts, symplectic_spectrum  # noqa: E402
 from stsdecay.errors import NonPhysicalStateError, SeparableInputError  # noqa: E402
@@ -416,7 +416,7 @@ _REVERSED = lambda f: lambda outputs, units: (lambda columns, cells: (columns[::
 _SHORT = lambda f: lambda start, stop, num: f(start, stop, num - 1)  # noqa: E731
 _INVERTED = lambda m: -m  # noqa: E731
 # Every module of the package that binds ``core._offsets``: a mutant of it reaches every row.
-_OFFSETS = (core, correlations, dynamics, verification, _cmd_report, _cmd_evolve, _cmd_sweep)
+_OFFSETS = (core, correlations, dynamics, _cmd_report, _cmd_evolve, _cmd_sweep)
 
 
 def _margin(g):

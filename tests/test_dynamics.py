@@ -29,8 +29,8 @@ from stsdecay import (
     separability_margin,
     standard_form_from_sts,
 )
-from stsdecay import core, dynamics, verification
-from stsdecay.dynamics import _bisection_answer, _margin_at
+from stsdecay import _batch, core, dynamics, verification
+from stsdecay.dynamics import _bisection, _margin_at
 from stsdecay.verification import sample_entangled_sts, sample_sts
 
 # Frozen 40-digit references: disentanglement time of the (10, 0.1, r=2)
@@ -490,9 +490,8 @@ def test_bisection_answers_every_case_or_names_the_cause():
 
 
 def _columns(cases):
-    """The entries and the reservoir of ``(state, reservoir)`` cases, as the arrays of ``verification._bisection_stack``."""
-    b1, b2, c, *res = (np.array(x) for x in zip(*((sf.b1, sf.b2, sf.c, *res._fields()) for sf, res in cases)))
-    return b1, b2, c, res
+    """The entries and the reservoir of ``(state, reservoir)`` cases, as the columns of ``stack(_bisection, ...)``."""
+    return tuple(np.array(x) for x in zip(*((sf.b1, sf.b2, sf.c, *res._fields()) for sf, res in cases)))
 
 
 def _answer_or_error(death_time, *args):
@@ -502,15 +501,27 @@ def _answer_or_error(death_time, *args):
         return exc
 
 
-def test_the_stacked_bisection_answers_each_case_as_esd_bisection(monkeypatch):
-    # One array pass over the adversarial cases: each case's time (the same
-    # bits), marker or error (the same type and message) is esd_bisection's.
-    monkeypatch.setattr(verification, "_bisection_answer", lambda *case: _answer_or_error(_bisection_answer, *case))
+def test_the_stacked_bisection_answers_each_case_as_esd_bisection():
+    # One array pass over the adversarial cases, with a branch hook that
+    # records each condition and goes on: each case branches exactly where
+    # esd_bisection gives no time (a marker or an error), and every other
+    # case gets esd_bisection's bits.
+    marks = []
+
+    class Marking(_batch._Arrays):
+        @staticmethod
+        def branch(cond):
+            marks.append(cond)
+            return False
+
     cases = list(_bisection_cases(random.Random(20141202)))
-    stacked = verification._bisection_stack(*_columns(cases))
-    for (sf, res), got in zip(cases, stacked, strict=True):
+    with np.errstate(all="ignore"):
+        (stacked,) = _bisection(*_columns(cases), ops=Marking)
+    branched = np.logical_or.reduce(marks).tolist()
+    for (sf, res), falls_back, got in zip(cases, branched, stacked.tolist(), strict=True):
         want = _answer_or_error(esd_bisection, sf, res)
-        assert (type(got), repr(got)) == (type(want), repr(want)), (sf, res)
+        assert falls_back is (type(want) is not float), (sf, res)
+        assert falls_back or repr(got) == repr(want), (sf, res)
 
 
 def test_a_stack_with_refused_cases_raises_the_first_refusal():
@@ -526,7 +537,7 @@ def test_a_stack_with_refused_cases_raises_the_first_refusal():
     for first, second in zip(refused, refused[1:] + refused[:1]):
         exc = _answer_or_error(esd_bisection, *first)
         with pytest.raises(type(exc)) as raised:
-            verification._bisection_stack(*_columns([good, first, good, second]))
+            _batch.stack(_bisection, *_columns([good, first, good, second]))
         assert str(raised.value) == str(exc)
 
 
@@ -632,14 +643,13 @@ def test_bisection_times_are_within_1e_11_of_the_mpmath_root(monkeypatch):
     cases = _every_layout_cases()
     # With them, the identical and single baths of the verify battery of
     # seed 0, which it bisects in one stack.
-    stack = verification._bisection_stack
+    def record(kernel, *columns, stack=_batch.stack):
+        if kernel is _bisection:
+            for case in zip(*(x.tolist() for x in columns)):
+                cases.append((StandardForm(*case[:3]), ReservoirConfig(*case[3:])))
+        return stack(kernel, *columns)
 
-    def record(b1, b2, c, res):
-        for case in zip(b1.tolist(), b2.tolist(), c.tolist(), *(x.tolist() for x in res)):
-            cases.append((StandardForm(*case[:3]), ReservoirConfig(*case[3:])))
-        return stack(b1, b2, c, res)
-
-    monkeypatch.setattr(verification, "_bisection_stack", record)
+    monkeypatch.setattr(verification, "stack", record)
     verification.run_verification(seed=0)
     answered = 0
     for sf, res in cases:

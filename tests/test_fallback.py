@@ -24,18 +24,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from stsdecay import ReservoirConfig, _batch, cli, core, correlations, verification  # noqa: E402
+from stsdecay import ASYMPTOTIC_ONLY, ReservoirConfig, _batch, cli, core, correlations, verification  # noqa: E402
 from stsdecay._accurate import prod_diff  # noqa: E402
-from stsdecay.dynamics import _evolved_entries, _margin_at  # noqa: E402
+from stsdecay.dynamics import _bisection, _evolved_entries, _margin_at  # noqa: E402
 
 _ADVERSARIAL = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 0.49999999999999994, 0.5, 0.5000000000000001]
 _VALUES = st.sampled_from([*_ADVERSARIAL, math.nan, math.inf, -math.inf, 0.75, 1.0, 2.5, 3.0])
 # Admissible evolution times, the adversarial ones among them.
 _TIMES = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 3.0, 1e308, math.inf])
+# Rates and occupancies as ReservoirConfig admits them: with 0, absent and cold baths.
+_BATHS = st.sampled_from([*_ADVERSARIAL, 0.75, 1.0, 2.5, 3.0])
 _RES = (1.0, 0.2, 2.0, 0.5)
 _RESERVOIR = ReservoirConfig(*_RES)
 # Elements that the kernels answer on arrays, mixed in so that whole stacks of them occur.
 _STATES = [(2.0, 3.0, 1.0), (1.0, 1.0, 0.5), (0.75, 2.5, 0.3), (3.0, 3.0, 2.5)]
+_ENTANGLED = [(2.0, 3.0, 2.0), (1.0, 1.0, 0.75), (3.0, 3.0, 2.75)]
 _PARAMETERS = [(1.0, 0.5, 1.0), (0.0, 0.0, 2.0), (3.0, 2.5, 0.5)]
 
 
@@ -86,6 +89,10 @@ def _never(*_):
     return False
 
 
+def _asymptotic(*element):
+    return _bisection(*element)[0] is ASYMPTOTIC_ONLY
+
+
 def _elements(ordinary, *columns):
     return st.one_of(st.sampled_from(ordinary), st.tuples(*columns))
 
@@ -99,6 +106,11 @@ _KERNELS = {
     "measures": (correlations._measures, _elements(_STATES, *[_VALUES] * 3), _product_or_pure),
     "offsets": (_offsets, _elements(_STATES, *[_VALUES] * 3), _never),
     "margin_at": (_margin, _elements([(*state, 0.5) for state in _STATES], *[_VALUES] * 3, _TIMES), _never),
+    "bisection": (
+        _bisection,
+        _elements([(*state, *_RES) for state in _ENTANGLED], *[_VALUES] * 3, *[_BATHS] * 4),
+        _asymptotic,
+    ),
     **{
         f"evolve_row_{units}": (
             _evolve_row(units),

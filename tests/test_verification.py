@@ -267,7 +267,8 @@ def test_samplers_produce_valid_states(generator):
 
 def _battery(monkeypatch, spectrum, esd, cf):
     # A smaller battery than run_verification's own; the spectrum count
-    # stays a multiple of _ORACLE_BLOCK and of 10.
+    # stays a multiple of _ORACLE_BLOCK, the oracle stack that keeps the
+    # battery's peak RSS down, and of 10.
     monkeypatch.setattr(verification, "_SPECTRUM_SAMPLES", spectrum)
     monkeypatch.setattr(verification, "_ESD_SAMPLES", esd)
     monkeypatch.setattr(verification, "_CF_SAMPLES", cf)
@@ -286,8 +287,9 @@ def test_run_verification_battery_passes_and_is_deterministic(monkeypatch):
 
 def test_the_spectrum_stacks_give_each_battery_state_its_scalar_bits(monkeypatch):
     # All 4,000 spectrum states of the battery of seed 11: the entries of
-    # standard_form_from_sts and the four kappas of symplectic_spectrum.
-    seen = {verification._sts_entries: [], verification._spectrum: []}
+    # standard_form_from_sts and the four kappas of symplectic_spectrum;
+    # and its two death-time cases, the time of esd_bisection.
+    seen = {verification._sts_entries: [], verification._spectrum: [], verification._bisection: []}
 
     def record(kernel, *args, stack=_batch.stack):
         out = stack(kernel, *args)
@@ -297,12 +299,14 @@ def test_the_spectrum_stacks_give_each_battery_state_its_scalar_bits(monkeypatch
     monkeypatch.setattr(verification, "stack", record)
     _battery(monkeypatch, 2000, 1, 1)
     run_verification(seed=11)
-    entries, spectra = seen.values()
-    assert len(entries) == 2000 + 1800 and len(spectra) == 4000
+    entries, spectra, times = seen.values()
+    assert len(entries) == 2000 + 1800 and len(spectra) == 4000 and len(times) == 2
     for n1, n2, r, *stacked in entries:
         assert stacked == list(standard_form_from_sts(StsParams(n1, n2, r))._fields()[:3])
     for b1, b2, c, *stacked in spectra:
         assert stacked == list(symplectic_spectrum(StandardForm(b1, b2, c))._fields())
+    for b1, b2, c, *res, t in times:
+        assert t == esd_bisection(StandardForm(b1, b2, c), ReservoirConfig(*res))
 
 
 def _error(f, *args):
